@@ -240,9 +240,10 @@ def instance_from_json(doc: str) -> GameInstance:
     for field in ("balance_i", "balance_j"):
         if field not in raw:
             raise ZeroBalance(f"missing field {field}")
-        if not isinstance(raw[field], int):
+        # bool is a subclass of int, but true/false are not balances.
+        if not isinstance(raw[field], int) or isinstance(raw[field], bool):
             raise ZeroBalance(f"field {field} must be an integer")
     cap = raw.get("issue_cap", 1_000_000)
-    if not isinstance(cap, int) or cap <= 0:
+    if not isinstance(cap, int) or isinstance(cap, bool) or cap <= 0:
         raise CapExceeded("field issue_cap must be a positive integer")
     return build_instance(raw["balance_i"], raw["balance_j"], cap)

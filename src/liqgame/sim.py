@@ -298,9 +298,6 @@ def analytic_hit_ratio(
     """Exact success probability P(offer <= capacity) by direct summation
     over the joint parcel distribution. Serves as the convergence oracle
     for ``run_simulation``."""
-    for strategy in (strategy_i, strategy_j):
-        if strategy.kind not in STRATEGY_KINDS:
-            raise IntractableStrategy(f"no analytic form for {strategy.kind!r}")
     lo_i, hi_i = range_i
     lo_j, hi_j = range_j
     offer_pmf = _parcel_distribution(strategy_i, lo_i, hi_i)

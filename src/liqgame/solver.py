@@ -2,9 +2,10 @@
 
 Pure equilibria come from an exhaustive best-response scan. Mixed equilibria
 come from support enumeration: for every pair of equal-size candidate
-supports the indifference system is solved exactly over rationals, so the
-published small-fraction profiles (1/2, 1/3, 1/6, ...) are reproduced with
-zero tolerance. A grid-search oracle provides an independent cross-check.
+supports the indifference system is solved exactly by integer (fraction-free)
+elimination, so the published small-fraction profiles (1/2, 1/3, 1/6, ...)
+are reproduced with zero tolerance. A grid-search oracle provides an
+independent cross-check.
 """
 
 from __future__ import annotations
@@ -70,14 +71,6 @@ class MixedProfile:
         return tuple(c for c, q in enumerate(self.probs_j) if q > 0)
 
 
-@dataclass(frozen=True)
-class SupportPair:
-    """Candidate supports examined during enumeration."""
-
-    support_i: tuple[int, ...]
-    support_j: tuple[int, ...]
-
-
 def _payoff_arrays(matrix: PayoffMatrix) -> tuple[list[list[int]], list[list[int]]]:
     u_i = [[cell[0] for cell in row] for row in matrix.entries]
     u_j = [[cell[1] for cell in row] for row in matrix.entries]
@@ -99,51 +92,77 @@ def find_pure_equilibria(matrix: PayoffMatrix) -> list[PureEquilibrium]:
     return found
 
 
-def _solve_linear_exact(
-    a: list[list[Fraction]], b: list[Fraction]
-) -> Optional[list[Fraction]]:
-    """Gaussian elimination over rationals; None when the system has no
-    unique solution (singular or inconsistent)."""
+def _solve_fraction_free(a: list[list[int]]) -> Optional[tuple[list[int], int]]:
+    """Solve the augmented integer system ``a`` (n rows of n + 1 entries) by
+    Bareiss elimination, overwriting ``a``.
+
+    Returns ``(nums, det)`` with ``det > 0`` and solution ``nums[i] / det``,
+    or None when the system is singular. Every division is exact, so no
+    rational is ever formed.
+    """
     n = len(a)
-    aug = [row[:] + [b[k]] for k, row in enumerate(a)]
+    prev = 1
     for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        pivot = next((r for r in range(col, n) if a[r][col]), None)
         if pivot is None:
             return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = aug[col][col]
-        for r in range(col + 1, n):
-            if aug[r][col] == 0:
-                continue
-            factor = aug[r][col] / inv
-            for c in range(col, n + 1):
-                aug[r][c] -= factor * aug[col][c]
-    x = [Fraction(0)] * n
-    for r in range(n - 1, -1, -1):
-        acc = aug[r][n]
-        for c in range(r + 1, n):
-            acc -= aug[r][c] * x[c]
-        x[r] = acc / aug[r][r]
-    return x
+        a[col], a[pivot] = a[pivot], a[col]
+        top = a[col]
+        piv = top[col]
+        for row in a[col + 1 :]:
+            f = row[col]
+            for c in range(col + 1, n + 1):
+                row[c] = (piv * row[c] - f * top[c]) // prev
+        prev = piv
+    # prev is now the determinant of the row-permuted system, so Cramer's
+    # rule makes every prev * x_i an integer and each division below exact.
+    nums = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = a[i]
+        acc = prev * row[n] - sum(row[j] * nums[j] for j in range(i + 1, n))
+        nums[i] = acc // row[i]
+    if prev < 0:
+        return [-x for x in nums], -prev
+    return nums, prev
 
 
-def _indifference_solution(
+def _support_weights(
     own_payoffs: list[list[int]], support_own: Sequence[int], support_opp: Sequence[int]
-) -> Optional[tuple[list[Fraction], Fraction]]:
-    """Probabilities over ``support_opp`` that equalise the owner's payoff
-    across ``support_own``, plus the common payoff value."""
-    k = len(support_opp)
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for r in support_own:
-        rows.append([Fraction(own_payoffs[r][c]) for c in support_opp] + [Fraction(-1)])
-        rhs.append(Fraction(0))
-    rows.append([Fraction(1)] * k + [Fraction(0)])
-    rhs.append(Fraction(1))
-    solution = _solve_linear_exact(rows, rhs)
-    if solution is None:
+) -> Optional[tuple[list[int], int]]:
+    """Opponent weights over ``support_opp`` that make the owner indifferent
+    across ``support_own``, as integer numerators over a positive common
+    denominator.
+
+    None when the system is singular, a weight is negative, or an action
+    outside ``support_own`` earns more than the common value.
+    """
+    base = [own_payoffs[support_own[0]][c] for c in support_opp]
+    # Differences against the first support row remove the common value
+    # from the system; the leading row makes the weights sum to one.
+    system = [[1] * len(support_opp) + [1]]
+    for r in support_own[1:]:
+        row = own_payoffs[r]
+        system.append([row[c] - b for c, b in zip(support_opp, base)] + [0])
+    solved = _solve_fraction_free(system)
+    if solved is None:
         return None
-    return solution[:k], solution[k]
+    nums, det = solved
+    if any(x < 0 for x in nums):
+        return None
+    value = sum(b * x for b, x in zip(base, nums))
+    for r, row in enumerate(own_payoffs):
+        if r not in support_own and sum(row[c] * x for c, x in zip(support_opp, nums)) > value:
+            return None
+    return nums, det
+
+
+def _probabilities(
+    size: int, support: Sequence[int], nums: list[int], det: int
+) -> tuple[Fraction, ...]:
+    probs = [Fraction(0)] * size
+    for k, x in zip(support, nums):
+        probs[k] = Fraction(x, det)
+    return tuple(probs)
 
 
 def solve_mixed(
@@ -153,10 +172,14 @@ def solve_mixed(
     every exactly-solved profile that is non-negative and has no better
     reply outside its support.
 
+    Each support system is solved by fraction-free (Bareiss) elimination on
+    the integer payoffs, and both checks run on the resulting integer
+    numerators; rationals are formed only for accepted profiles.
+
     Degenerate profiles are kept: a solution may place probability zero on
     part of its candidate support, which is how boundary equilibria of
     weakly dominated games surface. Pure equilibria appear as the size-1
-    supports. Singular or inconsistent support systems are skipped.
+    supports. Singular support systems are skipped.
     """
     m, n = matrix.rows, matrix.cols
     if m == 0 or n == 0:
@@ -166,62 +189,26 @@ def solve_mixed(
             f"matrix is {m}x{n}, enumeration capped at {dimension_cap} per side"
         )
     u_i, u_j = _payoff_arrays(matrix)
+    u_j_t = [list(col) for col in zip(*u_j)]
     profiles: list[MixedProfile] = []
     seen: set[tuple[tuple[Fraction, ...], tuple[Fraction, ...]]] = set()
     for size in range(1, min(m, n) + 1):
         for support_i in itertools.combinations(range(m), size):
             for support_j in itertools.combinations(range(n), size):
-                profile = _profile_for_supports(
-                    u_i, u_j, m, n, SupportPair(support_i, support_j)
-                )
-                if profile is None:
+                q = _support_weights(u_i, support_i, support_j)
+                if q is None:
                     continue
+                p = _support_weights(u_j_t, support_j, support_i)
+                if p is None:
+                    continue
+                profile = MixedProfile(
+                    _probabilities(m, support_i, *p), _probabilities(n, support_j, *q)
+                )
                 key = (profile.probs_i, profile.probs_j)
                 if key not in seen:
                     seen.add(key)
                     profiles.append(profile)
     return profiles
-
-
-def _profile_for_supports(
-    u_i: list[list[int]],
-    u_j: list[list[int]],
-    m: int,
-    n: int,
-    supports: SupportPair,
-) -> Optional[MixedProfile]:
-    si, sj = supports.support_i, supports.support_j
-    solved_q = _indifference_solution(u_i, si, sj)
-    if solved_q is None:
-        return None
-    q_support, value_i = solved_q
-    if any(q < 0 for q in q_support):
-        return None
-    # No pure row outside the candidate support may beat the common value.
-    for r in range(m):
-        if r in si:
-            continue
-        if sum(Fraction(u_i[r][c]) * q for c, q in zip(sj, q_support)) > value_i:
-            return None
-    u_j_t = [[u_j[r][c] for r in range(m)] for c in range(n)]
-    solved_p = _indifference_solution(u_j_t, sj, si)
-    if solved_p is None:
-        return None
-    p_support, value_j = solved_p
-    if any(p < 0 for p in p_support):
-        return None
-    for c in range(n):
-        if c in sj:
-            continue
-        if sum(Fraction(u_j[r][c]) * p for r, p in zip(si, p_support)) > value_j:
-            return None
-    probs_i = [Fraction(0)] * m
-    for r, p in zip(si, p_support):
-        probs_i[r] = p
-    probs_j = [Fraction(0)] * n
-    for c, q in zip(sj, q_support):
-        probs_j[c] = q
-    return MixedProfile(tuple(probs_i), tuple(probs_j))
 
 
 def verify_equilibrium(

@@ -1,0 +1,114 @@
+"""Reference support enumeration over ``fractions.Fraction``.
+
+A deliberately plain Gaussian-elimination enumerator kept only as a test
+oracle for ``liqgame.solver.solve_mixed``: the two must return equal lists,
+including order, de-duplication and degenerate profiles.
+"""
+
+from __future__ import annotations
+
+import itertools
+from fractions import Fraction
+from typing import Optional, Sequence
+
+from liqgame.core import PayoffMatrix
+from liqgame.solver import MixedProfile
+
+
+def _solve_linear_exact(
+    a: list[list[Fraction]], b: list[Fraction]
+) -> Optional[list[Fraction]]:
+    """Gaussian elimination over rationals; None when the system has no
+    unique solution."""
+    n = len(a)
+    aug = [row[:] + [b[k]] for k, row in enumerate(a)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            return None
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = aug[col][col]
+        for r in range(col + 1, n):
+            if aug[r][col] == 0:
+                continue
+            factor = aug[r][col] / inv
+            for c in range(col, n + 1):
+                aug[r][c] -= factor * aug[col][c]
+    x = [Fraction(0)] * n
+    for r in range(n - 1, -1, -1):
+        acc = aug[r][n]
+        for c in range(r + 1, n):
+            acc -= aug[r][c] * x[c]
+        x[r] = acc / aug[r][r]
+    return x
+
+
+def _indifference_solution(
+    own_payoffs: list[list[int]], support_own: Sequence[int], support_opp: Sequence[int]
+) -> Optional[tuple[list[Fraction], Fraction]]:
+    """Probabilities over ``support_opp`` that equalise the owner's payoff
+    across ``support_own``, plus the common payoff value."""
+    k = len(support_opp)
+    rows: list[list[Fraction]] = []
+    rhs: list[Fraction] = []
+    for r in support_own:
+        rows.append([Fraction(own_payoffs[r][c]) for c in support_opp] + [Fraction(-1)])
+        rhs.append(Fraction(0))
+    rows.append([Fraction(1)] * k + [Fraction(0)])
+    rhs.append(Fraction(1))
+    solution = _solve_linear_exact(rows, rhs)
+    if solution is None:
+        return None
+    return solution[:k], solution[k]
+
+
+def _profile_for_supports(
+    u_i: list[list[int]],
+    u_j: list[list[int]],
+    si: Sequence[int],
+    sj: Sequence[int],
+) -> Optional[MixedProfile]:
+    m, n = len(u_i), len(u_i[0])
+    solved_q = _indifference_solution(u_i, si, sj)
+    if solved_q is None:
+        return None
+    q_support, value_i = solved_q
+    if any(q < 0 for q in q_support):
+        return None
+    for r in range(m):
+        if r not in si and sum(Fraction(u_i[r][c]) * q for c, q in zip(sj, q_support)) > value_i:
+            return None
+    u_j_t = [[u_j[r][c] for r in range(m)] for c in range(n)]
+    solved_p = _indifference_solution(u_j_t, sj, si)
+    if solved_p is None:
+        return None
+    p_support, value_j = solved_p
+    if any(p < 0 for p in p_support):
+        return None
+    for c in range(n):
+        if c not in sj and sum(Fraction(u_j[r][c]) * p for r, p in zip(si, p_support)) > value_j:
+            return None
+    probs_i = [Fraction(0)] * m
+    for r, p in zip(si, p_support):
+        probs_i[r] = p
+    probs_j = [Fraction(0)] * n
+    for c, q in zip(sj, q_support):
+        probs_j[c] = q
+    return MixedProfile(tuple(probs_i), tuple(probs_j))
+
+
+def reference_solve_mixed(matrix: PayoffMatrix) -> list[MixedProfile]:
+    """Every accepted profile in enumeration order, duplicates dropped."""
+    m, n = matrix.rows, matrix.cols
+    u_i = [[cell[0] for cell in row] for row in matrix.entries]
+    u_j = [[cell[1] for cell in row] for row in matrix.entries]
+    profiles: list[MixedProfile] = []
+    seen = set()
+    for size in range(1, min(m, n) + 1):
+        for si in itertools.combinations(range(m), size):
+            for sj in itertools.combinations(range(n), size):
+                profile = _profile_for_supports(u_i, u_j, si, sj)
+                if profile is not None and profile not in seen:
+                    seen.add(profile)
+                    profiles.append(profile)
+    return profiles

@@ -174,3 +174,15 @@ class TestInstanceSerialization:
     def test_bad_cap_rejected(self):
         with pytest.raises(CapExceeded):
             instance_from_json('{"balance_i": 2, "balance_j": -2, "issue_cap": 0}')
+
+    @pytest.mark.parametrize(
+        "doc",
+        ['{"balance_i": true, "balance_j": -2}', '{"balance_i": -2, "balance_j": true}'],
+    )
+    def test_boolean_balance_rejected(self, doc):
+        with pytest.raises(ZeroBalance):
+            instance_from_json(doc)
+
+    def test_boolean_cap_rejected(self):
+        with pytest.raises(CapExceeded):
+            instance_from_json('{"balance_i": 1, "balance_j": -1, "issue_cap": true}')

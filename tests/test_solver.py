@@ -16,6 +16,8 @@ from liqgame.solver import (
     verify_equilibrium,
 )
 
+from reference_solver import reference_solve_mixed
+
 F = Fraction
 
 
@@ -101,6 +103,50 @@ class TestSolveMixed:
         profiles = solve_mixed(matrix)
         assert profiles
         for prof in profiles:
+            assert verify_equilibrium(matrix, prof, F(0))
+
+
+@st.composite
+def general_games(draw) -> PayoffMatrix:
+    """from_entries games with sides 1..5 over a small value pool, so ties,
+    zeros, negatives and duplicated rows and columns are common."""
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    pool = draw(st.lists(st.integers(-10, 1000), min_size=1, max_size=4)) + [0, -1]
+    value = st.sampled_from(pool)
+    grid = draw(
+        st.lists(
+            st.lists(st.tuples(value, value), min_size=cols, max_size=cols),
+            min_size=rows,
+            max_size=rows,
+        )
+    )
+    if rows < 5 and draw(st.booleans()):
+        grid.append(list(grid[draw(st.integers(0, rows - 1))]))
+    if cols < 5 and draw(st.booleans()):
+        c = draw(st.integers(0, cols - 1))
+        grid = [row + [row[c]] for row in grid]
+    return PayoffMatrix.from_entries(grid)
+
+
+class TestReferenceAgreement:
+    """solve_mixed must return exactly the Fraction enumerator's list."""
+
+    @pytest.mark.parametrize("b_i", range(1, 8))
+    @pytest.mark.parametrize("b_j", range(1, 8))
+    def test_instance_games(self, b_i, b_j):
+        matrix = game_matrix(b_i, -b_j)
+        assert solve_mixed(matrix) == reference_solve_mixed(matrix)
+
+    @settings(max_examples=150, deadline=None)
+    @given(matrix=general_games())
+    def test_general_games(self, matrix):
+        assert solve_mixed(matrix) == reference_solve_mixed(matrix)
+
+    @settings(max_examples=150, deadline=None)
+    @given(matrix=general_games())
+    def test_general_profiles_are_exact_equilibria(self, matrix):
+        for prof in solve_mixed(matrix):
+            assert sum(prof.probs_i) == 1 and sum(prof.probs_j) == 1
             assert verify_equilibrium(matrix, prof, F(0))
 
 
