@@ -30,7 +30,6 @@ class RunManifest:
     input_path: Optional[Path]
     output_path: Optional[Path]
     format: str
-    seed: Optional[int]
 
 
 def _dumps(payload) -> str:
@@ -171,7 +170,6 @@ def _manifest(args: argparse.Namespace, input_path: Optional[Path], default_form
         input_path=input_path,
         output_path=args.output,
         format=args.format or default_format,
-        seed=args.seed,
     )
 
 
@@ -310,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", type=Path, help="write the report here (atomic)")
     common.add_argument("--format", choices=("json", "csv"), default=None)
-    common.add_argument("--seed", type=int, default=None, help="RNG seed (unsigned 64-bit)")
 
     parser = argparse.ArgumentParser(
         prog="liqgame",
@@ -354,6 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", parents=[common], help="seeded Monte Carlo runs")
     p_sim.add_argument("--config", type=Path, help="JSON simulation config")
+    p_sim.add_argument("--seed", type=int, default=None, help="RNG seed (unsigned 64-bit)")
     p_sim.add_argument("--trials", type=int)
     p_sim.add_argument("--range-i", type=str, help="long balance range lo:hi")
     p_sim.add_argument("--range-j", type=str, help="short balance range lo:hi")

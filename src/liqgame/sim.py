@@ -3,25 +3,33 @@
 Each trial samples one balance per player uniformly from its range, derives
 parcel sizes from the configured strategies and plays the acceptance rule.
 Repeated mode keeps trading the same pair until one side clears or the round
-budget runs out. Every trial draws from its own RNG substream, so reports
-are bit-reproducible for a given seed regardless of execution order.
+budget runs out; one-shot mode is repeated mode stopped after round 1.
+
+Trials are played in blocks of ``BLOCK`` = 1024; block b draws, as arrays,
+its balances and then each round's parcels for its active trials from the
+substream ``PCG64(SeedSequence(seed, spawn_key=(b,)))``. So a (config, seed)
+gives byte-identical reports, a full block's trials do not depend on the
+total trial count, and round 1 of a repeated trial is its one-shot play.
+Seeded results differ from earlier versions, which drew per trial.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Optional
 
 import numpy as np
 
-from . import core
 from .core import LiquidityGameError
 
 STRATEGY_KINDS = ("fixed_fraction", "uniform_random", "full_balance")
 MODES = ("one_shot", "repeated")
+# Trials per RNG substream. Changing it changes every seeded result.
+BLOCK = 1024
 
 
 class IntractableStrategy(LiquidityGameError):
@@ -44,10 +52,6 @@ class StrategySpec:
         elif self.fraction is not None:
             raise ValueError(f"fraction is only valid for fixed_fraction, not {self.kind}")
 
-    @property
-    def needs_rng(self) -> bool:
-        return self.kind == "uniform_random"
-
     def to_jsonable(self) -> dict:
         doc = {"kind": self.kind}
         if self.fraction is not None:
@@ -65,12 +69,22 @@ HIGH_STRATEGY = StrategySpec("fixed_fraction", 0.9)
 LOW_STRATEGY = StrategySpec("fixed_fraction", 0.3)
 
 
-def parcel_size(strategy: StrategySpec, balance_abs: int) -> int:
-    """Deterministic parcel for a balance; random kinds sample elsewhere."""
+def parcel_size(strategy: StrategySpec, balance_abs):
+    """Deterministic parcel for an absolute balance, or for each entry of an
+    int64 array of them; random kinds sample elsewhere.
+
+    fixed_fraction rounds fraction * balance half up, at least 1, in exact
+    integer arithmetic: max(1, (2 p b + q) // 2q), where p/q is the decimal
+    the fraction is written as (0.7 is 7/10, not the nearest binary float).
+    """
     if strategy.kind == "full_balance":
         return balance_abs
     if strategy.kind == "fixed_fraction":
-        return max(1, math.floor(strategy.fraction * balance_abs + 0.5))
+        p, q = Fraction(str(strategy.fraction)).as_integer_ratio()
+        if 2 * q * int(np.max(balance_abs)) >= 2**63:
+            raise ValueError(f"fraction {strategy.fraction} times the balance overflows int64")
+        rounded = (2 * p * balance_abs + q) // (2 * q)
+        return rounded + (rounded == 0)  # max(1, rounded) for ints and arrays alike
     raise IntractableStrategy(f"{strategy.kind} has no deterministic parcel")
 
 
@@ -188,75 +202,71 @@ class SimReport:
         return "\n".join(lines) + "\n"
 
 
-def _trial_rng(seed: int, index: int) -> np.random.Generator:
-    # Per-trial substream: same draws whether trials run serially or not.
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(index,))))
+def _play_block(config: SimConfig, first: int) -> tuple[np.ndarray, ...]:
+    """Play the block of trials from index ``first`` (a multiple of BLOCK)
+    together; returns the TrialRecord fields as arrays, in field order."""
+    size = min(BLOCK, config.trials - first)
+    seeds = np.random.SeedSequence(config.seed, spawn_key=(first // BLOCK,))
+    rng = np.random.Generator(np.random.PCG64(seeds))
+    lo_i, hi_i = config.balance_range_i
+    lo_j, hi_j = config.balance_range_j
+    start_i = rng.integers(lo_i, hi_i, size, endpoint=True)
+    start_j = rng.integers(-hi_j, -lo_j, size, endpoint=True)
+    left_i, left_j = start_i.copy(), start_j.copy()
+    volume = np.zeros(size, dtype=np.int64)
+    trades = np.zeros(size, dtype=np.int64)
+    rounds = np.zeros(size, dtype=np.int64)
+    active = np.arange(size)
+    max_rounds = 1 if config.mode == "one_shot" else config.max_rounds
+    for round_no in range(1, max_rounds + 1):
+        if not active.size:
+            break
+        held, needed = left_i[active], left_j[active]
+        offer = _parcels(config.strategy_i, held, rng)
+        capacity = _parcels(config.strategy_j, needed, rng)
+        # The acceptance rule: the offer moves in full iff it fits the capacity.
+        moved = np.where(offer <= capacity, offer, 0)
+        held -= moved
+        needed -= moved
+        broken = (held < 0) | (needed < 0) | (held - needed != start_i[active] - start_j[active])
+        if broken.any():
+            raise AssertionError("trade flipped a balance sign or failed to conserve the total")
+        left_i[active], left_j[active] = held, needed
+        volume[active] += moved
+        trades[active] += moved > 0
+        rounds[active] = round_no
+        active = active[(held > 0) & (needed > 0)]
+    cleared = (left_i == 0) | (left_j == 0)
+    return start_i, -start_j, volume, rounds, trades, cleared
 
 
-def _draw_parcel(strategy: StrategySpec, balance_abs: int, rng: np.random.Generator) -> int:
+def _parcels(strategy: StrategySpec, balance_abs: np.ndarray, rng: np.random.Generator):
     if strategy.kind == "uniform_random":
-        return int(rng.integers(1, balance_abs + 1))
+        return rng.integers(1, balance_abs, endpoint=True)
     return parcel_size(strategy, balance_abs)
 
 
 def iter_trials(config: SimConfig) -> Iterator[TrialRecord]:
-    """Play each trial independently and yield its record."""
-    lo_i, hi_i = config.balance_range_i
-    lo_j, hi_j = config.balance_range_j
-    issue_cap = max(hi_i, -lo_j)
-    one_shot = config.mode == "one_shot"
-    for index in range(config.trials):
-        rng = _trial_rng(config.seed, index)
-        balance_i = int(rng.integers(lo_i, hi_i + 1))
-        balance_j = int(rng.integers(lo_j, hi_j + 1))
-        instance = core.build_instance(balance_i, balance_j, issue_cap)
-        initial_sum = instance.balance_i + instance.balance_j
-        volume = 0
-        trades = 0
-        rounds = 0
-        max_rounds = 1 if one_shot else config.max_rounds
-        while rounds < max_rounds:
-            rounds += 1
-            offer = _draw_parcel(config.strategy_i, instance.balance_i, rng)
-            capacity = _draw_parcel(config.strategy_j, -instance.balance_j, rng)
-            payoff, _ = core.bilateral_payoff(core.Action(offer), core.Action(capacity))
-            if payoff > 0:
-                trades += 1
-                volume += payoff
-                if not one_shot:
-                    instance = core.apply_trade(instance, payoff)
-                    if instance.balance_i + instance.balance_j != initial_sum:
-                        raise AssertionError("trade failed to conserve total balance")
-                    if instance.balance_i < 0 or instance.balance_j > 0:
-                        raise AssertionError("trade flipped a balance sign")
-            if instance.balance_i == 0 or instance.balance_j == 0:
-                break
-        cleared = instance.balance_i == 0 or instance.balance_j == 0
-        yield TrialRecord(
-            balance_i=balance_i,
-            balance_j=balance_j,
-            volume=volume,
-            rounds_played=rounds,
-            trades=trades,
-            cleared=cleared,
-        )
+    """Yield each trial's record, in trial order."""
+    for first in range(0, config.trials, BLOCK):
+        for fields in zip(*(a.tolist() for a in _play_block(config, first))):
+            yield TrialRecord(*fields)
 
 
 def run_simulation(config: SimConfig) -> SimReport:
     """Aggregate all trials into a report; same (config, seed) gives
     byte-identical JSON."""
-    trades = 0
-    opportunities = 0
-    volume = 0
-    histogram: dict[int, int] = {}
-    cleared_count = 0
-    for record in iter_trials(config):
-        trades += record.trades
-        opportunities += record.rounds_played
-        volume += record.volume
-        if config.mode == "repeated" and record.cleared:
-            cleared_count += 1
-            histogram[record.rounds_played] = histogram.get(record.rounds_played, 0) + 1
+    repeated = config.mode == "repeated"
+    trades = opportunities = volume = 0
+    histogram: Counter[int] = Counter()
+    for first in range(0, config.trials, BLOCK):
+        _, _, block_volume, rounds, block_trades, cleared = _play_block(config, first)
+        trades += int(block_trades.sum())
+        opportunities += int(rounds.sum())
+        # Python-int sum: a block of large balances can exceed int64.
+        volume += sum(block_volume.tolist())
+        if repeated:
+            histogram.update(rounds[cleared].tolist())
     return SimReport(
         trials=config.trials,
         trades_executed=trades,
@@ -264,29 +274,30 @@ def run_simulation(config: SimConfig) -> SimReport:
         hit_ratio=trades / opportunities,
         total_volume=volume,
         mean_volume_per_trial=volume / config.trials,
-        rounds_to_clear_histogram=histogram,
-        uncleared_trials=(config.trials - cleared_count) if config.mode == "repeated" else None,
+        rounds_to_clear_histogram=dict(histogram),
+        uncleared_trials=(config.trials - histogram.total()) if repeated else None,
         seed=config.seed,
         mode=config.mode,
     )
 
 
-def _parcel_distribution(
-    strategy: StrategySpec, lo_abs: int, hi_abs: int
-) -> dict[int, Fraction]:
-    """Exact parcel-size distribution under a uniform balance draw."""
-    count = hi_abs - lo_abs + 1
-    weight = Fraction(1, count)
-    pmf: dict[int, Fraction] = {}
-    for balance in range(lo_abs, hi_abs + 1):
-        if strategy.kind == "uniform_random":
-            share = weight / balance
-            for parcel in range(1, balance + 1):
-                pmf[parcel] = pmf.get(parcel, Fraction(0)) + share
-        else:
-            parcel = parcel_size(strategy, balance)
-            pmf[parcel] = pmf.get(parcel, Fraction(0)) + weight
-    return pmf
+def _parcel_weights(strategy: StrategySpec, lo_abs: int, hi_abs: int, top: int) -> tuple[list, int]:
+    """Parcel distribution under a uniform draw of the absolute balance from
+    lo_abs..hi_abs, as integer weights w[0..top] over one denominator."""
+    width = hi_abs - lo_abs + 1
+    weights = [0] * (top + 1)
+    if strategy.kind == "uniform_random":
+        # P(parcel = v) = (1/width) * sum of 1/b over balances b >= max(v, lo_abs).
+        lcm = math.lcm(*range(lo_abs, hi_abs + 1))
+        tail = 0
+        for b in range(hi_abs, 0, -1):
+            if b >= lo_abs:
+                tail += lcm // b
+            weights[b] = tail
+        return weights, width * lcm
+    for parcel in parcel_size(strategy, np.arange(lo_abs, hi_abs + 1)).tolist():
+        weights[parcel] += 1
+    return weights, width
 
 
 def analytic_hit_ratio(
@@ -295,26 +306,15 @@ def analytic_hit_ratio(
     strategy_i: StrategySpec,
     strategy_j: StrategySpec,
 ) -> float:
-    """Exact success probability P(offer <= capacity) by direct summation
-    over the joint parcel distribution. Serves as the convergence oracle
-    for ``run_simulation``."""
-    lo_i, hi_i = range_i
-    lo_j, hi_j = range_j
-    offer_pmf = _parcel_distribution(strategy_i, lo_i, hi_i)
-    capacity_pmf = _parcel_distribution(strategy_j, -hi_j, -lo_j)
-    # Tail sums of the capacity distribution: P(capacity >= v).
-    capacity_values = sorted(capacity_pmf)
-    tail: dict[int, Fraction] = {}
-    acc = Fraction(0)
-    for v in reversed(capacity_values):
-        acc += capacity_pmf[v]
-        tail[v] = acc
-    def capacity_at_least(v: int) -> Fraction:
-        for w in capacity_values:
-            if w >= v:
-                return tail[w]
-        return Fraction(0)
-    total = Fraction(0)
-    for v, p in offer_pmf.items():
-        total += p * capacity_at_least(v)
-    return float(total)
+    """Exact success probability P(offer <= capacity) of one round over the
+    joint parcel distribution, in integer operations linear in the largest
+    balance. Serves as the convergence oracle for ``run_simulation``."""
+    top = max(range_i[1], -range_j[0])
+    offers, denom_i = _parcel_weights(strategy_i, range_i[0], range_i[1], top)
+    capacities, denom_j = _parcel_weights(strategy_j, -range_j[1], -range_j[0], top)
+    # One backward pass: at_least is the capacity weight on parcels >= v.
+    total = at_least = 0
+    for offer, capacity in zip(reversed(offers), reversed(capacities)):
+        at_least += capacity
+        total += offer * at_least
+    return float(Fraction(total, denom_i * denom_j))

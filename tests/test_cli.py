@@ -260,6 +260,23 @@ class TestLpCommand:
         assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "--bi", "2", "--bj", "-2"),
+        ("bayes",),
+        ("market", "--published", "final_4x4"),
+        ("lp", "--receiver", "10", "--sender", "20"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_seed_rejected_where_nothing_is_random(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--seed", "1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
 class TestThinAdapter:
     def test_market_matches_library_serialization(self, capsys):
         code, out, _ = run_cli(capsys, "market", "--published", "final_4x4")

@@ -1,13 +1,16 @@
 import json
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liqgame import core
+from liqgame import core, sim
 from liqgame.sim import (
+    BLOCK,
     HIGH_STRATEGY,
     LOW_STRATEGY,
     SimConfig,
@@ -18,8 +21,16 @@ from liqgame.sim import (
     run_simulation,
 )
 
+from reference_sim import reference_hit_probability, repeated_play_distribution
+
 FULL = StrategySpec("full_balance")
 RANDOM = StrategySpec("uniform_random")
+STRATEGIES = [
+    RANDOM,
+    FULL,
+    StrategySpec("fixed_fraction", 0.7),
+    StrategySpec("fixed_fraction", 0.3),
+]
 
 
 def fixed_pair_config(b_i, b_j, **overrides):
@@ -53,6 +64,31 @@ class TestStrategySpec:
         assert parcel_size(StrategySpec("fixed_fraction", 0.3), 1) == 1
         assert parcel_size(StrategySpec("fixed_fraction", 0.1), 4) == 1
         assert parcel_size(FULL, 9) == 9
+
+    @pytest.mark.parametrize("text", ["0.7", "0.35"])
+    def test_parcel_rounds_exactly(self, text):
+        # 0.7 * 45 is 31.499999999999996 in binary floating point.
+        strategy = StrategySpec("fixed_fraction", float(text))
+        balances = range(1, 10_001)
+        exact = [max(1, math.floor(Fraction(text) * b + Fraction(1, 2))) for b in balances]
+        assert [parcel_size(strategy, b) for b in balances] == exact
+        assert parcel_size(strategy, np.arange(1, 10_001)).tolist() == exact
+        assert parcel_size(StrategySpec("fixed_fraction", 0.7), 45) == 32
+
+    @pytest.mark.parametrize("strategy", [HIGH_STRATEGY, LOW_STRATEGY])
+    def test_default_fractions_round_as_in_float(self, strategy):
+        balances = np.arange(1, 200_001)
+        in_float = np.maximum(1, np.floor(strategy.fraction * balances + 0.5).astype(np.int64))
+        assert np.array_equal(parcel_size(strategy, balances), in_float)
+
+    def test_parcel_overflowing_int64_rejected(self):
+        with pytest.raises(ValueError):
+            parcel_size(StrategySpec("fixed_fraction", 0.7), 2**59)
+        config = fixed_pair_config(
+            2**59, -1, strategy_i=StrategySpec("fixed_fraction", 0.7)
+        )
+        with pytest.raises(ValueError):
+            run_simulation(config)
 
 
 class TestOneShot:
@@ -112,6 +148,12 @@ class TestRepeated:
                 multi.balance_j,
             )
             assert multi.volume >= single.volume
+
+    def test_sign_check_raises(self, monkeypatch):
+        # parcels one larger than the balance make a fitting offer overdraw
+        monkeypatch.setattr(sim, "parcel_size", lambda strategy, balance: balance + 1)
+        with pytest.raises(AssertionError):
+            run_simulation(fixed_pair_config(3, -5, mode="repeated"))
 
     def test_replay_against_core_trade_rule(self):
         # re-drive each trial's successful rounds through apply_trade and
@@ -193,6 +235,78 @@ class TestAnalyticHitRatio:
                             total += weight * Fraction(1, b_i) * Fraction(1, b_j)
         got = analytic_hit_ratio((1, 2), (-2, -1), RANDOM, RANDOM)
         assert got == pytest.approx(float(total), abs=1e-15)
+
+    @pytest.mark.parametrize("strategy_i", STRATEGIES)
+    @pytest.mark.parametrize("strategy_j", STRATEGIES)
+    def test_equals_reference_double_sum(self, strategy_i, strategy_j):
+        rng = random.Random(f"{strategy_i}{strategy_j}")
+        for _ in range(3):
+            lo_i, lo_j = rng.randint(1, 40), rng.randint(1, 40)
+            range_i = (lo_i, lo_i + rng.randint(0, 59))
+            range_j = (-(lo_j + rng.randint(0, 59)), -lo_j)
+            expected = reference_hit_probability(range_i, range_j, strategy_i, strategy_j)
+            got = analytic_hit_ratio(range_i, range_j, strategy_i, strategy_j)
+            assert got == float(expected), (range_i, range_j)
+
+
+class TestBlockStream:
+    @pytest.mark.parametrize("mode", ["one_shot", "repeated"])
+    def test_full_block_independent_of_trial_count(self, mode):
+        base = dict(seed=31, mode=mode, balance_range_i=(1, 50), balance_range_j=(-50, -1))
+        full = list(iter_trials(SimConfig(trials=BLOCK, **base)))
+        longer = list(iter_trials(SimConfig(trials=BLOCK + 10, **base)))
+        assert longer[:BLOCK] == full
+        assert longer[BLOCK:] != full[:10]  # block 1 has its own substream
+
+    def test_one_round_of_repeated_is_one_shot(self):
+        base = dict(trials=BLOCK + 500, seed=8, strategy_i=HIGH_STRATEGY)
+        one_shot = list(iter_trials(SimConfig(mode="one_shot", **base)))
+        repeated = list(iter_trials(SimConfig(mode="repeated", max_rounds=1, **base)))
+        assert repeated == one_shot
+
+    @pytest.mark.parametrize("mode", ["one_shot", "repeated"])
+    def test_bytes_identical_across_blocks(self, mode):
+        config = SimConfig(trials=3 * BLOCK + 5, seed=2**64 - 1, mode=mode)
+        first = run_simulation(config).to_json()
+        assert run_simulation(config).to_json() == first
+        assert json.loads(first)["trials"] == 3 * BLOCK + 5
+
+
+class TestRepeatedOracle:
+    @pytest.mark.parametrize(
+        "strategy_i, strategy_j",
+        [
+            (RANDOM, RANDOM),
+            (FULL, RANDOM),
+            (RANDOM, StrategySpec("fixed_fraction", 0.7)),
+            (StrategySpec("fixed_fraction", 0.35), RANDOM),
+            (StrategySpec("fixed_fraction", 0.5), StrategySpec("fixed_fraction", 0.7)),
+        ],
+    )
+    def test_histogram_matches_markov_chain(self, strategy_i, strategy_j):
+        trials, max_rounds = 20_000, 10
+        range_i, range_j = (1, 6), (-6, -1)
+        report = run_simulation(
+            SimConfig(
+                trials=trials,
+                balance_range_i=range_i,
+                balance_range_j=range_j,
+                strategy_i=strategy_i,
+                strategy_j=strategy_j,
+                seed=606,
+                mode="repeated",
+                max_rounds=max_rounds,
+            )
+        )
+        clears, uncleared = repeated_play_distribution(
+            range_i, range_j, strategy_i, strategy_j, max_rounds
+        )
+        assert set(report.rounds_to_clear_histogram) <= set(range(1, max_rounds + 1))
+        observed = [report.rounds_to_clear_histogram.get(k, 0) for k in range(1, max_rounds + 1)]
+        expected = [clears.get(k, Fraction(0)) for k in range(1, max_rounds + 1)]
+        for count, p in zip(observed + [report.uncleared_trials], expected + [uncleared]):
+            sigma = math.sqrt(trials * p * (1 - p))
+            assert abs(count - trials * p) <= 5 * sigma, (observed, report.uncleared_trials)
 
 
 class TestConvergence:
