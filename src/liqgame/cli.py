@@ -24,10 +24,8 @@ from .core import LiquidityGameError
 
 @dataclass(frozen=True)
 class RunManifest:
-    """Where one invocation reads from and writes to."""
+    """Where one invocation writes to, and in which format."""
 
-    subcommand: str
-    input_path: Optional[Path]
     output_path: Optional[Path]
     format: str
 
@@ -164,10 +162,8 @@ def _parse_responses(text: str) -> dict[str, str]:
     return responses
 
 
-def _manifest(args: argparse.Namespace, input_path: Optional[Path], default_format: str = "json") -> RunManifest:
+def _manifest(args: argparse.Namespace, default_format: str = "json") -> RunManifest:
     return RunManifest(
-        subcommand=args.command,
-        input_path=input_path,
         output_path=args.output,
         format=args.format or default_format,
     )
@@ -176,13 +172,11 @@ def _manifest(args: argparse.Namespace, input_path: Optional[Path], default_form
 def _cmd_solve(args: argparse.Namespace) -> int:
     if args.config is not None:
         instance = core.instance_from_json(Path(args.config).read_text())
-        input_path = Path(args.config)
     else:
         if args.bi is None or args.bj is None:
             raise ValueError("pass --bi and --bj, or --config <file>")
         instance = core.build_instance(args.bi, args.bj, args.cap)
-        input_path = None
-    manifest = _manifest(args, input_path)
+    manifest = _manifest(args)
     if manifest.format == "csv":
         _emit(manifest, core.build_payoff_matrix(instance).to_csv())
         return 0
@@ -194,14 +188,12 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_bayes(args: argparse.Namespace) -> int:
     if args.game is not None:
         game, space = bayes.load_game_document(Path(args.game))
-        input_path = Path(args.game)
     else:
         game, space = bayes.load_bundled_game()
-        input_path = None
     if args.prior is not None:
         space = bayes.TypeSpace(types=game.types, prior=_parse_floats(args.prior))
     responses = _parse_responses(args.response) if args.response else None
-    manifest = _manifest(args, input_path)
+    manifest = _manifest(args)
     if manifest.format == "csv":
         raise ValueError("bayes reports have no csv form; use --format json")
     report = build_bayes_report(game, space, responses)
@@ -214,7 +206,7 @@ def _cmd_market(args: argparse.Namespace) -> int:
         raise ValueError("choose one of --published or --constructive")
     if args.published is not None:
         matrix = market.load_published_matrix(args.published)
-        mode, table, input_path = "published", args.published, None
+        mode, table = "published", args.published
     elif args.constructive:
         if args.config is not None:
             raw = json.loads(Path(args.config).read_text())
@@ -228,14 +220,12 @@ def _cmd_market(args: argparse.Namespace) -> int:
                 )
             prior_i = tuple(float(p) for p in raw["prior_i"])
             prior_j = tuple(float(p) for p in raw["prior_j"])
-            input_path = Path(args.config)
         else:
             game, space = bayes.load_bundled_game()
             types = game.types
             strategies = game.strategies_i
             matrices = market.pairwise_base_from_conditional(game)
             prior_i = prior_j = space.prior
-            input_path = None
         if args.priors is not None:
             prior_i = prior_j = _parse_floats(args.priors)
         if args.priors_j is not None:
@@ -244,7 +234,7 @@ def _cmd_market(args: argparse.Namespace) -> int:
         mode, table = "constructive", None
     else:
         raise ValueError("pass --published <table> or --constructive")
-    manifest = _manifest(args, input_path)
+    manifest = _manifest(args)
     if manifest.format == "csv":
         _emit(manifest, matrix.cells_csv())
         return 0
@@ -255,10 +245,8 @@ def _cmd_market(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     raw: dict = {}
-    input_path = None
     if args.config is not None:
-        input_path = Path(args.config)
-        raw = json.loads(input_path.read_text())
+        raw = json.loads(Path(args.config).read_text())
     if args.trials is not None:
         raw["trials"] = args.trials
     raw.setdefault("trials", 10_000)
@@ -282,7 +270,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         raw["seed"] = drawn
     config = sim.SimConfig.from_jsonable(raw)
     report = sim.run_simulation(config)
-    manifest = _manifest(args, input_path)
+    manifest = _manifest(args)
     if manifest.format == "csv":
         _emit(manifest, report.histogram_csv())
     else:
@@ -294,7 +282,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_lp(args: argparse.Namespace) -> int:
     problem = lp.TransferProblem(args.receiver, args.sender)
-    manifest = _manifest(args, None, default_format="plain")
+    manifest = _manifest(args, default_format="plain")
     if manifest.format == "csv":
         raise ValueError("lp has no csv form; use --format json or the default")
     if manifest.format == "json":

@@ -39,14 +39,18 @@ class NotTwoTypes(LiquidityGameError):
     pass
 
 
+def _quantize1(value: float) -> Decimal:
+    """Half-up rounding of the float's shortest decimal text to one decimal."""
+    return Decimal(repr(value)).quantize(Decimal("0.1"), rounding=ROUND_HALF_UP)
+
+
 def round1(value: float) -> float:
     """Half-up rounding to one decimal, the precision used at serialization."""
-    return float(Decimal(repr(value)).quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))
+    return float(_quantize1(value))
 
 
 def _fmt1(value: float) -> str:
-    quantized = Decimal(repr(value)).quantize(Decimal("0.1"), rounding=ROUND_HALF_UP)
-    text = str(quantized)
+    text = str(_quantize1(value))
     return text[:-2] if text.endswith(".0") else text
 
 

@@ -11,6 +11,7 @@ substream ``PCG64(SeedSequence(seed, spawn_key=(b,)))``. So a (config, seed)
 gives byte-identical reports, a full block's trials do not depend on the
 total trial count, and round 1 of a repeated trial is its one-shot play.
 Seeded results differ from earlier versions, which drew per trial.
+numpy is imported only inside the functions that compute arrays.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Optional
-
-import numpy as np
 
 from .core import LiquidityGameError
 
@@ -77,6 +76,7 @@ def parcel_size(strategy: StrategySpec, balance_abs):
     integer arithmetic: max(1, (2 p b + q) // 2q), where p/q is the decimal
     the fraction is written as (0.7 is 7/10, not the nearest binary float).
     """
+    import numpy as np
     if strategy.kind == "full_balance":
         return balance_abs
     if strategy.kind == "fixed_fraction":
@@ -202,9 +202,10 @@ class SimReport:
         return "\n".join(lines) + "\n"
 
 
-def _play_block(config: SimConfig, first: int) -> tuple[np.ndarray, ...]:
+def _play_block(config: SimConfig, first: int) -> tuple:
     """Play the block of trials from index ``first`` (a multiple of BLOCK)
     together; returns the TrialRecord fields as arrays, in field order."""
+    import numpy as np
     size = min(BLOCK, config.trials - first)
     seeds = np.random.SeedSequence(config.seed, spawn_key=(first // BLOCK,))
     rng = np.random.Generator(np.random.PCG64(seeds))
@@ -218,6 +219,9 @@ def _play_block(config: SimConfig, first: int) -> tuple[np.ndarray, ...]:
     rounds = np.zeros(size, dtype=np.int64)
     active = np.arange(size)
     max_rounds = 1 if config.mode == "one_shot" else config.max_rounds
+    # Deterministic parcels repeat after a round that moves nothing: such a
+    # trial would idle until max_rounds, so settle it at once, uncleared.
+    deterministic = "uniform_random" not in (config.strategy_i.kind, config.strategy_j.kind)
     for round_no in range(1, max_rounds + 1):
         if not active.size:
             break
@@ -235,12 +239,16 @@ def _play_block(config: SimConfig, first: int) -> tuple[np.ndarray, ...]:
         volume[active] += moved
         trades[active] += moved > 0
         rounds[active] = round_no
-        active = active[(held > 0) & (needed > 0)]
+        live = (held > 0) & (needed > 0)
+        if deterministic:
+            rounds[active[live & (moved == 0)]] = max_rounds
+            live &= moved > 0
+        active = active[live]
     cleared = (left_i == 0) | (left_j == 0)
     return start_i, -start_j, volume, rounds, trades, cleared
 
 
-def _parcels(strategy: StrategySpec, balance_abs: np.ndarray, rng: np.random.Generator):
+def _parcels(strategy: StrategySpec, balance_abs, rng):
     if strategy.kind == "uniform_random":
         return rng.integers(1, balance_abs, endpoint=True)
     return parcel_size(strategy, balance_abs)
@@ -284,6 +292,7 @@ def run_simulation(config: SimConfig) -> SimReport:
 def _parcel_weights(strategy: StrategySpec, lo_abs: int, hi_abs: int, top: int) -> tuple[list, int]:
     """Parcel distribution under a uniform draw of the absolute balance from
     lo_abs..hi_abs, as integer weights w[0..top] over one denominator."""
+    import numpy as np
     width = hi_abs - lo_abs + 1
     weights = [0] * (top + 1)
     if strategy.kind == "uniform_random":

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
 from .core import LiquidityGameError, PayoffMatrix, Player
 
 DEFAULT_DIMENSION_CAP = 12
@@ -268,8 +266,9 @@ def dominated_actions(
     return relations
 
 
-def _simplex_grid(parts: int, total: int) -> np.ndarray:
+def _simplex_grid(parts: int, total: int):
     """All integer compositions of ``total`` into ``parts`` parts."""
+    import numpy as np
     if parts == 1:
         return np.array([[total]], dtype=np.int64)
     combos = itertools.combinations(range(total + parts - 1), parts - 1)
@@ -286,11 +285,10 @@ def _simplex_grid(parts: int, total: int) -> np.ndarray:
     return np.diff(padded, axis=1) - 1
 
 
-def _window_grid(
-    parts: int, total: int, center: Sequence[Fraction], radius: int
-) -> np.ndarray:
+def _window_grid(parts: int, total: int, center: Sequence[Fraction], radius: int):
     """Compositions of ``total`` whose coordinates all lie within
     ``radius`` grid steps of ``center``."""
+    import numpy as np
     choices = []
     for x in center:
         scaled = x * total
@@ -318,6 +316,7 @@ def brute_force_oracle(
     to restrict both grids to the points within ``radius`` steps of a
     candidate profile (the sweep restricted to that window).
     """
+    import numpy as np
     m, n = matrix.rows, matrix.cols
     if m > ORACLE_DIMENSION_CAP or n > ORACLE_DIMENSION_CAP:
         raise DimensionCapExceeded(

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from dataclasses import astuple
 from fractions import Fraction
 
 import numpy as np
@@ -137,6 +138,45 @@ class TestRepeated:
         assert report.uncleared_trials == 1
         assert report.opportunities == 11
         assert report.trades_executed == 0
+
+    @pytest.mark.parametrize("strategy_i", [FULL, HIGH_STRATEGY])
+    @pytest.mark.parametrize("strategy_j", [FULL, LOW_STRATEGY])
+    def test_deterministic_pairs_match_scalar_replay(self, strategy_i, strategy_j, monkeypatch):
+        # Every round is replayed, idle ones included. Balances are at most
+        # 25 and a moving round moves at least 1, so a trial still open after
+        # 30 rounds has stopped moving for good.
+        base = dict(
+            trials=200,
+            balance_range_i=(1, 25),
+            balance_range_j=(-25, -1),
+            strategy_i=strategy_i,
+            strategy_j=strategy_j,
+            seed=8,
+            mode="repeated",
+        )
+        replayed = []
+        for record in iter_trials(SimConfig(max_rounds=30, **base)):
+            held, needed = record.balance_i, -record.balance_j
+            volume = trades = rounds = 0
+            while rounds < 30 and held > 0 and needed > 0:
+                offer = parcel_size(strategy_i, held)
+                moved = offer if offer <= parcel_size(strategy_j, needed) else 0
+                held, needed = held - moved, needed - moved
+                volume, trades, rounds = volume + moved, trades + (moved > 0), rounds + 1
+            cleared = held == 0 or needed == 0
+            replayed.append((record.balance_i, record.balance_j, volume, rounds, trades, cleared))
+            assert astuple(record) == replayed[-1]
+        assert {fields[-1] for fields in replayed} == {True, False}
+        # A budget far beyond the replay: idle trials settle at once with
+        # rounds_played equal to the budget, so the block plays at most 30
+        # rounds (two parcel calls each) instead of the whole budget.
+        budget = 10**4
+        calls = []
+        parcels = sim._parcels
+        monkeypatch.setattr(sim, "_parcels", lambda *args: calls.append(1) or parcels(*args))
+        huge = [astuple(r) for r in iter_trials(SimConfig(max_rounds=budget, **base))]
+        assert huge == [f if f[-1] else f[:3] + (budget,) + f[4:] for f in replayed]
+        assert len(calls) <= 2 * 30
 
     def test_first_round_matches_one_shot_per_trial(self):
         base = dict(trials=300, seed=99, strategy_i=RANDOM, strategy_j=RANDOM)
