@@ -1,84 +1,63 @@
-"""Solver and simulator for bilateral, price-free bond-transfer games."""
+"""Solver and simulator for bilateral, price-free bond-transfer games.
 
-from .core import (
-    Action,
-    GameInstance,
-    Holding,
-    LiquidityGameError,
-    PayoffMatrix,
-    Player,
-    apply_trade,
-    bilateral_payoff,
-    build_instance,
-    build_payoff_matrix,
-)
-from .solver import (
-    MixedProfile,
-    PureEquilibrium,
-    brute_force_oracle,
-    dominated_actions,
-    find_pure_equilibria,
-    solve_mixed,
-    verify_equilibrium,
-)
-from .bayes import (
-    BayesianSolution,
-    ConditionalGame,
-    TypeSpace,
-    dominant_strategy_per_type,
-    expected_payoff,
-    indifference_threshold,
-    load_bundled_game,
-)
-from .market import (
-    CompositionMatrix,
-    QuadrantReport,
-    best_quadrant,
-    load_published_matrix,
-    quadrant_analysis,
-    weight_by_priors,
-)
-from .sim import SimConfig, SimReport, StrategySpec, analytic_hit_ratio, run_simulation
-from .lp import TransferProblem, max_transfer
+Public names are resolved on first access (PEP 562), so ``import liqgame``
+loads no submodule and each caller pays only for the modules it uses.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Action",
-    "BayesianSolution",
-    "CompositionMatrix",
-    "ConditionalGame",
-    "GameInstance",
-    "Holding",
-    "LiquidityGameError",
-    "MixedProfile",
-    "PayoffMatrix",
-    "Player",
-    "PureEquilibrium",
-    "QuadrantReport",
-    "SimConfig",
-    "SimReport",
-    "StrategySpec",
-    "TransferProblem",
-    "TypeSpace",
-    "analytic_hit_ratio",
-    "apply_trade",
-    "best_quadrant",
-    "bilateral_payoff",
-    "brute_force_oracle",
-    "build_instance",
-    "build_payoff_matrix",
-    "dominant_strategy_per_type",
-    "dominated_actions",
-    "expected_payoff",
-    "find_pure_equilibria",
-    "indifference_threshold",
-    "load_bundled_game",
-    "load_published_matrix",
-    "max_transfer",
-    "quadrant_analysis",
-    "run_simulation",
-    "solve_mixed",
-    "verify_equilibrium",
-    "weight_by_priors",
-]
+# Each public name and the submodule that defines it.
+_EXPORTS = {
+    "Action": "core",
+    "BayesianSolution": "bayes",
+    "CompositionMatrix": "market",
+    "ConditionalGame": "bayes",
+    "GameInstance": "core",
+    "Holding": "core",
+    "LiquidityGameError": "core",
+    "MixedProfile": "solver",
+    "PayoffMatrix": "core",
+    "Player": "core",
+    "PureEquilibrium": "solver",
+    "QuadrantReport": "market",
+    "SimConfig": "sim",
+    "SimReport": "sim",
+    "StrategySpec": "sim",
+    "TransferProblem": "lp",
+    "TypeSpace": "bayes",
+    "analytic_hit_ratio": "sim",
+    "apply_trade": "core",
+    "best_quadrant": "market",
+    "bilateral_payoff": "core",
+    "brute_force_oracle": "solver",
+    "build_instance": "core",
+    "build_payoff_matrix": "core",
+    "dominant_strategy_per_type": "bayes",
+    "dominated_actions": "solver",
+    "expected_payoff": "bayes",
+    "find_pure_equilibria": "solver",
+    "indifference_threshold": "bayes",
+    "load_bundled_game": "bayes",
+    "load_published_matrix": "market",
+    "max_transfer": "lp",
+    "quadrant_analysis": "market",
+    "run_simulation": "sim",
+    "solve_mixed": "solver",
+    "verify_equilibrium": "solver",
+    "weight_by_priors": "market",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

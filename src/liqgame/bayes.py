@@ -9,6 +9,7 @@ which the initiator is indifferent between its two strategies.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Optional
@@ -39,6 +40,8 @@ class TypeSpace:
     def __post_init__(self) -> None:
         if len(self.types) != len(self.prior):
             raise ValueError("prior length must match number of types")
+        if not all(math.isfinite(p) for p in self.prior):
+            raise ValueError("prior entries must be finite")
         if any(p < 0 for p in self.prior):
             raise ValueError("prior entries must be non-negative")
         if abs(sum(self.prior) - 1.0) > EQUALITY_TOLERANCE:

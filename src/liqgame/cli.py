@@ -11,15 +11,16 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import secrets
 import sys
-import traceback
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from . import bayes, core, lp, market, sim, solver
+from . import core, fixtures
 from .core import LiquidityGameError
+
+if TYPE_CHECKING:
+    from . import bayes, lp, market, sim
 
 
 @dataclass(frozen=True)
@@ -52,7 +53,10 @@ def _emit(manifest: RunManifest, text: str) -> None:
         _atomic_write(manifest.output_path, text)
 
 
-def build_solve_report(instance: core.GameInstance, dimension_cap: int) -> dict:
+def build_solve_report(instance: core.GameInstance, dimension_cap: Optional[int] = None) -> dict:
+    from . import solver
+    if dimension_cap is None:
+        dimension_cap = solver.DEFAULT_DIMENSION_CAP
     matrix = core.build_payoff_matrix(instance)
     pure = solver.find_pure_equilibria(matrix)
     mixed = solver.solve_mixed(matrix, dimension_cap=dimension_cap)
@@ -71,6 +75,7 @@ def build_bayes_report(
     space: bayes.TypeSpace,
     responses: Optional[dict[str, str]] = None,
 ) -> dict:
+    from . import bayes
     dominant = {}
     for index, type_label in enumerate(game.types):
         found = bayes.dominant_strategy_per_type(game, index)
@@ -105,6 +110,7 @@ def build_bayes_report(
 
 
 def build_market_report(matrix: market.CompositionMatrix, mode: str, table: Optional[str]) -> dict:
+    from . import market
     analysis = market.quadrant_analysis(matrix)
     best = market.best_quadrant(analysis)
     report = {"mode": mode}
@@ -116,6 +122,7 @@ def build_market_report(matrix: market.CompositionMatrix, mode: str, table: Opti
 
 
 def build_lp_report(problem: lp.TransferProblem) -> dict:
+    from . import lp
     return {
         "receiver": problem.capacity_receiver,
         "sender": problem.capacity_sender,
@@ -124,6 +131,7 @@ def build_lp_report(problem: lp.TransferProblem) -> dict:
 
 
 def _parse_strategy(text: str) -> sim.StrategySpec:
+    from . import sim
     aliases = {
         "high": sim.HIGH_STRATEGY,
         "low": sim.LOW_STRATEGY,
@@ -186,6 +194,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_bayes(args: argparse.Namespace) -> int:
+    from . import bayes
     if args.game is not None:
         game, space = bayes.load_game_document(Path(args.game))
     else:
@@ -202,6 +211,7 @@ def _cmd_bayes(args: argparse.Namespace) -> int:
 
 
 def _cmd_market(args: argparse.Namespace) -> int:
+    from . import market
     if args.published is not None and args.constructive:
         raise ValueError("choose one of --published or --constructive")
     if args.published is not None:
@@ -221,6 +231,7 @@ def _cmd_market(args: argparse.Namespace) -> int:
             prior_i = tuple(float(p) for p in raw["prior_i"])
             prior_j = tuple(float(p) for p in raw["prior_j"])
         else:
+            from . import bayes
             game, space = bayes.load_bundled_game()
             types = game.types
             strategies = game.strategies_i
@@ -244,6 +255,7 @@ def _cmd_market(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from . import sim
     raw: dict = {}
     if args.config is not None:
         raw = json.loads(Path(args.config).read_text())
@@ -265,6 +277,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.seed is not None:
         raw["seed"] = args.seed
     elif "seed" not in raw:
+        import secrets
         drawn = secrets.randbits(64)
         print(f"seed: {drawn}", file=sys.stderr)
         raw["seed"] = drawn
@@ -281,6 +294,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_lp(args: argparse.Namespace) -> int:
+    from . import lp
     problem = lp.TransferProblem(args.receiver, args.sender)
     manifest = _manifest(args, default_format="plain")
     if manifest.format == "csv":
@@ -312,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument(
         "--dimension-cap",
         type=int,
-        default=solver.DEFAULT_DIMENSION_CAP,
         help="refuse support enumeration beyond this many actions per side",
     )
     p_solve.set_defaults(handler=_cmd_solve)
@@ -327,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_market = sub.add_parser("market", parents=[common], help="composition aggregates")
     p_market.add_argument(
-        "--published", choices=sorted(market.PUBLISHED_TABLES), help="bundled table"
+        "--published", choices=sorted(fixtures.PUBLISHED_TABLES), help="bundled table"
     )
     p_market.add_argument(
         "--constructive", action="store_true", help="weight per-type-pair tables by priors"
@@ -345,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--range-j", type=str, help="short balance range lo:hi")
     p_sim.add_argument("--strategy-i", type=str, help="high|low|full|random|fraction:<x>")
     p_sim.add_argument("--strategy-j", type=str)
-    p_sim.add_argument("--mode", choices=sim.MODES)
+    p_sim.add_argument("--mode", help="play mode, one of liqgame.sim.MODES")
     p_sim.add_argument("--max-rounds", type=int)
     p_sim.add_argument("--histogram", type=Path, help="also write the rounds,count CSV here")
     p_sim.set_defaults(handler=_cmd_simulate)
@@ -371,6 +384,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except Exception:
+        import traceback
         traceback.print_exc()
         return 1
 

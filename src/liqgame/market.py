@@ -11,18 +11,16 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
-from typing import Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
-from .bayes import ConditionalGame
 from .core import LiquidityGameError
-from .fixtures import fixture_path
+from .fixtures import PUBLISHED_TABLES, fixture_path
 
-PUBLISHED_TABLES = {
-    "final_4x4": "market_final_4x4.csv",
-    "intermediate_2x4": "market_intermediate_2x4.csv",
-}
+if TYPE_CHECKING:
+    from .bayes import ConditionalGame
 
 Label = tuple[Optional[str], str]
 
@@ -167,6 +165,8 @@ def weight_by_priors(
     """
     if len(prior_i) != len(types) or len(prior_j) != len(types):
         raise ValueError("prior length must match number of types")
+    if not all(math.isfinite(w) for w in (*prior_i, *prior_j)):
+        raise ValueError("priors must be finite")
     if any(w < 0 for w in prior_i) or any(w < 0 for w in prior_j):
         raise ValueError("priors must be non-negative")
     for t_i in types:

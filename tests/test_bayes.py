@@ -184,3 +184,11 @@ class TestValidation:
     def test_prior_must_be_non_negative(self):
         with pytest.raises(ValueError):
             TypeSpace(("a", "b"), (1.5, -0.5))
+
+    @pytest.mark.parametrize(
+        "prior", [(math.nan, math.nan), (math.inf, 0.0), (0.5, math.nan), (-math.inf, 1.0)]
+    )
+    def test_prior_must_be_finite(self, prior):
+        # nan passes both the sign and the sum check, since comparisons with nan are False
+        with pytest.raises(ValueError, match="finite"):
+            TypeSpace(("a", "b"), prior)

@@ -97,6 +97,13 @@ class TestBayesCommand:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("prior", ["nan,nan", "inf,0"])
+    def test_non_finite_prior_exit_two(self, capsys, prior):
+        code, out, err = run_cli(capsys, "bayes", "--prior", prior)
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
     def test_csv_not_supported(self, capsys):
         code, _, err = run_cli(capsys, "bayes", "--format", "csv")
         assert code == 2
@@ -172,6 +179,22 @@ class TestMarketCommand:
         code, _, err = run_cli(capsys, "market")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "priors",
+        [("--priors", "nan,nan"), ("--priors", "inf,0"), ("--priors-j", "0.5,nan")],
+    )
+    def test_constructive_non_finite_priors_exit_two(self, capsys, priors):
+        code, out, err = run_cli(capsys, "market", "--constructive", *priors)
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
+    def test_unknown_table_exit_two(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["market", "--published", "final_5x5"])
+        assert exc.value.code == 2
+        assert "final_4x4" in capsys.readouterr().err
+
 
 class TestSimulateCommand:
     def test_deterministic_bytes_for_same_seed(self, capsys):
@@ -210,6 +233,15 @@ class TestSimulateCommand:
         report = json.loads(out)
         assert report["trades_executed"] == 5
         assert report["total_volume"] == 15
+
+    def test_unknown_mode_exit_two(self, capsys):
+        # the library's SimConfig check is the only validation of --mode
+        code, out, err = run_cli(
+            capsys, "simulate", "--trials", "5", "--seed", "1", "--mode", "twice"
+        )
+        assert code == 2
+        assert out == ""
+        assert "one_shot" in err
 
     def test_invalid_range_exit_two(self, capsys):
         code, _, err = run_cli(
@@ -317,6 +349,19 @@ class TestOutputHandling:
         )
         assert code == 2
         assert not target.exists()
+
+    def test_unexpected_exception_exits_one_with_traceback(self, capsys, monkeypatch):
+        from liqgame import lp
+
+        def broken(problem):
+            raise RuntimeError("broken layer")
+
+        monkeypatch.setattr(lp, "max_transfer", broken)
+        code, out, err = run_cli(capsys, "lp", "--receiver", "1", "--sender", "2")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("Traceback (most recent call last):")
+        assert err.endswith("RuntimeError: broken layer\n")
 
     def test_console_entry_point(self):
         exe = shutil.which("liqgame")

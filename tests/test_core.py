@@ -186,3 +186,48 @@ class TestInstanceSerialization:
     def test_boolean_cap_rejected(self):
         with pytest.raises(CapExceeded):
             instance_from_json('{"balance_i": 1, "balance_j": -1, "issue_cap": true}')
+
+
+def parse_payoff_csv(text):
+    assert text.endswith("\n")
+    return tuple(
+        tuple(tuple(int(part) for part in cell.split("|")) for cell in line.split(","))
+        for line in text[:-1].split("\n")
+    )
+
+
+class TestRoundTripProperties:
+    @given(
+        long=st.integers(1, 10**9),
+        short=st.integers(1, 10**9),
+        headroom=st.integers(0, 10**9),
+        long_first=st.booleans(),
+    )
+    def test_instance_json_round_trip(self, long, short, headroom, long_first):
+        cap = max(long, short) + headroom
+        args = (long, -short) if long_first else (-short, long)
+        inst = build_instance(*args, cap)
+        assert instance_from_json(instance_to_json(inst)) == inst
+
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda cols: st.lists(
+                st.lists(
+                    st.tuples(st.integers(-50, 50), st.integers(-50, 50)),
+                    min_size=cols,
+                    max_size=cols,
+                ),
+                min_size=1,
+                max_size=6,
+            )
+        )
+    )
+    def test_payoff_matrix_json_round_trip(self, entries):
+        matrix = PayoffMatrix.from_entries(entries)
+        assert PayoffMatrix.from_json(matrix.to_json()) == matrix
+
+    @given(n_i=st.integers(1, 12), n_j=st.integers(1, 12))
+    def test_instance_json_and_csv_round_trip_matrix(self, n_i, n_j):
+        matrix = build_payoff_matrix(build_instance(n_i, -n_j, 100))
+        assert PayoffMatrix.from_json(matrix.to_json()) == matrix
+        assert parse_payoff_csv(matrix.to_csv()) == matrix.entries

@@ -1,6 +1,9 @@
-"""numpy stays off the start-up path: only simulation and the grid oracle
-load it. Each check runs in a fresh interpreter, since this one has numpy."""
+"""Each process imports only what it runs: ``import liqgame`` loads no
+submodule, a CLI subcommand loads the modules its handler uses, and numpy
+stays off the start-up path (only simulation and the grid oracle load it).
+Each check runs in a fresh interpreter, since this one has loaded them all."""
 
+import json
 import os
 import subprocess
 import sys
@@ -67,3 +70,82 @@ def test_simulate_and_oracle_still_load_numpy():
 def test_every_public_name_resolves():
     code = "import liqgame; [getattr(liqgame, name) for name in liqgame.__all__]\n" + NUMPY_LOADED
     assert run_fresh(code) == "False\n"
+
+
+def loaded_after_main(argv):
+    code = (
+        "import contextlib, io, json, sys; from liqgame import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main({argv!r}) == 0\n"
+        "watched = ('liqgame', 'secrets', 'traceback')\n"
+        "print(json.dumps([m for m in sys.modules if m.split('.')[0] in watched]))"
+    )
+    return set(json.loads(run_fresh(code)))
+
+
+CLI_BASE = {"liqgame", "liqgame.cli", "liqgame.core", "liqgame.fixtures"}
+
+
+@pytest.mark.parametrize(
+    "argv,modules",
+    [
+        (["lp", "--receiver", "13", "--sender", "10"], {"liqgame.lp"}),
+        (["solve", "--bi", "3", "--bj", "-3"], {"liqgame.solver"}),
+        (["solve", "--bi", "3", "--bj", "-3", "--format", "csv"], set()),
+        (["bayes"], {"liqgame.bayes"}),
+        (["market", "--published", "final_4x4"], {"liqgame.market"}),
+        (["market", "--constructive"], {"liqgame.market", "liqgame.bayes"}),
+    ],
+    ids=["lp", "solve", "solve-csv", "bayes", "market-published", "market-constructive"],
+)
+def test_subcommand_loads_only_its_modules(argv, modules):
+    # secrets (the simulate seed draw) and traceback (the exit-1 branch) stay unloaded too
+    assert loaded_after_main(argv) == CLI_BASE | modules
+
+
+def test_simulate_loads_sim_only():
+    loaded = loaded_after_main(["simulate", "--trials", "50", "--seed", "1"])
+    # numpy.random imports secrets itself, so its presence says nothing here
+    assert loaded - {"secrets"} == CLI_BASE | {"liqgame.sim"}
+
+
+def test_import_loads_no_submodule():
+    code = "import sys, liqgame; print(sorted(m for m in sys.modules if m.startswith('liqgame')))"
+    assert run_fresh(code) == "['liqgame']\n"
+
+
+def test_star_import_binds_every_public_name():
+    code = (
+        "from liqgame import *\n"
+        "import liqgame\n"
+        "print([n for n in liqgame.__all__ if globals().get(n) is not getattr(liqgame, n)])"
+    )
+    assert run_fresh(code) == "[]\n"
+
+
+def test_names_resolve_to_their_defining_module():
+    code = (
+        "import liqgame\n"
+        "from liqgame import core, sim, solver\n"
+        "assert liqgame.solve_mixed is solver.solve_mixed\n"
+        "assert liqgame.PayoffMatrix is core.PayoffMatrix\n"
+        "assert liqgame.run_simulation is sim.run_simulation\n"
+        "assert set(liqgame.__all__) <= set(dir(liqgame))\n"
+        "assert len(liqgame.__all__) == len(set(liqgame.__all__))\n"
+        "print('ok')"
+    )
+    assert run_fresh(code) == "ok\n"
+
+
+def test_unknown_attribute_raises_attribute_error():
+    code = (
+        "import liqgame\n"
+        "try:\n"
+        "    liqgame.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+        "print(hasattr(liqgame, 'load_game_document'))"
+    )
+    assert run_fresh(code) == (
+        "module 'liqgame' has no attribute 'no_such_name'\nFalse\n"
+    )

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -94,6 +96,13 @@ class TestWeighting:
         del base[("s", "L")]
         with pytest.raises(MissingTypePairMatrix):
             weight_by_priors(("L", "s"), ("x", "y"), base, GEMM_PRIOR, GEMM_PRIOR)
+
+    @pytest.mark.parametrize("bad", [(math.nan, math.nan), (math.inf, 0.0), (0.5, math.nan)])
+    @pytest.mark.parametrize("side", ["i", "j"])
+    def test_non_finite_priors_rejected(self, bad, side):
+        prior_i, prior_j = (bad, GEMM_PRIOR) if side == "i" else (GEMM_PRIOR, bad)
+        with pytest.raises(ValueError, match="finite"):
+            weight_by_priors(("L", "s"), ("x", "y"), two_type_base(), prior_i, prior_j)
 
     @given(scale=st.floats(0.1, 4))
     def test_bilinear_in_row_priors(self, scale):
