@@ -57,6 +57,8 @@ def build_solve_report(instance: core.GameInstance, dimension_cap: Optional[int]
     from . import solver
     if dimension_cap is None:
         dimension_cap = solver.DEFAULT_DIMENSION_CAP
+    # |B_i| x |B_j| is the matrix shape, so refuse before building it
+    solver.check_dimension_cap(abs(instance.balance_i), abs(instance.balance_j), dimension_cap)
     matrix = core.build_payoff_matrix(instance)
     pure = solver.find_pure_equilibria(matrix)
     mixed = solver.solve_mixed(matrix, dimension_cap=dimension_cap)

@@ -11,6 +11,7 @@ independent cross-check.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -154,6 +155,17 @@ def _support_weights(
     return nums, det
 
 
+def _lowest_terms(
+    support: Sequence[int], nums: list[int], det: int
+) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """One side's probabilities ``nums / det`` over ``support`` as a
+    canonical integer key: the common denominator and the non-zero
+    (action, numerator) pairs, all divided by their gcd. Two equal
+    probability vectors have equal keys, whichever support they came from."""
+    g = math.gcd(det, *nums)
+    return det // g, tuple((k, x // g) for k, x in zip(support, nums) if x)
+
+
 def _probabilities(
     size: int, support: Sequence[int], nums: list[int], det: int
 ) -> tuple[Fraction, ...]:
@@ -161,6 +173,51 @@ def _probabilities(
     for k, x in zip(support, nums):
         probs[k] = Fraction(x, det)
     return tuple(probs)
+
+
+def check_dimension_cap(rows: int, cols: int, dimension_cap: int) -> None:
+    """Raise DimensionCapExceeded when either side of a rows x cols game is
+    above the cap ``solve_mixed`` enumerates to."""
+    if rows > dimension_cap or cols > dimension_cap:
+        raise DimensionCapExceeded(
+            f"matrix is {rows}x{cols}, enumeration capped at {dimension_cap} per side"
+        )
+
+
+def _distinct_column_supports(
+    own_payoffs: list[list[int]], support_own: Sequence[int], cols: int
+) -> Iterable[tuple[int, ...]]:
+    """Column supports of ``len(support_own)`` columns, in lexicographic
+    order, that hold no two columns with the same difference vector
+    ``own_payoffs[r][c] - own_payoffs[support_own[0]][c]`` over
+    ``support_own[1:]``.
+
+    Two such columns are two equal columns of the indifference system, which
+    is then singular, so the skipped supports are exactly ones that
+    ``_support_weights`` would reject.
+    """
+    size = len(support_own)
+    if size > 1:
+        first = own_payoffs[support_own[0]]
+        keys = list(
+            zip(*([x - b for x, b in zip(own_payoffs[r], first)] for r in support_own[1:]))
+        )
+        # with no repeated key every column support qualifies
+        if len(set(keys)) < cols:
+            found: list[tuple[int, ...]] = []
+
+            def walk(prefix: tuple[int, ...], used: frozenset, start: int) -> None:
+                stop = cols - (size - len(prefix)) + 1
+                if len(prefix) == size - 1:
+                    found.extend(prefix + (c,) for c in range(start, stop) if keys[c] not in used)
+                    return
+                for c in range(start, stop):
+                    if keys[c] not in used:
+                        walk(prefix + (c,), used | {keys[c]}, c + 1)
+
+            walk((), frozenset(), 0)
+            return found
+    return itertools.combinations(range(cols), size)
 
 
 def solve_mixed(
@@ -171,42 +228,58 @@ def solve_mixed(
     reply outside its support.
 
     Each support system is solved by fraction-free (Bareiss) elimination on
-    the integer payoffs, and both checks run on the resulting integer
-    numerators; rationals are formed only for accepted profiles.
+    the integer payoffs, and both checks and the de-duplication run on the
+    resulting integer numerators; rationals are formed only for accepted,
+    new profiles.
 
     Degenerate profiles are kept: a solution may place probability zero on
     part of its candidate support, which is how boundary equilibria of
     weakly dominated games surface. Pure equilibria appear as the size-1
-    supports. Singular support systems are skipped.
+    supports. Singular support systems are skipped; those with two equal
+    system columns are never built (``_distinct_column_supports``).
     """
     m, n = matrix.rows, matrix.cols
     if m == 0 or n == 0:
         raise ValueError("matrix must be non-empty")
-    if m > dimension_cap or n > dimension_cap:
-        raise DimensionCapExceeded(
-            f"matrix is {m}x{n}, enumeration capped at {dimension_cap} per side"
-        )
+    check_dimension_cap(m, n, dimension_cap)
     u_i, u_j = _payoff_arrays(matrix)
     u_j_t = [list(col) for col in zip(*u_j)]
     profiles: list[MixedProfile] = []
-    seen: set[tuple[tuple[Fraction, ...], tuple[Fraction, ...]]] = set()
+    seen: set[tuple[tuple, tuple]] = set()
     for size in range(1, min(m, n) + 1):
         for support_i in itertools.combinations(range(m), size):
-            for support_j in itertools.combinations(range(n), size):
+            for support_j in _distinct_column_supports(u_i, support_i, n):
                 q = _support_weights(u_i, support_i, support_j)
                 if q is None:
                     continue
                 p = _support_weights(u_j_t, support_j, support_i)
                 if p is None:
                     continue
-                profile = MixedProfile(
-                    _probabilities(m, support_i, *p), _probabilities(n, support_j, *q)
-                )
-                key = (profile.probs_i, profile.probs_j)
+                key = (_lowest_terms(support_i, *p), _lowest_terms(support_j, *q))
                 if key not in seen:
                     seen.add(key)
-                    profiles.append(profile)
+                    profiles.append(
+                        MixedProfile(
+                            _probabilities(m, support_i, *p), _probabilities(n, support_j, *q)
+                        )
+                    )
     return profiles
+
+
+def _scaled_distribution(probs: Sequence[Fraction], side: str) -> tuple[list[int], int]:
+    """Integer weights over the lcm ``d`` of the denominators, so that
+    ``probs[k] == weights[k] / d``; ValueError unless ``probs`` is a
+    probability distribution (non-negative, summing to exactly 1)."""
+    error = ValueError(f"probs_{side} is not a probability distribution")
+    try:
+        ratios = [Fraction(x) for x in probs]
+    except (OverflowError, ValueError):  # an infinite or NaN float
+        raise error from None
+    d = math.lcm(*(x.denominator for x in ratios))
+    weights = [x.numerator * (d // x.denominator) for x in ratios]
+    if any(w < 0 for w in weights) or sum(weights) != d:
+        raise error
+    return weights, d
 
 
 def verify_equilibrium(
@@ -214,8 +287,11 @@ def verify_equilibrium(
 ) -> bool:
     """True iff no unilateral pure deviation gains more than ``tolerance``.
 
-    Runs in the profile's own arithmetic, so exact-rational profiles are
-    checked with zero tolerance and no rounding.
+    Exact rationals; float entries are taken at their exact binary value.
+    Each side's probabilities are scaled to integers over the lcm of their
+    denominators, so every payoff is an integer sum and each deviation gain
+    a single ratio. Raises ValueError when either side is not a probability
+    distribution.
     """
     m, n = matrix.rows, matrix.cols
     if len(profile.probs_i) != m or len(profile.probs_j) != n:
@@ -223,18 +299,19 @@ def verify_equilibrium(
             f"profile is {len(profile.probs_i)}x{len(profile.probs_j)}, "
             f"matrix is {m}x{n}"
         )
+    p, d_i = _scaled_distribution(profile.probs_i, "i")
+    q, d_j = _scaled_distribution(profile.probs_j, "j")
     u_i, u_j = _payoff_arrays(matrix)
-    row_payoffs = [
-        sum(u_i[r][c] * profile.probs_j[c] for c in range(n)) for r in range(m)
-    ]
-    col_payoffs = [
-        sum(u_j[r][c] * profile.probs_i[r] for r in range(m)) for c in range(n)
-    ]
-    expected_i = sum(profile.probs_i[r] * row_payoffs[r] for r in range(m))
-    expected_j = sum(profile.probs_j[c] * col_payoffs[c] for c in range(n))
+    # row_payoffs are scaled by d_j, col_payoffs by d_i, both expectations
+    # and both gains by d_i * d_j.
+    row_payoffs = [sum(u * x for u, x in zip(row, q)) for row in u_i]
+    col_payoffs = [sum(u_j[r][c] * p[r] for r in range(m)) for c in range(n)]
+    expected_i = sum(x * v for x, v in zip(p, row_payoffs))
+    expected_j = sum(x * v for x, v in zip(q, col_payoffs))
+    scale = d_i * d_j
     return (
-        max(row_payoffs) - expected_i <= tolerance
-        and max(col_payoffs) - expected_j <= tolerance
+        Fraction(max(row_payoffs) * d_i - expected_i, scale) <= tolerance
+        and Fraction(max(col_payoffs) * d_j - expected_j, scale) <= tolerance
     )
 
 
@@ -291,14 +368,18 @@ def _window_grid(parts: int, total: int, center: Sequence[Fraction], radius: int
     import numpy as np
     choices = []
     for x in center:
-        scaled = x * total
-        lo = max(0, int(scaled) - radius)
-        hi = min(total, int(scaled) + radius + 1)
-        choices.append([k for k in range(lo, hi + 1) if abs(Fraction(k) - scaled) <= radius])
+        x = Fraction(x)
+        # |k - x * total| <= radius, multiplied through by den
+        num, den = x.numerator * total, x.denominator
+        base = num // den
+        lo = max(0, base - radius)
+        hi = min(total, base + radius + 1)
+        choices.append([k for k in range(lo, hi + 1) if abs(k * den - num) <= radius * den])
+    # product over ascending, duplicate-free choices is already sorted and unique
     pts = [p for p in itertools.product(*choices) if sum(p) == total]
     if not pts:
         return np.empty((0, parts), dtype=np.int64)
-    return np.array(sorted(set(pts)), dtype=np.int64)
+    return np.array(pts, dtype=np.int64)
 
 
 def brute_force_oracle(

@@ -1,8 +1,10 @@
-"""Reference support enumeration over ``fractions.Fraction``.
+"""Reference implementations of the exact solver layer over ``fractions.Fraction``.
 
 A deliberately plain Gaussian-elimination enumerator kept only as a test
 oracle for ``liqgame.solver.solve_mixed``: the two must return equal lists,
-including order, de-duplication and degenerate profiles.
+including order, de-duplication and degenerate profiles. The ``Fraction``
+forms of ``verify_equilibrium`` and of the oracle's window grid are kept
+for the same purpose against the integer versions in ``liqgame.solver``.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from liqgame.core import PayoffMatrix
-from liqgame.solver import MixedProfile
+from liqgame.solver import DimensionMismatch, MixedProfile
 
 
 def _solve_linear_exact(
@@ -112,3 +114,45 @@ def reference_solve_mixed(matrix: PayoffMatrix) -> list[MixedProfile]:
                     seen.add(profile)
                     profiles.append(profile)
     return profiles
+
+
+def reference_verify_equilibrium(
+    matrix: PayoffMatrix, profile: MixedProfile, tolerance: Fraction = Fraction(0)
+) -> bool:
+    """True iff no unilateral pure deviation gains more than ``tolerance``,
+    in the profile's own arithmetic."""
+    m, n = matrix.rows, matrix.cols
+    if len(profile.probs_i) != m or len(profile.probs_j) != n:
+        raise DimensionMismatch(
+            f"profile is {len(profile.probs_i)}x{len(profile.probs_j)}, "
+            f"matrix is {m}x{n}"
+        )
+    u_i = [[cell[0] for cell in row] for row in matrix.entries]
+    u_j = [[cell[1] for cell in row] for row in matrix.entries]
+    row_payoffs = [
+        sum(u_i[r][c] * profile.probs_j[c] for c in range(n)) for r in range(m)
+    ]
+    col_payoffs = [
+        sum(u_j[r][c] * profile.probs_i[r] for r in range(m)) for c in range(n)
+    ]
+    expected_i = sum(profile.probs_i[r] * row_payoffs[r] for r in range(m))
+    expected_j = sum(profile.probs_j[c] * col_payoffs[c] for c in range(n))
+    return (
+        max(row_payoffs) - expected_i <= tolerance
+        and max(col_payoffs) - expected_j <= tolerance
+    )
+
+
+def reference_window_grid(
+    total: int, center: Sequence[Fraction], radius: int
+) -> list[tuple[int, ...]]:
+    """Sorted compositions of ``total`` whose coordinates all lie within
+    ``radius`` grid steps of ``center``."""
+    choices = []
+    for x in center:
+        scaled = x * total
+        lo = max(0, int(scaled) - radius)
+        hi = min(total, int(scaled) + radius + 1)
+        choices.append([k for k in range(lo, hi + 1) if abs(Fraction(k) - scaled) <= radius])
+    pts = [p for p in itertools.product(*choices) if sum(p) == total]
+    return sorted(set(pts))

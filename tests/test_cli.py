@@ -51,6 +51,24 @@ class TestSolveCommand:
         assert code == 0
         assert out == "2|2,0|0\n1|1,1|1\n"
 
+    def test_oversized_request_refused_before_the_matrix_is_built(self, capsys, monkeypatch):
+        def build(instance):
+            raise AssertionError("build_payoff_matrix called")
+
+        monkeypatch.setattr(core, "build_payoff_matrix", build)
+        code, out, err = run_cli(capsys, "solve", "--bi", "1000000", "--bj", "-1000000")
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: DimensionCapExceeded: matrix is 1000000x1000000, "
+            "enumeration capped at 12 per side\n"
+        )
+
+    def test_dimension_cap_option_still_applies(self, capsys):
+        code, _, err = run_cli(capsys, "solve", "--bi", "3", "--bj", "-4", "--dimension-cap", "3")
+        assert code == 2
+        assert "matrix is 3x4, enumeration capped at 3 per side" in err
+
     def test_matches_library_serialization(self, capsys):
         code, out, _ = run_cli(capsys, "solve", "--bi", "3", "--bj", "-2")
         assert code == 0

@@ -149,3 +149,45 @@ def test_unknown_attribute_raises_attribute_error():
     assert run_fresh(code) == (
         "module 'liqgame' has no attribute 'no_such_name'\nFalse\n"
     )
+
+
+def test_public_name_list_is_pinned():
+    assert liqgame.__all__ == [
+        "Action",
+        "BayesianSolution",
+        "CompositionMatrix",
+        "ConditionalGame",
+        "GameInstance",
+        "Holding",
+        "LiquidityGameError",
+        "MixedProfile",
+        "PayoffMatrix",
+        "Player",
+        "PureEquilibrium",
+        "QuadrantReport",
+        "SimConfig",
+        "SimReport",
+        "StrategySpec",
+        "TransferProblem",
+        "TypeSpace",
+        "analytic_hit_ratio",
+        "apply_trade",
+        "best_quadrant",
+        "bilateral_payoff",
+        "brute_force_oracle",
+        "build_instance",
+        "build_payoff_matrix",
+        "dominant_strategy_per_type",
+        "dominated_actions",
+        "expected_payoff",
+        "find_pure_equilibria",
+        "indifference_threshold",
+        "load_bundled_game",
+        "load_published_matrix",
+        "max_transfer",
+        "quadrant_analysis",
+        "run_simulation",
+        "solve_mixed",
+        "verify_equilibrium",
+        "weight_by_priors",
+    ]

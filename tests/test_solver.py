@@ -1,3 +1,5 @@
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -5,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liqgame.core import PayoffMatrix, Player, build_instance, build_payoff_matrix
+from liqgame import solver
 from liqgame.solver import (
     DimensionCapExceeded,
     DimensionMismatch,
@@ -16,7 +19,11 @@ from liqgame.solver import (
     verify_equilibrium,
 )
 
-from reference_solver import reference_solve_mixed
+from reference_solver import (
+    reference_solve_mixed,
+    reference_verify_equilibrium,
+    reference_window_grid,
+)
 
 F = Fraction
 
@@ -150,6 +157,121 @@ class TestReferenceAgreement:
             assert verify_equilibrium(matrix, prof, F(0))
 
 
+class TestSupportPruning:
+    """solve_mixed never builds a system with two equal columns."""
+
+    def test_duplicate_columns_skip_eliminations(self, monkeypatch):
+        # columns 0/1 and 2/3 are identical, so most column supports of size
+        # >= 2 hold a duplicate and are skipped before elimination
+        matrix = PayoffMatrix.from_entries(
+            [
+                [(3, 1), (3, 1), (0, 2), (0, 2), (1, 0)],
+                [(1, 0), (1, 0), (2, 3), (2, 3), (0, 1)],
+                [(0, 2), (0, 2), (1, 1), (1, 1), (3, 3)],
+            ]
+        )
+        calls = []
+        eliminate = solver._solve_fraction_free
+        monkeypatch.setattr(
+            solver, "_solve_fraction_free", lambda a: calls.append(1) or eliminate(a)
+        )
+        profiles = solve_mixed(matrix)
+        pruned = len(calls)
+        # the full enumeration: every column support, with no grouping
+        monkeypatch.setattr(
+            solver,
+            "_distinct_column_supports",
+            lambda u, support, cols: itertools.combinations(range(cols), len(support)),
+        )
+        calls.clear()
+        assert solve_mixed(matrix) == profiles
+        assert pruned < len(calls)
+        assert len(calls) >= sum(math.comb(3, k) * math.comb(5, k) for k in range(1, 4))
+        assert profiles == reference_solve_mixed(matrix)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_walk_is_the_filtered_lexicographic_enumeration(self, data):
+        rows, cols = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 7))
+        value = st.integers(-2, 2)
+        u = data.draw(
+            st.lists(st.lists(value, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+        )
+        size = data.draw(st.integers(1, rows))
+        support = data.draw(st.sampled_from(list(itertools.combinations(range(rows), size))))
+        key = [tuple(u[r][c] - u[support[0]][c] for r in support[1:]) for c in range(cols)]
+        expected = [
+            sj
+            for sj in itertools.combinations(range(cols), size)
+            if len({key[c] for c in sj}) == size
+        ]
+        assert list(solver._distinct_column_supports(u, support, cols)) == expected
+
+
+def distributions(size: int):
+    """Probability vectors of ``size`` entries with mixed denominators: the
+    gaps between cuts of [0, 1] at random fractions."""
+    cuts = st.lists(
+        st.fractions(0, 1, max_denominator=12), min_size=size - 1, max_size=size - 1
+    )
+    return cuts.map(
+        lambda cut: tuple(b - a for a, b in itertools.pairwise([0, *sorted(cut), 1]))
+    )
+
+
+def rational_vectors(size: int):
+    """Arbitrary rationals: negative, zero, or not summing to one."""
+    return st.lists(
+        st.fractions(-2, 2, max_denominator=12), min_size=size, max_size=size
+    ).map(tuple)
+
+
+TOLERANCES = st.sampled_from([F(0), F(1, 7), F(1, 2), F(-1, 3), 0.25])
+
+
+class TestVerifyAgainstReference:
+    """The integer verify_equilibrium against the Fraction reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_same_verdict_on_distributions(self, data):
+        matrix = data.draw(general_games())
+        prof = MixedProfile(
+            data.draw(distributions(matrix.rows)), data.draw(distributions(matrix.cols))
+        )
+        tolerance = data.draw(TOLERANCES)
+        expected = reference_verify_equilibrium(matrix, prof, tolerance)
+        assert verify_equilibrium(matrix, prof, tolerance) is expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_other_vectors_raise(self, data):
+        matrix = data.draw(general_games())
+        probs_i = data.draw(distributions(matrix.rows) | rational_vectors(matrix.rows))
+        probs_j = data.draw(rational_vectors(matrix.cols))
+        prof = MixedProfile(probs_i, probs_j)
+        if all(x >= 0 for x in probs_i + probs_j) and sum(probs_i) == sum(probs_j) == 1:
+            assert verify_equilibrium(matrix, prof) is reference_verify_equilibrium(matrix, prof)
+        else:
+            with pytest.raises(ValueError, match="not a probability distribution"):
+                verify_equilibrium(matrix, prof, data.draw(TOLERANCES))
+
+
+class TestWindowGridAgainstReference:
+    """The integer window grid against the Fraction reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        center=st.integers(1, 4).flatmap(lambda k: distributions(k) | rational_vectors(k)),
+        total=st.sampled_from([1, 2, 7, 50, 200]) | st.integers(1, 300),
+        radius=st.integers(-1, 3),
+    )
+    def test_same_points_in_the_same_order(self, center, total, radius):
+        grid = solver._window_grid(len(center), total, center, radius)
+        assert grid.shape[1] == len(center)
+        assert [tuple(p) for p in grid.tolist()] == reference_window_grid(total, center, radius)
+
+
 class TestVerifyEquilibrium:
     def test_published_mixed_profile(self):
         assert verify_equilibrium(game_matrix(2, -2), GOLDEN_2X2_MIXED, F(0))
@@ -176,6 +298,36 @@ class TestVerifyEquilibrium:
     def test_tolerance_loosens_the_check(self):
         uniform = profile([F(1, 2), F(1, 2)], [F(1, 2), F(1, 2)])
         assert verify_equilibrium(game_matrix(2, -2), uniform, F(1, 2))
+
+    @pytest.mark.parametrize(
+        "probs_i, probs_j",
+        [
+            ([0, 0], [0, 0]),  # zero profile
+            ([0, 1], [0, 0]),
+            ([F(3, 2), F(-1, 2)], [F(1, 2), F(1, 2)]),  # negative entry, sums to 1
+            ([0, 1], [F(-1, 2), F(3, 2)]),
+            ([1, 1], [F(1, 2), F(1, 2)]),  # over-unit sum
+            ([0, 1], [F(2, 3), F(1, 2)]),
+            ([F(1, 3), F(1, 3)], [F(1, 2), F(1, 2)]),  # under-unit sum
+        ],
+    )
+    def test_non_distribution_rejected(self, probs_i, probs_j):
+        with pytest.raises(ValueError, match="not a probability distribution"):
+            verify_equilibrium(game_matrix(2, -2), profile(probs_i, probs_j), F(0))
+
+    def test_float_entries_taken_at_their_binary_value(self):
+        # 0.5 is exact in binary; the binary values of 0.1 and 0.9 do not
+        # sum to exactly 1, although 0.1 + 0.9 == 1.0 in float arithmetic
+        matrix = game_matrix(2, -2)
+        exact = MixedProfile((0.0, 1.0), (0.5, 0.5))
+        assert verify_equilibrium(matrix, exact, F(0))
+        with pytest.raises(ValueError):
+            verify_equilibrium(matrix, MixedProfile((0.1, 0.9), (0.5, 0.5)), F(0))
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_entry_rejected(self, bad):
+        with pytest.raises(ValueError, match="not a probability distribution"):
+            verify_equilibrium(game_matrix(2, -2), MixedProfile((0.5, 0.5), (bad, 0.0)))
 
 
 class TestDominatedActions:
