@@ -8,13 +8,12 @@ which the initiator is indifferent between its two strategies.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Optional
 
-from .core import LiquidityGameError
+from .core import LiquidityGameError, json_object
 from .fixtures import fixture_path
 
 EQUALITY_TOLERANCE = 1e-12
@@ -101,12 +100,12 @@ class ConditionalGame:
 
     @classmethod
     def from_json(cls, doc: str) -> "ConditionalGame":
-        return cls.from_jsonable(json.loads(doc))
+        return cls.from_jsonable(json_object(doc, "game document"))
 
 
 def load_game_document(path: Path) -> tuple[ConditionalGame, TypeSpace]:
     """Read a game file carrying both the matrices and the prior."""
-    raw = json.loads(path.read_text())
+    raw = json_object(path.read_text(), "game document")
     game = ConditionalGame.from_jsonable(raw)
     space = TypeSpace(types=game.types, prior=tuple(float(p) for p in raw["prior"]))
     return game, space

@@ -221,7 +221,7 @@ def _cmd_market(args: argparse.Namespace) -> int:
         mode, table = "published", args.published
     elif args.constructive:
         if args.config is not None:
-            raw = json.loads(Path(args.config).read_text())
+            raw = core.json_object(Path(args.config).read_text(), "constructive base document")
             types = tuple(raw["types"])
             strategies = tuple(raw["strategies"])
             matrices = {}
@@ -260,7 +260,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     from . import sim
     raw: dict = {}
     if args.config is not None:
-        raw = json.loads(Path(args.config).read_text())
+        raw = core.json_object(Path(args.config).read_text(), "simulation config")
     if args.trials is not None:
         raw["trials"] = args.trials
     raw.setdefault("trials", 10_000)

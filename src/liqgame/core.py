@@ -93,20 +93,22 @@ class GameInstance:
 
 @dataclass(frozen=True)
 class PayoffMatrix:
-    """Bimatrix of integer payoff pairs, rows and columns in descending parcel size.
+    """Bimatrix of integer payoffs, rows and columns in descending parcel size.
 
-    ``entries[r][c]`` is ``(u_i, u_j)`` for the row player's parcel
-    ``actions_i[r]`` against the column player's parcel ``actions_j[c]``.
+    ``u_i[r][c]`` and ``u_j[r][c]`` are the row and column player's payoffs
+    for the row player's parcel ``actions_i[r]`` against the column player's
+    parcel ``actions_j[c]``.
     """
 
     actions_i: tuple[int, ...]
     actions_j: tuple[int, ...]
-    entries: tuple[tuple[tuple[int, int], ...], ...]
+    u_i: tuple[tuple[int, ...], ...]
+    u_j: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if len(self.entries) != len(self.actions_i):
+        if len(self.u_i) != len(self.actions_i) or len(self.u_j) != len(self.actions_i):
             raise ValueError("row count does not match actions_i")
-        for row in self.entries:
+        for row in (*self.u_i, *self.u_j):
             if len(row) != len(self.actions_j):
                 raise ValueError("column count does not match actions_j")
 
@@ -118,6 +120,11 @@ class PayoffMatrix:
     def cols(self) -> int:
         return len(self.actions_j)
 
+    @property
+    def entries(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """``entries[r][c]`` is the pair ``(u_i[r][c], u_j[r][c])``."""
+        return tuple(tuple(zip(row_i, row_j)) for row_i, row_j in zip(self.u_i, self.u_j))
+
     @classmethod
     def from_entries(cls, entries) -> "PayoffMatrix":
         """Wrap a plain nested list of (u_i, u_j) pairs.
@@ -125,17 +132,18 @@ class PayoffMatrix:
         Row and column actions are labelled n..1 descending, matching how
         instance-built matrices are laid out.
         """
-        grid = tuple(tuple((int(a), int(b)) for a, b in row) for row in entries)
+        grid = [[(int(a), int(b)) for a, b in row] for row in entries]
         n_rows = len(grid)
         n_cols = len(grid[0]) if grid else 0
         return cls(
             actions_i=tuple(range(n_rows, 0, -1)),
             actions_j=tuple(range(n_cols, 0, -1)),
-            entries=grid,
+            u_i=tuple(tuple(a for a, _ in row) for row in grid),
+            u_j=tuple(tuple(b for _, b in row) for row in grid),
         )
 
     def to_jsonable(self) -> list[list[list[int]]]:
-        return [[[u, v] for (u, v) in row] for row in self.entries]
+        return [[[u, v] for u, v in zip(row_i, row_j)] for row_i, row_j in zip(self.u_i, self.u_j)]
 
     def to_json(self) -> str:
         return json.dumps(self.to_jsonable())
@@ -146,7 +154,10 @@ class PayoffMatrix:
 
     def to_csv(self) -> str:
         """One line per row, cells rendered ``u_i|u_j``."""
-        lines = [",".join(f"{u}|{v}" for (u, v) in row) for row in self.entries]
+        lines = [
+            ",".join(f"{u}|{v}" for u, v in zip(row_i, row_j))
+            for row_i, row_j in zip(self.u_i, self.u_j)
+        ]
         return "\n".join(lines) + "\n"
 
 
@@ -193,13 +204,15 @@ def bilateral_payoff(offer: Action, capacity: Action) -> tuple[int, int]:
 
 
 def build_payoff_matrix(instance: GameInstance) -> PayoffMatrix:
-    """Evaluate the payoff rule over the full action-set cross product."""
-    qi = [a.quantity for a in instance.action_set_i]
-    qj = [a.quantity for a in instance.action_set_j]
-    entries = tuple(
-        tuple((q, q) if 0 < q <= cap else (0, 0) for cap in qj) for q in qi
-    )
-    return PayoffMatrix(actions_i=tuple(qi), actions_j=tuple(qj), entries=entries)
+    """Evaluate the payoff rule over the full action-set cross product.
+
+    Both sides realise the transferred quantity, so one table serves as
+    ``u_i`` and ``u_j``.
+    """
+    qi = range(abs(instance.balance_i), 0, -1)
+    qj = range(abs(instance.balance_j), 0, -1)
+    u = tuple(tuple(q if q <= cap else 0 for cap in qj) for q in qi)
+    return PayoffMatrix(actions_i=tuple(qi), actions_j=tuple(qj), u_i=u, u_j=u)
 
 
 def apply_trade(instance: GameInstance, quantity: int) -> GameInstance:
@@ -234,9 +247,17 @@ def instance_to_json(instance: GameInstance) -> str:
     return json.dumps(instance_to_jsonable(instance))
 
 
+def json_object(doc: str, what: str) -> dict:
+    """Parse ``doc``; ValueError unless it holds a JSON object."""
+    raw = json.loads(doc)
+    if not isinstance(raw, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(raw).__name__}")
+    return raw
+
+
 def instance_from_json(doc: str) -> GameInstance:
     """Parse and validate the ``{"balance_i", "balance_j", "issue_cap"}`` document."""
-    raw = json.loads(doc)
+    raw = json_object(doc, "instance document")
     for field in ("balance_i", "balance_j"):
         if field not in raw:
             raise ZeroBalance(f"missing field {field}")

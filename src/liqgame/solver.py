@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -70,24 +71,18 @@ class MixedProfile:
         return tuple(c for c, q in enumerate(self.probs_j) if q > 0)
 
 
-def _payoff_arrays(matrix: PayoffMatrix) -> tuple[list[list[int]], list[list[int]]]:
-    u_i = [[cell[0] for cell in row] for row in matrix.entries]
-    u_j = [[cell[1] for cell in row] for row in matrix.entries]
-    return u_i, u_j
-
-
 def find_pure_equilibria(matrix: PayoffMatrix) -> list[PureEquilibrium]:
     """All cells with the exact best-response property, in row-major order."""
     if matrix.rows == 0 or matrix.cols == 0:
         raise ValueError("matrix must be non-empty")
-    u_i, u_j = _payoff_arrays(matrix)
-    col_max_i = [max(u_i[r][c] for r in range(matrix.rows)) for c in range(matrix.cols)]
+    u_i, u_j = matrix.u_i, matrix.u_j
+    col_max_i = [max(col) for col in zip(*u_i)]
     row_max_j = [max(row) for row in u_j]
     found = []
     for r in range(matrix.rows):
         for c in range(matrix.cols):
             if u_i[r][c] == col_max_i[c] and u_j[r][c] == row_max_j[r]:
-                found.append(PureEquilibrium(r, c, matrix.entries[r][c]))
+                found.append(PureEquilibrium(r, c, (u_i[r][c], u_j[r][c])))
     return found
 
 
@@ -126,7 +121,7 @@ def _solve_fraction_free(a: list[list[int]]) -> Optional[tuple[list[int], int]]:
 
 
 def _support_weights(
-    own_payoffs: list[list[int]], support_own: Sequence[int], support_opp: Sequence[int]
+    own_payoffs: Sequence[Sequence[int]], support_own: Sequence[int], support_opp: Sequence[int]
 ) -> Optional[tuple[list[int], int]]:
     """Opponent weights over ``support_opp`` that make the owner indifferent
     across ``support_own``, as integer numerators over a positive common
@@ -185,7 +180,7 @@ def check_dimension_cap(rows: int, cols: int, dimension_cap: int) -> None:
 
 
 def _distinct_column_supports(
-    own_payoffs: list[list[int]], support_own: Sequence[int], cols: int
+    own_payoffs: Sequence[Sequence[int]], support_own: Sequence[int], cols: int
 ) -> Iterable[tuple[int, ...]]:
     """Column supports of ``len(support_own)`` columns, in lexicographic
     order, that hold no two columns with the same difference vector
@@ -242,8 +237,8 @@ def solve_mixed(
     if m == 0 or n == 0:
         raise ValueError("matrix must be non-empty")
     check_dimension_cap(m, n, dimension_cap)
-    u_i, u_j = _payoff_arrays(matrix)
-    u_j_t = [list(col) for col in zip(*u_j)]
+    u_i = matrix.u_i
+    u_j_t = list(zip(*matrix.u_j))
     profiles: list[MixedProfile] = []
     seen: set[tuple[tuple, tuple]] = set()
     for size in range(1, min(m, n) + 1):
@@ -266,17 +261,26 @@ def solve_mixed(
     return profiles
 
 
+def _ratio(x) -> tuple[int, int]:
+    """``x`` as (numerator, denominator) in lowest terms; ``Fraction(x)`` is
+    built only for values that are not already an int or a Fraction, so
+    floats count at their exact binary value."""
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    return x.numerator, x.denominator
+
+
 def _scaled_distribution(probs: Sequence[Fraction], side: str) -> tuple[list[int], int]:
     """Integer weights over the lcm ``d`` of the denominators, so that
     ``probs[k] == weights[k] / d``; ValueError unless ``probs`` is a
     probability distribution (non-negative, summing to exactly 1)."""
     error = ValueError(f"probs_{side} is not a probability distribution")
     try:
-        ratios = [Fraction(x) for x in probs]
+        ratios = [_ratio(x) for x in probs]
     except (OverflowError, ValueError):  # an infinite or NaN float
         raise error from None
-    d = math.lcm(*(x.denominator for x in ratios))
-    weights = [x.numerator * (d // x.denominator) for x in ratios]
+    d = math.lcm(*(den for _, den in ratios))
+    weights = [num * (d // den) for num, den in ratios]
     if any(w < 0 for w in weights) or sum(weights) != d:
         raise error
     return weights, d
@@ -301,11 +305,10 @@ def verify_equilibrium(
         )
     p, d_i = _scaled_distribution(profile.probs_i, "i")
     q, d_j = _scaled_distribution(profile.probs_j, "j")
-    u_i, u_j = _payoff_arrays(matrix)
     # row_payoffs are scaled by d_j, col_payoffs by d_i, both expectations
     # and both gains by d_i * d_j.
-    row_payoffs = [sum(u * x for u, x in zip(row, q)) for row in u_i]
-    col_payoffs = [sum(u_j[r][c] * p[r] for r in range(m)) for c in range(n)]
+    row_payoffs = [sum(u * x for u, x in zip(row, q)) for row in matrix.u_i]
+    col_payoffs = [sum(u * x for u, x in zip(col, p)) for col in zip(*matrix.u_j)]
     expected_i = sum(x * v for x, v in zip(p, row_payoffs))
     expected_j = sum(x * v for x, v in zip(q, col_payoffs))
     scale = d_i * d_j
@@ -326,11 +329,7 @@ def dominated_actions(
     """
     if matrix.rows == 0 or matrix.cols == 0:
         raise ValueError("matrix must be non-empty")
-    u_i, u_j = _payoff_arrays(matrix)
-    if player is Player.I:
-        vectors = u_i
-    else:
-        vectors = [[u_j[r][c] for r in range(matrix.rows)] for c in range(matrix.cols)]
+    vectors = matrix.u_i if player is Player.I else list(zip(*matrix.u_j))
     relations = []
     for d, g in itertools.permutations(range(len(vectors)), 2):
         if all(vg >= vd for vg, vd in zip(vectors[g], vectors[d])):
@@ -362,24 +361,78 @@ def _simplex_grid(parts: int, total: int):
     return np.diff(padded, axis=1) - 1
 
 
-def _window_grid(parts: int, total: int, center: Sequence[Fraction], radius: int):
+def _window_grid(total: int, center: Sequence[Fraction], radius: int) -> list[tuple[int, ...]]:
     """Compositions of ``total`` whose coordinates all lie within
-    ``radius`` grid steps of ``center``."""
-    import numpy as np
+    ``radius`` grid steps of ``center``, in lexicographic order."""
     choices = []
     for x in center:
-        x = Fraction(x)
-        # |k - x * total| <= radius, multiplied through by den
-        num, den = x.numerator * total, x.denominator
-        base = num // den
-        lo = max(0, base - radius)
-        hi = min(total, base + radius + 1)
-        choices.append([k for k in range(lo, hi + 1) if abs(k * den - num) <= radius * den])
-    # product over ascending, duplicate-free choices is already sorted and unique
-    pts = [p for p in itertools.product(*choices) if sum(p) == total]
-    if not pts:
-        return np.empty((0, parts), dtype=np.int64)
-    return np.array(pts, dtype=np.int64)
+        num, den = _ratio(x)
+        num *= total
+        # integer k with |k - num / den| <= radius: ceil(num / den) - radius
+        # up to floor(num / den) + radius, clipped to [0, total]
+        choices.append(range(max(0, -(-num // den) - radius), min(total, num // den + radius) + 1))
+    # The last coordinate is fixed by the others; the product over ascending,
+    # duplicate-free choices is already sorted and unique.
+    *head, last = choices
+    return [(*p, k) for p in itertools.product(*head) if (k := total - sum(p)) in last]
+
+
+_Hits = list[tuple[tuple[int, ...], tuple[int, ...]]]
+
+
+def _sweep_hits(matrix: PayoffMatrix, r_scale: int) -> _Hits:
+    """Every (p, q) pair of the two full simplex grids that passes the gain
+    test, evaluated by numpy matrix products."""
+    import numpy as np
+    u_i_arr = np.array(matrix.u_i, dtype=np.float64)
+    u_j_arr = np.array(matrix.u_j, dtype=np.float64)
+    # Integer magnitudes stay below 2**53, so float64 matmuls are exact here.
+    max_abs = max(1.0, float(np.max(np.abs(u_i_arr))), float(np.max(np.abs(u_j_arr))))
+    if max_abs * r_scale * r_scale >= 2**52:
+        raise ValueError("payoffs too large for exact grid evaluation")
+    grid_p = _simplex_grid(matrix.rows, r_scale)
+    grid_q = _simplex_grid(matrix.cols, r_scale)
+    kp = grid_p.astype(np.float64)
+    kq = grid_q.astype(np.float64)
+    best_i_by_q = (kq @ u_i_arr.T).max(axis=1)  # scaled by resolution
+    best_j_by_p = (kp @ u_j_arr).max(axis=1)
+    hits: _Hits = []
+    chunk = max(1, int(4e6) // max(1, kp.shape[0]))
+    for start in range(0, kq.shape[0], chunk):
+        kq_block = kq[start : start + chunk]
+        exp_i = kp @ u_i_arr @ kq_block.T
+        exp_j = kp @ u_j_arr @ kq_block.T
+        gain_i = r_scale * best_i_by_q[start : start + chunk][None, :] - exp_i
+        gain_j = r_scale * best_j_by_p[:, None] - exp_j
+        for ip, iq in np.argwhere((gain_i < r_scale) & (gain_j < r_scale)).tolist():
+            hits.append((tuple(grid_p[ip].tolist()), tuple(grid_q[iq + start].tolist())))
+    return hits
+
+
+def _window_hits(
+    matrix: PayoffMatrix,
+    grid_p: Sequence[tuple[int, ...]],
+    grid_q: Sequence[tuple[int, ...]],
+    r_scale: int,
+) -> _Hits:
+    """The same gain test on explicit point lists, in Python integers, in
+    row-major (p, q) order. A pair passes when both expected payoffs exceed
+    the cut-off ``r_scale * best - r_scale`` of the best reply to the other
+    side's point, all scaled by ``r_scale ** 2``."""
+    mul = operator.mul
+    by_q = []
+    for q in grid_q:
+        row_payoffs = [sum(map(mul, row, q)) for row in matrix.u_i]
+        by_q.append((q, row_payoffs, r_scale * max(row_payoffs) - r_scale))
+    cols_j = list(zip(*matrix.u_j))
+    hits: _Hits = []
+    for p in grid_p:
+        col_payoffs = [sum(map(mul, col, p)) for col in cols_j]
+        cut_j = r_scale * max(col_payoffs) - r_scale
+        for q, row_payoffs, cut_i in by_q:
+            if sum(map(mul, p, row_payoffs)) > cut_i and sum(map(mul, q, col_payoffs)) > cut_j:
+                hits.append((p, q))
+    return hits
 
 
 def brute_force_oracle(
@@ -393,12 +446,14 @@ def brute_force_oracle(
 
     Every gain test is evaluated in integer arithmetic (scaled by the
     resolution), so acceptance is exact. Without ``around`` the full product
-    of both simplex grids is swept, which is combinatorial; pass ``around``
-    to restrict both grids to the points within ``radius`` steps of a
-    candidate profile (the sweep restricted to that window).
+    of both simplex grids is swept with numpy, which is combinatorial; pass
+    ``around`` to restrict both grids to the points within ``radius`` steps
+    of a candidate profile (the sweep restricted to that window), evaluated
+    in Python integers without numpy.
     """
-    import numpy as np
     m, n = matrix.rows, matrix.cols
+    if m == 0 or n == 0:
+        raise ValueError("matrix must be non-empty")
     if m > ORACLE_DIMENSION_CAP or n > ORACLE_DIMENSION_CAP:
         raise DimensionCapExceeded(
             f"oracle supports at most {ORACLE_DIMENSION_CAP} actions per side"
@@ -406,39 +461,15 @@ def brute_force_oracle(
     if grid_resolution < 1:
         raise ValueError("grid_resolution must be >= 1")
     r_scale = grid_resolution
-    u_i_arr = np.array([[cell[0] for cell in row] for row in matrix.entries], dtype=np.float64)
-    u_j_arr = np.array([[cell[1] for cell in row] for row in matrix.entries], dtype=np.float64)
-    # Integer magnitudes stay below 2**53, so float64 matmuls are exact here.
-    max_abs = max(1.0, float(np.max(np.abs(u_i_arr))), float(np.max(np.abs(u_j_arr))))
-    if max_abs * r_scale * r_scale >= 2**52:
-        raise ValueError("payoffs too large for exact grid evaluation")
     if around is None:
-        grid_p = _simplex_grid(m, r_scale)
-        grid_q = _simplex_grid(n, r_scale)
+        hits = _sweep_hits(matrix, r_scale)
     else:
         if len(around.probs_i) != m or len(around.probs_j) != n:
             raise DimensionMismatch("around profile does not match matrix dimensions")
-        grid_p = _window_grid(m, r_scale, around.probs_i, radius)
-        grid_q = _window_grid(n, r_scale, around.probs_j, radius)
-    if grid_p.size == 0 or grid_q.size == 0:
-        return []
-    kp = grid_p.astype(np.float64)
-    kq = grid_q.astype(np.float64)
-    best_i_by_q = (kq @ u_i_arr.T).max(axis=1)  # scaled by resolution
-    best_j_by_p = (kp @ u_j_arr).max(axis=1)
-    accepted: list[tuple[int, int]] = []
-    chunk = max(1, int(4e6) // max(1, kp.shape[0]))
-    for start in range(0, kq.shape[0], chunk):
-        kq_block = kq[start : start + chunk]
-        exp_i = kp @ u_i_arr @ kq_block.T
-        exp_j = kp @ u_j_arr @ kq_block.T
-        gain_i = r_scale * best_i_by_q[start : start + chunk][None, :] - exp_i
-        gain_j = r_scale * best_j_by_p[:, None] - exp_j
-        hits = np.argwhere((gain_i < r_scale) & (gain_j < r_scale))
-        accepted.extend((int(ip), int(iq) + start) for ip, iq in hits)
-    profiles = []
-    for ip, iq in accepted:
-        probs_i = tuple(Fraction(int(k), r_scale) for k in grid_p[ip])
-        probs_j = tuple(Fraction(int(k), r_scale) for k in grid_q[iq])
-        profiles.append(MixedProfile(probs_i, probs_j))
-    return profiles
+        grid_p = _window_grid(r_scale, around.probs_i, radius)
+        grid_q = _window_grid(r_scale, around.probs_j, radius)
+        hits = _window_hits(matrix, grid_p, grid_q, r_scale)
+    steps = {k: Fraction(k, r_scale) for k in {k for p, q in hits for k in p + q}}
+    return [
+        MixedProfile(tuple(steps[k] for k in p), tuple(steps[k] for k in q)) for p, q in hits
+    ]

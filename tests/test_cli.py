@@ -327,6 +327,26 @@ def test_seed_rejected_where_nothing_is_random(capsys, argv):
     assert "--seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("document", ["5", "null", "[1, 2]"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--config"],
+        ["simulate", "--seed", "1", "--config"],
+        ["bayes", "--game"],
+        ["market", "--constructive", "--config"],
+    ],
+    ids=["solve", "simulate", "bayes", "market"],
+)
+def test_non_object_document_exit_two(capsys, tmp_path, argv, document):
+    path = tmp_path / "doc.json"
+    path.write_text(document)
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert code == 2
+    assert out == ""
+    assert "ValueError" in err and "must be a JSON object" in err
+
+
 class TestThinAdapter:
     def test_market_matches_library_serialization(self, capsys):
         code, out, _ = run_cli(capsys, "market", "--published", "final_4x4")

@@ -123,6 +123,25 @@ class TestPayoffMatrix:
         matrix = build_payoff_matrix(build_instance(2, -2, 100))
         assert matrix.to_csv() == "2|2,0|0\n1|1,1|1\n"
 
+    def test_entries_are_derived_from_the_payoff_rows(self):
+        matrix = PayoffMatrix.from_entries([[(1, 2), (3, 4)], [(5, 6), (7, 8)]])
+        assert matrix.u_i == ((1, 3), (5, 7))
+        assert matrix.u_j == ((2, 4), (6, 8))
+        assert matrix.entries == (((1, 2), (3, 4)), ((5, 6), (7, 8)))
+
+    @pytest.mark.parametrize(
+        "u_i, u_j",
+        [
+            (((1, 1),), ()),  # u_j short of a row
+            (((1, 1),), ((1, 1), (1, 1))),  # u_j a row too many
+            (((1, 1),), ((1,),)),  # u_j short of a column
+            (((1, 1, 1),), ((1, 1),)),  # u_i a column too many
+        ],
+    )
+    def test_row_shapes_checked(self, u_i, u_j):
+        with pytest.raises(ValueError, match="does not match"):
+            PayoffMatrix(actions_i=(1,), actions_j=(2, 1), u_i=u_i, u_j=u_j)
+
 
 class TestApplyTrade:
     def test_acceptor_cleared(self):

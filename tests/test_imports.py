@@ -1,6 +1,7 @@
 """Each process imports only what it runs: ``import liqgame`` loads no
 submodule, a CLI subcommand loads the modules its handler uses, and numpy
-stays off the start-up path (only simulation and the grid oracle load it).
+stays off the start-up path (only simulation and the full-sweep grid oracle
+load it).
 Each check runs in a fresh interpreter, since this one has loaded them all."""
 
 import json
@@ -50,6 +51,17 @@ def test_subcommand_leaves_numpy_unloaded(argv):
         "import contextlib, io; from liqgame import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert cli.main({argv!r}) == 0\n"
+        + NUMPY_LOADED
+    )
+    assert run_fresh(code) == "False\n"
+
+
+def test_windowed_oracle_leaves_numpy_unloaded():
+    code = (
+        "from liqgame import core, solver\n"
+        "matrix = core.build_payoff_matrix(core.build_instance(3, -3, 10))\n"
+        "for profile in solver.solve_mixed(matrix):\n"
+        "    assert solver.brute_force_oracle(matrix, 200, around=profile, radius=1)\n"
         + NUMPY_LOADED
     )
     assert run_fresh(code) == "False\n"

@@ -114,10 +114,10 @@ class TestSolveMixed:
 
 
 @st.composite
-def general_games(draw) -> PayoffMatrix:
-    """from_entries games with sides 1..5 over a small value pool, so ties,
-    zeros, negatives and duplicated rows and columns are common."""
-    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+def general_games(draw, max_side: int = 5) -> PayoffMatrix:
+    """from_entries games with sides 1..max_side over a small value pool, so
+    ties, zeros, negatives and duplicated rows and columns are common."""
+    rows, cols = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
     pool = draw(st.lists(st.integers(-10, 1000), min_size=1, max_size=4)) + [0, -1]
     value = st.sampled_from(pool)
     grid = draw(
@@ -127,9 +127,9 @@ def general_games(draw) -> PayoffMatrix:
             max_size=rows,
         )
     )
-    if rows < 5 and draw(st.booleans()):
+    if rows < max_side and draw(st.booleans()):
         grid.append(list(grid[draw(st.integers(0, rows - 1))]))
-    if cols < 5 and draw(st.booleans()):
+    if cols < max_side and draw(st.booleans()):
         c = draw(st.integers(0, cols - 1))
         grid = [row + [row[c]] for row in grid]
     return PayoffMatrix.from_entries(grid)
@@ -267,9 +267,8 @@ class TestWindowGridAgainstReference:
         radius=st.integers(-1, 3),
     )
     def test_same_points_in_the_same_order(self, center, total, radius):
-        grid = solver._window_grid(len(center), total, center, radius)
-        assert grid.shape[1] == len(center)
-        assert [tuple(p) for p in grid.tolist()] == reference_window_grid(total, center, radius)
+        expected = reference_window_grid(total, center, radius)
+        assert solver._window_grid(total, center, radius) == expected
 
 
 class TestVerifyEquilibrium:
@@ -430,6 +429,14 @@ class TestBruteForceOracle:
         with pytest.raises(DimensionCapExceeded):
             brute_force_oracle(game_matrix(5, -5), 10)
 
+    @pytest.mark.parametrize("entries", [[], [[]]])
+    @pytest.mark.parametrize("windowed", [False, True])
+    def test_empty_matrix_rejected(self, entries, windowed):
+        matrix = PayoffMatrix.from_entries(entries)
+        around = MixedProfile((F(1),) * matrix.rows, ()) if windowed else None
+        with pytest.raises(ValueError, match="non-empty"):
+            brute_force_oracle(matrix, 10, around=around)
+
 
 class TestCrossChecks:
     @settings(max_examples=20, deadline=None)
@@ -439,3 +446,35 @@ class TestCrossChecks:
         for prof in solve_mixed(matrix):
             points = brute_force_oracle(matrix, 200, around=prof, radius=1)
             assert_contains_grid_point(points, prof, F(1, 200))
+
+
+class TestWindowAgainstSweep:
+    """The integer window path equals the numpy full sweep restricted to the
+    window's points: same profiles, same order, same Fraction values."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_window_is_the_restricted_sweep(self, data):
+        matrix = data.draw(
+            general_games(max_side=4)
+            | st.builds(game_matrix, st.integers(1, 4), st.integers(-4, -1))
+        )
+        resolution = data.draw(st.integers(1, 12))
+        radius = data.draw(st.integers(0, 2))
+        centre = data.draw(
+            st.sampled_from(solve_mixed(matrix))
+            | st.builds(MixedProfile, distributions(matrix.rows), distributions(matrix.cols))
+        )
+        window_p = set(reference_window_grid(resolution, centre.probs_i, radius))
+        window_q = set(reference_window_grid(resolution, centre.probs_j, radius))
+
+        def in_window(pt):
+            return (
+                tuple(int(x * resolution) for x in pt.probs_i) in window_p
+                and tuple(int(x * resolution) for x in pt.probs_j) in window_q
+            )
+
+        expected = [pt for pt in brute_force_oracle(matrix, resolution) if in_window(pt)]
+        found = brute_force_oracle(matrix, resolution, around=centre, radius=radius)
+        assert found == expected
+        assert all(type(x) is Fraction for pt in found for x in pt.probs_i + pt.probs_j)
