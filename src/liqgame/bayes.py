@@ -86,16 +86,19 @@ class ConditionalGame:
 
     @classmethod
     def from_jsonable(cls, raw: dict) -> "ConditionalGame":
-        types = tuple(raw["types"])
-        if "strategies" in raw:
-            strategies_i = strategies_j = tuple(raw["strategies"])
-        else:
-            strategies_i = tuple(raw["strategies_i"])
-            strategies_j = tuple(raw["strategies_j"])
-        matrices = {
-            t: tuple(tuple((float(u), float(v)) for u, v in row) for row in grid)
-            for t, grid in raw["matrices"].items()
-        }
+        try:
+            types = tuple(raw["types"])
+            if "strategies" in raw:
+                strategies_i = strategies_j = tuple(raw["strategies"])
+            else:
+                strategies_i = tuple(raw["strategies_i"])
+                strategies_j = tuple(raw["strategies_j"])
+            matrices = {
+                t: tuple(tuple((float(u), float(v)) for u, v in row) for row in grid)
+                for t, grid in raw["matrices"].items()
+            }
+        except (TypeError, AttributeError) as exc:  # a field of the wrong JSON type
+            raise ValueError(f"malformed game document: {exc}") from None
         return cls(types, strategies_i, strategies_j, matrices)
 
     @classmethod
@@ -107,8 +110,11 @@ def load_game_document(path: Path) -> tuple[ConditionalGame, TypeSpace]:
     """Read a game file carrying both the matrices and the prior."""
     raw = json_object(path.read_text(), "game document")
     game = ConditionalGame.from_jsonable(raw)
-    space = TypeSpace(types=game.types, prior=tuple(float(p) for p in raw["prior"]))
-    return game, space
+    try:
+        prior = tuple(float(p) for p in raw["prior"])
+    except TypeError as exc:
+        raise ValueError(f"malformed prior: {exc}") from None
+    return game, TypeSpace(types=game.types, prior=prior)
 
 
 def load_bundled_game() -> tuple[ConditionalGame, TypeSpace]:

@@ -222,16 +222,19 @@ def _cmd_market(args: argparse.Namespace) -> int:
     elif args.constructive:
         if args.config is not None:
             raw = core.json_object(Path(args.config).read_text(), "constructive base document")
-            types = tuple(raw["types"])
-            strategies = tuple(raw["strategies"])
-            matrices = {}
-            for key, grid in raw["matrices"].items():
-                t_i, _, t_j = key.partition(",")
-                matrices[(t_i, t_j)] = tuple(
-                    tuple((float(u), float(v)) for u, v in row) for row in grid
-                )
-            prior_i = tuple(float(p) for p in raw["prior_i"])
-            prior_j = tuple(float(p) for p in raw["prior_j"])
+            try:
+                types = tuple(raw["types"])
+                strategies = tuple(raw["strategies"])
+                matrices = {}
+                for key, grid in raw["matrices"].items():
+                    t_i, _, t_j = key.partition(",")
+                    matrices[(t_i, t_j)] = tuple(
+                        tuple((float(u), float(v)) for u, v in row) for row in grid
+                    )
+                prior_i = tuple(float(p) for p in raw["prior_i"])
+                prior_j = tuple(float(p) for p in raw["prior_j"])
+            except (TypeError, AttributeError) as exc:  # a field of the wrong JSON type
+                raise ValueError(f"malformed constructive base document: {exc}") from None
         else:
             from . import bayes
             game, space = bayes.load_bundled_game()

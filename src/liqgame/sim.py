@@ -5,23 +5,29 @@ parcel sizes from the configured strategies and plays the acceptance rule.
 Repeated mode keeps trading the same pair until one side clears or the round
 budget runs out; one-shot mode is repeated mode stopped after round 1.
 
-Trials are played in blocks of ``BLOCK`` = 1024; block b draws, as arrays,
-its balances and then each round's parcels for its active trials from the
-substream ``PCG64(SeedSequence(seed, spawn_key=(b,)))``. So a (config, seed)
-gives byte-identical reports, a full block's trials do not depend on the
-total trial count, and round 1 of a repeated trial is its one-shot play.
-Seeded results differ from earlier versions, which drew per trial.
-numpy is imported only inside the functions that compute arrays.
+Trials are played in blocks of ``BLOCK`` = 1024. Block b draws from its own
+MT19937 substream, ``random.Random(b * 2**64 + seed)``: first its balances,
+then, round by round, the random parcels of its trials still in play. Every
+draw is a rejection sample on ``getrandbits``, whose output Python keeps
+stable (the ``randrange`` algorithm may change between versions). So a
+(config, seed) gives byte-identical reports on every supported Python, a full
+block's trials do not depend on the total trial count, and round 1 of a
+repeated trial is its one-shot play. Seeded results differ from earlier
+versions, which drew from PCG64 generators.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import numbers
+import operator
+import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from .core import LiquidityGameError
 
@@ -35,6 +41,10 @@ class IntractableStrategy(LiquidityGameError):
     pass
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class StrategySpec:
     """How a player turns a balance into a parcel size."""
@@ -46,7 +56,7 @@ class StrategySpec:
         if self.kind not in STRATEGY_KINDS:
             raise ValueError(f"unknown strategy kind {self.kind!r}")
         if self.kind == "fixed_fraction":
-            if self.fraction is None or not 0 < self.fraction <= 1:
+            if not isinstance(self.fraction, numbers.Real) or not 0 < self.fraction <= 1:
                 raise ValueError("fixed_fraction needs a fraction in (0, 1]")
         elif self.fraction is not None:
             raise ValueError(f"fraction is only valid for fixed_fraction, not {self.kind}")
@@ -59,6 +69,8 @@ class StrategySpec:
 
     @classmethod
     def from_jsonable(cls, raw: dict) -> "StrategySpec":
+        if not isinstance(raw, dict):
+            raise ValueError(f"a strategy must be a JSON object, got {type(raw).__name__}")
         return cls(kind=raw["kind"], fraction=raw.get("fraction"))
 
 
@@ -68,24 +80,27 @@ HIGH_STRATEGY = StrategySpec("fixed_fraction", 0.9)
 LOW_STRATEGY = StrategySpec("fixed_fraction", 0.3)
 
 
-def parcel_size(strategy: StrategySpec, balance_abs):
-    """Deterministic parcel for an absolute balance, or for each entry of an
-    int64 array of them; random kinds sample elsewhere.
+def _deterministic_parcel(strategy: StrategySpec) -> Callable[[int], int]:
+    """The parcel as a function of the absolute balance; a fixed fraction's
+    p/q is parsed here, once."""
+    if strategy.kind == "full_balance":
+        return lambda balance: balance
+    if strategy.kind == "fixed_fraction":
+        p, q = Fraction(str(strategy.fraction)).as_integer_ratio()
+        twice_p, twice_q = 2 * p, 2 * q
+        return lambda balance: (twice_p * balance + q) // twice_q or 1
+    raise IntractableStrategy(f"{strategy.kind} has no deterministic parcel")
+
+
+def parcel_size(strategy: StrategySpec, balance_abs: int) -> int:
+    """Deterministic parcel for an absolute balance; random kinds sample
+    elsewhere.
 
     fixed_fraction rounds fraction * balance half up, at least 1, in exact
     integer arithmetic: max(1, (2 p b + q) // 2q), where p/q is the decimal
     the fraction is written as (0.7 is 7/10, not the nearest binary float).
     """
-    import numpy as np
-    if strategy.kind == "full_balance":
-        return balance_abs
-    if strategy.kind == "fixed_fraction":
-        p, q = Fraction(str(strategy.fraction)).as_integer_ratio()
-        if 2 * q * int(np.max(balance_abs)) >= 2**63:
-            raise ValueError(f"fraction {strategy.fraction} times the balance overflows int64")
-        rounded = (2 * p * balance_abs + q) // (2 * q)
-        return rounded + (rounded == 0)  # max(1, rounded) for ints and arrays alike
-    raise IntractableStrategy(f"{strategy.kind} has no deterministic parcel")
+    return _deterministic_parcel(strategy)(balance_abs)
 
 
 @dataclass(frozen=True)
@@ -100,6 +115,14 @@ class SimConfig:
     max_rounds: int = 100
 
     def __post_init__(self) -> None:
+        for name in ("trials", "seed", "max_rounds"):
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer")
+        for name in ("balance_range_i", "balance_range_j"):
+            pair = getattr(self, name)
+            if not (isinstance(pair, (tuple, list)) and len(pair) == 2 and all(map(_is_int, pair))):
+                raise ValueError(f"{name} must be a pair of integers")
+            object.__setattr__(self, name, tuple(pair))
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         lo_i, hi_i = self.balance_range_i
@@ -132,15 +155,11 @@ class SimConfig:
     @classmethod
     def from_jsonable(cls, raw: Mapping) -> "SimConfig":
         kwargs = {"trials": raw["trials"]}
-        if "balance_range_i" in raw:
-            kwargs["balance_range_i"] = tuple(raw["balance_range_i"])
-        if "balance_range_j" in raw:
-            kwargs["balance_range_j"] = tuple(raw["balance_range_j"])
         if "strategy_i" in raw:
             kwargs["strategy_i"] = StrategySpec.from_jsonable(raw["strategy_i"])
         if "strategy_j" in raw:
             kwargs["strategy_j"] = StrategySpec.from_jsonable(raw["strategy_j"])
-        for key in ("seed", "mode", "max_rounds"):
+        for key in ("balance_range_i", "balance_range_j", "seed", "mode", "max_rounds"):
             if key in raw:
                 kwargs[key] = raw[key]
         return cls(**kwargs)
@@ -202,63 +221,81 @@ class SimReport:
         return "\n".join(lines) + "\n"
 
 
-def _play_block(config: SimConfig, first: int) -> tuple:
-    """Play the block of trials from index ``first`` (a multiple of BLOCK)
-    together; returns the TrialRecord fields as arrays, in field order."""
-    import numpy as np
-    size = min(BLOCK, config.trials - first)
-    seeds = np.random.SeedSequence(config.seed, spawn_key=(first // BLOCK,))
-    rng = np.random.Generator(np.random.PCG64(seeds))
+def _draw_below(bounds: Iterable[int], bits) -> list[int]:
+    """One uniform draw from 0..n-1 for each n in ``bounds``, by rejection
+    on the block's ``getrandbits``."""
+    draws = []
+    for n in bounds:
+        k = (n - 1).bit_length()
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        draws.append(r)
+    return draws
+
+
+def _parcel_rule(strategy: StrategySpec):
+    """The engine's parcel hook: (absolute balances, getrandbits) -> their
+    parcels, called once per round for each side."""
+    if strategy.kind == "uniform_random":
+        return lambda balances, bits: [1 + r for r in _draw_below(balances, bits)]
+    parcel = _deterministic_parcel(strategy)
+    return lambda balances, bits: list(map(parcel, balances))
+
+
+def _play(config: SimConfig) -> Iterator[tuple[list, ...]]:
+    """Play the blocks in order; yields each block's TrialRecord fields as
+    lists, in field order."""
+    parcels_i = _parcel_rule(config.strategy_i)
+    parcels_j = _parcel_rule(config.strategy_j)
     lo_i, hi_i = config.balance_range_i
     lo_j, hi_j = config.balance_range_j
-    start_i = rng.integers(lo_i, hi_i, size, endpoint=True)
-    start_j = rng.integers(-hi_j, -lo_j, size, endpoint=True)
-    left_i, left_j = start_i.copy(), start_j.copy()
-    volume = np.zeros(size, dtype=np.int64)
-    trades = np.zeros(size, dtype=np.int64)
-    rounds = np.zeros(size, dtype=np.int64)
-    active = np.arange(size)
     max_rounds = 1 if config.mode == "one_shot" else config.max_rounds
     # Deterministic parcels repeat after a round that moves nothing: such a
     # trial would idle until max_rounds, so settle it at once, uncleared.
     deterministic = "uniform_random" not in (config.strategy_i.kind, config.strategy_j.kind)
-    for round_no in range(1, max_rounds + 1):
-        if not active.size:
-            break
-        held, needed = left_i[active], left_j[active]
-        offer = _parcels(config.strategy_i, held, rng)
-        capacity = _parcels(config.strategy_j, needed, rng)
-        # The acceptance rule: the offer moves in full iff it fits the capacity.
-        moved = np.where(offer <= capacity, offer, 0)
-        held -= moved
-        needed -= moved
-        broken = (held < 0) | (needed < 0) | (held - needed != start_i[active] - start_j[active])
-        if broken.any():
-            raise AssertionError("trade flipped a balance sign or failed to conserve the total")
-        left_i[active], left_j[active] = held, needed
-        volume[active] += moved
-        trades[active] += moved > 0
-        rounds[active] = round_no
-        live = (held > 0) & (needed > 0)
-        if deterministic:
-            rounds[active[live & (moved == 0)]] = max_rounds
-            live &= moved > 0
-        active = active[live]
-    cleared = (left_i == 0) | (left_j == 0)
-    return start_i, -start_j, volume, rounds, trades, cleared
-
-
-def _parcels(strategy: StrategySpec, balance_abs, rng):
-    if strategy.kind == "uniform_random":
-        return rng.integers(1, balance_abs, endpoint=True)
-    return parcel_size(strategy, balance_abs)
+    for first in range(0, config.trials, BLOCK):
+        size = min(BLOCK, config.trials - first)
+        bits = random.Random((first // BLOCK) << 64 | config.seed).getrandbits
+        start_i = [lo_i + r for r in _draw_below(itertools.repeat(hi_i - lo_i + 1, size), bits)]
+        start_j = [-hi_j + r for r in _draw_below(itertools.repeat(hi_j - lo_j + 1, size), bits)]
+        left_i, left_j = start_i[:], start_j[:]
+        volume, trades = [0] * size, [0] * size
+        rounds = [max_rounds] * size  # until the trial clears
+        active = range(size)
+        for round_no in range(1, max_rounds + 1):
+            if not active:
+                break
+            offers = parcels_i([left_i[t] for t in active], bits)
+            capacities = parcels_j([left_j[t] for t in active], bits)
+            live = []
+            for t, offer, capacity in zip(active, offers, capacities):
+                # The acceptance rule: the offer moves in full iff it fits the capacity.
+                if offer <= capacity:
+                    held, needed = left_i[t] - offer, left_j[t] - offer
+                    if held < 0 or needed < 0 or held - needed != start_i[t] - start_j[t]:
+                        raise AssertionError(
+                            "trade flipped a balance sign or failed to conserve the total"
+                        )
+                    left_i[t], left_j[t] = held, needed
+                    volume[t] += offer
+                    trades[t] += 1
+                    if held and needed:
+                        live.append(t)
+                    else:
+                        rounds[t] = round_no
+                elif not deterministic:
+                    live.append(t)
+            active = live
+        cleared = [not (held and needed) for held, needed in zip(left_i, left_j)]
+        yield start_i, [-b for b in start_j], volume, rounds, trades, cleared
 
 
 def iter_trials(config: SimConfig) -> Iterator[TrialRecord]:
     """Yield each trial's record, in trial order."""
-    for first in range(0, config.trials, BLOCK):
-        for fields in zip(*(a.tolist() for a in _play_block(config, first))):
-            yield TrialRecord(*fields)
+    for fields in _play(config):
+        for record in zip(*fields):
+            yield TrialRecord(*record)
 
 
 def run_simulation(config: SimConfig) -> SimReport:
@@ -267,14 +304,12 @@ def run_simulation(config: SimConfig) -> SimReport:
     repeated = config.mode == "repeated"
     trades = opportunities = volume = 0
     histogram: Counter[int] = Counter()
-    for first in range(0, config.trials, BLOCK):
-        _, _, block_volume, rounds, block_trades, cleared = _play_block(config, first)
-        trades += int(block_trades.sum())
-        opportunities += int(rounds.sum())
-        # Python-int sum: a block of large balances can exceed int64.
-        volume += sum(block_volume.tolist())
+    for _, _, block_volume, rounds, block_trades, cleared in _play(config):
+        trades += sum(block_trades)
+        opportunities += sum(rounds)
+        volume += sum(block_volume)
         if repeated:
-            histogram.update(rounds[cleared].tolist())
+            histogram.update(itertools.compress(rounds, cleared))
     return SimReport(
         trials=config.trials,
         trades_executed=trades,
@@ -292,7 +327,6 @@ def run_simulation(config: SimConfig) -> SimReport:
 def _parcel_weights(strategy: StrategySpec, lo_abs: int, hi_abs: int, top: int) -> tuple[list, int]:
     """Parcel distribution under a uniform draw of the absolute balance from
     lo_abs..hi_abs, as integer weights w[0..top] over one denominator."""
-    import numpy as np
     width = hi_abs - lo_abs + 1
     weights = [0] * (top + 1)
     if strategy.kind == "uniform_random":
@@ -304,7 +338,7 @@ def _parcel_weights(strategy: StrategySpec, lo_abs: int, hi_abs: int, top: int) 
                 tail += lcm // b
             weights[b] = tail
         return weights, width * lcm
-    for parcel in parcel_size(strategy, np.arange(lo_abs, hi_abs + 1)).tolist():
+    for parcel in map(_deterministic_parcel(strategy), range(lo_abs, hi_abs + 1)):
         weights[parcel] += 1
     return weights, width
 
@@ -321,9 +355,7 @@ def analytic_hit_ratio(
     top = max(range_i[1], -range_j[0])
     offers, denom_i = _parcel_weights(strategy_i, range_i[0], range_i[1], top)
     capacities, denom_j = _parcel_weights(strategy_j, -range_j[1], -range_j[0], top)
-    # One backward pass: at_least is the capacity weight on parcels >= v.
-    total = at_least = 0
-    for offer, capacity in zip(reversed(offers), reversed(capacities)):
-        at_least += capacity
-        total += offer * at_least
+    # One backward pass: the running sum is the capacity weight on parcels >= v.
+    at_least = itertools.accumulate(reversed(capacities))
+    total = sum(map(operator.mul, reversed(offers), at_least))
     return float(Fraction(total, denom_i * denom_j))

@@ -342,25 +342,6 @@ def dominated_actions(
     return relations
 
 
-def _simplex_grid(parts: int, total: int):
-    """All integer compositions of ``total`` into ``parts`` parts."""
-    import numpy as np
-    if parts == 1:
-        return np.array([[total]], dtype=np.int64)
-    combos = itertools.combinations(range(total + parts - 1), parts - 1)
-    bars = np.fromiter(
-        itertools.chain.from_iterable(combos), dtype=np.int64
-    ).reshape(-1, parts - 1)
-    padded = np.hstack(
-        [
-            np.full((bars.shape[0], 1), -1, dtype=np.int64),
-            bars,
-            np.full((bars.shape[0], 1), total + parts - 1, dtype=np.int64),
-        ]
-    )
-    return np.diff(padded, axis=1) - 1
-
-
 def _window_grid(total: int, center: Sequence[Fraction], radius: int) -> list[tuple[int, ...]]:
     """Compositions of ``total`` whose coordinates all lie within
     ``radius`` grid steps of ``center``, in lexicographic order."""
@@ -380,45 +361,16 @@ def _window_grid(total: int, center: Sequence[Fraction], radius: int) -> list[tu
 _Hits = list[tuple[tuple[int, ...], tuple[int, ...]]]
 
 
-def _sweep_hits(matrix: PayoffMatrix, r_scale: int) -> _Hits:
-    """Every (p, q) pair of the two full simplex grids that passes the gain
-    test, evaluated by numpy matrix products."""
-    import numpy as np
-    u_i_arr = np.array(matrix.u_i, dtype=np.float64)
-    u_j_arr = np.array(matrix.u_j, dtype=np.float64)
-    # Integer magnitudes stay below 2**53, so float64 matmuls are exact here.
-    max_abs = max(1.0, float(np.max(np.abs(u_i_arr))), float(np.max(np.abs(u_j_arr))))
-    if max_abs * r_scale * r_scale >= 2**52:
-        raise ValueError("payoffs too large for exact grid evaluation")
-    grid_p = _simplex_grid(matrix.rows, r_scale)
-    grid_q = _simplex_grid(matrix.cols, r_scale)
-    kp = grid_p.astype(np.float64)
-    kq = grid_q.astype(np.float64)
-    best_i_by_q = (kq @ u_i_arr.T).max(axis=1)  # scaled by resolution
-    best_j_by_p = (kp @ u_j_arr).max(axis=1)
-    hits: _Hits = []
-    chunk = max(1, int(4e6) // max(1, kp.shape[0]))
-    for start in range(0, kq.shape[0], chunk):
-        kq_block = kq[start : start + chunk]
-        exp_i = kp @ u_i_arr @ kq_block.T
-        exp_j = kp @ u_j_arr @ kq_block.T
-        gain_i = r_scale * best_i_by_q[start : start + chunk][None, :] - exp_i
-        gain_j = r_scale * best_j_by_p[:, None] - exp_j
-        for ip, iq in np.argwhere((gain_i < r_scale) & (gain_j < r_scale)).tolist():
-            hits.append((tuple(grid_p[ip].tolist()), tuple(grid_q[iq + start].tolist())))
-    return hits
-
-
 def _window_hits(
     matrix: PayoffMatrix,
     grid_p: Sequence[tuple[int, ...]],
     grid_q: Sequence[tuple[int, ...]],
     r_scale: int,
 ) -> _Hits:
-    """The same gain test on explicit point lists, in Python integers, in
-    row-major (p, q) order. A pair passes when both expected payoffs exceed
-    the cut-off ``r_scale * best - r_scale`` of the best reply to the other
-    side's point, all scaled by ``r_scale ** 2``."""
+    """Every (p, q) pair of the two point lists that passes the gain test,
+    in Python integers, in row-major (p, q) order. A pair passes when both
+    expected payoffs exceed the cut-off ``r_scale * best - r_scale`` of the
+    best reply to the other side's point, all scaled by ``r_scale ** 2``."""
     mul = operator.mul
     by_q = []
     for q in grid_q:
@@ -444,12 +396,11 @@ def brute_force_oracle(
     """Independent grid-search check: profiles on the 1/resolution lattice
     whose maximum deviation gain is below 1/resolution.
 
-    Every gain test is evaluated in integer arithmetic (scaled by the
+    Every gain test is evaluated in Python integers (scaled by the
     resolution), so acceptance is exact. Without ``around`` the full product
-    of both simplex grids is swept with numpy, which is combinatorial; pass
-    ``around`` to restrict both grids to the points within ``radius`` steps
-    of a candidate profile (the sweep restricted to that window), evaluated
-    in Python integers without numpy.
+    of both simplex grids is swept, which is combinatorial; pass ``around``
+    to restrict both grids to the points within ``radius`` steps of a
+    candidate profile (the sweep restricted to that window).
     """
     m, n = matrix.rows, matrix.cols
     if m == 0 or n == 0:
@@ -462,13 +413,15 @@ def brute_force_oracle(
         raise ValueError("grid_resolution must be >= 1")
     r_scale = grid_resolution
     if around is None:
-        hits = _sweep_hits(matrix, r_scale)
+        # the window of radius r_scale around any point is the whole simplex
+        centre_i, centre_j, radius = (0,) * m, (0,) * n, r_scale
+    elif len(around.probs_i) != m or len(around.probs_j) != n:
+        raise DimensionMismatch("around profile does not match matrix dimensions")
     else:
-        if len(around.probs_i) != m or len(around.probs_j) != n:
-            raise DimensionMismatch("around profile does not match matrix dimensions")
-        grid_p = _window_grid(r_scale, around.probs_i, radius)
-        grid_q = _window_grid(r_scale, around.probs_j, radius)
-        hits = _window_hits(matrix, grid_p, grid_q, r_scale)
+        centre_i, centre_j = around.probs_i, around.probs_j
+    grid_p = _window_grid(r_scale, centre_i, radius)
+    grid_q = _window_grid(r_scale, centre_j, radius)
+    hits = _window_hits(matrix, grid_p, grid_q, r_scale)
     steps = {k: Fraction(k, r_scale) for k in {k for p, q in hits for k in p + q}}
     return [
         MixedProfile(tuple(steps[k] for k in p), tuple(steps[k] for k in q)) for p, q in hits

@@ -4,7 +4,8 @@ A deliberately plain Gaussian-elimination enumerator kept only as a test
 oracle for ``liqgame.solver.solve_mixed``: the two must return equal lists,
 including order, de-duplication and degenerate profiles. The ``Fraction``
 forms of ``verify_equilibrium`` and of the oracle's window grid are kept
-for the same purpose against the integer versions in ``liqgame.solver``.
+for the same purpose against the integer versions in ``liqgame.solver``,
+and so is the numpy full sweep of the grid oracle.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from typing import Optional, Sequence
+
+import numpy as np
 
 from liqgame.core import PayoffMatrix
 from liqgame.solver import DimensionMismatch, MixedProfile
@@ -156,3 +159,45 @@ def reference_window_grid(
         choices.append([k for k in range(lo, hi + 1) if abs(Fraction(k) - scaled) <= radius])
     pts = [p for p in itertools.product(*choices) if sum(p) == total]
     return sorted(set(pts))
+
+
+def _simplex_grid(parts: int, total: int) -> np.ndarray:
+    """All integer compositions of ``total`` into ``parts`` parts, sorted."""
+    if parts == 1:
+        return np.array([[total]], dtype=np.int64)
+    combos = itertools.combinations(range(total + parts - 1), parts - 1)
+    bars = np.fromiter(itertools.chain.from_iterable(combos), dtype=np.int64).reshape(-1, parts - 1)
+    padded = np.hstack(
+        [
+            np.full((bars.shape[0], 1), -1, dtype=np.int64),
+            bars,
+            np.full((bars.shape[0], 1), total + parts - 1, dtype=np.int64),
+        ]
+    )
+    return np.diff(padded, axis=1) - 1
+
+
+def reference_sweep(matrix: PayoffMatrix, resolution: int) -> list[MixedProfile]:
+    """Every profile of the two full simplex grids at ``resolution`` whose
+    deviation gains are both below 1/resolution, by float64 matrix products
+    (exact while the scaled payoffs stay below 2**52), in row-major (p, q)
+    order."""
+    u_i = np.array(matrix.u_i, dtype=np.float64)
+    u_j = np.array(matrix.u_j, dtype=np.float64)
+    max_abs = max(1.0, float(np.max(np.abs(u_i))), float(np.max(np.abs(u_j))))
+    if max_abs * resolution * resolution >= 2**52:
+        raise ValueError("payoffs too large for exact float64 evaluation")
+    grid_p = _simplex_grid(matrix.rows, resolution)
+    grid_q = _simplex_grid(matrix.cols, resolution)
+    kp, kq = grid_p.astype(np.float64), grid_q.astype(np.float64)
+    best_i_by_q = (kq @ u_i.T).max(axis=1)  # scaled by resolution
+    best_j_by_p = (kp @ u_j).max(axis=1)
+    gain_i = resolution * best_i_by_q[None, :] - kp @ u_i @ kq.T
+    gain_j = resolution * best_j_by_p[:, None] - kp @ u_j @ kq.T
+    return [
+        MixedProfile(
+            tuple(Fraction(k, resolution) for k in grid_p[ip].tolist()),
+            tuple(Fraction(k, resolution) for k in grid_q[iq].tolist()),
+        )
+        for ip, iq in np.argwhere((gain_i < resolution) & (gain_j < resolution)).tolist()
+    ]

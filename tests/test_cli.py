@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from liqgame import bayes, cli, core
+from liqgame import bayes, cli, core, fixtures
 
 
 def run_cli(capsys, *argv):
@@ -345,6 +345,36 @@ def test_non_object_document_exit_two(capsys, tmp_path, argv, document):
     assert code == 2
     assert out == ""
     assert "ValueError" in err and "must be a JSON object" in err
+
+
+BAYES_DOCUMENT = json.loads(fixtures.fixture_path("bayes_large_small.json").read_text())
+MARKET_DOCUMENT = {
+    "types": ["L"],
+    "strategies": ["x"],
+    "prior_i": [1],
+    "prior_j": [1],
+    "matrices": {"L,L": [[[1, 1]]]},
+}
+
+
+@pytest.mark.parametrize(
+    "argv,document",
+    [
+        (["simulate", "--config"], {"trials": "many", "seed": 1}),
+        (["simulate", "--config"], {"trials": 10, "seed": "x"}),
+        (["simulate", "--config"], {"trials": 10, "seed": 1, "balance_range_i": 5}),
+        (["bayes", "--game"], {**BAYES_DOCUMENT, "types": 5}),
+        (["market", "--constructive", "--config"], {**MARKET_DOCUMENT, "matrices": 5}),
+    ],
+    ids=["simulate-trials", "simulate-seed", "simulate-range", "bayes-types", "market-matrices"],
+)
+def test_wrong_typed_field_exit_two(capsys, tmp_path, argv, document):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(document))
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ValueError")
 
 
 class TestThinAdapter:

@@ -1,7 +1,6 @@
 """Each process imports only what it runs: ``import liqgame`` loads no
-submodule, a CLI subcommand loads the modules its handler uses, and numpy
-stays off the start-up path (only simulation and the full-sweep grid oracle
-load it).
+submodule, a CLI subcommand loads the modules its handler uses, and nothing
+in the library loads numpy, which is not a runtime dependency.
 Each check runs in a fresh interpreter, since this one has loaded them all."""
 
 import json
@@ -37,6 +36,17 @@ def test_import_leaves_numpy_unloaded(module):
     assert run_fresh(f"import {module}; {NUMPY_LOADED}") == "False\n"
 
 
+ALL_SUBCOMMANDS = [
+    ["solve", "--bi", "3", "--bj", "-3"],
+    ["bayes"],
+    ["market", "--published", "final_4x4"],
+    ["market", "--constructive"],
+    ["lp", "--receiver", "13", "--sender", "10"],
+    ["simulate", "--trials", "2000", "--seed", "1"],
+    ["simulate", "--trials", "50", "--seed", "1", "--mode", "repeated"],
+]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -67,16 +77,24 @@ def test_windowed_oracle_leaves_numpy_unloaded():
     assert run_fresh(code) == "False\n"
 
 
-def test_simulate_and_oracle_still_load_numpy():
+def test_every_entry_point_runs_without_numpy():
+    # a None entry in sys.modules makes any import of numpy raise ImportError
     code = (
-        "import contextlib, io; from liqgame import cli, core, solver\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert cli.main(['simulate', '--trials', '50', '--seed', '1']) == 0\n"
-        "matrix = core.build_payoff_matrix(core.build_instance(2, -2, 10))\n"
-        "assert solver.brute_force_oracle(matrix, 4)\n"
-        + NUMPY_LOADED
+        "import sys; sys.modules['numpy'] = None\n"
+        "import contextlib, io; from liqgame import cli, core, sim, solver\n"
+        f"for argv in {ALL_SUBCOMMANDS!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "spec = sim.StrategySpec('fixed_fraction', 0.7)\n"
+        "assert 0 < sim.analytic_hit_ratio((1, 50), (-60, -1), spec, sim.HIGH_STRATEGY) < 1\n"
+        "assert 0 < sim.analytic_hit_ratio((1, 50), (-60, -1), sim.StrategySpec('uniform_random'), spec) < 1\n"
+        "matrix = core.build_payoff_matrix(core.build_instance(3, -3, 10))\n"
+        "assert solver.brute_force_oracle(matrix, 12)\n"
+        "for profile in solver.solve_mixed(matrix):\n"
+        "    assert solver.brute_force_oracle(matrix, 200, around=profile, radius=1)\n"
+        "print('ok')"
     )
-    assert run_fresh(code) == "True\n"
+    assert run_fresh(code) == "ok\n"
 
 
 def test_every_public_name_resolves():
@@ -89,7 +107,7 @@ def loaded_after_main(argv):
         "import contextlib, io, json, sys; from liqgame import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert cli.main({argv!r}) == 0\n"
-        "watched = ('liqgame', 'secrets', 'traceback')\n"
+        "watched = ('liqgame', 'numpy', 'secrets', 'traceback')\n"
         "print(json.dumps([m for m in sys.modules if m.split('.')[0] in watched]))"
     )
     return set(json.loads(run_fresh(code)))
@@ -111,14 +129,15 @@ CLI_BASE = {"liqgame", "liqgame.cli", "liqgame.core", "liqgame.fixtures"}
     ids=["lp", "solve", "solve-csv", "bayes", "market-published", "market-constructive"],
 )
 def test_subcommand_loads_only_its_modules(argv, modules):
-    # secrets (the simulate seed draw) and traceback (the exit-1 branch) stay unloaded too
+    # numpy, secrets (the simulate seed draw) and traceback (the exit-1
+    # branch) stay unloaded too
     assert loaded_after_main(argv) == CLI_BASE | modules
 
 
 def test_simulate_loads_sim_only():
+    # with --seed nothing is drawn from secrets, and the engine needs no numpy
     loaded = loaded_after_main(["simulate", "--trials", "50", "--seed", "1"])
-    # numpy.random imports secrets itself, so its presence says nothing here
-    assert loaded - {"secrets"} == CLI_BASE | {"liqgame.sim"}
+    assert loaded == CLI_BASE | {"liqgame.sim"}
 
 
 def test_import_loads_no_submodule():

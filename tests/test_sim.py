@@ -1,10 +1,10 @@
+import hashlib
 import json
 import math
 import random
 from dataclasses import astuple
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -59,6 +59,10 @@ class TestStrategySpec:
             StrategySpec("full_balance", fraction=0.5)
         with pytest.raises(ValueError):
             StrategySpec("fixed_fraction", fraction=0.0)
+        with pytest.raises(ValueError):
+            StrategySpec("fixed_fraction", fraction="0.5")
+        with pytest.raises(ValueError):
+            StrategySpec.from_jsonable(5)
 
     def test_parcel_rounds_half_up_with_floor_one(self):
         assert parcel_size(StrategySpec("fixed_fraction", 0.5), 5) == 3
@@ -73,23 +77,29 @@ class TestStrategySpec:
         balances = range(1, 10_001)
         exact = [max(1, math.floor(Fraction(text) * b + Fraction(1, 2))) for b in balances]
         assert [parcel_size(strategy, b) for b in balances] == exact
-        assert parcel_size(strategy, np.arange(1, 10_001)).tolist() == exact
         assert parcel_size(StrategySpec("fixed_fraction", 0.7), 45) == 32
 
     @pytest.mark.parametrize("strategy", [HIGH_STRATEGY, LOW_STRATEGY])
     def test_default_fractions_round_as_in_float(self, strategy):
-        balances = np.arange(1, 200_001)
-        in_float = np.maximum(1, np.floor(strategy.fraction * balances + 0.5).astype(np.int64))
-        assert np.array_equal(parcel_size(strategy, balances), in_float)
+        balances = range(1, 200_001)
+        in_float = [max(1, math.floor(strategy.fraction * b + 0.5)) for b in balances]
+        assert [parcel_size(strategy, b) for b in balances] == in_float
 
-    def test_parcel_overflowing_int64_rejected(self):
-        with pytest.raises(ValueError):
-            parcel_size(StrategySpec("fixed_fraction", 0.7), 2**59)
-        config = fixed_pair_config(
-            2**59, -1, strategy_i=StrategySpec("fixed_fraction", 0.7)
+    def test_huge_balance_parcels_exactly(self):
+        seven_tenths = StrategySpec("fixed_fraction", 0.7)
+        assert parcel_size(seven_tenths, 10**30) == 7 * 10**29
+        assert parcel_size(seven_tenths, 10**30 + 5) == 7 * 10**29 + 4  # 3.5 rounds up
+        one_shot = fixed_pair_config(10**30 + 5, -(10**30 + 5), strategy_i=seven_tenths)
+        assert run_simulation(one_shot).total_volume == 7 * 10**29 + 4
+        # repeated: each round moves 0.7 of what is left, until it is gone
+        held, rounds = 10**30, 0
+        while held:
+            held, rounds = held - parcel_size(seven_tenths, held), rounds + 1
+        report = run_simulation(
+            fixed_pair_config(10**30, -(10**30), strategy_i=seven_tenths, mode="repeated")
         )
-        with pytest.raises(ValueError):
-            run_simulation(config)
+        assert report.total_volume == 10**30
+        assert report.rounds_to_clear_histogram == {rounds: 1}
 
 
 class TestOneShot:
@@ -172,8 +182,13 @@ class TestRepeated:
         # rounds (two parcel calls each) instead of the whole budget.
         budget = 10**4
         calls = []
-        parcels = sim._parcels
-        monkeypatch.setattr(sim, "_parcels", lambda *args: calls.append(1) or parcels(*args))
+        rule = sim._parcel_rule
+
+        def counted_rule(strategy):
+            parcels = rule(strategy)
+            return lambda *args: calls.append(1) or parcels(*args)
+
+        monkeypatch.setattr(sim, "_parcel_rule", counted_rule)
         huge = [astuple(r) for r in iter_trials(SimConfig(max_rounds=budget, **base))]
         assert huge == [f if f[-1] else f[:3] + (budget,) + f[4:] for f in replayed]
         assert len(calls) <= 2 * 30
@@ -191,7 +206,9 @@ class TestRepeated:
 
     def test_sign_check_raises(self, monkeypatch):
         # parcels one larger than the balance make a fitting offer overdraw
-        monkeypatch.setattr(sim, "parcel_size", lambda strategy, balance: balance + 1)
+        monkeypatch.setattr(
+            sim, "_parcel_rule", lambda strategy: lambda balances, bits: [b + 1 for b in balances]
+        )
         with pytest.raises(AssertionError):
             run_simulation(fixed_pair_config(3, -5, mode="repeated"))
 
@@ -312,6 +329,44 @@ class TestBlockStream:
         assert json.loads(first)["trials"] == 3 * BLOCK + 5
 
 
+class TestKnownAnswer:
+    """SHA-256 of the report bytes for two seeded configs, each over more
+    than one block. A change to the stream, the sampler or the play order
+    changes these; Python versions must not."""
+
+    @pytest.mark.parametrize(
+        "config, digest",
+        [
+            (
+                SimConfig(
+                    trials=2 * BLOCK + 100,
+                    balance_range_i=(1, 500),
+                    balance_range_j=(-700, -200),
+                    strategy_i=HIGH_STRATEGY,
+                    strategy_j=RANDOM,
+                    seed=20241018,
+                ),
+                "adf1d0509d3404c044ded9dae4b49bd59d6c8b126eaa74b43bd5285647811576",
+            ),
+            (
+                SimConfig(
+                    trials=BLOCK + 50,
+                    balance_range_i=(1, 300),
+                    balance_range_j=(-300, -1),
+                    seed=2**64 - 1,
+                    mode="repeated",
+                    max_rounds=40,
+                ),
+                "d80c7a0a4ae4c496db19082564682693e4cb86b6a606619868d805afa16c2866",
+            ),
+        ],
+        ids=["one_shot", "repeated"],
+    )
+    def test_report_digest(self, config, digest):
+        report = run_simulation(config).to_json().encode()
+        assert hashlib.sha256(report).hexdigest() == digest
+
+
 class TestRepeatedOracle:
     @pytest.mark.parametrize(
         "strategy_i, strategy_j",
@@ -371,6 +426,7 @@ class TestConfigAndReportSerialization:
         )
         again = SimConfig.from_json(json.dumps(config.to_jsonable()))
         assert again == config
+        assert again.balance_range_i == (1, 1000)  # JSON arrays come back as tuples
 
     def test_report_json_shape(self):
         report = run_simulation(fixed_pair_config(3, -5))
@@ -395,6 +451,14 @@ class TestConfigAndReportSerialization:
             {"mode": "forever"},
             {"max_rounds": 0},
             {"seed": -1},
+            {"trials": "many"},
+            {"trials": True},
+            {"seed": "x"},
+            {"seed": 1.0},
+            {"max_rounds": None},
+            {"balance_range_i": 5},
+            {"balance_range_i": (1, 2, 3)},
+            {"balance_range_j": (-5.0, -1)},
         ],
     )
     def test_invalid_configs_rejected(self, overrides):

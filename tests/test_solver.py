@@ -21,6 +21,7 @@ from liqgame.solver import (
 
 from reference_solver import (
     reference_solve_mixed,
+    reference_sweep,
     reference_verify_equilibrium,
     reference_window_grid,
 )
@@ -449,8 +450,21 @@ class TestCrossChecks:
 
 
 class TestWindowAgainstSweep:
-    """The integer window path equals the numpy full sweep restricted to the
-    window's points: same profiles, same order, same Fraction values."""
+    """The integer window path equals the numpy full sweep of the reference
+    restricted to the window's points: same profiles, same order, same
+    Fraction values. Without a window the oracle is the whole sweep."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_full_sweep_is_the_reference_sweep(self, data):
+        matrix = data.draw(
+            general_games(max_side=4)
+            | st.builds(game_matrix, st.integers(1, 4), st.integers(-4, -1))
+        )
+        resolution = data.draw(st.integers(1, 12))
+        found = brute_force_oracle(matrix, resolution)
+        assert found == reference_sweep(matrix, resolution)
+        assert all(type(x) is Fraction for pt in found for x in pt.probs_i + pt.probs_j)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -474,7 +488,7 @@ class TestWindowAgainstSweep:
                 and tuple(int(x * resolution) for x in pt.probs_j) in window_q
             )
 
-        expected = [pt for pt in brute_force_oracle(matrix, resolution) if in_window(pt)]
+        expected = [pt for pt in reference_sweep(matrix, resolution) if in_window(pt)]
         found = brute_force_oracle(matrix, resolution, around=centre, radius=radius)
         assert found == expected
         assert all(type(x) is Fraction for pt in found for x in pt.probs_i + pt.probs_j)
