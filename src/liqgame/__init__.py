@@ -15,7 +15,6 @@ _EXPORTS = {
     "CompositionMatrix": "market",
     "ConditionalGame": "bayes",
     "GameInstance": "core",
-    "Holding": "core",
     "LiquidityGameError": "core",
     "MixedProfile": "solver",
     "PayoffMatrix": "core",

@@ -13,12 +13,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Optional
 
-from .core import LiquidityGameError, json_object
+from .core import Bimatrix, LiquidityGameError, dominance_relations, json_object, parse_bimatrix
 from .fixtures import fixture_path
 
 EQUALITY_TOLERANCE = 1e-12
-
-Bimatrix = tuple[tuple[tuple[float, float], ...], ...]
 
 
 class UnknownLabel(LiquidityGameError):
@@ -93,10 +91,7 @@ class ConditionalGame:
             else:
                 strategies_i = tuple(raw["strategies_i"])
                 strategies_j = tuple(raw["strategies_j"])
-            matrices = {
-                t: tuple(tuple((float(u), float(v)) for u, v in row) for row in grid)
-                for t, grid in raw["matrices"].items()
-            }
+            matrices = {t: parse_bimatrix(grid) for t, grid in raw["matrices"].items()}
         except (TypeError, AttributeError) as exc:  # a field of the wrong JSON type
             raise ValueError(f"malformed game document: {exc}") from None
         return cls(types, strategies_i, strategies_j, matrices)
@@ -149,20 +144,20 @@ def dominant_strategy_per_type(
     """The counterparty strategy weakly dominating all others in one type's
     table, with its strictness, or None when no strategy dominates.
 
+    Read off ``core.dominance_relations`` over the columns: the strategy
+    dominates every other column, strictly only if every relation is strict.
     Ties are resolved in favour of the earlier label in ``strategies_j``.
     """
     if not 0 <= type_index < len(game.types):
         raise ValueError(f"type index {type_index} out of range")
     grid = game.matrices[game.types[type_index]]
-    n_i = len(game.strategies_i)
-    columns = [
-        [grid[r][c][1] for r in range(n_i)] for c in range(len(game.strategies_j))
-    ]
-    for c, col in enumerate(columns):
-        others = [col2 for c2, col2 in enumerate(columns) if c2 != c]
-        if all(all(v >= w for v, w in zip(col, other)) for other in others):
-            strict = all(all(v > w for v, w in zip(col, other)) for other in others)
-            return (game.strategies_j[c], "strict" if strict else "weak")
+    columns = [[row[c][1] for row in grid] for c in range(len(game.strategies_j))]
+    won: list[list[str]] = [[] for _ in columns]
+    for _, g, strictness in dominance_relations(columns):
+        won[g].append(strictness)
+    for c, strictnesses in enumerate(won):
+        if len(strictnesses) == len(columns) - 1:
+            return (game.strategies_j[c], "weak" if "weak" in strictnesses else "strict")
     return None
 
 

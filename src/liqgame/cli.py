@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
@@ -21,14 +20,6 @@ from .core import LiquidityGameError
 
 if TYPE_CHECKING:
     from . import bayes, lp, market, sim
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Where one invocation writes to, and in which format."""
-
-    output_path: Optional[Path]
-    format: str
 
 
 def _dumps(payload) -> str:
@@ -46,11 +37,11 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def _emit(manifest: RunManifest, text: str) -> None:
-    if manifest.output_path is None:
+def _emit(output: Optional[Path], text: str) -> None:
+    if output is None:
         sys.stdout.write(text)
     else:
-        _atomic_write(manifest.output_path, text)
+        _atomic_write(output, text)
 
 
 def build_solve_report(instance: core.GameInstance, dimension_cap: Optional[int] = None) -> dict:
@@ -172,13 +163,6 @@ def _parse_responses(text: str) -> dict[str, str]:
     return responses
 
 
-def _manifest(args: argparse.Namespace, default_format: str = "json") -> RunManifest:
-    return RunManifest(
-        output_path=args.output,
-        format=args.format or default_format,
-    )
-
-
 def _cmd_solve(args: argparse.Namespace) -> int:
     if args.config is not None:
         instance = core.instance_from_json(Path(args.config).read_text())
@@ -186,12 +170,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         if args.bi is None or args.bj is None:
             raise ValueError("pass --bi and --bj, or --config <file>")
         instance = core.build_instance(args.bi, args.bj, args.cap)
-    manifest = _manifest(args)
-    if manifest.format == "csv":
-        _emit(manifest, core.build_payoff_matrix(instance).to_csv())
+    if args.format == "csv":
+        _emit(args.output, core.build_payoff_matrix(instance).to_csv())
         return 0
     report = build_solve_report(instance, args.dimension_cap)
-    _emit(manifest, _dumps(report))
+    _emit(args.output, _dumps(report))
     return 0
 
 
@@ -204,11 +187,10 @@ def _cmd_bayes(args: argparse.Namespace) -> int:
     if args.prior is not None:
         space = bayes.TypeSpace(types=game.types, prior=_parse_floats(args.prior))
     responses = _parse_responses(args.response) if args.response else None
-    manifest = _manifest(args)
-    if manifest.format == "csv":
+    if args.format == "csv":
         raise ValueError("bayes reports have no csv form; use --format json")
     report = build_bayes_report(game, space, responses)
-    _emit(manifest, _dumps(report))
+    _emit(args.output, _dumps(report))
     return 0
 
 
@@ -228,9 +210,7 @@ def _cmd_market(args: argparse.Namespace) -> int:
                 matrices = {}
                 for key, grid in raw["matrices"].items():
                     t_i, _, t_j = key.partition(",")
-                    matrices[(t_i, t_j)] = tuple(
-                        tuple((float(u), float(v)) for u, v in row) for row in grid
-                    )
+                    matrices[(t_i, t_j)] = core.parse_bimatrix(grid)
                 prior_i = tuple(float(p) for p in raw["prior_i"])
                 prior_j = tuple(float(p) for p in raw["prior_j"])
             except (TypeError, AttributeError) as exc:  # a field of the wrong JSON type
@@ -250,12 +230,11 @@ def _cmd_market(args: argparse.Namespace) -> int:
         mode, table = "constructive", None
     else:
         raise ValueError("pass --published <table> or --constructive")
-    manifest = _manifest(args)
-    if manifest.format == "csv":
-        _emit(manifest, matrix.cells_csv())
+    if args.format == "csv":
+        _emit(args.output, matrix.cells_csv())
         return 0
     report = build_market_report(matrix, mode, table)
-    _emit(manifest, _dumps(report))
+    _emit(args.output, _dumps(report))
     return 0
 
 
@@ -288,11 +267,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         raw["seed"] = drawn
     config = sim.SimConfig.from_jsonable(raw)
     report = sim.run_simulation(config)
-    manifest = _manifest(args)
-    if manifest.format == "csv":
-        _emit(manifest, report.histogram_csv())
+    if args.format == "csv":
+        _emit(args.output, report.histogram_csv())
     else:
-        _emit(manifest, report.to_json())
+        _emit(args.output, report.to_json())
     if args.histogram is not None:
         _atomic_write(Path(args.histogram), report.histogram_csv())
     return 0
@@ -301,13 +279,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_lp(args: argparse.Namespace) -> int:
     from . import lp
     problem = lp.TransferProblem(args.receiver, args.sender)
-    manifest = _manifest(args, default_format="plain")
-    if manifest.format == "csv":
+    if args.format == "csv":
         raise ValueError("lp has no csv form; use --format json or the default")
-    if manifest.format == "json":
-        _emit(manifest, _dumps(build_lp_report(problem)))
+    if args.format == "json":
+        _emit(args.output, _dumps(build_lp_report(problem)))
     else:
-        _emit(manifest, f"{lp.max_transfer(problem)}\n")
+        _emit(args.output, f"{lp.max_transfer(problem)}\n")
     return 0
 
 

@@ -8,10 +8,13 @@ quantity as utility. Prices play no part: utility is the quantity moved.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from typing import Sequence
 
 
 class LiquidityGameError(Exception):
@@ -42,14 +45,6 @@ class Player(Enum):
 
 
 @dataclass(frozen=True)
-class Holding:
-    """A player's signed bond inventory."""
-
-    player: Player
-    balance: int
-
-
-@dataclass(frozen=True)
 class Action:
     """A parcel size played into the game, stored as an absolute quantity."""
 
@@ -69,17 +64,9 @@ class GameInstance:
     have an empty action set on that side.
     """
 
-    holding_i: Holding
-    holding_j: Holding
+    balance_i: int
+    balance_j: int
     issue_cap: int
-
-    @property
-    def balance_i(self) -> int:
-        return self.holding_i.balance
-
-    @property
-    def balance_j(self) -> int:
-        return self.holding_j.balance
 
     @cached_property
     def action_set_i(self) -> tuple[Action, ...]:
@@ -184,23 +171,20 @@ def build_instance(balance_i: int, balance_j: int, issue_cap: int = 1_000_000) -
         raise CapExceeded(
             f"|balance| exceeds issue_cap={issue_cap}: {balance_i}, {balance_j}"
         )
-    return GameInstance(
-        holding_i=Holding(Player.I, balance_i),
-        holding_j=Holding(Player.J, balance_j),
-        issue_cap=issue_cap,
-    )
+    return GameInstance(balance_i, balance_j, issue_cap)
+
+
+def transferred(offer: int, capacity: int) -> int:
+    """The acceptance rule: a play moves the whole ``offer`` when it fits
+    the counterparty's ``capacity``, and nothing otherwise."""
+    return offer if offer <= capacity else 0
 
 
 def bilateral_payoff(offer: Action, capacity: Action) -> tuple[int, int]:
-    """Payoff pair for one play: the offer clears iff it fits the capacity.
-
-    Returns ``(q, q)`` with ``q = offer.quantity`` when ``0 < q <= capacity``,
-    else ``(0, 0)``. Both sides realise the same transferred quantity.
-    """
-    q = offer.quantity
-    if 0 < q <= capacity.quantity:
-        return (q, q)
-    return (0, 0)
+    """Payoff pair for one play: both sides realise the transferred
+    quantity, ``(q, q)`` with ``q = transferred(offer, capacity)``."""
+    q = transferred(offer.quantity, capacity.quantity)
+    return (q, q)
 
 
 def build_payoff_matrix(instance: GameInstance) -> PayoffMatrix:
@@ -211,8 +195,25 @@ def build_payoff_matrix(instance: GameInstance) -> PayoffMatrix:
     """
     qi = range(abs(instance.balance_i), 0, -1)
     qj = range(abs(instance.balance_j), 0, -1)
-    u = tuple(tuple(q if q <= cap else 0 for cap in qj) for q in qi)
+    u = tuple(tuple(map(transferred, itertools.repeat(q), qj)) for q in qi)
     return PayoffMatrix(actions_i=tuple(qi), actions_j=tuple(qj), u_i=u, u_j=u)
+
+
+def dominance_relations(vectors: Sequence[Sequence]) -> list[tuple[int, int, str]]:
+    """All ordered pairs (dominated, dominating, strictness) among one
+    player's payoff vectors, each listing the payoffs against every
+    opponent action.
+
+    ``g`` dominates ``d`` when g's payoff is at least d's everywhere;
+    "strict" when strictly greater everywhere, "weak" otherwise (equal
+    vectors therefore dominate each other weakly).
+    """
+    relations = []
+    for d, g in itertools.permutations(range(len(vectors)), 2):
+        if all(vg >= vd for vg, vd in zip(vectors[g], vectors[d])):
+            strict = all(vg > vd for vg, vd in zip(vectors[g], vectors[d]))
+            relations.append((d, g, "strict" if strict else "weak"))
+    return relations
 
 
 def apply_trade(instance: GameInstance, quantity: int) -> GameInstance:
@@ -229,9 +230,7 @@ def apply_trade(instance: GameInstance, quantity: int) -> GameInstance:
             f"{instance.balance_i}, {instance.balance_j}"
         )
     return GameInstance(
-        holding_i=Holding(Player.I, instance.balance_i - quantity),
-        holding_j=Holding(Player.J, instance.balance_j + quantity),
-        issue_cap=instance.issue_cap,
+        instance.balance_i - quantity, instance.balance_j + quantity, instance.issue_cap
     )
 
 
@@ -245,6 +244,38 @@ def instance_to_jsonable(instance: GameInstance) -> dict:
 
 def instance_to_json(instance: GameInstance) -> str:
     return json.dumps(instance_to_jsonable(instance))
+
+
+def is_int(value) -> bool:
+    """True for an int; bool is a subclass of int, but JSON true/false are
+    not numbers here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+Bimatrix = tuple[tuple[tuple[float, float], ...], ...]
+
+
+def _payoff(value) -> float:
+    """A finite JSON number as a float; ValueError for anything else."""
+    if not (isinstance(value, float) or is_int(value)):
+        raise ValueError(f"payoff must be a number, got {value!r}")
+    try:
+        payoff = float(value)
+    except OverflowError:  # an int beyond the float range
+        payoff = math.inf
+    if not math.isfinite(payoff):
+        raise ValueError(f"payoff must be finite, got {value!r}")
+    return payoff
+
+
+def parse_bimatrix(grid) -> Bimatrix:
+    """Read a JSON bimatrix, a list of rows of ``[u, v]`` cells, as rows of
+    float pairs; ValueError unless every payoff is a finite number."""
+    if not (isinstance(grid, list) and all(isinstance(row, list) for row in grid)):
+        raise ValueError("payoff matrix must be a list of rows")
+    if not all(isinstance(cell, list) and len(cell) == 2 for row in grid for cell in row):
+        raise ValueError("every payoff cell must be a [u, v] pair")
+    return tuple(tuple((_payoff(u), _payoff(v)) for u, v in row) for row in grid)
 
 
 def json_object(doc: str, what: str) -> dict:
@@ -261,10 +292,9 @@ def instance_from_json(doc: str) -> GameInstance:
     for field in ("balance_i", "balance_j"):
         if field not in raw:
             raise ZeroBalance(f"missing field {field}")
-        # bool is a subclass of int, but true/false are not balances.
-        if not isinstance(raw[field], int) or isinstance(raw[field], bool):
+        if not is_int(raw[field]):
             raise ZeroBalance(f"field {field} must be an integer")
     cap = raw.get("issue_cap", 1_000_000)
-    if not isinstance(cap, int) or isinstance(cap, bool) or cap <= 0:
+    if not is_int(cap) or cap <= 0:
         raise CapExceeded("field issue_cap must be a positive integer")
     return build_instance(raw["balance_i"], raw["balance_j"], cap)

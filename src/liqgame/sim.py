@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
-from .core import LiquidityGameError
+from .core import LiquidityGameError, is_int, transferred
 
 STRATEGY_KINDS = ("fixed_fraction", "uniform_random", "full_balance")
 MODES = ("one_shot", "repeated")
@@ -39,10 +39,6 @@ BLOCK = 1024
 
 class IntractableStrategy(LiquidityGameError):
     pass
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -116,11 +112,11 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         for name in ("trials", "seed", "max_rounds"):
-            if not _is_int(getattr(self, name)):
+            if not is_int(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer")
         for name in ("balance_range_i", "balance_range_j"):
             pair = getattr(self, name)
-            if not (isinstance(pair, (tuple, list)) and len(pair) == 2 and all(map(_is_int, pair))):
+            if not (isinstance(pair, (tuple, list)) and len(pair) == 2 and all(map(is_int, pair))):
                 raise ValueError(f"{name} must be a pair of integers")
             object.__setattr__(self, name, tuple(pair))
         if self.trials < 1:
@@ -269,16 +265,15 @@ def _play(config: SimConfig) -> Iterator[tuple[list, ...]]:
             offers = parcels_i([left_i[t] for t in active], bits)
             capacities = parcels_j([left_j[t] for t in active], bits)
             live = []
-            for t, offer, capacity in zip(active, offers, capacities):
-                # The acceptance rule: the offer moves in full iff it fits the capacity.
-                if offer <= capacity:
-                    held, needed = left_i[t] - offer, left_j[t] - offer
+            for t, moved in zip(active, map(transferred, offers, capacities)):
+                if moved:  # parcels are at least 1, so 0 means refused
+                    held, needed = left_i[t] - moved, left_j[t] - moved
                     if held < 0 or needed < 0 or held - needed != start_i[t] - start_j[t]:
                         raise AssertionError(
                             "trade flipped a balance sign or failed to conserve the total"
                         )
                     left_i[t], left_j[t] = held, needed
-                    volume[t] += offer
+                    volume[t] += moved
                     trades[t] += 1
                     if held and needed:
                         live.append(t)

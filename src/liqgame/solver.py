@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .core import LiquidityGameError, PayoffMatrix, Player
+from .core import LiquidityGameError, PayoffMatrix, Player, dominance_relations
 
 DEFAULT_DIMENSION_CAP = 12
 ORACLE_DIMENSION_CAP = 4
@@ -63,12 +63,6 @@ class MixedProfile:
             "probs_i": [str(p) for p in self.probs_i],
             "probs_j": [str(q) for q in self.probs_j],
         }
-
-    def support_i(self) -> tuple[int, ...]:
-        return tuple(r for r, p in enumerate(self.probs_i) if p > 0)
-
-    def support_j(self) -> tuple[int, ...]:
-        return tuple(c for c, q in enumerate(self.probs_j) if q > 0)
 
 
 def find_pure_equilibria(matrix: PayoffMatrix) -> list[PureEquilibrium]:
@@ -172,7 +166,8 @@ def _probabilities(
 
 def check_dimension_cap(rows: int, cols: int, dimension_cap: int) -> None:
     """Raise DimensionCapExceeded when either side of a rows x cols game is
-    above the cap ``solve_mixed`` enumerates to."""
+    above ``dimension_cap``, the size ``solve_mixed`` or the grid oracle
+    enumerates to."""
     if rows > dimension_cap or cols > dimension_cap:
         raise DimensionCapExceeded(
             f"matrix is {rows}x{cols}, enumeration capped at {dimension_cap} per side"
@@ -321,25 +316,12 @@ def verify_equilibrium(
 def dominated_actions(
     matrix: PayoffMatrix, player: Player
 ) -> list[tuple[int, int, str]]:
-    """All ordered pairs (dominated, dominating, strictness) for one player.
-
-    ``g`` dominates ``d`` when g's payoff is at least d's against every
-    opponent action; "strict" when strictly greater everywhere, "weak"
-    otherwise (payoff-equal actions therefore dominate each other weakly).
-    """
+    """All ordered pairs (dominated, dominating, strictness) for one player,
+    as ``core.dominance_relations`` finds them over the player's payoff
+    vectors: matrix rows for I, columns for J."""
     if matrix.rows == 0 or matrix.cols == 0:
         raise ValueError("matrix must be non-empty")
-    vectors = matrix.u_i if player is Player.I else list(zip(*matrix.u_j))
-    relations = []
-    for d, g in itertools.permutations(range(len(vectors)), 2):
-        if all(vg >= vd for vg, vd in zip(vectors[g], vectors[d])):
-            strictness = (
-                "strict"
-                if all(vg > vd for vg, vd in zip(vectors[g], vectors[d]))
-                else "weak"
-            )
-            relations.append((d, g, strictness))
-    return relations
+    return dominance_relations(matrix.u_i if player is Player.I else list(zip(*matrix.u_j)))
 
 
 def _window_grid(total: int, center: Sequence[Fraction], radius: int) -> list[tuple[int, ...]]:
@@ -405,10 +387,7 @@ def brute_force_oracle(
     m, n = matrix.rows, matrix.cols
     if m == 0 or n == 0:
         raise ValueError("matrix must be non-empty")
-    if m > ORACLE_DIMENSION_CAP or n > ORACLE_DIMENSION_CAP:
-        raise DimensionCapExceeded(
-            f"oracle supports at most {ORACLE_DIMENSION_CAP} actions per side"
-        )
+    check_dimension_cap(m, n, ORACLE_DIMENSION_CAP)
     if grid_resolution < 1:
         raise ValueError("grid_resolution must be >= 1")
     r_scale = grid_resolution

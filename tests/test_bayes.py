@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -14,6 +15,9 @@ from liqgame.bayes import (
     indifference_threshold,
     load_bundled_game,
 )
+from liqgame.core import PayoffMatrix, Player
+from liqgame.fixtures import fixture_path
+from liqgame.solver import dominated_actions
 
 THRESHOLD = 5 / 9
 
@@ -110,6 +114,37 @@ class TestDominance:
                 rescaled, index
             ) == dominant_strategy_per_type(game, index)
 
+    @given(st.data())
+    def test_agrees_with_solver_dominance_relations(self, data):
+        # Few distinct values and columns drawn with repetition, so ties and
+        # duplicate columns are common; one-column tables are included.
+        n_rows = data.draw(st.integers(1, 3), label="rows")
+        column = st.lists(st.integers(0, 2), min_size=n_rows, max_size=n_rows)
+        distinct = data.draw(st.lists(column, min_size=1, max_size=4), label="distinct")
+        n_cols = data.draw(st.integers(1, 4), label="cols")
+        columns = [data.draw(st.sampled_from(distinct)) for _ in range(n_cols)]
+        row_payoffs = data.draw(
+            st.lists(column, min_size=n_cols, max_size=n_cols), label="row payoffs"
+        )
+        grid = [
+            [(row_payoffs[c][r], columns[c][r]) for c in range(n_cols)] for r in range(n_rows)
+        ]
+        labels = tuple(f"s{c}" for c in range(n_cols))
+        game = ConditionalGame(
+            types=("t",),
+            strategies_i=tuple(f"r{r}" for r in range(n_rows)),
+            strategies_j=labels,
+            matrices={"t": grid},
+        )
+        relations = dominated_actions(PayoffMatrix.from_entries(grid), Player.J)
+        expected = None
+        for c in range(n_cols):
+            won = [strictness for _, g, strictness in relations if g == c]
+            if len(won) == n_cols - 1:
+                expected = (labels[c], "strict" if all(s == "strict" for s in won) else "weak")
+                break
+        assert dominant_strategy_per_type(game, 0) == expected
+
 
 class TestThreshold:
     def test_hand_solved_half(self):
@@ -192,3 +227,23 @@ class TestValidation:
         # nan passes both the sign and the sum check, since comparisons with nan are False
         with pytest.raises(ValueError, match="finite"):
             TypeSpace(("a", "b"), prior)
+
+    @pytest.mark.parametrize(
+        "cell",
+        [
+            [float("nan"), 1],
+            [1, float("inf")],
+            ["nan", 1],
+            ["1", 1],
+            [True, 1],
+            [10**400, 1],
+            [1],
+            5,
+        ],
+        ids=["nan", "inf", "nan-text", "digit-text", "bool", "huge-int", "single", "scalar"],
+    )
+    def test_payoff_cells_must_be_finite_number_pairs(self, cell):
+        raw = json.loads(fixture_path("bayes_large_small.json").read_text())
+        raw["matrices"]["b"][1][0] = cell
+        with pytest.raises(ValueError, match="payoff"):
+            ConditionalGame.from_jsonable(raw)

@@ -1,3 +1,4 @@
+import copy
 import json
 import shutil
 import subprocess
@@ -375,6 +376,41 @@ def test_wrong_typed_field_exit_two(capsys, tmp_path, argv, document):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ValueError")
+
+
+# a complete two-type base, so a bad cell is the only fault
+MARKET_TWO_TYPES = {
+    "types": ["L", "s"],
+    "strategies": ["x"],
+    "prior_i": [0.5, 0.5],
+    "prior_j": [0.5, 0.5],
+    "matrices": {key: [[[1, 1]]] for key in ("L,L", "L,s", "s,L", "s,s")},
+}
+
+
+@pytest.mark.parametrize(
+    "cell",
+    [["nan", 1], [float("nan"), 1], [1, float("inf")], [float("-inf"), 1]],
+    ids=["nan-text", "nan", "inf", "minus-inf"],
+)
+@pytest.mark.parametrize(
+    "argv,document,key",
+    [
+        (["bayes", "--game"], BAYES_DOCUMENT, "a"),
+        (["market", "--constructive", "--config"], MARKET_TWO_TYPES, "L,L"),
+    ],
+    ids=["bayes", "market"],
+)
+def test_non_finite_payoff_cell_exit_two(capsys, tmp_path, argv, document, key, cell):
+    document = copy.deepcopy(document)
+    document["matrices"][key][0][0] = cell
+    path = tmp_path / "doc.json"
+    # json writes NaN and Infinity tokens, which the readers' json.loads accepts
+    path.write_text(json.dumps(document))
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ValueError: payoff must be")
 
 
 class TestThinAdapter:

@@ -189,7 +189,6 @@ def test_public_name_list_is_pinned():
         "CompositionMatrix",
         "ConditionalGame",
         "GameInstance",
-        "Holding",
         "LiquidityGameError",
         "MixedProfile",
         "PayoffMatrix",
