@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 # Each public name and the submodule that defines it.
 _EXPORTS = {
-    "Action": "core",
     "BayesianSolution": "bayes",
     "CompositionMatrix": "market",
     "ConditionalGame": "bayes",
@@ -29,7 +28,6 @@ _EXPORTS = {
     "analytic_hit_ratio": "sim",
     "apply_trade": "core",
     "best_quadrant": "market",
-    "bilateral_payoff": "core",
     "brute_force_oracle": "solver",
     "build_instance": "core",
     "build_payoff_matrix": "core",

@@ -13,7 +13,14 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Optional
 
-from .core import Bimatrix, LiquidityGameError, dominance_relations, json_object, parse_bimatrix
+from .core import (
+    Bimatrix,
+    LiquidityGameError,
+    dominance_relations,
+    json_object,
+    parse_bimatrix,
+    parse_prior,
+)
 from .fixtures import fixture_path
 
 EQUALITY_TOLERANCE = 1e-12
@@ -96,20 +103,12 @@ class ConditionalGame:
             raise ValueError(f"malformed game document: {exc}") from None
         return cls(types, strategies_i, strategies_j, matrices)
 
-    @classmethod
-    def from_json(cls, doc: str) -> "ConditionalGame":
-        return cls.from_jsonable(json_object(doc, "game document"))
-
 
 def load_game_document(path: Path) -> tuple[ConditionalGame, TypeSpace]:
     """Read a game file carrying both the matrices and the prior."""
     raw = json_object(path.read_text(), "game document")
     game = ConditionalGame.from_jsonable(raw)
-    try:
-        prior = tuple(float(p) for p in raw["prior"])
-    except TypeError as exc:
-        raise ValueError(f"malformed prior: {exc}") from None
-    return game, TypeSpace(types=game.types, prior=prior)
+    return game, TypeSpace(types=game.types, prior=parse_prior(raw["prior"]))
 
 
 def load_bundled_game() -> tuple[ConditionalGame, TypeSpace]:

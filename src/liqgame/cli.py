@@ -211,8 +211,8 @@ def _cmd_market(args: argparse.Namespace) -> int:
                 for key, grid in raw["matrices"].items():
                     t_i, _, t_j = key.partition(",")
                     matrices[(t_i, t_j)] = core.parse_bimatrix(grid)
-                prior_i = tuple(float(p) for p in raw["prior_i"])
-                prior_j = tuple(float(p) for p in raw["prior_j"])
+                prior_i = core.parse_prior(raw["prior_i"])
+                prior_j = core.parse_prior(raw["prior_j"])
             except (TypeError, AttributeError) as exc:  # a field of the wrong JSON type
                 raise ValueError(f"malformed constructive base document: {exc}") from None
         else:

@@ -13,7 +13,6 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import Sequence
 
 
@@ -45,37 +44,16 @@ class Player(Enum):
 
 
 @dataclass(frozen=True)
-class Action:
-    """A parcel size played into the game, stored as an absolute quantity."""
-
-    quantity: int
-
-    def __post_init__(self) -> None:
-        if self.quantity < 0:
-            raise ValueError(f"action quantity must be >= 0, got {self.quantity}")
-
-
-@dataclass(frozen=True)
 class GameInstance:
     """A canonical two-player game state.
 
     ``build_instance`` is the validated entry point; instances produced by
-    ``apply_trade`` may carry a zero balance (a cleared player) and then
-    have an empty action set on that side.
+    ``apply_trade`` may carry a zero balance (a cleared player).
     """
 
     balance_i: int
     balance_j: int
     issue_cap: int
-
-    @cached_property
-    def action_set_i(self) -> tuple[Action, ...]:
-        """Parcel sizes |B_i|..1 in descending order; 0 is never playable."""
-        return tuple(Action(q) for q in range(abs(self.balance_i), 0, -1))
-
-    @cached_property
-    def action_set_j(self) -> tuple[Action, ...]:
-        return tuple(Action(q) for q in range(abs(self.balance_j), 0, -1))
 
 
 @dataclass(frozen=True)
@@ -132,13 +110,6 @@ class PayoffMatrix:
     def to_jsonable(self) -> list[list[list[int]]]:
         return [[[u, v] for u, v in zip(row_i, row_j)] for row_i, row_j in zip(self.u_i, self.u_j)]
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_jsonable())
-
-    @classmethod
-    def from_json(cls, doc: str) -> "PayoffMatrix":
-        return cls.from_entries(json.loads(doc))
-
     def to_csv(self) -> str:
         """One line per row, cells rendered ``u_i|u_j``."""
         lines = [
@@ -178,13 +149,6 @@ def transferred(offer: int, capacity: int) -> int:
     """The acceptance rule: a play moves the whole ``offer`` when it fits
     the counterparty's ``capacity``, and nothing otherwise."""
     return offer if offer <= capacity else 0
-
-
-def bilateral_payoff(offer: Action, capacity: Action) -> tuple[int, int]:
-    """Payoff pair for one play: both sides realise the transferred
-    quantity, ``(q, q)`` with ``q = transferred(offer, capacity)``."""
-    q = transferred(offer.quantity, capacity.quantity)
-    return (q, q)
 
 
 def build_payoff_matrix(instance: GameInstance) -> PayoffMatrix:
@@ -242,10 +206,6 @@ def instance_to_jsonable(instance: GameInstance) -> dict:
     }
 
 
-def instance_to_json(instance: GameInstance) -> str:
-    return json.dumps(instance_to_jsonable(instance))
-
-
 def is_int(value) -> bool:
     """True for an int; bool is a subclass of int, but JSON true/false are
     not numbers here."""
@@ -255,17 +215,26 @@ def is_int(value) -> bool:
 Bimatrix = tuple[tuple[tuple[float, float], ...], ...]
 
 
-def _payoff(value) -> float:
-    """A finite JSON number as a float; ValueError for anything else."""
+def _finite_number(value, what: str) -> float:
+    """A finite JSON number as a float; ValueError naming ``what`` for
+    anything else."""
     if not (isinstance(value, float) or is_int(value)):
-        raise ValueError(f"payoff must be a number, got {value!r}")
+        raise ValueError(f"{what} must be a number, got {value!r}")
     try:
-        payoff = float(value)
+        number = float(value)
     except OverflowError:  # an int beyond the float range
-        payoff = math.inf
-    if not math.isfinite(payoff):
-        raise ValueError(f"payoff must be finite, got {value!r}")
-    return payoff
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"{what} must be finite, got {value!r}")
+    return number
+
+
+def parse_prior(values) -> tuple[float, ...]:
+    """Read a JSON list of type weights; ValueError unless every weight is
+    a finite number."""
+    if not isinstance(values, list):
+        raise ValueError(f"prior must be a list of numbers, got {values!r}")
+    return tuple(_finite_number(p, "prior") for p in values)
 
 
 def parse_bimatrix(grid) -> Bimatrix:
@@ -275,7 +244,10 @@ def parse_bimatrix(grid) -> Bimatrix:
         raise ValueError("payoff matrix must be a list of rows")
     if not all(isinstance(cell, list) and len(cell) == 2 for row in grid for cell in row):
         raise ValueError("every payoff cell must be a [u, v] pair")
-    return tuple(tuple((_payoff(u), _payoff(v)) for u, v in row) for row in grid)
+    return tuple(
+        tuple((_finite_number(u, "payoff"), _finite_number(v, "payoff")) for u, v in row)
+        for row in grid
+    )
 
 
 def json_object(doc: str, what: str) -> dict:

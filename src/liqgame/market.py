@@ -71,8 +71,6 @@ class CompositionMatrix:
     row_labels: tuple[Label, ...]
     col_labels: tuple[Label, ...]
     entries: tuple[tuple[tuple[float, float], ...], ...]
-    prior_i: Optional[tuple[float, ...]] = None
-    prior_j: Optional[tuple[float, ...]] = None
 
     def __post_init__(self) -> None:
         if len(self.entries) != len(self.row_labels):
@@ -137,15 +135,7 @@ def load_published_matrix(source: str) -> CompositionMatrix:
         raise UnknownTable(
             f"unknown table {source!r}, expected one of {sorted(PUBLISHED_TABLES)}"
         )
-    doc = fixture_path(PUBLISHED_TABLES[source]).read_text()
-    matrix = composition_from_csv(doc)
-    return CompositionMatrix(
-        matrix.row_labels,
-        matrix.col_labels,
-        matrix.entries,
-        prior_i=(0.35, 0.65),
-        prior_j=(0.35, 0.65),
-    )
+    return composition_from_csv(fixture_path(PUBLISHED_TABLES[source]).read_text())
 
 
 def weight_by_priors(
@@ -185,13 +175,7 @@ def weight_by_priors(
                     u, v = grid[s_idx][c_idx]
                     row.append((w_i * w_j * u, w_i * w_j * v))
             entries.append(tuple(row))
-    return CompositionMatrix(
-        row_labels,
-        col_labels,
-        tuple(entries),
-        prior_i=tuple(float(w) for w in prior_i),
-        prior_j=tuple(float(w) for w in prior_j),
-    )
+    return CompositionMatrix(row_labels, col_labels, tuple(entries))
 
 
 def pairwise_base_from_conditional(

@@ -160,10 +160,6 @@ class SimConfig:
                 kwargs[key] = raw[key]
         return cls(**kwargs)
 
-    @classmethod
-    def from_json(cls, doc: str) -> "SimConfig":
-        return cls.from_jsonable(json.loads(doc))
-
 
 @dataclass(frozen=True)
 class TrialRecord:

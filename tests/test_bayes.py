@@ -14,6 +14,7 @@ from liqgame.bayes import (
     expected_payoff,
     indifference_threshold,
     load_bundled_game,
+    load_game_document,
 )
 from liqgame.core import PayoffMatrix, Player
 from liqgame.fixtures import fixture_path
@@ -247,3 +248,15 @@ class TestValidation:
         raw["matrices"]["b"][1][0] = cell
         with pytest.raises(ValueError, match="payoff"):
             ConditionalGame.from_jsonable(raw)
+
+    @pytest.mark.parametrize(
+        "prior",
+        [[True, False], ["0.35", "0.65"], [10**400, 0], [math.inf, 0], "0.35,0.65", 1],
+        ids=["bools", "digit-text", "huge-int", "inf", "text", "scalar"],
+    )
+    def test_document_prior_must_be_a_list_of_finite_numbers(self, tmp_path, prior):
+        raw = json.loads(fixture_path("bayes_large_small.json").read_text())
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps({**raw, "prior": prior}))
+        with pytest.raises(ValueError, match="^prior must be"):
+            load_game_document(path)

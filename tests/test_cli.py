@@ -413,6 +413,31 @@ def test_non_finite_payoff_cell_exit_two(capsys, tmp_path, argv, document, key, 
     assert err.startswith("error: ValueError: payoff must be")
 
 
+@pytest.mark.parametrize(
+    "weight",
+    [True, "0.5", float("nan"), float("inf"), 10**400],
+    ids=["boolean", "numeric-text", "nan", "inf", "400-digit-int"],
+)
+@pytest.mark.parametrize(
+    "argv,document,key",
+    [
+        (["bayes", "--game"], BAYES_DOCUMENT, "prior"),
+        (["market", "--constructive", "--config"], MARKET_TWO_TYPES, "prior_i"),
+        (["market", "--constructive", "--config"], MARKET_TWO_TYPES, "prior_j"),
+    ],
+    ids=["bayes", "market-i", "market-j"],
+)
+def test_prior_weights_must_be_finite_numbers(capsys, tmp_path, argv, document, key, weight):
+    document = copy.deepcopy(document)
+    document[key][0] = weight
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(document))
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ValueError: prior must be")
+
+
 class TestThinAdapter:
     def test_market_matches_library_serialization(self, capsys):
         code, out, _ = run_cli(capsys, "market", "--published", "final_4x4")

@@ -5,31 +5,30 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from liqgame.core import (
-    Action,
     CapExceeded,
     OverTrade,
     PayoffMatrix,
     SameSignBalances,
     ZeroBalance,
     apply_trade,
-    bilateral_payoff,
     build_instance,
     build_payoff_matrix,
     instance_from_json,
-    instance_to_json,
+    instance_to_jsonable,
+    transferred,
 )
 
 
 class TestBuildInstance:
     def test_two_by_two_action_sets(self):
-        inst = build_instance(2, -2, 100)
-        assert [a.quantity for a in inst.action_set_i] == [2, 1]
-        assert [a.quantity for a in inst.action_set_j] == [2, 1]
+        matrix = build_payoff_matrix(build_instance(2, -2, 100))
+        assert matrix.actions_i == (2, 1)
+        assert matrix.actions_j == (2, 1)
 
     def test_minimal_game_is_singleton(self):
-        inst = build_instance(1, -1, 100)
-        assert [a.quantity for a in inst.action_set_i] == [1]
-        assert [a.quantity for a in inst.action_set_j] == [1]
+        matrix = build_payoff_matrix(build_instance(1, -1, 100))
+        assert matrix.actions_i == (1,)
+        assert matrix.actions_j == (1,)
 
     def test_same_sign_rejected(self):
         with pytest.raises(SameSignBalances):
@@ -49,12 +48,14 @@ class TestBuildInstance:
         assert inst.balance_j == -4
 
     def test_zero_not_an_action(self):
-        inst = build_instance(5, -2, 100)
-        assert 0 not in [a.quantity for a in inst.action_set_i]
-        assert 0 not in [a.quantity for a in inst.action_set_j]
+        matrix = build_payoff_matrix(build_instance(5, -2, 100))
+        assert 0 not in matrix.actions_i
+        assert 0 not in matrix.actions_j
 
 
 class TestBilateralPayoff:
+    """Both sides of one play realise ``transferred(offer, capacity)``."""
+
     @pytest.mark.parametrize(
         "offer,capacity,expected",
         [
@@ -65,17 +66,12 @@ class TestBilateralPayoff:
         ],
     )
     def test_published_cells(self, offer, capacity, expected):
-        assert bilateral_payoff(Action(offer), Action(capacity)) == expected
+        q = transferred(offer, capacity)
+        assert (q, q) == expected
 
     @given(offer=st.integers(0, 200), capacity=st.integers(0, 200))
     def test_matches_indicator_form(self, offer, capacity):
-        got = bilateral_payoff(Action(offer), Action(capacity))
-        q = offer if 0 < offer <= capacity else 0
-        assert got == (q, q)
-
-    def test_negative_quantity_rejected(self):
-        with pytest.raises(ValueError):
-            Action(-1)
+        assert transferred(offer, capacity) == (offer if 0 < offer <= capacity else 0)
 
 
 class TestPayoffMatrix:
@@ -100,11 +96,9 @@ class TestPayoffMatrix:
         matrix = build_payoff_matrix(build_instance(n_i, -n_j, 100))
         for r, offer in enumerate(matrix.actions_i):
             for c, capacity in enumerate(matrix.actions_j):
-                assert matrix.entries[r][c] == bilateral_payoff(
-                    Action(offer), Action(capacity)
-                )
-                u, v = matrix.entries[r][c]
-                assert u == v >= 0
+                q = transferred(offer, capacity)
+                assert matrix.entries[r][c] == (q, q)
+                assert q >= 0
 
     @given(n=st.integers(1, 30))
     def test_descending_diagonal(self, n):
@@ -116,7 +110,7 @@ class TestPayoffMatrix:
 
     def test_json_round_trip(self):
         matrix = build_payoff_matrix(build_instance(3, -2, 100))
-        again = PayoffMatrix.from_json(matrix.to_json())
+        again = PayoffMatrix.from_entries(json.loads(json.dumps(matrix.to_jsonable())))
         assert again.entries == matrix.entries
 
     def test_csv_layout(self):
@@ -181,7 +175,7 @@ class TestApplyTrade:
 class TestInstanceSerialization:
     def test_round_trip(self):
         inst = build_instance(17, -5, 400)
-        doc = instance_to_json(inst)
+        doc = json.dumps(instance_to_jsonable(inst))
         assert json.loads(doc) == {"balance_i": 17, "balance_j": -5, "issue_cap": 400}
         again = instance_from_json(doc)
         assert (again.balance_i, again.balance_j, again.issue_cap) == (17, -5, 400)
@@ -226,7 +220,7 @@ class TestRoundTripProperties:
         cap = max(long, short) + headroom
         args = (long, -short) if long_first else (-short, long)
         inst = build_instance(*args, cap)
-        assert instance_from_json(instance_to_json(inst)) == inst
+        assert instance_from_json(json.dumps(instance_to_jsonable(inst))) == inst
 
     @given(
         st.integers(1, 6).flatmap(
@@ -243,10 +237,10 @@ class TestRoundTripProperties:
     )
     def test_payoff_matrix_json_round_trip(self, entries):
         matrix = PayoffMatrix.from_entries(entries)
-        assert PayoffMatrix.from_json(matrix.to_json()) == matrix
+        assert PayoffMatrix.from_entries(json.loads(json.dumps(matrix.to_jsonable()))) == matrix
 
     @given(n_i=st.integers(1, 12), n_j=st.integers(1, 12))
     def test_instance_json_and_csv_round_trip_matrix(self, n_i, n_j):
         matrix = build_payoff_matrix(build_instance(n_i, -n_j, 100))
-        assert PayoffMatrix.from_json(matrix.to_json()) == matrix
+        assert PayoffMatrix.from_entries(json.loads(json.dumps(matrix.to_jsonable()))) == matrix
         assert parse_payoff_csv(matrix.to_csv()) == matrix.entries

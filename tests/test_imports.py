@@ -184,7 +184,6 @@ def test_unknown_attribute_raises_attribute_error():
 
 def test_public_name_list_is_pinned():
     assert liqgame.__all__ == [
-        "Action",
         "BayesianSolution",
         "CompositionMatrix",
         "ConditionalGame",
@@ -203,7 +202,6 @@ def test_public_name_list_is_pinned():
         "analytic_hit_ratio",
         "apply_trade",
         "best_quadrant",
-        "bilateral_payoff",
         "brute_force_oracle",
         "build_instance",
         "build_payoff_matrix",

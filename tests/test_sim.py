@@ -70,6 +70,10 @@ class TestStrategySpec:
         assert parcel_size(StrategySpec("fixed_fraction", 0.1), 4) == 1
         assert parcel_size(FULL, 9) == 9
 
+    def test_random_strategy_has_no_deterministic_parcel(self):
+        with pytest.raises(sim.IntractableStrategy):
+            parcel_size(RANDOM, 5)
+
     @pytest.mark.parametrize("text", ["0.7", "0.35"])
     def test_parcel_rounds_exactly(self, text):
         # 0.7 * 45 is 31.499999999999996 in binary floating point.
@@ -424,7 +428,7 @@ class TestConfigAndReportSerialization:
             mode="repeated",
             max_rounds=12,
         )
-        again = SimConfig.from_json(json.dumps(config.to_jsonable()))
+        again = SimConfig.from_jsonable(json.loads(json.dumps(config.to_jsonable())))
         assert again == config
         assert again.balance_range_i == (1, 1000)  # JSON arrays come back as tuples
 
