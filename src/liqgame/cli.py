@@ -51,15 +51,13 @@ def build_solve_report(instance: core.GameInstance, dimension_cap: Optional[int]
     # |B_i| x |B_j| is the matrix shape, so refuse before building it
     solver.check_dimension_cap(abs(instance.balance_i), abs(instance.balance_j), dimension_cap)
     matrix = core.build_payoff_matrix(instance)
-    pure = solver.find_pure_equilibria(matrix)
-    mixed = solver.solve_mixed(matrix, dimension_cap=dimension_cap)
     return {
         "instance": core.instance_to_jsonable(instance),
         "actions_i": list(matrix.actions_i),
         "actions_j": list(matrix.actions_j),
         "payoff_matrix": matrix.to_jsonable(),
-        "pure_equilibria": [eq.to_jsonable() for eq in pure],
-        "mixed_equilibria": [profile.to_jsonable() for profile in mixed],
+        "pure_equilibria": [eq.to_jsonable() for eq in solver.find_pure_equilibria(matrix)],
+        "mixed_equilibria": [p.to_jsonable() for p in solver.instance_mixed_profiles(instance)],
     }
 
 
@@ -308,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument(
         "--dimension-cap",
         type=int,
-        help="refuse support enumeration beyond this many actions per side",
+        help="refuse games with more than this many actions per side",
     )
     p_solve.set_defaults(handler=_cmd_solve)
 

@@ -1,11 +1,11 @@
 """Equilibrium computation for bimatrix games.
 
 Pure equilibria come from an exhaustive best-response scan. Mixed equilibria
-come from support enumeration: for every pair of equal-size candidate
-supports the indifference system is solved exactly by integer (fraction-free)
-elimination, so the published small-fraction profiles (1/2, 1/3, 1/6, ...)
-are reproduced with zero tolerance. A grid-search oracle provides an
-independent cross-check.
+of an instance game have a closed form; those of any bimatrix game come from
+support enumeration, which solves the indifference system of every pair of
+equal-size candidate supports by integer (fraction-free) elimination, so the
+published small-fraction profiles (1/2, 1/3, 1/6, ...) are reproduced with
+zero tolerance. A grid-search oracle provides an independent cross-check.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
-from .core import LiquidityGameError, PayoffMatrix, Player, dominance_relations
+from .core import GameInstance, LiquidityGameError, PayoffMatrix, Player, dominance_relations
 
 DEFAULT_DIMENSION_CAP = 12
 ORACLE_DIMENSION_CAP = 4
@@ -174,42 +174,6 @@ def check_dimension_cap(rows: int, cols: int, dimension_cap: int) -> None:
         )
 
 
-def _distinct_column_supports(
-    own_payoffs: Sequence[Sequence[int]], support_own: Sequence[int], cols: int
-) -> Iterable[tuple[int, ...]]:
-    """Column supports of ``len(support_own)`` columns, in lexicographic
-    order, that hold no two columns with the same difference vector
-    ``own_payoffs[r][c] - own_payoffs[support_own[0]][c]`` over
-    ``support_own[1:]``.
-
-    Two such columns are two equal columns of the indifference system, which
-    is then singular, so the skipped supports are exactly ones that
-    ``_support_weights`` would reject.
-    """
-    size = len(support_own)
-    if size > 1:
-        first = own_payoffs[support_own[0]]
-        keys = list(
-            zip(*([x - b for x, b in zip(own_payoffs[r], first)] for r in support_own[1:]))
-        )
-        # with no repeated key every column support qualifies
-        if len(set(keys)) < cols:
-            found: list[tuple[int, ...]] = []
-
-            def walk(prefix: tuple[int, ...], used: frozenset, start: int) -> None:
-                stop = cols - (size - len(prefix)) + 1
-                if len(prefix) == size - 1:
-                    found.extend(prefix + (c,) for c in range(start, stop) if keys[c] not in used)
-                    return
-                for c in range(start, stop):
-                    if keys[c] not in used:
-                        walk(prefix + (c,), used | {keys[c]}, c + 1)
-
-            walk((), frozenset(), 0)
-            return found
-    return itertools.combinations(range(cols), size)
-
-
 def solve_mixed(
     matrix: PayoffMatrix, dimension_cap: int = DEFAULT_DIMENSION_CAP
 ) -> list[MixedProfile]:
@@ -225,8 +189,7 @@ def solve_mixed(
     Degenerate profiles are kept: a solution may place probability zero on
     part of its candidate support, which is how boundary equilibria of
     weakly dominated games surface. Pure equilibria appear as the size-1
-    supports. Singular support systems are skipped; those with two equal
-    system columns are never built (``_distinct_column_supports``).
+    supports. Singular support systems are skipped.
     """
     m, n = matrix.rows, matrix.cols
     if m == 0 or n == 0:
@@ -238,7 +201,7 @@ def solve_mixed(
     seen: set[tuple[tuple, tuple]] = set()
     for size in range(1, min(m, n) + 1):
         for support_i in itertools.combinations(range(m), size):
-            for support_j in _distinct_column_supports(u_i, support_i, n):
+            for support_j in itertools.combinations(range(n), size):
                 q = _support_weights(u_i, support_i, support_j)
                 if q is None:
                     continue
@@ -253,6 +216,45 @@ def solve_mixed(
                             _probabilities(m, support_i, *p), _probabilities(n, support_j, *q)
                         )
                     )
+    return profiles
+
+
+def instance_mixed_profiles(instance: GameInstance) -> list[MixedProfile]:
+    """``solve_mixed`` of the instance's payoff matrix, values and order, in
+    closed form: 2^(k-1)*(c+1) - 1 profiles, k = min(m, n), c = max(n-m+1, 1).
+
+    I holds m = |B_i|, J needs n = |B_j|; parcel x is row m - x, column n - x.
+    I's x against J's y pays both x if x <= y, else 0, so J's parcels >= m pay
+    alike: cap them at m. Each nonempty set S of J's parcels with at most one
+    >= m gives one profile: with capped values s_1 < ... < s_k, I plays s_1
+    and J plays s_j or more with probability s_1/s_j.
+
+    Proof. Against s_1 every y >= s_1 pays J the most, s_1; against J, I's x
+    in (s_{j-1}, s_j] earns x*s_1/s_j <= s_1, with equality at s_j. Conversely
+    let support enumeration accept rows R and columns C capped to c_1 < ... <
+    c_k (two parcels >= m are equal columns: singular). Parcel c_1 earns c_1,
+    so R, all earning I's value, holds no parcel above n. J's payoff grows
+    with y and may not gain from c_1 to n, so I's mass lies on parcels <= c_1,
+    each earning itself: I is pure on c_1 = r_1. The system [c_j >= r_i] then
+    has nested suffix rows, nonsingular iff c_{i-1} < r_i <= c_i, and x in
+    (r_i, c_i] would earn x*c_1/r_i > c_1, so r_i = c_i. All weights are
+    positive, so profiles differ; enumeration meets them in (|S|, R, C) order.
+    """
+    m, n = abs(instance.balance_i), abs(instance.balance_j)
+    if m == 0 or n == 0:
+        raise ValueError("matrix must be non-empty")
+    small = [((), (y,)) for y in range(1, min(m, n + 1))]  # each parcel < m: out or in
+    tops = [(), *((y,) for y in range(m, n + 1))]  # no parcel >= m, or one of them
+    sets = [sum(parts, ()) for parts in itertools.product(*small, tops)]
+    sets.sort(key=lambda s: (len(s), [m - min(y, m) for y in s[::-1]], [n - y for y in s[::-1]]))
+    profiles = []
+    for s in sets[1:]:  # sets[0] is the empty set
+        reach = [Fraction(min(s[0], m), min(y, m)) for y in s] + [0]
+        probs_i, probs_j = [Fraction(0)] * m, [Fraction(0)] * n
+        probs_i[m - min(s[0], m)] = Fraction(1)
+        for y, here, beyond in zip(s, reach, reach[1:]):
+            probs_j[n - y] = here - beyond
+        profiles.append(MixedProfile(tuple(probs_i), tuple(probs_j)))
     return profiles
 
 

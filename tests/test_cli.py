@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from liqgame import bayes, cli, core, fixtures
+from liqgame import bayes, cli, core, fixtures, solver
 
 
 def run_cli(capsys, *argv):
@@ -69,6 +69,15 @@ class TestSolveCommand:
         code, _, err = run_cli(capsys, "solve", "--bi", "3", "--bj", "-4", "--dimension-cap", "3")
         assert code == 2
         assert "matrix is 3x4, enumeration capped at 3 per side" in err
+
+    def test_twelve_by_twelve_needs_no_support_enumeration(self, capsys, monkeypatch):
+        def enumerate_supports(*args, **kwargs):
+            raise AssertionError("solve_mixed called")
+
+        monkeypatch.setattr(solver, "solve_mixed", enumerate_supports)
+        code, out, _ = run_cli(capsys, "solve", "--bi", "12", "--bj", "-12")
+        assert code == 0
+        assert len(json.loads(out)["mixed_equilibria"]) == 4095
 
     def test_matches_library_serialization(self, capsys):
         code, out, _ = run_cli(capsys, "solve", "--bi", "3", "--bj", "-2")

@@ -1,12 +1,11 @@
 import itertools
-import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liqgame.core import PayoffMatrix, Player, build_instance, build_payoff_matrix
+from liqgame.core import GameInstance, PayoffMatrix, Player, build_instance, build_payoff_matrix
 from liqgame import solver
 from liqgame.solver import (
     DimensionCapExceeded,
@@ -15,6 +14,7 @@ from liqgame.solver import (
     brute_force_oracle,
     dominated_actions,
     find_pure_equilibria,
+    instance_mixed_profiles,
     solve_mixed,
     verify_equilibrium,
 )
@@ -158,55 +158,36 @@ class TestReferenceAgreement:
             assert verify_equilibrium(matrix, prof, F(0))
 
 
-class TestSupportPruning:
-    """solve_mixed never builds a system with two equal columns."""
+def profile_count(m: int, n: int) -> int:
+    """2^(k-1)*(c+1) - 1 with k = min(m, n) and c = max(n - m + 1, 1)."""
+    return 2 ** (min(m, n) - 1) * (max(n - m + 1, 1) + 1) - 1
 
-    def test_duplicate_columns_skip_eliminations(self, monkeypatch):
-        # columns 0/1 and 2/3 are identical, so most column supports of size
-        # >= 2 hold a duplicate and are skipped before elimination
-        matrix = PayoffMatrix.from_entries(
-            [
-                [(3, 1), (3, 1), (0, 2), (0, 2), (1, 0)],
-                [(1, 0), (1, 0), (2, 3), (2, 3), (0, 1)],
-                [(0, 2), (0, 2), (1, 1), (1, 1), (3, 3)],
-            ]
-        )
-        calls = []
-        eliminate = solver._solve_fraction_free
-        monkeypatch.setattr(
-            solver, "_solve_fraction_free", lambda a: calls.append(1) or eliminate(a)
-        )
-        profiles = solve_mixed(matrix)
-        pruned = len(calls)
-        # the full enumeration: every column support, with no grouping
-        monkeypatch.setattr(
-            solver,
-            "_distinct_column_supports",
-            lambda u, support, cols: itertools.combinations(range(cols), len(support)),
-        )
-        calls.clear()
-        assert solve_mixed(matrix) == profiles
-        assert pruned < len(calls)
-        assert len(calls) >= sum(math.comb(3, k) * math.comb(5, k) for k in range(1, 4))
-        assert profiles == reference_solve_mixed(matrix)
 
-    @settings(max_examples=100, deadline=None)
-    @given(data=st.data())
-    def test_walk_is_the_filtered_lexicographic_enumeration(self, data):
-        rows, cols = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 7))
-        value = st.integers(-2, 2)
-        u = data.draw(
-            st.lists(st.lists(value, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
-        )
-        size = data.draw(st.integers(1, rows))
-        support = data.draw(st.sampled_from(list(itertools.combinations(range(rows), size))))
-        key = [tuple(u[r][c] - u[support[0]][c] for r in support[1:]) for c in range(cols)]
-        expected = [
-            sj
-            for sj in itertools.combinations(range(cols), size)
-            if len({key[c] for c in sj}) == size
-        ]
-        assert list(solver._distinct_column_supports(u, support, cols)) == expected
+class TestInstanceMixedProfiles:
+    """The closed form lists exactly what support enumeration lists."""
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_equals_support_enumeration(self, m, n):
+        instance = build_instance(m, -n, 10_000)
+        expected = solve_mixed(build_payoff_matrix(instance))
+        assert instance_mixed_profiles(instance) == expected
+        assert len(expected) == profile_count(m, n)
+
+    @settings(max_examples=50, deadline=None)
+    @given(thin=st.integers(1, 3), wide=st.integers(1, 200), transpose=st.booleans())
+    def test_thin_shapes_beyond_the_cap(self, thin, wide, transpose):
+        m, n = (wide, thin) if transpose else (thin, wide)
+        instance = build_instance(m, -n, 10_000)
+        matrix = build_payoff_matrix(instance)
+        profiles = instance_mixed_profiles(instance)
+        assert len(profiles) == profile_count(m, n)
+        for prof in profiles:
+            assert verify_equilibrium(matrix, prof, F(0))
+
+    def test_cleared_player_has_no_game(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            instance_mixed_profiles(GameInstance(0, -2, 10))
 
 
 def distributions(size: int):
