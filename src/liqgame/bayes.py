@@ -9,9 +9,8 @@ which the initiator is indifferent between its two strategies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .core import (
     Bimatrix,
@@ -34,14 +33,18 @@ class NoDependenceOnPrior(LiquidityGameError):
     pass
 
 
-@dataclass(frozen=True)
-class TypeSpace:
-    """Ordered type labels and a prior over them."""
-
+class _TypeSpace(NamedTuple):
     types: tuple[str, ...]
     prior: tuple[float, ...]
 
-    def __post_init__(self) -> None:
+
+class TypeSpace(_TypeSpace):
+    """Ordered type labels and a prior over them."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "TypeSpace":
+        self = super().__new__(cls, *args, **kwargs)
         if len(self.types) != len(self.prior):
             raise ValueError("prior length must match number of types")
         if not all(math.isfinite(p) for p in self.prior):
@@ -50,10 +53,17 @@ class TypeSpace:
             raise ValueError("prior entries must be non-negative")
         if abs(sum(self.prior) - 1.0) > EQUALITY_TOLERANCE:
             raise ValueError(f"prior must sum to 1, got {sum(self.prior)}")
+        return self
 
 
-@dataclass(frozen=True)
-class ConditionalGame:
+class _ConditionalGame(NamedTuple):
+    types: tuple[str, ...]
+    strategies_i: tuple[str, ...]
+    strategies_j: tuple[str, ...]
+    matrices: Mapping[str, Bimatrix]
+
+
+class ConditionalGame(_ConditionalGame):
     """One real-valued bimatrix per counterparty type.
 
     Rows are the initiator's strategies, columns the counterparty's;
@@ -61,12 +71,10 @@ class ConditionalGame:
     asymmetric here: the tables are stylised levels, not transfer counts.
     """
 
-    types: tuple[str, ...]
-    strategies_i: tuple[str, ...]
-    strategies_j: tuple[str, ...]
-    matrices: Mapping[str, Bimatrix]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> "ConditionalGame":
+        self = super().__new__(cls, *args, **kwargs)
         for t in self.types:
             if t not in self.matrices:
                 raise ValueError(f"missing matrix for type {t!r}")
@@ -75,6 +83,7 @@ class ConditionalGame:
                 len(row) != len(self.strategies_j) for row in grid
             ):
                 raise ValueError(f"matrix for type {t!r} has wrong dimensions")
+        return self
 
     def payoff(self, type_label: str, strategy_i: str, strategy_j: str) -> tuple[float, float]:
         if type_label not in self.matrices:
@@ -116,8 +125,7 @@ def load_bundled_game() -> tuple[ConditionalGame, TypeSpace]:
     return load_game_document(fixture_path("bayes_large_small.json"))
 
 
-@dataclass(frozen=True)
-class BayesianSolution:
+class BayesianSolution(NamedTuple):
     """Threshold summary: what the counterparty plays per type, and which
     initiator strategy is preferred on each side of the prior threshold."""
 

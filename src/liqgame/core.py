@@ -11,9 +11,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 
 class LiquidityGameError(Exception):
@@ -43,8 +42,7 @@ class Player(Enum):
     J = "J"
 
 
-@dataclass(frozen=True)
-class GameInstance:
+class GameInstance(NamedTuple):
     """A canonical two-player game state.
 
     ``build_instance`` is the validated entry point; instances produced by
@@ -56,8 +54,14 @@ class GameInstance:
     issue_cap: int
 
 
-@dataclass(frozen=True)
-class PayoffMatrix:
+class _PayoffMatrix(NamedTuple):
+    actions_i: tuple[int, ...]
+    actions_j: tuple[int, ...]
+    u_i: tuple[tuple[int, ...], ...]
+    u_j: tuple[tuple[int, ...], ...]
+
+
+class PayoffMatrix(_PayoffMatrix):
     """Bimatrix of integer payoffs, rows and columns in descending parcel size.
 
     ``u_i[r][c]`` and ``u_j[r][c]`` are the row and column player's payoffs
@@ -65,17 +69,16 @@ class PayoffMatrix:
     parcel ``actions_j[c]``.
     """
 
-    actions_i: tuple[int, ...]
-    actions_j: tuple[int, ...]
-    u_i: tuple[tuple[int, ...], ...]
-    u_j: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> "PayoffMatrix":
+        self = super().__new__(cls, *args, **kwargs)
         if len(self.u_i) != len(self.actions_i) or len(self.u_j) != len(self.actions_i):
             raise ValueError("row count does not match actions_i")
         for row in (*self.u_i, *self.u_j):
             if len(row) != len(self.actions_j):
                 raise ValueError("column count does not match actions_j")
+        return self
 
     @property
     def rows(self) -> int:

@@ -8,21 +8,26 @@ optimality asserted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class TransferProblem:
-    """Receiver's absolute need (A) and sender's holding (B)."""
-
+class _TransferProblem(NamedTuple):
     capacity_receiver: int
     capacity_sender: int
 
-    def __post_init__(self) -> None:
+
+class TransferProblem(_TransferProblem):
+    """Receiver's absolute need (A) and sender's holding (B)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "TransferProblem":
+        self = super().__new__(cls, *args, **kwargs)
         if self.capacity_receiver < 0:
             raise ValueError("capacity_receiver must be >= 0")
         if self.capacity_sender < 0:
             raise ValueError("capacity_sender must be >= 0")
+        return self
 
 
 def max_transfer(problem: TransferProblem) -> int:

@@ -12,9 +12,8 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional, Sequence
 
 from .core import LiquidityGameError
 from .fixtures import PUBLISHED_TABLES, fixture_path
@@ -64,20 +63,25 @@ def parse_label(text: str) -> Label:
     return (None, text)
 
 
-@dataclass(frozen=True)
-class CompositionMatrix:
-    """Real-valued bimatrix whose rows and columns are (type, strategy) pairs."""
-
+class _CompositionMatrix(NamedTuple):
     row_labels: tuple[Label, ...]
     col_labels: tuple[Label, ...]
     entries: tuple[tuple[tuple[float, float], ...], ...]
 
-    def __post_init__(self) -> None:
+
+class CompositionMatrix(_CompositionMatrix):
+    """Real-valued bimatrix whose rows and columns are (type, strategy) pairs."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "CompositionMatrix":
+        self = super().__new__(cls, *args, **kwargs)
         if len(self.entries) != len(self.row_labels):
             raise ValueError("row count does not match row_labels")
         for row in self.entries:
             if len(row) != len(self.col_labels):
                 raise ValueError("column count does not match col_labels")
+        return self
 
     def to_csv(self) -> str:
         out = io.StringIO()
@@ -188,8 +192,7 @@ def pairwise_base_from_conditional(
     }
 
 
-@dataclass(frozen=True)
-class QuadrantReport:
+class QuadrantReport(NamedTuple):
     """Volume sums per (row-type, col-type) quadrant, in table order."""
 
     quadrants: Mapping[tuple[str, str], float]

@@ -25,9 +25,8 @@ import numbers
 import operator
 import random
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Optional
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from .core import LiquidityGameError, is_int, transferred
 
@@ -41,21 +40,28 @@ class IntractableStrategy(LiquidityGameError):
     pass
 
 
-@dataclass(frozen=True)
-class StrategySpec:
-    """How a player turns a balance into a parcel size."""
-
+class _StrategySpec(NamedTuple):
     kind: str
     fraction: Optional[float] = None
 
-    def __post_init__(self) -> None:
+
+class StrategySpec(_StrategySpec):
+    """How a player turns a balance into a parcel size."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "StrategySpec":
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind not in STRATEGY_KINDS:
             raise ValueError(f"unknown strategy kind {self.kind!r}")
         if self.kind == "fixed_fraction":
-            if not isinstance(self.fraction, numbers.Real) or not 0 < self.fraction <= 1:
+            # bool is a numbers.Real, but JSON true/false is no fraction
+            real = isinstance(self.fraction, numbers.Real) and not isinstance(self.fraction, bool)
+            if not real or not 0 < self.fraction <= 1:
                 raise ValueError("fixed_fraction needs a fraction in (0, 1]")
         elif self.fraction is not None:
             raise ValueError(f"fraction is only valid for fixed_fraction, not {self.kind}")
+        return self
 
     def to_jsonable(self) -> dict:
         doc = {"kind": self.kind}
@@ -99,8 +105,7 @@ def parcel_size(strategy: StrategySpec, balance_abs: int) -> int:
     return _deterministic_parcel(strategy)(balance_abs)
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class _SimConfig(NamedTuple):
     trials: int
     balance_range_i: tuple[int, int] = (1, 1000)
     balance_range_j: tuple[int, int] = (-1000, -1)
@@ -110,7 +115,12 @@ class SimConfig:
     mode: str = "one_shot"
     max_rounds: int = 100
 
-    def __post_init__(self) -> None:
+
+class SimConfig(_SimConfig):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "SimConfig":
+        self = super().__new__(cls, *args, **kwargs)
         for name in ("trials", "seed", "max_rounds"):
             if not is_int(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer")
@@ -118,7 +128,7 @@ class SimConfig:
             pair = getattr(self, name)
             if not (isinstance(pair, (tuple, list)) and len(pair) == 2 and all(map(is_int, pair))):
                 raise ValueError(f"{name} must be a pair of integers")
-            object.__setattr__(self, name, tuple(pair))
+            self = self._replace(**{name: tuple(pair)})
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         lo_i, hi_i = self.balance_range_i
@@ -135,6 +145,7 @@ class SimConfig:
             raise ValueError(f"mode must be one of {MODES}")
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be >= 1")
+        return self
 
     def to_jsonable(self) -> dict:
         return {
@@ -161,8 +172,7 @@ class SimConfig:
         return cls(**kwargs)
 
 
-@dataclass(frozen=True)
-class TrialRecord:
+class TrialRecord(NamedTuple):
     balance_i: int
     balance_j: int
     volume: int
@@ -171,8 +181,7 @@ class TrialRecord:
     cleared: bool
 
 
-@dataclass(frozen=True)
-class SimReport:
+class SimReport(NamedTuple):
     trials: int
     trades_executed: int
     opportunities: int

@@ -13,9 +13,8 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .core import GameInstance, LiquidityGameError, PayoffMatrix, Player, dominance_relations
 
@@ -31,8 +30,7 @@ class DimensionMismatch(LiquidityGameError):
     pass
 
 
-@dataclass(frozen=True)
-class PureEquilibrium:
+class PureEquilibrium(NamedTuple):
     """A cell where neither player gains by a unilateral deviation."""
 
     row_index: int
@@ -47,8 +45,7 @@ class PureEquilibrium:
         }
 
 
-@dataclass(frozen=True)
-class MixedProfile:
+class MixedProfile(NamedTuple):
     """Per-player probability vectors over the action sets.
 
     Exact-rational entries when produced by ``solve_mixed``; grid rationals

@@ -271,6 +271,15 @@ class TestSimulateCommand:
         assert out == ""
         assert "one_shot" in err
 
+    def test_boolean_fraction_in_config_exit_two(self, capsys, tmp_path):
+        config = tmp_path / "sim.json"
+        strategy = {"kind": "fixed_fraction", "fraction": True}
+        config.write_text(json.dumps({"trials": 5, "seed": 1, "strategy_i": strategy}))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(config))
+        assert code == 2
+        assert out == ""
+        assert err == "error: ValueError: fixed_fraction needs a fraction in (0, 1]\n"
+
     def test_invalid_range_exit_two(self, capsys):
         code, _, err = run_cli(
             capsys, "simulate", "--trials", "5", "--seed", "1", "--range-i", "0:10"

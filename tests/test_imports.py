@@ -1,6 +1,7 @@
 """Each process imports only what it runs: ``import liqgame`` loads no
 submodule, a CLI subcommand loads the modules its handler uses, and nothing
-in the library loads numpy, which is not a runtime dependency.
+in the library loads numpy, which is not a runtime dependency, or
+dataclasses, which costs milliseconds of start-up.
 Each check runs in a fresh interpreter, since this one has loaded them all."""
 
 import json
@@ -107,7 +108,7 @@ def loaded_after_main(argv):
         "import contextlib, io, json, sys; from liqgame import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert cli.main({argv!r}) == 0\n"
-        "watched = ('liqgame', 'numpy', 'secrets', 'traceback')\n"
+        "watched = ('liqgame', 'numpy', 'secrets', 'traceback', 'dataclasses', 'inspect')\n"
         "print(json.dumps([m for m in sys.modules if m.split('.')[0] in watched]))"
     )
     return set(json.loads(run_fresh(code)))
@@ -129,8 +130,9 @@ CLI_BASE = {"liqgame", "liqgame.cli", "liqgame.core", "liqgame.fixtures"}
     ids=["lp", "solve", "solve-csv", "bayes", "market-published", "market-constructive"],
 )
 def test_subcommand_loads_only_its_modules(argv, modules):
-    # numpy, secrets (the simulate seed draw) and traceback (the exit-1
-    # branch) stay unloaded too
+    # numpy, secrets (the simulate seed draw), traceback (the exit-1
+    # branch), dataclasses and inspect (records are NamedTuples) stay
+    # unloaded too
     assert loaded_after_main(argv) == CLI_BASE | modules
 
 
@@ -138,6 +140,16 @@ def test_simulate_loads_sim_only():
     # with --seed nothing is drawn from secrets, and the engine needs no numpy
     loaded = loaded_after_main(["simulate", "--trials", "50", "--seed", "1"])
     assert loaded == CLI_BASE | {"liqgame.sim"}
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # dataclasses pulls in inspect, ast, dis and tokenize: milliseconds of
+    # every process's start-up
+    code = (
+        "import sys, liqgame.cli\n"
+        "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])"
+    )
+    assert run_fresh(code) == "[]\n"
 
 
 def test_import_loads_no_submodule():

@@ -2,7 +2,6 @@ import hashlib
 import json
 import math
 import random
-from dataclasses import astuple
 from fractions import Fraction
 
 import pytest
@@ -63,6 +62,14 @@ class TestStrategySpec:
             StrategySpec("fixed_fraction", fraction="0.5")
         with pytest.raises(ValueError):
             StrategySpec.from_jsonable(5)
+
+    def test_boolean_fraction_rejected(self):
+        # bool is a numbers.Real, so True would pass as 1 and fail only when
+        # a parcel is computed
+        with pytest.raises(ValueError, match=r"^fixed_fraction needs a fraction in \(0, 1\]$"):
+            StrategySpec("fixed_fraction", True)
+        with pytest.raises(ValueError, match="fixed_fraction needs"):
+            StrategySpec.from_jsonable({"kind": "fixed_fraction", "fraction": True})
 
     def test_parcel_rounds_half_up_with_floor_one(self):
         assert parcel_size(StrategySpec("fixed_fraction", 0.5), 5) == 3
@@ -179,7 +186,7 @@ class TestRepeated:
                 volume, trades, rounds = volume + moved, trades + (moved > 0), rounds + 1
             cleared = held == 0 or needed == 0
             replayed.append((record.balance_i, record.balance_j, volume, rounds, trades, cleared))
-            assert astuple(record) == replayed[-1]
+            assert tuple(record) == replayed[-1]
         assert {fields[-1] for fields in replayed} == {True, False}
         # A budget far beyond the replay: idle trials settle at once with
         # rounds_played equal to the budget, so the block plays at most 30
@@ -193,7 +200,7 @@ class TestRepeated:
             return lambda *args: calls.append(1) or parcels(*args)
 
         monkeypatch.setattr(sim, "_parcel_rule", counted_rule)
-        huge = [astuple(r) for r in iter_trials(SimConfig(max_rounds=budget, **base))]
+        huge = [tuple(r) for r in iter_trials(SimConfig(max_rounds=budget, **base))]
         assert huge == [f if f[-1] else f[:3] + (budget,) + f[4:] for f in replayed]
         assert len(calls) <= 2 * 30
 
