@@ -26,7 +26,6 @@ _EXPORTS = {
     "TransferProblem": "lp",
     "TypeSpace": "bayes",
     "analytic_hit_ratio": "sim",
-    "apply_trade": "core",
     "best_quadrant": "market",
     "brute_force_oracle": "solver",
     "build_instance": "core",

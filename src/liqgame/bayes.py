@@ -14,6 +14,7 @@ from typing import Mapping, NamedTuple, Optional
 
 from .core import (
     Bimatrix,
+    Checked,
     LiquidityGameError,
     dominance_relations,
     json_object,
@@ -38,13 +39,12 @@ class _TypeSpace(NamedTuple):
     prior: tuple[float, ...]
 
 
-class TypeSpace(_TypeSpace):
+class TypeSpace(Checked, _TypeSpace):
     """Ordered type labels and a prior over them."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs) -> "TypeSpace":
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> "TypeSpace":
         if len(self.types) != len(self.prior):
             raise ValueError("prior length must match number of types")
         if not all(math.isfinite(p) for p in self.prior):
@@ -63,7 +63,7 @@ class _ConditionalGame(NamedTuple):
     matrices: Mapping[str, Bimatrix]
 
 
-class ConditionalGame(_ConditionalGame):
+class ConditionalGame(Checked, _ConditionalGame):
     """One real-valued bimatrix per counterparty type.
 
     Rows are the initiator's strategies, columns the counterparty's;
@@ -73,8 +73,7 @@ class ConditionalGame(_ConditionalGame):
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs) -> "ConditionalGame":
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> "ConditionalGame":
         for t in self.types:
             if t not in self.matrices:
                 raise ValueError(f"missing matrix for type {t!r}")

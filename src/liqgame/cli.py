@@ -52,7 +52,7 @@ def build_solve_report(instance: core.GameInstance, dimension_cap: Optional[int]
     solver.check_dimension_cap(abs(instance.balance_i), abs(instance.balance_j), dimension_cap)
     matrix = core.build_payoff_matrix(instance)
     return {
-        "instance": core.instance_to_jsonable(instance),
+        "instance": instance._asdict(),
         "actions_i": list(matrix.actions_i),
         "actions_j": list(matrix.actions_j),
         "payoff_matrix": matrix.to_jsonable(),
@@ -268,7 +268,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.format == "csv":
         _emit(args.output, report.histogram_csv())
     else:
-        _emit(args.output, report.to_json())
+        _emit(args.output, _dumps(report.to_jsonable()))
     if args.histogram is not None:
         _atomic_write(Path(args.histogram), report.histogram_csv())
     return 0

@@ -31,10 +31,6 @@ class CapExceeded(LiquidityGameError):
     pass
 
 
-class OverTrade(LiquidityGameError):
-    pass
-
-
 class Player(Enum):
     """The long side (I, positive balance) or the short side (J, negative)."""
 
@@ -45,13 +41,32 @@ class Player(Enum):
 class GameInstance(NamedTuple):
     """A canonical two-player game state.
 
-    ``build_instance`` is the validated entry point; instances produced by
-    ``apply_trade`` may carry a zero balance (a cleared player).
+    ``build_instance`` is the validated entry point; the record itself runs
+    no checks.
     """
 
     balance_i: int
     balance_j: int
     issue_cap: int
+
+
+class Checked:
+    """Base of the records that check their fields.
+
+    Put first among the bases of a NamedTuple subclass, it runs the
+    subclass's ``_check`` on every record built, by a class call, ``_make``
+    or ``_replace`` (which builds through ``_make``). ``_check`` raises on a
+    bad field and returns the record to keep.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        return super().__new__(cls, *args, **kwargs)._check()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 class _PayoffMatrix(NamedTuple):
@@ -61,7 +76,7 @@ class _PayoffMatrix(NamedTuple):
     u_j: tuple[tuple[int, ...], ...]
 
 
-class PayoffMatrix(_PayoffMatrix):
+class PayoffMatrix(Checked, _PayoffMatrix):
     """Bimatrix of integer payoffs, rows and columns in descending parcel size.
 
     ``u_i[r][c]`` and ``u_j[r][c]`` are the row and column player's payoffs
@@ -71,8 +86,7 @@ class PayoffMatrix(_PayoffMatrix):
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs) -> "PayoffMatrix":
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> "PayoffMatrix":
         if len(self.u_i) != len(self.actions_i) or len(self.u_j) != len(self.actions_i):
             raise ValueError("row count does not match actions_i")
         for row in (*self.u_i, *self.u_j):
@@ -181,32 +195,6 @@ def dominance_relations(vectors: Sequence[Sequence]) -> list[tuple[int, int, str
             strict = all(vg > vd for vg, vd in zip(vectors[g], vectors[d]))
             relations.append((d, g, "strict" if strict else "weak"))
     return relations
-
-
-def apply_trade(instance: GameInstance, quantity: int) -> GameInstance:
-    """Move ``quantity`` bonds from the long to the short player.
-
-    Balance totals are conserved and neither balance may cross zero; a
-    quantity that would flip a sign raises OverTrade.
-    """
-    if quantity <= 0:
-        raise ValueError(f"trade quantity must be positive, got {quantity}")
-    if quantity > min(abs(instance.balance_i), abs(instance.balance_j)):
-        raise OverTrade(
-            f"trade of {quantity} would flip a sign: balances "
-            f"{instance.balance_i}, {instance.balance_j}"
-        )
-    return GameInstance(
-        instance.balance_i - quantity, instance.balance_j + quantity, instance.issue_cap
-    )
-
-
-def instance_to_jsonable(instance: GameInstance) -> dict:
-    return {
-        "balance_i": instance.balance_i,
-        "balance_j": instance.balance_j,
-        "issue_cap": instance.issue_cap,
-    }
 
 
 def is_int(value) -> bool:

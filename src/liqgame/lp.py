@@ -10,19 +10,20 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from .core import Checked
+
 
 class _TransferProblem(NamedTuple):
     capacity_receiver: int
     capacity_sender: int
 
 
-class TransferProblem(_TransferProblem):
+class TransferProblem(Checked, _TransferProblem):
     """Receiver's absolute need (A) and sender's holding (B)."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs) -> "TransferProblem":
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> "TransferProblem":
         if self.capacity_receiver < 0:
             raise ValueError("capacity_receiver must be >= 0")
         if self.capacity_sender < 0:

@@ -15,7 +15,7 @@ import math
 from decimal import ROUND_HALF_UP, Decimal
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional, Sequence
 
-from .core import LiquidityGameError
+from .core import Checked, LiquidityGameError
 from .fixtures import PUBLISHED_TABLES, fixture_path
 
 if TYPE_CHECKING:
@@ -69,13 +69,12 @@ class _CompositionMatrix(NamedTuple):
     entries: tuple[tuple[tuple[float, float], ...], ...]
 
 
-class CompositionMatrix(_CompositionMatrix):
+class CompositionMatrix(Checked, _CompositionMatrix):
     """Real-valued bimatrix whose rows and columns are (type, strategy) pairs."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs) -> "CompositionMatrix":
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> "CompositionMatrix":
         if len(self.entries) != len(self.row_labels):
             raise ValueError("row count does not match row_labels")
         for row in self.entries:
@@ -209,21 +208,19 @@ class QuadrantReport(NamedTuple):
         }
 
 
+def _label_types(labels: Sequence[Label], side: str) -> list[str]:
+    """The distinct type components of one side's labels, in table order."""
+    kinds = list(dict.fromkeys(kind for kind, _ in labels))
+    if None in kinds:
+        raise NotTwoTypes(f"{side} labels carry no type component")
+    return kinds
+
+
 def quadrant_analysis(matrix: CompositionMatrix) -> QuadrantReport:
     """Sum both payoff components per type quadrant; volume is the summed
     pair because only that convention reconciles the published totals."""
-    row_types = []
-    for kind, _ in matrix.row_labels:
-        if kind is None:
-            raise NotTwoTypes("row labels carry no type component")
-        if kind not in row_types:
-            row_types.append(kind)
-    col_types = []
-    for kind, _ in matrix.col_labels:
-        if kind is None:
-            raise NotTwoTypes("column labels carry no type component")
-        if kind not in col_types:
-            col_types.append(kind)
+    row_types = _label_types(matrix.row_labels, "row")
+    col_types = _label_types(matrix.col_labels, "column")
     if len(row_types) != 2 or len(col_types) != 2:
         raise NotTwoTypes(
             f"expected exactly two types per side, got {row_types} x {col_types}"
@@ -248,9 +245,4 @@ def best_quadrant(report: QuadrantReport) -> tuple[str, str]:
     """Highest-volume quadrant; ties go to the earliest in table order."""
     if not report.quadrants:
         raise ValueError("report has no quadrants")
-    best_key = None
-    best_total = None
-    for key, total in report.quadrants.items():
-        if best_total is None or total > best_total:
-            best_key, best_total = key, total
-    return best_key
+    return max(report.quadrants, key=report.quadrants.get)

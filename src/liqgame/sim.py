@@ -19,7 +19,6 @@ versions, which drew from PCG64 generators.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import numbers
 import operator
@@ -28,7 +27,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional
 
-from .core import LiquidityGameError, is_int, transferred
+from .core import Checked, LiquidityGameError, is_int, transferred
 
 STRATEGY_KINDS = ("fixed_fraction", "uniform_random", "full_balance")
 MODES = ("one_shot", "repeated")
@@ -45,13 +44,12 @@ class _StrategySpec(NamedTuple):
     fraction: Optional[float] = None
 
 
-class StrategySpec(_StrategySpec):
+class StrategySpec(Checked, _StrategySpec):
     """How a player turns a balance into a parcel size."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs) -> "StrategySpec":
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> "StrategySpec":
         if self.kind not in STRATEGY_KINDS:
             raise ValueError(f"unknown strategy kind {self.kind!r}")
         if self.kind == "fixed_fraction":
@@ -116,11 +114,10 @@ class _SimConfig(NamedTuple):
     max_rounds: int = 100
 
 
-class SimConfig(_SimConfig):
+class SimConfig(Checked, _SimConfig):
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs) -> "SimConfig":
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> "SimConfig":
         for name in ("trials", "seed", "max_rounds"):
             if not is_int(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer")
@@ -128,7 +125,8 @@ class SimConfig(_SimConfig):
             pair = getattr(self, name)
             if not (isinstance(pair, (tuple, list)) and len(pair) == 2 and all(map(is_int, pair))):
                 raise ValueError(f"{name} must be a pair of integers")
-            self = self._replace(**{name: tuple(pair)})
+            if isinstance(pair, list):  # _replace runs these checks again
+                return self._replace(**{name: tuple(pair)})
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         lo_i, hi_i = self.balance_range_i
@@ -149,14 +147,9 @@ class SimConfig(_SimConfig):
 
     def to_jsonable(self) -> dict:
         return {
-            "trials": self.trials,
-            "balance_range_i": list(self.balance_range_i),
-            "balance_range_j": list(self.balance_range_j),
+            **self._asdict(),
             "strategy_i": self.strategy_i.to_jsonable(),
             "strategy_j": self.strategy_j.to_jsonable(),
-            "seed": self.seed,
-            "mode": self.mode,
-            "max_rounds": self.max_rounds,
         }
 
     @classmethod
@@ -194,24 +187,9 @@ class SimReport(NamedTuple):
     mode: str
 
     def to_jsonable(self) -> dict:
-        return {
-            "trials": self.trials,
-            "trades_executed": self.trades_executed,
-            "opportunities": self.opportunities,
-            "hit_ratio": self.hit_ratio,
-            "total_volume": self.total_volume,
-            "mean_volume_per_trial": self.mean_volume_per_trial,
-            "rounds_to_clear_histogram": {
-                str(k): self.rounds_to_clear_histogram[k]
-                for k in sorted(self.rounds_to_clear_histogram)
-            },
-            "uncleared_trials": self.uncleared_trials,
-            "seed": self.seed,
-            "mode": self.mode,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_jsonable(), indent=2, sort_keys=True) + "\n"
+        # JSON keys are strings: the writer's sort_keys puts "10" before "2"
+        histogram = {str(k): n for k, n in self.rounds_to_clear_histogram.items()}
+        return {**self._asdict(), "rounds_to_clear_histogram": histogram}
 
     def histogram_csv(self) -> str:
         lines = ["rounds,count"]

@@ -155,7 +155,7 @@ def test_criterion_7_simulation_convergence():
     )
     first = run_simulation(config)
     second = run_simulation(config)
-    assert first.to_json() == second.to_json()
+    assert cli._dumps(first.to_jsonable()) == cli._dumps(second.to_jsonable())
     expected = analytic_hit_ratio(
         config.balance_range_i,
         config.balance_range_j,

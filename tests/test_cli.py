@@ -476,7 +476,7 @@ class TestThinAdapter:
 
         code, out, _ = run_cli(capsys, "simulate", "--trials", "500", "--seed", "42")
         assert code == 0
-        assert out == sim.run_simulation(sim.SimConfig(trials=500, seed=42)).to_json()
+        assert out == cli._dumps(sim.run_simulation(sim.SimConfig(trials=500, seed=42)).to_jsonable())
 
 
 class TestOutputHandling:

@@ -6,15 +6,12 @@ from hypothesis import strategies as st
 
 from liqgame.core import (
     CapExceeded,
-    OverTrade,
     PayoffMatrix,
     SameSignBalances,
     ZeroBalance,
-    apply_trade,
     build_instance,
     build_payoff_matrix,
     instance_from_json,
-    instance_to_jsonable,
     transferred,
 )
 
@@ -137,45 +134,10 @@ class TestPayoffMatrix:
             PayoffMatrix(actions_i=(1,), actions_j=(2, 1), u_i=u_i, u_j=u_j)
 
 
-class TestApplyTrade:
-    def test_acceptor_cleared(self):
-        inst = apply_trade(build_instance(5, -3, 100), 3)
-        assert (inst.balance_i, inst.balance_j) == (2, 0)
-
-    def test_sign_preservation(self):
-        with pytest.raises(OverTrade):
-            apply_trade(build_instance(5, -3, 100), 4)
-
-    def test_pure_equilibrium_cell_clears_both(self):
-        # replay the (2, 2) cell of the 2x2 table through the trade rule
-        inst = build_instance(2, -2, 100)
-        matrix = build_payoff_matrix(inst)
-        quantity, _ = matrix.entries[0][0]
-        after = apply_trade(inst, quantity)
-        assert (after.balance_i, after.balance_j) == (0, 0)
-
-    def test_zero_quantity_rejected(self):
-        with pytest.raises(ValueError):
-            apply_trade(build_instance(2, -2, 100), 0)
-
-    @given(
-        b_i=st.integers(1, 500),
-        b_j=st.integers(1, 500),
-        data=st.data(),
-    )
-    def test_conserves_total_and_signs(self, b_i, b_j, data):
-        inst = build_instance(b_i, -b_j, 1000)
-        quantity = data.draw(st.integers(1, min(b_i, b_j)))
-        after = apply_trade(inst, quantity)
-        assert after.balance_i + after.balance_j == inst.balance_i + inst.balance_j
-        assert after.balance_i >= 0
-        assert after.balance_j <= 0
-
-
 class TestInstanceSerialization:
     def test_round_trip(self):
         inst = build_instance(17, -5, 400)
-        doc = json.dumps(instance_to_jsonable(inst))
+        doc = json.dumps(inst._asdict())
         assert json.loads(doc) == {"balance_i": 17, "balance_j": -5, "issue_cap": 400}
         again = instance_from_json(doc)
         assert (again.balance_i, again.balance_j, again.issue_cap) == (17, -5, 400)
@@ -220,7 +182,7 @@ class TestRoundTripProperties:
         cap = max(long, short) + headroom
         args = (long, -short) if long_first else (-short, long)
         inst = build_instance(*args, cap)
-        assert instance_from_json(json.dumps(instance_to_jsonable(inst))) == inst
+        assert instance_from_json(json.dumps(inst._asdict())) == inst
 
     @given(
         st.integers(1, 6).flatmap(

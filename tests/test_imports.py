@@ -212,7 +212,6 @@ def test_public_name_list_is_pinned():
         "TransferProblem",
         "TypeSpace",
         "analytic_hit_ratio",
-        "apply_trade",
         "best_quadrant",
         "brute_force_oracle",
         "build_instance",

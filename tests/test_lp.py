@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from liqgame import core
 from liqgame.lp import TransferProblem, max_transfer
 
 
@@ -35,7 +34,7 @@ def test_symmetry_and_feasibility(a, b):
 
 @given(b_i=st.integers(1, 1000), b_j=st.integers(1, 1000))
 def test_transfer_clears_at_least_one_player(b_i, b_j):
-    instance = core.build_instance(b_i, -b_j, 1000)
     quantity = max_transfer(TransferProblem(b_j, b_i))
-    cleared = core.apply_trade(instance, quantity)
-    assert cleared.balance_i == 0 or cleared.balance_j == 0
+    held, owed = b_i - quantity, b_j - quantity
+    assert held >= 0 and owed >= 0
+    assert held == 0 or owed == 0

@@ -1,6 +1,8 @@
 """The library's fourteen record types: how they are built, printed,
 compared and validated. Records are immutable named tuples."""
 
+import copy
+import sys
 from fractions import Fraction
 
 import pytest
@@ -225,58 +227,116 @@ def game(**fields):
     return bayes.ConditionalGame(**{**base, **fields})
 
 
+# Valid records, one per checked record type, that the cases below spoil.
+MATRIX = one_cell()
+RANDOM = sim.StrategySpec("uniform_random")
+CONFIG = sim.SimConfig(1)
+SPACE = bayes.TypeSpace(("a", "b"), (0.5, 0.5))
+GAME = game()
+COMPOSITION = market.CompositionMatrix((("a", "x"),), ((None, "y"),), (((1.0, 1.0),),))
+TRANSFER = lp.TransferProblem(1, 10)
+
+# A valid record, the fields that spoil it, and the refusal they meet.
 INVALID = [
-    (lambda: one_cell(u_i=((1,), (1,))), "row count does not match actions_i"),
-    (lambda: one_cell(u_j=()), "row count does not match actions_i"),
-    (lambda: one_cell(u_j=((1, 2),)), "column count does not match actions_j"),
-    (lambda: sim.StrategySpec("nope"), "unknown strategy kind 'nope'"),
-    (lambda: sim.StrategySpec("fixed_fraction"), "fixed_fraction needs a fraction in (0, 1]"),
-    (lambda: sim.StrategySpec("fixed_fraction", 0), "fixed_fraction needs a fraction in (0, 1]"),
-    (lambda: sim.StrategySpec("fixed_fraction", 1.5), "fixed_fraction needs a fraction in (0, 1]"),
-    (lambda: sim.StrategySpec("fixed_fraction", "0.5"), "fixed_fraction needs a fraction in (0, 1]"),
-    (lambda: sim.StrategySpec("fixed_fraction", True), "fixed_fraction needs a fraction in (0, 1]"),
-    (
-        lambda: sim.StrategySpec("full_balance", 0.5),
-        "fraction is only valid for fixed_fraction, not full_balance",
-    ),
-    (lambda: sim.SimConfig(0), "trials must be >= 1"),
-    (lambda: sim.SimConfig("1"), "trials must be an integer"),
-    (lambda: sim.SimConfig("x", balance_range_i=5), "trials must be an integer"),
-    (lambda: sim.SimConfig(1, seed=1.0), "seed must be an integer"),
-    (lambda: sim.SimConfig(1, max_rounds=True), "max_rounds must be an integer"),
-    (lambda: sim.SimConfig(1, balance_range_i=5), "balance_range_i must be a pair of integers"),
-    (lambda: sim.SimConfig(1, balance_range_i=(1, 2, 3)), "balance_range_i must be a pair of integers"),
-    (lambda: sim.SimConfig(1, balance_range_j=[-1.0, -2]), "balance_range_j must be a pair of integers"),
-    (lambda: sim.SimConfig(1, balance_range_i=(5, 1)), "balance ranges must be nonempty (lo <= hi)"),
-    (lambda: sim.SimConfig(1, balance_range_j=(-1, -5)), "balance ranges must be nonempty (lo <= hi)"),
-    (lambda: sim.SimConfig(1, balance_range_i=(0, 1)), "balance_range_i must be strictly positive"),
-    (lambda: sim.SimConfig(1, balance_range_j=(-5, 0)), "balance_range_j must be strictly negative"),
-    (lambda: sim.SimConfig(1, seed=-1), "seed must be an unsigned 64-bit integer"),
-    (lambda: sim.SimConfig(1, seed=2**64), "seed must be an unsigned 64-bit integer"),
-    (lambda: sim.SimConfig(1, mode="x"), "mode must be one of ('one_shot', 'repeated')"),
-    (lambda: sim.SimConfig(1, max_rounds=0), "max_rounds must be >= 1"),
-    (lambda: bayes.TypeSpace(("a",), (0.5, 0.5)), "prior length must match number of types"),
-    (lambda: bayes.TypeSpace(("a", "b"), (float("inf"), 0.5)), "prior entries must be finite"),
-    (lambda: bayes.TypeSpace(("a", "b"), (-0.5, 1.5)), "prior entries must be non-negative"),
-    (lambda: bayes.TypeSpace(("a", "b"), (0.5, 0.6)), "prior must sum to 1, got 1.1"),
-    (lambda: game(matrices={}), "missing matrix for type 'a'"),
-    (lambda: game(strategies_j=("y", "z")), "matrix for type 'a' has wrong dimensions"),
-    (
-        lambda: market.CompositionMatrix((("a", "x"),), (), ()),
-        "row count does not match row_labels",
-    ),
-    (
-        lambda: market.CompositionMatrix((("a", "x"),), (), (((1.0, 1.0),),)),
-        "column count does not match col_labels",
-    ),
-    (lambda: lp.TransferProblem(-1, 10), "capacity_receiver must be >= 0"),
-    (lambda: lp.TransferProblem(1, -10), "capacity_sender must be >= 0"),
+    (MATRIX, dict(u_i=((1,), (1,))), "row count does not match actions_i"),
+    (MATRIX, dict(u_j=()), "row count does not match actions_i"),
+    (MATRIX, dict(u_j=((1, 2),)), "column count does not match actions_j"),
+    (RANDOM, dict(kind="nope"), "unknown strategy kind 'nope'"),
+    (RANDOM, dict(kind="fixed_fraction"), "fixed_fraction needs a fraction in (0, 1]"),
+    (SPEC, dict(fraction=0), "fixed_fraction needs a fraction in (0, 1]"),
+    (SPEC, dict(fraction=1.5), "fixed_fraction needs a fraction in (0, 1]"),
+    (SPEC, dict(fraction="0.5"), "fixed_fraction needs a fraction in (0, 1]"),
+    (SPEC, dict(fraction=True), "fixed_fraction needs a fraction in (0, 1]"),
+    (SPEC, dict(kind="full_balance"), "fraction is only valid for fixed_fraction, not full_balance"),
+    (CONFIG, dict(trials=0), "trials must be >= 1"),
+    (CONFIG, dict(trials="1"), "trials must be an integer"),
+    (CONFIG, dict(trials="x", balance_range_i=5), "trials must be an integer"),
+    (CONFIG, dict(seed=1.0), "seed must be an integer"),
+    (CONFIG, dict(max_rounds=True), "max_rounds must be an integer"),
+    (CONFIG, dict(balance_range_i=5), "balance_range_i must be a pair of integers"),
+    (CONFIG, dict(balance_range_i=(1, 2, 3)), "balance_range_i must be a pair of integers"),
+    (CONFIG, dict(balance_range_j=[-1.0, -2]), "balance_range_j must be a pair of integers"),
+    (CONFIG, dict(balance_range_i=(5, 1)), "balance ranges must be nonempty (lo <= hi)"),
+    (CONFIG, dict(balance_range_j=(-1, -5)), "balance ranges must be nonempty (lo <= hi)"),
+    (CONFIG, dict(balance_range_i=(0, 1)), "balance_range_i must be strictly positive"),
+    (CONFIG, dict(balance_range_j=(-5, 0)), "balance_range_j must be strictly negative"),
+    (CONFIG, dict(seed=-1), "seed must be an unsigned 64-bit integer"),
+    (CONFIG, dict(seed=2**64), "seed must be an unsigned 64-bit integer"),
+    (CONFIG, dict(mode="x"), "mode must be one of ('one_shot', 'repeated')"),
+    (CONFIG, dict(max_rounds=0), "max_rounds must be >= 1"),
+    (SPACE, dict(types=("a",)), "prior length must match number of types"),
+    (SPACE, dict(prior=(float("inf"), 0.5)), "prior entries must be finite"),
+    (SPACE, dict(prior=(-0.5, 1.5)), "prior entries must be non-negative"),
+    (SPACE, dict(prior=(0.5, 0.6)), "prior must sum to 1, got 1.1"),
+    (GAME, dict(matrices={}), "missing matrix for type 'a'"),
+    (GAME, dict(strategies_j=("y", "z")), "matrix for type 'a' has wrong dimensions"),
+    (COMPOSITION, dict(entries=()), "row count does not match row_labels"),
+    (COMPOSITION, dict(col_labels=()), "column count does not match col_labels"),
+    (TRANSFER, dict(capacity_receiver=-1), "capacity_receiver must be >= 0"),
+    (TRANSFER, dict(capacity_sender=-10), "capacity_sender must be >= 0"),
 ]
+INVALID_IDS = [message for *_, message in INVALID]
 
 
-@pytest.mark.parametrize("build,message", INVALID, ids=[m for _, m in INVALID])
-def test_validation_error_class_and_message(build, message):
+def by_call(record, fields):
+    return type(record)(**{**record._asdict(), **fields})
+
+
+def by_make(record, fields):
+    return type(record)._make({**record._asdict(), **fields}.values())
+
+
+def by_replace(record, fields):
+    return record._replace(**fields)
+
+
+def by_copy_replace(record, fields):
+    return copy.replace(record, **fields)
+
+
+def assert_refused(build, record, fields, message):
     with pytest.raises(ValueError) as caught:
-        build()
+        build(record, fields)
     assert type(caught.value) is ValueError
     assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("record,fields,message", INVALID, ids=INVALID_IDS)
+def test_validation_error_class_and_message(record, fields, message):
+    assert_refused(by_call, record, fields, message)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        by_make,
+        by_replace,
+        pytest.param(
+            by_copy_replace,
+            marks=pytest.mark.skipif(sys.version_info < (3, 13), reason="copy.replace is new in 3.13"),
+        ),
+    ],
+)
+@pytest.mark.parametrize("record,fields,message", INVALID, ids=INVALID_IDS)
+def test_make_and_replace_run_the_same_checks(build, record, fields, message):
+    assert_refused(build, record, fields, message)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [dict(trials=0), dict(balance_range_i=[3, 1])],
+    ids=["no_trials", "empty_range"],
+)
+def test_replace_cannot_hand_the_engine_a_bad_config(fields):
+    # either config used to build, then fail in run_simulation: a division
+    # by zero trials, or a draw below an empty range that never returned
+    with pytest.raises(ValueError):
+        sim.SimConfig(5, seed=1)._replace(**fields)
+
+
+def test_replace_turns_list_ranges_into_tuples():
+    config = sim.SimConfig(5, seed=1)._replace(balance_range_i=[2, 4], balance_range_j=[-3, -2])
+    assert config == sim.SimConfig(5, (2, 4), (-3, -2), seed=1)
+    assert type(config.balance_range_i) is tuple
+    assert type(config.balance_range_j) is tuple
+    assert type(config) is sim.SimConfig
