@@ -24,7 +24,6 @@ _EXPORTS = {
     "SimReport": "sim",
     "StrategySpec": "sim",
     "TransferProblem": "lp",
-    "TypeSpace": "bayes",
     "analytic_hit_ratio": "sim",
     "best_quadrant": "market",
     "brute_force_oracle": "solver",

@@ -34,37 +34,17 @@ class NoDependenceOnPrior(LiquidityGameError):
     pass
 
 
-class _TypeSpace(NamedTuple):
-    types: tuple[str, ...]
-    prior: tuple[float, ...]
-
-
-class TypeSpace(Checked, _TypeSpace):
-    """Ordered type labels and a prior over them."""
-
-    __slots__ = ()
-
-    def _check(self) -> "TypeSpace":
-        if len(self.types) != len(self.prior):
-            raise ValueError("prior length must match number of types")
-        if not all(math.isfinite(p) for p in self.prior):
-            raise ValueError("prior entries must be finite")
-        if any(p < 0 for p in self.prior):
-            raise ValueError("prior entries must be non-negative")
-        if abs(sum(self.prior) - 1.0) > EQUALITY_TOLERANCE:
-            raise ValueError(f"prior must sum to 1, got {sum(self.prior)}")
-        return self
-
-
 class _ConditionalGame(NamedTuple):
     types: tuple[str, ...]
     strategies_i: tuple[str, ...]
     strategies_j: tuple[str, ...]
     matrices: Mapping[str, Bimatrix]
+    prior: tuple[float, ...]
 
 
 class ConditionalGame(Checked, _ConditionalGame):
-    """One real-valued bimatrix per counterparty type.
+    """One real-valued bimatrix per counterparty type, and the common prior
+    over the types.
 
     Rows are the initiator's strategies, columns the counterparty's;
     entries are (initiator payoff, counterparty payoff). Payoffs may be
@@ -82,6 +62,14 @@ class ConditionalGame(Checked, _ConditionalGame):
                 len(row) != len(self.strategies_j) for row in grid
             ):
                 raise ValueError(f"matrix for type {t!r} has wrong dimensions")
+        if len(self.types) != len(self.prior):
+            raise ValueError("prior length must match number of types")
+        if not all(math.isfinite(p) for p in self.prior):
+            raise ValueError("prior entries must be finite")
+        if any(p < 0 for p in self.prior):
+            raise ValueError("prior entries must be non-negative")
+        if abs(sum(self.prior) - 1.0) > EQUALITY_TOLERANCE:
+            raise ValueError(f"prior must sum to 1, got {sum(self.prior)}")
         return self
 
     def payoff(self, type_label: str, strategy_i: str, strategy_j: str) -> tuple[float, float]:
@@ -107,19 +95,18 @@ class ConditionalGame(Checked, _ConditionalGame):
                 strategies_i = tuple(raw["strategies_i"])
                 strategies_j = tuple(raw["strategies_j"])
             matrices = {t: parse_bimatrix(grid) for t, grid in raw["matrices"].items()}
+            prior = parse_prior(raw["prior"])
         except (TypeError, AttributeError) as exc:  # a field of the wrong JSON type
             raise ValueError(f"malformed game document: {exc}") from None
-        return cls(types, strategies_i, strategies_j, matrices)
+        return cls(types, strategies_i, strategies_j, matrices, prior)
 
 
-def load_game_document(path: Path) -> tuple[ConditionalGame, TypeSpace]:
+def load_game_document(path: Path) -> ConditionalGame:
     """Read a game file carrying both the matrices and the prior."""
-    raw = json_object(path.read_text(), "game document")
-    game = ConditionalGame.from_jsonable(raw)
-    return game, TypeSpace(types=game.types, prior=parse_prior(raw["prior"]))
+    return ConditionalGame.from_jsonable(json_object(path.read_text(), "game document"))
 
 
-def load_bundled_game() -> tuple[ConditionalGame, TypeSpace]:
+def load_bundled_game() -> ConditionalGame:
     """The large-bank / small-bank game shipped with the package."""
     return load_game_document(fixture_path("bayes_large_small.json"))
 
@@ -128,20 +115,11 @@ class BayesianSolution(NamedTuple):
     """Threshold summary: what the counterparty plays per type, and which
     initiator strategy is preferred on each side of the prior threshold."""
 
-    per_type_strategy_j: Mapping[str, str]
+    responses: Mapping[str, str]
     threshold_p: float
-    strategy_i_above: str
-    strategy_i_below: str
+    strategy_above: str
+    strategy_below: str
     interior: bool
-
-    def to_jsonable(self) -> dict:
-        return {
-            "responses": dict(self.per_type_strategy_j),
-            "threshold_p": self.threshold_p,
-            "strategy_above": self.strategy_i_above,
-            "strategy_below": self.strategy_i_below,
-            "interior": self.interior,
-        }
 
 
 def dominant_strategy_per_type(
@@ -168,14 +146,11 @@ def dominant_strategy_per_type(
 
 
 def expected_payoff(
-    game: ConditionalGame,
-    space: TypeSpace,
-    strategy_i: str,
-    response_j: Mapping[str, str],
+    game: ConditionalGame, strategy_i: str, response_j: Mapping[str, str]
 ) -> float:
     """Prior-weighted initiator payoff against a per-type response map."""
     total = 0.0
-    for t, weight in zip(space.types, space.prior):
+    for t, weight in zip(game.types, game.prior):
         if t not in response_j:
             raise UnknownLabel(f"no response for type {t!r}")
         total += weight * game.payoff(t, strategy_i, response_j[t])[0]
@@ -183,10 +158,10 @@ def expected_payoff(
 
 
 def indifference_threshold(
-    game: ConditionalGame, space: TypeSpace, response_j: Mapping[str, str]
+    game: ConditionalGame, response_j: Mapping[str, str]
 ) -> BayesianSolution:
     """Solve for the weight on the first type at which the initiator's two
-    strategies have equal expected payoff.
+    strategies have equal expected payoff. The game's own prior plays no part.
 
     When the two expected payoffs never cross inside [0, 1] the threshold
     is clamped (1 when the first strategy is preferred throughout, else 0)
@@ -217,20 +192,9 @@ def indifference_threshold(
         root = -intercept / slope
         if 0.0 <= root <= 1.0:
             above, below = (s1, s2) if slope > 0 else (s2, s1)
-            return BayesianSolution(
-                per_type_strategy_j=dict(response_j),
-                threshold_p=root,
-                strategy_i_above=above,
-                strategy_i_below=below,
-                interior=True,
-            )
+            return BayesianSolution(dict(response_j), root, above, below, interior=True)
     # No interior crossing: one strategy is preferred on all of [0, 1].
     midpoint_value = slope * 0.5 + intercept
     preferred = s1 if midpoint_value > 0 else s2
-    return BayesianSolution(
-        per_type_strategy_j=dict(response_j),
-        threshold_p=1.0 if preferred == s1 else 0.0,
-        strategy_i_above=preferred,
-        strategy_i_below=preferred,
-        interior=False,
-    )
+    threshold = 1.0 if preferred == s1 else 0.0
+    return BayesianSolution(dict(response_j), threshold, preferred, preferred, interior=False)

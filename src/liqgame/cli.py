@@ -62,9 +62,7 @@ def build_solve_report(instance: core.GameInstance, dimension_cap: Optional[int]
 
 
 def build_bayes_report(
-    game: bayes.ConditionalGame,
-    space: bayes.TypeSpace,
-    responses: Optional[dict[str, str]] = None,
+    game: bayes.ConditionalGame, responses: Optional[dict[str, str]] = None
 ) -> dict:
     from . import bayes
     dominant = {}
@@ -82,21 +80,19 @@ def build_bayes_report(
                     "pass an explicit response map"
                 )
             responses[type_label] = info["strategy"]
-    solution = bayes.indifference_threshold(game, space, responses)
-    payoffs_at_prior = {
-        s: bayes.expected_payoff(game, space, s, responses) for s in game.strategies_i
-    }
+    solution = bayes.indifference_threshold(game, responses)
+    payoffs_at_prior = {s: bayes.expected_payoff(game, s, responses) for s in game.strategies_i}
     best_at_prior = max(game.strategies_i, key=lambda s: payoffs_at_prior[s])
     report = {
         "types": list(game.types),
-        "prior": list(space.prior),
+        "prior": list(game.prior),
         "strategies_i": list(game.strategies_i),
         "strategies_j": list(game.strategies_j),
         "dominant_strategies": dominant,
         "expected_payoffs_at_prior": payoffs_at_prior,
         "best_strategy_at_prior": best_at_prior,
     }
-    report.update(solution.to_jsonable())
+    report.update(solution._asdict())
     return report
 
 
@@ -179,27 +175,28 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_bayes(args: argparse.Namespace) -> int:
     from . import bayes
     if args.game is not None:
-        game, space = bayes.load_game_document(Path(args.game))
+        game = bayes.load_game_document(Path(args.game))
     else:
-        game, space = bayes.load_bundled_game()
+        game = bayes.load_bundled_game()
     if args.prior is not None:
-        space = bayes.TypeSpace(types=game.types, prior=_parse_floats(args.prior))
+        game = game._replace(prior=_parse_floats(args.prior))
     responses = _parse_responses(args.response) if args.response else None
     if args.format == "csv":
         raise ValueError("bayes reports have no csv form; use --format json")
-    report = build_bayes_report(game, space, responses)
+    report = build_bayes_report(game, responses)
     _emit(args.output, _dumps(report))
     return 0
 
 
 def _cmd_market(args: argparse.Namespace) -> int:
     from . import market
-    if args.published is not None and args.constructive:
-        raise ValueError("choose one of --published or --constructive")
     if args.published is not None:
+        for flag in ("config", "priors", "priors_j"):
+            if getattr(args, flag) is not None:
+                raise ValueError(f"--published takes no --{flag.replace('_', '-')}")
         matrix = market.load_published_matrix(args.published)
         mode, table = "published", args.published
-    elif args.constructive:
+    else:
         if args.config is not None:
             raw = core.json_object(Path(args.config).read_text(), "constructive base document")
             try:
@@ -215,19 +212,17 @@ def _cmd_market(args: argparse.Namespace) -> int:
                 raise ValueError(f"malformed constructive base document: {exc}") from None
         else:
             from . import bayes
-            game, space = bayes.load_bundled_game()
+            game = bayes.load_bundled_game()
             types = game.types
             strategies = game.strategies_i
             matrices = market.pairwise_base_from_conditional(game)
-            prior_i = prior_j = space.prior
+            prior_i = prior_j = game.prior
         if args.priors is not None:
             prior_i = prior_j = _parse_floats(args.priors)
         if args.priors_j is not None:
             prior_j = _parse_floats(args.priors_j)
         matrix = market.weight_by_priors(types, strategies, matrices, prior_i, prior_j)
         mode, table = "constructive", None
-    else:
-        raise ValueError("pass --published <table> or --constructive")
     if args.format == "csv":
         _emit(args.output, matrix.cells_csv())
         return 0
@@ -249,9 +244,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.range_j is not None:
         raw["balance_range_j"] = list(_parse_range(args.range_j))
     if args.strategy_i is not None:
-        raw["strategy_i"] = _parse_strategy(args.strategy_i).to_jsonable()
+        raw["strategy_i"] = _parse_strategy(args.strategy_i)._asdict()
     if args.strategy_j is not None:
-        raw["strategy_j"] = _parse_strategy(args.strategy_j).to_jsonable()
+        raw["strategy_j"] = _parse_strategy(args.strategy_j)._asdict()
     if args.mode is not None:
         raw["mode"] = args.mode
     if args.max_rounds is not None:
@@ -319,10 +314,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_bayes.set_defaults(handler=_cmd_bayes)
 
     p_market = sub.add_parser("market", parents=[common], help="composition aggregates")
-    p_market.add_argument(
+    mode = p_market.add_mutually_exclusive_group(required=True)
+    mode.add_argument(
         "--published", choices=sorted(fixtures.PUBLISHED_TABLES), help="bundled table"
     )
-    p_market.add_argument(
+    mode.add_argument(
         "--constructive", action="store_true", help="weight per-type-pair tables by priors"
     )
     p_market.add_argument("--config", type=Path, help="constructive base document")

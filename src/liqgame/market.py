@@ -82,15 +82,6 @@ class CompositionMatrix(Checked, _CompositionMatrix):
                 raise ValueError("column count does not match col_labels")
         return self
 
-    def to_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["row_label", "col_label", "u_i", "u_j"])
-        for label_r, row in zip(self.row_labels, self.entries):
-            for label_c, (u, v) in zip(self.col_labels, row):
-                writer.writerow([label_text(label_r), label_text(label_c), _fmt1(u), _fmt1(v)])
-        return out.getvalue()
-
     def cells_csv(self) -> str:
         """Plot-ready long format: one line per cell with the summed volume."""
         out = io.StringIO()
@@ -103,7 +94,8 @@ class CompositionMatrix(Checked, _CompositionMatrix):
 
 
 def composition_from_csv(doc: str) -> CompositionMatrix:
-    """Parse the long-format CSV written by ``CompositionMatrix.to_csv``."""
+    """Parse a long-format CSV, one ``row_label,col_label,u_i,u_j`` line per
+    cell, as the bundled tables are written."""
     reader = csv.reader(io.StringIO(doc))
     header = next(reader, None)
     if header != ["row_label", "col_label", "u_i", "u_j"]:

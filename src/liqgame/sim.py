@@ -61,12 +61,6 @@ class StrategySpec(Checked, _StrategySpec):
             raise ValueError(f"fraction is only valid for fixed_fraction, not {self.kind}")
         return self
 
-    def to_jsonable(self) -> dict:
-        doc = {"kind": self.kind}
-        if self.fraction is not None:
-            doc["fraction"] = self.fraction
-        return doc
-
     @classmethod
     def from_jsonable(cls, raw: dict) -> "StrategySpec":
         if not isinstance(raw, dict):
@@ -144,13 +138,6 @@ class SimConfig(Checked, _SimConfig):
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be >= 1")
         return self
-
-    def to_jsonable(self) -> dict:
-        return {
-            **self._asdict(),
-            "strategy_i": self.strategy_i.to_jsonable(),
-            "strategy_j": self.strategy_j.to_jsonable(),
-        }
 
     @classmethod
     def from_jsonable(cls, raw: Mapping) -> "SimConfig":

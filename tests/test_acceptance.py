@@ -74,13 +74,13 @@ def test_criterion_2_golden_3x3(capsys):
 
 @criterion(3, "Bayesian threshold 5/9 with 'high' dominant for both types")
 def test_criterion_3_bayesian_threshold():
-    game, space = load_bundled_game()
+    game = load_bundled_game()
     assert dominant_strategy_per_type(game, 0) == ("high", "strict")
     assert dominant_strategy_per_type(game, 1) == ("high", "weak")
-    solution = indifference_threshold(game, space, {"a": "high", "b": "high"})
+    solution = indifference_threshold(game, {"a": "high", "b": "high"})
     assert abs(solution.threshold_p - 5 / 9) <= 1e-12
-    assert solution.strategy_i_above == "high"
-    assert solution.strategy_i_below == "low"
+    assert solution.strategy_above == "high"
+    assert solution.strategy_below == "low"
 
 
 @criterion(4, "market aggregates: 41.1 total, 9.7/8.3 quadrants, 18.6 best, 75% hits")

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from liqgame.bayes import (
     ConditionalGame,
     NoDependenceOnPrior,
-    TypeSpace,
     UnknownLabel,
     dominant_strategy_per_type,
     expected_payoff,
@@ -28,62 +27,63 @@ def bundled():
     return load_bundled_game()
 
 
-def conditional(matrix_a, matrix_b) -> ConditionalGame:
+def conditional(matrix_a, matrix_b, prior=(0.5, 0.5)) -> ConditionalGame:
     return ConditionalGame(
         types=("a", "b"),
         strategies_i=("high", "low"),
         strategies_j=("high", "low"),
         matrices={"a": matrix_a, "b": matrix_b},
+        prior=prior,
     )
 
 
 class TestBundledGame:
     def test_tables_as_shipped(self, bundled):
-        game, space = bundled
-        assert game.matrices["a"] == (((10, 10), (0, 0)), ((6, 6), (5, 5)))
-        assert game.matrices["b"] == (((0, 0), (0, 0)), ((5, 4), (0, 0)))
-        assert space.prior == (0.35, 0.65)
+        assert bundled.matrices["a"] == (((10, 10), (0, 0)), ((6, 6), (5, 5)))
+        assert bundled.matrices["b"] == (((0, 0), (0, 0)), ((5, 4), (0, 0)))
+        assert bundled.prior == (0.35, 0.65)
 
     def test_large_type_dominance_is_strict(self, bundled):
-        game, _ = bundled
-        assert dominant_strategy_per_type(game, 0) == ("high", "strict")
+        assert dominant_strategy_per_type(bundled, 0) == ("high", "strict")
 
     def test_small_type_dominance_is_weak(self, bundled):
-        game, _ = bundled
-        assert dominant_strategy_per_type(game, 1) == ("high", "weak")
+        assert dominant_strategy_per_type(bundled, 1) == ("high", "weak")
 
     def test_threshold_five_ninths(self, bundled):
-        game, space = bundled
-        solution = indifference_threshold(game, space, {"a": "high", "b": "high"})
+        solution = indifference_threshold(bundled, {"a": "high", "b": "high"})
         assert abs(solution.threshold_p - THRESHOLD) < 1e-12
-        assert solution.strategy_i_above == "high"
-        assert solution.strategy_i_below == "low"
+        assert solution.strategy_above == "high"
+        assert solution.strategy_below == "low"
         assert solution.interior
 
-    def test_payoffs_cross_at_the_threshold(self, bundled):
-        game, _ = bundled
-        at = TypeSpace(("a", "b"), (THRESHOLD, 1 - THRESHOLD))
+    @given(p=st.floats(0.0, 1.0))
+    def test_threshold_does_not_read_the_prior(self, p):
+        game = load_bundled_game()
         responses = {"a": "high", "b": "high"}
-        high = expected_payoff(game, at, "high", responses)
-        low = expected_payoff(game, at, "low", responses)
+        solution = indifference_threshold(game._replace(prior=(p, 1 - p)), responses)
+        assert solution == indifference_threshold(game, responses)
+        assert abs(solution.threshold_p - THRESHOLD) < 1e-12
+
+    def test_payoffs_cross_at_the_threshold(self, bundled):
+        at = bundled._replace(prior=(THRESHOLD, 1 - THRESHOLD))
+        responses = {"a": "high", "b": "high"}
+        high = expected_payoff(at, "high", responses)
+        low = expected_payoff(at, "low", responses)
         assert abs(high - 50 / 9) < 1e-12
         assert abs(high - low) < 1e-12
         for delta, better in ((0.01, "high"), (-0.01, "low")):
-            space = TypeSpace(("a", "b"), (THRESHOLD + delta, 1 - THRESHOLD - delta))
-            payoffs = {
-                s: expected_payoff(game, space, s, responses) for s in ("high", "low")
-            }
+            game = bundled._replace(prior=(THRESHOLD + delta, 1 - THRESHOLD - delta))
+            payoffs = {s: expected_payoff(game, s, responses) for s in ("high", "low")}
             assert max(payoffs, key=payoffs.get) == better
 
     def test_degenerate_prior_reduces_to_single_matrix(self, bundled):
-        game, _ = bundled
-        space = TypeSpace(("a", "b"), (1.0, 0.0))
+        game = bundled._replace(prior=(1.0, 0.0))
         responses = {"a": "high", "b": "high"}
-        assert expected_payoff(game, space, "high", responses) == 10.0
-        assert expected_payoff(game, space, "low", responses) == 6.0
-        solution = indifference_threshold(game, space, responses)
+        assert expected_payoff(game, "high", responses) == 10.0
+        assert expected_payoff(game, "low", responses) == 6.0
+        solution = indifference_threshold(game, responses)
         # prior weight 1 sits above 5/9, matching the type-a best response
-        assert solution.strategy_i_above == "high"
+        assert solution.strategy_above == "high"
         assert 1.0 > solution.threshold_p
 
 
@@ -100,16 +100,14 @@ class TestDominance:
 
     @given(scale=st.floats(0.1, 50), shift=st.floats(-20, 20))
     def test_invariant_under_positive_affine_transform(self, scale, shift):
-        game, _ = load_bundled_game()
+        game = load_bundled_game()
         transformed = {
             t: tuple(
                 tuple((u, scale * v + shift) for (u, v) in row) for row in grid
             )
             for t, grid in game.matrices.items()
         }
-        rescaled = ConditionalGame(
-            game.types, game.strategies_i, game.strategies_j, transformed
-        )
+        rescaled = game._replace(matrices=transformed)
         for index in range(2):
             assert dominant_strategy_per_type(
                 rescaled, index
@@ -136,6 +134,7 @@ class TestDominance:
             strategies_i=tuple(f"r{r}" for r in range(n_rows)),
             strategies_j=labels,
             matrices={"t": grid},
+            prior=(1.0,),
         )
         relations = dominated_actions(PayoffMatrix.from_entries(grid), Player.J)
         expected = None
@@ -154,8 +153,7 @@ class TestThreshold:
             (((10, 0), (10, 0)), ((5, 0), (5, 0))),
             (((0, 0), (0, 0)), ((5, 0), (5, 0))),
         )
-        space = TypeSpace(("a", "b"), (0.5, 0.5))
-        solution = indifference_threshold(game, space, {"a": "high", "b": "high"})
+        solution = indifference_threshold(game, {"a": "high", "b": "high"})
         assert math.isclose(solution.threshold_p, 0.5, abs_tol=1e-12)
         assert solution.interior
 
@@ -165,69 +163,62 @@ class TestThreshold:
             (((3, 0), (3, 0)), ((2, 0), (2, 0))),
             (((2, 0), (2, 0)), ((0, 0), (0, 0))),
         )
-        space = TypeSpace(("a", "b"), (0.5, 0.5))
-        solution = indifference_threshold(game, space, {"a": "high", "b": "high"})
+        solution = indifference_threshold(game, {"a": "high", "b": "high"})
         assert solution.threshold_p == 1.0
         assert not solution.interior
-        assert solution.strategy_i_above == solution.strategy_i_below == "high"
+        assert solution.strategy_above == solution.strategy_below == "high"
 
     def test_never_preferred_clamps_to_zero(self):
         game = conditional(
             (((0, 0), (0, 0)), ((5, 0), (5, 0))),
             (((0, 0), (0, 0)), ((5, 0), (5, 0))),
         )
-        space = TypeSpace(("a", "b"), (0.5, 0.5))
-        solution = indifference_threshold(game, space, {"a": "high", "b": "high"})
+        solution = indifference_threshold(game, {"a": "high", "b": "high"})
         assert solution.threshold_p == 0.0
         assert not solution.interior
-        assert solution.strategy_i_above == solution.strategy_i_below == "low"
+        assert solution.strategy_above == solution.strategy_below == "low"
 
     def test_identical_payoff_lines_raise(self):
         flat = tuple(tuple((2.0, 0.0) for _ in range(2)) for _ in range(2))
         game = conditional(flat, flat)
-        space = TypeSpace(("a", "b"), (0.5, 0.5))
         with pytest.raises(NoDependenceOnPrior):
-            indifference_threshold(game, space, {"a": "high", "b": "high"})
+            indifference_threshold(game, {"a": "high", "b": "high"})
 
     def test_counterfactual_low_response(self):
         # responses {a: high, b: low}: E[high] = 10p vs E[low] = 6p, crossing at 0
-        game, space = load_bundled_game()
-        solution = indifference_threshold(game, space, {"a": "high", "b": "low"})
+        solution = indifference_threshold(load_bundled_game(), {"a": "high", "b": "low"})
         assert solution.threshold_p == 0.0
-        assert solution.strategy_i_above == "high"
+        assert solution.strategy_above == "high"
 
 
 class TestValidation:
     def test_unknown_strategy_label(self, bundled):
-        game, space = bundled
         with pytest.raises(UnknownLabel):
-            expected_payoff(game, space, "medium", {"a": "high", "b": "high"})
+            expected_payoff(bundled, "medium", {"a": "high", "b": "high"})
 
     def test_unknown_response_label(self, bundled):
-        game, space = bundled
         with pytest.raises(UnknownLabel):
-            expected_payoff(game, space, "high", {"a": "sideways", "b": "high"})
+            expected_payoff(bundled, "high", {"a": "sideways", "b": "high"})
 
     def test_missing_response_type(self, bundled):
-        game, space = bundled
         with pytest.raises(UnknownLabel):
-            indifference_threshold(game, space, {"a": "high"})
+            indifference_threshold(bundled, {"a": "high"})
 
-    def test_prior_must_sum_to_one(self):
+    def test_prior_must_sum_to_one(self, bundled):
         with pytest.raises(ValueError):
-            TypeSpace(("a", "b"), (0.6, 0.6))
+            bundled._replace(prior=(0.6, 0.6))
 
-    def test_prior_must_be_non_negative(self):
+    def test_prior_must_be_non_negative(self, bundled):
         with pytest.raises(ValueError):
-            TypeSpace(("a", "b"), (1.5, -0.5))
+            bundled._replace(prior=(1.5, -0.5))
 
     @pytest.mark.parametrize(
         "prior", [(math.nan, math.nan), (math.inf, 0.0), (0.5, math.nan), (-math.inf, 1.0)]
     )
-    def test_prior_must_be_finite(self, prior):
+    def test_prior_must_be_finite(self, bundled, prior):
         # nan passes both the sign and the sum check, since comparisons with nan are False
         with pytest.raises(ValueError, match="finite"):
-            TypeSpace(("a", "b"), prior)
+            bundled._replace(prior=prior)
 
     @pytest.mark.parametrize(
         "cell",

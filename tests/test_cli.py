@@ -171,7 +171,7 @@ class TestMarketCommand:
         code, out, _ = run_cli(capsys, "market", "--constructive", "--priors", "1,0")
         assert code == 0
         report = json.loads(out)
-        game, _ = bayes.load_bundled_game()
+        game = bayes.load_bundled_game()
         raw_total = sum(u + v for row in game.matrices["a"] for (u, v) in row)
         assert report["quadrants"]["a,a"] == pytest.approx(raw_total)
         assert report["quadrants"]["b,b"] == 0.0
@@ -204,8 +204,26 @@ class TestMarketCommand:
         assert "MissingTypePairMatrix" in err
 
     def test_mode_required(self, capsys):
-        code, _, err = run_cli(capsys, "market")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["market"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "one of the arguments --published --constructive is required" in err
+
+    def test_modes_are_exclusive(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["market", "--published", "final_4x4", "--constructive"])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "option", [("--config", "/nonexistent"), ("--priors", "0.5,0.5"), ("--priors-j", "0.5,0.5")]
+    )
+    def test_published_refuses_constructive_options(self, capsys, option):
+        code, out, err = run_cli(capsys, "market", "--published", "final_4x4", *option)
         assert code == 2
+        assert out == ""
+        assert err == f"error: ValueError: --published takes no {option[0]}\n"
 
     @pytest.mark.parametrize(
         "priors",
@@ -468,8 +486,7 @@ class TestThinAdapter:
     def test_bayes_matches_library_serialization(self, capsys):
         code, out, _ = run_cli(capsys, "bayes")
         assert code == 0
-        game, space = bayes.load_bundled_game()
-        assert out == cli._dumps(cli.build_bayes_report(game, space))
+        assert out == cli._dumps(cli.build_bayes_report(bayes.load_bundled_game()))
 
     def test_simulate_matches_library_serialization(self, capsys):
         from liqgame import sim
@@ -477,6 +494,23 @@ class TestThinAdapter:
         code, out, _ = run_cli(capsys, "simulate", "--trials", "500", "--seed", "42")
         assert code == 0
         assert out == cli._dumps(sim.run_simulation(sim.SimConfig(trials=500, seed=42)).to_jsonable())
+
+    @pytest.mark.parametrize(
+        "name,kind,fraction",
+        [
+            ("fraction:0.7", "fixed_fraction", 0.7),
+            ("low", "fixed_fraction", 0.3),
+            ("full", "full_balance", None),
+        ],
+    )
+    def test_simulate_strategy_flags_reach_the_config(self, capsys, name, kind, fraction):
+        from liqgame import sim
+
+        argv = ["simulate", "--trials", "50", "--seed", "3", "--strategy-i", name]
+        code, out, _ = run_cli(capsys, *argv, "--strategy-j", "random")
+        assert code == 0
+        config = sim.SimConfig(trials=50, strategy_i=sim.StrategySpec(kind, fraction), seed=3)
+        assert out == cli._dumps(sim.run_simulation(config).to_jsonable())
 
 
 class TestOutputHandling:

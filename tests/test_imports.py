@@ -210,7 +210,6 @@ def test_public_name_list_is_pinned():
         "SimReport",
         "StrategySpec",
         "TransferProblem",
-        "TypeSpace",
         "analytic_hit_ratio",
         "best_quadrant",
         "brute_force_oracle",

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from liqgame.bayes import load_bundled_game
+from liqgame.fixtures import PUBLISHED_TABLES, fixture_path
 from liqgame.market import (
     CompositionMatrix,
     MissingTypePairMatrix,
@@ -14,6 +15,7 @@ from liqgame.market import (
     composition_from_csv,
     load_published_matrix,
     pairwise_base_from_conditional,
+    parse_label,
     quadrant_analysis,
     round1,
     weight_by_priors,
@@ -68,7 +70,7 @@ class TestPublishedTables:
 
 class TestWeighting:
     def test_large_large_high_cell(self):
-        game, _ = load_bundled_game()
+        game = load_bundled_game()
         base = pairwise_base_from_conditional(game)
         matrix = weight_by_priors(game.types, game.strategies_i, base, GEMM_PRIOR, GEMM_PRIOR)
         top_left = matrix.entries[0][0]
@@ -79,7 +81,7 @@ class TestWeighting:
         assert round1(0.65 * 0.35 * 10) == 2.3
 
     def test_degenerate_priors_reproduce_raw_table(self):
-        game, _ = load_bundled_game()
+        game = load_bundled_game()
         base = pairwise_base_from_conditional(game)
         matrix = weight_by_priors(game.types, game.strategies_i, base, (1, 0), (1, 0))
         for r in range(2):
@@ -168,20 +170,23 @@ class TestQuadrantReport:
 
 class TestSerialization:
     @pytest.mark.parametrize("table", ["final_4x4", "intermediate_2x4"])
-    def test_csv_round_trip_exact_at_one_decimal(self, table):
+    def test_every_bundled_cell_is_the_float_of_its_csv_text(self, table):
         matrix = load_published_matrix(table)
-        again = composition_from_csv(matrix.to_csv())
-        assert again.row_labels == matrix.row_labels
-        assert again.col_labels == matrix.col_labels
-        for row_a, row_b in zip(again.entries, matrix.entries):
-            for (u_a, v_a), (u_b, v_b) in zip(row_a, row_b):
-                assert round1(u_a) == round1(u_b)
-                assert round1(v_a) == round1(v_b)
+        header, *lines = fixture_path(PUBLISHED_TABLES[table]).read_text().splitlines()
+        assert header == "row_label,col_label,u_i,u_j"
+        assert len(lines) == len(matrix.row_labels) * len(matrix.col_labels)
+        for line in lines:
+            row_text, col_text, u, v = line.split(",")
+            r = matrix.row_labels.index(parse_label(row_text))
+            c = matrix.col_labels.index(parse_label(col_text))
+            assert matrix.entries[r][c] == (float(u), float(v))
 
-    def test_bundled_bytes_survive_round_trip(self):
-        matrix = load_published_matrix("final_4x4")
-        again = composition_from_csv(matrix.to_csv())
-        assert again.to_csv() == matrix.to_csv()
+    def test_labels_keep_their_csv_order(self):
+        doc = "row_label,col_label,u_i,u_j\ns+l,L+H,1,2\ns+l,l,3,4\nL+H,L+H,5,6\nL+H,l,7,8\n"
+        matrix = composition_from_csv(doc)
+        assert matrix.row_labels == (("s", "l"), ("L", "H"))
+        assert matrix.col_labels == (("L", "H"), (None, "l"))
+        assert matrix.entries == (((1.0, 2.0), (3.0, 4.0)), ((5.0, 6.0), (7.0, 8.0)))
 
     def test_cells_csv_header(self):
         lines = load_published_matrix("final_4x4").cells_csv().splitlines()

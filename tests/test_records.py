@@ -1,4 +1,4 @@
-"""The library's fourteen record types: how they are built, printed,
+"""The library's thirteen record types: how they are built, printed,
 compared and validated. Records are immutable named tuples."""
 
 import copy
@@ -89,34 +89,29 @@ RECORDS = [
         False,
     ),
     (
-        bayes.TypeSpace,
-        dict(types=("large", "small"), prior=(0.25, 0.75)),
-        "TypeSpace(types=('large', 'small'), prior=(0.25, 0.75))",
-        True,
-    ),
-    (
         bayes.ConditionalGame,
         dict(
             types=("a",),
             strategies_i=("x",),
             strategies_j=("y", "z"),
             matrices={"a": (((1.0, 2.0), (3.0, 4.0)),)},
+            prior=(1.0,),
         ),
         "ConditionalGame(types=('a',), strategies_i=('x',), strategies_j=('y', 'z'), "
-        "matrices={'a': (((1.0, 2.0), (3.0, 4.0)),)})",
+        "matrices={'a': (((1.0, 2.0), (3.0, 4.0)),)}, prior=(1.0,))",
         False,
     ),
     (
         bayes.BayesianSolution,
         dict(
-            per_type_strategy_j={"a": "y"},
+            responses={"a": "y"},
             threshold_p=0.5,
-            strategy_i_above="x",
-            strategy_i_below="w",
+            strategy_above="x",
+            strategy_below="w",
             interior=True,
         ),
-        "BayesianSolution(per_type_strategy_j={'a': 'y'}, threshold_p=0.5, "
-        "strategy_i_above='x', strategy_i_below='w', interior=True)",
+        "BayesianSolution(responses={'a': 'y'}, threshold_p=0.5, "
+        "strategy_above='x', strategy_below='w', interior=True)",
         False,
     ),
     (
@@ -143,7 +138,7 @@ IDS = [cls.__name__ for cls, *_ in RECORDS]
 
 
 def test_every_record_is_listed():
-    assert len(set(IDS)) == 14
+    assert len(set(IDS)) == 13
 
 
 @pytest.mark.parametrize("cls,fields,text,hashable", RECORDS, ids=IDS)
@@ -223,7 +218,13 @@ def one_cell(**fields):
 
 
 def game(**fields):
-    base = dict(types=("a",), strategies_i=("x",), strategies_j=("y",), matrices={"a": (((1.0, 1.0),),)})
+    base = dict(
+        types=("a",),
+        strategies_i=("x",),
+        strategies_j=("y",),
+        matrices={"a": (((1.0, 1.0),),)},
+        prior=(1.0,),
+    )
     return bayes.ConditionalGame(**{**base, **fields})
 
 
@@ -231,7 +232,6 @@ def game(**fields):
 MATRIX = one_cell()
 RANDOM = sim.StrategySpec("uniform_random")
 CONFIG = sim.SimConfig(1)
-SPACE = bayes.TypeSpace(("a", "b"), (0.5, 0.5))
 GAME = game()
 COMPOSITION = market.CompositionMatrix((("a", "x"),), ((None, "y"),), (((1.0, 1.0),),))
 TRANSFER = lp.TransferProblem(1, 10)
@@ -264,12 +264,12 @@ INVALID = [
     (CONFIG, dict(seed=2**64), "seed must be an unsigned 64-bit integer"),
     (CONFIG, dict(mode="x"), "mode must be one of ('one_shot', 'repeated')"),
     (CONFIG, dict(max_rounds=0), "max_rounds must be >= 1"),
-    (SPACE, dict(types=("a",)), "prior length must match number of types"),
-    (SPACE, dict(prior=(float("inf"), 0.5)), "prior entries must be finite"),
-    (SPACE, dict(prior=(-0.5, 1.5)), "prior entries must be non-negative"),
-    (SPACE, dict(prior=(0.5, 0.6)), "prior must sum to 1, got 1.1"),
     (GAME, dict(matrices={}), "missing matrix for type 'a'"),
     (GAME, dict(strategies_j=("y", "z")), "matrix for type 'a' has wrong dimensions"),
+    (GAME, dict(prior=(0.5, 0.5)), "prior length must match number of types"),
+    (GAME, dict(prior=(float("inf"),)), "prior entries must be finite"),
+    (GAME, dict(prior=(-0.5,)), "prior entries must be non-negative"),
+    (GAME, dict(prior=(1.1,)), "prior must sum to 1, got 1.1"),
     (COMPOSITION, dict(entries=()), "row count does not match row_labels"),
     (COMPOSITION, dict(col_labels=()), "column count does not match col_labels"),
     (TRANSFER, dict(capacity_receiver=-1), "capacity_receiver must be >= 0"),
@@ -320,6 +320,10 @@ def test_validation_error_class_and_message(record, fields, message):
 @pytest.mark.parametrize("record,fields,message", INVALID, ids=INVALID_IDS)
 def test_make_and_replace_run_the_same_checks(build, record, fields, message):
     assert_refused(build, record, fields, message)
+
+
+def test_game_checks_its_tables_before_its_prior():
+    assert_refused(by_replace, GAME, dict(matrices={}, prior=()), "missing matrix for type 'a'")
 
 
 @pytest.mark.parametrize(
