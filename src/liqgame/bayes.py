@@ -8,7 +8,6 @@ which the initiator is indifferent between its two strategies.
 
 from __future__ import annotations
 
-import math
 from pathlib import Path
 from typing import Mapping, NamedTuple, Optional
 
@@ -16,14 +15,15 @@ from .core import (
     Bimatrix,
     Checked,
     LiquidityGameError,
+    check_labels,
+    check_prior,
+    check_table,
     dominance_relations,
     json_object,
     parse_bimatrix,
     parse_prior,
 )
 from .fixtures import fixture_path
-
-EQUALITY_TOLERANCE = 1e-12
 
 
 class UnknownLabel(LiquidityGameError):
@@ -54,22 +54,12 @@ class ConditionalGame(Checked, _ConditionalGame):
     __slots__ = ()
 
     def _check(self) -> "ConditionalGame":
+        check_labels(self.types, self.strategies_i, self.strategies_j)
         for t in self.types:
             if t not in self.matrices:
                 raise ValueError(f"missing matrix for type {t!r}")
-            grid = self.matrices[t]
-            if len(grid) != len(self.strategies_i) or any(
-                len(row) != len(self.strategies_j) for row in grid
-            ):
-                raise ValueError(f"matrix for type {t!r} has wrong dimensions")
-        if len(self.types) != len(self.prior):
-            raise ValueError("prior length must match number of types")
-        if not all(math.isfinite(p) for p in self.prior):
-            raise ValueError("prior entries must be finite")
-        if any(p < 0 for p in self.prior):
-            raise ValueError("prior entries must be non-negative")
-        if abs(sum(self.prior) - 1.0) > EQUALITY_TOLERANCE:
-            raise ValueError(f"prior must sum to 1, got {sum(self.prior)}")
+            check_table(self.matrices[t], self.strategies_i, self.strategies_j, f"type {t!r}")
+        check_prior(self.prior, self.types)
         return self
 
     def payoff(self, type_label: str, strategy_i: str, strategy_j: str) -> tuple[float, float]:

@@ -1,9 +1,10 @@
 """Command-line interface: solve, bayes, market, simulate, lp.
 
-Every subcommand is a thin adapter over the library: the JSON it prints is
-exactly what the corresponding report builder serialises, so scripted use
-and library use cannot drift apart. Reports are machine-readable; plots are
-left to downstream tools fed by the CSV outputs.
+Every subcommand is a thin adapter over the library: its handler returns
+the report text, exactly what the corresponding report builder serialises,
+so scripted use and library use cannot drift apart, and ``main`` writes that
+text in one place. Reports are machine-readable; plots are left to
+downstream tools fed by the CSV outputs.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from . import core, fixtures
 from .core import LiquidityGameError
 
 if TYPE_CHECKING:
-    from . import bayes, lp, market, sim
+    from . import bayes, market, sim
 
 
 def _dumps(payload) -> str:
@@ -35,13 +36,6 @@ def _atomic_write(path: Path, text: str) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-
-
-def _emit(output: Optional[Path], text: str) -> None:
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        _atomic_write(output, text)
 
 
 def build_solve_report(instance: core.GameInstance, dimension_cap: Optional[int] = None) -> dict:
@@ -108,15 +102,6 @@ def build_market_report(matrix: market.CompositionMatrix, mode: str, table: Opti
     return report
 
 
-def build_lp_report(problem: lp.TransferProblem) -> dict:
-    from . import lp
-    return {
-        "receiver": problem.capacity_receiver,
-        "sender": problem.capacity_sender,
-        "max_transfer": lp.max_transfer(problem),
-    }
-
-
 def _parse_strategy(text: str) -> sim.StrategySpec:
     from . import sim
     aliases = {
@@ -157,25 +142,22 @@ def _parse_responses(text: str) -> dict[str, str]:
     return responses
 
 
-def _cmd_solve(args: argparse.Namespace) -> int:
+def _cmd_solve(args: argparse.Namespace) -> str:
     if args.config is not None:
-        instance = core.instance_from_json(Path(args.config).read_text())
+        instance = core.instance_from_json(args.config.read_text())
     else:
         if args.bi is None or args.bj is None:
             raise ValueError("pass --bi and --bj, or --config <file>")
         instance = core.build_instance(args.bi, args.bj, args.cap)
     if args.format == "csv":
-        _emit(args.output, core.build_payoff_matrix(instance).to_csv())
-        return 0
-    report = build_solve_report(instance, args.dimension_cap)
-    _emit(args.output, _dumps(report))
-    return 0
+        return core.build_payoff_matrix(instance).to_csv()
+    return _dumps(build_solve_report(instance, args.dimension_cap))
 
 
-def _cmd_bayes(args: argparse.Namespace) -> int:
+def _cmd_bayes(args: argparse.Namespace) -> str:
     from . import bayes
     if args.game is not None:
-        game = bayes.load_game_document(Path(args.game))
+        game = bayes.load_game_document(args.game)
     else:
         game = bayes.load_bundled_game()
     if args.prior is not None:
@@ -183,12 +165,10 @@ def _cmd_bayes(args: argparse.Namespace) -> int:
     responses = _parse_responses(args.response) if args.response else None
     if args.format == "csv":
         raise ValueError("bayes reports have no csv form; use --format json")
-    report = build_bayes_report(game, responses)
-    _emit(args.output, _dumps(report))
-    return 0
+    return _dumps(build_bayes_report(game, responses))
 
 
-def _cmd_market(args: argparse.Namespace) -> int:
+def _cmd_market(args: argparse.Namespace) -> str:
     from . import market
     if args.published is not None:
         for flag in ("config", "priors", "priors_j"):
@@ -198,7 +178,7 @@ def _cmd_market(args: argparse.Namespace) -> int:
         mode, table = "published", args.published
     else:
         if args.config is not None:
-            raw = core.json_object(Path(args.config).read_text(), "constructive base document")
+            raw = core.json_object(args.config.read_text(), "constructive base document")
             try:
                 types = tuple(raw["types"])
                 strategies = tuple(raw["strategies"])
@@ -224,18 +204,15 @@ def _cmd_market(args: argparse.Namespace) -> int:
         matrix = market.weight_by_priors(types, strategies, matrices, prior_i, prior_j)
         mode, table = "constructive", None
     if args.format == "csv":
-        _emit(args.output, matrix.cells_csv())
-        return 0
-    report = build_market_report(matrix, mode, table)
-    _emit(args.output, _dumps(report))
-    return 0
+        return matrix.cells_csv()
+    return _dumps(build_market_report(matrix, mode, table))
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _cmd_simulate(args: argparse.Namespace) -> str:
     from . import sim
     raw: dict = {}
     if args.config is not None:
-        raw = core.json_object(Path(args.config).read_text(), "simulation config")
+        raw = core.json_object(args.config.read_text(), "simulation config")
     if args.trials is not None:
         raw["trials"] = args.trials
     raw.setdefault("trials", 10_000)
@@ -260,25 +237,22 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         raw["seed"] = drawn
     config = sim.SimConfig.from_jsonable(raw)
     report = sim.run_simulation(config)
-    if args.format == "csv":
-        _emit(args.output, report.histogram_csv())
-    else:
-        _emit(args.output, _dumps(report.to_jsonable()))
     if args.histogram is not None:
-        _atomic_write(Path(args.histogram), report.histogram_csv())
-    return 0
+        _atomic_write(args.histogram, report.histogram_csv())
+    if args.format == "csv":
+        return report.histogram_csv()
+    return _dumps(report.to_jsonable())
 
 
-def _cmd_lp(args: argparse.Namespace) -> int:
+def _cmd_lp(args: argparse.Namespace) -> str:
     from . import lp
     problem = lp.TransferProblem(args.receiver, args.sender)
     if args.format == "csv":
         raise ValueError("lp has no csv form; use --format json or the default")
+    transfer = lp.max_transfer(problem)
     if args.format == "json":
-        _emit(args.output, _dumps(build_lp_report(problem)))
-    else:
-        _emit(args.output, f"{lp.max_transfer(problem)}\n")
-    return 0
+        return _dumps({"receiver": args.receiver, "sender": args.sender, "max_transfer": transfer})
+    return f"{transfer}\n"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -349,7 +323,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        text = args.handler(args)
+        if args.output is None:
+            sys.stdout.write(text)
+        else:
+            _atomic_write(args.output, text)
+        return 0
     except (
         LiquidityGameError,
         ValueError,

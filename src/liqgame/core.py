@@ -228,6 +228,36 @@ def parse_prior(values) -> tuple[float, ...]:
     return tuple(_finite_number(p, "prior") for p in values)
 
 
+EQUALITY_TOLERANCE = 1e-12
+
+
+def check_prior(prior: Sequence[float], types: Sequence[str]) -> None:
+    """The common prior's rule: one finite, non-negative weight per type,
+    summing to 1 within ``EQUALITY_TOLERANCE``; ValueError otherwise."""
+    if len(prior) != len(types):
+        raise ValueError("prior length must match number of types")
+    if not all(math.isfinite(p) for p in prior):
+        raise ValueError("prior entries must be finite")
+    if any(p < 0 for p in prior):
+        raise ValueError("prior entries must be non-negative")
+    if abs(sum(prior) - 1.0) > EQUALITY_TOLERANCE:
+        raise ValueError(f"prior must sum to 1, got {sum(prior)}")
+
+
+def check_labels(*label_sets: Sequence[str]) -> None:
+    """ValueError when a type or strategy label repeats within its set."""
+    for labels in label_sets:
+        if len(set(labels)) != len(labels):
+            raise ValueError(f"labels must be distinct, got {list(labels)}")
+
+
+def check_table(grid, strategies_i: Sequence[str], strategies_j: Sequence[str], what: str) -> None:
+    """ValueError unless the table for ``what`` has one row per row
+    strategy and one cell per column strategy in every row."""
+    if len(grid) != len(strategies_i) or any(len(row) != len(strategies_j) for row in grid):
+        raise ValueError(f"matrix for {what} has wrong dimensions")
+
+
 def parse_bimatrix(grid) -> Bimatrix:
     """Read a JSON bimatrix, a list of rows of ``[u, v]`` cells, as rows of
     float pairs; ValueError unless every payoff is a finite number."""

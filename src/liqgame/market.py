@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from decimal import ROUND_HALF_UP, Decimal
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional, Sequence
 
-from .core import Checked, LiquidityGameError
+from .core import Checked, LiquidityGameError, check_labels, check_prior, check_table
 from .fixtures import PUBLISHED_TABLES, fixture_path
 
 if TYPE_CHECKING:
@@ -144,33 +143,25 @@ def weight_by_priors(
     the product of the two type weights.
 
     ``matrices`` must supply a bimatrix for every (row-type, col-type)
-    pair, indexed [row strategy][col strategy]. Weights are taken as given
-    (callers normally pass probabilities summing to 1); the weighting is
-    bilinear in them.
+    pair, indexed [row strategy][col strategy]. Each side's weights are a
+    prior under ``core.check_prior``, and labels must be distinct.
     """
-    if len(prior_i) != len(types) or len(prior_j) != len(types):
-        raise ValueError("prior length must match number of types")
-    if not all(math.isfinite(w) for w in (*prior_i, *prior_j)):
-        raise ValueError("priors must be finite")
-    if any(w < 0 for w in prior_i) or any(w < 0 for w in prior_j):
-        raise ValueError("priors must be non-negative")
+    check_labels(types, strategies)
+    check_prior(prior_i, types)
+    check_prior(prior_j, types)
     for t_i in types:
         for t_j in types:
             if (t_i, t_j) not in matrices:
                 raise MissingTypePairMatrix(f"no matrix for type pair ({t_i}, {t_j})")
+            check_table(matrices[(t_i, t_j)], strategies, strategies, f"type pair ({t_i}, {t_j})")
     row_labels = tuple((t, s) for t in types for s in strategies)
-    col_labels = row_labels
     entries = []
     for t_i, w_i in zip(types, prior_i):
-        for s_idx, _ in enumerate(strategies):
-            row = []
-            for t_j, w_j in zip(types, prior_j):
-                grid = matrices[(t_i, t_j)]
-                for c_idx, _ in enumerate(strategies):
-                    u, v = grid[s_idx][c_idx]
-                    row.append((w_i * w_j * u, w_i * w_j * v))
-            entries.append(tuple(row))
-    return CompositionMatrix(row_labels, col_labels, tuple(entries))
+        # each row strategy's rows of the type pairs (t_i, *), side by side
+        for rows in zip(*(matrices[(t_i, t_j)] for t_j in types)):
+            row = tuple((w_i * w_j * u, w_i * w_j * v) for w_j, r in zip(prior_j, rows) for u, v in r)
+            entries.append(row)
+    return CompositionMatrix(row_labels, row_labels, tuple(entries))
 
 
 def pairwise_base_from_conditional(

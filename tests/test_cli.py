@@ -474,6 +474,87 @@ def test_prior_weights_must_be_finite_numbers(capsys, tmp_path, argv, document, 
     assert err.startswith("error: ValueError: prior must be")
 
 
+# a two-type, two-strategy base, so one fault at a time can be planted
+MARKET_TWO_BY_TWO = {
+    **MARKET_TWO_TYPES,
+    "strategies": ["x", "y"],
+    "matrices": {key: [[[1, 1], [0, 0]], [[0, 0], [1, 1]]] for key in MARKET_TWO_TYPES["matrices"]},
+}
+
+
+class TestOneGameRule:
+    """``bayes`` and ``market --constructive`` share one rule for priors,
+    table shapes and labels."""
+
+    @pytest.mark.parametrize(
+        "option", [("--priors", "0.3,0.3"), ("--priors-j", "0.3,0.3")], ids=["both", "column"]
+    )
+    def test_constructive_priors_must_sum_to_one(self, capsys, option):
+        code, out, err = run_cli(capsys, "market", "--constructive", *option)
+        assert code == 2
+        assert out == ""
+        assert err == "error: ValueError: prior must sum to 1, got 0.6\n"
+
+    @pytest.mark.parametrize("key", ["prior_i", "prior_j"])
+    def test_config_priors_must_sum_to_one(self, capsys, tmp_path, key):
+        path = tmp_path / "base.json"
+        path.write_text(json.dumps({**MARKET_TWO_BY_TWO, key: [0.3, 0.3]}))
+        code, out, err = run_cli(capsys, "market", "--constructive", "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "error: ValueError: prior must sum to 1, got 0.6\n"
+
+    @pytest.mark.parametrize(
+        "grid",
+        [[[[1, 1]]], [[[1, 1], [0, 0], [2, 2]], [[0, 0], [1, 1], [2, 2]], [[2, 2], [2, 2], [2, 2]]]],
+        ids=["smaller", "larger"],
+    )
+    def test_config_table_shape_is_checked(self, capsys, tmp_path, grid):
+        document = copy.deepcopy(MARKET_TWO_BY_TWO)
+        document["matrices"]["L,L"] = grid
+        path = tmp_path / "base.json"
+        path.write_text(json.dumps(document))
+        code, out, err = run_cli(capsys, "market", "--constructive", "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "error: ValueError: matrix for type pair (L, L) has wrong dimensions\n"
+
+    @pytest.mark.parametrize(
+        "argv,document,labels",
+        [
+            (["bayes", "--game"], {**BAYES_DOCUMENT, "types": ["a", "a"]}, ["a", "a"]),
+            (
+                ["bayes", "--game"],
+                {**BAYES_DOCUMENT, "strategies": ["high", "high"]},
+                ["high", "high"],
+            ),
+            (
+                ["market", "--constructive", "--config"],
+                {**MARKET_TWO_BY_TWO, "strategies": ["x", "x"]},
+                ["x", "x"],
+            ),
+            (
+                ["market", "--constructive", "--config"],
+                {
+                    **MARKET_TWO_BY_TWO,
+                    "types": ["L", "s", "s"],
+                    "prior_i": [0.5, 0.25, 0.25],
+                    "prior_j": [0.5, 0.25, 0.25],
+                },
+                ["L", "s", "s"],
+            ),
+        ],
+        ids=["bayes-types", "bayes-strategies", "market-strategies", "market-types"],
+    )
+    def test_repeated_labels_exit_two(self, capsys, tmp_path, argv, document, labels):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(document))
+        code, out, err = run_cli(capsys, *argv, str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: ValueError: labels must be distinct, got {labels}\n"
+
+
 class TestThinAdapter:
     def test_market_matches_library_serialization(self, capsys):
         code, out, _ = run_cli(capsys, "market", "--published", "final_4x4")
@@ -513,7 +594,52 @@ class TestThinAdapter:
         assert out == cli._dumps(sim.run_simulation(config).to_jsonable())
 
 
+# every subcommand form that writes a report
+OUTPUT_FORMS = [
+    ("solve", "--bi", "3", "--bj", "-2"),
+    ("solve", "--bi", "3", "--bj", "-2", "--format", "csv"),
+    ("bayes",),
+    ("market", "--published", "final_4x4"),
+    ("market", "--published", "final_4x4", "--format", "csv"),
+    ("market", "--constructive"),
+    ("simulate", "--trials", "50", "--seed", "5"),
+    ("simulate", "--trials", "50", "--seed", "5", "--format", "csv"),
+    ("lp", "--receiver", "10", "--sender", "20"),
+    ("lp", "--receiver", "10", "--sender", "20", "--format", "json"),
+]
+
+
 class TestOutputHandling:
+    @pytest.mark.parametrize("argv", OUTPUT_FORMS, ids="-".join)
+    def test_output_file_holds_the_printed_bytes(self, capsys, tmp_path, argv):
+        code, printed, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert printed
+        target = tmp_path / "report"
+        code, out, _ = run_cli(capsys, *argv, "--output", str(target))
+        assert code == 0
+        assert out == ""
+        assert target.read_bytes() == printed.encode()
+        assert list(tmp_path.iterdir()) == [target]
+
+    def test_histogram_holds_the_csv_report(self, capsys, tmp_path):
+        argv = ("simulate", "--trials", "200", "--seed", "3", "--mode", "repeated")
+        code, printed, _ = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0
+        histogram = tmp_path / "rounds.csv"
+        code, _, _ = run_cli(capsys, *argv, "--histogram", str(histogram))
+        assert code == 0
+        assert histogram.read_bytes() == printed.encode()
+
+    def test_report_written_after_the_histogram(self, capsys, tmp_path):
+        # one file named twice ends up holding the report
+        target = tmp_path / "both"
+        argv = ("simulate", "--trials", "20", "--seed", "3", "--output", str(target))
+        code, _, _ = run_cli(capsys, *argv, "--histogram", str(target))
+        assert code == 0
+        assert json.loads(target.read_text())["seed"] == 3
+        assert list(tmp_path.iterdir()) == [target]
+
     def test_output_written_atomically(self, capsys, tmp_path):
         target = tmp_path / "report.json"
         code, _, _ = run_cli(

@@ -106,19 +106,20 @@ class TestWeighting:
         with pytest.raises(ValueError, match="finite"):
             weight_by_priors(("L", "s"), ("x", "y"), two_type_base(), prior_i, prior_j)
 
-    @given(scale=st.floats(0.1, 4))
-    def test_bilinear_in_row_priors(self, scale):
+    @given(t=st.floats(0, 1))
+    def test_linear_along_the_simplex(self, t):
         base = two_type_base()
-        plain = weight_by_priors(("L", "s"), ("x", "y"), base, (0.5, 0.5), GEMM_PRIOR)
-        scaled = weight_by_priors(
-            ("L", "s"), ("x", "y"), base, (0.5 * scale, 0.5), GEMM_PRIOR
-        )
+        base[("L", "s")] = (((3.0, 1.0), (0.0, 0.0)), ((2.0, 5.0), (7.0, 4.0)))
+
+        def table(prior_i):
+            return weight_by_priors(("L", "s"), ("x", "y"), base, prior_i, GEMM_PRIOR).entries
+
+        mixed, first, second = table((t, 1 - t)), table((1, 0)), table((0, 1))
         for r in range(4):
-            factor = scale if r < 2 else 1.0
             for c in range(4):
                 for side in range(2):
-                    assert scaled.entries[r][c][side] == pytest.approx(
-                        factor * plain.entries[r][c][side]
+                    assert mixed[r][c][side] == pytest.approx(
+                        t * first[r][c][side] + (1 - t) * second[r][c][side]
                     )
 
 
