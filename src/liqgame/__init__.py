@@ -17,7 +17,6 @@ _EXPORTS = {
     "LiquidityGameError": "core",
     "MixedProfile": "solver",
     "PayoffMatrix": "core",
-    "Player": "core",
     "PureEquilibrium": "solver",
     "QuadrantReport": "market",
     "SimConfig": "sim",
@@ -30,7 +29,6 @@ _EXPORTS = {
     "build_instance": "core",
     "build_payoff_matrix": "core",
     "dominant_strategy_per_type": "bayes",
-    "dominated_actions": "solver",
     "expected_payoff": "bayes",
     "find_pure_equilibria": "solver",
     "indifference_threshold": "bayes",

@@ -18,9 +18,9 @@ from .core import (
     check_labels,
     check_prior,
     check_table,
-    dominance_relations,
     json_object,
     parse_bimatrix,
+    parse_labels,
     parse_prior,
 )
 from .fixtures import fixture_path
@@ -78,12 +78,9 @@ class ConditionalGame(Checked, _ConditionalGame):
     @classmethod
     def from_jsonable(cls, raw: dict) -> "ConditionalGame":
         try:
-            types = tuple(raw["types"])
-            if "strategies" in raw:
-                strategies_i = strategies_j = tuple(raw["strategies"])
-            else:
-                strategies_i = tuple(raw["strategies_i"])
-                strategies_j = tuple(raw["strategies_j"])
+            types = parse_labels(raw["types"], "types")
+            keys = ["strategies"] * 2 if "strategies" in raw else ["strategies_i", "strategies_j"]
+            strategies_i, strategies_j = (parse_labels(raw[key], key) for key in keys)
             matrices = {t: parse_bimatrix(grid) for t, grid in raw["matrices"].items()}
             prior = parse_prior(raw["prior"])
         except (TypeError, AttributeError) as exc:  # a field of the wrong JSON type
@@ -115,34 +112,43 @@ class BayesianSolution(NamedTuple):
 def dominant_strategy_per_type(
     game: ConditionalGame, type_index: int
 ) -> Optional[tuple[str, str]]:
-    """The counterparty strategy weakly dominating all others in one type's
-    table, with its strictness, or None when no strategy dominates.
+    """The first counterparty strategy, in ``strategies_j`` order, whose
+    payoffs in one type's table are at least every other column's, row by
+    row, with its strictness; None when no strategy qualifies.
 
-    Read off ``core.dominance_relations`` over the columns: the strategy
-    dominates every other column, strictly only if every relation is strict.
-    Ties are resolved in favour of the earlier label in ``strategies_j``.
+    The strategy is "strict" when it beats every other column strictly in
+    every row, and "weak" otherwise; a table with one column is "strict".
     """
     if not 0 <= type_index < len(game.types):
         raise ValueError(f"type index {type_index} out of range")
     grid = game.matrices[game.types[type_index]]
     columns = [[row[c][1] for row in grid] for c in range(len(game.strategies_j))]
-    won: list[list[str]] = [[] for _ in columns]
-    for _, g, strictness in dominance_relations(columns):
-        won[g].append(strictness)
-    for c, strictnesses in enumerate(won):
-        if len(strictnesses) == len(columns) - 1:
-            return (game.strategies_j[c], "weak" if "weak" in strictnesses else "strict")
+    for c, column in enumerate(columns):
+        pairs = [(x, y) for other in columns[:c] + columns[c + 1 :] for x, y in zip(column, other)]
+        if all(x >= y for x, y in pairs):
+            return game.strategies_j[c], "strict" if all(x > y for x, y in pairs) else "weak"
     return None
+
+
+def check_responses(game: ConditionalGame, response_j: Mapping[str, str]) -> None:
+    """UnknownLabel unless ``response_j`` maps exactly the types to column strategies."""
+    for t in game.types:
+        if t not in response_j:
+            raise UnknownLabel(f"no response for type {t!r}")
+    for t, strategy in response_j.items():
+        if t not in game.types:
+            raise UnknownLabel(f"response for unknown type {t!r}")
+        if strategy not in game.strategies_j:
+            raise UnknownLabel(f"unknown column strategy {strategy!r}")
 
 
 def expected_payoff(
     game: ConditionalGame, strategy_i: str, response_j: Mapping[str, str]
 ) -> float:
     """Prior-weighted initiator payoff against a per-type response map."""
+    check_responses(game, response_j)
     total = 0.0
     for t, weight in zip(game.types, game.prior):
-        if t not in response_j:
-            raise UnknownLabel(f"no response for type {t!r}")
         total += weight * game.payoff(t, strategy_i, response_j[t])[0]
     return total
 
@@ -163,14 +169,9 @@ def indifference_threshold(
     if len(game.types) != 2:
         raise ValueError("threshold analysis needs exactly two types")
     s1, s2 = game.strategies_i
-    t_first, t_second = game.types
-    for t in game.types:
-        if t not in response_j:
-            raise UnknownLabel(f"no response for type {t!r}")
-    a1 = game.payoff(t_first, s1, response_j[t_first])[0]
-    a2 = game.payoff(t_first, s2, response_j[t_first])[0]
-    b1 = game.payoff(t_second, s1, response_j[t_second])[0]
-    b2 = game.payoff(t_second, s2, response_j[t_second])[0]
+    check_responses(game, response_j)
+    # a: the first type's payoffs to s1 and s2, b: the second type's
+    (a1, a2), (b1, b2) = ([game.payoff(t, s, response_j[t])[0] for s in (s1, s2)] for t in game.types)
     # payoff difference f(p) = p*(a1-a2) + (1-p)*(b1-b2), positive favours s1
     slope = (a1 - a2) - (b1 - b2)
     intercept = b1 - b2

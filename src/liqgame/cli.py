@@ -59,12 +59,11 @@ def build_bayes_report(
     game: bayes.ConditionalGame, responses: Optional[dict[str, str]] = None
 ) -> dict:
     from . import bayes
-    dominant = {}
-    for index, type_label in enumerate(game.types):
-        found = bayes.dominant_strategy_per_type(game, index)
-        dominant[type_label] = (
-            None if found is None else {"strategy": found[0], "strictness": found[1]}
-        )
+    found = [bayes.dominant_strategy_per_type(game, k) for k in range(len(game.types))]
+    dominant = {
+        t: None if f is None else {"strategy": f[0], "strictness": f[1]}
+        for t, f in zip(game.types, found)
+    }
     if responses is None:
         responses = {}
         for type_label, info in dominant.items():
@@ -135,10 +134,12 @@ def _parse_floats(text: str) -> tuple[float, ...]:
 def _parse_responses(text: str) -> dict[str, str]:
     responses = {}
     for item in text.split(","):
-        type_label, _, strategy = item.partition("=")
+        type_label, _, strategy = (part.strip() for part in item.partition("="))
         if not _:
             raise ValueError(f"response must look like type=strategy, got {item!r}")
-        responses[type_label.strip()] = strategy.strip()
+        if type_label in responses:
+            raise ValueError(f"response for type {type_label!r} given twice")
+        responses[type_label] = strategy
     return responses
 
 
@@ -180,8 +181,8 @@ def _cmd_market(args: argparse.Namespace) -> str:
         if args.config is not None:
             raw = core.json_object(args.config.read_text(), "constructive base document")
             try:
-                types = tuple(raw["types"])
-                strategies = tuple(raw["strategies"])
+                types = core.parse_labels(raw["types"], "types")
+                strategies = core.parse_labels(raw["strategies"], "strategies")
                 matrices = {}
                 for key, grid in raw["matrices"].items():
                     t_i, _, t_j = key.partition(",")

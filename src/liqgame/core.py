@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from enum import Enum
 from typing import NamedTuple, Sequence
 
 
@@ -29,13 +28,6 @@ class SameSignBalances(LiquidityGameError):
 
 class CapExceeded(LiquidityGameError):
     pass
-
-
-class Player(Enum):
-    """The long side (I, positive balance) or the short side (J, negative)."""
-
-    I = "I"
-    J = "J"
 
 
 class GameInstance(NamedTuple):
@@ -102,23 +94,20 @@ class PayoffMatrix(Checked, _PayoffMatrix):
     def cols(self) -> int:
         return len(self.actions_j)
 
-    @property
-    def entries(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """``entries[r][c]`` is the pair ``(u_i[r][c], u_j[r][c])``."""
-        return tuple(tuple(zip(row_i, row_j)) for row_i, row_j in zip(self.u_i, self.u_j))
-
     @classmethod
     def from_entries(cls, entries) -> "PayoffMatrix":
-        """Wrap a plain nested list of (u_i, u_j) pairs.
+        """Wrap a nested list of (u_i, u_j) pairs of ints; ValueError for any other payoff.
 
         Row and column actions are labelled n..1 descending, matching how
         instance-built matrices are laid out.
         """
-        grid = [[(int(a), int(b)) for a, b in row] for row in entries]
-        n_rows = len(grid)
+        grid = [[(a, b) for a, b in row] for row in entries]
+        for a, b in itertools.chain.from_iterable(grid):
+            if not (is_int(a) and is_int(b)):
+                raise ValueError(f"payoffs must be integers, got {[a, b]!r}")
         n_cols = len(grid[0]) if grid else 0
         return cls(
-            actions_i=tuple(range(n_rows, 0, -1)),
+            actions_i=tuple(range(len(grid), 0, -1)),
             actions_j=tuple(range(n_cols, 0, -1)),
             u_i=tuple(tuple(a for a, _ in row) for row in grid),
             u_j=tuple(tuple(b for _, b in row) for row in grid),
@@ -180,23 +169,6 @@ def build_payoff_matrix(instance: GameInstance) -> PayoffMatrix:
     return PayoffMatrix(actions_i=tuple(qi), actions_j=tuple(qj), u_i=u, u_j=u)
 
 
-def dominance_relations(vectors: Sequence[Sequence]) -> list[tuple[int, int, str]]:
-    """All ordered pairs (dominated, dominating, strictness) among one
-    player's payoff vectors, each listing the payoffs against every
-    opponent action.
-
-    ``g`` dominates ``d`` when g's payoff is at least d's everywhere;
-    "strict" when strictly greater everywhere, "weak" otherwise (equal
-    vectors therefore dominate each other weakly).
-    """
-    relations = []
-    for d, g in itertools.permutations(range(len(vectors)), 2):
-        if all(vg >= vd for vg, vd in zip(vectors[g], vectors[d])):
-            strict = all(vg > vd for vg, vd in zip(vectors[g], vectors[d]))
-            relations.append((d, g, "strict" if strict else "weak"))
-    return relations
-
-
 def is_int(value) -> bool:
     """True for an int; bool is a subclass of int, but JSON true/false are
     not numbers here."""
@@ -244,9 +216,18 @@ def check_prior(prior: Sequence[float], types: Sequence[str]) -> None:
         raise ValueError(f"prior must sum to 1, got {sum(prior)}")
 
 
+def parse_labels(values, what: str) -> tuple:
+    """Read a JSON list of labels; ValueError for any other JSON value."""
+    if not isinstance(values, list):
+        raise ValueError(f"{what} must be a list of labels, got {values!r}")
+    return tuple(values)
+
+
 def check_labels(*label_sets: Sequence[str]) -> None:
-    """ValueError when a type or strategy label repeats within its set."""
+    """ValueError when a label is not a string, or repeats within its set."""
     for labels in label_sets:
+        if not all(isinstance(label, str) for label in labels):
+            raise ValueError(f"labels must be strings, got {list(labels)}")
         if len(set(labels)) != len(labels):
             raise ValueError(f"labels must be distinct, got {list(labels)}")
 

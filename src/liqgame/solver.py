@@ -16,7 +16,7 @@ import operator
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .core import GameInstance, LiquidityGameError, PayoffMatrix, Player, dominance_relations
+from .core import GameInstance, LiquidityGameError, PayoffMatrix
 
 DEFAULT_DIMENSION_CAP = 12
 ORACLE_DIMENSION_CAP = 4
@@ -310,17 +310,6 @@ def verify_equilibrium(
         Fraction(max(row_payoffs) * d_i - expected_i, scale) <= tolerance
         and Fraction(max(col_payoffs) * d_j - expected_j, scale) <= tolerance
     )
-
-
-def dominated_actions(
-    matrix: PayoffMatrix, player: Player
-) -> list[tuple[int, int, str]]:
-    """All ordered pairs (dominated, dominating, strictness) for one player,
-    as ``core.dominance_relations`` finds them over the player's payoff
-    vectors: matrix rows for I, columns for J."""
-    if matrix.rows == 0 or matrix.cols == 0:
-        raise ValueError("matrix must be non-empty")
-    return dominance_relations(matrix.u_i if player is Player.I else list(zip(*matrix.u_j)))
 
 
 def _window_grid(total: int, center: Sequence[Fraction], radius: int) -> list[tuple[int, ...]]:

@@ -68,8 +68,8 @@ def _indifference_solution(
 
 
 def _profile_for_supports(
-    u_i: list[list[int]],
-    u_j: list[list[int]],
+    u_i: Sequence[Sequence[int]],
+    u_j: Sequence[Sequence[int]],
     si: Sequence[int],
     sj: Sequence[int],
 ) -> Optional[MixedProfile]:
@@ -105,8 +105,7 @@ def _profile_for_supports(
 def reference_solve_mixed(matrix: PayoffMatrix) -> list[MixedProfile]:
     """Every accepted profile in enumeration order, duplicates dropped."""
     m, n = matrix.rows, matrix.cols
-    u_i = [[cell[0] for cell in row] for row in matrix.entries]
-    u_j = [[cell[1] for cell in row] for row in matrix.entries]
+    u_i, u_j = matrix.u_i, matrix.u_j
     profiles: list[MixedProfile] = []
     seen = set()
     for size in range(1, min(m, n) + 1):
@@ -130,8 +129,7 @@ def reference_verify_equilibrium(
             f"profile is {len(profile.probs_i)}x{len(profile.probs_j)}, "
             f"matrix is {m}x{n}"
         )
-    u_i = [[cell[0] for cell in row] for row in matrix.entries]
-    u_j = [[cell[1] for cell in row] for row in matrix.entries]
+    u_i, u_j = matrix.u_i, matrix.u_j
     row_payoffs = [
         sum(u_i[r][c] * profile.probs_j[c] for c in range(n)) for r in range(m)
     ]

@@ -15,9 +15,7 @@ from liqgame.bayes import (
     load_bundled_game,
     load_game_document,
 )
-from liqgame.core import PayoffMatrix, Player
 from liqgame.fixtures import fixture_path
-from liqgame.solver import dominated_actions
 
 THRESHOLD = 5 / 9
 
@@ -114,7 +112,7 @@ class TestDominance:
             ) == dominant_strategy_per_type(game, index)
 
     @given(st.data())
-    def test_agrees_with_solver_dominance_relations(self, data):
+    def test_agrees_with_pairwise_dominance(self, data):
         # Few distinct values and columns drawn with repetition, so ties and
         # duplicate columns are common; one-column tables are included.
         n_rows = data.draw(st.integers(1, 3), label="rows")
@@ -136,7 +134,13 @@ class TestDominance:
             matrices={"t": grid},
             prior=(1.0,),
         )
-        relations = dominated_actions(PayoffMatrix.from_entries(grid), Player.J)
+        # every ordered pair (dominated, dominating, strictness) of columns
+        relations = []
+        for d in range(n_cols):
+            for g in range(n_cols):
+                if g != d and all(columns[g][r] >= columns[d][r] for r in range(n_rows)):
+                    strict = all(columns[g][r] > columns[d][r] for r in range(n_rows))
+                    relations.append((d, g, "strict" if strict else "weak"))
         expected = None
         for c in range(n_cols):
             won = [strictness for _, g, strictness in relations if g == c]
@@ -203,6 +207,29 @@ class TestValidation:
     def test_missing_response_type(self, bundled):
         with pytest.raises(UnknownLabel):
             indifference_threshold(bundled, {"a": "high"})
+
+    @pytest.mark.parametrize(
+        "responses, message",
+        [
+            ({"a": "high", "b": "high", "c": "high"}, "response for unknown type 'c'"),
+            ({"a": "high", "b": "low", "c": "mid"}, "response for unknown type 'c'"),
+        ],
+        ids=["extra-type", "extra-type-and-strategy"],
+    )
+    def test_response_map_names_exactly_the_types(self, bundled, responses, message):
+        with pytest.raises(UnknownLabel, match=f"^{message}$"):
+            indifference_threshold(bundled, responses)
+        with pytest.raises(UnknownLabel, match=f"^{message}$"):
+            expected_payoff(bundled, "high", responses)
+
+    @pytest.mark.parametrize(
+        "field, labels",
+        [("types", ("a", 1)), ("strategies_i", (("high",), ("low",))), ("strategies_j", (None, "low"))],
+    )
+    def test_labels_must_be_strings(self, bundled, field, labels):
+        matrices = dict(zip(labels, bundled.matrices.values())) if field == "types" else bundled.matrices
+        with pytest.raises(ValueError, match="^labels must be strings, got "):
+            bundled._replace(**{field: labels, "matrices": matrices})
 
     def test_prior_must_sum_to_one(self, bundled):
         with pytest.raises(ValueError):

@@ -118,6 +118,20 @@ class TestBayesCommand:
         assert report["threshold_p"] == 0.0
         assert report["responses"] == {"a": "high", "b": "low"}
 
+    @pytest.mark.parametrize(
+        "responses, message",
+        [
+            ("a=high,b=low,c=mid", "UnknownLabel: response for unknown type 'c'"),
+            ("a=high,a=low,b=low", "ValueError: response for type 'a' given twice"),
+        ],
+        ids=["unknown-type", "repeated-type"],
+    )
+    def test_response_map_names_each_type_once(self, capsys, responses, message):
+        code, out, err = run_cli(capsys, "bayes", "--response", responses)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     def test_malformed_document_exit_two(self, capsys, tmp_path):
         bad = tmp_path / "game.json"
         bad.write_text("{not json")
@@ -553,6 +567,62 @@ class TestOneGameRule:
         assert code == 2
         assert out == ""
         assert err == f"error: ValueError: labels must be distinct, got {labels}\n"
+
+
+    @pytest.mark.parametrize(
+        "argv,document,labels",
+        [
+            (["bayes", "--game"], {**BAYES_DOCUMENT, "types": [["a"], ["b"]]}, [["a"], ["b"]]),
+            (["bayes", "--game"], {**BAYES_DOCUMENT, "strategies": [1, 2]}, [1, 2]),
+            (
+                ["market", "--constructive", "--config"],
+                {**MARKET_TWO_BY_TWO, "types": [["L"], ["s"]]},
+                [["L"], ["s"]],
+            ),
+            (
+                ["market", "--constructive", "--config"],
+                {**MARKET_TWO_BY_TWO, "strategies": ["x", None]},
+                ["x", None],
+            ),
+        ],
+        ids=["bayes-types", "bayes-strategies", "market-types", "market-strategies"],
+    )
+    def test_labels_must_be_strings(self, capsys, tmp_path, argv, document, labels):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(document))
+        code, out, err = run_cli(capsys, *argv, str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: ValueError: labels must be strings, got {labels}\n"
+
+    @pytest.mark.parametrize(
+        "argv,document,field,value",
+        [
+            (["bayes", "--game"], BAYES_DOCUMENT, "types", "ab"),
+            (["bayes", "--game"], BAYES_DOCUMENT, "strategies", "hl"),
+            (["bayes", "--game"], BAYES_DOCUMENT, "strategies", {"high": 1, "low": 2}),
+            (["market", "--constructive", "--config"], MARKET_TWO_BY_TWO, "types", "Ls"),
+            (["market", "--constructive", "--config"], MARKET_TWO_BY_TWO, "strategies", "xy"),
+        ],
+        ids=["bayes-types", "bayes-strategies", "bayes-object", "market-types", "market-strategies"],
+    )
+    def test_labels_must_be_a_list(self, capsys, tmp_path, argv, document, field, value):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({**document, field: value}))
+        code, out, err = run_cli(capsys, *argv, str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: ValueError: {field} must be a list of labels, got {value!r}\n"
+
+    def test_split_strategy_labels_must_be_lists(self, capsys, tmp_path):
+        document = {k: v for k, v in BAYES_DOCUMENT.items() if k != "strategies"}
+        document.update(strategies_i=["high", "low"], strategies_j="hl")
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(document))
+        code, out, err = run_cli(capsys, "bayes", "--game", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "error: ValueError: strategies_j must be a list of labels, got 'hl'\n"
 
 
 class TestThinAdapter:

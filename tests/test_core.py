@@ -74,19 +74,19 @@ class TestBilateralPayoff:
 class TestPayoffMatrix:
     def test_two_by_two_table(self):
         matrix = build_payoff_matrix(build_instance(2, -2, 100))
-        assert matrix.entries == (((2, 2), (0, 0)), ((1, 1), (1, 1)))
+        assert matrix.to_jsonable() == [[[2, 2], [0, 0]], [[1, 1], [1, 1]]]
 
     def test_three_by_three_table(self):
         matrix = build_payoff_matrix(build_instance(3, -3, 100))
-        assert matrix.entries == (
-            ((3, 3), (0, 0), (0, 0)),
-            ((2, 2), (2, 2), (0, 0)),
-            ((1, 1), (1, 1), (1, 1)),
-        )
+        assert matrix.to_jsonable() == [
+            [[3, 3], [0, 0], [0, 0]],
+            [[2, 2], [2, 2], [0, 0]],
+            [[1, 1], [1, 1], [1, 1]],
+        ]
 
     def test_single_cell(self):
         matrix = build_payoff_matrix(build_instance(1, -1, 100))
-        assert matrix.entries == (((1, 1),),)
+        assert matrix.to_jsonable() == [[[1, 1]]]
 
     @given(n_i=st.integers(1, 12), n_j=st.integers(1, 12))
     def test_every_cell_matches_payoff_rule(self, n_i, n_j):
@@ -94,21 +94,21 @@ class TestPayoffMatrix:
         for r, offer in enumerate(matrix.actions_i):
             for c, capacity in enumerate(matrix.actions_j):
                 q = transferred(offer, capacity)
-                assert matrix.entries[r][c] == (q, q)
+                assert (matrix.u_i[r][c], matrix.u_j[r][c]) == (q, q)
                 assert q >= 0
 
     @given(n=st.integers(1, 30))
     def test_descending_diagonal(self, n):
         matrix = build_payoff_matrix(build_instance(n, -n, 1000))
         for k in range(n):
-            assert matrix.entries[k][k] == (n - k, n - k)
+            assert matrix.u_i[k][k] == matrix.u_j[k][k] == n - k
             for c in range(k + 1, n):
-                assert matrix.entries[k][c] == (0, 0)
+                assert matrix.u_i[k][c] == matrix.u_j[k][c] == 0
 
     def test_json_round_trip(self):
         matrix = build_payoff_matrix(build_instance(3, -2, 100))
         again = PayoffMatrix.from_entries(json.loads(json.dumps(matrix.to_jsonable())))
-        assert again.entries == matrix.entries
+        assert again.to_jsonable() == matrix.to_jsonable()
 
     def test_csv_layout(self):
         matrix = build_payoff_matrix(build_instance(2, -2, 100))
@@ -118,7 +118,16 @@ class TestPayoffMatrix:
         matrix = PayoffMatrix.from_entries([[(1, 2), (3, 4)], [(5, 6), (7, 8)]])
         assert matrix.u_i == ((1, 3), (5, 7))
         assert matrix.u_j == ((2, 4), (6, 8))
-        assert matrix.entries == (((1, 2), (3, 4)), ((5, 6), (7, 8)))
+        assert matrix.to_jsonable() == [[[1, 2], [3, 4]], [[5, 6], [7, 8]]]
+
+    @pytest.mark.parametrize(
+        "payoff", [1.7, 0.5, 2.0, "3", True, None], ids=["1.7", "0.5", "2.0", "text", "bool", "none"]
+    )
+    @pytest.mark.parametrize("side", [0, 1], ids=["u_i", "u_j"])
+    def test_from_entries_refuses_payoffs_that_are_not_ints(self, payoff, side):
+        cell = [payoff, 1] if side == 0 else [1, payoff]
+        with pytest.raises(ValueError, match="^payoffs must be integers, got "):
+            PayoffMatrix.from_entries([[(1, 2), (3, 4)], [(5, 6), cell]])
 
     @pytest.mark.parametrize(
         "u_i, u_j",
@@ -165,10 +174,10 @@ class TestInstanceSerialization:
 
 def parse_payoff_csv(text):
     assert text.endswith("\n")
-    return tuple(
-        tuple(tuple(int(part) for part in cell.split("|")) for cell in line.split(","))
+    return [
+        [[int(part) for part in cell.split("|")] for cell in line.split(",")]
         for line in text[:-1].split("\n")
-    )
+    ]
 
 
 class TestRoundTripProperties:
@@ -205,4 +214,4 @@ class TestRoundTripProperties:
     def test_instance_json_and_csv_round_trip_matrix(self, n_i, n_j):
         matrix = build_payoff_matrix(build_instance(n_i, -n_j, 100))
         assert PayoffMatrix.from_entries(json.loads(json.dumps(matrix.to_jsonable()))) == matrix
-        assert parse_payoff_csv(matrix.to_csv()) == matrix.entries
+        assert parse_payoff_csv(matrix.to_csv()) == matrix.to_jsonable()

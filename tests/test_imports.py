@@ -203,7 +203,6 @@ def test_public_name_list_is_pinned():
         "LiquidityGameError",
         "MixedProfile",
         "PayoffMatrix",
-        "Player",
         "PureEquilibrium",
         "QuadrantReport",
         "SimConfig",
@@ -216,7 +215,6 @@ def test_public_name_list_is_pinned():
         "build_instance",
         "build_payoff_matrix",
         "dominant_strategy_per_type",
-        "dominated_actions",
         "expected_payoff",
         "find_pure_equilibria",
         "indifference_threshold",

@@ -155,6 +155,21 @@ class TestQuadrantReport:
             sum(report.quadrants.values()), abs=1e-12
         )
 
+    def test_system_total_adds_the_quadrants_left_to_right(self):
+        # The default constructive table's quadrants add to 20.549999999999997
+        # left to right, and to 20.55 under the compensated sum() of Python
+        # 3.12+; the report rounds these to 20.5 and 20.6.
+        game = load_bundled_game()
+        base = pairwise_base_from_conditional(game)
+        report = quadrant_analysis(
+            weight_by_priors(game.types, game.strategies_i, base, game.prior, game.prior)
+        )
+        total = 0
+        for quadrant_total in report.quadrants.values():
+            total += quadrant_total
+        assert report.system_total == total
+        assert report.to_jsonable()["system_total"] == round1(total)
+
     @given(scale=st.floats(0.01, 100))
     def test_hit_ratio_invariant_under_rescaling(self, scale):
         matrix = load_published_matrix("final_4x4")

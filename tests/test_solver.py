@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liqgame.core import GameInstance, PayoffMatrix, Player, build_instance, build_payoff_matrix
+from liqgame.core import GameInstance, PayoffMatrix, build_instance, build_payoff_matrix
 from liqgame import solver
 from liqgame.solver import (
     DimensionCapExceeded,
     DimensionMismatch,
     MixedProfile,
     brute_force_oracle,
-    dominated_actions,
     find_pure_equilibria,
     instance_mixed_profiles,
     solve_mixed,
@@ -56,6 +55,19 @@ class TestPureEquilibria:
         matrix = PayoffMatrix.from_entries([[(0, 0), (0, 0)], [(0, 0), (0, 0)]])
         assert len(find_pure_equilibria(matrix)) == 4
 
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            PayoffMatrix.from_entries([[]]),
+            PayoffMatrix(actions_i=(), actions_j=(1,), u_i=(), u_j=()),
+        ],
+        ids=["1x0", "0x1"],
+    )
+    def test_empty_side_rejected(self, matrix):
+        # either empty side alone is refused, before any scan
+        with pytest.raises(ValueError, match="non-empty"):
+            find_pure_equilibria(matrix)
+
     @pytest.mark.parametrize("n", range(1, 13))
     def test_diagonal_theorem_small(self, n):
         equilibria = find_pure_equilibria(game_matrix(n, -n))
@@ -65,13 +77,10 @@ class TestPureEquilibria:
     def test_best_response_property_holds(self):
         matrix = game_matrix(5, -3)
         for eq in find_pure_equilibria(matrix):
-            u, v = matrix.entries[eq.row_index][eq.col_index]
-            assert all(
-                matrix.entries[r][eq.col_index][0] <= u for r in range(matrix.rows)
-            )
-            assert all(
-                matrix.entries[eq.row_index][c][1] <= v for c in range(matrix.cols)
-            )
+            u = matrix.u_i[eq.row_index][eq.col_index]
+            v = matrix.u_j[eq.row_index][eq.col_index]
+            assert all(row[eq.col_index] <= u for row in matrix.u_i)
+            assert all(w <= v for w in matrix.u_j[eq.row_index])
 
 
 class TestSolveMixed:
@@ -276,6 +285,19 @@ class TestVerifyEquilibrium:
         with pytest.raises(DimensionMismatch):
             verify_equilibrium(game_matrix(2, -2), profile([1], [1]), F(0))
 
+    @pytest.mark.parametrize(
+        "probs_i, probs_j", [([1], [F(1, 2), F(1, 2)]), ([0, 1], [1])], ids=["row", "column"]
+    )
+    def test_dimension_mismatch_on_one_side(self, probs_i, probs_j):
+        with pytest.raises(DimensionMismatch):
+            verify_equilibrium(game_matrix(2, -2), profile(probs_i, probs_j))
+
+    def test_default_tolerance_is_zero(self):
+        # the column player's deviation gain is 1/2, inside (0, 1]: only an
+        # exact test refuses it
+        uniform = profile([F(1, 2), F(1, 2)], [F(1, 2), F(1, 2)])
+        assert not verify_equilibrium(game_matrix(2, -2), uniform)
+
     def test_tolerance_loosens_the_check(self):
         uniform = profile([F(1, 2), F(1, 2)], [F(1, 2), F(1, 2)])
         assert verify_equilibrium(game_matrix(2, -2), uniform, F(1, 2))
@@ -309,38 +331,6 @@ class TestVerifyEquilibrium:
     def test_non_finite_entry_rejected(self, bad):
         with pytest.raises(ValueError, match="not a probability distribution"):
             verify_equilibrium(game_matrix(2, -2), MixedProfile((0.5, 0.5), (bad, 0.0)))
-
-
-class TestDominatedActions:
-    def test_short_player_prefers_big_capacity(self):
-        # column a_j=2 is at least as good as a_j=1 for the short player
-        relations = dominated_actions(game_matrix(2, -2), Player.J)
-        assert relations == [(1, 0, "weak")]
-
-    def test_long_player_has_no_dominance(self):
-        # brute elementwise comparison of rows (2,0) and (1,1): neither
-        # dominates, each loses one column
-        matrix = game_matrix(2, -2)
-        rows = [[cell[0] for cell in row] for row in matrix.entries]
-        brute = []
-        for d in range(2):
-            for g in range(2):
-                if d != g and all(rows[g][c] >= rows[d][c] for c in range(2)):
-                    brute.append((d, g))
-        assert brute == []
-        assert dominated_actions(matrix, Player.I) == []
-
-    def test_constant_matrix_mutual_weak_dominance(self):
-        matrix = PayoffMatrix.from_entries([[(5, 5), (5, 5)], [(5, 5), (5, 5)]])
-        for player in (Player.I, Player.J):
-            assert dominated_actions(matrix, player) == [
-                (0, 1, "weak"),
-                (1, 0, "weak"),
-            ]
-
-    def test_strict_dominance_detected(self):
-        matrix = PayoffMatrix.from_entries([[(0, 0), (0, 1)], [(3, 2), (1, 3)]])
-        assert (0, 1, "strict") in dominated_actions(matrix, Player.I)
 
 
 def assert_contains_grid_point(points, target, tolerance):
