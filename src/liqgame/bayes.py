@@ -18,6 +18,7 @@ from .core import (
     check_labels,
     check_prior,
     check_table,
+    check_table_keys,
     json_object,
     parse_bimatrix,
     parse_labels,
@@ -59,6 +60,7 @@ class ConditionalGame(Checked, _ConditionalGame):
             if t not in self.matrices:
                 raise ValueError(f"missing matrix for type {t!r}")
             check_table(self.matrices[t], self.strategies_i, self.strategies_j, f"type {t!r}")
+        check_table_keys(self.matrices, self.types, "type")
         check_prior(self.prior, self.types)
         return self
 

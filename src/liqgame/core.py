@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from typing import NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 
 class LiquidityGameError(Exception):
@@ -237,6 +237,14 @@ def check_table(grid, strategies_i: Sequence[str], strategies_j: Sequence[str], 
     strategy and one cell per column strategy in every row."""
     if len(grid) != len(strategies_i) or any(len(row) != len(strategies_j) for row in grid):
         raise ValueError(f"matrix for {what} has wrong dimensions")
+
+
+def check_table_keys(tables: Mapping, keys: Sequence, what: str) -> None:
+    """ValueError when ``tables`` holds a table under a key outside ``keys``:
+    no rule would check that table, and no result would use it."""
+    for key in tables:
+        if key not in keys:
+            raise ValueError(f"matrix for unlisted {what} {key!r}")
 
 
 def parse_bimatrix(grid) -> Bimatrix:

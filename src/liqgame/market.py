@@ -16,7 +16,14 @@ import operator
 from decimal import ROUND_HALF_UP, Decimal
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional, Sequence
 
-from .core import Checked, LiquidityGameError, check_labels, check_prior, check_table
+from .core import (
+    Checked,
+    LiquidityGameError,
+    check_labels,
+    check_prior,
+    check_table,
+    check_table_keys,
+)
 from .fixtures import PUBLISHED_TABLES, fixture_path
 
 if TYPE_CHECKING:
@@ -156,6 +163,7 @@ def weight_by_priors(
             if (t_i, t_j) not in matrices:
                 raise MissingTypePairMatrix(f"no matrix for type pair ({t_i}, {t_j})")
             check_table(matrices[(t_i, t_j)], strategies, strategies, f"type pair ({t_i}, {t_j})")
+    check_table_keys(matrices, [(t_i, t_j) for t_i in types for t_j in types], "type pair")
     row_labels = tuple((t, s) for t in types for s in strategies)
     entries = []
     for t_i, w_i in zip(types, prior_i):

@@ -19,7 +19,6 @@ versions, which drew from PCG64 generators.
 from __future__ import annotations
 
 import itertools
-import math
 import numbers
 import operator
 import random
@@ -97,6 +96,22 @@ def parcel_size(strategy: StrategySpec, balance_abs: int) -> int:
     return _deterministic_parcel(strategy)(balance_abs)
 
 
+def _check_ranges(range_i, range_j) -> None:
+    """The balance-range rule: each range a pair of integers (lo, hi) with
+    lo <= hi, i's strictly positive and j's strictly negative; ValueError
+    otherwise."""
+    for name, pair in (("balance_range_i", range_i), ("balance_range_j", range_j)):
+        if not (isinstance(pair, (tuple, list)) and len(pair) == 2 and all(map(is_int, pair))):
+            raise ValueError(f"{name} must be a pair of integers")
+    (lo_i, hi_i), (lo_j, hi_j) = range_i, range_j
+    if lo_i > hi_i or lo_j > hi_j:
+        raise ValueError("balance ranges must be nonempty (lo <= hi)")
+    if lo_i < 1:
+        raise ValueError("balance_range_i must be strictly positive")
+    if hi_j > -1:
+        raise ValueError("balance_range_j must be strictly negative")
+
+
 class _SimConfig(NamedTuple):
     trials: int
     balance_range_i: tuple[int, int] = (1, 1000)
@@ -115,22 +130,12 @@ class SimConfig(Checked, _SimConfig):
         for name in ("trials", "seed", "max_rounds"):
             if not is_int(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer")
-        for name in ("balance_range_i", "balance_range_j"):
-            pair = getattr(self, name)
-            if not (isinstance(pair, (tuple, list)) and len(pair) == 2 and all(map(is_int, pair))):
-                raise ValueError(f"{name} must be a pair of integers")
-            if isinstance(pair, list):  # _replace runs these checks again
-                return self._replace(**{name: tuple(pair)})
+        ranges = self.balance_range_i, self.balance_range_j
+        _check_ranges(*ranges)
+        if any(isinstance(pair, list) for pair in ranges):  # _replace runs these checks again
+            return self._replace(balance_range_i=tuple(ranges[0]), balance_range_j=tuple(ranges[1]))
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        lo_i, hi_i = self.balance_range_i
-        lo_j, hi_j = self.balance_range_j
-        if lo_i > hi_i or lo_j > hi_j:
-            raise ValueError("balance ranges must be nonempty (lo <= hi)")
-        if lo_i < 1:
-            raise ValueError("balance_range_i must be strictly positive")
-        if hi_j > -1:
-            raise ValueError("balance_range_j must be strictly negative")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be an unsigned 64-bit integer")
         if self.mode not in MODES:
@@ -289,23 +294,29 @@ def run_simulation(config: SimConfig) -> SimReport:
     )
 
 
-def _parcel_weights(strategy: StrategySpec, lo_abs: int, hi_abs: int, top: int) -> tuple[list, int]:
-    """Parcel distribution under a uniform draw of the absolute balance from
-    lo_abs..hi_abs, as integer weights w[0..top] over one denominator."""
-    width = hi_abs - lo_abs + 1
-    weights = [0] * (top + 1)
+def _histogram(strategy: StrategySpec, lo_abs: int, hi_abs: int, top: int) -> list[int]:
+    """Counts over 0..top, under one draw of each absolute balance in
+    lo_abs..hi_abs: of the balances for uniform_random, of the parcels for a
+    deterministic kind."""
+    counts = [0] * (top + 1)
     if strategy.kind == "uniform_random":
-        # P(parcel = v) = (1/width) * sum of 1/b over balances b >= max(v, lo_abs).
-        lcm = math.lcm(*range(lo_abs, hi_abs + 1))
-        tail = 0
-        for b in range(hi_abs, 0, -1):
-            if b >= lo_abs:
-                tail += lcm // b
-            weights[b] = tail
-        return weights, width * lcm
-    for parcel in map(_deterministic_parcel(strategy), range(lo_abs, hi_abs + 1)):
-        weights[parcel] += 1
-    return weights, width
+        counts[lo_abs : hi_abs + 1] = [1] * (hi_abs - lo_abs + 1)
+    else:
+        for parcel in map(_deterministic_parcel(strategy), range(lo_abs, hi_abs + 1)):
+            counts[parcel] += 1
+    return counts
+
+
+def _sum_of_ratios(terms: list[tuple[int, int]]) -> tuple[int, int]:
+    """The sum of p/q over ``terms`` as one unreduced (p, q), by binary
+    splitting: neighbours merge pairwise until one is left, so the operands
+    of each product stay about equal in size, and no gcd or lcm is taken."""
+    while len(terms) > 1:
+        merged = [(p1 * q2 + p2 * q1, q1 * q2) for (p1, q1), (p2, q2) in zip(terms[::2], terms[1::2])]
+        if len(terms) % 2:
+            merged.append(terms[-1])
+        terms = merged
+    return terms[0] if terms else (0, 1)
 
 
 def analytic_hit_ratio(
@@ -314,13 +325,38 @@ def analytic_hit_ratio(
     strategy_i: StrategySpec,
     strategy_j: StrategySpec,
 ) -> float:
-    """Exact success probability P(offer <= capacity) of one round over the
-    joint parcel distribution, in integer operations linear in the largest
-    balance. Serves as the convergence oracle for ``run_simulation``."""
-    top = max(range_i[1], -range_j[0])
-    offers, denom_i = _parcel_weights(strategy_i, range_i[0], range_i[1], top)
-    capacities, denom_j = _parcel_weights(strategy_j, -range_j[1], -range_j[0], top)
-    # One backward pass: the running sum is the capacity weight on parcels >= v.
-    at_least = itertools.accumulate(reversed(capacities))
-    total = sum(map(operator.mul, reversed(offers), at_least))
-    return float(Fraction(total, denom_i * denom_j))
+    """Exact success probability P(offer <= capacity) of one round, under
+    uniform draws of both balances; the convergence oracle for
+    ``run_simulation``. Ranges follow ``SimConfig``'s rule (ValueError).
+
+    A sum over balance pairs (b, b'), as absolute values. Per pair the hit
+    probability is 1 + (1 - b)/(2b') when b <= b', else (b' + 1)/(2b), for
+    two uniform_random parcels; min(b, y)/b against a deterministic capacity
+    y; (b' - y + 1)/b' for a deterministic offer y <= b'; 0 or 1 for two
+    deterministic parcels. So the sum is (scale * pairs + the sum of c[x]/x)
+    over scale * width_i * width_j, with small integers c[x] from prefix
+    sums. The c[x]/x are added by binary splitting, and one int true division
+    rounds the exact quotient correctly.
+    """
+    _check_ranges(range_i, range_j)
+    (lo_i, hi_i), (lo_j, hi_j) = range_i, (-range_j[1], -range_j[0])
+    top = max(hi_i, hi_j)
+    counts_i = _histogram(strategy_i, lo_i, hi_i, top)
+    counts_j = _histogram(strategy_j, lo_j, hi_j, top)
+    at_most_i = list(itertools.accumulate(counts_i))
+    pairs = sum(map(operator.mul, counts_j, at_most_i))
+    random_i = strategy_i.kind == "uniform_random"
+    random_j = strategy_j.kind == "uniform_random"
+    numerators = []
+    if random_j:  # x = b': the sum over b <= b' (or y <= b') of 1 - b (or 1 - y)
+        sum_i = itertools.accumulate(map(operator.mul, counts_i, itertools.count()))
+        numerators = list(map(operator.mul, counts_j, map(operator.sub, at_most_i, sum_i)))
+    if random_i:  # x = b: the sum over b' < b (or y < b) of b' + 1 (or y)
+        weights_j = map(operator.mul, counts_j, itertools.count(random_j))
+        below_j = itertools.accumulate(weights_j, initial=0)
+        per_b = map(operator.mul, counts_i, below_j)
+        numerators = list(map(operator.add, numerators, per_b) if numerators else per_b)
+    p, q = _sum_of_ratios([(c, x) for x, c in enumerate(numerators) if c])
+    scale = 2 if random_i and random_j else 1
+    width = (hi_i - lo_i + 1) * (hi_j - lo_j + 1)
+    return (scale * pairs * q + p) / (scale * width * q)

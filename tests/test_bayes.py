@@ -231,6 +231,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="^labels must be strings, got "):
             bundled._replace(**{field: labels, "matrices": matrices})
 
+    def test_table_for_unlisted_type(self, bundled):
+        matrices = {**bundled.matrices, "c": (((99.0, 99.0),),)}
+        with pytest.raises(ValueError, match="^matrix for unlisted type 'c'$"):
+            bundled._replace(matrices=matrices)
+
     def test_prior_must_sum_to_one(self, bundled):
         with pytest.raises(ValueError):
             bundled._replace(prior=(0.6, 0.6))

@@ -624,6 +624,30 @@ class TestOneGameRule:
         assert out == ""
         assert err == "error: ValueError: strategies_j must be a list of labels, got 'hl'\n"
 
+    @pytest.mark.parametrize(
+        "key,message",
+        [
+            ("c", "type 'c'"),
+            ("zz,qq", "type pair ('zz', 'qq')"),
+            ("nocomma", "type pair ('nocomma', '')"),
+            ("L,s,s", "type pair ('L', 's,s')"),
+        ],
+        ids=["bayes", "market-unlisted-types", "market-no-comma", "market-two-commas"],
+    )
+    def test_table_for_unlisted_type_exit_two(self, capsys, tmp_path, key, message):
+        if key == "c":
+            argv, document = ["bayes", "--game"], copy.deepcopy(BAYES_DOCUMENT)
+        else:
+            argv, document = ["market", "--constructive", "--config"], copy.deepcopy(MARKET_TWO_BY_TWO)
+        # a well-shaped table, so the key is the only fault
+        document["matrices"][key] = next(iter(document["matrices"].values()))
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(document))
+        code, out, err = run_cli(capsys, *argv, str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: ValueError: matrix for unlisted {message}\n"
+
 
 class TestThinAdapter:
     def test_market_matches_library_serialization(self, capsys):

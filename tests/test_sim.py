@@ -2,10 +2,11 @@ import hashlib
 import json
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from liqgame import cli, sim
@@ -21,7 +22,11 @@ from liqgame.sim import (
     run_simulation,
 )
 
-from reference_sim import reference_hit_probability, repeated_play_distribution
+from reference_sim import (
+    convolution_hit_probability,
+    reference_hit_probability,
+    repeated_play_distribution,
+)
 
 FULL = StrategySpec("full_balance")
 RANDOM = StrategySpec("uniform_random")
@@ -31,6 +36,8 @@ STRATEGIES = [
     StrategySpec("fixed_fraction", 0.7),
     StrategySpec("fixed_fraction", 0.3),
 ]
+# every kind, and a fraction whose parcels are 1 below balance 1500
+ORACLE_STRATEGIES = [*STRATEGIES, StrategySpec("fixed_fraction", 0.001)]
 
 
 def fixed_pair_config(b_i, b_j, **overrides):
@@ -307,6 +314,73 @@ class TestAnalyticHitRatio:
             expected = reference_hit_probability(range_i, range_j, strategy_i, strategy_j)
             got = analytic_hit_ratio(range_i, range_j, strategy_i, strategy_j)
             assert got == float(expected), (range_i, range_j)
+
+    @settings(deadline=None)
+    @given(
+        st.sampled_from(ORACLE_STRATEGIES),
+        st.sampled_from(ORACLE_STRATEGIES),
+        st.integers(1, 30),
+        st.integers(0, 12),
+        st.integers(1, 30),
+        st.integers(0, 12),
+    )
+    @example(RANDOM, RANDOM, 1, 0, 1, 0)  # width 1 on both sides
+    @example(RANDOM, RANDOM, 20, 5, 1, 8)  # disjoint, i's balances above j's
+    @example(RANDOM, FULL, 1, 8, 20, 5)  # disjoint, i's balances below j's
+    @example(FULL, RANDOM, 7, 0, 3, 9)  # width 1 inside the other range
+    def test_equals_reference_on_small_ranges(
+        self, strategy_i, strategy_j, lo_i, extra_i, lo_j, extra_j
+    ):
+        range_i, range_j = (lo_i, lo_i + extra_i), (-(lo_j + extra_j), -lo_j)
+        expected = reference_hit_probability(range_i, range_j, strategy_i, strategy_j)
+        assert analytic_hit_ratio(range_i, range_j, strategy_i, strategy_j) == float(expected)
+
+    @pytest.mark.parametrize("strategy_i", ORACLE_STRATEGIES)
+    @pytest.mark.parametrize("strategy_j", ORACLE_STRATEGIES)
+    @pytest.mark.parametrize(
+        "range_i, range_j",
+        [
+            ((1, 2000), (-2000, -1)),
+            ((301, 2300), (-1800, -11)),
+            ((1201, 2000), (-700, -250)),
+            ((3, 400), (-2400, -1001)),
+            ((999, 999), (-1500, -1)),
+        ],
+        ids=["same", "overlapping", "i-above", "j-above", "i-width-1"],
+    )
+    def test_equals_convolution_on_wide_ranges(self, strategy_i, strategy_j, range_i, range_j):
+        expected = convolution_hit_probability(range_i, range_j, strategy_i, strategy_j)
+        assert analytic_hit_ratio(range_i, range_j, strategy_i, strategy_j) == float(expected)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 50_000])
+    def test_uniform_closed_form(self, n):
+        # uniform against uniform on 1..n both sides: 1/2 + 1/n - H_n/(2n^2)
+        lcm = math.lcm(*range(1, n + 1))
+        harmonic = Fraction(sum(lcm // k for k in range(1, n + 1)), lcm)
+        expected = Fraction(1, 2) + Fraction(1, n) - harmonic / (2 * n * n)
+        if n <= 10:
+            assert expected == reference_hit_probability((1, n), (-n, -1), RANDOM, RANDOM)
+        assert analytic_hit_ratio((1, n), (-n, -1), RANDOM, RANDOM) == float(expected)
+
+    @pytest.mark.parametrize(
+        "range_i, range_j, message",
+        [
+            ((5, 1), (-3, -1), "balance ranges must be nonempty"),
+            ((1, 3), (-1, -3), "balance ranges must be nonempty"),
+            ((1, 3), (1, 3), "balance_range_j must be strictly negative"),
+            ((1, 3), (-3, 0), "balance_range_j must be strictly negative"),
+            ((-3, 0), (-3, -1), "balance_range_i must be strictly positive"),
+            ((0, 3), (-3, -1), "balance_range_i must be strictly positive"),
+            ((1, 3.0), (-3, -1), "balance_range_i must be a pair of integers"),
+            ((1, 3), (-3, -1, 0), "balance_range_j must be a pair of integers"),
+        ],
+    )
+    def test_refuses_what_sim_config_refuses(self, range_i, range_j, message):
+        for strategy in (RANDOM, FULL):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+                analytic_hit_ratio(range_i, range_j, strategy, strategy)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            SimConfig(trials=1, balance_range_i=range_i, balance_range_j=range_j)
 
 
 class TestBlockStream:
