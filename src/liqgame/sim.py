@@ -294,16 +294,15 @@ def run_simulation(config: SimConfig) -> SimReport:
     )
 
 
-def _histogram(strategy: StrategySpec, lo_abs: int, hi_abs: int, top: int) -> list[int]:
-    """Counts over 0..top, under one draw of each absolute balance in
-    lo_abs..hi_abs: of the balances for uniform_random, of the parcels for a
-    deterministic kind."""
-    counts = [0] * (top + 1)
+def _histogram(strategy: StrategySpec, lo_abs: int, hi_abs: int, base: int, top: int) -> list[int]:
+    """Counts over base..top, one per absolute balance in lo_abs..hi_abs: of
+    the balance for uniform_random, of its parcel for a deterministic kind."""
+    counts = [0] * (top - base + 1)
     if strategy.kind == "uniform_random":
-        counts[lo_abs : hi_abs + 1] = [1] * (hi_abs - lo_abs + 1)
+        counts[lo_abs - base : hi_abs - base + 1] = [1] * (hi_abs - lo_abs + 1)
     else:
         for parcel in map(_deterministic_parcel(strategy), range(lo_abs, hi_abs + 1)):
-            counts[parcel] += 1
+            counts[parcel - base] += 1
     return counts
 
 
@@ -340,23 +339,24 @@ def analytic_hit_ratio(
     """
     _check_ranges(range_i, range_j)
     (lo_i, hi_i), (lo_j, hi_j) = range_i, (-range_j[1], -range_j[0])
-    top = max(hi_i, hi_j)
-    counts_i = _histogram(strategy_i, lo_i, hi_i, top)
-    counts_j = _histogram(strategy_j, lo_j, hi_j, top)
-    at_most_i = list(itertools.accumulate(counts_i))
-    pairs = sum(map(operator.mul, counts_j, at_most_i))
     random_i = strategy_i.kind == "uniform_random"
     random_j = strategy_j.kind == "uniform_random"
+    # x runs from the smallest balance or parcel, as a parcel grows with its balance
+    sides = ((strategy_i, lo_i, hi_i), (strategy_j, lo_j, hi_j))
+    base = min(lo if s.kind == "uniform_random" else parcel_size(s, lo) for s, lo, _ in sides)
+    counts_i, counts_j = (_histogram(*side, base, max(hi_i, hi_j)) for side in sides)
+    at_most_i = list(itertools.accumulate(counts_i))
+    pairs = sum(map(operator.mul, counts_j, at_most_i))
     numerators = []
     if random_j:  # x = b': the sum over b <= b' (or y <= b') of 1 - b (or 1 - y)
-        sum_i = itertools.accumulate(map(operator.mul, counts_i, itertools.count()))
+        sum_i = itertools.accumulate(map(operator.mul, counts_i, itertools.count(base)))
         numerators = list(map(operator.mul, counts_j, map(operator.sub, at_most_i, sum_i)))
     if random_i:  # x = b: the sum over b' < b (or y < b) of b' + 1 (or y)
-        weights_j = map(operator.mul, counts_j, itertools.count(random_j))
+        weights_j = map(operator.mul, counts_j, itertools.count(base + random_j))
         below_j = itertools.accumulate(weights_j, initial=0)
         per_b = map(operator.mul, counts_i, below_j)
         numerators = list(map(operator.add, numerators, per_b) if numerators else per_b)
-    p, q = _sum_of_ratios([(c, x) for x, c in enumerate(numerators) if c])
+    p, q = _sum_of_ratios([(c, x) for x, c in enumerate(numerators, base) if c])
     scale = 2 if random_i and random_j else 1
     width = (hi_i - lo_i + 1) * (hi_j - lo_j + 1)
     return (scale * pairs * q + p) / (scale * width * q)

@@ -3,9 +3,9 @@
 Pure equilibria come from an exhaustive best-response scan. Mixed equilibria
 of an instance game have a closed form; those of any bimatrix game come from
 support enumeration, which solves the indifference system of every pair of
-equal-size candidate supports by integer (fraction-free) elimination, so the
-published small-fraction profiles (1/2, 1/3, 1/6, ...) are reproduced with
-zero tolerance. A grid-search oracle provides an independent cross-check.
+equal-size candidate supports by Cramer's rule in integers, from minors
+shared by all pairs with the same own support. So the published profiles
+(1/2, 1/3, 1/6, ...) are exact. A grid-search oracle cross-checks them.
 """
 
 from __future__ import annotations
@@ -77,72 +77,68 @@ def find_pure_equilibria(matrix: PayoffMatrix) -> list[PureEquilibrium]:
     return found
 
 
-def _solve_fraction_free(a: list[list[int]]) -> Optional[tuple[list[int], int]]:
-    """Solve the augmented integer system ``a`` (n rows of n + 1 entries) by
-    Bareiss elimination, overwriting ``a``.
+def _laplace_plan(opp_count: int, max_size: int) -> list[dict]:
+    """Per size t = 1..max_size (index 0 is empty), per t-subset C of the
+    opponent's actions in combinations order: getters of C's columns and of
+    minor(C - c_j) * (-1)^(t - 1 + j), j = 0..t-1, from a table of the
+    (t - 1)-subsets' minors by rank followed by their negations."""
+    plan, ranks = [{}], {(): 0}
+    for t in range(1, max_size + 1):
+        offsets = [len(ranks) * ((t - 1 + j) % 2) for j in range(t)]
+        # itemgetter of one index returns the item, so size 1 takes a slice
+        get = operator.itemgetter if t > 1 else lambda i: operator.itemgetter(slice(i, i + 1))
+        plan.append({
+            c: (get(*c), get(*[ranks[c[:j] + c[j + 1 :]] + o for j, o in enumerate(offsets)]))
+            for c in itertools.combinations(range(opp_count), t)
+        })
+        ranks = {c: r for r, c in enumerate(plan[t])}
+    return plan
 
-    Returns ``(nums, det)`` with ``det > 0`` and solution ``nums[i] / det``,
-    or None when the system is singular. Every division is exact, so no
-    rational is ever formed.
-    """
-    n = len(a)
-    prev = 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col]), None)
-        if pivot is None:
-            return None
-        a[col], a[pivot] = a[pivot], a[col]
-        top = a[col]
-        piv = top[col]
-        for row in a[col + 1 :]:
-            f = row[col]
-            for c in range(col + 1, n + 1):
-                row[c] = (piv * row[c] - f * top[c]) // prev
-        prev = piv
-    # prev is now the determinant of the row-permuted system, so Cramer's
-    # rule makes every prev * x_i an integer and each division below exact.
-    nums = [0] * n
-    for i in range(n - 1, -1, -1):
-        row = a[i]
-        acc = prev * row[n] - sum(row[j] * nums[j] for j in range(i + 1, n))
-        nums[i] = acc // row[i]
-    if prev < 0:
-        return [-x for x in nums], -prev
-    return nums, prev
+
+def _next_minors(minors: list[int], row: Sequence[int], level: dict) -> list[int]:
+    """Laplace expansion along ``row``: from the signed table of the minors of
+    the rows above, that of those rows and ``row``, over the subsets of ``level``."""
+    table = [sum(map(operator.mul, cols(row), signed(minors))) for cols, signed in level.values()]
+    return table + [-x for x in table]
 
 
 def _support_weights(
-    own_payoffs: Sequence[Sequence[int]], support_own: Sequence[int], support_opp: Sequence[int]
-) -> Optional[tuple[list[int], int]]:
-    """Opponent weights over ``support_opp`` that make the owner indifferent
-    across ``support_own``, as integer numerators over a positive common
-    denominator.
-
-    None when the system is singular, a weight is negative, or an action
-    outside ``support_own`` earns more than the common value.
+    differences: list[list[list[int]]], plan: list[dict], pairs
+) -> dict[tuple[tuple, tuple], tuple[Sequence[int], int]]:
+    """The opponent weights over T that make the owner indifferent across S,
+    as integer numerators over a positive common denominator, keyed by (S, T),
+    for each (S, T) of ``pairs``, all of one size and sorted by S. Left out:
+    singular systems, negative weights and an action outside S earning more
+    than the common value. ``differences[r0][r]`` is row r minus row r0; with
+    D those of S_1.. against S_0, [1 ... 1; D] x = e_1 has by Cramer's rule
+    the numerators (-1)^j minor(D over T - T_j) and their sum as determinant.
     """
-    base = [own_payoffs[support_own[0]][c] for c in support_opp]
-    # Differences against the first support row remove the common value
-    # from the system; the leading row makes the weights sum to one.
-    system = [[1] * len(support_opp) + [1]]
-    for r in support_own[1:]:
-        row = own_payoffs[r]
-        system.append([row[c] - b for c, b in zip(support_opp, base)] + [0])
-    solved = _solve_fraction_free(system)
-    if solved is None:
-        return None
-    nums, det = solved
-    if any(x < 0 for x in nums):
-        return None
-    value = sum(b * x for b, x in zip(base, nums))
-    for r, row in enumerate(own_payoffs):
-        if r not in support_own and sum(row[c] * x for c, x in zip(support_opp, nums)) > value:
-            return None
-    return nums, det
+    weights, current, stack = {}, (-1,), [[1, -1]]  # stack[t]: minors of D_1..D_t, negated too
+    for own, opp in pairs:
+        if own != current:
+            t = 0
+            while own[t] == current[t]:  # stack[t] holds for own[: t + 1]
+                t += 1
+            del stack[max(t, 1) :]
+            diffs = differences[own[0]]
+            for t in range(len(stack), len(own)):
+                stack.append(_next_minors(stack[-1], diffs[own[t]], plan[t]))
+            rest = [d for r, d in enumerate(diffs) if r not in own]
+            current, level, minors = own, plan[len(own)], stack[-1]
+        cols, signed = level[opp]
+        # the expansion along a last row of ones: the numerators, all negated
+        # at even sizes, which the sign rule below undoes
+        nums = signed(minors)
+        det = sum(nums)
+        if det < 0:
+            nums, det = [-x for x in nums], -det
+        if det and min(nums) >= 0 and all(sum(map(operator.mul, cols(d), nums)) <= 0 for d in rest):
+            weights[own, opp] = nums, det
+    return weights
 
 
 def _lowest_terms(
-    support: Sequence[int], nums: list[int], det: int
+    support: Sequence[int], nums: Sequence[int], det: int
 ) -> tuple[int, tuple[tuple[int, int], ...]]:
     """One side's probabilities ``nums / det`` over ``support`` as a
     canonical integer key: the common denominator and the non-zero
@@ -153,7 +149,7 @@ def _lowest_terms(
 
 
 def _probabilities(
-    size: int, support: Sequence[int], nums: list[int], det: int
+    size: int, support: Sequence[int], nums: Sequence[int], det: int
 ) -> tuple[Fraction, ...]:
     probs = [Fraction(0)] * size
     for k, x in zip(support, nums):
@@ -178,10 +174,11 @@ def solve_mixed(
     every exactly-solved profile that is non-negative and has no better
     reply outside its support.
 
-    Each support system is solved by fraction-free (Bareiss) elimination on
-    the integer payoffs, and both checks and the de-duplication run on the
-    resulting integer numerators; rationals are formed only for accepted,
-    new profiles.
+    Each support system is solved by Cramer's rule in integers, from minors
+    that Laplace expansion shares among all pairs with the same own support;
+    one player's weights are computed only where the other's passed. Checks
+    and de-duplication run on the integer numerators; rationals are formed
+    only for accepted, new profiles.
 
     Degenerate profiles are kept: a solution may place probability zero on
     part of its candidate support, which is how boundary equilibria of
@@ -192,27 +189,26 @@ def solve_mixed(
     if m == 0 or n == 0:
         raise ValueError("matrix must be non-empty")
     check_dimension_cap(m, n, dimension_cap)
-    u_i = matrix.u_i
+    diffs_i = [[list(map(operator.sub, row, base)) for row in matrix.u_i] for base in matrix.u_i]
     u_j_t = list(zip(*matrix.u_j))
+    diffs_j = [[list(map(operator.sub, row, base)) for row in u_j_t] for base in u_j_t]
+    plan_i = _laplace_plan(n, min(m, n))
+    plan_j = plan_i if m == n else _laplace_plan(m, min(m, n))
     profiles: list[MixedProfile] = []
     seen: set[tuple[tuple, tuple]] = set()
     for size in range(1, min(m, n) + 1):
-        for support_i in itertools.combinations(range(m), size):
-            for support_j in itertools.combinations(range(n), size):
-                q = _support_weights(u_i, support_i, support_j)
-                if q is None:
-                    continue
-                p = _support_weights(u_j_t, support_j, support_i)
-                if p is None:
-                    continue
-                key = (_lowest_terms(support_i, *p), _lowest_terms(support_j, *q))
-                if key not in seen:
-                    seen.add(key)
-                    profiles.append(
-                        MixedProfile(
-                            _probabilities(m, support_i, *p), _probabilities(n, support_j, *q)
-                        )
-                    )
+        supports_i, supports_j = (itertools.combinations(range(k), size) for k in (m, n))
+        qs = _support_weights(diffs_i, plan_i, itertools.product(supports_i, supports_j))
+        # I's weights only where J's passed, sorted by J's support
+        ps = _support_weights(diffs_j, plan_j, sorted((s_j, s_i) for s_i, s_j in qs))
+        # back in enumeration order, (S_i, S_j)
+        for (s_j, s_i), p in sorted(ps.items(), key=lambda item: item[0][::-1]):
+            q = qs[s_i, s_j]
+            key = (_lowest_terms(s_i, *p), _lowest_terms(s_j, *q))
+            if key not in seen:
+                seen.add(key)
+                probs_i, probs_j = _probabilities(m, s_i, *p), _probabilities(n, s_j, *q)
+                profiles.append(MixedProfile(probs_i, probs_j))
     return profiles
 
 

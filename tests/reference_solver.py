@@ -2,7 +2,8 @@
 
 A deliberately plain Gaussian-elimination enumerator kept only as a test
 oracle for ``liqgame.solver.solve_mixed``: the two must return equal lists,
-including order, de-duplication and degenerate profiles. The ``Fraction``
+including order, de-duplication and degenerate profiles. A Gaussian
+determinant checks the solver's table of minors. The ``Fraction``
 forms of ``verify_equilibrium`` and of the oracle's window grid are kept
 for the same purpose against the integer versions in ``liqgame.solver``,
 and so is the numpy full sweep of the grid oracle.
@@ -46,6 +47,27 @@ def _solve_linear_exact(
             acc -= aug[r][c] * x[c]
         x[r] = acc / aug[r][r]
     return x
+
+
+def reference_determinant(rows: Sequence[Sequence[int]]) -> Fraction:
+    """Determinant of a square matrix by Gaussian elimination over rationals,
+    swapping rows past zero pivots; 1 for the empty matrix."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    n = len(a)
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            det = -det
+        det *= a[col][col]
+        for r in range(col + 1, n):
+            factor = a[r][col] / a[col][col]
+            for c in range(col, n):
+                a[r][c] -= factor * a[col][c]
+    return det
 
 
 def _indifference_solution(

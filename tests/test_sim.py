@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -266,6 +267,13 @@ class TestRepeated:
         assert report.total_volume <= config.trials * 10
 
 
+def pairs_at_most(a0: int, a1: int, c0: int, c1: int) -> int:
+    """The integer pairs (x, y) with x <= y, x in a0..a1 and y in c0..c1."""
+    below = max(0, min(a1, c0) - a0 + 1) * (c1 - c0 + 1)  # x <= c0 fits every y
+    s, e = max(a0, c0 + 1), min(a1, c1)  # x above c0 fits y in x..c1
+    return below + max(0, e - s + 1) * (2 * c1 + 2 - s - e) // 2
+
+
 class TestAnalyticHitRatio:
     def test_equal_deterministic_sizes(self):
         assert analytic_hit_ratio((2, 2), (-2, -2), FULL, FULL) == 1.0
@@ -351,6 +359,29 @@ class TestAnalyticHitRatio:
     def test_equals_convolution_on_wide_ranges(self, strategy_i, strategy_j, range_i, range_j):
         expected = convolution_hit_probability(range_i, range_j, strategy_i, strategy_j)
         assert analytic_hit_ratio(range_i, range_j, strategy_i, strategy_j) == float(expected)
+
+    def test_pair_count_by_enumeration(self):
+        for a0, a1, c0, c1 in itertools.product(range(1, 7), repeat=4):
+            if a0 <= a1 and c0 <= c1:
+                pairs = itertools.product(range(a0, a1 + 1), range(c0, c1 + 1))
+                assert pairs_at_most(a0, a1, c0, c1) == sum(x <= y for x, y in pairs)
+
+    @pytest.mark.parametrize("strategy_i", [RANDOM, FULL])
+    @pytest.mark.parametrize("strategy_j", [RANDOM, FULL])
+    def test_balances_far_from_zero(self, strategy_i, strategy_j):
+        # ten balances a side near 10**12: the work follows the values drawn,
+        # not their size, so this returns at once
+        lo = 10**12
+        total = Fraction(0)
+        for b_i, b_j in itertools.product(range(lo, lo + 10), repeat=2):
+            offers = (1 if strategy_i == RANDOM else b_i, b_i)
+            capacities = (1 if strategy_j == RANDOM else b_j, b_j)
+            total += Fraction(
+                pairs_at_most(*offers, *capacities),
+                (offers[1] - offers[0] + 1) * (capacities[1] - capacities[0] + 1),
+            )
+        got = analytic_hit_ratio((lo, lo + 9), (-lo - 9, -lo), strategy_i, strategy_j)
+        assert got == float(total / 100)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 10, 50_000])
     def test_uniform_closed_form(self, n):

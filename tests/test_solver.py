@@ -19,6 +19,7 @@ from liqgame.solver import (
 )
 
 from reference_solver import (
+    reference_determinant,
     reference_solve_mixed,
     reference_sweep,
     reference_verify_equilibrium,
@@ -159,12 +160,82 @@ class TestReferenceAgreement:
     def test_general_games(self, matrix):
         assert solve_mixed(matrix) == reference_solve_mixed(matrix)
 
+    @settings(max_examples=25, deadline=None)
+    @given(matrix=general_games(max_side=7))
+    def test_general_games_up_to_seven_a_side(self, matrix):
+        assert solve_mixed(matrix) == reference_solve_mixed(matrix)
+
+    @pytest.mark.parametrize(
+        "grid, expected",
+        [
+            # rock-paper-scissors: I's first difference row is (1, 1, -2), so
+            # elimination of the full support system meets a zero pivot
+            (
+                [
+                    [(0, 0), (-1, 1), (1, -1)],
+                    [(1, -1), (0, 0), (-1, 1)],
+                    [(-1, 1), (1, -1), (0, 0)],
+                ],
+                [profile([F(1, 3)] * 3, [F(1, 3)] * 3)],
+            ),
+            # matching pennies: J's 2x2 system has determinant -4, I's +4
+            (
+                [[(1, -1), (-1, 1)], [(-1, 1), (1, -1)]],
+                [profile([F(1, 2)] * 2, [F(1, 2)] * 2)],
+            ),
+            # I's rows are equal, so every 2x2 system of I's is singular
+            (
+                [[(2, 1), (0, 0)], [(2, 0), (0, 1)]],
+                [profile([1, 0], [1, 0]), profile([0, 1], [0, 1])],
+            ),
+            # J's columns are equal, so every 2x2 system of J's is singular
+            (
+                [[(1, 2), (0, 2)], [(0, 0), (1, 0)]],
+                [profile([1, 0], [1, 0]), profile([0, 1], [0, 1])],
+            ),
+            # all zero: every system above size 1 is singular, every cell pure
+            (
+                [[(0, 0)] * 3] * 2,
+                [
+                    profile(p, q)
+                    for p in ([1, 0], [0, 1])
+                    for q in ([1, 0, 0], [0, 1, 0], [0, 0, 1])
+                ],
+            ),
+        ],
+        ids=["zero-pivot", "negative-determinant", "equal-rows", "equal-columns", "all-zero"],
+    )
+    def test_games_for_each_branch(self, grid, expected):
+        matrix = PayoffMatrix.from_entries(grid)
+        assert solve_mixed(matrix) == expected == reference_solve_mixed(matrix)
+
     @settings(max_examples=150, deadline=None)
     @given(matrix=general_games())
     def test_general_profiles_are_exact_equilibria(self, matrix):
         for prof in solve_mixed(matrix):
             assert sum(prof.probs_i) == 1 and sum(prof.probs_j) == 1
             assert verify_equilibrium(matrix, prof, F(0))
+
+
+class TestMinorTable:
+    """The Laplace tables of solve_mixed hold every minor of the rows so far,
+    by subset rank, then negated."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_minors_are_determinants(self, data):
+        n = data.draw(st.integers(1, 6))
+        row = st.lists(st.integers(-9, 9), min_size=n, max_size=n)
+        rows = data.draw(st.lists(row, min_size=1, max_size=n))
+        plan = solver._laplace_plan(n, len(rows))
+        minors = [1, -1]
+        for t in range(1, len(rows) + 1):
+            minors = solver._next_minors(minors, rows[t - 1], plan[t])
+            expected = [
+                reference_determinant([[r[c] for c in cols] for r in rows[:t]])
+                for cols in itertools.combinations(range(n), t)
+            ]
+            assert minors == expected + [-x for x in expected]
 
 
 def profile_count(m: int, n: int) -> int:
