@@ -17,8 +17,7 @@ from .core import (
     LiquidityGameError,
     check_labels,
     check_prior,
-    check_table,
-    check_table_keys,
+    check_tables,
     json_object,
     parse_bimatrix,
     parse_labels,
@@ -56,11 +55,7 @@ class ConditionalGame(Checked, _ConditionalGame):
 
     def _check(self) -> "ConditionalGame":
         check_labels(self.types, self.strategies_i, self.strategies_j)
-        for t in self.types:
-            if t not in self.matrices:
-                raise ValueError(f"missing matrix for type {t!r}")
-            check_table(self.matrices[t], self.strategies_i, self.strategies_j, f"type {t!r}")
-        check_table_keys(self.matrices, self.types, "type")
+        check_tables(self.matrices, self.types, self.strategies_i, self.strategies_j, "type")
         check_prior(self.prior, self.types)
         return self
 

@@ -231,12 +231,11 @@ def _cmd_simulate(args: argparse.Namespace) -> str:
         raw["max_rounds"] = args.max_rounds
     if args.seed is not None:
         raw["seed"] = args.seed
-    elif "seed" not in raw:
-        import secrets
-        drawn = secrets.randbits(64)
-        print(f"seed: {drawn}", file=sys.stderr)
-        raw["seed"] = drawn
     config = sim.SimConfig.from_jsonable(raw)
+    if "seed" not in raw:  # drawn and echoed only for a config that is otherwise valid
+        import secrets
+        config = config._replace(seed=secrets.randbits(64))
+        print(f"seed: {config.seed}", file=sys.stderr)
     report = sim.run_simulation(config)
     if args.histogram is not None:
         _atomic_write(args.histogram, report.histogram_csv())
@@ -330,13 +329,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         else:
             _atomic_write(args.output, text)
         return 0
-    except (
-        LiquidityGameError,
-        ValueError,
-        KeyError,
-        json.JSONDecodeError,
-        OSError,
-    ) as exc:
+    except (LiquidityGameError, ValueError, KeyError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except Exception:

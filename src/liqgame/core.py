@@ -73,17 +73,17 @@ class PayoffMatrix(Checked, _PayoffMatrix):
 
     ``u_i[r][c]`` and ``u_j[r][c]`` are the row and column player's payoffs
     for the row player's parcel ``actions_i[r]`` against the column player's
-    parcel ``actions_j[c]``.
+    parcel ``actions_j[c]``. Each player has at least one action, so no
+    solver meets an empty side.
     """
 
     __slots__ = ()
 
     def _check(self) -> "PayoffMatrix":
-        if len(self.u_i) != len(self.actions_i) or len(self.u_j) != len(self.actions_i):
-            raise ValueError("row count does not match actions_i")
-        for row in (*self.u_i, *self.u_j):
-            if len(row) != len(self.actions_j):
-                raise ValueError("column count does not match actions_j")
+        if not (self.actions_i and self.actions_j):
+            raise ValueError("matrix must be non-empty")
+        check_table(self.u_i, self.actions_i, self.actions_j, "u_i")
+        check_table(self.u_j, self.actions_i, self.actions_j, "u_j")
         return self
 
     @property
@@ -232,16 +232,26 @@ def check_labels(*label_sets: Sequence[str]) -> None:
             raise ValueError(f"labels must be distinct, got {list(labels)}")
 
 
-def check_table(grid, strategies_i: Sequence[str], strategies_j: Sequence[str], what: str) -> None:
-    """ValueError unless the table for ``what`` has one row per row
-    strategy and one cell per column strategy in every row."""
-    if len(grid) != len(strategies_i) or any(len(row) != len(strategies_j) for row in grid):
+def check_table(grid, rows: Sequence, cols: Sequence, what: str) -> None:
+    """The shape rule of every payoff table: ValueError unless the table
+    for ``what`` has one row per entry of ``rows`` and one cell per entry of
+    ``cols`` in every row."""
+    if len(grid) != len(rows) or any(len(row) != len(cols) for row in grid):
         raise ValueError(f"matrix for {what} has wrong dimensions")
 
 
-def check_table_keys(tables: Mapping, keys: Sequence, what: str) -> None:
-    """ValueError when ``tables`` holds a table under a key outside ``keys``:
-    no rule would check that table, and no result would use it."""
+def check_tables(
+    tables: Mapping, keys: Sequence, rows: Sequence, cols: Sequence, what: str
+) -> None:
+    """The table-set rule: ValueError, naming ``what`` and the key's repr,
+    for a key of ``keys`` with no table in ``tables``, then for a table of
+    the wrong shape (``check_table``), key by key, and last for a table under
+    a key outside ``keys``: no rule would check that table, and no result
+    would use it."""
+    for key in keys:
+        if key not in tables:
+            raise ValueError(f"missing matrix for {what} {key!r}")
+        check_table(tables[key], rows, cols, f"{what} {key!r}")
     for key in tables:
         if key not in keys:
             raise ValueError(f"matrix for unlisted {what} {key!r}")

@@ -16,24 +16,13 @@ import operator
 from decimal import ROUND_HALF_UP, Decimal
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional, Sequence
 
-from .core import (
-    Checked,
-    LiquidityGameError,
-    check_labels,
-    check_prior,
-    check_table,
-    check_table_keys,
-)
+from .core import Checked, LiquidityGameError, check_labels, check_prior, check_table, check_tables
 from .fixtures import PUBLISHED_TABLES, fixture_path
 
 if TYPE_CHECKING:
     from .bayes import ConditionalGame
 
 Label = tuple[Optional[str], str]
-
-
-class MissingTypePairMatrix(LiquidityGameError):
-    pass
 
 
 class UnknownTable(LiquidityGameError):
@@ -44,19 +33,16 @@ class NotTwoTypes(LiquidityGameError):
     pass
 
 
-def _quantize1(value: float) -> Decimal:
-    """Half-up rounding of the float's shortest decimal text to one decimal."""
-    return Decimal(repr(value)).quantize(Decimal("0.1"), rounding=ROUND_HALF_UP)
+def _fmt1(value: float) -> str:
+    """Half-up rounding of the float's shortest decimal text to one decimal,
+    written without a trailing ".0"."""
+    text = str(Decimal(repr(value)).quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))
+    return text[:-2] if text.endswith(".0") else text
 
 
 def round1(value: float) -> float:
     """Half-up rounding to one decimal, the precision used at serialization."""
-    return float(_quantize1(value))
-
-
-def _fmt1(value: float) -> str:
-    text = str(_quantize1(value))
-    return text[:-2] if text.endswith(".0") else text
+    return float(_fmt1(value))
 
 
 def label_text(label: Label) -> str:
@@ -83,11 +69,7 @@ class CompositionMatrix(Checked, _CompositionMatrix):
     __slots__ = ()
 
     def _check(self) -> "CompositionMatrix":
-        if len(self.entries) != len(self.row_labels):
-            raise ValueError("row count does not match row_labels")
-        for row in self.entries:
-            if len(row) != len(self.col_labels):
-                raise ValueError("column count does not match col_labels")
+        check_table(self.entries, self.row_labels, self.col_labels, "entries")
         return self
 
     def cells_csv(self) -> str:
@@ -152,18 +134,15 @@ def weight_by_priors(
     the product of the two type weights.
 
     ``matrices`` must supply a bimatrix for every (row-type, col-type)
-    pair, indexed [row strategy][col strategy]. Each side's weights are a
-    prior under ``core.check_prior``, and labels must be distinct.
+    pair, indexed [row strategy][col strategy], and no other, under
+    ``core.check_tables``. Each side's weights are a prior under
+    ``core.check_prior``, and labels must be distinct.
     """
     check_labels(types, strategies)
     check_prior(prior_i, types)
     check_prior(prior_j, types)
-    for t_i in types:
-        for t_j in types:
-            if (t_i, t_j) not in matrices:
-                raise MissingTypePairMatrix(f"no matrix for type pair ({t_i}, {t_j})")
-            check_table(matrices[(t_i, t_j)], strategies, strategies, f"type pair ({t_i}, {t_j})")
-    check_table_keys(matrices, [(t_i, t_j) for t_i in types for t_j in types], "type pair")
+    pairs = [(t_i, t_j) for t_i in types for t_j in types]
+    check_tables(matrices, pairs, strategies, strategies, "type pair")
     row_labels = tuple((t, s) for t in types for s in strategies)
     entries = []
     for t_i, w_i in zip(types, prior_i):

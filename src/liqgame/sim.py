@@ -38,6 +38,13 @@ class IntractableStrategy(LiquidityGameError):
     pass
 
 
+def _check_keys(raw: Mapping, fields: tuple[str, ...], what: str) -> None:
+    """ValueError naming the first key of a JSON document that no field reads."""
+    for key in raw:
+        if key not in fields:
+            raise ValueError(f"unknown {what} key {key!r}")
+
+
 class _StrategySpec(NamedTuple):
     kind: str
     fraction: Optional[float] = None
@@ -64,6 +71,7 @@ class StrategySpec(Checked, _StrategySpec):
     def from_jsonable(cls, raw: dict) -> "StrategySpec":
         if not isinstance(raw, dict):
             raise ValueError(f"a strategy must be a JSON object, got {type(raw).__name__}")
+        _check_keys(raw, cls._fields, "strategy")
         return cls(kind=raw["kind"], fraction=raw.get("fraction"))
 
 
@@ -146,14 +154,12 @@ class SimConfig(Checked, _SimConfig):
 
     @classmethod
     def from_jsonable(cls, raw: Mapping) -> "SimConfig":
-        kwargs = {"trials": raw["trials"]}
-        if "strategy_i" in raw:
-            kwargs["strategy_i"] = StrategySpec.from_jsonable(raw["strategy_i"])
-        if "strategy_j" in raw:
-            kwargs["strategy_j"] = StrategySpec.from_jsonable(raw["strategy_j"])
-        for key in ("balance_range_i", "balance_range_j", "seed", "mode", "max_rounds"):
+        """Read a config document; ValueError for a key that is not a field."""
+        _check_keys(raw, cls._fields, "simulation config")
+        kwargs = {**raw, "trials": raw["trials"]}  # no default: KeyError when missing
+        for key in ("strategy_i", "strategy_j"):
             if key in raw:
-                kwargs[key] = raw[key]
+                kwargs[key] = StrategySpec.from_jsonable(raw[key])
         return cls(**kwargs)
 
 

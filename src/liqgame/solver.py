@@ -64,8 +64,6 @@ class MixedProfile(NamedTuple):
 
 def find_pure_equilibria(matrix: PayoffMatrix) -> list[PureEquilibrium]:
     """All cells with the exact best-response property, in row-major order."""
-    if matrix.rows == 0 or matrix.cols == 0:
-        raise ValueError("matrix must be non-empty")
     u_i, u_j = matrix.u_i, matrix.u_j
     col_max_i = [max(col) for col in zip(*u_i)]
     row_max_j = [max(row) for row in u_j]
@@ -186,8 +184,6 @@ def solve_mixed(
     supports. Singular support systems are skipped.
     """
     m, n = matrix.rows, matrix.cols
-    if m == 0 or n == 0:
-        raise ValueError("matrix must be non-empty")
     check_dimension_cap(m, n, dimension_cap)
     diffs_i = [[list(map(operator.sub, row, base)) for row in matrix.u_i] for base in matrix.u_i]
     u_j_t = list(zip(*matrix.u_j))
@@ -369,8 +365,6 @@ def brute_force_oracle(
     candidate profile (the sweep restricted to that window).
     """
     m, n = matrix.rows, matrix.cols
-    if m == 0 or n == 0:
-        raise ValueError("matrix must be non-empty")
     check_dimension_cap(m, n, ORACLE_DIMENSION_CAP)
     if grid_resolution < 1:
         raise ValueError("grid_resolution must be >= 1")

@@ -137,7 +137,7 @@ class TestBayesCommand:
         bad.write_text("{not json")
         code, _, err = run_cli(capsys, "bayes", "--game", str(bad))
         assert code == 2
-        assert "error:" in err
+        assert err.startswith("error: JSONDecodeError: Expecting property name")
 
     @pytest.mark.parametrize("prior", ["nan,nan", "inf,0"])
     def test_non_finite_prior_exit_two(self, capsys, prior):
@@ -215,7 +215,7 @@ class TestMarketCommand:
             capsys, "market", "--constructive", "--config", str(config)
         )
         assert code == 2
-        assert "MissingTypePairMatrix" in err
+        assert err == "error: ValueError: missing matrix for type pair ('L', 's')\n"
 
     def test_mode_required(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -311,6 +311,28 @@ class TestSimulateCommand:
         assert code == 2
         assert out == ""
         assert err == "error: ValueError: fixed_fraction needs a fraction in (0, 1]\n"
+
+    @pytest.mark.parametrize(
+        "document,key",
+        [
+            ({"trials": 50, "seed": 1, "mod": "repeated"}, "simulation config key 'mod'"),
+            ({"trials": 50, "sede": 1}, "simulation config key 'sede'"),
+            (
+                {"trials": 50, "seed": 1, "strategy_i": {"kind": "full_balance", "frac": 1}},
+                "strategy key 'frac'",
+            ),
+        ],
+        ids=["mode", "seed", "strategy"],
+    )
+    def test_unknown_config_key_exit_two(self, capsys, tmp_path, document, key):
+        # a mistyped key must not fall back to the default it meant to
+        # replace: one-shot play, a drawn seed, an unread fraction
+        config = tmp_path / "sim.json"
+        config.write_text(json.dumps(document))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(config))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: ValueError: unknown {key}\n"
 
     def test_invalid_range_exit_two(self, capsys):
         code, _, err = run_cli(
@@ -428,6 +450,26 @@ def test_wrong_typed_field_exit_two(capsys, tmp_path, argv, document):
     assert err.startswith("error: ValueError")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--config"],
+        ["market", "--constructive", "--config"],
+        ["simulate", "--config"],
+    ],
+    ids=["solve", "market", "simulate"],
+)
+def test_malformed_json_exit_two(capsys, tmp_path, argv):
+    # as TestBayesCommand's --game case: JSONDecodeError is a ValueError,
+    # which main reports under its own name
+    path = tmp_path / "doc.json"
+    path.write_text("{not json")
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: JSONDecodeError: Expecting property name")
+
+
 # a complete two-type base, so a bad cell is the only fault
 MARKET_TWO_TYPES = {
     "types": ["L", "s"],
@@ -531,7 +573,7 @@ class TestOneGameRule:
         code, out, err = run_cli(capsys, "market", "--constructive", "--config", str(path))
         assert code == 2
         assert out == ""
-        assert err == "error: ValueError: matrix for type pair (L, L) has wrong dimensions\n"
+        assert err == "error: ValueError: matrix for type pair ('L', 'L') has wrong dimensions\n"
 
     @pytest.mark.parametrize(
         "argv,document,labels",
@@ -647,6 +689,44 @@ class TestOneGameRule:
         assert code == 2
         assert out == ""
         assert err == f"error: ValueError: matrix for unlisted {message}\n"
+
+    @pytest.mark.parametrize("fault", ["missing", "misshapen", "unlisted"])
+    @pytest.mark.parametrize(
+        "argv,base,listed,unlisted",
+        [
+            (["bayes", "--game"], BAYES_DOCUMENT, ("b", "type 'b'"), ("c", "type 'c'")),
+            (
+                ["market", "--constructive", "--config"],
+                MARKET_TWO_BY_TWO,
+                ("L,s", "type pair ('L', 's')"),
+                ("zz,qq", "type pair ('zz', 'qq')"),
+            ),
+        ],
+        ids=["bayes", "market"],
+    )
+    def test_table_faults_meet_one_rule(
+        self, capsys, tmp_path, fault, argv, base, listed, unlisted
+    ):
+        # both readers hand their tables to core.check_tables, so each fault
+        # reads the same, the key written as its repr
+        (key, name), (extra_key, extra_name) = listed, unlisted
+        document = copy.deepcopy(base)
+        tables = document["matrices"]
+        if fault == "missing":
+            del tables[key]
+            message = f"missing matrix for {name}"
+        elif fault == "misshapen":
+            tables[key] = [[[1, 1]]]
+            message = f"matrix for {name} has wrong dimensions"
+        else:
+            tables[extra_key] = tables[key]
+            message = f"matrix for unlisted {extra_name}"
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(document))
+        code, out, err = run_cli(capsys, *argv, str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: ValueError: {message}\n"
 
 
 class TestThinAdapter:

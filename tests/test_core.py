@@ -139,7 +139,7 @@ class TestPayoffMatrix:
         ],
     )
     def test_row_shapes_checked(self, u_i, u_j):
-        with pytest.raises(ValueError, match="does not match"):
+        with pytest.raises(ValueError, match="^matrix for u_[ij] has wrong dimensions$"):
             PayoffMatrix(actions_i=(1,), actions_j=(2, 1), u_i=u_i, u_j=u_j)
 
 

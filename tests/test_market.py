@@ -1,4 +1,5 @@
 import math
+from decimal import ROUND_HALF_UP, Decimal
 
 import pytest
 from hypothesis import given
@@ -8,7 +9,6 @@ from liqgame.bayes import load_bundled_game
 from liqgame.fixtures import PUBLISHED_TABLES, fixture_path
 from liqgame.market import (
     CompositionMatrix,
-    MissingTypePairMatrix,
     NotTwoTypes,
     UnknownTable,
     best_quadrant,
@@ -96,7 +96,7 @@ class TestWeighting:
     def test_missing_pair_rejected(self):
         base = two_type_base()
         del base[("s", "L")]
-        with pytest.raises(MissingTypePairMatrix):
+        with pytest.raises(ValueError, match=r"^missing matrix for type pair \('s', 'L'\)$"):
             weight_by_priors(("L", "s"), ("x", "y"), base, GEMM_PRIOR, GEMM_PRIOR)
 
     @pytest.mark.parametrize("bad", [(math.nan, math.nan), (math.inf, 0.0), (0.5, math.nan)])
@@ -213,3 +213,9 @@ class TestSerialization:
         assert round1(1.25) == 1.3
         assert round1(1.225) == 1.2
         assert round1(2.275) == 2.3
+
+    @given(st.floats(-1e25, 1e25) | st.integers(-10**6, 10**6).map(lambda k: k / 100 + 0.05))
+    def test_rounding_is_half_up_on_the_shortest_decimal(self, value):
+        # the rule round1 and the CSV writer share, stated on Decimal directly
+        expected = Decimal(repr(value)).quantize(Decimal("0.1"), rounding=ROUND_HALF_UP)
+        assert repr(round1(value)) == repr(float(expected))

@@ -238,9 +238,11 @@ TRANSFER = lp.TransferProblem(1, 10)
 
 # A valid record, the fields that spoil it, and the refusal they meet.
 INVALID = [
-    (MATRIX, dict(u_i=((1,), (1,))), "row count does not match actions_i"),
-    (MATRIX, dict(u_j=()), "row count does not match actions_i"),
-    (MATRIX, dict(u_j=((1, 2),)), "column count does not match actions_j"),
+    (MATRIX, dict(u_i=((1,), (1,))), "matrix for u_i has wrong dimensions"),
+    (MATRIX, dict(u_j=()), "matrix for u_j has wrong dimensions"),
+    (MATRIX, dict(u_j=((1, 2),)), "matrix for u_j has wrong dimensions"),
+    (MATRIX, dict(actions_i=(), u_i=(), u_j=()), "matrix must be non-empty"),
+    (MATRIX, dict(actions_j=(), u_i=((),), u_j=((),)), "matrix must be non-empty"),
     (RANDOM, dict(kind="nope"), "unknown strategy kind 'nope'"),
     (RANDOM, dict(kind="fixed_fraction"), "fixed_fraction needs a fraction in (0, 1]"),
     (SPEC, dict(fraction=0), "fixed_fraction needs a fraction in (0, 1]"),
@@ -270,8 +272,8 @@ INVALID = [
     (GAME, dict(prior=(float("inf"),)), "prior entries must be finite"),
     (GAME, dict(prior=(-0.5,)), "prior entries must be non-negative"),
     (GAME, dict(prior=(1.1,)), "prior must sum to 1, got 1.1"),
-    (COMPOSITION, dict(entries=()), "row count does not match row_labels"),
-    (COMPOSITION, dict(col_labels=()), "column count does not match col_labels"),
+    (COMPOSITION, dict(entries=()), "matrix for entries has wrong dimensions"),
+    (COMPOSITION, dict(col_labels=()), "matrix for entries has wrong dimensions"),
     (TRANSFER, dict(capacity_receiver=-1), "capacity_receiver must be >= 0"),
     (TRANSFER, dict(capacity_sender=-10), "capacity_sender must be >= 0"),
 ]

@@ -551,6 +551,24 @@ class TestConfigAndReportSerialization:
         # simulate hands the reader a parsed --strategy-i as _asdict()
         assert StrategySpec.from_jsonable(json.loads(json.dumps(spec._asdict()))) == spec
 
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            ({"trials": 50, "seed": 1, "mod": "repeated"}, "unknown simulation config key 'mod'"),
+            ({"trials": 50, "sede": 1}, "unknown simulation config key 'sede'"),
+            (
+                {"trials": 50, "strategy_j": {"kind": "fixed_fraction", "fracton": 0.5}},
+                "unknown strategy key 'fracton'",
+            ),
+        ],
+        ids=["mode", "seed", "strategy"],
+    )
+    def test_unknown_key_refused(self, doc, message):
+        # a key no field reads is a typo, not a request for the default
+        with pytest.raises(ValueError) as caught:
+            SimConfig.from_jsonable(doc)
+        assert str(caught.value) == message
+
     def test_report_json_shape(self):
         report = run_simulation(fixed_pair_config(3, -5))
         payload = json.loads(cli._dumps(report.to_jsonable()))
