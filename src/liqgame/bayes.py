@@ -8,6 +8,7 @@ which the initiator is indifferent between its two strategies.
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 from typing import Mapping, NamedTuple, Optional
 
@@ -15,13 +16,13 @@ from .core import (
     Bimatrix,
     Checked,
     LiquidityGameError,
+    check_document,
     check_labels,
     check_prior,
     check_tables,
-    json_object,
-    parse_bimatrix,
     parse_labels,
     parse_prior,
+    parse_tables,
 )
 from .fixtures import fixture_path
 
@@ -73,21 +74,22 @@ class ConditionalGame(Checked, _ConditionalGame):
         return self.matrices[type_label][r][c]
 
     @classmethod
-    def from_jsonable(cls, raw: dict) -> "ConditionalGame":
-        try:
-            types = parse_labels(raw["types"], "types")
-            keys = ["strategies"] * 2 if "strategies" in raw else ["strategies_i", "strategies_j"]
-            strategies_i, strategies_j = (parse_labels(raw[key], key) for key in keys)
-            matrices = {t: parse_bimatrix(grid) for t, grid in raw["matrices"].items()}
-            prior = parse_prior(raw["prior"])
-        except (TypeError, AttributeError) as exc:  # a field of the wrong JSON type
-            raise ValueError(f"malformed game document: {exc}") from None
+    def from_jsonable(cls, raw) -> "ConditionalGame":
+        """Read a game document: ``types``, ``matrices`` keyed by type, ``prior``, and
+        ``strategies`` for both sides or the pair ``strategies_i``, ``strategies_j`` (a key
+        of the form not chosen is unknown); ``type_names`` may ride along, unread."""
+        shared = isinstance(raw, dict) and "strategies" in raw
+        keys = ("strategies",) * 2 if shared else ("strategies_i", "strategies_j")
+        check_document(raw, "game document", ("types", "matrices", "prior", *keys), ("type_names",))
+        types = parse_labels(raw["types"], "types")
+        strategies_i, strategies_j = (parse_labels(raw[key], key) for key in keys)
+        matrices, prior = parse_tables(raw["matrices"]), parse_prior(raw["prior"])
         return cls(types, strategies_i, strategies_j, matrices, prior)
 
 
 def load_game_document(path: Path) -> ConditionalGame:
     """Read a game file carrying both the matrices and the prior."""
-    return ConditionalGame.from_jsonable(json_object(path.read_text(), "game document"))
+    return ConditionalGame.from_jsonable(json.loads(path.read_text()))
 
 
 def load_bundled_game() -> ConditionalGame:

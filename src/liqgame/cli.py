@@ -157,10 +157,7 @@ def _cmd_solve(args: argparse.Namespace) -> str:
 
 def _cmd_bayes(args: argparse.Namespace) -> str:
     from . import bayes
-    if args.game is not None:
-        game = bayes.load_game_document(args.game)
-    else:
-        game = bayes.load_bundled_game()
+    game = bayes.load_bundled_game() if args.game is None else bayes.load_game_document(args.game)
     if args.prior is not None:
         game = game._replace(prior=_parse_floats(args.prior))
     responses = _parse_responses(args.response) if args.response else None
@@ -179,25 +176,12 @@ def _cmd_market(args: argparse.Namespace) -> str:
         mode, table = "published", args.published
     else:
         if args.config is not None:
-            raw = core.json_object(args.config.read_text(), "constructive base document")
-            try:
-                types = core.parse_labels(raw["types"], "types")
-                strategies = core.parse_labels(raw["strategies"], "strategies")
-                matrices = {}
-                for key, grid in raw["matrices"].items():
-                    t_i, _, t_j = key.partition(",")
-                    matrices[(t_i, t_j)] = core.parse_bimatrix(grid)
-                prior_i = core.parse_prior(raw["prior_i"])
-                prior_j = core.parse_prior(raw["prior_j"])
-            except (TypeError, AttributeError) as exc:  # a field of the wrong JSON type
-                raise ValueError(f"malformed constructive base document: {exc}") from None
+            types, strategies, matrices, prior_i, prior_j = market.load_base_document(args.config)
         else:
             from . import bayes
             game = bayes.load_bundled_game()
-            types = game.types
-            strategies = game.strategies_i
-            matrices = market.pairwise_base_from_conditional(game)
-            prior_i = prior_j = game.prior
+            types, strategies, prior_i = game.types, game.strategies_i, game.prior
+            matrices, prior_j = market.pairwise_base_from_conditional(game), prior_i
         if args.priors is not None:
             prior_i = prior_j = _parse_floats(args.priors)
         if args.priors_j is not None:
@@ -211,12 +195,12 @@ def _cmd_market(args: argparse.Namespace) -> str:
 
 def _cmd_simulate(args: argparse.Namespace) -> str:
     from . import sim
-    raw: dict = {}
+    raw: dict = {"trials": 10_000}
     if args.config is not None:
-        raw = core.json_object(args.config.read_text(), "simulation config")
-    if args.trials is not None:
-        raw["trials"] = args.trials
-    raw.setdefault("trials", 10_000)
+        document = json.loads(args.config.read_text())
+        # the flags below are merged in, so a non-object or unknown key fails first
+        core.check_document(document, "simulation config", (), sim.SimConfig._fields)
+        raw.update(document)
     if args.range_i is not None:
         raw["balance_range_i"] = list(_parse_range(args.range_i))
     if args.range_j is not None:
@@ -225,12 +209,8 @@ def _cmd_simulate(args: argparse.Namespace) -> str:
         raw["strategy_i"] = _parse_strategy(args.strategy_i)._asdict()
     if args.strategy_j is not None:
         raw["strategy_j"] = _parse_strategy(args.strategy_j)._asdict()
-    if args.mode is not None:
-        raw["mode"] = args.mode
-    if args.max_rounds is not None:
-        raw["max_rounds"] = args.max_rounds
-    if args.seed is not None:
-        raw["seed"] = args.seed
+    flags = {key: getattr(args, key) for key in ("trials", "mode", "max_rounds", "seed")}
+    raw.update((key, value) for key, value in flags.items() if value is not None)
     config = sim.SimConfig.from_jsonable(raw)
     if "seed" not in raw:  # drawn and echoed only for a config that is otherwise valid
         import secrets
@@ -270,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", parents=[common], help="payoff matrix and equilibria")
     p_solve.add_argument("--bi", type=int, help="long player's balance (positive)")
     p_solve.add_argument("--bj", type=int, help="short player's balance (negative)")
-    p_solve.add_argument("--cap", type=int, default=1_000_000, help="bonds on issue")
+    p_solve.add_argument("--cap", type=int, default=core.DEFAULT_ISSUE_CAP, help="bonds on issue")
     p_solve.add_argument("--config", type=Path, help="JSON instance document")
     p_solve.add_argument(
         "--dimension-cap",
@@ -329,7 +309,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         else:
             _atomic_write(args.output, text)
         return 0
-    except (LiquidityGameError, ValueError, KeyError, OSError) as exc:
+    except (LiquidityGameError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except Exception:

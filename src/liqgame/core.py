@@ -30,18 +30,6 @@ class CapExceeded(LiquidityGameError):
     pass
 
 
-class GameInstance(NamedTuple):
-    """A canonical two-player game state.
-
-    ``build_instance`` is the validated entry point; the record itself runs
-    no checks.
-    """
-
-    balance_i: int
-    balance_j: int
-    issue_cap: int
-
-
 class Checked:
     """Base of the records that check their fields.
 
@@ -59,6 +47,37 @@ class Checked:
     @classmethod
     def _make(cls, iterable):
         return cls(*iterable)
+
+
+DEFAULT_ISSUE_CAP = 1_000_000
+
+
+class _GameInstance(NamedTuple):
+    balance_i: int
+    balance_j: int
+    issue_cap: int
+
+
+class GameInstance(Checked, _GameInstance):
+    """A canonical two-player game state: I long, J short, neither beyond the
+    bonds on issue. ``build_instance`` takes the balances in either order."""
+
+    __slots__ = ()
+
+    def _check(self) -> "GameInstance":
+        check_ints(self, self._fields)
+        b_i, b_j, cap = self
+        if cap <= 0:
+            raise ValueError(f"issue_cap must be positive, got {cap}")
+        if b_i == 0 or b_j == 0:
+            raise ZeroBalance(f"balance_{'i' if b_i == 0 else 'j'} must be nonzero")
+        if (b_i > 0) == (b_j > 0):
+            raise SameSignBalances(f"balances must have opposite signs, got {b_i} and {b_j}")
+        if abs(b_i) > cap or abs(b_j) > cap:
+            raise CapExceeded(f"|balance| exceeds issue_cap={cap}: {b_i}, {b_j}")
+        if b_i < 0:
+            raise ValueError(f"balance_i must be the long (positive) balance, got {b_i}")
+        return self
 
 
 class _PayoffMatrix(NamedTuple):
@@ -125,29 +144,13 @@ class PayoffMatrix(Checked, _PayoffMatrix):
         return "\n".join(lines) + "\n"
 
 
-def build_instance(balance_i: int, balance_j: int, issue_cap: int = 1_000_000) -> GameInstance:
-    """Validate balances and return the canonical instance (I long, J short).
-
-    Callers may pass the long and short balances in either order; roles are
-    assigned from the signs.
-
-    Raises ZeroBalance, SameSignBalances or CapExceeded on rule violations.
-    """
-    if issue_cap <= 0:
-        raise ValueError(f"issue_cap must be positive, got {issue_cap}")
-    if balance_i == 0 or balance_j == 0:
-        field = "balance_i" if balance_i == 0 else "balance_j"
-        raise ZeroBalance(f"{field} must be nonzero")
-    if (balance_i > 0) == (balance_j > 0):
-        raise SameSignBalances(
-            f"balances must have opposite signs, got {balance_i} and {balance_j}"
-        )
-    if balance_i < 0:
+def build_instance(
+    balance_i: int, balance_j: int, issue_cap: int = DEFAULT_ISSUE_CAP
+) -> GameInstance:
+    """The instance with I long and J short, whichever order the two
+    balances come in; ``GameInstance`` checks the rest."""
+    if is_int(balance_i) and is_int(balance_j) and balance_i < 0 < balance_j:
         balance_i, balance_j = balance_j, balance_i
-    if abs(balance_i) > issue_cap or abs(balance_j) > issue_cap:
-        raise CapExceeded(
-            f"|balance| exceeds issue_cap={issue_cap}: {balance_i}, {balance_j}"
-        )
     return GameInstance(balance_i, balance_j, issue_cap)
 
 
@@ -173,6 +176,13 @@ def is_int(value) -> bool:
     """True for an int; bool is a subclass of int, but JSON true/false are
     not numbers here."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def check_ints(record, names: Sequence[str]) -> None:
+    """ValueError naming the first of the record's fields ``names`` that is not an int."""
+    for name in names:
+        if not is_int(getattr(record, name)):
+            raise ValueError(f"{name} must be an integer")
 
 
 Bimatrix = tuple[tuple[tuple[float, float], ...], ...]
@@ -270,23 +280,30 @@ def parse_bimatrix(grid) -> Bimatrix:
     )
 
 
-def json_object(doc: str, what: str) -> dict:
-    """Parse ``doc``; ValueError unless it holds a JSON object."""
-    raw = json.loads(doc)
+def check_document(raw, what: str, required: Sequence[str], optional: Sequence[str] = ()) -> None:
+    """The key rule of every JSON input document: ValueError, naming ``what``, unless ``raw``
+    is a JSON object, then for its first key outside ``required`` and ``optional`` (a mistyped
+    key must not leave its field at the default), then for the first ``required`` key it lacks."""
     if not isinstance(raw, dict):
         raise ValueError(f"{what} must be a JSON object, got {type(raw).__name__}")
-    return raw
+    for key in raw:
+        if key not in required and key not in optional:
+            raise ValueError(f"unknown {what} key {key!r}")
+    for key in required:
+        if key not in raw:
+            raise ValueError(f"missing {what} key {key!r}")
+
+
+def parse_tables(tables) -> dict[str, Bimatrix]:
+    """Read a ``matrices`` object of ``parse_bimatrix`` grids; ValueError for any other value."""
+    if not isinstance(tables, dict):
+        raise ValueError(f"matrices must be a JSON object, got {type(tables).__name__}")
+    return {key: parse_bimatrix(grid) for key, grid in tables.items()}
 
 
 def instance_from_json(doc: str) -> GameInstance:
-    """Parse and validate the ``{"balance_i", "balance_j", "issue_cap"}`` document."""
-    raw = json_object(doc, "instance document")
-    for field in ("balance_i", "balance_j"):
-        if field not in raw:
-            raise ZeroBalance(f"missing field {field}")
-        if not is_int(raw[field]):
-            raise ZeroBalance(f"field {field} must be an integer")
-    cap = raw.get("issue_cap", 1_000_000)
-    if not is_int(cap) or cap <= 0:
-        raise CapExceeded("field issue_cap must be a positive integer")
-    return build_instance(raw["balance_i"], raw["balance_j"], cap)
+    """Read the instance document: ``balance_i`` and ``balance_j``, in
+    either order of sign, and optionally ``issue_cap``."""
+    raw = json.loads(doc)
+    check_document(raw, "instance document", ("balance_i", "balance_j"), ("issue_cap",))
+    return build_instance(**raw)

@@ -12,11 +12,14 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import json
 import operator
 from decimal import ROUND_HALF_UP, Decimal
+from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional, Sequence
 
-from .core import Checked, LiquidityGameError, check_labels, check_prior, check_table, check_tables
+from .core import Checked, LiquidityGameError, check_document, check_labels, check_prior
+from .core import check_table, check_tables, parse_labels, parse_prior, parse_tables
 from .fixtures import PUBLISHED_TABLES, fixture_path
 
 if TYPE_CHECKING:
@@ -151,6 +154,17 @@ def weight_by_priors(
             row = tuple((w_i * w_j * u, w_i * w_j * v) for w_j, r in zip(prior_j, rows) for u, v in r)
             entries.append(row)
     return CompositionMatrix(row_labels, row_labels, tuple(entries))
+
+
+def load_base_document(path: Path) -> tuple:
+    """Read a constructive base file: ``types``, ``strategies``, ``matrices`` keyed
+    ``"row_type,col_type"``, ``prior_i`` and ``prior_j``, as ``weight_by_priors`` takes them."""
+    raw = json.loads(path.read_text())
+    fields = ("types", "strategies", "matrices", "prior_i", "prior_j")
+    check_document(raw, "constructive base document", fields)
+    types, strategies = (parse_labels(raw[key], key) for key in fields[:2])
+    matrices = {k.partition(",")[::2]: grid for k, grid in parse_tables(raw["matrices"]).items()}
+    return types, strategies, matrices, parse_prior(raw["prior_i"]), parse_prior(raw["prior_j"])
 
 
 def pairwise_base_from_conditional(

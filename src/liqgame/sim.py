@@ -26,7 +26,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional
 
-from .core import Checked, LiquidityGameError, is_int, transferred
+from .core import Checked, LiquidityGameError, check_document, check_ints, is_int, transferred
 
 STRATEGY_KINDS = ("fixed_fraction", "uniform_random", "full_balance")
 MODES = ("one_shot", "repeated")
@@ -36,13 +36,6 @@ BLOCK = 1024
 
 class IntractableStrategy(LiquidityGameError):
     pass
-
-
-def _check_keys(raw: Mapping, fields: tuple[str, ...], what: str) -> None:
-    """ValueError naming the first key of a JSON document that no field reads."""
-    for key in raw:
-        if key not in fields:
-            raise ValueError(f"unknown {what} key {key!r}")
 
 
 class _StrategySpec(NamedTuple):
@@ -68,11 +61,10 @@ class StrategySpec(Checked, _StrategySpec):
         return self
 
     @classmethod
-    def from_jsonable(cls, raw: dict) -> "StrategySpec":
-        if not isinstance(raw, dict):
-            raise ValueError(f"a strategy must be a JSON object, got {type(raw).__name__}")
-        _check_keys(raw, cls._fields, "strategy")
-        return cls(kind=raw["kind"], fraction=raw.get("fraction"))
+    def from_jsonable(cls, raw) -> "StrategySpec":
+        """Read a strategy document: ``kind``, and ``fraction`` for a fixed fraction."""
+        check_document(raw, "strategy", ("kind",), ("fraction",))
+        return cls(**raw)
 
 
 # Default "high" / "low" parcel fractions. The proportions themselves are a
@@ -135,9 +127,7 @@ class SimConfig(Checked, _SimConfig):
     __slots__ = ()
 
     def _check(self) -> "SimConfig":
-        for name in ("trials", "seed", "max_rounds"):
-            if not is_int(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer")
+        check_ints(self, ("trials", "seed", "max_rounds"))
         ranges = self.balance_range_i, self.balance_range_j
         _check_ranges(*ranges)
         if any(isinstance(pair, list) for pair in ranges):  # _replace runs these checks again
@@ -153,14 +143,11 @@ class SimConfig(Checked, _SimConfig):
         return self
 
     @classmethod
-    def from_jsonable(cls, raw: Mapping) -> "SimConfig":
-        """Read a config document; ValueError for a key that is not a field."""
-        _check_keys(raw, cls._fields, "simulation config")
-        kwargs = {**raw, "trials": raw["trials"]}  # no default: KeyError when missing
-        for key in ("strategy_i", "strategy_j"):
-            if key in raw:
-                kwargs[key] = StrategySpec.from_jsonable(raw[key])
-        return cls(**kwargs)
+    def from_jsonable(cls, raw) -> "SimConfig":
+        """Read a config document: ``trials`` and other fields, strategies as strategy documents."""
+        check_document(raw, "simulation config", ("trials",), cls._fields)
+        specs = {k: StrategySpec.from_jsonable(v) for k, v in raw.items() if k.startswith("strategy")}
+        return cls(**{**raw, **specs})
 
 
 class TrialRecord(NamedTuple):

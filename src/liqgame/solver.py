@@ -230,8 +230,6 @@ def instance_mixed_profiles(instance: GameInstance) -> list[MixedProfile]:
     positive, so profiles differ; enumeration meets them in (|S|, R, C) order.
     """
     m, n = abs(instance.balance_i), abs(instance.balance_j)
-    if m == 0 or n == 0:
-        raise ValueError("matrix must be non-empty")
     small = [((), (y,)) for y in range(1, min(m, n + 1))]  # each parcel < m: out or in
     tops = [(), *((y,) for y in range(m, n + 1))]  # no parcel >= m, or one of them
     sets = [sum(parts, ()) for parts in itertools.product(*small, tops)]

@@ -36,6 +36,16 @@ def conditional(matrix_a, matrix_b, prior=(0.5, 0.5)) -> ConditionalGame:
 
 
 class TestBundledGame:
+    def test_fixture_loads_with_its_unread_type_names(self, bundled):
+        # type_names is the one optional game document key; the reader skips it
+        raw = json.loads(fixture_path("bayes_large_small.json").read_text())
+        assert raw["type_names"] == {"a": "large", "b": "small"}
+        assert bundled == conditional(
+            (((10, 10), (0, 0)), ((6, 6), (5, 5))),
+            (((0, 0), (0, 0)), ((5, 4), (0, 0))),
+            prior=(0.35, 0.65),
+        )
+
     def test_tables_as_shipped(self, bundled):
         assert bundled.matrices["a"] == (((10, 10), (0, 0)), ((6, 6), (5, 5)))
         assert bundled.matrices["b"] == (((0, 0), (0, 0)), ((5, 4), (0, 0)))

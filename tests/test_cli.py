@@ -15,6 +15,26 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+SOLVE = ["solve", "--config"]
+BAYES = ["bayes", "--game"]
+MARKET = ["market", "--constructive", "--config"]
+SIMULATE = ["simulate", "--config"]
+BAYES_DOCUMENT = json.loads(fixtures.fixture_path("bayes_large_small.json").read_text())
+# the bundled game with one strategy list per side
+BAYES_PAIR_DOCUMENT = {
+    **{key: value for key, value in BAYES_DOCUMENT.items() if key != "strategies"},
+    "strategies_i": ["high", "low"],
+    "strategies_j": ["high", "low"],
+}
+MARKET_DOCUMENT = {
+    "types": ["L"],
+    "strategies": ["x"],
+    "prior_i": [1],
+    "prior_j": [1],
+    "matrices": {"L,L": [[[1, 1]]]},
+}
+
+
 class TestSolveCommand:
     def test_golden_two_by_two(self, capsys):
         code, out, _ = run_cli(capsys, "solve", "--bi", "2", "--bj", "-2")
@@ -313,26 +333,115 @@ class TestSimulateCommand:
         assert err == "error: ValueError: fixed_fraction needs a fraction in (0, 1]\n"
 
     @pytest.mark.parametrize(
-        "document,key",
+        "argv,document,message",
         [
-            ({"trials": 50, "seed": 1, "mod": "repeated"}, "simulation config key 'mod'"),
-            ({"trials": 50, "sede": 1}, "simulation config key 'sede'"),
             (
+                SIMULATE,
+                {"trials": 50, "seed": 1, "mod": "repeated"},
+                "unknown simulation config key 'mod'",
+            ),
+            (SIMULATE, {"trials": 50, "sede": 1}, "unknown simulation config key 'sede'"),
+            (
+                SIMULATE,
                 {"trials": 50, "seed": 1, "strategy_i": {"kind": "full_balance", "frac": 1}},
-                "strategy key 'frac'",
+                "unknown strategy key 'frac'",
+            ),
+            (SIMULATE, [50, 1], "simulation config must be a JSON object, got list"),
+            (
+                SIMULATE,
+                {"trials": 5, "seed": 1, "strategy_j": {"fraction": 0.5}},
+                "missing strategy key 'kind'",
+            ),
+            (
+                SIMULATE,
+                {"trials": 5, "seed": 1, "strategy_i": "high"},
+                "strategy must be a JSON object, got str",
+            ),
+            (
+                SOLVE,
+                {"balance_i": 3, "balance_j": -2, "issue_kap": 1},
+                "unknown instance document key 'issue_kap'",
+            ),
+            (SOLVE, {"balance_j": -2}, "missing instance document key 'balance_i'"),
+            (SOLVE, [3, -2], "instance document must be a JSON object, got list"),
+            (
+                BAYES,
+                {**BAYES_DOCUMENT, "strategies_j": ["high", "low"], "promptly": True},
+                "unknown game document key 'strategies_j'",
+            ),
+            (BAYES, {**BAYES_DOCUMENT, "promptly": True}, "unknown game document key 'promptly'"),
+            (
+                BAYES,
+                {**BAYES_PAIR_DOCUMENT, "strategy_j": ["high", "low"]},
+                "unknown game document key 'strategy_j'",
+            ),
+            (
+                BAYES,
+                {key: value for key, value in BAYES_DOCUMENT.items() if key != "types"},
+                "missing game document key 'types'",
+            ),
+            (
+                BAYES,
+                {key: value for key, value in BAYES_PAIR_DOCUMENT.items() if key != "strategies_j"},
+                "missing game document key 'strategies_j'",
+            ),
+            (BAYES, [BAYES_DOCUMENT], "game document must be a JSON object, got list"),
+            (
+                BAYES,
+                {**BAYES_DOCUMENT, "matrices": list(BAYES_DOCUMENT["matrices"].values())},
+                "matrices must be a JSON object, got list",
+            ),
+            (
+                MARKET,
+                {**MARKET_DOCUMENT, "extra": 1},
+                "unknown constructive base document key 'extra'",
+            ),
+            (
+                MARKET,
+                {key: value for key, value in MARKET_DOCUMENT.items() if key != "prior_j"},
+                "missing constructive base document key 'prior_j'",
+            ),
+            (MARKET, "L,L", "constructive base document must be a JSON object, got str"),
+            (
+                MARKET,
+                {**MARKET_DOCUMENT, "matrices": [[[[1, 1]]]]},
+                "matrices must be a JSON object, got list",
             ),
         ],
-        ids=["mode", "seed", "strategy"],
+        ids=[
+            "mode",
+            "seed",
+            "strategy",
+            "simulate-not-object",
+            "strategy-missing-kind",
+            "strategy-not-object",
+            "instance-unknown",
+            "instance-missing",
+            "instance-not-object",
+            "game-both-forms",
+            "game-unknown",
+            "game-pair-form-unknown",
+            "game-missing-types",
+            "game-missing-pair-side",
+            "game-not-object",
+            "game-matrices-not-object",
+            "base-unknown",
+            "base-missing",
+            "base-not-object",
+            "base-matrices-not-object",
+        ],
     )
-    def test_unknown_config_key_exit_two(self, capsys, tmp_path, document, key):
+    def test_unknown_config_key_exit_two(self, capsys, tmp_path, argv, document, message):
         # a mistyped key must not fall back to the default it meant to
-        # replace: one-shot play, a drawn seed, an unread fraction
-        config = tmp_path / "sim.json"
-        config.write_text(json.dumps(document))
-        code, out, err = run_cli(capsys, "simulate", "--config", str(config))
+        # replace: one-shot play, a drawn seed, an unread fraction, the
+        # default issue cap or one side's strategies for both; every JSON
+        # document follows one key rule
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(document))
+        code, out, err = run_cli(capsys, *argv, str(path))
         assert code == 2
         assert out == ""
-        assert err == f"error: ValueError: unknown {key}\n"
+        assert err == f"error: ValueError: {message}\n"
 
     def test_invalid_range_exit_two(self, capsys):
         code, _, err = run_cli(
@@ -418,16 +527,6 @@ def test_non_object_document_exit_two(capsys, tmp_path, argv, document):
     assert code == 2
     assert out == ""
     assert "ValueError" in err and "must be a JSON object" in err
-
-
-BAYES_DOCUMENT = json.loads(fixtures.fixture_path("bayes_large_small.json").read_text())
-MARKET_DOCUMENT = {
-    "types": ["L"],
-    "strategies": ["x"],
-    "prior_i": [1],
-    "prior_j": [1],
-    "matrices": {"L,L": [[[1, 1]]]},
-}
 
 
 @pytest.mark.parametrize(
@@ -830,6 +929,19 @@ class TestOutputHandling:
         )
         assert code == 2
         assert not target.exists()
+
+    def test_key_error_is_a_program_fault(self, capsys, monkeypatch):
+        # every reader checks its document's keys first, so a KeyError that
+        # reaches main is a bug, reported as any other: exit 1, with a traceback
+        def broken(args):
+            raise KeyError("capacity")
+
+        monkeypatch.setattr(cli, "_cmd_lp", broken)
+        code, out, err = run_cli(capsys, "lp", "--receiver", "1", "--sender", "2")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("Traceback (most recent call last):")
+        assert err.endswith("KeyError: 'capacity'\n")
 
     def test_unexpected_exception_exits_one_with_traceback(self, capsys, monkeypatch):
         from liqgame import lp

@@ -6,12 +6,15 @@ from hypothesis import strategies as st
 
 from liqgame.core import (
     CapExceeded,
+    GameInstance,
     PayoffMatrix,
     SameSignBalances,
     ZeroBalance,
     build_instance,
     build_payoff_matrix,
+    check_document,
     instance_from_json,
+    parse_tables,
     transferred,
 )
 
@@ -152,11 +155,11 @@ class TestInstanceSerialization:
         assert (again.balance_i, again.balance_j, again.issue_cap) == (17, -5, 400)
 
     def test_missing_field_rejected(self):
-        with pytest.raises(ZeroBalance):
+        with pytest.raises(ValueError, match="^missing instance document key 'balance_j'$"):
             instance_from_json('{"balance_i": 2}')
 
     def test_bad_cap_rejected(self):
-        with pytest.raises(CapExceeded):
+        with pytest.raises(ValueError, match="^issue_cap must be positive, got 0$"):
             instance_from_json('{"balance_i": 2, "balance_j": -2, "issue_cap": 0}')
 
     @pytest.mark.parametrize(
@@ -164,12 +167,72 @@ class TestInstanceSerialization:
         ['{"balance_i": true, "balance_j": -2}', '{"balance_i": -2, "balance_j": true}'],
     )
     def test_boolean_balance_rejected(self, doc):
-        with pytest.raises(ZeroBalance):
+        with pytest.raises(ValueError, match="^balance_[ij] must be an integer$"):
             instance_from_json(doc)
 
     def test_boolean_cap_rejected(self):
-        with pytest.raises(CapExceeded):
+        with pytest.raises(ValueError, match="^issue_cap must be an integer$"):
             instance_from_json('{"balance_i": 1, "balance_j": -1, "issue_cap": true}')
+
+    def test_short_balance_first_is_swapped(self):
+        instance = instance_from_json('{"balance_i": -2, "balance_j": 3}')
+        assert instance == GameInstance(3, -2, 1_000_000)
+
+    @pytest.mark.parametrize(
+        "doc,error,message",
+        [
+            ('{"balance_i": -2, "balance_j": 0}', ZeroBalance, "balance_j must be nonzero"),
+            (
+                '{"balance_i": -2, "balance_j": -3}',
+                SameSignBalances,
+                "balances must have opposite signs, got -2 and -3",
+            ),
+            (
+                '{"balance_i": -2, "balance_j": 11, "issue_cap": 10}',
+                CapExceeded,
+                r"\|balance\| exceeds issue_cap=10: 11, -2",
+            ),
+        ],
+        ids=["zero", "same-sign", "cap"],
+    )
+    def test_instance_rules_after_the_swap(self, doc, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            instance_from_json(doc)
+
+
+class TestDocumentRule:
+    """``check_document``: a JSON object, then no unknown key, then no missing key."""
+
+    @pytest.mark.parametrize("raw", [[], "x", 3, None, True], ids=["list", "str", "int", "null", "bool"])
+    def test_non_object_refused(self, raw):
+        with pytest.raises(ValueError) as caught:
+            check_document(raw, "thing", ("a",))
+        assert str(caught.value) == f"thing must be a JSON object, got {type(raw).__name__}"
+
+    def test_first_unknown_key_in_document_order(self):
+        with pytest.raises(ValueError, match="^unknown thing key 'z'$"):
+            check_document({"a": 1, "z": 2, "y": 3}, "thing", ("a",), ("b",))
+
+    def test_unknown_key_before_missing_key(self):
+        with pytest.raises(ValueError, match="^unknown thing key 'y'$"):
+            check_document({"y": 1}, "thing", ("a",))
+
+    def test_first_missing_required_key(self):
+        with pytest.raises(ValueError, match="^missing thing key 'b'$"):
+            check_document({"a": 1}, "thing", ("a", "b", "c"), ("d",))
+
+    @pytest.mark.parametrize(
+        "raw", [{"a": 1}, {"a": 1, "d": 2}, {"d": 2, "a": 1}], ids=["required", "both", "any-order"]
+    )
+    def test_accepted(self, raw):
+        assert check_document(raw, "thing", ("a",), ("d",)) is None
+
+    def test_tables_must_be_an_object(self):
+        with pytest.raises(ValueError, match="^matrices must be a JSON object, got list$"):
+            parse_tables([[[[1, 1]]]])
+
+    def test_tables_read_as_bimatrices(self):
+        assert parse_tables({"a": [[[1, 2]]]}) == {"a": (((1.0, 2.0),),)}
 
 
 def parse_payoff_csv(text):

@@ -229,6 +229,7 @@ def game(**fields):
 
 
 # Valid records, one per checked record type, that the cases below spoil.
+INSTANCE = core.GameInstance(3, -3, 10)
 MATRIX = one_cell()
 RANDOM = sim.StrategySpec("uniform_random")
 CONFIG = sim.SimConfig(1)
@@ -238,6 +239,11 @@ TRANSFER = lp.TransferProblem(1, 10)
 
 # A valid record, the fields that spoil it, and the refusal they meet.
 INVALID = [
+    (INSTANCE, dict(balance_i=3.0), "balance_i must be an integer"),
+    (INSTANCE, dict(balance_j="-3"), "balance_j must be an integer"),
+    (INSTANCE, dict(issue_cap=True), "issue_cap must be an integer"),
+    (INSTANCE, dict(issue_cap=0), "issue_cap must be positive, got 0"),
+    (INSTANCE, dict(balance_i=-3, balance_j=3), "balance_i must be the long (positive) balance, got -3"),
     (MATRIX, dict(u_i=((1,), (1,))), "matrix for u_i has wrong dimensions"),
     (MATRIX, dict(u_j=()), "matrix for u_j has wrong dimensions"),
     (MATRIX, dict(u_j=((1, 2),)), "matrix for u_j has wrong dimensions"),
@@ -322,6 +328,33 @@ def test_validation_error_class_and_message(record, fields, message):
 @pytest.mark.parametrize("record,fields,message", INVALID, ids=INVALID_IDS)
 def test_make_and_replace_run_the_same_checks(build, record, fields, message):
     assert_refused(build, record, fields, message)
+
+
+@pytest.mark.parametrize("build", [by_call, by_make, by_replace])
+@pytest.mark.parametrize(
+    "fields,error,message",
+    [
+        (dict(balance_i=0), core.ZeroBalance, "balance_i must be nonzero"),
+        (dict(balance_j=0), core.ZeroBalance, "balance_j must be nonzero"),
+        (dict(balance_i=0, balance_j=0), core.ZeroBalance, "balance_i must be nonzero"),
+        (dict(balance_j=3), core.SameSignBalances, "balances must have opposite signs, got 3 and 3"),
+        (
+            dict(balance_i=30, balance_j=20),
+            core.SameSignBalances,
+            "balances must have opposite signs, got 30 and 20",
+        ),
+        (dict(balance_i=11), core.CapExceeded, "|balance| exceeds issue_cap=10: 11, -3"),
+        (dict(issue_cap=2), core.CapExceeded, "|balance| exceeds issue_cap=2: 3, -3"),
+        (dict(balance_i=-30, balance_j=3), core.CapExceeded, "|balance| exceeds issue_cap=10: -30, 3"),
+    ],
+    ids=["zero-i", "zero-j", "zero-first", "same-sign", "same-sign-first", "cap-i", "cap", "cap-first"],
+)
+def test_instance_rules_raise_domain_errors(build, fields, error, message):
+    # in order: zero, then same sign, then the cap, then I long
+    with pytest.raises(error) as caught:
+        build(INSTANCE, fields)
+    assert type(caught.value) is error
+    assert str(caught.value) == message
 
 
 def test_game_checks_its_tables_before_its_prior():

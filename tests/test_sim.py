@@ -560,8 +560,12 @@ class TestConfigAndReportSerialization:
                 {"trials": 50, "strategy_j": {"kind": "fixed_fraction", "fracton": 0.5}},
                 "unknown strategy key 'fracton'",
             ),
+            ({"seed": 1}, "missing simulation config key 'trials'"),
+            ({"trials": 50, "strategy_i": {}}, "missing strategy key 'kind'"),
+            ([{"trials": 50}], "simulation config must be a JSON object, got list"),
+            ({"trials": 50, "strategy_i": ["full_balance"]}, "strategy must be a JSON object, got list"),
         ],
-        ids=["mode", "seed", "strategy"],
+        ids=["mode", "seed", "strategy", "missing-trials", "missing-kind", "config-list", "strategy-list"],
     )
     def test_unknown_key_refused(self, doc, message):
         # a key no field reads is a typo, not a request for the default

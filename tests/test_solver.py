@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liqgame.core import GameInstance, PayoffMatrix, build_instance, build_payoff_matrix
+from liqgame.core import GameInstance, PayoffMatrix, ZeroBalance, build_instance, build_payoff_matrix
 from liqgame import solver
 from liqgame.solver import (
     DimensionCapExceeded,
@@ -267,8 +267,9 @@ class TestInstanceMixedProfiles:
             assert verify_equilibrium(matrix, prof, F(0))
 
     def test_cleared_player_has_no_game(self):
-        with pytest.raises(ValueError, match="non-empty"):
-            instance_mixed_profiles(GameInstance(0, -2, 10))
+        # no instance with a cleared player is built, so none reaches the closed form
+        with pytest.raises(ZeroBalance, match="^balance_i must be nonzero$"):
+            GameInstance(0, -2, 10)
 
 
 def distributions(size: int):
