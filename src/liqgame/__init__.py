@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 # Each public name and the submodule that defines it.
 _EXPORTS = {
     "BayesianSolution": "bayes",
-    "CompositionMatrix": "market",
     "ConditionalGame": "bayes",
     "GameInstance": "core",
     "LiquidityGameError": "core",

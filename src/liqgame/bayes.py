@@ -60,19 +60,6 @@ class ConditionalGame(Checked, _ConditionalGame):
         check_prior(self.prior, self.types)
         return self
 
-    def payoff(self, type_label: str, strategy_i: str, strategy_j: str) -> tuple[float, float]:
-        if type_label not in self.matrices:
-            raise UnknownLabel(f"unknown type {type_label!r}")
-        try:
-            r = self.strategies_i.index(strategy_i)
-        except ValueError:
-            raise UnknownLabel(f"unknown row strategy {strategy_i!r}") from None
-        try:
-            c = self.strategies_j.index(strategy_j)
-        except ValueError:
-            raise UnknownLabel(f"unknown column strategy {strategy_j!r}") from None
-        return self.matrices[type_label][r][c]
-
     @classmethod
     def from_jsonable(cls, raw) -> "ConditionalGame":
         """Read a game document: ``types``, ``matrices`` keyed by type, ``prior``, and
@@ -129,8 +116,9 @@ def dominant_strategy_per_type(
     return None
 
 
-def check_responses(game: ConditionalGame, response_j: Mapping[str, str]) -> None:
-    """UnknownLabel unless ``response_j`` maps exactly the types to column strategies."""
+def check_responses(game: ConditionalGame, response_j: Mapping[str, str]) -> list[int]:
+    """The response column of each type, in type order; UnknownLabel unless
+    ``response_j`` maps exactly the types to column strategies."""
     for t in game.types:
         if t not in response_j:
             raise UnknownLabel(f"no response for type {t!r}")
@@ -139,16 +127,20 @@ def check_responses(game: ConditionalGame, response_j: Mapping[str, str]) -> Non
             raise UnknownLabel(f"response for unknown type {t!r}")
         if strategy not in game.strategies_j:
             raise UnknownLabel(f"unknown column strategy {strategy!r}")
+    return [game.strategies_j.index(response_j[t]) for t in game.types]
 
 
 def expected_payoff(
     game: ConditionalGame, strategy_i: str, response_j: Mapping[str, str]
 ) -> float:
     """Prior-weighted initiator payoff against a per-type response map."""
-    check_responses(game, response_j)
+    columns = check_responses(game, response_j)
+    if strategy_i not in game.strategies_i:
+        raise UnknownLabel(f"unknown row strategy {strategy_i!r}")
+    r = game.strategies_i.index(strategy_i)
     total = 0.0
-    for t, weight in zip(game.types, game.prior):
-        total += weight * game.payoff(t, strategy_i, response_j[t])[0]
+    for t, weight, c in zip(game.types, game.prior, columns):
+        total += weight * game.matrices[t][r][c][0]
     return total
 
 
@@ -168,9 +160,10 @@ def indifference_threshold(
     if len(game.types) != 2:
         raise ValueError("threshold analysis needs exactly two types")
     s1, s2 = game.strategies_i
-    check_responses(game, response_j)
+    columns = check_responses(game, response_j)
     # a: the first type's payoffs to s1 and s2, b: the second type's
-    (a1, a2), (b1, b2) = ([game.payoff(t, s, response_j[t])[0] for s in (s1, s2)] for t in game.types)
+    (a1, a2), (b1, b2) = ([row[c][0] for row in game.matrices[t]]
+                          for t, c in zip(game.types, columns))
     # payoff difference f(p) = p*(a1-a2) + (1-p)*(b1-b2), positive favours s1
     slope = (a1 - a2) - (b1 - b2)
     intercept = b1 - b2

@@ -89,7 +89,7 @@ def build_bayes_report(
     return report
 
 
-def build_market_report(matrix: market.CompositionMatrix, mode: str, table: Optional[str]) -> dict:
+def build_market_report(matrix: core.PayoffMatrix, mode: str, table: Optional[str]) -> dict:
     from . import market
     analysis = market.quadrant_analysis(matrix)
     best = market.best_quadrant(analysis)
@@ -189,7 +189,7 @@ def _cmd_market(args: argparse.Namespace) -> str:
         matrix = market.weight_by_priors(types, strategies, matrices, prior_i, prior_j)
         mode, table = "constructive", None
     if args.format == "csv":
-        return matrix.cells_csv()
+        return market.cells_csv(matrix)
     return _dumps(build_market_report(matrix, mode, table))
 
 

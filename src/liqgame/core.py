@@ -81,19 +81,22 @@ class GameInstance(Checked, _GameInstance):
 
 
 class _PayoffMatrix(NamedTuple):
-    actions_i: tuple[int, ...]
-    actions_j: tuple[int, ...]
-    u_i: tuple[tuple[int, ...], ...]
-    u_j: tuple[tuple[int, ...], ...]
+    actions_i: tuple
+    actions_j: tuple
+    u_i: tuple[tuple[float, ...], ...]
+    u_j: tuple[tuple[float, ...], ...]
 
 
 class PayoffMatrix(Checked, _PayoffMatrix):
-    """Bimatrix of integer payoffs, rows and columns in descending parcel size.
+    """Bimatrix of payoffs, one table per player, every action labelled.
 
     ``u_i[r][c]`` and ``u_j[r][c]`` are the row and column player's payoffs
-    for the row player's parcel ``actions_i[r]`` against the column player's
-    parcel ``actions_j[c]``. Each player has at least one action, so no
-    solver meets an empty side.
+    for the row player's action ``actions_i[r]`` against the column player's
+    action ``actions_j[c]``. Each player has at least one action, so no
+    solver meets an empty side. A game's actions are parcel sizes in
+    descending order and its payoffs are integers, as ``build_payoff_matrix``
+    and ``from_entries`` require; a market composition table's actions are
+    (type, strategy) labels and its payoffs are real volumes.
     """
 
     __slots__ = ()
@@ -188,9 +191,9 @@ def check_ints(record, names: Sequence[str]) -> None:
 Bimatrix = tuple[tuple[tuple[float, float], ...], ...]
 
 
-def _finite_number(value, what: str) -> float:
-    """A finite JSON number as a float; ValueError naming ``what`` for
-    anything else."""
+def finite_number(value, what: str) -> float:
+    """A finite number, an int or a float but not a bool, as a float;
+    ValueError naming ``what`` for anything else."""
     if not (isinstance(value, float) or is_int(value)):
         raise ValueError(f"{what} must be a number, got {value!r}")
     try:
@@ -207,7 +210,7 @@ def parse_prior(values) -> tuple[float, ...]:
     a finite number."""
     if not isinstance(values, list):
         raise ValueError(f"prior must be a list of numbers, got {values!r}")
-    return tuple(_finite_number(p, "prior") for p in values)
+    return tuple(finite_number(p, "prior") for p in values)
 
 
 EQUALITY_TOLERANCE = 1e-12
@@ -275,7 +278,7 @@ def parse_bimatrix(grid) -> Bimatrix:
     if not all(isinstance(cell, list) and len(cell) == 2 for row in grid for cell in row):
         raise ValueError("every payoff cell must be a [u, v] pair")
     return tuple(
-        tuple((_finite_number(u, "payoff"), _finite_number(v, "payoff")) for u, v in row)
+        tuple((finite_number(u, "payoff"), finite_number(v, "payoff")) for u, v in row)
         for row in grid
     )
 

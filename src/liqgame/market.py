@@ -1,10 +1,12 @@
 """Market-composition analysis: prior-weighted volume tables and aggregates.
 
-Two modes. Constructive mode weights caller-supplied per-type-pair payoff
-tables by the type priors on each side. As-published mode loads the bundled
-composition tables verbatim; several of their entries are not derivable
-from any single weighting rule, so they ship as data, and the aggregates
-(quadrant sums, system total, hit ratio) are computed from the table.
+A composition table is a ``core.PayoffMatrix`` whose actions on each side are
+(type, strategy) labels and whose payoffs are real volumes. Two modes build
+one. Constructive mode weights caller-supplied per-type-pair payoff tables by
+the type priors on each side. As-published mode loads the bundled composition
+tables verbatim; several of their entries are not derivable from any single
+weighting rule, so they ship as data, and the aggregates (quadrant sums,
+system total, hit ratio) are computed from the table.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional, Sequence
 
-from .core import Checked, LiquidityGameError, check_document, check_labels, check_prior
-from .core import check_table, check_tables, parse_labels, parse_prior, parse_tables
+from .core import LiquidityGameError, PayoffMatrix, check_document, check_labels, check_prior
+from .core import check_tables, finite_number, parse_labels, parse_prior, parse_tables
 from .fixtures import PUBLISHED_TABLES, fixture_path
 
 if TYPE_CHECKING:
@@ -60,64 +62,56 @@ def parse_label(text: str) -> Label:
     return (None, text)
 
 
-class _CompositionMatrix(NamedTuple):
-    row_labels: tuple[Label, ...]
-    col_labels: tuple[Label, ...]
-    entries: tuple[tuple[tuple[float, float], ...], ...]
+def _labelled(rows: tuple[Label, ...], cols: tuple[Label, ...], grid) -> PayoffMatrix:
+    """The table of a grid of (u_i, u_j) cells, rows labelled ``rows``, columns ``cols``."""
+    u_i = tuple(tuple(u for u, _ in row) for row in grid)
+    u_j = tuple(tuple(v for _, v in row) for row in grid)
+    return PayoffMatrix(rows, cols, u_i, u_j)
 
 
-class CompositionMatrix(Checked, _CompositionMatrix):
-    """Real-valued bimatrix whose rows and columns are (type, strategy) pairs."""
-
-    __slots__ = ()
-
-    def _check(self) -> "CompositionMatrix":
-        check_table(self.entries, self.row_labels, self.col_labels, "entries")
-        return self
-
-    def cells_csv(self) -> str:
-        """Plot-ready long format: one line per cell with the summed volume."""
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["row_label", "col_label", "volume"])
-        for label_r, row in zip(self.row_labels, self.entries):
-            for label_c, (u, v) in zip(self.col_labels, row):
-                writer.writerow([label_text(label_r), label_text(label_c), _fmt1(u + v)])
-        return out.getvalue()
+def cells_csv(matrix: PayoffMatrix) -> str:
+    """Plot-ready long format: one line per cell with the summed volume."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["row_label", "col_label", "volume"])
+    for label_r, row_i, row_j in zip(matrix.actions_i, matrix.u_i, matrix.u_j):
+        for label_c, u, v in zip(matrix.actions_j, row_i, row_j):
+            writer.writerow([label_text(label_r), label_text(label_c), _fmt1(u + v)])
+    return out.getvalue()
 
 
-def composition_from_csv(doc: str) -> CompositionMatrix:
+def composition_from_csv(doc: str) -> PayoffMatrix:
     """Parse a long-format CSV, one ``row_label,col_label,u_i,u_j`` line per
-    cell, as the bundled tables are written."""
+    cell, as the bundled tables are written; blank lines are skipped.
+
+    ValueError for a record of other than four fields, a payoff that is not
+    a finite number, a cell given twice or not at all, and a table with no
+    cells (``PayoffMatrix`` refuses an empty side).
+    """
     reader = csv.reader(io.StringIO(doc))
     header = next(reader, None)
     if header != ["row_label", "col_label", "u_i", "u_j"]:
         raise ValueError("expected header row_label,col_label,u_i,u_j")
-    row_labels: list[Label] = []
-    col_labels: list[Label] = []
     cells: dict[tuple[Label, Label], tuple[float, float]] = {}
     for record in reader:
         if not record:
             continue
-        label_r = parse_label(record[0])
-        label_c = parse_label(record[1])
-        if label_r not in row_labels:
-            row_labels.append(label_r)
-        if label_c not in col_labels:
-            col_labels.append(label_c)
-        cells[(label_r, label_c)] = (float(record[2]), float(record[3]))
-    entries = []
-    for label_r in row_labels:
-        row = []
-        for label_c in col_labels:
+        if len(record) != 4:
+            raise ValueError(f"line {reader.line_num}: expected 4 fields, got {len(record)}")
+        cell = (parse_label(record[0]), parse_label(record[1]))
+        if cell in cells:
+            raise ValueError(f"repeated cell {record[0]},{record[1]}")
+        cells[cell] = tuple(finite_number(float(text), "payoff") for text in record[2:])
+    rows = tuple(dict.fromkeys(label_r for label_r, _ in cells))
+    cols = tuple(dict.fromkeys(label_c for _, label_c in cells))
+    for label_r in rows:
+        for label_c in cols:
             if (label_r, label_c) not in cells:
                 raise ValueError(f"missing cell {label_text(label_r)},{label_text(label_c)}")
-            row.append(cells[(label_r, label_c)])
-        entries.append(tuple(row))
-    return CompositionMatrix(tuple(row_labels), tuple(col_labels), tuple(entries))
+    return _labelled(rows, cols, [[cells[(r, c)] for c in cols] for r in rows])
 
 
-def load_published_matrix(source: str) -> CompositionMatrix:
+def load_published_matrix(source: str) -> PayoffMatrix:
     """One of the bundled tables, exactly as printed (1-decimal values)."""
     if source not in PUBLISHED_TABLES:
         raise UnknownTable(
@@ -132,7 +126,7 @@ def weight_by_priors(
     matrices: Mapping[tuple[str, str], Sequence[Sequence[tuple[float, float]]]],
     prior_i: Sequence[float],
     prior_j: Sequence[float],
-) -> CompositionMatrix:
+) -> PayoffMatrix:
     """Expected-volume table: each cell is the type-pair payoff scaled by
     the product of the two type weights.
 
@@ -146,14 +140,15 @@ def weight_by_priors(
     check_prior(prior_j, types)
     pairs = [(t_i, t_j) for t_i in types for t_j in types]
     check_tables(matrices, pairs, strategies, strategies, "type pair")
-    row_labels = tuple((t, s) for t in types for s in strategies)
-    entries = []
+    labels = tuple((t, s) for t in types for s in strategies)
+    grid = []
     for t_i, w_i in zip(types, prior_i):
         # each row strategy's rows of the type pairs (t_i, *), side by side
         for rows in zip(*(matrices[(t_i, t_j)] for t_j in types)):
-            row = tuple((w_i * w_j * u, w_i * w_j * v) for w_j, r in zip(prior_j, rows) for u, v in r)
-            entries.append(row)
-    return CompositionMatrix(row_labels, row_labels, tuple(entries))
+            grid.append(
+                [(w_i * w_j * u, w_i * w_j * v) for w_j, r in zip(prior_j, rows) for u, v in r]
+            )
+    return _labelled(labels, labels, grid)
 
 
 def load_base_document(path: Path) -> tuple:
@@ -202,11 +197,11 @@ def _label_types(labels: Sequence[Label], side: str) -> list[str]:
     return kinds
 
 
-def quadrant_analysis(matrix: CompositionMatrix) -> QuadrantReport:
+def quadrant_analysis(matrix: PayoffMatrix) -> QuadrantReport:
     """Sum both payoff components per type quadrant; volume is the summed
     pair because only that convention reconciles the published totals."""
-    row_types = _label_types(matrix.row_labels, "row")
-    col_types = _label_types(matrix.col_labels, "column")
+    row_types = _label_types(matrix.actions_i, "row")
+    col_types = _label_types(matrix.actions_j, "column")
     if len(row_types) != 2 or len(col_types) != 2:
         raise NotTwoTypes(
             f"expected exactly two types per side, got {row_types} x {col_types}"
@@ -214,8 +209,8 @@ def quadrant_analysis(matrix: CompositionMatrix) -> QuadrantReport:
     quadrants = {(rt, ct): 0.0 for rt in row_types for ct in col_types}
     nonzero = 0
     total_cells = 0
-    for (row_kind, _), row in zip(matrix.row_labels, matrix.entries):
-        for (col_kind, _), (u, v) in zip(matrix.col_labels, row):
+    for (row_kind, _), row_i, row_j in zip(matrix.actions_i, matrix.u_i, matrix.u_j):
+        for (col_kind, _), u, v in zip(matrix.actions_j, row_i, row_j):
             quadrants[(row_kind, col_kind)] += u + v
             total_cells += 1
             if u != 0.0 or v != 0.0:

@@ -275,6 +275,34 @@ class TestMarketCommand:
         assert exc.value.code == 2
         assert "final_4x4" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edit,fmt,message",
+        [
+            (lambda lines: [lines[0].replace(",1.2,1.2", ",nan,1.2"), *lines[1:]], "json",
+             "payoff must be finite, got nan"),
+            (lambda lines: [lines[0].replace(",1.2,1.2", ",1.2,inf"), *lines[1:]], "json",
+             "payoff must be finite, got inf"),
+            (lambda lines: [lines[0].rpartition(",")[0], *lines[1:]], "json",
+             "line 2: expected 4 fields, got 3"),
+            (lambda lines: [lines[0] + ",9", *lines[1:]], "json",
+             "line 2: expected 4 fields, got 5"),
+            # the later cell used to replace the earlier one, moving the best quadrant to L,L
+            (lambda lines: [*lines, "L+H,L+H,99,99"], "json", "repeated cell L+H,L+H"),
+            # a bare header used to print a bare header
+            (lambda lines: [], "csv", "matrix must be non-empty"),
+        ],
+        ids=["nan", "inf", "three-fields", "five-fields", "repeated-cell", "header-only"],
+    )
+    def test_bad_published_table_exit_two(self, capsys, tmp_path, monkeypatch, edit, fmt, message):
+        name = fixtures.PUBLISHED_TABLES["final_4x4"]
+        header, *lines = fixtures.fixture_path(name).read_text().splitlines()
+        (tmp_path / name).write_text("\n".join([header, *edit(lines)]) + "\n")
+        monkeypatch.setenv("LIQGAME_FIXTURES", str(tmp_path))
+        code, out, err = run_cli(capsys, "market", "--published", "final_4x4", "--format", fmt)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: ValueError: {message}\n"
+
 
 class TestSimulateCommand:
     def test_deterministic_bytes_for_same_seed(self, capsys):

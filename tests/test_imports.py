@@ -197,7 +197,6 @@ def test_unknown_attribute_raises_attribute_error():
 def test_public_name_list_is_pinned():
     assert liqgame.__all__ == [
         "BayesianSolution",
-        "CompositionMatrix",
         "ConditionalGame",
         "GameInstance",
         "LiquidityGameError",

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 from decimal import ROUND_HALF_UP, Decimal
 
@@ -6,13 +8,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from liqgame.bayes import load_bundled_game
+from liqgame.core import PayoffMatrix
 from liqgame.fixtures import PUBLISHED_TABLES, fixture_path
 from liqgame.market import (
-    CompositionMatrix,
     NotTwoTypes,
     UnknownTable,
     best_quadrant,
+    cells_csv,
     composition_from_csv,
+    label_text,
     load_published_matrix,
     pairwise_base_from_conditional,
     parse_label,
@@ -32,14 +36,14 @@ def two_type_base(payoff=10.0):
 class TestPublishedTables:
     def test_final_table_cells(self):
         matrix = load_published_matrix("final_4x4")
-        assert matrix.row_labels[0] == ("L", "H")
-        assert matrix.entries[0][0] == (1.2, 1.2)
-        assert matrix.entries[3][0] == (3.5, 3.1)
+        assert matrix.actions_i[0] == ("L", "H")
+        assert (matrix.u_i[0][0], matrix.u_j[0][0]) == (1.2, 1.2)
+        assert (matrix.u_i[3][0], matrix.u_j[3][0]) == (3.5, 3.1)
 
     def test_intermediate_table_cells(self):
         matrix = load_published_matrix("intermediate_2x4")
-        assert matrix.row_labels == ((None, "high"), (None, "low"))
-        by_col = dict(zip(matrix.col_labels, matrix.entries[1]))
+        assert matrix.actions_i == ((None, "high"), (None, "low"))
+        by_col = dict(zip(matrix.actions_j, zip(matrix.u_i[1], matrix.u_j[1])))
         assert by_col[("s", "high")] == (5.0, 4.4)
 
     def test_unknown_table(self):
@@ -73,7 +77,7 @@ class TestWeighting:
         game = load_bundled_game()
         base = pairwise_base_from_conditional(game)
         matrix = weight_by_priors(game.types, game.strategies_i, base, GEMM_PRIOR, GEMM_PRIOR)
-        top_left = matrix.entries[0][0]
+        top_left = (matrix.u_i[0][0], matrix.u_j[0][0])
         assert top_left == (0.35 * 0.35 * 10, 0.35 * 0.35 * 10)
         assert round1(top_left[0]) == 1.2
 
@@ -86,12 +90,12 @@ class TestWeighting:
         matrix = weight_by_priors(game.types, game.strategies_i, base, (1, 0), (1, 0))
         for r in range(2):
             for c in range(2):
-                assert matrix.entries[r][c] == tuple(game.matrices["a"][r][c])
+                assert (matrix.u_i[r][c], matrix.u_j[r][c]) == tuple(game.matrices["a"][r][c])
         # every cell outside the (a, a) quadrant is weighted away
         for r in range(4):
             for c in range(4):
                 if r >= 2 or c >= 2:
-                    assert matrix.entries[r][c] == (0.0, 0.0)
+                    assert (matrix.u_i[r][c], matrix.u_j[r][c]) == (0.0, 0.0)
 
     def test_missing_pair_rejected(self):
         base = two_type_base()
@@ -111,24 +115,24 @@ class TestWeighting:
         base = two_type_base()
         base[("L", "s")] = (((3.0, 1.0), (0.0, 0.0)), ((2.0, 5.0), (7.0, 4.0)))
 
-        def table(prior_i):
-            return weight_by_priors(("L", "s"), ("x", "y"), base, prior_i, GEMM_PRIOR).entries
+        def tables(prior_i):
+            matrix = weight_by_priors(("L", "s"), ("x", "y"), base, prior_i, GEMM_PRIOR)
+            return matrix.u_i, matrix.u_j
 
-        mixed, first, second = table((t, 1 - t)), table((1, 0)), table((0, 1))
-        for r in range(4):
-            for c in range(4):
-                for side in range(2):
-                    assert mixed[r][c][side] == pytest.approx(
-                        t * first[r][c][side] + (1 - t) * second[r][c][side]
+        mixed, first, second = tables((t, 1 - t)), tables((1, 0)), tables((0, 1))
+        for side in range(2):
+            for r in range(4):
+                for c in range(4):
+                    assert mixed[side][r][c] == pytest.approx(
+                        t * first[side][r][c] + (1 - t) * second[side][r][c]
                     )
 
 
 class TestQuadrantReport:
     def test_all_zero_matrix(self):
         labels = (("L", "H"), ("L", "l"), ("s", "H"), ("s", "l"))
-        zero = CompositionMatrix(
-            labels, labels, tuple(tuple((0.0, 0.0) for _ in labels) for _ in labels)
-        )
+        table = tuple(tuple(0.0 for _ in labels) for _ in labels)
+        zero = PayoffMatrix(labels, labels, table, table)
         report = quadrant_analysis(zero)
         assert all(total == 0.0 for total in report.quadrants.values())
         assert report.hit_ratio == 0.0
@@ -136,19 +140,19 @@ class TestQuadrantReport:
 
     def test_tie_break_is_row_major(self):
         labels = (("L", "H"), ("s", "H"))
-        flat = CompositionMatrix(
-            labels, labels, tuple(tuple((1.0, 1.0) for _ in labels) for _ in labels)
-        )
+        table = tuple(tuple(1.0 for _ in labels) for _ in labels)
+        flat = PayoffMatrix(labels, labels, table, table)
         assert best_quadrant(quadrant_analysis(flat)) == ("L", "L")
 
     def test_large_only_dominant_fixture(self):
         labels = (("L", "H"), ("s", "H"))
-        entries = (((9.0, 9.0), (0.0, 0.0)), ((0.0, 0.0), (1.0, 1.0)))
-        assert best_quadrant(quadrant_analysis(CompositionMatrix(labels, labels, entries))) == ("L", "L")
+        table = ((9.0, 0.0), (0.0, 1.0))
+        matrix = PayoffMatrix(labels, labels, table, table)
+        assert best_quadrant(quadrant_analysis(matrix)) == ("L", "L")
 
     def test_system_total_matches_direct_summation(self):
         matrix = load_published_matrix("final_4x4")
-        direct = sum(u + v for row in matrix.entries for (u, v) in row)
+        direct = sum(map(sum, matrix.u_i)) + sum(map(sum, matrix.u_j))
         report = quadrant_analysis(matrix)
         assert report.system_total == pytest.approx(direct, abs=1e-12)
         assert report.system_total == pytest.approx(
@@ -173,13 +177,9 @@ class TestQuadrantReport:
     @given(scale=st.floats(0.01, 100))
     def test_hit_ratio_invariant_under_rescaling(self, scale):
         matrix = load_published_matrix("final_4x4")
-        rescaled = CompositionMatrix(
-            matrix.row_labels,
-            matrix.col_labels,
-            tuple(
-                tuple((u * scale, v * scale) for (u, v) in row)
-                for row in matrix.entries
-            ),
+        rescaled = matrix._replace(
+            u_i=tuple(tuple(u * scale for u in row) for row in matrix.u_i),
+            u_j=tuple(tuple(v * scale for v in row) for row in matrix.u_j),
         )
         assert quadrant_analysis(rescaled).hit_ratio == 0.75
 
@@ -190,22 +190,70 @@ class TestSerialization:
         matrix = load_published_matrix(table)
         header, *lines = fixture_path(PUBLISHED_TABLES[table]).read_text().splitlines()
         assert header == "row_label,col_label,u_i,u_j"
-        assert len(lines) == len(matrix.row_labels) * len(matrix.col_labels)
+        assert len(lines) == matrix.rows * matrix.cols
         for line in lines:
             row_text, col_text, u, v = line.split(",")
-            r = matrix.row_labels.index(parse_label(row_text))
-            c = matrix.col_labels.index(parse_label(col_text))
-            assert matrix.entries[r][c] == (float(u), float(v))
+            r = matrix.actions_i.index(parse_label(row_text))
+            c = matrix.actions_j.index(parse_label(col_text))
+            assert (matrix.u_i[r][c], matrix.u_j[r][c]) == (float(u), float(v))
 
     def test_labels_keep_their_csv_order(self):
         doc = "row_label,col_label,u_i,u_j\ns+l,L+H,1,2\ns+l,l,3,4\nL+H,L+H,5,6\nL+H,l,7,8\n"
         matrix = composition_from_csv(doc)
-        assert matrix.row_labels == (("s", "l"), ("L", "H"))
-        assert matrix.col_labels == (("L", "H"), (None, "l"))
-        assert matrix.entries == (((1.0, 2.0), (3.0, 4.0)), ((5.0, 6.0), (7.0, 8.0)))
+        assert matrix.actions_i == (("s", "l"), ("L", "H"))
+        assert matrix.actions_j == (("L", "H"), (None, "l"))
+        assert matrix.u_i == ((1.0, 3.0), (5.0, 7.0))
+        assert matrix.u_j == ((2.0, 4.0), (6.0, 8.0))
+
+    @given(data=st.data())
+    def test_csv_round_trip(self, data):
+        # a type holds no "+", which splits it from the strategy
+        type_text = st.text('aLs ,"', max_size=3)
+        types = data.draw(st.lists(type_text, min_size=2, max_size=2, unique=True))
+        strategies = st.lists(st.text('xH+ ,"', max_size=3), min_size=1, max_size=3, unique=True)
+        rows = tuple((t, s) for t in types for s in data.draw(strategies))
+        cols = tuple((t, s) for t in types for s in data.draw(strategies))
+        payoff = st.floats(allow_nan=False, allow_infinity=False)
+        row = st.lists(payoff, min_size=len(cols), max_size=len(cols))
+        tables = st.lists(row, min_size=len(rows), max_size=len(rows))
+        u_i, u_j = (tuple(map(tuple, data.draw(tables))) for _ in range(2))
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["row_label", "col_label", "u_i", "u_j"])
+        for r, label_r in enumerate(rows):
+            for c, label_c in enumerate(cols):
+                writer.writerow([label_text(label_r), label_text(label_c), u_i[r][c], u_j[r][c]])
+        assert composition_from_csv(out.getvalue()) == PayoffMatrix(rows, cols, u_i, u_j)
+
+    @pytest.mark.parametrize(
+        "body,message",
+        [
+            ("L+H,L+H,nan,1\n", "payoff must be finite, got nan"),
+            ("L+H,L+H,1,-inf\n", "payoff must be finite, got -inf"),
+            ("L+H,L+H,1,1e999\n", "payoff must be finite, got inf"),
+            ("L+H,L+H,one,1\n", "could not convert string to float: 'one'"),
+            ("\nL+H,L+H,1\n", "line 3: expected 4 fields, got 3"),
+            ("L+H,L+H,1,2,\n", "line 2: expected 4 fields, got 5"),
+            ("L+H,L+H,1,2\nL+H,L+H,3,4\n", "repeated cell L+H,L+H"),
+            ("L+H,L+H,1,2\ns+H,s+H,3,4\n", "missing cell L+H,s+H"),
+            ("", "matrix must be non-empty"),
+            ("\n\n", "matrix must be non-empty"),
+        ],
+    )
+    def test_bad_tables_refused(self, body, message):
+        with pytest.raises(ValueError) as caught:
+            composition_from_csv("row_label,col_label,u_i,u_j\n" + body)
+        assert type(caught.value) is ValueError
+        assert str(caught.value) == message
+
+    def test_blank_lines_are_skipped(self):
+        doc = "row_label,col_label,u_i,u_j\n\nL+H,L+H,1,2\n\n\nL+H,s+H,3,4\n\n"
+        labels = (("L", "H"), ("s", "H"))
+        expected = PayoffMatrix(labels[:1], labels, ((1.0, 3.0),), ((2.0, 4.0),))
+        assert composition_from_csv(doc) == expected
 
     def test_cells_csv_header(self):
-        lines = load_published_matrix("final_4x4").cells_csv().splitlines()
+        lines = cells_csv(load_published_matrix("final_4x4")).splitlines()
         assert lines[0] == "row_label,col_label,volume"
         assert lines[1] == "L+H,L+H,2.4"
 

@@ -1,4 +1,4 @@
-"""The library's thirteen record types: how they are built, printed,
+"""The library's twelve record types: how they are built, printed,
 compared and validated. Records are immutable named tuples."""
 
 import copy
@@ -115,13 +115,6 @@ RECORDS = [
         False,
     ),
     (
-        market.CompositionMatrix,
-        dict(row_labels=(("large", "x"),), col_labels=((None, "y"),), entries=(((1.0, 2.0),),)),
-        "CompositionMatrix(row_labels=(('large', 'x'),), col_labels=((None, 'y'),), "
-        "entries=(((1.0, 2.0),),))",
-        True,
-    ),
-    (
         market.QuadrantReport,
         dict(quadrants={("a", "b"): 1.5}, system_total=1.5, hit_ratio=0.5),
         "QuadrantReport(quadrants={('a', 'b'): 1.5}, system_total=1.5, hit_ratio=0.5)",
@@ -138,7 +131,7 @@ IDS = [cls.__name__ for cls, *_ in RECORDS]
 
 
 def test_every_record_is_listed():
-    assert len(set(IDS)) == 13
+    assert len(set(IDS)) == 12
 
 
 @pytest.mark.parametrize("cls,fields,text,hashable", RECORDS, ids=IDS)
@@ -234,7 +227,6 @@ MATRIX = one_cell()
 RANDOM = sim.StrategySpec("uniform_random")
 CONFIG = sim.SimConfig(1)
 GAME = game()
-COMPOSITION = market.CompositionMatrix((("a", "x"),), ((None, "y"),), (((1.0, 1.0),),))
 TRANSFER = lp.TransferProblem(1, 10)
 
 # A valid record, the fields that spoil it, and the refusal they meet.
@@ -278,8 +270,6 @@ INVALID = [
     (GAME, dict(prior=(float("inf"),)), "prior entries must be finite"),
     (GAME, dict(prior=(-0.5,)), "prior entries must be non-negative"),
     (GAME, dict(prior=(1.1,)), "prior must sum to 1, got 1.1"),
-    (COMPOSITION, dict(entries=()), "matrix for entries has wrong dimensions"),
-    (COMPOSITION, dict(col_labels=()), "matrix for entries has wrong dimensions"),
     (TRANSFER, dict(capacity_receiver=-1), "capacity_receiver must be >= 0"),
     (TRANSFER, dict(capacity_sender=-10), "capacity_sender must be >= 0"),
 ]
