@@ -23,7 +23,6 @@ import numbers
 import operator
 import random
 from collections import Counter
-from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from .core import Checked, LiquidityGameError, check_document, check_ints, is_int, transferred
@@ -79,6 +78,7 @@ def _deterministic_parcel(strategy: StrategySpec) -> Callable[[int], int]:
     if strategy.kind == "full_balance":
         return lambda balance: balance
     if strategy.kind == "fixed_fraction":
+        from fractions import Fraction  # here, so random strategies load neither it nor decimal
         p, q = Fraction(str(strategy.fraction)).as_integer_ratio()
         twice_p, twice_q = 2 * p, 2 * q
         return lambda balance: (twice_p * balance + q) // twice_q or 1

@@ -234,39 +234,44 @@ def instance_mixed_profiles(instance: GameInstance) -> list[MixedProfile]:
     tops = [(), *((y,) for y in range(m, n + 1))]  # no parcel >= m, or one of them
     sets = [sum(parts, ()) for parts in itertools.product(*small, tops)]
     sets.sort(key=lambda s: (len(s), [m - min(y, m) for y in s[::-1]], [n - y for y in s[::-1]]))
-    profiles = []
+    profiles, zero, one = [], Fraction(0), Fraction(1)
     for s in sets[1:]:  # sets[0] is the empty set
-        reach = [Fraction(min(s[0], m), min(y, m)) for y in s] + [0]
-        probs_i, probs_j = [Fraction(0)] * m, [Fraction(0)] * n
-        probs_i[m - min(s[0], m)] = Fraction(1)
-        for y, here, beyond in zip(s, reach, reach[1:]):
-            probs_j[n - y] = here - beyond
+        capped = [min(y, m) for y in s]
+        probs_i, probs_j = [zero] * m, [zero] * n
+        probs_i[m - capped[0]] = one
+        # s_1/s_j - s_1/s_(j+1) on s_j, in one Fraction, and s_1/s_k on s_k
+        for y, here, beyond in zip(s, capped, capped[1:]):
+            probs_j[n - y] = Fraction(capped[0] * (beyond - here), here * beyond)
+        probs_j[n - s[-1]] = Fraction(capped[0], capped[-1])
         profiles.append(MixedProfile(tuple(probs_i), tuple(probs_j)))
     return profiles
 
 
 def _ratio(x) -> tuple[int, int]:
-    """``x`` as (numerator, denominator) in lowest terms; ``Fraction(x)`` is
-    built only for values that are not already an int or a Fraction, so
-    floats count at their exact binary value."""
-    if not isinstance(x, (int, Fraction)):
-        x = Fraction(x)
-    return x.numerator, x.denominator
+    """``x`` as (numerator, denominator) in lowest terms, at its exact value:
+    a float at its binary one. ``Fraction(x)`` is built only for values that
+    are not already an int or a Fraction; a string, which it would parse, is
+    refused with ValueError. The per-entry loops below take a Fraction's
+    ratio themselves and call this only for other types."""
+    if isinstance(x, (int, Fraction)):
+        return x.as_integer_ratio()
+    if isinstance(x, str):
+        raise ValueError(f"{x!r} is a string, not a number")
+    return Fraction(x).as_integer_ratio()
 
 
 def _scaled_distribution(probs: Sequence[Fraction], side: str) -> tuple[list[int], int]:
     """Integer weights over the lcm ``d`` of the denominators, so that
     ``probs[k] == weights[k] / d``; ValueError unless ``probs`` is a
     probability distribution (non-negative, summing to exactly 1)."""
-    error = ValueError(f"probs_{side} is not a probability distribution")
     try:
-        ratios = [_ratio(x) for x in probs]
-    except (OverflowError, ValueError):  # an infinite or NaN float
-        raise error from None
-    d = math.lcm(*(den for _, den in ratios))
+        ratios = [x.as_integer_ratio() if type(x) is Fraction else _ratio(x) for x in probs]
+    except (OverflowError, ValueError):  # an infinite or NaN float, or a string
+        ratios = [(-1, 1)]  # refused below, as a negative entry is
+    d = math.lcm(*[den for _, den in ratios])
     weights = [num * (d // den) for num, den in ratios]
-    if any(w < 0 for w in weights) or sum(weights) != d:
-        raise error
+    if min(weights) < 0 or sum(weights) != d:
+        raise ValueError(f"probs_{side} is not a probability distribution")
     return weights, d
 
 
@@ -275,13 +280,15 @@ def verify_equilibrium(
 ) -> bool:
     """True iff no unilateral pure deviation gains more than ``tolerance``.
 
-    Exact rationals; float entries are taken at their exact binary value.
-    Each side's probabilities are scaled to integers over the lcm of their
-    denominators, so every payoff is an integer sum and each deviation gain
-    a single ratio. Raises ValueError when either side is not a probability
-    distribution.
+    Exact rationals; float entries and tolerances are taken at their exact
+    binary value. Each side's probabilities are scaled to integers over the
+    lcm of their denominators, so every payoff is an integer sum, and each
+    deviation gain is decided by one integer cross-multiplication against
+    the tolerance's ratio. An infinite or NaN tolerance gives the verdict a
+    Fraction comparison gives: +inf passes every profile, -inf and NaN none.
+    Raises ValueError when either side is not a probability distribution.
     """
-    m, n = matrix.rows, matrix.cols
+    m, n = len(matrix.actions_i), len(matrix.actions_j)
     if len(profile.probs_i) != m or len(profile.probs_j) != n:
         raise DimensionMismatch(
             f"profile is {len(profile.probs_i)}x{len(profile.probs_j)}, "
@@ -289,16 +296,19 @@ def verify_equilibrium(
         )
     p, d_i = _scaled_distribution(profile.probs_i, "i")
     q, d_j = _scaled_distribution(profile.probs_j, "j")
+    try:
+        num, den = _ratio(tolerance)
+    except (OverflowError, ValueError):  # infinite or NaN: every finite gain compares as 0 does
+        return 0 <= tolerance
     # row_payoffs are scaled by d_j, col_payoffs by d_i, both expectations
-    # and both gains by d_i * d_j.
-    row_payoffs = [sum(u * x for u, x in zip(row, q)) for row in matrix.u_i]
-    col_payoffs = [sum(u * x for u, x in zip(col, p)) for col in zip(*matrix.u_j)]
-    expected_i = sum(x * v for x, v in zip(p, row_payoffs))
-    expected_j = sum(x * v for x, v in zip(q, col_payoffs))
-    scale = d_i * d_j
+    # and both gains by d_i * d_j: gain <= num / den iff gain * den <= num * d_i * d_j.
+    mul = operator.mul
+    row_payoffs = [sum(map(mul, row, q)) for row in matrix.u_i]
+    col_payoffs = [sum(map(mul, col, p)) for col in zip(*matrix.u_j)]
+    bound = num * d_i * d_j
     return (
-        Fraction(max(row_payoffs) * d_i - expected_i, scale) <= tolerance
-        and Fraction(max(col_payoffs) * d_j - expected_j, scale) <= tolerance
+        (max(row_payoffs) * d_i - sum(map(mul, p, row_payoffs))) * den <= bound
+        and (max(col_payoffs) * d_j - sum(map(mul, q, col_payoffs))) * den <= bound
     )
 
 
@@ -307,44 +317,16 @@ def _window_grid(total: int, center: Sequence[Fraction], radius: int) -> list[tu
     ``radius`` grid steps of ``center``, in lexicographic order."""
     choices = []
     for x in center:
-        num, den = _ratio(x)
+        num, den = x.as_integer_ratio() if type(x) is Fraction else _ratio(x)
         num *= total
         # integer k with |k - num / den| <= radius: ceil(num / den) - radius
         # up to floor(num / den) + radius, clipped to [0, total]
-        choices.append(range(max(0, -(-num // den) - radius), min(total, num // den + radius) + 1))
+        low, high = -(-num // den) - radius, num // den + radius
+        choices.append(range(low if low > 0 else 0, (high if high < total else total) + 1))
     # The last coordinate is fixed by the others; the product over ascending,
     # duplicate-free choices is already sorted and unique.
     *head, last = choices
     return [(*p, k) for p in itertools.product(*head) if (k := total - sum(p)) in last]
-
-
-_Hits = list[tuple[tuple[int, ...], tuple[int, ...]]]
-
-
-def _window_hits(
-    matrix: PayoffMatrix,
-    grid_p: Sequence[tuple[int, ...]],
-    grid_q: Sequence[tuple[int, ...]],
-    r_scale: int,
-) -> _Hits:
-    """Every (p, q) pair of the two point lists that passes the gain test,
-    in Python integers, in row-major (p, q) order. A pair passes when both
-    expected payoffs exceed the cut-off ``r_scale * best - r_scale`` of the
-    best reply to the other side's point, all scaled by ``r_scale ** 2``."""
-    mul = operator.mul
-    by_q = []
-    for q in grid_q:
-        row_payoffs = [sum(map(mul, row, q)) for row in matrix.u_i]
-        by_q.append((q, row_payoffs, r_scale * max(row_payoffs) - r_scale))
-    cols_j = list(zip(*matrix.u_j))
-    hits: _Hits = []
-    for p in grid_p:
-        col_payoffs = [sum(map(mul, col, p)) for col in cols_j]
-        cut_j = r_scale * max(col_payoffs) - r_scale
-        for q, row_payoffs, cut_i in by_q:
-            if sum(map(mul, p, row_payoffs)) > cut_i and sum(map(mul, q, col_payoffs)) > cut_j:
-                hits.append((p, q))
-    return hits
 
 
 def brute_force_oracle(
@@ -354,7 +336,8 @@ def brute_force_oracle(
     radius: int = 1,
 ) -> list[MixedProfile]:
     """Independent grid-search check: profiles on the 1/resolution lattice
-    whose maximum deviation gain is below 1/resolution.
+    whose maximum deviation gain is below 1/resolution, in row-major order
+    of the two players' grid points.
 
     Every gain test is evaluated in Python integers (scaled by the
     resolution), so acceptance is exact. Without ``around`` the full product
@@ -362,7 +345,7 @@ def brute_force_oracle(
     to restrict both grids to the points within ``radius`` steps of a
     candidate profile (the sweep restricted to that window).
     """
-    m, n = matrix.rows, matrix.cols
+    m, n = len(matrix.actions_i), len(matrix.actions_j)
     check_dimension_cap(m, n, ORACLE_DIMENSION_CAP)
     if grid_resolution < 1:
         raise ValueError("grid_resolution must be >= 1")
@@ -375,9 +358,25 @@ def brute_force_oracle(
     else:
         centre_i, centre_j = around.probs_i, around.probs_j
     grid_p = _window_grid(r_scale, centre_i, radius)
-    grid_q = _window_grid(r_scale, centre_j, radius)
-    hits = _window_hits(matrix, grid_p, grid_q, r_scale)
-    steps = {k: Fraction(k, r_scale) for k in {k for p, q in hits for k in p + q}}
-    return [
-        MixedProfile(tuple(steps[k] for k in p), tuple(steps[k] for k in q)) for p, q in hits
-    ]
+    # A pair (p, q) passes when both expected payoffs exceed the cut-off
+    # r_scale * best - r_scale of the best reply to the other side's point,
+    # all scaled by r_scale ** 2.
+    mul = operator.mul
+    by_q = []
+    for q in _window_grid(r_scale, centre_j, radius):
+        row_payoffs = [sum(map(mul, row, q)) for row in matrix.u_i]
+        by_q.append((q, row_payoffs, r_scale * max(row_payoffs) - r_scale))
+    cols_j = list(zip(*matrix.u_j))
+    hits = []
+    for p in grid_p:
+        col_payoffs = [sum(map(mul, col, p)) for col in cols_j]
+        cut_j = r_scale * max(col_payoffs) - r_scale
+        for q, row_payoffs, cut_i in by_q:
+            if sum(map(mul, p, row_payoffs)) > cut_i and sum(map(mul, q, col_payoffs)) > cut_j:
+                hits.append((p, q))
+    # one Fraction per grid value that occurs in a hit
+    steps = dict.fromkeys(itertools.chain.from_iterable(itertools.chain.from_iterable(hits)))
+    for k in steps:
+        steps[k] = Fraction(k, r_scale)
+    step = steps.__getitem__
+    return [MixedProfile(tuple(map(step, p)), tuple(map(step, q))) for p, q in hits]

@@ -108,7 +108,7 @@ def loaded_after_main(argv):
         "import contextlib, io, json, sys; from liqgame import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert cli.main({argv!r}) == 0\n"
-        "watched = ('liqgame', 'numpy', 'secrets', 'traceback', 'dataclasses', 'inspect')\n"
+        "watched = ('liqgame', 'numpy', 'secrets', 'traceback', 'dataclasses', 'inspect', 'fractions', 'decimal')\n"
         "print(json.dumps([m for m in sys.modules if m.split('.')[0] in watched]))"
     )
     return set(json.loads(run_fresh(code)))
@@ -121,25 +121,35 @@ CLI_BASE = {"liqgame", "liqgame.cli", "liqgame.core", "liqgame.fixtures"}
     "argv,modules",
     [
         (["lp", "--receiver", "13", "--sender", "10"], {"liqgame.lp"}),
-        (["solve", "--bi", "3", "--bj", "-3"], {"liqgame.solver"}),
+        # the solver's profiles are Fractions; fractions imports decimal
+        (["solve", "--bi", "3", "--bj", "-3"], {"liqgame.solver", "fractions", "decimal"}),
         (["solve", "--bi", "3", "--bj", "-3", "--format", "csv"], set()),
         (["bayes"], {"liqgame.bayes"}),
-        (["market", "--published", "final_4x4"], {"liqgame.market"}),
-        (["market", "--constructive"], {"liqgame.market", "liqgame.bayes"}),
+        # market formats every volume by half-up decimal rounding
+        (["market", "--published", "final_4x4"], {"liqgame.market", "decimal"}),
+        (["market", "--constructive"], {"liqgame.market", "liqgame.bayes", "decimal"}),
     ],
     ids=["lp", "solve", "solve-csv", "bayes", "market-published", "market-constructive"],
 )
 def test_subcommand_loads_only_its_modules(argv, modules):
     # numpy, secrets (the simulate seed draw), traceback (the exit-1
     # branch), dataclasses and inspect (records are NamedTuples) stay
-    # unloaded too
+    # unloaded too, and fractions and decimal where no exact rational or
+    # decimal arithmetic runs
     assert loaded_after_main(argv) == CLI_BASE | modules
 
 
 def test_simulate_loads_sim_only():
-    # with --seed nothing is drawn from secrets, and the engine needs no numpy
+    # with --seed nothing is drawn from secrets, the engine needs no numpy,
+    # and random strategies parse no fraction
     loaded = loaded_after_main(["simulate", "--trials", "50", "--seed", "1"])
     assert loaded == CLI_BASE | {"liqgame.sim"}
+
+
+def test_simulate_fixed_fraction_loads_fractions():
+    # a fixed fraction's p/q is parsed with Fraction, which imports decimal
+    loaded = loaded_after_main(["simulate", "--trials", "50", "--seed", "1", "--strategy-i", "high"])
+    assert loaded == CLI_BASE | {"liqgame.sim", "fractions", "decimal"}
 
 
 def test_cli_import_loads_no_dataclasses_or_inspect():

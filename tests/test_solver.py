@@ -1,4 +1,5 @@
 import itertools
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -252,8 +253,11 @@ class TestInstanceMixedProfiles:
     def test_equals_support_enumeration(self, m, n):
         instance = build_instance(m, -n, 10_000)
         expected = solve_mixed(build_payoff_matrix(instance))
-        assert instance_mixed_profiles(instance) == expected
+        found = instance_mixed_profiles(instance)
+        assert found == expected
         assert len(expected) == profile_count(m, n)
+        # an int 0 compares equal to Fraction(0), so equality alone lets one through
+        assert all(type(x) is Fraction for prof in found for x in prof.probs_i + prof.probs_j)
 
     @settings(max_examples=50, deadline=None)
     @given(thin=st.integers(1, 3), wide=st.integers(1, 200), transpose=st.booleans())
@@ -404,6 +408,35 @@ class TestVerifyEquilibrium:
     def test_non_finite_entry_rejected(self, bad):
         with pytest.raises(ValueError, match="not a probability distribution"):
             verify_equilibrium(game_matrix(2, -2), MixedProfile((0.5, 0.5), (bad, 0.0)))
+
+    def test_string_entry_rejected(self):
+        # Fraction("1/2") would parse it, and the row would sum to 1
+        with pytest.raises(ValueError, match="^probs_i is not a probability distribution$"):
+            verify_equilibrium(game_matrix(2, -2), MixedProfile(("1/2", F(1, 2)), (F(1, 2), F(1, 2))))
+
+    @pytest.mark.parametrize(
+        "tolerance, verdicts",
+        [
+            (F(0), (True, False)),
+            (0, (True, False)),
+            (True, (True, False)),
+            (0.25, (True, False)),
+            (Decimal("0.1"), (True, False)),
+            (F(1, 7), (True, False)),
+            (F(-1, 3), (False, False)),
+            (float("-inf"), (False, False)),
+            (float("nan"), (False, False)),
+            (float("inf"), (True, True)),
+        ],
+        ids=["Fraction-0", "int-0", "True", "float", "Decimal", "Fraction", "negative", "-inf", "nan", "inf"],
+    )
+    def test_every_tolerance_kind(self, tolerance, verdicts):
+        # an equilibrium (gains 0) and I on the last row against J on the
+        # first column, where I gains 2 by moving to the first row
+        matrix = game_matrix(3, -3)
+        pair = (solve_mixed(matrix)[0], profile([0, 0, 1], [1, 0, 0]))
+        assert tuple(verify_equilibrium(matrix, prof, tolerance) for prof in pair) == verdicts
+        assert all(type(verify_equilibrium(matrix, prof, tolerance)) is bool for prof in pair)
 
 
 def assert_contains_grid_point(points, target, tolerance):
