@@ -20,11 +20,11 @@ from .core import (
     check_labels,
     check_prior,
     check_tables,
+    fixture_path,
     parse_labels,
     parse_prior,
     parse_tables,
 )
-from .fixtures import fixture_path
 
 
 class UnknownLabel(LiquidityGameError):

@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
-from . import core, fixtures
+from . import core
 from .core import LiquidityGameError
 
 if TYPE_CHECKING:
@@ -270,7 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_market = sub.add_parser("market", parents=[common], help="composition aggregates")
     mode = p_market.add_mutually_exclusive_group(required=True)
     mode.add_argument(
-        "--published", choices=sorted(fixtures.PUBLISHED_TABLES), help="bundled table"
+        "--published",
+        choices=sorted(core.PUBLISHED_TABLES),
+        help="bundled table; intermediate_2x4 has untyped rows, so only --format csv reports it",
     )
     mode.add_argument(
         "--constructive", action="store_true", help="weight per-type-pair tables by priors"

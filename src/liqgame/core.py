@@ -11,7 +11,10 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from typing import Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
+
+if TYPE_CHECKING:
+    from pathlib import Path
 
 
 class LiquidityGameError(Exception):
@@ -50,6 +53,20 @@ class Checked:
 
 
 DEFAULT_ISSUE_CAP = 1_000_000
+
+# Bundled market tables by the name market.load_published_matrix accepts; here,
+# like the cap, so the CLI parser can list them without importing a subcommand.
+PUBLISHED_TABLES = {
+    "final_4x4": "market_final_4x4.csv",
+    "intermediate_2x4": "market_intermediate_2x4.csv",
+}
+
+
+def fixture_path(name: str) -> Path:
+    """A bundled data file, read from ``$LIQGAME_FIXTURES`` when that is set."""
+    import os
+    from pathlib import Path  # loaded here, so importing core loads no new module
+    return Path(os.environ.get("LIQGAME_FIXTURES") or Path(__file__).parent / "fixtures") / name
 
 
 class _GameInstance(NamedTuple):
@@ -117,6 +134,14 @@ class PayoffMatrix(Checked, _PayoffMatrix):
         return len(self.actions_j)
 
     @classmethod
+    def from_cells(cls, actions_i, actions_j, cells) -> "PayoffMatrix":
+        """The table of a grid of ``(u_i, u_j)`` cells, rows labelled ``actions_i``
+        and columns ``actions_j``."""
+        u_i = tuple(tuple(u for u, _ in row) for row in cells)
+        u_j = tuple(tuple(v for _, v in row) for row in cells)
+        return cls(tuple(actions_i), tuple(actions_j), u_i, u_j)
+
+    @classmethod
     def from_entries(cls, entries) -> "PayoffMatrix":
         """Wrap a nested list of (u_i, u_j) pairs of ints; ValueError for any other payoff.
 
@@ -128,12 +153,7 @@ class PayoffMatrix(Checked, _PayoffMatrix):
             if not (is_int(a) and is_int(b)):
                 raise ValueError(f"payoffs must be integers, got {[a, b]!r}")
         n_cols = len(grid[0]) if grid else 0
-        return cls(
-            actions_i=tuple(range(len(grid), 0, -1)),
-            actions_j=tuple(range(n_cols, 0, -1)),
-            u_i=tuple(tuple(a for a, _ in row) for row in grid),
-            u_j=tuple(tuple(b for _, b in row) for row in grid),
-        )
+        return cls.from_cells(range(len(grid), 0, -1), range(n_cols, 0, -1), grid)
 
     def to_jsonable(self) -> list[list[list[int]]]:
         return [[[u, v] for u, v in zip(row_i, row_j)] for row_i, row_j in zip(self.u_i, self.u_j)]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import Checked
+from .core import Checked, check_ints
 
 
 class _TransferProblem(NamedTuple):
@@ -24,6 +24,7 @@ class TransferProblem(Checked, _TransferProblem):
     __slots__ = ()
 
     def _check(self) -> "TransferProblem":
+        check_ints(self, self._fields)
         if self.capacity_receiver < 0:
             raise ValueError("capacity_receiver must be >= 0")
         if self.capacity_sender < 0:

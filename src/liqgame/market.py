@@ -20,9 +20,9 @@ from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional, Sequence
 
-from .core import LiquidityGameError, PayoffMatrix, check_document, check_labels, check_prior
-from .core import check_tables, finite_number, parse_labels, parse_prior, parse_tables
-from .fixtures import PUBLISHED_TABLES, fixture_path
+from .core import PUBLISHED_TABLES, LiquidityGameError, PayoffMatrix, check_document, check_labels
+from .core import check_prior, check_tables, finite_number, fixture_path, parse_labels, parse_prior
+from .core import parse_tables
 
 if TYPE_CHECKING:
     from .bayes import ConditionalGame
@@ -60,13 +60,6 @@ def parse_label(text: str) -> Label:
         kind, strategy = text.split("+", 1)
         return (kind, strategy)
     return (None, text)
-
-
-def _labelled(rows: tuple[Label, ...], cols: tuple[Label, ...], grid) -> PayoffMatrix:
-    """The table of a grid of (u_i, u_j) cells, rows labelled ``rows``, columns ``cols``."""
-    u_i = tuple(tuple(u for u, _ in row) for row in grid)
-    u_j = tuple(tuple(v for _, v in row) for row in grid)
-    return PayoffMatrix(rows, cols, u_i, u_j)
 
 
 def cells_csv(matrix: PayoffMatrix) -> str:
@@ -108,7 +101,7 @@ def composition_from_csv(doc: str) -> PayoffMatrix:
         for label_c in cols:
             if (label_r, label_c) not in cells:
                 raise ValueError(f"missing cell {label_text(label_r)},{label_text(label_c)}")
-    return _labelled(rows, cols, [[cells[(r, c)] for c in cols] for r in rows])
+    return PayoffMatrix.from_cells(rows, cols, [[cells[(r, c)] for c in cols] for r in rows])
 
 
 def load_published_matrix(source: str) -> PayoffMatrix:
@@ -148,7 +141,7 @@ def weight_by_priors(
             grid.append(
                 [(w_i * w_j * u, w_i * w_j * v) for w_j, r in zip(prior_j, rows) for u, v in r]
             )
-    return _labelled(labels, labels, grid)
+    return PayoffMatrix.from_cells(labels, labels, grid)
 
 
 def load_base_document(path: Path) -> tuple:

@@ -15,7 +15,7 @@ from liqgame.bayes import (
     load_bundled_game,
     load_game_document,
 )
-from liqgame.fixtures import fixture_path
+from liqgame.core import fixture_path
 
 THRESHOLD = 5 / 9
 
@@ -105,6 +105,12 @@ class TestDominance:
         cycling = (((0, 1), (0, 0)), ((0, 0), (0, 1)))
         game = conditional(cycling, cycling)
         assert dominant_strategy_per_type(game, 0) is None
+
+    @pytest.mark.parametrize("index", [2, -1])
+    def test_type_index_out_of_range(self, bundled, index):
+        # -1 would otherwise read the last type's table
+        with pytest.raises(ValueError, match=f"^type index {index} out of range$"):
+            dominant_strategy_per_type(bundled, index)
 
     @given(scale=st.floats(0.1, 50), shift=st.floats(-20, 20))
     def test_invariant_under_positive_affine_transform(self, scale, shift):
@@ -197,6 +203,21 @@ class TestThreshold:
         game = conditional(flat, flat)
         with pytest.raises(NoDependenceOnPrior):
             indifference_threshold(game, {"a": "high", "b": "high"})
+
+    def test_needs_two_row_strategies(self, bundled):
+        matrices = {t: tuple(grid) + (grid[0],) for t, grid in bundled.matrices.items()}
+        game = bundled._replace(strategies_i=("high", "low", "mid"), matrices=matrices)
+        with pytest.raises(ValueError, match="^threshold analysis needs exactly two row strategies$"):
+            indifference_threshold(game, {"a": "high", "b": "high"})
+
+    def test_needs_two_types(self, bundled):
+        game = bundled._replace(
+            types=("a", "b", "c"),
+            matrices={**bundled.matrices, "c": bundled.matrices["a"]},
+            prior=(0.25, 0.25, 0.5),
+        )
+        with pytest.raises(ValueError, match="^threshold analysis needs exactly two types$"):
+            indifference_threshold(game, {"a": "high", "b": "high", "c": "high"})
 
     def test_counterfactual_low_response(self):
         # responses {a: high, b: low}: E[high] = 10p vs E[low] = 6p, crossing at 0

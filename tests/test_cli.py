@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from liqgame import bayes, cli, core, fixtures, solver
+from liqgame import bayes, cli, core, solver
 
 
 def run_cli(capsys, *argv):
@@ -19,7 +19,7 @@ SOLVE = ["solve", "--config"]
 BAYES = ["bayes", "--game"]
 MARKET = ["market", "--constructive", "--config"]
 SIMULATE = ["simulate", "--config"]
-BAYES_DOCUMENT = json.loads(fixtures.fixture_path("bayes_large_small.json").read_text())
+BAYES_DOCUMENT = json.loads(core.fixture_path("bayes_large_small.json").read_text())
 # the bundled game with one strategy list per side
 BAYES_PAIR_DOCUMENT = {
     **{key: value for key, value in BAYES_DOCUMENT.items() if key != "strategies"},
@@ -170,6 +170,20 @@ class TestBayesCommand:
         code, _, err = run_cli(capsys, "bayes", "--format", "csv")
         assert code == 2
 
+    def test_type_without_dominant_strategy_exit_two(self, capsys, tmp_path):
+        # no counterparty column of type b's table is at least the other in both rows
+        document = copy.deepcopy(BAYES_DOCUMENT)
+        document["matrices"]["b"] = [[[0, 1], [0, 0]], [[0, 0], [0, 1]]]
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(document))
+        code, out, err = run_cli(capsys, "bayes", "--game", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: LiquidityGameError: type 'b' has no dominant strategy; "
+            "pass an explicit response map\n"
+        )
+
     def test_fixture_directory_override(self, capsys, tmp_path, monkeypatch):
         fixture_dir = tmp_path / "alt"
         fixture_dir.mkdir()
@@ -269,6 +283,13 @@ class TestMarketCommand:
         assert out == ""
         assert "finite" in err
 
+    def test_intermediate_table_has_no_json_report(self, capsys):
+        # its rows carry no type, so it has no quadrants; --format csv prints its cells
+        code, out, err = run_cli(capsys, "market", "--published", "intermediate_2x4")
+        assert code == 2
+        assert out == ""
+        assert err == "error: NotTwoTypes: row labels carry no type component\n"
+
     def test_unknown_table_exit_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["market", "--published", "final_5x5"])
@@ -294,8 +315,8 @@ class TestMarketCommand:
         ids=["nan", "inf", "three-fields", "five-fields", "repeated-cell", "header-only"],
     )
     def test_bad_published_table_exit_two(self, capsys, tmp_path, monkeypatch, edit, fmt, message):
-        name = fixtures.PUBLISHED_TABLES["final_4x4"]
-        header, *lines = fixtures.fixture_path(name).read_text().splitlines()
+        name = core.PUBLISHED_TABLES["final_4x4"]
+        header, *lines = core.fixture_path(name).read_text().splitlines()
         (tmp_path / name).write_text("\n".join([header, *edit(lines)]) + "\n")
         monkeypatch.setenv("LIQGAME_FIXTURES", str(tmp_path))
         code, out, err = run_cli(capsys, "market", "--published", "final_4x4", "--format", fmt)
@@ -535,6 +556,33 @@ def test_seed_rejected_where_nothing_is_random(capsys, argv):
         cli.main([*argv, "--seed", "1"])
     assert exc.value.code == 2
     assert "--seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("solve",), "pass --bi and --bj, or --config <file>"),
+        (("solve", "--bi", "2"), "pass --bi and --bj, or --config <file>"),
+        (("solve", "--bj", "-2"), "pass --bi and --bj, or --config <file>"),
+        (("bayes", "--response", "a"), "response must look like type=strategy, got 'a'"),
+        (
+            ("simulate", "--seed", "1", "--strategy-i", "bogus"),
+            "unknown strategy 'bogus'; use high, low, full, random or fraction:<x>",
+        ),
+        (("simulate", "--seed", "1", "--range-i", "5"), "range must look like lo:hi, got '5'"),
+        (
+            ("lp", "--receiver", "1", "--sender", "2", "--format", "csv"),
+            "lp has no csv form; use --format json or the default",
+        ),
+    ],
+    ids=["solve-no-input", "solve-bi-only", "solve-bj-only", "bayes-response", "strategy",
+         "range", "lp-csv"],
+)
+def test_malformed_request_exit_two(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: ValueError: {message}\n"
 
 
 @pytest.mark.parametrize("document", ["5", "null", "[1, 2]"])
@@ -957,6 +1005,23 @@ class TestOutputHandling:
         )
         assert code == 2
         assert not target.exists()
+
+    def test_failed_rename_leaves_the_target_as_it_was(self, capsys, tmp_path, monkeypatch):
+        target = tmp_path / "report.txt"
+        target.write_text("old report\n")
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(cli.os, "replace", refuse)
+        code, out, err = run_cli(
+            capsys, "lp", "--receiver", "1", "--sender", "2", "--output", str(target)
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: OSError: rename refused\n"
+        assert list(tmp_path.iterdir()) == [target]
+        assert target.read_text() == "old report\n"
 
     def test_key_error_is_a_program_fault(self, capsys, monkeypatch):
         # every reader checks its document's keys first, so a KeyError that

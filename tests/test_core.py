@@ -14,6 +14,7 @@ from liqgame.core import (
     build_payoff_matrix,
     check_document,
     instance_from_json,
+    parse_bimatrix,
     parse_tables,
     transferred,
 )
@@ -116,6 +117,13 @@ class TestPayoffMatrix:
     def test_csv_layout(self):
         matrix = build_payoff_matrix(build_instance(2, -2, 100))
         assert matrix.to_csv() == "2|2,0|0\n1|1,1|1\n"
+
+    def test_from_cells_splits_each_cell(self):
+        cells = [[(1.5, 2), (3, 4.5)]]
+        matrix = PayoffMatrix.from_cells([("L", "H")], (("L", "H"), (None, "l")), cells)
+        assert matrix == PayoffMatrix(
+            (("L", "H"),), (("L", "H"), (None, "l")), ((1.5, 3),), ((2, 4.5),)
+        )
 
     def test_entries_are_derived_from_the_payoff_rows(self):
         matrix = PayoffMatrix.from_entries([[(1, 2), (3, 4)], [(5, 6), (7, 8)]])
@@ -230,6 +238,14 @@ class TestDocumentRule:
     def test_tables_must_be_an_object(self):
         with pytest.raises(ValueError, match="^matrices must be a JSON object, got list$"):
             parse_tables([[[[1, 1]]]])
+
+    @pytest.mark.parametrize(
+        "grid", [[1, 2], [[[1, 1]], 5], [[[1, 1]], "x"], "x", {"r": [[1, 1]]}, None],
+        ids=["scalar-rows", "one-scalar-row", "text-row", "text", "object", "null"],
+    )
+    def test_bimatrix_rows_must_be_lists(self, grid):
+        with pytest.raises(ValueError, match="^payoff matrix must be a list of rows$"):
+            parse_bimatrix(grid)
 
     def test_tables_read_as_bimatrices(self):
         assert parse_tables({"a": [[[1, 2]]]}) == {"a": (((1.0, 2.0),),)}

@@ -114,7 +114,7 @@ def loaded_after_main(argv):
     return set(json.loads(run_fresh(code)))
 
 
-CLI_BASE = {"liqgame", "liqgame.cli", "liqgame.core", "liqgame.fixtures"}
+CLI_BASE = {"liqgame", "liqgame.cli", "liqgame.core"}
 
 
 @pytest.mark.parametrize(

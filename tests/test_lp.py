@@ -24,6 +24,18 @@ def test_negative_capacity_rejected():
         TransferProblem(5, -1)
 
 
+@pytest.mark.parametrize(
+    "value", [True, False, 1.5, 2.0, float("nan"), float("inf"), "5", None],
+    ids=["true", "false", "1.5", "2.0", "nan", "inf", "text", "none"],
+)
+@pytest.mark.parametrize("field", ["capacity_receiver", "capacity_sender"])
+def test_capacities_must_be_integers(field, value):
+    # True used to pass as 1, 1.5 came back as the optimum, nan tripped
+    # max_transfer's assertion and "5" raised TypeError
+    with pytest.raises(ValueError, match=f"^{field} must be an integer$"):
+        TransferProblem(**{"capacity_receiver": 3, "capacity_sender": 3, field: value})
+
+
 @given(a=st.integers(0, 10**9), b=st.integers(0, 10**9))
 def test_symmetry_and_feasibility(a, b):
     result = max_transfer(TransferProblem(a, b))

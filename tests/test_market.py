@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from liqgame.bayes import load_bundled_game
 from liqgame.core import PayoffMatrix
-from liqgame.fixtures import PUBLISHED_TABLES, fixture_path
+from liqgame.core import PUBLISHED_TABLES, fixture_path
 from liqgame.market import (
     NotTwoTypes,
+    QuadrantReport,
     UnknownTable,
     best_quadrant,
     cells_csv,
@@ -144,6 +145,23 @@ class TestQuadrantReport:
         flat = PayoffMatrix(labels, labels, table, table)
         assert best_quadrant(quadrant_analysis(flat)) == ("L", "L")
 
+    @pytest.mark.parametrize(
+        "row_types, col_types", [("Lms", "Lms"), ("Lms", "Ls"), ("Ls", "Lms")],
+        ids=["both", "rows", "columns"],
+    )
+    def test_three_types_on_a_side_refused(self, row_types, col_types):
+        rows, cols = (tuple((t, "H") for t in types) for types in (row_types, col_types))
+        table = tuple(tuple(1.0 for _ in cols) for _ in rows)
+        with pytest.raises(NotTwoTypes) as caught:
+            quadrant_analysis(PayoffMatrix(rows, cols, table, table))
+        assert str(caught.value) == (
+            f"expected exactly two types per side, got {list(row_types)} x {list(col_types)}"
+        )
+
+    def test_best_quadrant_of_an_empty_report(self):
+        with pytest.raises(ValueError, match="^report has no quadrants$"):
+            best_quadrant(QuadrantReport({}, 0.0, 0.0))
+
     def test_large_only_dominant_fixture(self):
         labels = (("L", "H"), ("s", "H"))
         table = ((9.0, 0.0), (0.0, 1.0))
@@ -245,6 +263,12 @@ class TestSerialization:
             composition_from_csv("row_label,col_label,u_i,u_j\n" + body)
         assert type(caught.value) is ValueError
         assert str(caught.value) == message
+
+    @pytest.mark.parametrize("header", ["row,col,u_i,u_j", "row_label,col_label,u_j,u_i", ""])
+    def test_wrong_header_refused(self, header):
+        # the cell line alone would parse as a 1x1 table
+        with pytest.raises(ValueError, match="^expected header row_label,col_label,u_i,u_j$"):
+            composition_from_csv(f"{header}\nL+H,L+H,1,2\n")
 
     def test_blank_lines_are_skipped(self):
         doc = "row_label,col_label,u_i,u_j\n\nL+H,L+H,1,2\n\n\nL+H,s+H,3,4\n\n"

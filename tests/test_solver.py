@@ -507,6 +507,21 @@ class TestBruteForceOracle:
         with pytest.raises(DimensionCapExceeded):
             brute_force_oracle(game_matrix(5, -5), 10)
 
+    @pytest.mark.parametrize("resolution", [0, -3])
+    def test_resolution_below_one_refused(self, resolution):
+        with pytest.raises(ValueError, match="^grid_resolution must be >= 1$"):
+            brute_force_oracle(game_matrix(2, -2), resolution)
+
+    @pytest.mark.parametrize(
+        "around",
+        [profile([0, 0, 1], [F(1, 2), F(1, 2)]), profile([0, 1], [F(1, 3), F(1, 3), F(1, 3)])],
+        ids=["rows", "columns"],
+    )
+    def test_misshapen_window_refused(self, around):
+        with pytest.raises(DimensionMismatch) as caught:
+            brute_force_oracle(game_matrix(2, -2), 10, around=around, radius=1)
+        assert str(caught.value) == "around profile does not match matrix dimensions"
+
     @pytest.mark.parametrize("entries", [[], [[]]])
     def test_empty_matrix_rejected(self, entries):
         # refused where it is built, so neither sweep, full or windowed, meets it
