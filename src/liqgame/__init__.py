@@ -14,9 +14,9 @@ _EXPORTS = {
     "ConditionalGame": "bayes",
     "GameInstance": "core",
     "LiquidityGameError": "core",
-    "MixedProfile": "solver",
+    "MixedProfile": "equilibria",
     "PayoffMatrix": "core",
-    "PureEquilibrium": "solver",
+    "PureEquilibrium": "equilibria",
     "QuadrantReport": "market",
     "SimConfig": "sim",
     "SimReport": "sim",
@@ -29,7 +29,7 @@ _EXPORTS = {
     "build_payoff_matrix": "core",
     "dominant_strategy_per_type": "bayes",
     "expected_payoff": "bayes",
-    "find_pure_equilibria": "solver",
+    "find_pure_equilibria": "equilibria",
     "indifference_threshold": "bayes",
     "load_bundled_game": "bayes",
     "load_published_matrix": "market",

@@ -38,20 +38,25 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def build_solve_report(instance: core.GameInstance, dimension_cap: Optional[int] = None) -> dict:
-    from . import solver
-    if dimension_cap is None:
-        dimension_cap = solver.DEFAULT_DIMENSION_CAP
+def _check_dimension_cap(instance: core.GameInstance, dimension_cap: int) -> None:
+    from .equilibria import check_dimension_cap
     # |B_i| x |B_j| is the matrix shape, so refuse before building it
-    solver.check_dimension_cap(abs(instance.balance_i), abs(instance.balance_j), dimension_cap)
+    check_dimension_cap(abs(instance.balance_i), abs(instance.balance_j), dimension_cap)
+
+
+def build_solve_report(instance: core.GameInstance, dimension_cap: Optional[int] = None) -> dict:
+    from . import equilibria
+    if dimension_cap is None:
+        dimension_cap = equilibria.DEFAULT_DIMENSION_CAP
+    _check_dimension_cap(instance, dimension_cap)
     matrix = core.build_payoff_matrix(instance)
     return {
         "instance": instance._asdict(),
         "actions_i": list(matrix.actions_i),
         "actions_j": list(matrix.actions_j),
         "payoff_matrix": matrix.to_jsonable(),
-        "pure_equilibria": [eq.to_jsonable() for eq in solver.find_pure_equilibria(matrix)],
-        "mixed_equilibria": [p.to_jsonable() for p in solver.instance_mixed_profiles(instance)],
+        "pure_equilibria": [eq.to_jsonable() for eq in equilibria.find_pure_equilibria(matrix)],
+        "mixed_equilibria": [p.to_jsonable() for p in equilibria.instance_mixed_profiles(instance)],
     }
 
 
@@ -101,7 +106,7 @@ def build_market_report(matrix: core.PayoffMatrix, mode: str, table: Optional[st
     return report
 
 
-def _parse_strategy(text: str) -> sim.StrategySpec:
+def _parse_strategy(text: str, flag: str) -> sim.StrategySpec:
     from . import sim
     aliases = {
         "high": sim.HIGH_STRATEGY,
@@ -114,21 +119,28 @@ def _parse_strategy(text: str) -> sim.StrategySpec:
     if text in aliases:
         return aliases[text]
     if text.startswith("fraction:"):
-        return sim.StrategySpec("fixed_fraction", float(text.split(":", 1)[1]))
-    raise ValueError(
-        f"unknown strategy {text!r}; use high, low, full, random or fraction:<x>"
-    )
+        try:
+            value = float(text.split(":", 1)[1])
+        except ValueError:
+            pass
+        else:  # a number outside (0, 1] is StrategySpec's refusal
+            return sim.StrategySpec("fixed_fraction", value)
+    raise ValueError(f"{flag} must be high, low, full, random or fraction:<x>, got {text!r}")
 
 
-def _parse_range(text: str) -> tuple[int, int]:
-    lo, _, hi = text.partition(":")
-    if not _:
-        raise ValueError(f"range must look like lo:hi, got {text!r}")
-    return (int(lo), int(hi))
+def _parse_range(text: str, flag: str) -> tuple[int, int]:
+    try:
+        lo, hi = text.split(":")
+        return (int(lo), int(hi))
+    except ValueError:  # not one colon, or not integers
+        raise ValueError(f"{flag} must be two integers lo:hi, got {text!r}") from None
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in text.split(","))
+def _parse_floats(text: str, flag: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(part) for part in text.split(","))
+    except ValueError:
+        raise ValueError(f"{flag} must be numbers separated by commas, got {text!r}") from None
 
 
 def _parse_responses(text: str) -> dict[str, str]:
@@ -150,16 +162,18 @@ def _cmd_solve(args: argparse.Namespace) -> str:
         if args.bi is None or args.bj is None:
             raise ValueError("pass --bi and --bj, or --config <file>")
         instance = core.build_instance(args.bi, args.bj, args.cap)
-    if args.format == "csv":
-        return core.build_payoff_matrix(instance).to_csv()
-    return _dumps(build_solve_report(instance, args.dimension_cap))
+    if args.format != "csv":
+        return _dumps(build_solve_report(instance, args.dimension_cap))
+    if args.dimension_cap is not None:
+        _check_dimension_cap(instance, args.dimension_cap)
+    return core.build_payoff_matrix(instance).to_csv()
 
 
 def _cmd_bayes(args: argparse.Namespace) -> str:
     from . import bayes
     game = bayes.load_bundled_game() if args.game is None else bayes.load_game_document(args.game)
     if args.prior is not None:
-        game = game._replace(prior=_parse_floats(args.prior))
+        game = game._replace(prior=_parse_floats(args.prior, "--prior"))
     responses = _parse_responses(args.response) if args.response else None
     if args.format == "csv":
         raise ValueError("bayes reports have no csv form; use --format json")
@@ -183,9 +197,9 @@ def _cmd_market(args: argparse.Namespace) -> str:
             types, strategies, prior_i = game.types, game.strategies_i, game.prior
             matrices, prior_j = market.pairwise_base_from_conditional(game), prior_i
         if args.priors is not None:
-            prior_i = prior_j = _parse_floats(args.priors)
+            prior_i = prior_j = _parse_floats(args.priors, "--priors")
         if args.priors_j is not None:
-            prior_j = _parse_floats(args.priors_j)
+            prior_j = _parse_floats(args.priors_j, "--priors-j")
         matrix = market.weight_by_priors(types, strategies, matrices, prior_i, prior_j)
         mode, table = "constructive", None
     if args.format == "csv":
@@ -202,13 +216,13 @@ def _cmd_simulate(args: argparse.Namespace) -> str:
         core.check_document(document, "simulation config", (), sim.SimConfig._fields)
         raw.update(document)
     if args.range_i is not None:
-        raw["balance_range_i"] = list(_parse_range(args.range_i))
+        raw["balance_range_i"] = list(_parse_range(args.range_i, "--range-i"))
     if args.range_j is not None:
-        raw["balance_range_j"] = list(_parse_range(args.range_j))
+        raw["balance_range_j"] = list(_parse_range(args.range_j, "--range-j"))
     if args.strategy_i is not None:
-        raw["strategy_i"] = _parse_strategy(args.strategy_i)._asdict()
+        raw["strategy_i"] = _parse_strategy(args.strategy_i, "--strategy-i")._asdict()
     if args.strategy_j is not None:
-        raw["strategy_j"] = _parse_strategy(args.strategy_j)._asdict()
+        raw["strategy_j"] = _parse_strategy(args.strategy_j, "--strategy-j")._asdict()
     flags = {key: getattr(args, key) for key in ("trials", "mode", "max_rounds", "seed")}
     raw.update((key, value) for key, value in flags.items() if value is not None)
     config = sim.SimConfig.from_jsonable(raw)
@@ -320,5 +334,16 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 1
 
 
+def run() -> None:
+    """Process entry point of ``python -m liqgame.cli`` and the ``liqgame``
+    script: ``main``, then ``gc.freeze()`` so that the collections of
+    interpreter shutdown skip the request's objects (none needs a finaliser;
+    atexit handlers, flushes and module teardown still run), then exit."""
+    code = main()
+    import gc
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

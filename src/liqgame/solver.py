@@ -1,11 +1,12 @@
-"""Equilibrium computation for bimatrix games.
+"""Equilibrium computation for any bimatrix game.
 
-Pure equilibria come from an exhaustive best-response scan. Mixed equilibria
-of an instance game have a closed form; those of any bimatrix game come from
-support enumeration, which solves the indifference system of every pair of
-equal-size candidate supports by Cramer's rule in integers, from minors
-shared by all pairs with the same own support. So the published profiles
-(1/2, 1/3, 1/6, ...) are exact. A grid-search oracle cross-checks them.
+Mixed equilibria come from support enumeration, which solves the
+indifference system of every pair of equal-size candidate supports by
+Cramer's rule in integers, from minors shared by all pairs with the same
+own support. So the published profiles (1/2, 1/3, 1/6, ...) are exact. An
+exact equilibrium test and a grid-search oracle cross-check them. The pure
+scan and the closed form of instance games, which ``liqgame solve`` runs,
+are in ``equilibria``.
 """
 
 from __future__ import annotations
@@ -14,65 +15,16 @@ import itertools
 import math
 import operator
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
-from .core import GameInstance, LiquidityGameError, PayoffMatrix
+from .core import LiquidityGameError, PayoffMatrix
+from .equilibria import DEFAULT_DIMENSION_CAP, MixedProfile, check_dimension_cap
 
-DEFAULT_DIMENSION_CAP = 12
 ORACLE_DIMENSION_CAP = 4
-
-
-class DimensionCapExceeded(LiquidityGameError):
-    pass
 
 
 class DimensionMismatch(LiquidityGameError):
     pass
-
-
-class PureEquilibrium(NamedTuple):
-    """A cell where neither player gains by a unilateral deviation."""
-
-    row_index: int
-    col_index: int
-    payoffs: tuple[int, int]
-
-    def to_jsonable(self) -> dict:
-        return {
-            "row": self.row_index,
-            "col": self.col_index,
-            "payoffs": [self.payoffs[0], self.payoffs[1]],
-        }
-
-
-class MixedProfile(NamedTuple):
-    """Per-player probability vectors over the action sets.
-
-    Exact-rational entries when produced by ``solve_mixed``; grid rationals
-    (multiples of 1/resolution) when produced by the oracle.
-    """
-
-    probs_i: tuple[Fraction, ...]
-    probs_j: tuple[Fraction, ...]
-
-    def to_jsonable(self) -> dict:
-        return {
-            "probs_i": [str(p) for p in self.probs_i],
-            "probs_j": [str(q) for q in self.probs_j],
-        }
-
-
-def find_pure_equilibria(matrix: PayoffMatrix) -> list[PureEquilibrium]:
-    """All cells with the exact best-response property, in row-major order."""
-    u_i, u_j = matrix.u_i, matrix.u_j
-    col_max_i = [max(col) for col in zip(*u_i)]
-    row_max_j = [max(row) for row in u_j]
-    found = []
-    for r in range(matrix.rows):
-        for c in range(matrix.cols):
-            if u_i[r][c] == col_max_i[c] and u_j[r][c] == row_max_j[r]:
-                found.append(PureEquilibrium(r, c, (u_i[r][c], u_j[r][c])))
-    return found
 
 
 def _laplace_plan(opp_count: int, max_size: int) -> list[dict]:
@@ -155,16 +107,6 @@ def _probabilities(
     return tuple(probs)
 
 
-def check_dimension_cap(rows: int, cols: int, dimension_cap: int) -> None:
-    """Raise DimensionCapExceeded when either side of a rows x cols game is
-    above ``dimension_cap``, the size ``solve_mixed`` or the grid oracle
-    enumerates to."""
-    if rows > dimension_cap or cols > dimension_cap:
-        raise DimensionCapExceeded(
-            f"matrix is {rows}x{cols}, enumeration capped at {dimension_cap} per side"
-        )
-
-
 def solve_mixed(
     matrix: PayoffMatrix, dimension_cap: int = DEFAULT_DIMENSION_CAP
 ) -> list[MixedProfile]:
@@ -205,45 +147,6 @@ def solve_mixed(
                 seen.add(key)
                 probs_i, probs_j = _probabilities(m, s_i, *p), _probabilities(n, s_j, *q)
                 profiles.append(MixedProfile(probs_i, probs_j))
-    return profiles
-
-
-def instance_mixed_profiles(instance: GameInstance) -> list[MixedProfile]:
-    """``solve_mixed`` of the instance's payoff matrix, values and order, in
-    closed form: 2^(k-1)*(c+1) - 1 profiles, k = min(m, n), c = max(n-m+1, 1).
-
-    I holds m = |B_i|, J needs n = |B_j|; parcel x is row m - x, column n - x.
-    I's x against J's y pays both x if x <= y, else 0, so J's parcels >= m pay
-    alike: cap them at m. Each nonempty set S of J's parcels with at most one
-    >= m gives one profile: with capped values s_1 < ... < s_k, I plays s_1
-    and J plays s_j or more with probability s_1/s_j.
-
-    Proof. Against s_1 every y >= s_1 pays J the most, s_1; against J, I's x
-    in (s_{j-1}, s_j] earns x*s_1/s_j <= s_1, with equality at s_j. Conversely
-    let support enumeration accept rows R and columns C capped to c_1 < ... <
-    c_k (two parcels >= m are equal columns: singular). Parcel c_1 earns c_1,
-    so R, all earning I's value, holds no parcel above n. J's payoff grows
-    with y and may not gain from c_1 to n, so I's mass lies on parcels <= c_1,
-    each earning itself: I is pure on c_1 = r_1. The system [c_j >= r_i] then
-    has nested suffix rows, nonsingular iff c_{i-1} < r_i <= c_i, and x in
-    (r_i, c_i] would earn x*c_1/r_i > c_1, so r_i = c_i. All weights are
-    positive, so profiles differ; enumeration meets them in (|S|, R, C) order.
-    """
-    m, n = abs(instance.balance_i), abs(instance.balance_j)
-    small = [((), (y,)) for y in range(1, min(m, n + 1))]  # each parcel < m: out or in
-    tops = [(), *((y,) for y in range(m, n + 1))]  # no parcel >= m, or one of them
-    sets = [sum(parts, ()) for parts in itertools.product(*small, tops)]
-    sets.sort(key=lambda s: (len(s), [m - min(y, m) for y in s[::-1]], [n - y for y in s[::-1]]))
-    profiles, zero, one = [], Fraction(0), Fraction(1)
-    for s in sets[1:]:  # sets[0] is the empty set
-        capped = [min(y, m) for y in s]
-        probs_i, probs_j = [zero] * m, [zero] * n
-        probs_i[m - capped[0]] = one
-        # s_1/s_j - s_1/s_(j+1) on s_j, in one Fraction, and s_1/s_k on s_k
-        for y, here, beyond in zip(s, capped, capped[1:]):
-            probs_j[n - y] = Fraction(capped[0] * (beyond - here), here * beyond)
-        probs_j[n - s[-1]] = Fraction(capped[0], capped[-1])
-        profiles.append(MixedProfile(tuple(probs_i), tuple(probs_j)))
     return profiles
 
 

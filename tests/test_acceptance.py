@@ -13,15 +13,11 @@ from fractions import Fraction
 from liqgame import cli
 from liqgame.bayes import dominant_strategy_per_type, indifference_threshold, load_bundled_game
 from liqgame.core import build_instance, build_payoff_matrix
+from liqgame.equilibria import find_pure_equilibria
 from liqgame.lp import TransferProblem, max_transfer
 from liqgame.market import best_quadrant, load_published_matrix, quadrant_analysis, round1
 from liqgame.sim import SimConfig, StrategySpec, analytic_hit_ratio, run_simulation
-from liqgame.solver import (
-    brute_force_oracle,
-    find_pure_equilibria,
-    solve_mixed,
-    verify_equilibrium,
-)
+from liqgame.solver import brute_force_oracle, solve_mixed, verify_equilibrium
 
 F = Fraction
 

@@ -1,8 +1,11 @@
 import copy
+import gc
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -89,6 +92,23 @@ class TestSolveCommand:
         code, _, err = run_cli(capsys, "solve", "--bi", "3", "--bj", "-4", "--dimension-cap", "3")
         assert code == 2
         assert "matrix is 3x4, enumeration capped at 3 per side" in err
+
+    def test_csv_dimension_cap_refused_before_the_matrix_is_built(self, capsys, monkeypatch):
+        def build(instance):
+            raise AssertionError("build_payoff_matrix called")
+
+        monkeypatch.setattr(core, "build_payoff_matrix", build)
+        argv = ["solve", "--bi", "3", "--bj", "-3", "--dimension-cap", "2", "--format", "csv"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        # the JSON form's refusal, word for word
+        assert err == "error: DimensionCapExceeded: matrix is 3x3, enumeration capped at 2 per side\n"
+        assert run_cli(capsys, *argv[:-2]) == (code, out, err)
+
+    def test_csv_within_the_dimension_cap_prints_matrix(self, capsys):
+        argv = ["solve", "--bi", "2", "--bj", "-2", "--dimension-cap", "2", "--format", "csv"]
+        assert run_cli(capsys, *argv) == (0, "2|2,0|0\n1|1,1|1\n", "")
 
     def test_twelve_by_twelve_needs_no_support_enumeration(self, capsys, monkeypatch):
         def enumerate_supports(*args, **kwargs):
@@ -567,16 +587,42 @@ def test_seed_rejected_where_nothing_is_random(capsys, argv):
         (("bayes", "--response", "a"), "response must look like type=strategy, got 'a'"),
         (
             ("simulate", "--seed", "1", "--strategy-i", "bogus"),
-            "unknown strategy 'bogus'; use high, low, full, random or fraction:<x>",
+            "--strategy-i must be high, low, full, random or fraction:<x>, got 'bogus'",
         ),
-        (("simulate", "--seed", "1", "--range-i", "5"), "range must look like lo:hi, got '5'"),
+        (
+            ("simulate", "--seed", "1", "--strategy-i", "fraction:x"),
+            "--strategy-i must be high, low, full, random or fraction:<x>, got 'fraction:x'",
+        ),
+        (
+            ("simulate", "--seed", "1", "--strategy-j", "fraction"),
+            "--strategy-j must be high, low, full, random or fraction:<x>, got 'fraction'",
+        ),
+        (("simulate", "--seed", "1", "--range-i", "5"), "--range-i must be two integers lo:hi, got '5'"),
+        (
+            ("simulate", "--seed", "1", "--range-i", "a:b"),
+            "--range-i must be two integers lo:hi, got 'a:b'",
+        ),
+        (
+            ("simulate", "--seed", "1", "--range-j", "1:x"),
+            "--range-j must be two integers lo:hi, got '1:x'",
+        ),
+        (("bayes", "--prior", "0.5,x"), "--prior must be numbers separated by commas, got '0.5,x'"),
+        (
+            ("market", "--constructive", "--priors", "0.5,"),
+            "--priors must be numbers separated by commas, got '0.5,'",
+        ),
+        (
+            ("market", "--constructive", "--priors-j", "half,half"),
+            "--priors-j must be numbers separated by commas, got 'half,half'",
+        ),
         (
             ("lp", "--receiver", "1", "--sender", "2", "--format", "csv"),
             "lp has no csv form; use --format json or the default",
         ),
     ],
     ids=["solve-no-input", "solve-bi-only", "solve-bj-only", "bayes-response", "strategy",
-         "range", "lp-csv"],
+         "strategy-fraction", "strategy-fraction-empty", "range", "range-int", "range-j-int",
+         "bayes-prior", "market-priors", "market-priors-j", "lp-csv"],
 )
 def test_malformed_request_exit_two(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
@@ -1062,3 +1108,64 @@ class TestOutputHandling:
         )
         assert proc.returncode == 0
         assert proc.stdout == "13\n"
+
+
+class TestProcessExit:
+    """``python -m liqgame.cli`` and the ``liqgame`` script run ``cli.run``:
+    ``main``, then ``gc.freeze()`` so that interpreter shutdown does not
+    sweep the request's heap, then ``sys.exit``."""
+
+    SRC = str(Path(cli.__file__).resolve().parents[1])
+
+    def child(self, *args):
+        return subprocess.run(
+            [sys.executable, *args],
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": self.SRC},
+            timeout=120,
+        )
+
+    def test_report_bytes_match_main_in_process(self, capsys):
+        argv = ["lp", "--receiver", "13", "--sender", "10", "--format", "json"]
+        code, out, _ = run_cli(capsys, *argv)
+        proc = self.child("-m", "liqgame.cli", *argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), b"")
+        assert code == 0
+
+    def test_refusal_exits_two(self):
+        proc = self.child("-m", "liqgame.cli", "simulate", "--seed", "1", "--range-i", "a:b")
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr == b"error: ValueError: --range-i must be two integers lo:hi, got 'a:b'\n"
+
+    def test_heap_is_frozen_when_atexit_runs(self):
+        code = (
+            "import atexit, gc, runpy, sys\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, file=sys.stderr))\n"
+            "sys.argv = ['liqgame', 'lp', '--receiver', '13', '--sender', '10']\n"
+            "runpy.run_module('liqgame.cli', run_name='__main__', alter_sys=True)\n"
+        )
+        proc = self.child("-c", code)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"10\n", b"frozen True\n")
+
+    def test_main_in_process_freezes_nothing(self):
+        code = (
+            "import contextlib, gc, io; from liqgame import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['lp', '--receiver', '13', '--sender', '10']) == 0\n"
+            "print(gc.get_freeze_count())\n"
+        )
+        proc = self.child("-c", code)
+        assert (proc.returncode, proc.stdout) == (0, b"0\n")
+
+    def test_console_script_freezes_once_after_the_report(self, capsys, monkeypatch):
+        pyproject = (Path(self.SRC).parent / "pyproject.toml").read_text()
+        assert 'liqgame = "liqgame.cli:run"' in pyproject.splitlines()
+        written = []
+        monkeypatch.setattr(gc, "freeze", lambda: written.append(capsys.readouterr().out))
+        monkeypatch.setattr(sys, "argv", ["liqgame", "lp", "--receiver", "13", "--sender", "10"])
+        with pytest.raises(SystemExit) as exc:
+            cli.run()
+        assert exc.value.code == 0
+        assert written == ["10\n"]
+        assert capsys.readouterr().out == ""

@@ -121,15 +121,22 @@ CLI_BASE = {"liqgame", "liqgame.cli", "liqgame.core"}
     "argv,modules",
     [
         (["lp", "--receiver", "13", "--sender", "10"], {"liqgame.lp"}),
-        # the solver's profiles are Fractions; fractions imports decimal
-        (["solve", "--bi", "3", "--bj", "-3"], {"liqgame.solver", "fractions", "decimal"}),
+        # the closed form's profiles are Fractions; fractions imports decimal.
+        # Support enumeration and the exact checkers, in liqgame.solver, stay
+        # unloaded: solve compiles only the code it runs
+        (["solve", "--bi", "3", "--bj", "-3"], {"liqgame.equilibria", "fractions", "decimal"}),
         (["solve", "--bi", "3", "--bj", "-3", "--format", "csv"], set()),
+        # an explicit cap is checked by equilibria.check_dimension_cap
+        (
+            ["solve", "--bi", "3", "--bj", "-3", "--format", "csv", "--dimension-cap", "3"],
+            {"liqgame.equilibria", "fractions", "decimal"},
+        ),
         (["bayes"], {"liqgame.bayes"}),
         # market formats every volume by half-up decimal rounding
         (["market", "--published", "final_4x4"], {"liqgame.market", "decimal"}),
         (["market", "--constructive"], {"liqgame.market", "liqgame.bayes", "decimal"}),
     ],
-    ids=["lp", "solve", "solve-csv", "bayes", "market-published", "market-constructive"],
+    ids=["lp", "solve", "solve-csv", "solve-csv-capped", "bayes", "market-published", "market-constructive"],
 )
 def test_subcommand_loads_only_its_modules(argv, modules):
     # numpy, secrets (the simulate seed draw), traceback (the exit-1
@@ -179,8 +186,10 @@ def test_star_import_binds_every_public_name():
 def test_names_resolve_to_their_defining_module():
     code = (
         "import liqgame\n"
-        "from liqgame import core, sim, solver\n"
+        "from liqgame import core, equilibria, sim, solver\n"
         "assert liqgame.solve_mixed is solver.solve_mixed\n"
+        "assert liqgame.find_pure_equilibria is equilibria.find_pure_equilibria\n"
+        "assert liqgame.MixedProfile is solver.MixedProfile is equilibria.MixedProfile\n"
         "assert liqgame.PayoffMatrix is core.PayoffMatrix\n"
         "assert liqgame.run_simulation is sim.run_simulation\n"
         "assert set(liqgame.__all__) <= set(dir(liqgame))\n"

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from liqgame import bayes, core, lp, market, sim, solver
+from liqgame import bayes, core, equilibria, lp, market, sim
 
 HALF = Fraction(1, 2)
 SPEC = sim.StrategySpec("fixed_fraction", 0.5)
@@ -28,13 +28,13 @@ RECORDS = [
         True,
     ),
     (
-        solver.PureEquilibrium,
+        equilibria.PureEquilibrium,
         dict(row_index=0, col_index=1, payoffs=(2, 3)),
         "PureEquilibrium(row_index=0, col_index=1, payoffs=(2, 3))",
         True,
     ),
     (
-        solver.MixedProfile,
+        equilibria.MixedProfile,
         dict(probs_i=(HALF, HALF), probs_j=(Fraction(1),)),
         "MixedProfile(probs_i=(Fraction(1, 2), Fraction(1, 2)), probs_j=(Fraction(1, 1),))",
         True,

@@ -8,16 +8,13 @@ from hypothesis import strategies as st
 
 from liqgame.core import GameInstance, PayoffMatrix, ZeroBalance, build_instance, build_payoff_matrix
 from liqgame import solver
-from liqgame.solver import (
+from liqgame.equilibria import (
     DimensionCapExceeded,
-    DimensionMismatch,
     MixedProfile,
-    brute_force_oracle,
     find_pure_equilibria,
     instance_mixed_profiles,
-    solve_mixed,
-    verify_equilibrium,
 )
+from liqgame.solver import DimensionMismatch, brute_force_oracle, solve_mixed, verify_equilibrium
 
 from reference_solver import (
     reference_determinant,
