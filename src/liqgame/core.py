@@ -66,7 +66,8 @@ def fixture_path(name: str) -> Path:
     """A bundled data file, read from ``$LIQGAME_FIXTURES`` when that is set."""
     import os
     from pathlib import Path  # loaded here, so importing core loads no new module
-    return Path(os.environ.get("LIQGAME_FIXTURES") or Path(__file__).parent / "fixtures") / name
+    bundled = Path(__file__).parent / "bundled-data"  # not an identifier, so no importable package
+    return Path(os.environ.get("LIQGAME_FIXTURES") or bundled) / name
 
 
 class _GameInstance(NamedTuple):

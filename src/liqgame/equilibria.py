@@ -96,21 +96,23 @@ def instance_mixed_profiles(instance: GameInstance) -> list[MixedProfile]:
     each earning itself: I is pure on c_1 = r_1. The system [c_j >= r_i] then
     has nested suffix rows, nonsingular iff c_{i-1} < r_i <= c_i, and x in
     (r_i, c_i] would earn x*c_1/r_i > c_1, so r_i = c_i. All weights are
-    positive, so profiles differ; enumeration meets them in (|S|, R, C) order.
+    positive, so profiles differ. They are generated in enumeration's (|S|,
+    R, C) order: R = {m - s_j} by combinations, and for R holding row 0 the
+    top parcel from n down to m, as column n - y ascends.
     """
     m, n = abs(instance.balance_i), abs(instance.balance_j)
-    small = [((), (y,)) for y in range(1, min(m, n + 1))]  # each parcel < m: out or in
-    tops = [(), *((y,) for y in range(m, n + 1))]  # no parcel >= m, or one of them
-    sets = [sum(parts, ()) for parts in itertools.product(*small, tops)]
-    sets.sort(key=lambda s: (len(s), [m - min(y, m) for y in s[::-1]], [n - y for y in s[::-1]]))
     profiles, zero, one = [], Fraction(0), Fraction(1)
-    for s in sets[1:]:  # sets[0] is the empty set
-        capped = [min(y, m) for y in s]
-        probs_i, probs_j = [zero] * m, [zero] * n
-        probs_i[m - capped[0]] = one
-        # s_1/s_j - s_1/s_(j+1) on s_j, in one Fraction, and s_1/s_k on s_k
-        for y, here, beyond in zip(s, capped, capped[1:]):
-            probs_j[n - y] = Fraction(capped[0] * (beyond - here), here * beyond)
-        probs_j[n - s[-1]] = Fraction(capped[0], capped[-1])
-        profiles.append(MixedProfile(tuple(probs_i), tuple(probs_j)))
+    for k in range(1, min(m, n) + 1):
+        for rows in itertools.combinations(range(max(m - n, 0), m), k):
+            capped = [m - r for r in reversed(rows)]  # s_1 < ... < s_k
+            probs_i = tuple(one if r == rows[-1] else zero for r in range(m))
+            # s_1/s_j - s_1/s_(j+1) on s_j, in one Fraction, and s_1/s_k on the top parcel
+            below_top = [zero] * n
+            for here, beyond in zip(capped, capped[1:]):
+                below_top[n - here] = Fraction(capped[0] * (beyond - here), here * beyond)
+            last = Fraction(capped[0], capped[-1])
+            for top in range(n, m - 1, -1) if rows[0] == 0 else capped[-1:]:
+                probs_j = below_top[:]
+                probs_j[n - top] = last
+                profiles.append(MixedProfile(probs_i, tuple(probs_j)))
     return profiles

@@ -1,5 +1,6 @@
 import copy
 import gc
+import hashlib
 import json
 import os
 import shutil
@@ -19,6 +20,8 @@ def run_cli(capsys, *argv):
 
 
 SOLVE = ["solve", "--config"]
+# `liqgame solve --bi 12 --bj -12`; CI checks the installed package against it too
+SOLVE_12X12_SHA256 = "a79fab3c7ff256b675b6d76a2ddb2f367ba35d26b727620b41286e422d769d34"
 BAYES = ["bayes", "--game"]
 MARKET = ["market", "--constructive", "--config"]
 SIMULATE = ["simulate", "--config"]
@@ -118,6 +121,8 @@ class TestSolveCommand:
         code, out, _ = run_cli(capsys, "solve", "--bi", "12", "--bj", "-12")
         assert code == 0
         assert len(json.loads(out)["mixed_equilibria"]) == 4095
+        # about 1.6 MB; perfbench/digests.json pins sides 2..8 only
+        assert hashlib.sha256(out.encode()).hexdigest() == SOLVE_12X12_SHA256
 
     def test_matches_library_serialization(self, capsys):
         code, out, _ = run_cli(capsys, "solve", "--bi", "3", "--bj", "-2")

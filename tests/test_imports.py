@@ -213,6 +213,18 @@ def test_unknown_attribute_raises_attribute_error():
     )
 
 
+def test_bundled_data_directory_is_no_module():
+    # the data directory's name is not an identifier, so it cannot import as
+    # an empty namespace package where fixtures.py used to be
+    code = (
+        "try:\n"
+        "    from liqgame import fixtures\n"
+        "except ImportError as exc:\n"
+        "    print(type(exc).__name__)"
+    )
+    assert run_fresh(code) == "ImportError\n"
+
+
 def test_public_name_list_is_pinned():
     assert liqgame.__all__ == [
         "BayesianSolution",

@@ -366,22 +366,27 @@ class TestAnalyticHitRatio:
                 pairs = itertools.product(range(a0, a1 + 1), range(c0, c1 + 1))
                 assert pairs_at_most(a0, a1, c0, c1) == sum(x <= y for x, y in pairs)
 
-    @pytest.mark.parametrize("strategy_i", [RANDOM, FULL])
-    @pytest.mark.parametrize("strategy_j", [RANDOM, FULL])
+    @pytest.mark.parametrize("strategy_i", ORACLE_STRATEGIES)
+    @pytest.mark.parametrize("strategy_j", ORACLE_STRATEGIES)
     def test_balances_far_from_zero(self, strategy_i, strategy_j):
-        # ten balances a side near 10**12: the work follows the values drawn,
-        # not their size, so this returns at once
-        lo = 10**12
-        total = Fraction(0)
-        for b_i, b_j in itertools.product(range(lo, lo + 10), repeat=2):
-            offers = (1 if strategy_i == RANDOM else b_i, b_i)
-            capacities = (1 if strategy_j == RANDOM else b_j, b_j)
-            total += Fraction(
-                pairs_at_most(*offers, *capacities),
-                (offers[1] - offers[0] + 1) * (capacities[1] - capacities[0] + 1),
-            )
-        got = analytic_hit_ratio((lo, lo + 9), (-lo - 9, -lo), strategy_i, strategy_j)
-        assert got == float(total / 100)
+        # ten balances a side, near 10**12 on one side or both: x walks only
+        # the values the two sides take, so no list spans the gap between them
+        def parcels(strategy, balance):  # the uniform law's bounds, or one parcel
+            if strategy == RANDOM:
+                return 1, balance
+            return (parcel_size(strategy, balance),) * 2
+
+        for lo_i, lo_j in [(10**12, 10**12), (10**12, 1), (1, 10**12)]:
+            total = Fraction(0)
+            for b_i, b_j in itertools.product(range(lo_i, lo_i + 10), range(lo_j, lo_j + 10)):
+                offers, capacities = parcels(strategy_i, b_i), parcels(strategy_j, b_j)
+                total += Fraction(
+                    pairs_at_most(*offers, *capacities),
+                    (offers[1] - offers[0] + 1) * (capacities[1] - capacities[0] + 1),
+                )
+            range_i, range_j = (lo_i, lo_i + 9), (-lo_j - 9, -lo_j)
+            got = analytic_hit_ratio(range_i, range_j, strategy_i, strategy_j)
+            assert got == float(total / 100), (range_i, range_j)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 10, 50_000])
     def test_uniform_closed_form(self, n):
