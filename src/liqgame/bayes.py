@@ -172,7 +172,7 @@ def indifference_threshold(
             "both strategies have identical expected payoff for every prior"
         )
     if slope != 0:
-        root = -intercept / slope
+        root = -intercept / slope + 0.0  # a zero root is 0.0, not -0.0
         if 0.0 <= root <= 1.0:
             above, below = (s1, s2) if slope > 0 else (s2, s1)
             return BayesianSolution(dict(response_j), root, above, below, interior=True)

@@ -38,17 +38,8 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def _check_dimension_cap(instance: core.GameInstance, dimension_cap: int) -> None:
-    from .equilibria import check_dimension_cap
-    # |B_i| x |B_j| is the matrix shape, so refuse before building it
-    check_dimension_cap(abs(instance.balance_i), abs(instance.balance_j), dimension_cap)
-
-
-def build_solve_report(instance: core.GameInstance, dimension_cap: Optional[int] = None) -> dict:
+def build_solve_report(instance: core.GameInstance) -> dict:
     from . import equilibria
-    if dimension_cap is None:
-        dimension_cap = equilibria.DEFAULT_DIMENSION_CAP
-    _check_dimension_cap(instance, dimension_cap)
     matrix = core.build_payoff_matrix(instance)
     return {
         "instance": instance._asdict(),
@@ -162,11 +153,11 @@ def _cmd_solve(args: argparse.Namespace) -> str:
         if args.bi is None or args.bj is None:
             raise ValueError("pass --bi and --bj, or --config <file>")
         instance = core.build_instance(args.bi, args.bj, args.cap)
-    if args.format != "csv":
-        return _dumps(build_solve_report(instance, args.dimension_cap))
-    if args.dimension_cap is not None:
-        _check_dimension_cap(instance, args.dimension_cap)
-    return core.build_payoff_matrix(instance).to_csv()
+    # |B_i| x |B_j| is the matrix shape, so refuse before building it, in either format
+    core.check_dimension_cap(abs(instance.balance_i), abs(instance.balance_j), args.dimension_cap)
+    if args.format == "csv":
+        return core.build_payoff_matrix(instance).to_csv()
+    return _dumps(build_solve_report(instance))
 
 
 def _cmd_bayes(args: argparse.Namespace) -> str:
@@ -269,6 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument(
         "--dimension-cap",
         type=int,
+        default=core.DEFAULT_DIMENSION_CAP,
         help="refuse games with more than this many actions per side",
     )
     p_solve.set_defaults(handler=_cmd_solve)

@@ -33,6 +33,10 @@ class CapExceeded(LiquidityGameError):
     pass
 
 
+class DimensionCapExceeded(LiquidityGameError):
+    pass
+
+
 class Checked:
     """Base of the records that check their fields.
 
@@ -53,9 +57,21 @@ class Checked:
 
 
 DEFAULT_ISSUE_CAP = 1_000_000
+DEFAULT_DIMENSION_CAP = 12
+
+
+def check_dimension_cap(rows: int, cols: int, dimension_cap: int) -> None:
+    """Raise DimensionCapExceeded when either side of a rows x cols game is
+    above ``dimension_cap``, the size ``solve_mixed`` or the grid oracle
+    enumerates to."""
+    if rows > dimension_cap or cols > dimension_cap:
+        raise DimensionCapExceeded(
+            f"matrix is {rows}x{cols}, enumeration capped at {dimension_cap} per side"
+        )
+
 
 # Bundled market tables by the name market.load_published_matrix accepts; here,
-# like the cap, so the CLI parser can list them without importing a subcommand.
+# like the caps, so the CLI parser can list them without importing a subcommand.
 PUBLISHED_TABLES = {
     "final_4x4": "market_final_4x4.csv",
     "intermediate_2x4": "market_intermediate_2x4.csv",

@@ -2,9 +2,9 @@
 
 Pure equilibria come from an exhaustive best-response scan, and the mixed
 equilibria of an instance game from a closed form, in exact rationals. The
-records and the per-side work limit live here too, so a ``solve`` process
-compiles no more than it runs; ``solver`` holds support enumeration and the
-exact checkers of any bimatrix game, and imports its records from here.
+records live here too, so a ``solve`` process compiles no more than it runs;
+``solver`` holds support enumeration and the exact checkers of any bimatrix
+game, and imports its records from here. The per-side limit is ``core``'s.
 """
 
 from __future__ import annotations
@@ -13,13 +13,7 @@ import itertools
 from fractions import Fraction
 from typing import NamedTuple
 
-from .core import GameInstance, LiquidityGameError, PayoffMatrix
-
-DEFAULT_DIMENSION_CAP = 12
-
-
-class DimensionCapExceeded(LiquidityGameError):
-    pass
+from .core import GameInstance, PayoffMatrix
 
 
 class PureEquilibrium(NamedTuple):
@@ -65,16 +59,6 @@ def find_pure_equilibria(matrix: PayoffMatrix) -> list[PureEquilibrium]:
             if u_i[r][c] == col_max_i[c] and u_j[r][c] == row_max_j[r]:
                 found.append(PureEquilibrium(r, c, (u_i[r][c], u_j[r][c])))
     return found
-
-
-def check_dimension_cap(rows: int, cols: int, dimension_cap: int) -> None:
-    """Raise DimensionCapExceeded when either side of a rows x cols game is
-    above ``dimension_cap``, the size ``solve_mixed`` or the grid oracle
-    enumerates to."""
-    if rows > dimension_cap or cols > dimension_cap:
-        raise DimensionCapExceeded(
-            f"matrix is {rows}x{cols}, enumeration capped at {dimension_cap} per side"
-        )
 
 
 def instance_mixed_profiles(instance: GameInstance) -> list[MixedProfile]:

@@ -6,7 +6,7 @@ Cramer's rule in integers, from minors shared by all pairs with the same
 own support. So the published profiles (1/2, 1/3, 1/6, ...) are exact. An
 exact equilibrium test and a grid-search oracle cross-check them. The pure
 scan and the closed form of instance games, which ``liqgame solve`` runs,
-are in ``equilibria``.
+are in ``equilibria``, and the per-side limit ``solve_mixed`` checks in ``core``.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ import operator
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .core import LiquidityGameError, PayoffMatrix
-from .equilibria import DEFAULT_DIMENSION_CAP, MixedProfile, check_dimension_cap
+from .core import DEFAULT_DIMENSION_CAP, LiquidityGameError, PayoffMatrix, check_dimension_cap
+from .equilibria import MixedProfile
 
 ORACLE_DIMENSION_CAP = 4
 
@@ -107,9 +107,7 @@ def _probabilities(
     return tuple(probs)
 
 
-def solve_mixed(
-    matrix: PayoffMatrix, dimension_cap: int = DEFAULT_DIMENSION_CAP
-) -> list[MixedProfile]:
+def solve_mixed(matrix: PayoffMatrix) -> list[MixedProfile]:
     """Enumerate candidate supports of equal size, smallest first, and keep
     every exactly-solved profile that is non-negative and has no better
     reply outside its support.
@@ -126,7 +124,7 @@ def solve_mixed(
     supports. Singular support systems are skipped.
     """
     m, n = matrix.rows, matrix.cols
-    check_dimension_cap(m, n, dimension_cap)
+    check_dimension_cap(m, n, DEFAULT_DIMENSION_CAP)
     diffs_i = [[list(map(operator.sub, row, base)) for row in matrix.u_i] for base in matrix.u_i]
     u_j_t = list(zip(*matrix.u_j))
     diffs_j = [[list(map(operator.sub, row, base)) for row in u_j_t] for base in u_j_t]

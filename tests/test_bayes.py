@@ -223,6 +223,7 @@ class TestThreshold:
         # responses {a: high, b: low}: E[high] = 10p vs E[low] = 6p, crossing at 0
         solution = indifference_threshold(load_bundled_game(), {"a": "high", "b": "low"})
         assert solution.threshold_p == 0.0
+        assert math.copysign(1.0, solution.threshold_p) == 1.0  # reported as 0.0, not -0.0
         assert solution.strategy_above == "high"
 
 

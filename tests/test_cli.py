@@ -108,10 +108,24 @@ class TestSolveCommand:
         # the JSON form's refusal, word for word
         assert err == "error: DimensionCapExceeded: matrix is 3x3, enumeration capped at 2 per side\n"
         assert run_cli(capsys, *argv[:-2]) == (code, out, err)
+        # without the flag, the default cap applies to the CSV form too
+        assert run_cli(capsys, "solve", "--bi", "13", "--bj", "-13", "--format", "csv") == (
+            2,
+            "",
+            "error: DimensionCapExceeded: matrix is 13x13, enumeration capped at 12 per side\n",
+        )
 
     def test_csv_within_the_dimension_cap_prints_matrix(self, capsys):
         argv = ["solve", "--bi", "2", "--bj", "-2", "--dimension-cap", "2", "--format", "csv"]
         assert run_cli(capsys, *argv) == (0, "2|2,0|0\n1|1,1|1\n", "")
+        # the flag raises the default cap as well as lowering it
+        argv = ["solve", "--bi", "13", "--bj", "-13", "--dimension-cap", "13", "--format", "csv"]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            ",".join(f"{x}|{x}" if x <= y else "0|0" for y in range(13, 0, -1))
+            for x in range(13, 0, -1)
+        ]
 
     def test_twelve_by_twelve_needs_no_support_enumeration(self, capsys, monkeypatch):
         def enumerate_supports(*args, **kwargs):
@@ -128,7 +142,7 @@ class TestSolveCommand:
         code, out, _ = run_cli(capsys, "solve", "--bi", "3", "--bj", "-2")
         assert code == 0
         instance = core.build_instance(3, -2, 1_000_000)
-        assert out == cli._dumps(cli.build_solve_report(instance, 12))
+        assert out == cli._dumps(cli.build_solve_report(instance))
 
 
 class TestBayesCommand:

@@ -126,11 +126,8 @@ CLI_BASE = {"liqgame", "liqgame.cli", "liqgame.core"}
         # unloaded: solve compiles only the code it runs
         (["solve", "--bi", "3", "--bj", "-3"], {"liqgame.equilibria", "fractions", "decimal"}),
         (["solve", "--bi", "3", "--bj", "-3", "--format", "csv"], set()),
-        # an explicit cap is checked by equilibria.check_dimension_cap
-        (
-            ["solve", "--bi", "3", "--bj", "-3", "--format", "csv", "--dimension-cap", "3"],
-            {"liqgame.equilibria", "fractions", "decimal"},
-        ),
+        # the cap, given or not, is core.check_dimension_cap
+        (["solve", "--bi", "3", "--bj", "-3", "--format", "csv", "--dimension-cap", "3"], set()),
         (["bayes"], {"liqgame.bayes"}),
         # market formats every volume by half-up decimal rounding
         (["market", "--published", "final_4x4"], {"liqgame.market", "decimal"}),

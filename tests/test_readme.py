@@ -37,7 +37,7 @@ EXAMPLES = {
     ),
     "liqgame bayes --response a=high,b=low": (
         0,
-        "9672703c61501afcb23190d56e24f33b3b9d9fd4a16941669bb1ee31af525953",
+        "403772f5fd5d94b08419c142da105391228539cae4a9fc015a836f4ffb3e4f1c",
         None,
     ),
     "liqgame market --published final_4x4": (

@@ -6,14 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liqgame.core import GameInstance, PayoffMatrix, ZeroBalance, build_instance, build_payoff_matrix
-from liqgame import solver
-from liqgame.equilibria import (
+from liqgame.core import (
     DimensionCapExceeded,
-    MixedProfile,
-    find_pure_equilibria,
-    instance_mixed_profiles,
+    GameInstance,
+    PayoffMatrix,
+    ZeroBalance,
+    build_instance,
+    build_payoff_matrix,
 )
+from liqgame import solver
+from liqgame.equilibria import MixedProfile, find_pure_equilibria, instance_mixed_profiles
 from liqgame.solver import DimensionMismatch, brute_force_oracle, solve_mixed, verify_equilibrium
 
 from reference_solver import (
@@ -111,7 +113,6 @@ class TestSolveMixed:
     def test_dimension_cap(self):
         with pytest.raises(DimensionCapExceeded):
             solve_mixed(game_matrix(13, -2))
-        solve_mixed(game_matrix(13, -2), dimension_cap=13)
 
     @settings(max_examples=30, deadline=None)
     @given(b_i=st.integers(1, 4), b_j=st.integers(1, 4))
