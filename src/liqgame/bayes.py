@@ -12,11 +12,9 @@ import json
 from pathlib import Path
 from typing import Mapping, NamedTuple, Optional
 
-from .core import (
+from .core import Checked, LiquidityGameError, check_document
+from .documents import (
     Bimatrix,
-    Checked,
-    LiquidityGameError,
-    check_document,
     check_labels,
     check_prior,
     check_tables,

@@ -1,0 +1,75 @@
+"""``liqgame bayes``: the two-type threshold analysis of a game document."""
+
+from __future__ import annotations
+
+from pathlib import Path
+from typing import TYPE_CHECKING, Optional
+
+from .. import bayes, documents
+from ..core import LiquidityGameError
+
+if TYPE_CHECKING:
+    import argparse
+
+
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--game", type=Path, help="game document (default: bundled)")
+    parser.add_argument("--prior", type=str, help="override prior, e.g. 0.35,0.65")
+    parser.add_argument(
+        "--response", type=str, help="counterfactual responses, e.g. a=high,b=low"
+    )
+
+
+def build_bayes_report(
+    game: bayes.ConditionalGame, responses: Optional[dict[str, str]] = None
+) -> dict:
+    found = [bayes.dominant_strategy_per_type(game, k) for k in range(len(game.types))]
+    dominant = {
+        t: None if f is None else {"strategy": f[0], "strictness": f[1]}
+        for t, f in zip(game.types, found)
+    }
+    if responses is None:
+        responses = {}
+        for type_label, info in dominant.items():
+            if info is None:
+                raise LiquidityGameError(
+                    f"type {type_label!r} has no dominant strategy; "
+                    "pass an explicit response map"
+                )
+            responses[type_label] = info["strategy"]
+    solution = bayes.indifference_threshold(game, responses)
+    payoffs_at_prior = {s: bayes.expected_payoff(game, s, responses) for s in game.strategies_i}
+    best_at_prior = max(game.strategies_i, key=lambda s: payoffs_at_prior[s])
+    report = {
+        "types": list(game.types),
+        "prior": list(game.prior),
+        "strategies_i": list(game.strategies_i),
+        "strategies_j": list(game.strategies_j),
+        "dominant_strategies": dominant,
+        "expected_payoffs_at_prior": payoffs_at_prior,
+        "best_strategy_at_prior": best_at_prior,
+    }
+    report.update(solution._asdict())
+    return report
+
+
+def _parse_responses(text: str) -> dict[str, str]:
+    responses = {}
+    for item in text.split(","):
+        type_label, _, strategy = (part.strip() for part in item.partition("="))
+        if not _:
+            raise ValueError(f"response must look like type=strategy, got {item!r}")
+        if type_label in responses:
+            raise ValueError(f"response for type {type_label!r} given twice")
+        responses[type_label] = strategy
+    return responses
+
+
+def handle(args: argparse.Namespace) -> dict:
+    game = bayes.load_bundled_game() if args.game is None else bayes.load_game_document(args.game)
+    if args.prior is not None:
+        game = game._replace(prior=documents.parse_numbers(args.prior, "--prior"))
+    responses = _parse_responses(args.response) if args.response else None
+    if args.format == "csv":
+        raise ValueError("bayes reports have no csv form; use --format json")
+    return build_bayes_report(game, responses)

@@ -10,11 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
-
-if TYPE_CHECKING:
-    from pathlib import Path
+from typing import NamedTuple, Sequence
 
 
 class LiquidityGameError(Exception):
@@ -63,27 +59,13 @@ DEFAULT_DIMENSION_CAP = 12
 def check_dimension_cap(rows: int, cols: int, dimension_cap: int) -> None:
     """Raise DimensionCapExceeded when either side of a rows x cols game is
     above ``dimension_cap``, the size ``solve_mixed`` or the grid oracle
-    enumerates to."""
+    enumerates to; ValueError for a cap that refuses every game."""
+    if dimension_cap <= 0:
+        raise ValueError(f"dimension_cap must be positive, got {dimension_cap}")
     if rows > dimension_cap or cols > dimension_cap:
         raise DimensionCapExceeded(
             f"matrix is {rows}x{cols}, enumeration capped at {dimension_cap} per side"
         )
-
-
-# Bundled market tables by the name market.load_published_matrix accepts; here,
-# like the caps, so the CLI parser can list them without importing a subcommand.
-PUBLISHED_TABLES = {
-    "final_4x4": "market_final_4x4.csv",
-    "intermediate_2x4": "market_intermediate_2x4.csv",
-}
-
-
-def fixture_path(name: str) -> Path:
-    """A bundled data file, read from ``$LIQGAME_FIXTURES`` when that is set."""
-    import os
-    from pathlib import Path  # loaded here, so importing core loads no new module
-    bundled = Path(__file__).parent / "bundled-data"  # not an identifier, so no importable package
-    return Path(os.environ.get("LIQGAME_FIXTURES") or bundled) / name
 
 
 class _GameInstance(NamedTuple):
@@ -225,99 +207,12 @@ def check_ints(record, names: Sequence[str]) -> None:
             raise ValueError(f"{name} must be an integer")
 
 
-Bimatrix = tuple[tuple[tuple[float, float], ...], ...]
-
-
-def finite_number(value, what: str) -> float:
-    """A finite number, an int or a float but not a bool, as a float;
-    ValueError naming ``what`` for anything else."""
-    if not (isinstance(value, float) or is_int(value)):
-        raise ValueError(f"{what} must be a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:  # an int beyond the float range
-        number = math.inf
-    if not math.isfinite(number):
-        raise ValueError(f"{what} must be finite, got {value!r}")
-    return number
-
-
-def parse_prior(values) -> tuple[float, ...]:
-    """Read a JSON list of type weights; ValueError unless every weight is
-    a finite number."""
-    if not isinstance(values, list):
-        raise ValueError(f"prior must be a list of numbers, got {values!r}")
-    return tuple(finite_number(p, "prior") for p in values)
-
-
-EQUALITY_TOLERANCE = 1e-12
-
-
-def check_prior(prior: Sequence[float], types: Sequence[str]) -> None:
-    """The common prior's rule: one finite, non-negative weight per type,
-    summing to 1 within ``EQUALITY_TOLERANCE``; ValueError otherwise."""
-    if len(prior) != len(types):
-        raise ValueError("prior length must match number of types")
-    if not all(math.isfinite(p) for p in prior):
-        raise ValueError("prior entries must be finite")
-    if any(p < 0 for p in prior):
-        raise ValueError("prior entries must be non-negative")
-    if abs(sum(prior) - 1.0) > EQUALITY_TOLERANCE:
-        raise ValueError(f"prior must sum to 1, got {sum(prior)}")
-
-
-def parse_labels(values, what: str) -> tuple:
-    """Read a JSON list of labels; ValueError for any other JSON value."""
-    if not isinstance(values, list):
-        raise ValueError(f"{what} must be a list of labels, got {values!r}")
-    return tuple(values)
-
-
-def check_labels(*label_sets: Sequence[str]) -> None:
-    """ValueError when a label is not a string, or repeats within its set."""
-    for labels in label_sets:
-        if not all(isinstance(label, str) for label in labels):
-            raise ValueError(f"labels must be strings, got {list(labels)}")
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"labels must be distinct, got {list(labels)}")
-
-
 def check_table(grid, rows: Sequence, cols: Sequence, what: str) -> None:
     """The shape rule of every payoff table: ValueError unless the table
     for ``what`` has one row per entry of ``rows`` and one cell per entry of
     ``cols`` in every row."""
     if len(grid) != len(rows) or any(len(row) != len(cols) for row in grid):
         raise ValueError(f"matrix for {what} has wrong dimensions")
-
-
-def check_tables(
-    tables: Mapping, keys: Sequence, rows: Sequence, cols: Sequence, what: str
-) -> None:
-    """The table-set rule: ValueError, naming ``what`` and the key's repr,
-    for a key of ``keys`` with no table in ``tables``, then for a table of
-    the wrong shape (``check_table``), key by key, and last for a table under
-    a key outside ``keys``: no rule would check that table, and no result
-    would use it."""
-    for key in keys:
-        if key not in tables:
-            raise ValueError(f"missing matrix for {what} {key!r}")
-        check_table(tables[key], rows, cols, f"{what} {key!r}")
-    for key in tables:
-        if key not in keys:
-            raise ValueError(f"matrix for unlisted {what} {key!r}")
-
-
-def parse_bimatrix(grid) -> Bimatrix:
-    """Read a JSON bimatrix, a list of rows of ``[u, v]`` cells, as rows of
-    float pairs; ValueError unless every payoff is a finite number."""
-    if not (isinstance(grid, list) and all(isinstance(row, list) for row in grid)):
-        raise ValueError("payoff matrix must be a list of rows")
-    if not all(isinstance(cell, list) and len(cell) == 2 for row in grid for cell in row):
-        raise ValueError("every payoff cell must be a [u, v] pair")
-    return tuple(
-        tuple((finite_number(u, "payoff"), finite_number(v, "payoff")) for u, v in row)
-        for row in grid
-    )
 
 
 def check_document(raw, what: str, required: Sequence[str], optional: Sequence[str] = ()) -> None:
@@ -332,13 +227,6 @@ def check_document(raw, what: str, required: Sequence[str], optional: Sequence[s
     for key in required:
         if key not in raw:
             raise ValueError(f"missing {what} key {key!r}")
-
-
-def parse_tables(tables) -> dict[str, Bimatrix]:
-    """Read a ``matrices`` object of ``parse_bimatrix`` grids; ValueError for any other value."""
-    if not isinstance(tables, dict):
-        raise ValueError(f"matrices must be a JSON object, got {type(tables).__name__}")
-    return {key: parse_bimatrix(grid) for key, grid in tables.items()}
 
 
 def instance_from_json(doc: str) -> GameInstance:

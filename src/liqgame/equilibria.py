@@ -1,8 +1,9 @@
 """Equilibria of instance games: what ``liqgame solve`` runs.
 
 Pure equilibria come from an exhaustive best-response scan, and the mixed
-equilibria of an instance game from a closed form, in exact rationals. The
-records live here too, so a ``solve`` process compiles no more than it runs;
+equilibria of an instance game from a closed form in exact integer ratios,
+which a report writes as text with no ``Fraction``. The records live here
+too, so a ``solve`` process compiles and imports no more than it runs;
 ``solver`` holds support enumeration and the exact checkers of any bimatrix
 game, and imports its records from here. The per-side limit is ``core``'s.
 """
@@ -10,10 +11,13 @@ game, and imports its records from here. The per-side limit is ``core``'s.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
-from typing import NamedTuple
+import math
+from typing import TYPE_CHECKING, NamedTuple
 
 from .core import GameInstance, PayoffMatrix
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class PureEquilibrium(NamedTuple):
@@ -61,6 +65,25 @@ def find_pure_equilibria(matrix: PayoffMatrix) -> list[PureEquilibrium]:
     return found
 
 
+def _closed_form(m: int, n: int):
+    """Each profile of the closed form, in ``instance_mixed_profiles``' order,
+    for I holding m and J needing n: I's pure row, and J's nonzero weights
+    as (column, p, q), p/q in lowest terms, in integers alone."""
+    for k in range(1, min(m, n) + 1):
+        for rows in itertools.combinations(range(max(m - n, 0), m), k):
+            capped = [m - r for r in reversed(rows)]  # s_1 < ... < s_k
+            # s_1/s_j - s_1/s_(j+1) on s_j, and s_1/s_k on the top parcel
+            below_top = []
+            for here, beyond in zip(capped, capped[1:]):
+                p, q = capped[0] * (beyond - here), here * beyond
+                g = math.gcd(p, q)
+                below_top.append((n - here, p // g, q // g))
+            g = math.gcd(capped[0], capped[-1])
+            p, q = capped[0] // g, capped[-1] // g
+            for top in range(n, m - 1, -1) if rows[0] == 0 else capped[-1:]:
+                yield rows[-1], [*below_top, (n - top, p, q)]
+
+
 def instance_mixed_profiles(instance: GameInstance) -> list[MixedProfile]:
     """``solve_mixed`` of the instance's payoff matrix, values and order, in
     closed form: 2^(k-1)*(c+1) - 1 profiles, k = min(m, n), c = max(n-m+1, 1).
@@ -84,19 +107,27 @@ def instance_mixed_profiles(instance: GameInstance) -> list[MixedProfile]:
     R, C) order: R = {m - s_j} by combinations, and for R holding row 0 the
     top parcel from n down to m, as column n - y ascends.
     """
+    from fractions import Fraction  # here, so a solve report loads neither it nor decimal
     m, n = abs(instance.balance_i), abs(instance.balance_j)
     profiles, zero, one = [], Fraction(0), Fraction(1)
-    for k in range(1, min(m, n) + 1):
-        for rows in itertools.combinations(range(max(m - n, 0), m), k):
-            capped = [m - r for r in reversed(rows)]  # s_1 < ... < s_k
-            probs_i = tuple(one if r == rows[-1] else zero for r in range(m))
-            # s_1/s_j - s_1/s_(j+1) on s_j, in one Fraction, and s_1/s_k on the top parcel
-            below_top = [zero] * n
-            for here, beyond in zip(capped, capped[1:]):
-                below_top[n - here] = Fraction(capped[0] * (beyond - here), here * beyond)
-            last = Fraction(capped[0], capped[-1])
-            for top in range(n, m - 1, -1) if rows[0] == 0 else capped[-1:]:
-                probs_j = below_top[:]
-                probs_j[n - top] = last
-                profiles.append(MixedProfile(probs_i, tuple(probs_j)))
+    for row, weights in _closed_form(m, n):
+        probs_i, probs_j = [zero] * m, [zero] * n
+        probs_i[row] = one
+        for column, p, q in weights:
+            probs_j[column] = Fraction(p, q)
+        profiles.append(MixedProfile(tuple(probs_i), tuple(probs_j)))
     return profiles
+
+
+def instance_mixed_jsonable(instance: GameInstance) -> list[dict]:
+    """``to_jsonable`` of each profile of ``instance_mixed_profiles``, the same
+    text written from the closed form's integers: "p/q", or "p" when q is 1."""
+    m, n = abs(instance.balance_i), abs(instance.balance_j)
+    found = []
+    for row, weights in _closed_form(m, n):
+        probs_i, probs_j = ["0"] * m, ["0"] * n
+        probs_i[row] = "1"
+        for column, p, q in weights:
+            probs_j[column] = f"{p}/{q}" if q != 1 else str(p)
+        found.append({"probs_i": probs_i, "probs_j": probs_j})
+    return found

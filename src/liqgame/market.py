@@ -20,14 +20,21 @@ from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional, Sequence
 
-from .core import PUBLISHED_TABLES, LiquidityGameError, PayoffMatrix, check_document, check_labels
-from .core import check_prior, check_tables, finite_number, fixture_path, parse_labels, parse_prior
-from .core import parse_tables
+from .core import LiquidityGameError, PayoffMatrix, check_document
+from .documents import check_labels, check_prior, check_tables, finite_number, fixture_path
+from .documents import parse_labels, parse_prior, parse_tables
 
 if TYPE_CHECKING:
     from .bayes import ConditionalGame
 
 Label = tuple[Optional[str], str]
+
+
+# The bundled tables, by the name load_published_matrix accepts.
+PUBLISHED_TABLES = {
+    "final_4x4": "market_final_4x4.csv",
+    "intermediate_2x4": "market_intermediate_2x4.csv",
+}
 
 
 class UnknownTable(LiquidityGameError):
@@ -125,8 +132,8 @@ def weight_by_priors(
 
     ``matrices`` must supply a bimatrix for every (row-type, col-type)
     pair, indexed [row strategy][col strategy], and no other, under
-    ``core.check_tables``. Each side's weights are a prior under
-    ``core.check_prior``, and labels must be distinct.
+    ``documents.check_tables``. Each side's weights are a prior under
+    ``documents.check_prior``, and labels must be distinct.
     """
     check_labels(types, strategies)
     check_prior(prior_i, types)

@@ -15,7 +15,7 @@ from liqgame.bayes import (
     load_bundled_game,
     load_game_document,
 )
-from liqgame.core import fixture_path
+from liqgame.documents import fixture_path
 
 THRESHOLD = 5 / 9
 

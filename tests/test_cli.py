@@ -3,6 +3,7 @@ import gc
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -10,7 +11,11 @@ from pathlib import Path
 
 import pytest
 
-from liqgame import bayes, cli, core, solver
+from liqgame import bayes, cli, commands, core, documents, solver
+from liqgame.commands import bayes as bayes_command
+from liqgame.commands import lp as lp_command
+from liqgame.commands import market as market_command
+from liqgame.commands import solve as solve_command
 
 
 def run_cli(capsys, *argv):
@@ -25,7 +30,7 @@ SOLVE_12X12_SHA256 = "a79fab3c7ff256b675b6d76a2ddb2f367ba35d26b727620b41286e422d
 BAYES = ["bayes", "--game"]
 MARKET = ["market", "--constructive", "--config"]
 SIMULATE = ["simulate", "--config"]
-BAYES_DOCUMENT = json.loads(core.fixture_path("bayes_large_small.json").read_text())
+BAYES_DOCUMENT = json.loads(documents.fixture_path("bayes_large_small.json").read_text())
 # the bundled game with one strategy list per side
 BAYES_PAIR_DOCUMENT = {
     **{key: value for key, value in BAYES_DOCUMENT.items() if key != "strategies"},
@@ -66,12 +71,31 @@ class TestSolveCommand:
         assert code == 2
         assert "SameSignBalances" in err
 
+    def test_cap_option_sets_the_issue_cap(self, capsys):
+        code, out, _ = run_cli(capsys, "solve", "--bi", "2", "--bj", "-2", "--cap", "50")
+        assert code == 0
+        assert json.loads(out)["instance"]["issue_cap"] == 50
+        code, out, err = run_cli(capsys, "solve", "--bi", "3", "--bj", "-2", "--cap", "2")
+        assert (code, out) == (2, "")
+        assert err == "error: CapExceeded: |balance| exceeds issue_cap=2: 3, -2\n"
+
     def test_config_file(self, capsys, tmp_path):
         config = tmp_path / "instance.json"
         config.write_text('{"balance_i": 2, "balance_j": -2, "issue_cap": 50}')
         code, out, _ = run_cli(capsys, "solve", "--config", str(config))
         assert code == 0
         assert json.loads(out)["instance"]["issue_cap"] == 50
+
+    @pytest.mark.parametrize("flag,value", [("--bi", "5"), ("--bj", "-5"), ("--cap", "50")])
+    def test_config_takes_no_instance_flags(self, capsys, tmp_path, flag, value):
+        # the document is the whole instance: a flag beside it used to be ignored without a word
+        config = tmp_path / "instance.json"
+        config.write_text('{"balance_i": 2, "balance_j": -2}')
+        assert run_cli(capsys, "solve", "--config", str(config), flag, value) == (
+            2,
+            "",
+            f"error: ValueError: --config takes no {flag}\n",
+        )
 
     def test_csv_format_prints_matrix(self, capsys):
         code, out, _ = run_cli(capsys, "solve", "--bi", "2", "--bj", "-2", "--format", "csv")
@@ -95,6 +119,17 @@ class TestSolveCommand:
         code, _, err = run_cli(capsys, "solve", "--bi", "3", "--bj", "-4", "--dimension-cap", "3")
         assert code == 2
         assert "matrix is 3x4, enumeration capped at 3 per side" in err
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_non_positive_dimension_cap_refused(self, capsys, cap, fmt):
+        # such a cap refuses every game, so it is the cap that is at fault, not the 1x1 game
+        argv = ["solve", "--bi", "1", "--bj", "-1", "--dimension-cap", cap, "--format", fmt]
+        assert run_cli(capsys, *argv) == (
+            2,
+            "",
+            f"error: ValueError: dimension_cap must be positive, got {cap}\n",
+        )
 
     def test_csv_dimension_cap_refused_before_the_matrix_is_built(self, capsys, monkeypatch):
         def build(instance):
@@ -142,7 +177,7 @@ class TestSolveCommand:
         code, out, _ = run_cli(capsys, "solve", "--bi", "3", "--bj", "-2")
         assert code == 0
         instance = core.build_instance(3, -2, 1_000_000)
-        assert out == cli._dumps(cli.build_solve_report(instance))
+        assert out == cli._dumps(solve_command.build_solve_report(instance))
 
 
 class TestBayesCommand:
@@ -354,8 +389,10 @@ class TestMarketCommand:
         ids=["nan", "inf", "three-fields", "five-fields", "repeated-cell", "header-only"],
     )
     def test_bad_published_table_exit_two(self, capsys, tmp_path, monkeypatch, edit, fmt, message):
-        name = core.PUBLISHED_TABLES["final_4x4"]
-        header, *lines = core.fixture_path(name).read_text().splitlines()
+        from liqgame import market
+
+        name = market.PUBLISHED_TABLES["final_4x4"]
+        header, *lines = documents.fixture_path(name).read_text().splitlines()
         (tmp_path / name).write_text("\n".join([header, *edit(lines)]) + "\n")
         monkeypatch.setenv("LIQGAME_FIXTURES", str(tmp_path))
         code, out, err = run_cli(capsys, "market", "--published", "final_4x4", "--format", fmt)
@@ -947,7 +984,7 @@ class TestOneGameRule:
     def test_table_faults_meet_one_rule(
         self, capsys, tmp_path, fault, argv, base, listed, unlisted
     ):
-        # both readers hand their tables to core.check_tables, so each fault
+        # both readers hand their tables to documents.check_tables, so each fault
         # reads the same, the key written as its repr
         (key, name), (extra_key, extra_name) = listed, unlisted
         document = copy.deepcopy(base)
@@ -976,12 +1013,12 @@ class TestThinAdapter:
         from liqgame import market
 
         matrix = market.load_published_matrix("final_4x4")
-        assert out == cli._dumps(cli.build_market_report(matrix, "published", "final_4x4"))
+        assert out == cli._dumps(market_command.build_market_report(matrix, "published", "final_4x4"))
 
     def test_bayes_matches_library_serialization(self, capsys):
         code, out, _ = run_cli(capsys, "bayes")
         assert code == 0
-        assert out == cli._dumps(cli.build_bayes_report(bayes.load_bundled_game()))
+        assert out == cli._dumps(bayes_command.build_bayes_report(bayes.load_bundled_game()))
 
     def test_simulate_matches_library_serialization(self, capsys):
         from liqgame import sim
@@ -1006,6 +1043,60 @@ class TestThinAdapter:
         assert code == 0
         config = sim.SimConfig(trials=50, strategy_i=sim.StrategySpec(kind, fraction), seed=3)
         assert out == cli._dumps(sim.run_simulation(config).to_jsonable())
+
+
+# each subcommand's help line and its options, in the order -h lists them, after
+# the --output and --format that every subcommand takes
+SUBCOMMANDS = {
+    "solve": (
+        "payoff matrix and equilibria",
+        ["--bi", "--bj", "--cap", "--config", "--dimension-cap"],
+    ),
+    "bayes": ("two-type threshold analysis", ["--game", "--prior", "--response"]),
+    "market": (
+        "composition aggregates",
+        ["--published", "--constructive", "--config", "--priors", "--priors-j"],
+    ),
+    "simulate": (
+        "seeded Monte Carlo runs",
+        ["--config", "--seed", "--trials", "--range-i", "--range-j", "--strategy-i",
+         "--strategy-j", "--mode", "--max-rounds", "--histogram"],
+    ),
+    "lp": ("largest feasible transfer", ["--receiver", "--sender"]),
+}
+
+
+def help_text(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+class TestParser:
+    """The parser adds options for the named subcommand only, and neither
+    help nor errors may show it: argparse's layout varies across Python
+    versions, so these check what is listed, not the bytes."""
+
+    def test_top_level_lists_every_subcommand(self, capsys):
+        out = help_text(capsys, "-h")
+        assert "{solve,bayes,market,simulate,lp}" in out
+        listed = re.findall(r"^ +(\w+) +(\S.*)$", out.split("positional arguments:")[1], re.M)
+        assert listed == [(name, text) for name, (text, _) in SUBCOMMANDS.items()]
+
+    @pytest.mark.parametrize("command", list(SUBCOMMANDS))
+    def test_subcommand_lists_every_option(self, capsys, command):
+        out = help_text(capsys, command, "-h")
+        listed = re.findall(r"^  (?:-h, )?(--[a-z-]+)", out, re.M)
+        assert listed == ["--help", "--output", "--format", *SUBCOMMANDS[command][1]]
+
+    def test_subcommand_named_after_an_unknown_option(self, capsys):
+        # the subcommand is the first argument without a dash, wherever it
+        # stands, so only the unknown option is refused
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--bogus", "solve", "--bi", "2", "--bj", "-2"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith("error: unrecognized arguments: --bogus\n")
 
 
 # every subcommand form that writes a report
@@ -1078,7 +1169,7 @@ class TestOutputHandling:
         def refuse(src, dst):
             raise OSError("rename refused")
 
-        monkeypatch.setattr(cli.os, "replace", refuse)
+        monkeypatch.setattr(commands.os, "replace", refuse)
         code, out, err = run_cli(
             capsys, "lp", "--receiver", "1", "--sender", "2", "--output", str(target)
         )
@@ -1094,7 +1185,7 @@ class TestOutputHandling:
         def broken(args):
             raise KeyError("capacity")
 
-        monkeypatch.setattr(cli, "_cmd_lp", broken)
+        monkeypatch.setattr(lp_command, "handle", broken)
         code, out, err = run_cli(capsys, "lp", "--receiver", "1", "--sender", "2")
         assert code == 1
         assert out == ""

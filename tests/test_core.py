@@ -14,10 +14,9 @@ from liqgame.core import (
     build_payoff_matrix,
     check_document,
     instance_from_json,
-    parse_bimatrix,
-    parse_tables,
     transferred,
 )
+from liqgame.documents import parse_bimatrix, parse_tables
 
 
 class TestBuildInstance:

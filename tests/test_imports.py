@@ -1,5 +1,6 @@
 """Each process imports only what it runs: ``import liqgame`` loads no
-submodule, a CLI subcommand loads the modules its handler uses, and nothing
+submodule, a CLI subcommand loads its own adapter and the modules its
+handler uses, and nothing
 in the library loads numpy, which is not a runtime dependency, or
 dataclasses, which costs milliseconds of start-up.
 Each check runs in a fresh interpreter, since this one has loaded them all."""
@@ -114,46 +115,86 @@ def loaded_after_main(argv):
     return set(json.loads(run_fresh(code)))
 
 
-CLI_BASE = {"liqgame", "liqgame.cli", "liqgame.core"}
+CLI_BASE = {"liqgame", "liqgame.cli", "liqgame.commands", "liqgame.core"}
+
+
+def adapter(argv):
+    return f"liqgame.commands.{argv[0]}"
 
 
 @pytest.mark.parametrize(
     "argv,modules",
     [
         (["lp", "--receiver", "13", "--sender", "10"], {"liqgame.lp"}),
-        # the closed form's profiles are Fractions; fractions imports decimal.
-        # Support enumeration and the exact checkers, in liqgame.solver, stay
-        # unloaded: solve compiles only the code it runs
-        (["solve", "--bi", "3", "--bj", "-3"], {"liqgame.equilibria", "fractions", "decimal"}),
+        # the closed form's weights are written from integers, so neither
+        # fractions nor decimal loads. Support enumeration and the exact
+        # checkers, in liqgame.solver, stay unloaded: solve compiles only the
+        # code it runs
+        (["solve", "--bi", "3", "--bj", "-3"], {"liqgame.equilibria"}),
         (["solve", "--bi", "3", "--bj", "-3", "--format", "csv"], set()),
         # the cap, given or not, is core.check_dimension_cap
         (["solve", "--bi", "3", "--bj", "-3", "--format", "csv", "--dimension-cap", "3"], set()),
-        (["bayes"], {"liqgame.bayes"}),
+        # only the typed documents' readers load liqgame.documents
+        (["bayes"], {"liqgame.bayes", "liqgame.documents"}),
         # market formats every volume by half-up decimal rounding
-        (["market", "--published", "final_4x4"], {"liqgame.market", "decimal"}),
-        (["market", "--constructive"], {"liqgame.market", "liqgame.bayes", "decimal"}),
+        (["market", "--published", "final_4x4"], {"liqgame.market", "liqgame.documents", "decimal"}),
+        (
+            ["market", "--constructive"],
+            {"liqgame.market", "liqgame.bayes", "liqgame.documents", "decimal"},
+        ),
     ],
     ids=["lp", "solve", "solve-csv", "solve-csv-capped", "bayes", "market-published", "market-constructive"],
 )
 def test_subcommand_loads_only_its_modules(argv, modules):
-    # numpy, secrets (the simulate seed draw), traceback (the exit-1
-    # branch), dataclasses and inspect (records are NamedTuples) stay
-    # unloaded too, and fractions and decimal where no exact rational or
-    # decimal arithmetic runs
-    assert loaded_after_main(argv) == CLI_BASE | modules
+    # its own adapter and no other; numpy, secrets (the simulate seed draw),
+    # traceback (the exit-1 branch), dataclasses and inspect (records are
+    # NamedTuples) stay unloaded too, and fractions and decimal where no
+    # exact rational or decimal arithmetic runs
+    assert loaded_after_main(argv) == CLI_BASE | {adapter(argv)} | modules
 
 
 def test_simulate_loads_sim_only():
     # with --seed nothing is drawn from secrets, the engine needs no numpy,
     # and random strategies parse no fraction
-    loaded = loaded_after_main(["simulate", "--trials", "50", "--seed", "1"])
-    assert loaded == CLI_BASE | {"liqgame.sim"}
+    argv = ["simulate", "--trials", "50", "--seed", "1"]
+    assert loaded_after_main(argv) == CLI_BASE | {adapter(argv), "liqgame.sim"}
 
 
 def test_simulate_fixed_fraction_loads_fractions():
     # a fixed fraction's p/q is parsed with Fraction, which imports decimal
-    loaded = loaded_after_main(["simulate", "--trials", "50", "--seed", "1", "--strategy-i", "high"])
-    assert loaded == CLI_BASE | {"liqgame.sim", "fractions", "decimal"}
+    argv = ["simulate", "--trials", "50", "--seed", "1", "--strategy-i", "high"]
+    assert loaded_after_main(argv) == CLI_BASE | {adapter(argv), "liqgame.sim", "fractions", "decimal"}
+
+
+def test_help_loads_no_adapter():
+    # every subcommand is listed by name and help line alone
+    code = (
+        "import contextlib, io, sys; from liqgame import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    try:\n"
+        "        cli.main(['-h'])\n"
+        "    except SystemExit as exc:\n"
+        "        assert exc.code == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('liqgame')))"
+    )
+    assert run_fresh(code) == "['liqgame', 'liqgame.cli', 'liqgame.commands', 'liqgame.core']\n"
+
+
+def test_module_run_imports_no_second_cli():
+    # under python -m the running cli is __main__: a module that imported
+    # liqgame.cli would compile and run it a second time. -X importtime lists
+    # every module an import statement loads, on stderr
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "liqgame.cli", "solve", "--bi", "3", "--bj", "-3"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    imported = [line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()]
+    assert "liqgame.core" in imported
+    assert {"liqgame.cli", "fractions", "decimal"}.isdisjoint(imported)
 
 
 def test_cli_import_loads_no_dataclasses_or_inspect():

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from liqgame.bayes import load_bundled_game
 from liqgame.core import PayoffMatrix
-from liqgame.core import PUBLISHED_TABLES, fixture_path
+from liqgame.documents import fixture_path
 from liqgame.market import (
+    PUBLISHED_TABLES,
     NotTwoTypes,
     QuadrantReport,
     UnknownTable,

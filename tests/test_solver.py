@@ -15,7 +15,12 @@ from liqgame.core import (
     build_payoff_matrix,
 )
 from liqgame import solver
-from liqgame.equilibria import MixedProfile, find_pure_equilibria, instance_mixed_profiles
+from liqgame.equilibria import (
+    MixedProfile,
+    find_pure_equilibria,
+    instance_mixed_jsonable,
+    instance_mixed_profiles,
+)
 from liqgame.solver import DimensionMismatch, brute_force_oracle, solve_mixed, verify_equilibrium
 
 from reference_solver import (
@@ -267,6 +272,16 @@ class TestInstanceMixedProfiles:
         assert len(profiles) == profile_count(m, n)
         for prof in profiles:
             assert verify_equilibrium(matrix, prof, F(0))
+        assert instance_mixed_jsonable(instance) == [prof.to_jsonable() for prof in profiles]
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_report_text_is_the_profiles_text(self, m):
+        # solve's report writes each weight from the closed form's integers,
+        # with no Fraction: it must read as str() of the profile's Fraction
+        for n in range(1, 13):
+            instance = build_instance(m, -n, 10_000)
+            expected = [prof.to_jsonable() for prof in instance_mixed_profiles(instance)]
+            assert instance_mixed_jsonable(instance) == expected
 
     def test_cleared_player_has_no_game(self):
         # no instance with a cleared player is built, so none reaches the closed form
