@@ -4,8 +4,6 @@ Public names are resolved on first access (PEP 562), so ``import liqgame``
 loads no submodule and each caller pays only for the modules it uses.
 """
 
-from importlib import import_module
-
 __version__ = "0.1.0"
 
 # Each public name and the submodule that defines it.
@@ -48,7 +46,8 @@ def __getattr__(name: str):
     module = _EXPORTS.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(import_module(f"{__name__}.{module}"), name)
+    # __import__, unlike importlib.import_module, is listed by -X importtime
+    return getattr(__import__(f"{__name__}.{module}", fromlist=[name]), name)
 
 
 def __dir__() -> list[str]:

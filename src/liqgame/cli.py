@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from importlib import import_module
 from pathlib import Path
 from typing import Optional
 
@@ -33,7 +32,8 @@ def _dumps(payload) -> str:
 
 
 def _adapter(command: str):
-    return import_module(f"liqgame.commands.{command}")
+    # __import__, unlike importlib.import_module, is listed by -X importtime
+    return __import__(f"liqgame.commands.{command}", fromlist=["handle"])
 
 
 def build_parser(argv: list[str]) -> argparse.ArgumentParser:
@@ -51,7 +51,6 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
         subparser = sub.add_parser(command, help=text)
         if command == chosen:
             subparser.add_argument("--output", type=Path, help="write the report here (atomic)")
-            subparser.add_argument("--format", choices=("json", "csv"), default=None)
             _adapter(command).add_arguments(subparser)
     return parser
 

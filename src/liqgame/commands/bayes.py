@@ -70,6 +70,4 @@ def handle(args: argparse.Namespace) -> dict:
     if args.prior is not None:
         game = game._replace(prior=documents.parse_numbers(args.prior, "--prior"))
     responses = _parse_responses(args.response) if args.response else None
-    if args.format == "csv":
-        raise ValueError("bayes reports have no csv form; use --format json")
     return build_bayes_report(game, responses)

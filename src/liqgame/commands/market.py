@@ -12,6 +12,7 @@ if TYPE_CHECKING:
 
 
 def add_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--format", choices=("json", "csv"))
     mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument(
         "--published",

@@ -15,11 +15,12 @@ if TYPE_CHECKING:
 
 
 def add_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--format", choices=("json", "csv"))
     parser.add_argument("--config", type=Path, help="JSON simulation config")
     parser.add_argument("--seed", type=int, default=None, help="RNG seed (unsigned 64-bit)")
     parser.add_argument("--trials", type=int)
     parser.add_argument("--range-i", type=str, help="long balance range lo:hi")
-    parser.add_argument("--range-j", type=str, help="short balance range lo:hi")
+    parser.add_argument("--range-j", type=str, help="short balance range, written --range-j=lo:hi")
     parser.add_argument("--strategy-i", type=str, help="high|low|full|random|fraction:<x>")
     parser.add_argument("--strategy-j", type=str)
     parser.add_argument("--mode", help="play mode, one of liqgame.sim.MODES")
@@ -74,6 +75,14 @@ def handle(args: argparse.Namespace) -> str | dict:
     flags = {key: getattr(args, key) for key in ("trials", "mode", "max_rounds", "seed")}
     raw.update((key, value) for key, value in flags.items() if value is not None)
     config = sim.SimConfig.from_jsonable(raw)
+    if config.mode == "one_shot":  # one round per trial: no max_rounds to read, no histogram
+        for flag, given in (
+            ("--format csv", args.format == "csv"),
+            ("--histogram", args.histogram is not None),
+            ("--max-rounds", args.max_rounds is not None),
+        ):
+            if given:
+                raise ValueError(f"{flag} needs --mode repeated")
     if "seed" not in raw:  # drawn and echoed only for a config that is otherwise valid
         import secrets
         config = config._replace(seed=secrets.randbits(64))

@@ -12,6 +12,7 @@ if TYPE_CHECKING:
 
 
 def add_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--format", choices=("json", "csv"))
     parser.add_argument("--bi", type=int, help="long player's balance (positive)")
     parser.add_argument("--bj", type=int, help="short player's balance (negative)")
     parser.add_argument("--cap", type=int, help="bonds on issue")

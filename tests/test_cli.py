@@ -240,10 +240,6 @@ class TestBayesCommand:
         assert out == ""
         assert "finite" in err
 
-    def test_csv_not_supported(self, capsys):
-        code, _, err = run_cli(capsys, "bayes", "--format", "csv")
-        assert code == 2
-
     def test_type_without_dominant_strategy_exit_two(self, capsys, tmp_path):
         # no counterparty column of type b's table is at least the other in both rows
         document = copy.deepcopy(BAYES_DOCUMENT)
@@ -671,20 +667,55 @@ def test_seed_rejected_where_nothing_is_random(capsys, argv):
             ("market", "--constructive", "--priors-j", "half,half"),
             "--priors-j must be numbers separated by commas, got 'half,half'",
         ),
-        (
-            ("lp", "--receiver", "1", "--sender", "2", "--format", "csv"),
-            "lp has no csv form; use --format json or the default",
-        ),
     ],
     ids=["solve-no-input", "solve-bi-only", "solve-bj-only", "bayes-response", "strategy",
          "strategy-fraction", "strategy-fraction-empty", "range", "range-int", "range-j-int",
-         "bayes-prior", "market-priors", "market-priors-j", "lp-csv"],
+         "bayes-prior", "market-priors", "market-priors-j"],
 )
 def test_malformed_request_exit_two(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err == f"error: ValueError: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bayes", "--format", "json"),
+        ("bayes", "--format", "csv"),
+        ("lp", "--receiver", "1", "--sender", "2", "--format", "csv"),
+    ],
+    ids=["bayes-json", "bayes-csv", "lp-csv"],
+)
+def test_format_the_subcommand_does_not_write_exits_two(capsys, tmp_path, argv):
+    # bayes writes JSON alone and takes no --format; lp's is json or its plain number
+    target = tmp_path / "report"
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--output", str(target)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--format" in captured.err.splitlines()[-1]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "flags,named",
+    [(("--format", "csv"), "--format csv"), (("--histogram", "rounds.csv"), "--histogram"),
+     (("--max-rounds", "7"), "--max-rounds")],
+    ids=["format-csv", "histogram", "max-rounds"],
+)
+def test_one_shot_refuses_what_it_would_ignore(capsys, tmp_path, monkeypatch, flags, named):
+    # one round per trial fills no histogram and reads no round limit; the refusal
+    # comes before a seed is drawn, a trial is played or a file is written
+    from liqgame import sim
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sim, "run_simulation", None)
+    code, out, err = run_cli(capsys, "simulate", "--trials", "5", "--output", "report", *flags)
+    assert (code, out, err) == (2, "", f"error: ValueError: {named} needs --mode repeated\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("document", ["5", "null", "[1, 2]"])
@@ -1046,23 +1077,23 @@ class TestThinAdapter:
 
 
 # each subcommand's help line and its options, in the order -h lists them, after
-# the --output and --format that every subcommand takes
+# the --output that every subcommand takes; --format with the forms it writes
 SUBCOMMANDS = {
     "solve": (
         "payoff matrix and equilibria",
-        ["--bi", "--bj", "--cap", "--config", "--dimension-cap"],
+        ["--format {json,csv}", "--bi", "--bj", "--cap", "--config", "--dimension-cap"],
     ),
     "bayes": ("two-type threshold analysis", ["--game", "--prior", "--response"]),
     "market": (
         "composition aggregates",
-        ["--published", "--constructive", "--config", "--priors", "--priors-j"],
+        ["--format {json,csv}", "--published", "--constructive", "--config", "--priors", "--priors-j"],
     ),
     "simulate": (
         "seeded Monte Carlo runs",
-        ["--config", "--seed", "--trials", "--range-i", "--range-j", "--strategy-i",
-         "--strategy-j", "--mode", "--max-rounds", "--histogram"],
+        ["--format {json,csv}", "--config", "--seed", "--trials", "--range-i", "--range-j",
+         "--strategy-i", "--strategy-j", "--mode", "--max-rounds", "--histogram"],
     ),
-    "lp": ("largest feasible transfer", ["--receiver", "--sender"]),
+    "lp": ("largest feasible transfer", ["--format {json}", "--receiver", "--sender"]),
 }
 
 
@@ -1087,8 +1118,8 @@ class TestParser:
     @pytest.mark.parametrize("command", list(SUBCOMMANDS))
     def test_subcommand_lists_every_option(self, capsys, command):
         out = help_text(capsys, command, "-h")
-        listed = re.findall(r"^  (?:-h, )?(--[a-z-]+)", out, re.M)
-        assert listed == ["--help", "--output", "--format", *SUBCOMMANDS[command][1]]
+        listed = re.findall(r"^  (?:-h, )?(--format \S+|--[a-z-]+)", out, re.M)
+        assert listed == ["--help", "--output", *SUBCOMMANDS[command][1]]
 
     def test_subcommand_named_after_an_unknown_option(self, capsys):
         # the subcommand is the first argument without a dash, wherever it
@@ -1108,7 +1139,7 @@ OUTPUT_FORMS = [
     ("market", "--published", "final_4x4", "--format", "csv"),
     ("market", "--constructive"),
     ("simulate", "--trials", "50", "--seed", "5"),
-    ("simulate", "--trials", "50", "--seed", "5", "--format", "csv"),
+    ("simulate", "--trials", "50", "--seed", "5", "--mode", "repeated", "--format", "csv"),
     ("lp", "--receiver", "10", "--sender", "20"),
     ("lp", "--receiver", "10", "--sender", "20", "--format", "json"),
 ]
@@ -1139,7 +1170,7 @@ class TestOutputHandling:
     def test_report_written_after_the_histogram(self, capsys, tmp_path):
         # one file named twice ends up holding the report
         target = tmp_path / "both"
-        argv = ("simulate", "--trials", "20", "--seed", "3", "--output", str(target))
+        argv = ("simulate", "--trials", "20", "--seed", "3", "--mode", "repeated", "--output", str(target))
         code, _, _ = run_cli(capsys, *argv, "--histogram", str(target))
         assert code == 0
         assert json.loads(target.read_text())["seed"] == 3

@@ -180,21 +180,31 @@ def test_help_loads_no_adapter():
     assert run_fresh(code) == "['liqgame', 'liqgame.cli', 'liqgame.commands', 'liqgame.core']\n"
 
 
-def test_module_run_imports_no_second_cli():
-    # under python -m the running cli is __main__: a module that imported
-    # liqgame.cli would compile and run it a second time. -X importtime lists
-    # every module an import statement loads, on stderr
+def importtime(*args):
+    """The modules ``python -X importtime *args`` lists on stderr: each one
+    that an import statement or ``__import__`` loads."""
     proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "liqgame.cli", "solve", "--bi", "3", "--bj", "-3"],
+        [sys.executable, "-X", "importtime", *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": SRC},
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    imported = [line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()]
-    assert "liqgame.core" in imported
+    return {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()}
+
+
+def test_module_run_imports_no_second_cli():
+    # under python -m the running cli is __main__: a module that imported
+    # liqgame.cli would compile and run it a second time
+    imported = importtime("-m", "liqgame.cli", "solve", "--bi", "3", "--bj", "-3")
+    assert {"liqgame.core", "liqgame.commands.solve"} <= imported
     assert {"liqgame.cli", "fractions", "decimal"}.isdisjoint(imported)
+
+
+def test_public_name_import_is_listed_by_importtime():
+    # a name resolved on first access loads its module as the CLI loads its adapter
+    assert "liqgame.solver" in importtime("-c", "import liqgame; liqgame.solve_mixed")
 
 
 def test_cli_import_loads_no_dataclasses_or_inspect():
