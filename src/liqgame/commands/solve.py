@@ -17,12 +17,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--bj", type=int, help="short player's balance (negative)")
     parser.add_argument("--cap", type=int, help="bonds on issue")
     parser.add_argument("--config", type=Path, help="JSON instance document")
-    parser.add_argument(
-        "--dimension-cap",
-        type=int,
-        default=core.DEFAULT_DIMENSION_CAP,
-        help="refuse games with more than this many actions per side",
-    )
 
 
 def build_solve_report(instance: core.GameInstance) -> dict:
@@ -49,8 +43,12 @@ def handle(args: argparse.Namespace) -> str | dict:
             raise ValueError("pass --bi and --bj, or --config <file>")
         cap = core.DEFAULT_ISSUE_CAP if args.cap is None else args.cap
         instance = core.build_instance(args.bi, args.bj, cap)
-    # |B_i| x |B_j| is the matrix shape, so refuse before building it, in either format
-    core.check_dimension_cap(abs(instance.balance_i), abs(instance.balance_j), args.dimension_cap)
+    # |B_i| x |B_j| is the matrix shape, so count what is printed before building it
+    m, n = abs(instance.balance_i), abs(instance.balance_j)
     if args.format == "csv":
+        # in cells; a row or a column (its action, tuple and line) holds about six cells' bytes
+        core.check_work(m * n + 6 * (m + n), f"solve of a {m}x{n} game as CSV")
         return core.build_payoff_matrix(instance).to_csv()
+    from .. import equilibria
+    core.check_work(equilibria.report_work(m, n), f"solve of a {m}x{n} game")
     return build_solve_report(instance)

@@ -53,19 +53,15 @@ class Checked:
 
 
 DEFAULT_ISSUE_CAP = 1_000_000
-DEFAULT_DIMENSION_CAP = 12
+WORK_LIMIT = 2**22
 
 
-def check_dimension_cap(rows: int, cols: int, dimension_cap: int) -> None:
-    """Raise DimensionCapExceeded when either side of a rows x cols game is
-    above ``dimension_cap``, the size ``solve_mixed`` or the grid oracle
-    enumerates to; ValueError for a cap that refuses every game."""
-    if dimension_cap <= 0:
-        raise ValueError(f"dimension_cap must be positive, got {dimension_cap}")
-    if rows > dimension_cap or cols > dimension_cap:
-        raise DimensionCapExceeded(
-            f"matrix is {rows}x{cols}, enumeration capped at {dimension_cap} per side"
-        )
+def check_work(count: int, what: str) -> None:
+    """Raise DimensionCapExceeded when ``what`` would enumerate or print more
+    than WORK_LIMIT items; ``count`` is the caller's own count of them, taken
+    before anything is built."""
+    if count > WORK_LIMIT:
+        raise DimensionCapExceeded(f"{what} exceeds the work limit of {WORK_LIMIT}")
 
 
 class _GameInstance(NamedTuple):

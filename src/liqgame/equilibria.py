@@ -5,7 +5,7 @@ equilibria of an instance game from a closed form in exact integer ratios,
 which a report writes as text with no ``Fraction``. The records live here
 too, so a ``solve`` process compiles and imports no more than it runs;
 ``solver`` holds support enumeration and the exact checkers of any bimatrix
-game, and imports its records from here. The per-side limit is ``core``'s.
+game, and imports its records from here.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import itertools
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from .core import GameInstance, PayoffMatrix
+from .core import WORK_LIMIT, GameInstance, PayoffMatrix
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -82,6 +82,15 @@ def _closed_form(m: int, n: int):
             p, q = capped[0] // g, capped[-1] // g
             for top in range(n, m - 1, -1) if rows[0] == 0 else capped[-1:]:
                 yield rows[-1], [*below_top, (n - top, p, q)]
+
+
+def report_work(m: int, n: int) -> int:
+    """The lines of the JSON ``solve`` report of an m x n instance game: 4 per cell,
+    3 per row (its brackets and action), 9 per column (its action and its one pure
+    equilibrium), m + n + 6 per closed-form profile, and 17 more. Past WORK_LIMIT's
+    bit length, k only has to keep the count above the limit."""
+    k, c = min(m, n, WORK_LIMIT.bit_length()), max(n - m + 1, 1)
+    return 4 * m * n + 3 * m + 9 * n + (2 ** (k - 1) * (c + 1) - 1) * (m + n + 6) + 17
 
 
 def instance_mixed_profiles(instance: GameInstance) -> list[MixedProfile]:

@@ -6,7 +6,7 @@ Cramer's rule in integers, from minors shared by all pairs with the same
 own support. So the published profiles (1/2, 1/3, 1/6, ...) are exact. An
 exact equilibrium test and a grid-search oracle cross-check them. The pure
 scan and the closed form of instance games, which ``liqgame solve`` runs,
-are in ``equilibria``, and the per-side limit ``solve_mixed`` checks in ``core``.
+are in ``equilibria``, and the work limit that both solvers here check in ``core``.
 """
 
 from __future__ import annotations
@@ -17,10 +17,8 @@ import operator
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .core import DEFAULT_DIMENSION_CAP, LiquidityGameError, PayoffMatrix, check_dimension_cap
+from .core import LiquidityGameError, PayoffMatrix, check_work
 from .equilibria import MixedProfile
-
-ORACLE_DIMENSION_CAP = 4
 
 
 class DimensionMismatch(LiquidityGameError):
@@ -87,17 +85,6 @@ def _support_weights(
     return weights
 
 
-def _lowest_terms(
-    support: Sequence[int], nums: Sequence[int], det: int
-) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """One side's probabilities ``nums / det`` over ``support`` as a
-    canonical integer key: the common denominator and the non-zero
-    (action, numerator) pairs, all divided by their gcd. Two equal
-    probability vectors have equal keys, whichever support they came from."""
-    g = math.gcd(det, *nums)
-    return det // g, tuple((k, x // g) for k, x in zip(support, nums) if x)
-
-
 def _probabilities(
     size: int, support: Sequence[int], nums: Sequence[int], det: int
 ) -> tuple[Fraction, ...]:
@@ -115,8 +102,8 @@ def solve_mixed(matrix: PayoffMatrix) -> list[MixedProfile]:
     Each support system is solved by Cramer's rule in integers, from minors
     that Laplace expansion shares among all pairs with the same own support;
     one player's weights are computed only where the other's passed. Checks
-    and de-duplication run on the integer numerators; rationals are formed
-    only for accepted, new profiles.
+    run on the integer numerators; rationals are formed only for accepted
+    profiles, and a profile that an earlier support pair gave is dropped.
 
     Degenerate profiles are kept: a solution may place probability zero on
     part of its candidate support, which is how boundary equilibria of
@@ -124,28 +111,26 @@ def solve_mixed(matrix: PayoffMatrix) -> list[MixedProfile]:
     supports. Singular support systems are skipped.
     """
     m, n = matrix.rows, matrix.cols
-    check_dimension_cap(m, n, DEFAULT_DIMENSION_CAP)
+    # support pairs, m*n*(m + n) difference entries, and Laplace plan entries (one per
+    # subset of up to min(m, n) actions), each holding about four difference entries' bytes
+    plans = sum(math.comb(m, t) + math.comb(n, t) for t in range(1, min(m, n) + 1))
+    check_work(math.comb(m + n, m) - 1 + m * n * (m + n) + 4 * plans, f"solve_mixed of a {m}x{n} game")
     diffs_i = [[list(map(operator.sub, row, base)) for row in matrix.u_i] for base in matrix.u_i]
     u_j_t = list(zip(*matrix.u_j))
     diffs_j = [[list(map(operator.sub, row, base)) for row in u_j_t] for base in u_j_t]
     plan_i = _laplace_plan(n, min(m, n))
     plan_j = plan_i if m == n else _laplace_plan(m, min(m, n))
-    profiles: list[MixedProfile] = []
-    seen: set[tuple[tuple, tuple]] = set()
+    profiles: dict[MixedProfile, None] = {}
     for size in range(1, min(m, n) + 1):
         supports_i, supports_j = (itertools.combinations(range(k), size) for k in (m, n))
         qs = _support_weights(diffs_i, plan_i, itertools.product(supports_i, supports_j))
         # I's weights only where J's passed, sorted by J's support
         ps = _support_weights(diffs_j, plan_j, sorted((s_j, s_i) for s_i, s_j in qs))
-        # back in enumeration order, (S_i, S_j)
-        for (s_j, s_i), p in sorted(ps.items(), key=lambda item: item[0][::-1]):
-            q = qs[s_i, s_j]
-            key = (_lowest_terms(s_i, *p), _lowest_terms(s_j, *q))
-            if key not in seen:
-                seen.add(key)
-                probs_i, probs_j = _probabilities(m, s_i, *p), _probabilities(n, s_j, *q)
-                profiles.append(MixedProfile(probs_i, probs_j))
-    return profiles
+        # in enumeration order, (S_i, S_j); a repeated profile keeps its first place
+        for (s_i, s_j), q in qs.items():
+            if (p := ps.get((s_j, s_i))) is not None:
+                profiles[MixedProfile(_probabilities(m, s_i, *p), _probabilities(n, s_j, *q))] = None
+    return list(profiles)
 
 
 def _ratio(x) -> tuple[int, int]:
@@ -247,7 +232,6 @@ def brute_force_oracle(
     candidate profile (the sweep restricted to that window).
     """
     m, n = len(matrix.actions_i), len(matrix.actions_j)
-    check_dimension_cap(m, n, ORACLE_DIMENSION_CAP)
     if grid_resolution < 1:
         raise ValueError("grid_resolution must be >= 1")
     r_scale = grid_resolution
@@ -258,6 +242,16 @@ def brute_force_oracle(
         raise DimensionMismatch("around profile does not match matrix dimensions")
     else:
         centre_i, centre_j = around.probs_i, around.probs_j
+    # Before either grid is built: with at most w values per coordinate, each
+    # walks a box of w^(k-1) heads and keeps C(r + k - 1, k - 1) points of it
+    # when windowless, at most the whole box in a window.
+    w = max(min(2 * radius, r_scale) + 1, 0)
+    box_p, box_q = w ** (m - 1), w ** (n - 1)
+    pairs = (
+        box_p * box_q if around is not None
+        else math.comb(r_scale + m - 1, m - 1) * math.comb(r_scale + n - 1, n - 1)
+    )
+    check_work(box_p + box_q + pairs, f"a {m}x{n} grid sweep at resolution {r_scale}")
     grid_p = _window_grid(r_scale, centre_i, radius)
     # A pair (p, q) passes when both expected payoffs exceed the cut-off
     # r_scale * best - r_scale of the best reply to the other side's point,

@@ -111,56 +111,72 @@ class TestSolveCommand:
         assert code == 2
         assert out == ""
         assert err == (
-            "error: DimensionCapExceeded: matrix is 1000000x1000000, "
-            "enumeration capped at 12 per side\n"
+            "error: DimensionCapExceeded: solve of a 1000000x1000000 game "
+            "exceeds the work limit of 4194304\n"
         )
 
-    def test_dimension_cap_option_still_applies(self, capsys):
-        code, _, err = run_cli(capsys, "solve", "--bi", "3", "--bj", "-4", "--dimension-cap", "3")
-        assert code == 2
-        assert "matrix is 3x4, enumeration capped at 3 per side" in err
+    def test_closed_form_count_stays_small_for_any_issue_cap(self, capsys):
+        # 2^(k-1) profiles: past the limit the count is not worked out in full
+        bound = str(10**30)
+        argv = ["solve", "--bi", bound, "--bj", "-" + bound, "--cap", bound]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: DimensionCapExceeded: ")
 
-    @pytest.mark.parametrize("fmt", ["json", "csv"])
-    @pytest.mark.parametrize("cap", ["0", "-1"])
-    def test_non_positive_dimension_cap_refused(self, capsys, cap, fmt):
-        # such a cap refuses every game, so it is the cap that is at fault, not the 1x1 game
-        argv = ["solve", "--bi", "1", "--bj", "-1", "--dimension-cap", cap, "--format", fmt]
-        assert run_cli(capsys, *argv) == (
-            2,
-            "",
-            f"error: ValueError: dimension_cap must be positive, got {cap}\n",
-        )
-
-    def test_csv_dimension_cap_refused_before_the_matrix_is_built(self, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "refused,admitted",
+        [
+            # the lines the JSON report prints: 5,244,217 and 3,835,123
+            (["--bi", "17", "--bj", "-17"], ["--bi", "16", "--bj", "-17"]),
+            # 8m + 33 lines for m x 1: 4,194,305 and 4,194,297
+            (["--bi", "524284", "--bj", "-1"], ["--bi", "524283", "--bj", "-1"]),
+            # n^2 + 20n + 20 lines for 1 x n: 4,198,321 and 4,194,224
+            (["--bi", "1", "--bj", "-2039"], ["--bi", "1", "--bj", "-2038"]),
+            # m*n + 6(m + n) cells: 4,196,316 and 4,194,268
+            (["--bi", "2043", "--bj", "-2042", "--format", "csv"], ["--bi", "2042", "--bj", "-2042", "--format", "csv"]),
+            # 7n + 6 for a thin CSV: 4,194,308 and 4,194,301
+            (["--bi", "1", "--bj", "-599186", "--format", "csv"], ["--bi", "599185", "--bj", "-1", "--format", "csv"]),
+        ],
+        ids=["json", "json-tall", "json-wide", "csv", "csv-thin"],
+    )
+    def test_work_limit_refused_before_the_matrix_is_built(
+        self, capsys, monkeypatch, refused, admitted
+    ):
+        # each format counts what it prints, one past the limit refused and
+        # the count at or just under it admitted
         def build(instance):
             raise AssertionError("build_payoff_matrix called")
 
-        monkeypatch.setattr(core, "build_payoff_matrix", build)
-        argv = ["solve", "--bi", "3", "--bj", "-3", "--dimension-cap", "2", "--format", "csv"]
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 2
-        assert out == ""
-        # the JSON form's refusal, word for word
-        assert err == "error: DimensionCapExceeded: matrix is 3x3, enumeration capped at 2 per side\n"
-        assert run_cli(capsys, *argv[:-2]) == (code, out, err)
-        # without the flag, the default cap applies to the CSV form too
-        assert run_cli(capsys, "solve", "--bi", "13", "--bj", "-13", "--format", "csv") == (
-            2,
-            "",
-            "error: DimensionCapExceeded: matrix is 13x13, enumeration capped at 12 per side\n",
-        )
+        with monkeypatch.context() as patched:
+            patched.setattr(core, "build_payoff_matrix", build)
+            code, out, err = run_cli(capsys, "solve", *refused)
+            assert (code, out) == (2, "")
+            m, n = refused[1], refused[3][1:]
+            form = " as CSV" if "csv" in refused else ""
+            assert err == (
+                f"error: DimensionCapExceeded: solve of a {m}x{n} game{form} "
+                "exceeds the work limit of 4194304\n"
+            )
+            # admitted, it goes on to build the matrix, which here fails with exit 1
+            code, out, err = run_cli(capsys, "solve", *admitted)
+            assert (code, out) == (1, "")
+            assert err.endswith("AssertionError: build_payoff_matrix called\n")
 
-    def test_csv_within_the_dimension_cap_prints_matrix(self, capsys):
-        argv = ["solve", "--bi", "2", "--bj", "-2", "--dimension-cap", "2", "--format", "csv"]
-        assert run_cli(capsys, *argv) == (0, "2|2,0|0\n1|1,1|1\n", "")
-        # the flag raises the default cap as well as lowering it
-        argv = ["solve", "--bi", "13", "--bj", "-13", "--dimension-cap", "13", "--format", "csv"]
-        code, out, err = run_cli(capsys, *argv)
+    def test_csv_past_twelve_per_side_prints_matrix(self, capsys):
+        code, out, err = run_cli(capsys, "solve", "--bi", "13", "--bj", "-13", "--format", "csv")
         assert (code, err) == (0, "")
         assert out.splitlines() == [
             ",".join(f"{x}|{x}" if x <= y else "0|0" for y in range(13, 0, -1))
             for x in range(13, 0, -1)
         ]
+
+    def test_dimension_cap_option_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["solve", "--bi", "3", "--bj", "-3", "--dimension-cap", "3"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "error: unrecognized arguments: --dimension-cap 3\n"
+        )
 
     def test_twelve_by_twelve_needs_no_support_enumeration(self, capsys, monkeypatch):
         def enumerate_supports(*args, **kwargs):
@@ -1081,7 +1097,7 @@ class TestThinAdapter:
 SUBCOMMANDS = {
     "solve": (
         "payoff matrix and equilibria",
-        ["--format {json,csv}", "--bi", "--bj", "--cap", "--config", "--dimension-cap"],
+        ["--format {json,csv}", "--bi", "--bj", "--cap", "--config"],
     ),
     "bayes": ("two-type threshold analysis", ["--game", "--prior", "--response"]),
     "market": (

@@ -132,8 +132,6 @@ def adapter(argv):
         # code it runs
         (["solve", "--bi", "3", "--bj", "-3"], {"liqgame.equilibria"}),
         (["solve", "--bi", "3", "--bj", "-3", "--format", "csv"], set()),
-        # the cap, given or not, is core.check_dimension_cap
-        (["solve", "--bi", "3", "--bj", "-3", "--format", "csv", "--dimension-cap", "3"], set()),
         # only the typed documents' readers load liqgame.documents
         (["bayes"], {"liqgame.bayes", "liqgame.documents"}),
         # market formats every volume by half-up decimal rounding
@@ -143,7 +141,7 @@ def adapter(argv):
             {"liqgame.market", "liqgame.bayes", "liqgame.documents", "decimal"},
         ),
     ],
-    ids=["lp", "solve", "solve-csv", "solve-csv-capped", "bayes", "market-published", "market-constructive"],
+    ids=["lp", "solve", "solve-csv", "bayes", "market-published", "market-constructive"],
 )
 def test_subcommand_loads_only_its_modules(argv, modules):
     # its own adapter and no other; numpy, secrets (the simulate seed draw),

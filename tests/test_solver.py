@@ -3,7 +3,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from liqgame.core import (
@@ -14,12 +14,14 @@ from liqgame.core import (
     build_instance,
     build_payoff_matrix,
 )
-from liqgame import solver
+from liqgame import cli, solver
+from liqgame.commands.solve import build_solve_report
 from liqgame.equilibria import (
     MixedProfile,
     find_pure_equilibria,
     instance_mixed_jsonable,
     instance_mixed_profiles,
+    report_work,
 )
 from liqgame.solver import DimensionMismatch, brute_force_oracle, solve_mixed, verify_equilibrium
 
@@ -115,9 +117,20 @@ class TestSolveMixed:
             )
             assert degenerate in profiles
 
-    def test_dimension_cap(self):
-        with pytest.raises(DimensionCapExceeded):
-            solve_mixed(game_matrix(13, -2))
+    @pytest.mark.parametrize(
+        "m,n", [(13, 13), (1, 2046), (2046, 1), (2, 965), (965, 2), (3, 170), (170, 3)]
+    )
+    def test_work_limit_refuses_before_the_plan_is_built(self, monkeypatch, m, n):
+        # C(m + n, m) - 1 support pairs, m*n*(m + n) difference entries and
+        # four per plan entry: 13x13 for its pairs, each thin shape one past
+        # the largest admitted for its tables and plans
+        def plan(*args):
+            raise AssertionError("_laplace_plan called")
+
+        monkeypatch.setattr(solver, "_laplace_plan", plan)
+        with pytest.raises(DimensionCapExceeded) as caught:
+            solve_mixed(game_matrix(m, -n))
+        assert str(caught.value) == f"solve_mixed of a {m}x{n} game exceeds the work limit of 4194304"
 
     @settings(max_examples=30, deadline=None)
     @given(b_i=st.integers(1, 4), b_j=st.integers(1, 4))
@@ -273,6 +286,27 @@ class TestInstanceMixedProfiles:
         for prof in profiles:
             assert verify_equilibrium(matrix, prof, F(0))
         assert instance_mixed_jsonable(instance) == [prof.to_jsonable() for prof in profiles]
+
+    @settings(max_examples=15, deadline=None)
+    @given(thin=st.integers(1, 3), wide=st.integers(13, 40), transpose=st.booleans())
+    @example(thin=2, wide=27, transpose=False)
+    def test_thin_shapes_equal_support_enumeration(self, thin, wide, transpose):
+        # past twelve per side, where the work limit still admits support enumeration
+        m, n = (wide, thin) if transpose else (thin, wide)
+        instance = build_instance(m, -n, 10_000)
+        expected = solve_mixed(build_payoff_matrix(instance))
+        found = instance_mixed_profiles(instance)
+        assert found == expected
+        assert len(found) == profile_count(m, n)
+        assert all(type(x) is Fraction for prof in found for x in prof.probs_i + prof.probs_j)
+
+    @pytest.mark.parametrize(
+        "m,n",
+        [*itertools.product(range(1, 13), repeat=2), (1, 300), (300, 1), (2, 150), (150, 2), (14, 3)],
+    )
+    def test_report_work_is_the_lines_printed(self, m, n):
+        report = cli._dumps(build_solve_report(build_instance(m, -n, 10_000)))
+        assert report_work(m, n) == report.count("\n")
 
     @pytest.mark.parametrize("m", range(1, 13))
     def test_report_text_is_the_profiles_text(self, m):
@@ -516,9 +550,36 @@ class TestBruteForceOracle:
             ) <= F(2, resolution)
             assert on_segment or near_pure
 
-    def test_dimension_cap(self):
+    @pytest.mark.parametrize(
+        "sides,resolution",
+        # 201^3 candidates per side; 4,194,304^2 pairs; a box past any C int
+        [(4, 200), (2, 4_194_303), (2, 10**30)],
+    )
+    def test_work_limit_refuses_before_the_grid_is_walked(self, monkeypatch, sides, resolution):
+        def product(*args):
+            raise AssertionError("grid walked")
+
+        monkeypatch.setattr(solver.itertools, "product", product)
+        with pytest.raises(DimensionCapExceeded) as caught:
+            brute_force_oracle(game_matrix(sides, -sides), resolution)
+        assert str(caught.value) == (
+            f"a {sides}x{sides} grid sweep at resolution {resolution} "
+            "exceeds the work limit of 4194304"
+        )
+
+    @pytest.mark.parametrize("sides,refused", [(2, 2047), (3, 63), (4, 22), (5, 13)])
+    def test_work_limit_counts_boxes_and_pairs(self, monkeypatch, sides, refused):
+        # 2 (r+1)^(k-1) candidates walked plus C(r+k-1, k-1)^2 pairs: one step
+        # below the refused resolution is admitted and goes on to walk its grid
+        def product(*args):
+            raise AssertionError("grid walked")
+
+        monkeypatch.setattr(solver.itertools, "product", product)
+        matrix = game_matrix(sides, -sides)
         with pytest.raises(DimensionCapExceeded):
-            brute_force_oracle(game_matrix(5, -5), 10)
+            brute_force_oracle(matrix, refused)
+        with pytest.raises(AssertionError, match="^grid walked$"):
+            brute_force_oracle(matrix, refused - 1)
 
     @pytest.mark.parametrize("resolution", [0, -3])
     def test_resolution_below_one_refused(self, resolution):
