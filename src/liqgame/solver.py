@@ -17,7 +17,7 @@ import operator
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .core import LiquidityGameError, PayoffMatrix, check_work
+from .core import LiquidityGameError, PayoffMatrix, check_work, is_int
 from .equilibria import MixedProfile
 
 
@@ -51,15 +51,15 @@ def _next_minors(minors: list[int], row: Sequence[int], level: dict) -> list[int
 
 
 def _support_weights(
-    differences: list[list[list[int]]], plan: list[dict], pairs
+    table: Sequence[Sequence[int]], plan: list[dict], pairs
 ) -> dict[tuple[tuple, tuple], tuple[Sequence[int], int]]:
     """The opponent weights over T that make the owner indifferent across S,
     as integer numerators over a positive common denominator, keyed by (S, T),
     for each (S, T) of ``pairs``, all of one size and sorted by S. Left out:
     singular systems, negative weights and an action outside S earning more
-    than the common value. ``differences[r0][r]`` is row r minus row r0; with
-    D those of S_1.. against S_0, [1 ... 1; D] x = e_1 has by Cramer's rule
-    the numerators (-1)^j minor(D over T - T_j) and their sum as determinant.
+    than the common value. ``table`` holds the owner's payoff rows; with D
+    the rows of S_1.. minus that of S_0, [1 ... 1; D] x = e_1 has by Cramer's
+    rule the numerators (-1)^j minor(D over T - T_j) and their sum as determinant.
     """
     weights, current, stack = {}, (-1,), [[1, -1]]  # stack[t]: minors of D_1..D_t, negated too
     for own, opp in pairs:
@@ -68,10 +68,12 @@ def _support_weights(
             while own[t] == current[t]:  # stack[t] holds for own[: t + 1]
                 t += 1
             del stack[max(t, 1) :]
-            diffs = differences[own[0]]
+            base = table[own[0]]
             for t in range(len(stack), len(own)):
-                stack.append(_next_minors(stack[-1], diffs[own[t]], plan[t]))
-            rest = [d for r, d in enumerate(diffs) if r not in own]
+                stack.append(_next_minors(stack[-1], list(map(operator.sub, table[own[t]], base)), plan[t]))
+            rest = list(table)
+            for r in reversed(own):
+                del rest[r]
             current, level, minors = own, plan[len(own)], stack[-1]
         cols, signed = level[opp]
         # the expansion along a last row of ones: the numerators, all negated
@@ -80,8 +82,10 @@ def _support_weights(
         det = sum(nums)
         if det < 0:
             nums, det = [-x for x in nums], -det
-        if det and min(nums) >= 0 and all(sum(map(operator.mul, cols(d), nums)) <= 0 for d in rest):
-            weights[own, opp] = nums, det
+        if det and min(nums) >= 0:
+            value = sum(map(operator.mul, cols(base), nums))  # S's rows tie by construction
+            if all(sum(map(operator.mul, cols(row), nums)) <= value for row in rest):
+                weights[own, opp] = nums, det
     return weights
 
 
@@ -108,24 +112,25 @@ def solve_mixed(matrix: PayoffMatrix) -> list[MixedProfile]:
     Degenerate profiles are kept: a solution may place probability zero on
     part of its candidate support, which is how boundary equilibria of
     weakly dominated games surface. Pure equilibria appear as the size-1
-    supports. Singular support systems are skipped.
+    supports. Singular support systems are skipped. Payoffs other than ints
+    (a float, a Fraction, a bool) raise ValueError before anything is built.
     """
     m, n = matrix.rows, matrix.cols
-    # support pairs, m*n*(m + n) difference entries, and Laplace plan entries (one per
-    # subset of up to min(m, n) actions), each holding about four difference entries' bytes
+    # support pairs, m*n*(m + n) for the pure pairs' outside-action products, and Laplace
+    # plan entries (one per subset of up to min(m, n) actions), each about four ints' bytes
     plans = sum(math.comb(m, t) + math.comb(n, t) for t in range(1, min(m, n) + 1))
     check_work(math.comb(m + n, m) - 1 + m * n * (m + n) + 4 * plans, f"solve_mixed of a {m}x{n} game")
-    diffs_i = [[list(map(operator.sub, row, base)) for row in matrix.u_i] for base in matrix.u_i]
+    if not all(map(is_int, itertools.chain(*matrix.u_i, *matrix.u_j))):
+        raise ValueError("solve_mixed needs integer payoffs")
     u_j_t = list(zip(*matrix.u_j))
-    diffs_j = [[list(map(operator.sub, row, base)) for row in u_j_t] for base in u_j_t]
     plan_i = _laplace_plan(n, min(m, n))
     plan_j = plan_i if m == n else _laplace_plan(m, min(m, n))
     profiles: dict[MixedProfile, None] = {}
     for size in range(1, min(m, n) + 1):
         supports_i, supports_j = (itertools.combinations(range(k), size) for k in (m, n))
-        qs = _support_weights(diffs_i, plan_i, itertools.product(supports_i, supports_j))
+        qs = _support_weights(matrix.u_i, plan_i, itertools.product(supports_i, supports_j))
         # I's weights only where J's passed, sorted by J's support
-        ps = _support_weights(diffs_j, plan_j, sorted((s_j, s_i) for s_i, s_j in qs))
+        ps = _support_weights(u_j_t, plan_j, sorted((s_j, s_i) for s_i, s_j in qs))
         # in enumeration order, (S_i, S_j); a repeated profile keeps its first place
         for (s_i, s_j), q in qs.items():
             if (p := ps.get((s_j, s_i))) is not None:
@@ -229,11 +234,14 @@ def brute_force_oracle(
     resolution), so acceptance is exact. Without ``around`` the full product
     of both simplex grids is swept, which is combinatorial; pass ``around``
     to restrict both grids to the points within ``radius`` steps of a
-    candidate profile (the sweep restricted to that window).
+    candidate profile (the sweep restricted to that window). A resolution
+    below 1 or a negative radius raises ValueError.
     """
     m, n = len(matrix.actions_i), len(matrix.actions_j)
     if grid_resolution < 1:
         raise ValueError("grid_resolution must be >= 1")
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
     r_scale = grid_resolution
     if around is None:
         # the window of radius r_scale around any point is the whole simplex
@@ -245,7 +253,7 @@ def brute_force_oracle(
     # Before either grid is built: with at most w values per coordinate, each
     # walks a box of w^(k-1) heads and keeps C(r + k - 1, k - 1) points of it
     # when windowless, at most the whole box in a window.
-    w = max(min(2 * radius, r_scale) + 1, 0)
+    w = min(2 * radius, r_scale) + 1
     box_p, box_q = w ** (m - 1), w ** (n - 1)
     pairs = (
         box_p * box_q if around is not None

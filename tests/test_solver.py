@@ -1,4 +1,6 @@
 import itertools
+import random
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -14,7 +16,7 @@ from liqgame.core import (
     build_instance,
     build_payoff_matrix,
 )
-from liqgame import cli, solver
+from liqgame import cli, market, solver
 from liqgame.commands.solve import build_solve_report
 from liqgame.equilibria import (
     MixedProfile,
@@ -132,6 +134,44 @@ class TestSolveMixed:
             solve_mixed(game_matrix(m, -n))
         assert str(caught.value) == f"solve_mixed of a {m}x{n} game exceeds the work limit of 4194304"
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: market.load_published_matrix("final_4x4"),
+            lambda: PayoffMatrix.from_cells(
+                (1, 2), (1, 2), [[(3.0, 3.0), (0.0, 5.0)], [(5.0, 0.0), (1.0, 1.0)]]
+            ),
+            lambda: PayoffMatrix.from_cells((1, 2), (1,), [[(True, 0)], [(0, 0)]]),
+            lambda: PayoffMatrix.from_cells((1,), (1, 2), [[(0, 0), (0, F(1, 2))]]),
+        ],
+        ids=["published-volumes", "float-dilemma", "bool-payoff", "fraction-payoff"],
+    )
+    def test_non_integer_payoffs_refused_before_the_plan_is_built(self, monkeypatch, build):
+        def plan(*args):
+            raise AssertionError("_laplace_plan called")
+
+        monkeypatch.setattr(solver, "_laplace_plan", plan)
+        with pytest.raises(ValueError, match="^solve_mixed needs integer payoffs$"):
+            solve_mixed(build())
+
+    @pytest.mark.parametrize("m,n", [(1, 600), (600, 1)])
+    def test_thin_game_holds_no_row_by_row_table(self, m, n):
+        # support enumeration reads the payoff rows it is given: a table of every
+        # row minus every other would alone hold 360,000 ints here. A random game
+        # has few best replies, so its profiles take little room of their own.
+        rng = random.Random(1)
+        matrix = PayoffMatrix.from_entries(
+            [[(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(n)] for _ in range(m)]
+        )
+        tracemalloc.start()
+        try:
+            profiles = solve_mixed(matrix)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert profiles
+        assert peak < 4 * 2**20
+
     @settings(max_examples=30, deadline=None)
     @given(b_i=st.integers(1, 4), b_j=st.integers(1, 4))
     def test_every_profile_verifies_exactly(self, b_i, b_j):
@@ -233,6 +273,33 @@ class TestReferenceAgreement:
         for prof in solve_mixed(matrix):
             assert sum(prof.probs_i) == 1 and sum(prof.probs_j) == 1
             assert verify_equilibrium(matrix, prof, F(0))
+
+
+def transposed(matrix: PayoffMatrix) -> PayoffMatrix:
+    """The game with the players swapped: u_i' = u_j^T and u_j' = u_i^T."""
+    return PayoffMatrix.from_entries(
+        [list(zip(col_j, col_i)) for col_j, col_i in zip(zip(*matrix.u_j), zip(*matrix.u_i))]
+    )
+
+
+@st.composite
+def thin_games(draw) -> PayoffMatrix:
+    """Games of 1-2 rows and 10-30 columns over a small value pool, so ties are common."""
+    rows, cols = draw(st.integers(1, 2)), draw(st.integers(10, 30))
+    value = st.integers(-3, 3)
+    cell = st.tuples(value, value)
+    row = st.lists(cell, min_size=cols, max_size=cols)
+    return PayoffMatrix.from_entries(draw(st.lists(row, min_size=rows, max_size=rows)))
+
+
+class TestOrientation:
+    """Swapping the players swaps each profile's two sides, whichever player owns the longer side."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(matrix=general_games(max_side=4) | thin_games())
+    def test_transposed_game_swaps_the_profiles(self, matrix):
+        swapped = {MixedProfile(prof.probs_j, prof.probs_i) for prof in solve_mixed(matrix)}
+        assert set(solve_mixed(transposed(matrix))) == swapped
 
 
 class TestMinorTable:
@@ -585,6 +652,14 @@ class TestBruteForceOracle:
     def test_resolution_below_one_refused(self, resolution):
         with pytest.raises(ValueError, match="^grid_resolution must be >= 1$"):
             brute_force_oracle(game_matrix(2, -2), resolution)
+
+    @pytest.mark.parametrize("around", [GOLDEN_2X2_MIXED, None], ids=["window", "sweep"])
+    @pytest.mark.parametrize("radius", [-1, -5])
+    def test_negative_radius_refused(self, around, radius):
+        # a window of negative radius holds no point, which would read as no
+        # equilibrium near the centre
+        with pytest.raises(ValueError, match="^radius must be >= 0$"):
+            brute_force_oracle(game_matrix(2, -2), 10, around=around, radius=radius)
 
     @pytest.mark.parametrize(
         "around",
