@@ -22,6 +22,7 @@ _EXPORTS = {
     "TransferProblem": "lp",
     "analytic_hit_ratio": "sim",
     "best_quadrant": "market",
+    "best_response_envelope": "bayes",
     "brute_force_oracle": "solver",
     "build_instance": "core",
     "build_payoff_matrix": "core",

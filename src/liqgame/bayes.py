@@ -2,13 +2,14 @@
 
 The initiating dealer does not know whether the counterparty is a large or a
 small bank, only a prior. Each type has its own payoff table; the solver
-finds the counterparty's per-type dominant strategy and the prior weight at
-which the initiator is indifferent between its two strategies.
+finds the counterparty's per-type dominant strategy and the initiator's best
+strategy at each prior weight, which switches at the weights of indifference.
 """
 
 from __future__ import annotations
 
 import json
+from functools import cmp_to_key
 from pathlib import Path
 from typing import Mapping, NamedTuple, Optional
 
@@ -83,8 +84,9 @@ def load_bundled_game() -> ConditionalGame:
 
 
 class BayesianSolution(NamedTuple):
-    """Threshold summary: what the counterparty plays per type, and which
-    initiator strategy is preferred on each side of the prior threshold."""
+    """Threshold summary: what the counterparty plays per type, the first
+    breakpoint of the best-response envelope, the strategies best below it
+    and above the last, and whether there is any breakpoint."""
 
     responses: Mapping[str, str]
     threshold_p: float
@@ -142,40 +144,53 @@ def expected_payoff(
     return total
 
 
-def indifference_threshold(
+def best_response_envelope(
     game: ConditionalGame, response_j: Mapping[str, str]
-) -> BayesianSolution:
-    """Solve for the weight on the first type at which the initiator's two
-    strategies have equal expected payoff. The game's own prior plays no part.
-
-    When the two expected payoffs never cross inside [0, 1] the threshold
-    is clamped (1 when the first strategy is preferred throughout, else 0)
-    and the solution is flagged non-interior. Identical payoff lines raise
-    NoDependenceOnPrior.
+) -> tuple[list[float], list[str]]:
+    """The upper envelope of the lines p*a + (1 - p)*b that the initiator's
+    strategies earn against ``response_j``, a and b their payoffs in the two
+    types' tables and p the weight on the first type, whatever the prior: its
+    breakpoints in the closed [0, 1], ascending, and the strategy best on each
+    side of each, the one beyond a breakpoint at 0 or 1 included. Of lines tied
+    on an interval the first in ``strategies_i`` is named; a line best at one
+    point only is not. NoDependenceOnPrior when two or more lines all coincide.
     """
-    if len(game.strategies_i) != 2:
-        raise ValueError("threshold analysis needs exactly two row strategies")
     if len(game.types) != 2:
         raise ValueError("threshold analysis needs exactly two types")
-    s1, s2 = game.strategies_i
     columns = check_responses(game, response_j)
-    # a: the first type's payoffs to s1 and s2, b: the second type's
-    (a1, a2), (b1, b2) = ([row[c][0] for row in game.matrices[t]]
-                          for t, c in zip(game.types, columns))
-    # payoff difference f(p) = p*(a1-a2) + (1-p)*(b1-b2), positive favours s1
-    slope = (a1 - a2) - (b1 - b2)
-    intercept = b1 - b2
-    if slope == 0 and intercept == 0:
-        raise NoDependenceOnPrior(
-            "both strategies have identical expected payoff for every prior"
-        )
-    if slope != 0:
-        root = -intercept / slope + 0.0  # a zero root is 0.0, not -0.0
-        if 0.0 <= root <= 1.0:
-            above, below = (s1, s2) if slope > 0 else (s2, s1)
-            return BayesianSolution(dict(response_j), root, above, below, interior=True)
-    # No interior crossing: one strategy is preferred on all of [0, 1].
-    midpoint_value = slope * 0.5 + intercept
-    preferred = s1 if midpoint_value > 0 else s2
-    threshold = 1.0 if preferred == s1 else 0.0
-    return BayesianSolution(dict(response_j), threshold, preferred, preferred, interior=False)
+    # a: the first type's payoff to each row strategy, b: the second type's
+    a, b = ([row[c][0] for row in game.matrices[t]] for t, c in zip(game.types, columns))
+    if len(a) > 1 and len(set(zip(a, b))) == 1:
+        raise NoDependenceOnPrior("every strategy has the same expected payoff for every prior")
+    # pairwise: a - b, rounded line by line, can split lines that tie at 0 or 1
+    def slope(r: int, s: int) -> float:
+        return (a[r] - a[s]) - (b[r] - b[s])
+
+    # From p = -inf: the flattest line (the highest, then the first, of those), then each
+    # time the line that overtakes it first. One that does so where it began (lines that
+    # meet at one point, or a crossing rounded to before that) takes its place.
+    line = min(range(len(a)), key=cmp_to_key(lambda r, s: slope(r, s) or b[s] - b[r]))
+    lines, crossings = [line], [float("-inf")]  # lines[i] is best from crossings[i]
+    while True:
+        ahead = {s: max(-(b[line] - b[s]) / slope(line, s) + 0.0, crossings[-1])  # 0.0, never -0.0
+                 for s in range(len(a)) if slope(line, s) < 0}
+        if not ahead:
+            break
+        line = min(ahead, key=ahead.get)
+        kept = len(lines) - (ahead[line] == crossings[-1])
+        lines[kept:], crossings[kept:] = [line], [ahead[line]]
+    first, last = sum(p < 0 for p in crossings), sum(p <= 1 for p in crossings)
+    return crossings[first:last], [game.strategies_i[r] for r in lines[first - 1 : last]]
+
+
+def indifference_threshold(
+    game: ConditionalGame, response_j: Mapping[str, str], envelope: Optional[tuple] = None
+) -> BayesianSolution:
+    """The first breakpoint of ``best_response_envelope`` (for two strategies,
+    the weight of indifference) and the strategies best below it and above the
+    last. With no breakpoint it is clamped, to 1 when the one best strategy is
+    the first of ``strategies_i``, else 0, and flagged non-interior. ``envelope``
+    is that function's result for these arguments, when the caller has it."""
+    breakpoints, best = envelope or best_response_envelope(game, response_j)
+    threshold = breakpoints[0] if breakpoints else float(best[0] == game.strategies_i[0])
+    return BayesianSolution(dict(response_j), threshold, best[-1], best[0], bool(breakpoints))

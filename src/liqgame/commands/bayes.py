@@ -37,7 +37,8 @@ def build_bayes_report(
                     "pass an explicit response map"
                 )
             responses[type_label] = info["strategy"]
-    solution = bayes.indifference_threshold(game, responses)
+    envelope = bayes.best_response_envelope(game, responses)
+    solution = bayes.indifference_threshold(game, responses, envelope)
     payoffs_at_prior = {s: bayes.expected_payoff(game, s, responses) for s in game.strategies_i}
     best_at_prior = max(game.strategies_i, key=lambda s: payoffs_at_prior[s])
     report = {
@@ -50,6 +51,8 @@ def build_bayes_report(
         "best_strategy_at_prior": best_at_prior,
     }
     report.update(solution._asdict())
+    if len(game.strategies_i) > 2:
+        report["breakpoints"], report["best_strategies"] = envelope
     return report
 
 

@@ -1,21 +1,25 @@
 import json
 import math
+from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from liqgame.bayes import (
     ConditionalGame,
     NoDependenceOnPrior,
     UnknownLabel,
+    best_response_envelope,
     dominant_strategy_per_type,
     expected_payoff,
     indifference_threshold,
     load_bundled_game,
     load_game_document,
 )
+from liqgame.commands.bayes import build_bayes_report
 from liqgame.documents import fixture_path
+from reference_bayes import two_strategy_threshold
 
 THRESHOLD = 5 / 9
 
@@ -33,6 +37,21 @@ def conditional(matrix_a, matrix_b, prior=(0.5, 0.5)) -> ConditionalGame:
         matrices={"a": matrix_a, "b": matrix_b},
         prior=prior,
     )
+
+
+def row_lines(lines, prior=(0.5, 0.5)) -> ConditionalGame:
+    """A two-type game whose row strategy s<k> earns lines[k] = (a, b), its
+    payoffs in types a and b, against the one counterparty strategy "y"."""
+    return ConditionalGame(
+        types=("a", "b"),
+        strategies_i=tuple(f"s{k}" for k in range(len(lines))),
+        strategies_j=("y",),
+        matrices={t: tuple(((line[i], 0),) for line in lines) for i, t in enumerate("ab")},
+        prior=prior,
+    )
+
+
+ONE_COLUMN = {"a": "y", "b": "y"}
 
 
 class TestBundledGame:
@@ -204,11 +223,29 @@ class TestThreshold:
         with pytest.raises(NoDependenceOnPrior):
             indifference_threshold(game, {"a": "high", "b": "high"})
 
-    def test_needs_two_row_strategies(self, bundled):
-        matrices = {t: tuple(grid) + (grid[0],) for t, grid in bundled.matrices.items()}
-        game = bundled._replace(strategies_i=("high", "low", "mid"), matrices=matrices)
-        with pytest.raises(ValueError, match="^threshold analysis needs exactly two row strategies$"):
-            indifference_threshold(game, {"a": "high", "b": "high"})
+    def test_three_strategies_two_breakpoints(self, bundled):
+        # against "high": E[high] = 10p, E[mid] = 5p + 3, E[low] = p + 5, so low
+        # gives way to mid at 1/2 and mid to high at 3/5; high and low meet at 5/9 below mid
+        mid = {"a": ((8, 8), (0, 0)), "b": ((3, 3), (0, 0))}
+        matrices = {t: (grid[0], mid[t], grid[1]) for t, grid in bundled.matrices.items()}
+        game = bundled._replace(strategies_i=("high", "mid", "low"), matrices=matrices)
+        responses = {"a": "high", "b": "high"}
+        assert best_response_envelope(game, responses) == ([0.5, 0.6], ["low", "mid", "high"])
+        solution = indifference_threshold(game, responses)
+        assert solution == (responses, 0.5, "high", "low", True)
+
+    def test_one_strategy_is_best_throughout(self, bundled):
+        matrices = {t: grid[:1] for t, grid in bundled.matrices.items()}
+        game = bundled._replace(strategies_i=("high",), matrices=matrices)
+        responses = {"a": "high", "b": "high"}
+        assert best_response_envelope(game, responses) == ([], ["high"])
+        solution = indifference_threshold(game, responses)
+        assert solution == (responses, 1.0, "high", "high", False)
+
+    def test_a_strategy_best_at_one_point_only_is_not_named(self):
+        # 2 - 2p, 1 and 2p meet at 1/2, where the middle line alone touches the top
+        game = row_lines([(0, 2), (1, 1), (2, 0)])
+        assert best_response_envelope(game, ONE_COLUMN) == ([0.5], ["s0", "s2"])
 
     def test_needs_two_types(self, bundled):
         game = bundled._replace(
@@ -225,6 +262,124 @@ class TestThreshold:
         assert solution.threshold_p == 0.0
         assert math.copysign(1.0, solution.threshold_p) == 1.0  # reported as 0.0, not -0.0
         assert solution.strategy_above == "high"
+
+
+def outcome(threshold, game, responses):
+    try:
+        return repr(threshold(game, responses))
+    except NoDependenceOnPrior:
+        return "NoDependenceOnPrior"
+
+
+def exact_argmax(lines, p):
+    """The index of the first line highest at p, in exact arithmetic."""
+    values = [p * a + (1 - p) * b for a, b in lines]
+    return values.index(max(values))
+
+
+class TestEnvelope:
+    @given(
+        st.one_of(
+            st.lists(st.tuples(payoff, payoff), min_size=2, max_size=2)
+            for payoff in (
+                st.integers(-9, 9),
+                st.floats(-10, 10),
+                st.integers(-20, 20).map(lambda n: n / 10),
+            )
+        )
+    )
+    # parallel lines that a per-line slope a - b, rounded, would call crossing
+    @example([(0.1, -0.7), (1.6, 0.8)])
+    @example([(5.9, 6.0), (1.7, 1.8)])
+    def test_two_strategies_match_the_closed_form(self, lines):
+        game = row_lines(lines)
+        assert outcome(indifference_threshold, game, ONE_COLUMN) == outcome(
+            two_strategy_threshold, game, ONE_COLUMN
+        )
+
+    @given(st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), min_size=1, max_size=5))
+    # three lines that meet at 1/3: the middle one, met first, gives way where it began
+    @example([(0, 0), (2, -1), (4, -2)])
+    def test_names_the_exact_argmax_on_every_interval(self, lines):
+        game = row_lines(lines)
+        if len(lines) > 1 and len(set(lines)) == 1:
+            with pytest.raises(NoDependenceOnPrior):
+                best_response_envelope(game, ONE_COLUMN)
+            return
+        breakpoints, best = best_response_envelope(game, ONE_COLUMN)
+        assert len(best) == len(breakpoints) + 1
+        assert breakpoints == sorted(set(breakpoints))
+        assert all(0 <= p <= 1 for p in breakpoints)
+        index = [game.strategies_i.index(name) for name in best]
+        # two lines of payoffs in -6..6 that cross do so at a multiple of 1/k, k <= 24,
+        # so past 0 and 1 the first and last strategies stay best for at least 1/64
+        edges = [Fraction(-1, 64), *map(Fraction, breakpoints), Fraction(65, 64)]
+        for r, lo, hi in zip(index, edges, edges[1:]):
+            assert exact_argmax(lines, (lo + hi) / 2) == r
+        # neighbours meet on top of every other line, where the breakpoint says
+        for (r, s), p in zip(zip(index, index[1:]), breakpoints):
+            (a_r, b_r), (a_s, b_s) = lines[r], lines[s]
+            at = Fraction(b_s - b_r, (a_r - a_s) - (b_r - b_s))
+            assert float(at) == p
+            assert at * a_r + (1 - at) * b_r == max(at * a + (1 - at) * b for a, b in lines)
+
+    @given(
+        st.one_of(
+            *(
+                st.lists(st.tuples(payoff, payoff), min_size=2, max_size=5)
+                for payoff in (st.integers(-20, 20).map(lambda n: n / 10), st.floats(-10, 10))
+            ),
+            # lines n*(x, y)/10 all meet where they earn 0; their rounded crossings may not
+            st.tuples(st.integers(-9, 9), st.integers(-9, 9)).flatmap(
+                lambda xy: st.lists(
+                    st.integers(-6, 6).map(lambda n: (n * xy[0] / 10, n * xy[1] / 10)),
+                    min_size=2,
+                    max_size=5,
+                )
+            ),
+        )
+    )
+    # three lines that meet at 1/3, where rounding puts the middle one's crossings with
+    # the other two at the same float: the steepest is best past 1/3 and must be named
+    @example([(0, 0), (0.2, -0.1), (0.6, -0.3)])
+    # the same at 2/5, but the middle line's crossing with the steepest rounds to before
+    # the point where it overtook the flattest
+    @example([(-5.4, 3.6), (-1.8, 1.2), (0.0, 0.0)])
+    def test_float_payoffs_name_a_best_strategy_on_every_interval(self, lines):
+        game = row_lines(lines)
+        try:
+            breakpoints, best = best_response_envelope(game, ONE_COLUMN)
+        except NoDependenceOnPrior:
+            assert len(set(lines)) == 1
+            return
+        assert len(best) == len(breakpoints) + 1
+        assert breakpoints == sorted(set(breakpoints))
+        assert all(0 <= p <= 1 for p in breakpoints)
+        # a rounded breakpoint may sit a few ulps off, so each named line need only come
+        # within 1e-12 of the exact best at both ends of its interval, and so all along it
+        exact = [tuple(map(Fraction, line)) for line in lines]
+        edges = [Fraction(0), *map(Fraction, breakpoints), Fraction(1)]
+        for name, lo, hi in zip(best, edges, edges[1:]):
+            a, b = exact[game.strategies_i.index(name)]
+            for p in (lo, hi):
+                top = max(p * a_s + (1 - p) * b_s for a_s, b_s in exact)
+                assert p * a + (1 - p) * b >= top - Fraction(1, 10**12)
+
+    @given(
+        lines=st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), min_size=2, max_size=5),
+        step=st.integers(0, 48),
+    )
+    def test_best_strategy_at_prior_agrees_off_the_breakpoints(self, lines, step):
+        # priors on a 1/48 grid sit at least 1/1152 from any crossing they miss
+        p = step / 48
+        game = row_lines(lines, prior=(p, 1 - p))
+        try:
+            breakpoints, best = best_response_envelope(game, ONE_COLUMN)
+        except NoDependenceOnPrior:
+            return
+        if p not in breakpoints:
+            report = build_bayes_report(game, ONE_COLUMN)
+            assert report["best_strategy_at_prior"] == best[sum(x < p for x in breakpoints)]
 
 
 class TestValidation:

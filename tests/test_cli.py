@@ -37,6 +37,15 @@ BAYES_PAIR_DOCUMENT = {
     "strategies_i": ["high", "low"],
     "strategies_j": ["high", "low"],
 }
+# the bundled game with a row strategy between its two, earning 8 and 3 against "high"
+BAYES_THREE_DOCUMENT = {
+    **BAYES_PAIR_DOCUMENT,
+    "strategies_i": ["high", "mid", "low"],
+    "matrices": {
+        "a": [[[10, 10], [0, 0]], [[8, 8], [0, 0]], [[6, 6], [5, 5]]],
+        "b": [[[0, 0], [0, 0]], [[3, 3], [0, 0]], [[5, 4], [0, 0]]],
+    },
+}
 MARKET_DOCUMENT = {
     "types": ["L"],
     "strategies": ["x"],
@@ -211,6 +220,23 @@ class TestBayesCommand:
         }
         assert abs(report["threshold_p"] - 5 / 9) < 1e-12
         assert report["strategy_above"] == "high"
+
+    @pytest.mark.parametrize(
+        "document, envelope",
+        [
+            (BAYES_THREE_DOCUMENT, {"breakpoints": [0.5, 0.6], "best_strategies": ["low", "mid", "high"]}),
+            (BAYES_PAIR_DOCUMENT, {}),
+        ],
+        ids=["three-strategies", "two-strategies"],
+    )
+    def test_envelope_keys_only_past_two_strategies(self, capsys, tmp_path, document, envelope):
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(document))
+        code, out, _ = run_cli(capsys, *BAYES, str(path))
+        assert code == 0
+        report = json.loads(out)
+        assert {key: report[key] for key in ("breakpoints", "best_strategies") if key in report} == envelope
+        assert report["threshold_p"] == (0.5 if envelope else 5 / 9)
 
     def test_degenerate_prior_best_response(self, capsys):
         code, out, _ = run_cli(capsys, "bayes", "--prior", "1,0")

@@ -287,6 +287,7 @@ def test_public_name_list_is_pinned():
         "TransferProblem",
         "analytic_hit_ratio",
         "best_quadrant",
+        "best_response_envelope",
         "brute_force_oracle",
         "build_instance",
         "build_payoff_matrix",
