@@ -153,7 +153,8 @@ def best_response_envelope(
     breakpoints in the closed [0, 1], ascending, and the strategy best on each
     side of each, the one beyond a breakpoint at 0 or 1 included. Of lines tied
     on an interval the first in ``strategies_i`` is named; a line best at one
-    point only is not. NoDependenceOnPrior when two or more lines all coincide.
+    point only is not. NoDependenceOnPrior when two or more lines all coincide;
+    ValueError when payoffs lie so far apart that a slope overflows a float.
     """
     if len(game.types) != 2:
         raise ValueError("threshold analysis needs exactly two types")
@@ -162,6 +163,9 @@ def best_response_envelope(
     a, b = ([row[c][0] for row in game.matrices[t]] for t, c in zip(game.types, columns))
     if len(a) > 1 and len(set(zip(a, b))) == 1:
         raise NoDependenceOnPrior("every strategy has the same expected payoff for every prior")
+    # every slope below is at most this spread, so none is inf and no crossing nan
+    if (max(a) - min(a)) + (max(b) - min(b)) == float("inf"):
+        raise ValueError("payoff differences overflow a float")
     # pairwise: a - b, rounded line by line, can split lines that tie at 0 or 1
     def slope(r: int, s: int) -> float:
         return (a[r] - a[s]) - (b[r] - b[s])
@@ -183,14 +187,11 @@ def best_response_envelope(
     return crossings[first:last], [game.strategies_i[r] for r in lines[first - 1 : last]]
 
 
-def indifference_threshold(
-    game: ConditionalGame, response_j: Mapping[str, str], envelope: Optional[tuple] = None
-) -> BayesianSolution:
+def indifference_threshold(game: ConditionalGame, response_j: Mapping[str, str]) -> BayesianSolution:
     """The first breakpoint of ``best_response_envelope`` (for two strategies,
     the weight of indifference) and the strategies best below it and above the
     last. With no breakpoint it is clamped, to 1 when the one best strategy is
-    the first of ``strategies_i``, else 0, and flagged non-interior. ``envelope``
-    is that function's result for these arguments, when the caller has it."""
-    breakpoints, best = envelope or best_response_envelope(game, response_j)
+    the first of ``strategies_i``, else 0, and flagged non-interior."""
+    breakpoints, best = best_response_envelope(game, response_j)
     threshold = breakpoints[0] if breakpoints else float(best[0] == game.strategies_i[0])
     return BayesianSolution(dict(response_j), threshold, best[-1], best[0], bool(breakpoints))

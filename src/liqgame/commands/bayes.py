@@ -37,8 +37,7 @@ def build_bayes_report(
                     "pass an explicit response map"
                 )
             responses[type_label] = info["strategy"]
-    envelope = bayes.best_response_envelope(game, responses)
-    solution = bayes.indifference_threshold(game, responses, envelope)
+    solution = bayes.indifference_threshold(game, responses)
     payoffs_at_prior = {s: bayes.expected_payoff(game, s, responses) for s in game.strategies_i}
     best_at_prior = max(game.strategies_i, key=lambda s: payoffs_at_prior[s])
     report = {
@@ -52,7 +51,7 @@ def build_bayes_report(
     }
     report.update(solution._asdict())
     if len(game.strategies_i) > 2:
-        report["breakpoints"], report["best_strategies"] = envelope
+        report["breakpoints"], report["best_strategies"] = bayes.best_response_envelope(game, responses)
     return report
 
 

@@ -73,8 +73,13 @@ LOW_STRATEGY = StrategySpec("fixed_fraction", 0.3)
 
 
 def _deterministic_parcel(strategy: StrategySpec) -> Callable[[int], int]:
-    """The parcel as a function of the absolute balance; a fixed fraction's
-    p/q is parsed here, once."""
+    """The parcel as a function of the absolute balance, parsed here once;
+    IntractableStrategy for random kinds, which sample elsewhere.
+
+    fixed_fraction rounds fraction * balance half up, at least 1, in exact
+    integer arithmetic: max(1, (2 p b + q) // 2q), where p/q is the decimal
+    the fraction is written as (0.7 is 7/10, not the nearest binary float).
+    """
     if strategy.kind == "full_balance":
         return lambda balance: balance
     if strategy.kind == "fixed_fraction":
@@ -83,17 +88,6 @@ def _deterministic_parcel(strategy: StrategySpec) -> Callable[[int], int]:
         twice_p, twice_q = 2 * p, 2 * q
         return lambda balance: (twice_p * balance + q) // twice_q or 1
     raise IntractableStrategy(f"{strategy.kind} has no deterministic parcel")
-
-
-def parcel_size(strategy: StrategySpec, balance_abs: int) -> int:
-    """Deterministic parcel for an absolute balance; random kinds sample
-    elsewhere.
-
-    fixed_fraction rounds fraction * balance half up, at least 1, in exact
-    integer arithmetic: max(1, (2 p b + q) // 2q), where p/q is the decimal
-    the fraction is written as (0.7 is 7/10, not the nearest binary float).
-    """
-    return _deterministic_parcel(strategy)(balance_abs)
 
 
 def _check_ranges(range_i, range_j) -> None:

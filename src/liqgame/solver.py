@@ -115,19 +115,25 @@ def solve_mixed(matrix: PayoffMatrix) -> list[MixedProfile]:
     supports. Singular support systems are skipped. Payoffs other than ints
     (a float, a Fraction, a bool) raise ValueError before anything is built.
     """
-    m, n = matrix.rows, matrix.cols
-    # support pairs, m*n*(m + n) for the pure pairs' outside-action products, and Laplace
-    # plan entries (one per subset of up to min(m, n) actions), each about four ints' bytes
-    plans = sum(math.comb(m, t) + math.comb(n, t) for t in range(1, min(m, n) + 1))
-    check_work(math.comb(m + n, m) - 1 + m * n * (m + n) + 4 * plans, f"solve_mixed of a {m}x{n} game")
+    m, n, k = matrix.rows, matrix.cols, min(matrix.rows, matrix.cols)
+    # In units of about 2 µs or 100 bytes. Two to a unit, each about 1 µs: the support pairs,
+    # the minors of I's stack (C(n, d) per distinct d + 1 prefix of I's supports of size s,
+    # C(m - s + d + 1, d + 1) of them, summed over s) and the m*n*(m + n) outside rows that the
+    # pure pairs' checks read at most. Eight units each: plan entries, at most 800 bytes at peak.
+    minors = sum(
+        math.comb(n, d) * (math.comb(m + 1, d + 2) - math.comb(m - k + d + 1, d + 2)) for d in range(1, k)
+    )
+    plans = sum(math.comb(m, t) + math.comb(n, t) for t in range(1, k + 1))
+    work = (math.comb(m + n, m) - 1 + minors + m * n * (m + n)) // 2 + 8 * plans
+    check_work(work, f"solve_mixed of a {m}x{n} game")
     if not all(map(is_int, itertools.chain(*matrix.u_i, *matrix.u_j))):
         raise ValueError("solve_mixed needs integer payoffs")
     u_j_t = list(zip(*matrix.u_j))
-    plan_i = _laplace_plan(n, min(m, n))
-    plan_j = plan_i if m == n else _laplace_plan(m, min(m, n))
+    plan_i = _laplace_plan(n, k)
+    plan_j = plan_i if m == n else _laplace_plan(m, k)
     profiles: dict[MixedProfile, None] = {}
-    for size in range(1, min(m, n) + 1):
-        supports_i, supports_j = (itertools.combinations(range(k), size) for k in (m, n))
+    for size in range(1, k + 1):
+        supports_i, supports_j = (itertools.combinations(range(side), size) for side in (m, n))
         qs = _support_weights(matrix.u_i, plan_i, itertools.product(supports_i, supports_j))
         # I's weights only where J's passed, sorted by J's support
         ps = _support_weights(u_j_t, plan_j, sorted((s_j, s_i) for s_i, s_j in qs))

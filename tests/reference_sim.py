@@ -6,7 +6,8 @@ distribution; ``analytic_hit_ratio`` must return exactly its value.
 denominator, an exact oracle fast enough for ranges thousands wide.
 ``repeated_play_distribution`` is a Markov chain over (balance_i,
 |balance_j|) states that gives repeated mode's rounds-to-clear distribution,
-which has no closed form.
+which has no closed form. Deterministic parcels come from ``reference_parcel``,
+the rule written out apart from the engine's integer form of it.
 """
 
 from __future__ import annotations
@@ -16,13 +17,21 @@ import math
 import operator
 from fractions import Fraction
 
-from liqgame.sim import StrategySpec, parcel_size
+from liqgame.sim import StrategySpec
+
+
+def reference_parcel(strategy: StrategySpec, balance_abs: int) -> int:
+    """The whole balance, or the written decimal fraction of it rounded half
+    up, at least 1: max(1, floor(f * b + 1/2)) in Fractions."""
+    if strategy.kind == "full_balance":
+        return balance_abs
+    return max(1, math.floor(Fraction(str(strategy.fraction)) * balance_abs + Fraction(1, 2)))
 
 
 def _parcels_given_balance(strategy: StrategySpec, balance_abs: int) -> dict[int, Fraction]:
     if strategy.kind == "uniform_random":
         return {v: Fraction(1, balance_abs) for v in range(1, balance_abs + 1)}
-    return {int(parcel_size(strategy, balance_abs)): Fraction(1)}
+    return {reference_parcel(strategy, balance_abs): Fraction(1)}
 
 
 def _parcel_distribution(strategy: StrategySpec, lo_abs: int, hi_abs: int) -> dict[int, Fraction]:
@@ -66,7 +75,7 @@ def _parcel_weights(strategy: StrategySpec, lo_abs: int, hi_abs: int, top: int) 
             weights[b] = tail
         return weights, width * lcm
     for balance in range(lo_abs, hi_abs + 1):
-        weights[parcel_size(strategy, balance)] += 1
+        weights[reference_parcel(strategy, balance)] += 1
     return weights, width
 
 

@@ -247,6 +247,14 @@ class TestThreshold:
         game = row_lines([(0, 2), (1, 1), (2, 0)])
         assert best_response_envelope(game, ONE_COLUMN) == ([0.5], ["s0", "s2"])
 
+    def test_overflowing_slope_refused(self):
+        # the lines cross at 1/2, but the difference of their slopes overflows to
+        # inf and the crossing to nan, from which no strategy can be named
+        game = row_lines([(1e308, -1e308), (-1e308, 1e308)])
+        for threshold in (best_response_envelope, indifference_threshold):
+            with pytest.raises(ValueError, match="^payoff differences overflow a float$"):
+                threshold(game, ONE_COLUMN)
+
     def test_needs_two_types(self, bundled):
         game = bundled._replace(
             types=("a", "b", "c"),

@@ -268,6 +268,18 @@ class TestBayesCommand:
         assert out == ""
         assert err == f"error: {message}\n"
 
+    def test_overflowing_payoffs_exit_two(self, capsys, tmp_path):
+        document = {
+            **BAYES_PAIR_DOCUMENT,
+            "strategies_i": ["s0", "s1"],
+            "strategies_j": ["y"],
+            "matrices": {"a": [[[1e308, 0]], [[-1e308, 0]]], "b": [[[-1e308, 0]], [[1e308, 0]]]},
+        }
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(document))
+        code, out, err = run_cli(capsys, *BAYES, str(path))
+        assert (code, out, err) == (2, "", "error: ValueError: payoff differences overflow a float\n")
+
     def test_malformed_document_exit_two(self, capsys, tmp_path):
         bad = tmp_path / "game.json"
         bad.write_text("{not json")

@@ -17,15 +17,16 @@ from liqgame.sim import (
     LOW_STRATEGY,
     SimConfig,
     StrategySpec,
+    _deterministic_parcel,
     analytic_hit_ratio,
     iter_trials,
-    parcel_size,
     run_simulation,
 )
 
 from reference_sim import (
     convolution_hit_probability,
     reference_hit_probability,
+    reference_parcel,
     repeated_play_distribution,
 )
 
@@ -80,14 +81,14 @@ class TestStrategySpec:
             StrategySpec.from_jsonable({"kind": "fixed_fraction", "fraction": True})
 
     def test_parcel_rounds_half_up_with_floor_one(self):
-        assert parcel_size(StrategySpec("fixed_fraction", 0.5), 5) == 3
-        assert parcel_size(StrategySpec("fixed_fraction", 0.3), 1) == 1
-        assert parcel_size(StrategySpec("fixed_fraction", 0.1), 4) == 1
-        assert parcel_size(FULL, 9) == 9
+        assert _deterministic_parcel(StrategySpec("fixed_fraction", 0.5))(5) == 3
+        assert _deterministic_parcel(StrategySpec("fixed_fraction", 0.3))(1) == 1
+        assert _deterministic_parcel(StrategySpec("fixed_fraction", 0.1))(4) == 1
+        assert _deterministic_parcel(FULL)(9) == 9
 
     def test_random_strategy_has_no_deterministic_parcel(self):
         with pytest.raises(sim.IntractableStrategy):
-            parcel_size(RANDOM, 5)
+            _deterministic_parcel(RANDOM)
 
     @pytest.mark.parametrize("text", ["0.7", "0.35"])
     def test_parcel_rounds_exactly(self, text):
@@ -95,25 +96,26 @@ class TestStrategySpec:
         strategy = StrategySpec("fixed_fraction", float(text))
         balances = range(1, 10_001)
         exact = [max(1, math.floor(Fraction(text) * b + Fraction(1, 2))) for b in balances]
-        assert [parcel_size(strategy, b) for b in balances] == exact
-        assert parcel_size(StrategySpec("fixed_fraction", 0.7), 45) == 32
+        assert list(map(_deterministic_parcel(strategy), balances)) == exact
+        assert _deterministic_parcel(StrategySpec("fixed_fraction", 0.7))(45) == 32
 
     @pytest.mark.parametrize("strategy", [HIGH_STRATEGY, LOW_STRATEGY])
     def test_default_fractions_round_as_in_float(self, strategy):
         balances = range(1, 200_001)
         in_float = [max(1, math.floor(strategy.fraction * b + 0.5)) for b in balances]
-        assert [parcel_size(strategy, b) for b in balances] == in_float
+        assert list(map(_deterministic_parcel(strategy), balances)) == in_float
 
     def test_huge_balance_parcels_exactly(self):
         seven_tenths = StrategySpec("fixed_fraction", 0.7)
-        assert parcel_size(seven_tenths, 10**30) == 7 * 10**29
-        assert parcel_size(seven_tenths, 10**30 + 5) == 7 * 10**29 + 4  # 3.5 rounds up
+        parcel = _deterministic_parcel(seven_tenths)
+        assert parcel(10**30) == 7 * 10**29
+        assert parcel(10**30 + 5) == 7 * 10**29 + 4  # 3.5 rounds up
         one_shot = fixed_pair_config(10**30 + 5, -(10**30 + 5), strategy_i=seven_tenths)
         assert run_simulation(one_shot).total_volume == 7 * 10**29 + 4
         # repeated: each round moves 0.7 of what is left, until it is gone
         held, rounds = 10**30, 0
         while held:
-            held, rounds = held - parcel_size(seven_tenths, held), rounds + 1
+            held, rounds = held - parcel(held), rounds + 1
         report = run_simulation(
             fixed_pair_config(10**30, -(10**30), strategy_i=seven_tenths, mode="repeated")
         )
@@ -189,8 +191,8 @@ class TestRepeated:
             held, needed = record.balance_i, -record.balance_j
             volume = trades = rounds = 0
             while rounds < 30 and held > 0 and needed > 0:
-                offer = parcel_size(strategy_i, held)
-                moved = offer if offer <= parcel_size(strategy_j, needed) else 0
+                offer = reference_parcel(strategy_i, held)
+                moved = offer if offer <= reference_parcel(strategy_j, needed) else 0
                 held, needed = held - moved, needed - moved
                 volume, trades, rounds = volume + moved, trades + (moved > 0), rounds + 1
             cleared = held == 0 or needed == 0
@@ -292,7 +294,7 @@ class TestAnalyticHitRatio:
         hits = 0
         for b_i in (1, 2, 3):
             for b_j in (1, 2, 3):
-                if parcel_size(strategy, b_i) <= parcel_size(strategy, b_j):
+                if reference_parcel(strategy, b_i) <= reference_parcel(strategy, b_j):
                     hits += 1
         expected = Fraction(hits, 9)
         got = analytic_hit_ratio((1, 3), (-3, -1), strategy, strategy)
@@ -374,7 +376,7 @@ class TestAnalyticHitRatio:
         def parcels(strategy, balance):  # the uniform law's bounds, or one parcel
             if strategy == RANDOM:
                 return 1, balance
-            return (parcel_size(strategy, balance),) * 2
+            return (reference_parcel(strategy, balance),) * 2
 
         for lo_i, lo_j in [(10**12, 10**12), (10**12, 1), (1, 10**12)]:
             total = Fraction(0)

@@ -48,6 +48,13 @@ def profile(probs_i, probs_j) -> MixedProfile:
     )
 
 
+# the first shape solve_mixed refuses for each shorter side 1..7, in both
+# orientations, and the first square
+FIRST_REFUSED = [
+    (1, 2888), (2888, 1), (2, 894), (854, 2), (3, 144), (136, 3), (4, 59), (56, 4),
+    (5, 37), (35, 5), (6, 28), (26, 6), (7, 23), (21, 7), (13, 13),
+]
+
 GOLDEN_2X2_MIXED = profile([0, 1], [F(1, 2), F(1, 2)])
 GOLDEN_3X3_MIXED = profile([0, 0, 1], [F(1, 3), F(1, 6), F(1, 2)])
 
@@ -119,13 +126,10 @@ class TestSolveMixed:
             )
             assert degenerate in profiles
 
-    @pytest.mark.parametrize(
-        "m,n", [(13, 13), (1, 2046), (2046, 1), (2, 965), (965, 2), (3, 170), (170, 3)]
-    )
+    @pytest.mark.parametrize("m,n", FIRST_REFUSED)
     def test_work_limit_refuses_before_the_plan_is_built(self, monkeypatch, m, n):
-        # C(m + n, m) - 1 support pairs, m*n*(m + n) difference entries and
-        # four per plan entry: 13x13 for its pairs, each thin shape one past
-        # the largest admitted for its tables and plans
+        # pairs, minors and the pure pairs' outside rows, two to a unit, and eight
+        # units per plan entry: the first shape refused for each shorter side
         def plan(*args):
             raise AssertionError("_laplace_plan called")
 
@@ -133,6 +137,17 @@ class TestSolveMixed:
         with pytest.raises(DimensionCapExceeded) as caught:
             solve_mixed(game_matrix(m, -n))
         assert str(caught.value) == f"solve_mixed of a {m}x{n} game exceeds the work limit of 4194304"
+
+    @pytest.mark.parametrize("m,n", FIRST_REFUSED)
+    def test_one_step_smaller_gets_past_the_work_limit(self, monkeypatch, m, n):
+        # the longer side one shorter, or 12x12 for the square
+        def plan(*args):
+            raise AssertionError("_laplace_plan called")
+
+        monkeypatch.setattr(solver, "_laplace_plan", plan)
+        m, n = (m - 1, n - 1) if m == n else (m - (m > n), n - (n > m))
+        with pytest.raises(AssertionError, match="^_laplace_plan called$"):
+            solve_mixed(game_matrix(m, -n))
 
     @pytest.mark.parametrize(
         "build",
