@@ -9,7 +9,6 @@ strategy at each prior weight, which switches at the weights of indifference.
 from __future__ import annotations
 
 import json
-from functools import cmp_to_key
 from pathlib import Path
 from typing import Mapping, NamedTuple, Optional
 
@@ -19,6 +18,7 @@ from .documents import (
     check_labels,
     check_prior,
     check_tables,
+    finite_number,
     fixture_path,
     parse_labels,
     parse_prior,
@@ -56,6 +56,8 @@ class ConditionalGame(Checked, _ConditionalGame):
     def _check(self) -> "ConditionalGame":
         check_labels(self.types, self.strategies_i, self.strategies_j)
         check_tables(self.matrices, self.types, self.strategies_i, self.strategies_j, "type")
+        for payoff in (x for grid in self.matrices.values() for row in grid for cell in row for x in cell):
+            finite_number(payoff, "payoff")
         check_prior(self.prior, self.types)
         return self
 
@@ -130,18 +132,23 @@ def check_responses(game: ConditionalGame, response_j: Mapping[str, str]) -> lis
     return [game.strategies_j.index(response_j[t]) for t in game.types]
 
 
-def expected_payoff(
-    game: ConditionalGame, strategy_i: str, response_j: Mapping[str, str]
-) -> float:
-    """Prior-weighted initiator payoff against a per-type response map."""
+def expected_payoffs(game: ConditionalGame, response_j: Mapping[str, str]) -> dict:
+    """Each row strategy's prior-weighted payoff against a per-type response map, exactly:
+    each payoff and prior weight is the Fraction of the decimal its ``str`` writes (0.35 is 7/20)."""
+    from fractions import Fraction  # here, so that a market process loads neither it nor decimal
     columns = check_responses(game, response_j)
-    if strategy_i not in game.strategies_i:
+    weights = [Fraction(str(w)) for w in game.prior]
+    return {s: sum(w * Fraction(str(game.matrices[t][r][c][0]))
+                   for w, t, c in zip(weights, game.types, columns))
+            for r, s in enumerate(game.strategies_i)}
+
+
+def expected_payoff(game: ConditionalGame, strategy_i: str, response_j: Mapping[str, str]) -> float:
+    """A row strategy's ``expected_payoffs`` entry, rounded to a float."""
+    payoffs = expected_payoffs(game, response_j)
+    if strategy_i not in payoffs:
         raise UnknownLabel(f"unknown row strategy {strategy_i!r}")
-    r = game.strategies_i.index(strategy_i)
-    total = 0.0
-    for t, weight, c in zip(game.types, game.prior, columns):
-        total += weight * game.matrices[t][r][c][0]
-    return total
+    return float(payoffs[strategy_i])
 
 
 def best_response_envelope(
@@ -153,38 +160,32 @@ def best_response_envelope(
     breakpoints in the closed [0, 1], ascending, and the strategy best on each
     side of each, the one beyond a breakpoint at 0 or 1 included. Of lines tied
     on an interval the first in ``strategies_i`` is named; a line best at one
-    point only is not. NoDependenceOnPrior when two or more lines all coincide;
-    ValueError when payoffs lie so far apart that a slope overflows a float.
+    point only is not. NoDependenceOnPrior when two or more lines all coincide.
+    The payoffs are read exactly, as in ``expected_payoffs``; each breakpoint is
+    rounded once, on return, and crossings that round to one float are one breakpoint.
     """
+    from fractions import Fraction  # as in expected_payoffs
     if len(game.types) != 2:
         raise ValueError("threshold analysis needs exactly two types")
-    columns = check_responses(game, response_j)
-    # a: the first type's payoff to each row strategy, b: the second type's
-    a, b = ([row[c][0] for row in game.matrices[t]] for t, c in zip(game.types, columns))
+    a, b = ([Fraction(str(row[c][0])) for row in game.matrices[t]]
+            for t, c in zip(game.types, check_responses(game, response_j)))
     if len(a) > 1 and len(set(zip(a, b))) == 1:
         raise NoDependenceOnPrior("every strategy has the same expected payoff for every prior")
-    # every slope below is at most this spread, so none is inf and no crossing nan
-    if (max(a) - min(a)) + (max(b) - min(b)) == float("inf"):
-        raise ValueError("payoff differences overflow a float")
-    # pairwise: a - b, rounded line by line, can split lines that tie at 0 or 1
-    def slope(r: int, s: int) -> float:
-        return (a[r] - a[s]) - (b[r] - b[s])
-
+    slope = [x - y for x, y in zip(a, b)]
     # From p = -inf: the flattest line (the highest, then the first, of those), then each
     # time the line that overtakes it first. One that does so where it began (lines that
-    # meet at one point, or a crossing rounded to before that) takes its place.
-    line = min(range(len(a)), key=cmp_to_key(lambda r, s: slope(r, s) or b[s] - b[r]))
+    # meet at one point) takes its place.
+    line = min(range(len(a)), key=lambda r: (slope[r], -b[r]))
     lines, crossings = [line], [float("-inf")]  # lines[i] is best from crossings[i]
-    while True:
-        ahead = {s: max(-(b[line] - b[s]) / slope(line, s) + 0.0, crossings[-1])  # 0.0, never -0.0
-                 for s in range(len(a)) if slope(line, s) < 0}
-        if not ahead:
-            break
+    while ahead := {s: (b[line] - b[s]) / (slope[s] - slope[line])
+                    for s in range(len(a)) if slope[s] > slope[line]}:
         line = min(ahead, key=ahead.get)
         kept = len(lines) - (ahead[line] == crossings[-1])
         lines[kept:], crossings[kept:] = [line], [ahead[line]]
     first, last = sum(p < 0 for p in crossings), sum(p <= 1 for p in crossings)
-    return crossings[first:last], [game.strategies_i[r] for r in lines[first - 1 : last]]
+    # each rounded once, in order; of crossings that round to one float, the last line is named
+    after = {float(p): r for p, r in zip(crossings[first:last], lines[first:last])}
+    return list(after), [game.strategies_i[r] for r in (lines[first - 1], *after.values())]
 
 
 def indifference_threshold(game: ConditionalGame, response_j: Mapping[str, str]) -> BayesianSolution:

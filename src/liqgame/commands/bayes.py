@@ -38,16 +38,15 @@ def build_bayes_report(
                 )
             responses[type_label] = info["strategy"]
     solution = bayes.indifference_threshold(game, responses)
-    payoffs_at_prior = {s: bayes.expected_payoff(game, s, responses) for s in game.strategies_i}
-    best_at_prior = max(game.strategies_i, key=lambda s: payoffs_at_prior[s])
+    payoffs = bayes.expected_payoffs(game, responses)  # exact, so a tie names the first strategy
     report = {
         "types": list(game.types),
         "prior": list(game.prior),
         "strategies_i": list(game.strategies_i),
         "strategies_j": list(game.strategies_j),
         "dominant_strategies": dominant,
-        "expected_payoffs_at_prior": payoffs_at_prior,
-        "best_strategy_at_prior": best_at_prior,
+        "expected_payoffs_at_prior": {s: float(v) for s, v in payoffs.items()},
+        "best_strategy_at_prior": max(payoffs, key=payoffs.get),
     }
     report.update(solution._asdict())
     if len(game.strategies_i) > 2:

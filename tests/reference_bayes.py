@@ -1,12 +1,14 @@
 """The two-strategy form of ``liqgame.bayes.indifference_threshold``, kept only
 as a test oracle: a closed-form root of the one payoff difference, with its
-clamp when the root falls outside [0, 1]. For two row strategies the
-best-response envelope must give a solution of equal ``repr``, and raise
-``NoDependenceOnPrior`` for the same games.
+clamp when the root falls outside [0, 1], in exact rationals, each payoff
+read as the decimal its ``str`` writes and the root rounded to a float once.
+For two row strategies the best-response envelope must give a solution of
+equal ``repr``, and raise ``NoDependenceOnPrior`` for the same games.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Mapping
 
 from liqgame.bayes import (
@@ -32,7 +34,7 @@ def two_strategy_threshold(
     s1, s2 = game.strategies_i
     columns = check_responses(game, response_j)
     # a: the first type's payoffs to s1 and s2, b: the second type's
-    (a1, a2), (b1, b2) = ([row[c][0] for row in game.matrices[t]]
+    (a1, a2), (b1, b2) = ([Fraction(str(row[c][0])) for row in game.matrices[t]]
                           for t, c in zip(game.types, columns))
     # payoff difference f(p) = p*(a1-a2) + (1-p)*(b1-b2), positive favours s1
     slope = (a1 - a2) - (b1 - b2)
@@ -42,12 +44,12 @@ def two_strategy_threshold(
             "both strategies have identical expected payoff for every prior"
         )
     if slope != 0:
-        root = -intercept / slope + 0.0  # a zero root is 0.0, not -0.0
-        if 0.0 <= root <= 1.0:
+        root = -intercept / slope
+        if 0 <= root <= 1:
             above, below = (s1, s2) if slope > 0 else (s2, s1)
-            return BayesianSolution(dict(response_j), root, above, below, interior=True)
+            return BayesianSolution(dict(response_j), float(root), above, below, interior=True)
     # No interior crossing: one strategy is preferred on all of [0, 1].
-    midpoint_value = slope * 0.5 + intercept
+    midpoint_value = slope / 2 + intercept
     preferred = s1 if midpoint_value > 0 else s2
     threshold = 1.0 if preferred == s1 else 0.0
     return BayesianSolution(dict(response_j), threshold, preferred, preferred, interior=False)

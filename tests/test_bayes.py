@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -247,13 +248,12 @@ class TestThreshold:
         game = row_lines([(0, 2), (1, 1), (2, 0)])
         assert best_response_envelope(game, ONE_COLUMN) == ([0.5], ["s0", "s2"])
 
-    def test_overflowing_slope_refused(self):
-        # the lines cross at 1/2, but the difference of their slopes overflows to
-        # inf and the crossing to nan, from which no strategy can be named
+    def test_overflowing_slopes_cross_exactly(self):
+        # the lines cross at 1/2; their slopes, 2e308 and -2e308, overflow a float but
+        # not a Fraction, so the crossing is exact and each side names its strategy
         game = row_lines([(1e308, -1e308), (-1e308, 1e308)])
-        for threshold in (best_response_envelope, indifference_threshold):
-            with pytest.raises(ValueError, match="^payoff differences overflow a float$"):
-                threshold(game, ONE_COLUMN)
+        assert best_response_envelope(game, ONE_COLUMN) == ([0.5], ["s1", "s0"])
+        assert indifference_threshold(game, ONE_COLUMN) == (ONE_COLUMN, 0.5, "s0", "s1", True)
 
     def test_needs_two_types(self, bundled):
         game = bundled._replace(
@@ -334,10 +334,14 @@ class TestEnvelope:
     @given(
         st.one_of(
             *(
-                st.lists(st.tuples(payoff, payoff), min_size=2, max_size=5)
-                for payoff in (st.integers(-20, 20).map(lambda n: n / 10), st.floats(-10, 10))
+                st.lists(st.tuples(payoff, payoff), min_size=1, max_size=5)
+                for payoff in (
+                    st.integers(-9, 9),
+                    st.integers(-20, 20).map(lambda n: n / 10),
+                    st.floats(-10, 10),
+                )
             ),
-            # lines n*(x, y)/10 all meet where they earn 0; their rounded crossings may not
+            # lines n*(x, y)/10 all meet where they earn 0
             st.tuples(st.integers(-9, 9), st.integers(-9, 9)).flatmap(
                 lambda xy: st.lists(
                     st.integers(-6, 6).map(lambda n: (n * xy[0] / 10, n * xy[1] / 10)),
@@ -345,33 +349,57 @@ class TestEnvelope:
                     max_size=5,
                 )
             ),
-        )
+        ),
+        st.floats(0, 1),
     )
-    # three lines that meet at 1/3, where rounding puts the middle one's crossings with
-    # the other two at the same float: the steepest is best past 1/3 and must be named
-    @example([(0, 0), (0.2, -0.1), (0.6, -0.3)])
-    # the same at 2/5, but the middle line's crossing with the steepest rounds to before
-    # the point where it overtook the flattest
-    @example([(-5.4, 3.6), (-1.8, 1.2), (0.0, 0.0)])
-    def test_float_payoffs_name_a_best_strategy_on_every_interval(self, lines):
-        game = row_lines(lines)
+    # a tie at the prior that float sums split, and payoffs 1 and 1 + 1e-16 that one
+    # float holds; slopes that overflow a float
+    @example([(0.3, 0), (0.1, 0.2)], 0.5)
+    @example([(1, 1), (1.0000000000000002, 1)], 0.5)
+    @example([(1e308, -1e308), (-1e308, 1e308)], 0.35)
+    # three lines that meet at 1/3, and three that meet at 2/5, whose float crossings
+    # with the middle line rounded together, or to before the point where it began
+    @example([(0, 0), (0.2, -0.1), (0.6, -0.3)], 0.5)
+    @example([(-5.4, 3.6), (-1.8, 1.2), (0.0, 0.0)], 0.4)
+    # crossings 1/(1 + 1.6e-301) and 1, exactly apart but one float: one breakpoint 1.0
+    @example([(0.0, 0.0), (1.5966996607758508e-301, -1.0), (1.5966996607758508e-301, -2.0)],
+             0.5)
+    def test_exact_in_the_decimals_the_payoffs_print(self, lines, p):
+        game = row_lines(lines, prior=(p, 1 - p))
+        exact = [tuple(Fraction(str(x)) for x in line) for line in lines]
         try:
             breakpoints, best = best_response_envelope(game, ONE_COLUMN)
         except NoDependenceOnPrior:
-            assert len(set(lines)) == 1
+            assert len(lines) > 1 and len(set(exact)) == 1
             return
-        assert len(best) == len(breakpoints) + 1
-        assert breakpoints == sorted(set(breakpoints))
-        assert all(0 <= p <= 1 for p in breakpoints)
-        # a rounded breakpoint may sit a few ulps off, so each named line need only come
-        # within 1e-12 of the exact best at both ends of its interval, and so all along it
-        exact = [tuple(map(Fraction, line)) for line in lines]
-        edges = [Fraction(0), *map(Fraction, breakpoints), Fraction(1)]
-        for name, lo, hi in zip(best, edges, edges[1:]):
-            a, b = exact[game.strategies_i.index(name)]
-            for p in (lo, hi):
-                top = max(p * a_s + (1 - p) * b_s for a_s, b_s in exact)
-                assert p * a + (1 - p) * b >= top - Fraction(1, 10**12)
+        # the payoffs at the prior, each rounded once, and the first of those exactly best
+        weights = Fraction(str(p)), Fraction(str(1 - p))
+        values = [weights[0] * a + weights[1] * b for a, b in exact]
+        report = build_bayes_report(game, ONE_COLUMN)
+        assert report["expected_payoffs_at_prior"] == dict(zip(game.strategies_i, map(float, values)))
+        assert report["best_strategy_at_prior"] == game.strategies_i[values.index(max(values))]
+
+        def crossing(r, s):
+            (a_r, b_r), (a_s, b_s) = exact[r], exact[s]
+            return (b_s - b_r) / ((a_r - a_s) - (b_r - b_s))
+
+        # each breakpoint is the rounded exact crossing of the strategies named on its two sides
+        index = [game.strategies_i.index(name) for name in best]
+        assert len(best) == len(breakpoints) + 1 and all(r != s for r, s in zip(index, index[1:]))
+        assert breakpoints == sorted(set(breakpoints)) and all(0 <= x <= 1 for x in breakpoints)
+        at = [crossing(r, s) for r, s in zip(index, index[1:])]
+        assert at == sorted(set(at)) and breakpoints == [float(x) for x in at]
+        assert report["threshold_p"] == (breakpoints[0] if breakpoints else float(index[0] == 0))
+        # between any two neighbouring crossings of two lines, -1, 0, 1 and 2 that round to
+        # two floats, the strategy named there is the exact argmax, from below 0 to above 1
+        pairs = itertools.combinations(range(len(lines)), 2)
+        slope = [a - b for a, b in exact]
+        cuts = {crossing(r, s) for r, s in pairs if slope[r] != slope[s]}
+        cuts = sorted({Fraction(n) for n in range(-1, 3)} | {x for x in cuts if -1 < x < 2})
+        for lo, hi in zip(cuts, cuts[1:]):
+            if hi >= 0 and lo <= 1 and float(lo) != float(hi):
+                mid = (lo + hi) / 2
+                assert exact_argmax(exact, mid) == index[sum(x < mid for x in at)]
 
     @given(
         lines=st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), min_size=2, max_size=5),
@@ -446,6 +474,15 @@ class TestValidation:
         # nan passes both the sign and the sum check, since comparisons with nan are False
         with pytest.raises(ValueError, match="finite"):
             bundled._replace(prior=prior)
+
+    @pytest.mark.parametrize("payoff", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_library_game_payoffs_must_be_finite(self, bundled, payoff, side):
+        # the rule of the JSON reader, so no threshold or expected payoff reads a nan
+        cell = [(payoff, 4), (5, payoff)][side]
+        matrices = {**bundled.matrices, "b": (bundled.matrices["b"][0], (cell, (0, 0)))}
+        with pytest.raises(ValueError, match=f"^payoff must be finite, got {payoff!r}$"):
+            bundled._replace(matrices=matrices)
 
     @pytest.mark.parametrize(
         "cell",

@@ -268,17 +268,37 @@ class TestBayesCommand:
         assert out == ""
         assert err == f"error: {message}\n"
 
-    def test_overflowing_payoffs_exit_two(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "matrices, expected",
+        [
+            # slopes of 2e308 overflow a float, but the lines cross exactly at 1/2
+            (
+                {"a": [[[1e308, 0]], [[-1e308, 0]]], "b": [[[-1e308, 0]], [[1e308, 0]]]},
+                {"threshold_p": 0.5, "strategy_below": "s1", "strategy_above": "s0"},
+            ),
+            # both earn exactly 0.15 at the prior; summed in floats s1 earned
+            # 0.15000000000000002 and was named, against the first-strategy tie rule
+            (
+                {"a": [[[0.3, 0]], [[0.1, 0]]], "b": [[[0, 0]], [[0.2, 0]]]},
+                {"expected_payoffs_at_prior": {"s0": 0.15, "s1": 0.15}, "best_strategy_at_prior": "s0"},
+            ),
+        ],
+        ids=["overflowing-slopes", "tie-at-the-prior"],
+    )
+    def test_exact_arithmetic(self, capsys, tmp_path, matrices, expected):
         document = {
             **BAYES_PAIR_DOCUMENT,
             "strategies_i": ["s0", "s1"],
-            "strategies_j": ["y"],
-            "matrices": {"a": [[[1e308, 0]], [[-1e308, 0]]], "b": [[[-1e308, 0]], [[1e308, 0]]]},
+            "strategies_j": ["x"],
+            "prior": [0.5, 0.5],
+            "matrices": matrices,
         }
         path = tmp_path / "game.json"
         path.write_text(json.dumps(document))
         code, out, err = run_cli(capsys, *BAYES, str(path))
-        assert (code, out, err) == (2, "", "error: ValueError: payoff differences overflow a float\n")
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert {key: report[key] for key in expected} == expected
 
     def test_malformed_document_exit_two(self, capsys, tmp_path):
         bad = tmp_path / "game.json"

@@ -132,8 +132,9 @@ def adapter(argv):
         # code it runs
         (["solve", "--bi", "3", "--bj", "-3"], {"liqgame.equilibria"}),
         (["solve", "--bi", "3", "--bj", "-3", "--format", "csv"], set()),
-        # only the typed documents' readers load liqgame.documents
-        (["bayes"], {"liqgame.bayes", "liqgame.documents"}),
+        # only the typed documents' readers load liqgame.documents; bayes computes
+        # in exact rationals, and fractions imports decimal
+        (["bayes"], {"liqgame.bayes", "liqgame.documents", "fractions", "decimal"}),
         # market formats every volume by half-up decimal rounding
         (["market", "--published", "final_4x4"], {"liqgame.market", "liqgame.documents", "decimal"}),
         (

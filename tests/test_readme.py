@@ -37,7 +37,7 @@ EXAMPLES = {
     ),
     "liqgame bayes --response a=high,b=low": (
         0,
-        "403772f5fd5d94b08419c142da105391228539cae4a9fc015a836f4ffb3e4f1c",
+        "b952ce0453f9bbf344ca34075d4c527952d94ba4a9c2abf5840f44cc2d477f54",
         None,
     ),
     "liqgame market --published final_4x4": (
