@@ -8,7 +8,6 @@ __version__ = "0.1.0"
 
 # Each public name and the submodule that defines it.
 _EXPORTS = {
-    "BayesianSolution": "bayes",
     "ConditionalGame": "bayes",
     "GameInstance": "core",
     "LiquidityGameError": "core",
@@ -27,9 +26,8 @@ _EXPORTS = {
     "build_instance": "core",
     "build_payoff_matrix": "core",
     "dominant_strategy_per_type": "bayes",
-    "expected_payoff": "bayes",
+    "expected_payoffs": "bayes",
     "find_pure_equilibria": "equilibria",
-    "indifference_threshold": "bayes",
     "load_bundled_game": "bayes",
     "load_published_matrix": "market",
     "max_transfer": "lp",

@@ -85,18 +85,6 @@ def load_bundled_game() -> ConditionalGame:
     return load_game_document(fixture_path("bayes_large_small.json"))
 
 
-class BayesianSolution(NamedTuple):
-    """Threshold summary: what the counterparty plays per type, the first
-    breakpoint of the best-response envelope, the strategies best below it
-    and above the last, and whether there is any breakpoint."""
-
-    responses: Mapping[str, str]
-    threshold_p: float
-    strategy_above: str
-    strategy_below: str
-    interior: bool
-
-
 def dominant_strategy_per_type(
     game: ConditionalGame, type_index: int
 ) -> Optional[tuple[str, str]]:
@@ -143,14 +131,6 @@ def expected_payoffs(game: ConditionalGame, response_j: Mapping[str, str]) -> di
             for r, s in enumerate(game.strategies_i)}
 
 
-def expected_payoff(game: ConditionalGame, strategy_i: str, response_j: Mapping[str, str]) -> float:
-    """A row strategy's ``expected_payoffs`` entry, rounded to a float."""
-    payoffs = expected_payoffs(game, response_j)
-    if strategy_i not in payoffs:
-        raise UnknownLabel(f"unknown row strategy {strategy_i!r}")
-    return float(payoffs[strategy_i])
-
-
 def best_response_envelope(
     game: ConditionalGame, response_j: Mapping[str, str]
 ) -> tuple[list[float], list[str]]:
@@ -186,13 +166,3 @@ def best_response_envelope(
     # each rounded once, in order; of crossings that round to one float, the last line is named
     after = {float(p): r for p, r in zip(crossings[first:last], lines[first:last])}
     return list(after), [game.strategies_i[r] for r in (lines[first - 1], *after.values())]
-
-
-def indifference_threshold(game: ConditionalGame, response_j: Mapping[str, str]) -> BayesianSolution:
-    """The first breakpoint of ``best_response_envelope`` (for two strategies,
-    the weight of indifference) and the strategies best below it and above the
-    last. With no breakpoint it is clamped, to 1 when the one best strategy is
-    the first of ``strategies_i``, else 0, and flagged non-interior."""
-    breakpoints, best = best_response_envelope(game, response_j)
-    threshold = breakpoints[0] if breakpoints else float(best[0] == game.strategies_i[0])
-    return BayesianSolution(dict(response_j), threshold, best[-1], best[0], bool(breakpoints))

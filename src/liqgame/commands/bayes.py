@@ -37,9 +37,9 @@ def build_bayes_report(
                     "pass an explicit response map"
                 )
             responses[type_label] = info["strategy"]
-    solution = bayes.indifference_threshold(game, responses)
+    breakpoints, best = bayes.best_response_envelope(game, responses)
     payoffs = bayes.expected_payoffs(game, responses)  # exact, so a tie names the first strategy
-    report = {
+    return {
         "types": list(game.types),
         "prior": list(game.prior),
         "strategies_i": list(game.strategies_i),
@@ -47,11 +47,15 @@ def build_bayes_report(
         "dominant_strategies": dominant,
         "expected_payoffs_at_prior": {s: float(v) for s, v in payoffs.items()},
         "best_strategy_at_prior": max(payoffs, key=payoffs.get),
+        "responses": dict(responses),
+        # the first breakpoint; with none, 1 when the one best strategy is the first, else 0
+        "threshold_p": breakpoints[0] if breakpoints else float(best[0] == game.strategies_i[0]),
+        "strategy_above": best[-1],
+        "strategy_below": best[0],
+        "interior": bool(breakpoints),
+        "breakpoints": breakpoints,
+        "best_strategies": best,
     }
-    report.update(solution._asdict())
-    if len(game.strategies_i) > 2:
-        report["breakpoints"], report["best_strategies"] = bayes.best_response_envelope(game, responses)
-    return report
 
 
 def _parse_responses(text: str) -> dict[str, str]:

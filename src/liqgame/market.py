@@ -16,7 +16,7 @@ import functools
 import io
 import json
 import operator
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import ROUND_HALF_UP, Context, Decimal
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional, Sequence
 
@@ -45,10 +45,15 @@ class NotTwoTypes(LiquidityGameError):
     pass
 
 
+# Digits enough to hold any finite float to one decimal (the largest has 309 before the point).
+_ANY_FLOAT = Context(prec=320)
+
+
 def _fmt1(value: float) -> str:
     """Half-up rounding of the float's shortest decimal text to one decimal,
-    written without a trailing ".0"."""
-    text = str(Decimal(repr(value)).quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))
+    written without a trailing ".0"; ValueError for a volume that is not finite."""
+    finite_number(value, "volume")
+    text = str(Decimal(repr(value)).quantize(Decimal("0.1"), ROUND_HALF_UP, _ANY_FLOAT))
     return text[:-2] if text.endswith(".0") else text
 
 

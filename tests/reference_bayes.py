@@ -1,9 +1,10 @@
-"""The two-strategy form of ``liqgame.bayes.indifference_threshold``, kept only
-as a test oracle: a closed-form root of the one payoff difference, with its
-clamp when the root falls outside [0, 1], in exact rationals, each payoff
-read as the decimal its ``str`` writes and the root rounded to a float once.
-For two row strategies the best-response envelope must give a solution of
-equal ``repr``, and raise ``NoDependenceOnPrior`` for the same games.
+"""The two-strategy form of the threshold a ``liqgame bayes`` report reads off
+the best-response envelope, kept only as a test oracle: a closed-form root of
+the one payoff difference, with its clamp when the root falls outside [0, 1],
+in exact rationals, each payoff read as the decimal its ``str`` writes and the
+root rounded to a float once. For two row strategies the report's threshold
+fields must have equal ``repr``, and the report must raise
+``NoDependenceOnPrior`` for the same games.
 """
 
 from __future__ import annotations
@@ -11,21 +12,18 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
-from liqgame.bayes import (
-    BayesianSolution,
-    ConditionalGame,
-    NoDependenceOnPrior,
-    check_responses,
-)
+from liqgame.bayes import ConditionalGame, NoDependenceOnPrior, check_responses
 
 
 def two_strategy_threshold(
     game: ConditionalGame, response_j: Mapping[str, str]
-) -> BayesianSolution:
-    """The weight on the first type at which the initiator's two strategies
-    have equal expected payoff, clamped to 1 (the first strategy preferred
-    throughout) or 0 and flagged non-interior when there is no such weight
-    in [0, 1]. Identical payoff lines raise NoDependenceOnPrior.
+) -> tuple[float, str, str, bool]:
+    """(threshold_p, strategy_above, strategy_below, interior): the weight on
+    the first type at which the initiator's two strategies have equal expected
+    payoff, the strategies best above and below it, and True; when there is no
+    such weight in [0, 1], 1 (the first strategy preferred throughout) or 0,
+    the preferred strategy twice, and False. Identical payoff lines raise
+    NoDependenceOnPrior.
     """
     if len(game.strategies_i) != 2:
         raise ValueError("threshold analysis needs exactly two row strategies")
@@ -47,9 +45,9 @@ def two_strategy_threshold(
         root = -intercept / slope
         if 0 <= root <= 1:
             above, below = (s1, s2) if slope > 0 else (s2, s1)
-            return BayesianSolution(dict(response_j), float(root), above, below, interior=True)
+            return float(root), above, below, True
     # No interior crossing: one strategy is preferred on all of [0, 1].
     midpoint_value = slope / 2 + intercept
     preferred = s1 if midpoint_value > 0 else s2
     threshold = 1.0 if preferred == s1 else 0.0
-    return BayesianSolution(dict(response_j), threshold, preferred, preferred, interior=False)
+    return threshold, preferred, preferred, False

@@ -11,7 +11,8 @@ import time
 from fractions import Fraction
 
 from liqgame import cli
-from liqgame.bayes import dominant_strategy_per_type, indifference_threshold, load_bundled_game
+from liqgame.bayes import dominant_strategy_per_type, load_bundled_game
+from liqgame.commands.bayes import build_bayes_report
 from liqgame.core import build_instance, build_payoff_matrix
 from liqgame.equilibria import find_pure_equilibria
 from liqgame.lp import TransferProblem, max_transfer
@@ -73,10 +74,10 @@ def test_criterion_3_bayesian_threshold():
     game = load_bundled_game()
     assert dominant_strategy_per_type(game, 0) == ("high", "strict")
     assert dominant_strategy_per_type(game, 1) == ("high", "weak")
-    solution = indifference_threshold(game, {"a": "high", "b": "high"})
-    assert abs(solution.threshold_p - 5 / 9) <= 1e-12
-    assert solution.strategy_above == "high"
-    assert solution.strategy_below == "low"
+    report = build_bayes_report(game, {"a": "high", "b": "high"})
+    assert abs(report["threshold_p"] - 5 / 9) <= 1e-12
+    assert report["strategy_above"] == "high"
+    assert report["strategy_below"] == "low"
 
 
 @criterion(4, "market aggregates: 41.1 total, 9.7/8.3 quadrants, 18.6 best, 75% hits")

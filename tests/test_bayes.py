@@ -13,8 +13,7 @@ from liqgame.bayes import (
     UnknownLabel,
     best_response_envelope,
     dominant_strategy_per_type,
-    expected_payoff,
-    indifference_threshold,
+    expected_payoffs,
     load_bundled_game,
     load_game_document,
 )
@@ -55,6 +54,13 @@ def row_lines(lines, prior=(0.5, 0.5)) -> ConditionalGame:
 ONE_COLUMN = {"a": "y", "b": "y"}
 
 
+def threshold(game, responses=None):
+    """The report's threshold fields, in ``reference_bayes.two_strategy_threshold``'s order:
+    (threshold_p, strategy_above, strategy_below, interior)."""
+    report = build_bayes_report(game, responses)
+    return tuple(report[key] for key in ("threshold_p", "strategy_above", "strategy_below", "interior"))
+
+
 class TestBundledGame:
     def test_fixture_loads_with_its_unread_type_names(self, bundled):
         # type_names is the one optional game document key; the reader skips it
@@ -78,41 +84,40 @@ class TestBundledGame:
         assert dominant_strategy_per_type(bundled, 1) == ("high", "weak")
 
     def test_threshold_five_ninths(self, bundled):
-        solution = indifference_threshold(bundled, {"a": "high", "b": "high"})
-        assert abs(solution.threshold_p - THRESHOLD) < 1e-12
-        assert solution.strategy_above == "high"
-        assert solution.strategy_below == "low"
-        assert solution.interior
+        threshold_p, above, below, interior = threshold(bundled, {"a": "high", "b": "high"})
+        assert abs(threshold_p - THRESHOLD) < 1e-12
+        assert above == "high"
+        assert below == "low"
+        assert interior
 
     @given(p=st.floats(0.0, 1.0))
     def test_threshold_does_not_read_the_prior(self, p):
         game = load_bundled_game()
         responses = {"a": "high", "b": "high"}
-        solution = indifference_threshold(game._replace(prior=(p, 1 - p)), responses)
-        assert solution == indifference_threshold(game, responses)
-        assert abs(solution.threshold_p - THRESHOLD) < 1e-12
+        solution = threshold(game._replace(prior=(p, 1 - p)), responses)
+        assert solution == threshold(game, responses)
+        assert abs(solution[0] - THRESHOLD) < 1e-12
 
     def test_payoffs_cross_at_the_threshold(self, bundled):
         at = bundled._replace(prior=(THRESHOLD, 1 - THRESHOLD))
         responses = {"a": "high", "b": "high"}
-        high = expected_payoff(at, "high", responses)
-        low = expected_payoff(at, "low", responses)
+        payoffs = expected_payoffs(at, responses)
+        high, low = float(payoffs["high"]), float(payoffs["low"])
         assert abs(high - 50 / 9) < 1e-12
         assert abs(high - low) < 1e-12
         for delta, better in ((0.01, "high"), (-0.01, "low")):
             game = bundled._replace(prior=(THRESHOLD + delta, 1 - THRESHOLD - delta))
-            payoffs = {s: expected_payoff(game, s, responses) for s in ("high", "low")}
+            payoffs = expected_payoffs(game, responses)
             assert max(payoffs, key=payoffs.get) == better
 
     def test_degenerate_prior_reduces_to_single_matrix(self, bundled):
         game = bundled._replace(prior=(1.0, 0.0))
         responses = {"a": "high", "b": "high"}
-        assert expected_payoff(game, "high", responses) == 10.0
-        assert expected_payoff(game, "low", responses) == 6.0
-        solution = indifference_threshold(game, responses)
+        assert expected_payoffs(game, responses) == {"high": 10.0, "low": 6.0}
+        threshold_p, above, _, _ = threshold(game, responses)
         # prior weight 1 sits above 5/9, matching the type-a best response
-        assert solution.strategy_above == "high"
-        assert 1.0 > solution.threshold_p
+        assert above == "high"
+        assert 1.0 > threshold_p
 
 
 class TestDominance:
@@ -193,9 +198,9 @@ class TestThreshold:
             (((10, 0), (10, 0)), ((5, 0), (5, 0))),
             (((0, 0), (0, 0)), ((5, 0), (5, 0))),
         )
-        solution = indifference_threshold(game, {"a": "high", "b": "high"})
-        assert math.isclose(solution.threshold_p, 0.5, abs_tol=1e-12)
-        assert solution.interior
+        threshold_p, _, _, interior = threshold(game, {"a": "high", "b": "high"})
+        assert math.isclose(threshold_p, 0.5, abs_tol=1e-12)
+        assert interior
 
     def test_always_preferred_clamps_to_one(self):
         # f(p) = 2 - p stays positive on [0, 1]: "high" dominates throughout
@@ -203,26 +208,20 @@ class TestThreshold:
             (((3, 0), (3, 0)), ((2, 0), (2, 0))),
             (((2, 0), (2, 0)), ((0, 0), (0, 0))),
         )
-        solution = indifference_threshold(game, {"a": "high", "b": "high"})
-        assert solution.threshold_p == 1.0
-        assert not solution.interior
-        assert solution.strategy_above == solution.strategy_below == "high"
+        assert threshold(game, {"a": "high", "b": "high"}) == (1.0, "high", "high", False)
 
     def test_never_preferred_clamps_to_zero(self):
         game = conditional(
             (((0, 0), (0, 0)), ((5, 0), (5, 0))),
             (((0, 0), (0, 0)), ((5, 0), (5, 0))),
         )
-        solution = indifference_threshold(game, {"a": "high", "b": "high"})
-        assert solution.threshold_p == 0.0
-        assert not solution.interior
-        assert solution.strategy_above == solution.strategy_below == "low"
+        assert threshold(game, {"a": "high", "b": "high"}) == (0.0, "low", "low", False)
 
     def test_identical_payoff_lines_raise(self):
         flat = tuple(tuple((2.0, 0.0) for _ in range(2)) for _ in range(2))
         game = conditional(flat, flat)
         with pytest.raises(NoDependenceOnPrior):
-            indifference_threshold(game, {"a": "high", "b": "high"})
+            build_bayes_report(game, {"a": "high", "b": "high"})
 
     def test_three_strategies_two_breakpoints(self, bundled):
         # against "high": E[high] = 10p, E[mid] = 5p + 3, E[low] = p + 5, so low
@@ -232,16 +231,14 @@ class TestThreshold:
         game = bundled._replace(strategies_i=("high", "mid", "low"), matrices=matrices)
         responses = {"a": "high", "b": "high"}
         assert best_response_envelope(game, responses) == ([0.5, 0.6], ["low", "mid", "high"])
-        solution = indifference_threshold(game, responses)
-        assert solution == (responses, 0.5, "high", "low", True)
+        assert threshold(game, responses) == (0.5, "high", "low", True)
 
     def test_one_strategy_is_best_throughout(self, bundled):
         matrices = {t: grid[:1] for t, grid in bundled.matrices.items()}
         game = bundled._replace(strategies_i=("high",), matrices=matrices)
         responses = {"a": "high", "b": "high"}
         assert best_response_envelope(game, responses) == ([], ["high"])
-        solution = indifference_threshold(game, responses)
-        assert solution == (responses, 1.0, "high", "high", False)
+        assert threshold(game, responses) == (1.0, "high", "high", False)
 
     def test_a_strategy_best_at_one_point_only_is_not_named(self):
         # 2 - 2p, 1 and 2p meet at 1/2, where the middle line alone touches the top
@@ -253,7 +250,7 @@ class TestThreshold:
         # not a Fraction, so the crossing is exact and each side names its strategy
         game = row_lines([(1e308, -1e308), (-1e308, 1e308)])
         assert best_response_envelope(game, ONE_COLUMN) == ([0.5], ["s1", "s0"])
-        assert indifference_threshold(game, ONE_COLUMN) == (ONE_COLUMN, 0.5, "s0", "s1", True)
+        assert threshold(game, ONE_COLUMN) == (0.5, "s0", "s1", True)
 
     def test_needs_two_types(self, bundled):
         game = bundled._replace(
@@ -262,14 +259,14 @@ class TestThreshold:
             prior=(0.25, 0.25, 0.5),
         )
         with pytest.raises(ValueError, match="^threshold analysis needs exactly two types$"):
-            indifference_threshold(game, {"a": "high", "b": "high", "c": "high"})
+            best_response_envelope(game, {"a": "high", "b": "high", "c": "high"})
 
     def test_counterfactual_low_response(self):
         # responses {a: high, b: low}: E[high] = 10p vs E[low] = 6p, crossing at 0
-        solution = indifference_threshold(load_bundled_game(), {"a": "high", "b": "low"})
-        assert solution.threshold_p == 0.0
-        assert math.copysign(1.0, solution.threshold_p) == 1.0  # reported as 0.0, not -0.0
-        assert solution.strategy_above == "high"
+        threshold_p, above, _, _ = threshold(load_bundled_game(), {"a": "high", "b": "low"})
+        assert threshold_p == 0.0
+        assert math.copysign(1.0, threshold_p) == 1.0  # reported as 0.0, not -0.0
+        assert above == "high"
 
 
 def outcome(threshold, game, responses):
@@ -301,9 +298,44 @@ class TestEnvelope:
     @example([(5.9, 6.0), (1.7, 1.8)])
     def test_two_strategies_match_the_closed_form(self, lines):
         game = row_lines(lines)
-        assert outcome(indifference_threshold, game, ONE_COLUMN) == outcome(
-            two_strategy_threshold, game, ONE_COLUMN
+        assert outcome(threshold, game, ONE_COLUMN) == outcome(two_strategy_threshold, game, ONE_COLUMN)
+
+    @given(
+        st.one_of(
+            st.lists(st.tuples(payoff, payoff), min_size=1, max_size=4)
+            for payoff in (
+                st.integers(-9, 9),
+                st.integers(-20, 20).map(lambda n: n / 10),
+                st.floats(-10, 10),
+            )
         )
+    )
+    # a strategy best at one point only; no crossing in [0, 1], the first and then the
+    # second strategy best throughout; one strategy
+    @example([(0, 2), (1, 1), (2, 0)])
+    @example([(3, 2), (2, 0)])
+    @example([(0, 0), (2, 1)])
+    @example([(0, 1)])
+    def test_threshold_fields_are_read_off_the_envelope(self, lines):
+        game = row_lines(lines)
+        try:
+            report = build_bayes_report(game)
+        except NoDependenceOnPrior:
+            assert len(lines) > 1 and len(set(lines)) == 1
+            return
+        assert report["responses"] == ONE_COLUMN
+        breakpoints, best = report["breakpoints"], report["best_strategies"]
+        assert (breakpoints, best) == best_response_envelope(game, ONE_COLUMN)
+        assert report["strategy_below"] == best[0] and report["strategy_above"] == best[-1]
+        assert report["interior"] == bool(breakpoints)
+        if breakpoints:
+            assert report["threshold_p"] == breakpoints[0]
+        else:
+            # one strategy best throughout: the threshold is 1 when it is the first, else 0
+            (only,) = best
+            assert report["threshold_p"] == (1.0 if only == "s0" else 0.0)
+        if len(lines) == 2:
+            assert repr(threshold(game)) == repr(two_strategy_threshold(game, ONE_COLUMN))
 
     @given(st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), min_size=1, max_size=5))
     # three lines that meet at 1/3: the middle one, met first, gives way where it began
@@ -419,17 +451,13 @@ class TestEnvelope:
 
 
 class TestValidation:
-    def test_unknown_strategy_label(self, bundled):
-        with pytest.raises(UnknownLabel):
-            expected_payoff(bundled, "medium", {"a": "high", "b": "high"})
-
     def test_unknown_response_label(self, bundled):
         with pytest.raises(UnknownLabel):
-            expected_payoff(bundled, "high", {"a": "sideways", "b": "high"})
+            expected_payoffs(bundled, {"a": "sideways", "b": "high"})
 
     def test_missing_response_type(self, bundled):
         with pytest.raises(UnknownLabel):
-            indifference_threshold(bundled, {"a": "high"})
+            best_response_envelope(bundled, {"a": "high"})
 
     @pytest.mark.parametrize(
         "responses, message",
@@ -441,9 +469,9 @@ class TestValidation:
     )
     def test_response_map_names_exactly_the_types(self, bundled, responses, message):
         with pytest.raises(UnknownLabel, match=f"^{message}$"):
-            indifference_threshold(bundled, responses)
+            best_response_envelope(bundled, responses)
         with pytest.raises(UnknownLabel, match=f"^{message}$"):
-            expected_payoff(bundled, "high", responses)
+            expected_payoffs(bundled, responses)
 
     @pytest.mark.parametrize(
         "field, labels",

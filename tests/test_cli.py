@@ -224,19 +224,21 @@ class TestBayesCommand:
     @pytest.mark.parametrize(
         "document, envelope",
         [
-            (BAYES_THREE_DOCUMENT, {"breakpoints": [0.5, 0.6], "best_strategies": ["low", "mid", "high"]}),
-            (BAYES_PAIR_DOCUMENT, {}),
+            (BAYES_THREE_DOCUMENT, ([0.5, 0.6], ["low", "mid", "high"])),
+            (BAYES_PAIR_DOCUMENT, ([5 / 9], ["low", "high"])),
         ],
         ids=["three-strategies", "two-strategies"],
     )
-    def test_envelope_keys_only_past_two_strategies(self, capsys, tmp_path, document, envelope):
+    def test_every_report_carries_the_envelope(self, capsys, tmp_path, document, envelope):
         path = tmp_path / "game.json"
         path.write_text(json.dumps(document))
         code, out, _ = run_cli(capsys, *BAYES, str(path))
         assert code == 0
         report = json.loads(out)
-        assert {key: report[key] for key in ("breakpoints", "best_strategies") if key in report} == envelope
-        assert report["threshold_p"] == (0.5 if envelope else 5 / 9)
+        assert (report["breakpoints"], report["best_strategies"]) == envelope
+        # the threshold fields are read off the envelope: its first breakpoint and its two ends
+        assert report["threshold_p"] == envelope[0][0]
+        assert (report["strategy_below"], report["strategy_above"]) == (envelope[1][0], envelope[1][-1])
 
     def test_degenerate_prior_best_response(self, capsys):
         code, out, _ = run_cli(capsys, "bayes", "--prior", "1,0")
@@ -394,6 +396,35 @@ class TestMarketCommand:
         )
         assert code == 2
         assert err == "error: ValueError: missing matrix for type pair ('L', 's')\n"
+
+    @staticmethod
+    def one_cell_base(tmp_path, cell):
+        """A two-type base document whose ("a", "a") cell is ``cell``, weighted 1."""
+        zero = [[[0, 0]]]
+        matrices = {"a,a": [[cell]], "a,b": zero, "b,a": zero, "b,b": zero}
+        path = tmp_path / "base.json"
+        path.write_text(json.dumps({"types": ["a", "b"], "strategies": ["x"], "prior_i": [1, 0],
+                                    "prior_j": [1, 0], "matrices": matrices}))
+        return str(path)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_volumes_past_the_default_decimal_precision(self, capsys, tmp_path, fmt):
+        # 1e27 rounded to one decimal has 29 digits, past the 28 of decimal's default context
+        code, out, err = run_cli(capsys, *MARKET, self.one_cell_base(tmp_path, [1e27, 0]), "--format", fmt)
+        assert (code, err) == (0, "")
+        if fmt == "csv":
+            assert out.splitlines()[1] == "a+x,a+x,1000000000000000000000000000"
+        else:
+            report = json.loads(out)
+            assert (report["quadrants"]["a,a"], report["system_total"]) == (1e27, 1e27)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_overflowing_volume_exit_two(self, capsys, tmp_path, fmt):
+        # two finite payoffs whose sum, the cell's volume, overflows a float
+        code, out, err = run_cli(capsys, *MARKET, self.one_cell_base(tmp_path, [1.7e308, 1.7e308]),
+                                 "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err == "error: ValueError: volume must be finite, got inf\n"
 
     def test_mode_required(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -274,7 +274,6 @@ def test_bundled_data_directory_is_no_module():
 
 def test_public_name_list_is_pinned():
     assert liqgame.__all__ == [
-        "BayesianSolution",
         "ConditionalGame",
         "GameInstance",
         "LiquidityGameError",
@@ -293,9 +292,8 @@ def test_public_name_list_is_pinned():
         "build_instance",
         "build_payoff_matrix",
         "dominant_strategy_per_type",
-        "expected_payoff",
+        "expected_payoffs",
         "find_pure_equilibria",
-        "indifference_threshold",
         "load_bundled_game",
         "load_published_matrix",
         "max_transfer",

@@ -1,10 +1,10 @@
 import csv
 import io
 import math
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import ROUND_HALF_UP, Context, Decimal
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from liqgame.bayes import load_bundled_game
@@ -282,13 +282,27 @@ class TestSerialization:
         assert lines[0] == "row_label,col_label,volume"
         assert lines[1] == "L+H,L+H,2.4"
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_volume_refused(self, value):
+        with pytest.raises(ValueError, match=f"^volume must be finite, got {value!r}$"):
+            round1(value)
+
     def test_half_up_rounding(self):
         assert round1(1.25) == 1.3
         assert round1(1.225) == 1.2
         assert round1(2.275) == 2.3
 
-    @given(st.floats(-1e25, 1e25) | st.integers(-10**6, 10**6).map(lambda k: k / 100 + 0.05))
+    @given(
+        st.floats(allow_nan=False, allow_infinity=False)
+        | st.integers(-10**6, 10**6).map(lambda k: k / 100 + 0.05)
+    )
+    @example(1e27)
+    @example(-1.7976931348623157e308)
+    @example(5e-324)
     def test_rounding_is_half_up_on_the_shortest_decimal(self, value):
-        # the rule round1 and the CSV writer share, stated on Decimal directly
-        expected = Decimal(repr(value)).quantize(Decimal("0.1"), rounding=ROUND_HALF_UP)
+        # the rule round1 and the CSV writer share, stated on Decimal directly, in a
+        # context wide enough for every finite float
+        expected = Decimal(repr(value)).quantize(
+            Decimal("0.1"), rounding=ROUND_HALF_UP, context=Context(prec=1000)
+        )
         assert repr(round1(value)) == repr(float(expected))

@@ -27,17 +27,17 @@ EXAMPLES = {
     ),
     "liqgame bayes": (
         0,
-        "cd5ccf114053c25eb81e270a86607c08e291d092e14544d20c2de59b719f4a06",
+        "1d06a3e20883c56d16827f3f8e121e88afb0531c400c032fe6f5837fae28fefc",
         None,
     ),
     "liqgame bayes --prior 1,0": (
         0,
-        "c61736f3d31c9d9064b396f2ec77707ffb7f4bf0e56e14439311c7da3038c8b3",
+        "be51393e6cc9436fb88d2f8bc34875cc7e369270dcc333dfff7b5f2bd7d0385a",
         None,
     ),
     "liqgame bayes --response a=high,b=low": (
         0,
-        "b952ce0453f9bbf344ca34075d4c527952d94ba4a9c2abf5840f44cc2d477f54",
+        "173928314ac7aa76ce02d5bb4fa55e642f127664eaca60e34bf29b04676695e8",
         None,
     ),
     "liqgame market --published final_4x4": (

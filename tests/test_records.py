@@ -102,19 +102,6 @@ RECORDS = [
         False,
     ),
     (
-        bayes.BayesianSolution,
-        dict(
-            responses={"a": "y"},
-            threshold_p=0.5,
-            strategy_above="x",
-            strategy_below="w",
-            interior=True,
-        ),
-        "BayesianSolution(responses={'a': 'y'}, threshold_p=0.5, "
-        "strategy_above='x', strategy_below='w', interior=True)",
-        False,
-    ),
-    (
         market.QuadrantReport,
         dict(quadrants={("a", "b"): 1.5}, system_total=1.5, hit_ratio=0.5),
         "QuadrantReport(quadrants={('a', 'b'): 1.5}, system_total=1.5, hit_ratio=0.5)",
@@ -131,7 +118,7 @@ IDS = [cls.__name__ for cls, *_ in RECORDS]
 
 
 def test_every_record_is_listed():
-    assert len(set(IDS)) == 12
+    assert len(set(IDS)) == 11
 
 
 @pytest.mark.parametrize("cls,fields,text,hashable", RECORDS, ids=IDS)
