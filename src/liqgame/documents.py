@@ -22,11 +22,9 @@ Bimatrix = tuple[tuple[tuple[float, float], ...], ...]
 
 
 def fixture_path(name: str) -> Path:
-    """A bundled data file, read from ``$LIQGAME_FIXTURES`` when that is set."""
-    import os
+    """A data file bundled with the package."""
     from pathlib import Path  # loaded here, so importing this module loads no new module
-    bundled = Path(__file__).parent / "bundled-data"  # not an identifier, so no importable package
-    return Path(os.environ.get("LIQGAME_FIXTURES") or bundled) / name
+    return Path(__file__).parent / "bundled-data" / name  # not an identifier, so not importable
 
 
 def parse_numbers(text: str, flag: str) -> tuple[float, ...]:

@@ -4,16 +4,14 @@ A composition table is a ``core.PayoffMatrix`` whose actions on each side are
 (type, strategy) labels and whose payoffs are real volumes. Two modes build
 one. Constructive mode weights caller-supplied per-type-pair payoff tables by
 the type priors on each side. As-published mode loads the bundled composition
-tables verbatim; several of their entries are not derivable from any single
-weighting rule, so they ship as data, and the aggregates (quadrant sums,
-system total, hit ratio) are computed from the table.
+tables, JSON documents, verbatim; several of their entries are not derivable
+from any single weighting rule, so they ship as data, and the aggregates
+(quadrant sums, system total, hit ratio) are computed from the table.
 """
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import json
 import operator
 from decimal import ROUND_HALF_UP, Context, Decimal
@@ -22,7 +20,7 @@ from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional, Sequence
 
 from .core import LiquidityGameError, PayoffMatrix, check_document
 from .documents import check_labels, check_prior, check_tables, finite_number, fixture_path
-from .documents import parse_labels, parse_prior, parse_tables
+from .documents import parse_bimatrix, parse_labels, parse_prior, parse_tables
 
 if TYPE_CHECKING:
     from .bayes import ConditionalGame
@@ -30,11 +28,8 @@ if TYPE_CHECKING:
 Label = tuple[Optional[str], str]
 
 
-# The bundled tables, by the name load_published_matrix accepts.
-PUBLISHED_TABLES = {
-    "final_4x4": "market_final_4x4.csv",
-    "intermediate_2x4": "market_intermediate_2x4.csv",
-}
+# The bundled tables, by the name load_published_matrix accepts: market_<name>.json.
+PUBLISHED_TABLES = ("final_4x4", "intermediate_2x4")
 
 
 class UnknownTable(LiquidityGameError):
@@ -76,6 +71,8 @@ def parse_label(text: str) -> Label:
 
 def cells_csv(matrix: PayoffMatrix) -> str:
     """Plot-ready long format: one line per cell with the summed volume."""
+    import csv  # here, so a JSON report loads no csv
+    import io
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["row_label", "col_label", "volume"])
@@ -85,44 +82,16 @@ def cells_csv(matrix: PayoffMatrix) -> str:
     return out.getvalue()
 
 
-def composition_from_csv(doc: str) -> PayoffMatrix:
-    """Parse a long-format CSV, one ``row_label,col_label,u_i,u_j`` line per
-    cell, as the bundled tables are written; blank lines are skipped.
-
-    ValueError for a record of other than four fields, a payoff that is not
-    a finite number, a cell given twice or not at all, and a table with no
-    cells (``PayoffMatrix`` refuses an empty side).
-    """
-    reader = csv.reader(io.StringIO(doc))
-    header = next(reader, None)
-    if header != ["row_label", "col_label", "u_i", "u_j"]:
-        raise ValueError("expected header row_label,col_label,u_i,u_j")
-    cells: dict[tuple[Label, Label], tuple[float, float]] = {}
-    for record in reader:
-        if not record:
-            continue
-        if len(record) != 4:
-            raise ValueError(f"line {reader.line_num}: expected 4 fields, got {len(record)}")
-        cell = (parse_label(record[0]), parse_label(record[1]))
-        if cell in cells:
-            raise ValueError(f"repeated cell {record[0]},{record[1]}")
-        cells[cell] = tuple(finite_number(float(text), "payoff") for text in record[2:])
-    rows = tuple(dict.fromkeys(label_r for label_r, _ in cells))
-    cols = tuple(dict.fromkeys(label_c for _, label_c in cells))
-    for label_r in rows:
-        for label_c in cols:
-            if (label_r, label_c) not in cells:
-                raise ValueError(f"missing cell {label_text(label_r)},{label_text(label_c)}")
-    return PayoffMatrix.from_cells(rows, cols, [[cells[(r, c)] for c in cols] for r in rows])
-
-
 def load_published_matrix(source: str) -> PayoffMatrix:
-    """One of the bundled tables, exactly as printed (1-decimal values)."""
+    """One of the bundled tables, exactly as printed (1-decimal values): ``rows`` and
+    ``cols`` labels and a ``documents.parse_bimatrix`` grid of ``[u_i, u_j]`` cells."""
     if source not in PUBLISHED_TABLES:
         raise UnknownTable(
             f"unknown table {source!r}, expected one of {sorted(PUBLISHED_TABLES)}"
         )
-    return composition_from_csv(fixture_path(PUBLISHED_TABLES[source]).read_text())
+    raw = json.loads(fixture_path(f"market_{source}.json").read_text())
+    rows, cols = (tuple(map(parse_label, raw[key])) for key in ("rows", "cols"))
+    return PayoffMatrix.from_cells(rows, cols, parse_bimatrix(raw["matrix"]))
 
 
 def weight_by_priors(

@@ -25,16 +25,12 @@ import random
 from collections import Counter
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional
 
-from .core import Checked, LiquidityGameError, check_document, check_ints, is_int, transferred
+from .core import Checked, check_document, check_ints, is_int, transferred
 
 STRATEGY_KINDS = ("fixed_fraction", "uniform_random", "full_balance")
 MODES = ("one_shot", "repeated")
 # Trials per RNG substream. Changing it changes every seeded result.
 BLOCK = 1024
-
-
-class IntractableStrategy(LiquidityGameError):
-    pass
 
 
 class _StrategySpec(NamedTuple):
@@ -73,8 +69,8 @@ LOW_STRATEGY = StrategySpec("fixed_fraction", 0.3)
 
 
 def _deterministic_parcel(strategy: StrategySpec) -> Callable[[int], int]:
-    """The parcel as a function of the absolute balance, parsed here once;
-    IntractableStrategy for random kinds, which sample elsewhere.
+    """The parcel of a full_balance or fixed_fraction strategy as a function of
+    the absolute balance, parsed here once; random kinds sample elsewhere.
 
     fixed_fraction rounds fraction * balance half up, at least 1, in exact
     integer arithmetic: max(1, (2 p b + q) // 2q), where p/q is the decimal
@@ -82,12 +78,10 @@ def _deterministic_parcel(strategy: StrategySpec) -> Callable[[int], int]:
     """
     if strategy.kind == "full_balance":
         return lambda balance: balance
-    if strategy.kind == "fixed_fraction":
-        from fractions import Fraction  # here, so random strategies load neither it nor decimal
-        p, q = Fraction(str(strategy.fraction)).as_integer_ratio()
-        twice_p, twice_q = 2 * p, 2 * q
-        return lambda balance: (twice_p * balance + q) // twice_q or 1
-    raise IntractableStrategy(f"{strategy.kind} has no deterministic parcel")
+    from fractions import Fraction  # here, so random strategies load neither it nor decimal
+    p, q = Fraction(str(strategy.fraction)).as_integer_ratio()
+    twice_p, twice_q = 2 * p, 2 * q
+    return lambda balance: (twice_p * balance + q) // twice_q or 1
 
 
 def _check_ranges(range_i, range_j) -> None:

@@ -330,9 +330,7 @@ class TestBayesCommand:
             "pass an explicit response map\n"
         )
 
-    def test_fixture_directory_override(self, capsys, tmp_path, monkeypatch):
-        fixture_dir = tmp_path / "alt"
-        fixture_dir.mkdir()
+    def test_game_document_threshold(self, capsys, tmp_path):
         doc = {
             "types": ["a", "b"],
             "prior": [0.5, 0.5],
@@ -342,12 +340,12 @@ class TestBayesCommand:
                 "b": [[[0, 0], [0, 0]], [[4, 3], [0, 0]]],
             },
         }
-        (fixture_dir / "bayes_large_small.json").write_text(json.dumps(doc))
-        monkeypatch.setenv("LIQGAME_FIXTURES", str(fixture_dir))
-        code, out, _ = run_cli(capsys, "bayes")
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(capsys, "bayes", "--game", str(path))
         assert code == 0
         report = json.loads(out)
-        # threshold for the override game: 8p = 4p + 4(1-p) -> p = 1/2
+        # threshold for this game: 8p = 4p + 4(1-p) -> p = 1/2
         assert abs(report["threshold_p"] - 0.5) < 1e-12
 
 
@@ -460,46 +458,30 @@ class TestMarketCommand:
 
     def test_intermediate_table_has_no_json_report(self, capsys):
         # its rows carry no type, so it has no quadrants; --format csv prints its cells
-        code, out, err = run_cli(capsys, "market", "--published", "intermediate_2x4")
-        assert code == 2
-        assert out == ""
-        assert err == "error: NotTwoTypes: row labels carry no type component\n"
+        for fmt in ((), ("--format", "json")):
+            code, out, err = run_cli(capsys, "market", "--published", "intermediate_2x4", *fmt)
+            assert code == 2
+            assert out == ""
+            assert err == "error: NotTwoTypes: row labels carry no type component\n"
+
+    def test_intermediate_table_csv_bytes(self, capsys):
+        # the labels as the paper writes them, "L+High" beside "s+high"
+        code, out, err = run_cli(
+            capsys, "market", "--published", "intermediate_2x4", "--format", "csv"
+        )
+        assert code == 0
+        assert err == ""
+        assert out == (
+            "row_label,col_label,volume\n"
+            "high,L+High,7\nhigh,L+low,7\nhigh,s+high,0\nhigh,s+low,0\n"
+            "low,L+High,10.8\nlow,L+low,4.2\nlow,s+high,9.4\nlow,s+low,3.6\n"
+        )
 
     def test_unknown_table_exit_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["market", "--published", "final_5x5"])
         assert exc.value.code == 2
         assert "final_4x4" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "edit,fmt,message",
-        [
-            (lambda lines: [lines[0].replace(",1.2,1.2", ",nan,1.2"), *lines[1:]], "json",
-             "payoff must be finite, got nan"),
-            (lambda lines: [lines[0].replace(",1.2,1.2", ",1.2,inf"), *lines[1:]], "json",
-             "payoff must be finite, got inf"),
-            (lambda lines: [lines[0].rpartition(",")[0], *lines[1:]], "json",
-             "line 2: expected 4 fields, got 3"),
-            (lambda lines: [lines[0] + ",9", *lines[1:]], "json",
-             "line 2: expected 4 fields, got 5"),
-            # the later cell used to replace the earlier one, moving the best quadrant to L,L
-            (lambda lines: [*lines, "L+H,L+H,99,99"], "json", "repeated cell L+H,L+H"),
-            # a bare header used to print a bare header
-            (lambda lines: [], "csv", "matrix must be non-empty"),
-        ],
-        ids=["nan", "inf", "three-fields", "five-fields", "repeated-cell", "header-only"],
-    )
-    def test_bad_published_table_exit_two(self, capsys, tmp_path, monkeypatch, edit, fmt, message):
-        from liqgame import market
-
-        name = market.PUBLISHED_TABLES["final_4x4"]
-        header, *lines = documents.fixture_path(name).read_text().splitlines()
-        (tmp_path / name).write_text("\n".join([header, *edit(lines)]) + "\n")
-        monkeypatch.setenv("LIQGAME_FIXTURES", str(tmp_path))
-        code, out, err = run_cli(capsys, "market", "--published", "final_4x4", "--format", fmt)
-        assert code == 2
-        assert out == ""
-        assert err == f"error: ValueError: {message}\n"
 
 
 class TestSimulateCommand:

@@ -109,7 +109,8 @@ def loaded_after_main(argv):
         "import contextlib, io, json, sys; from liqgame import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert cli.main({argv!r}) == 0\n"
-        "watched = ('liqgame', 'numpy', 'secrets', 'traceback', 'dataclasses', 'inspect', 'fractions', 'decimal')\n"
+        "watched = ('liqgame', 'numpy', 'secrets', 'traceback', 'dataclasses', 'inspect',\n"
+        "           'fractions', 'decimal', 'csv')\n"
         "print(json.dumps([m for m in sys.modules if m.split('.')[0] in watched]))"
     )
     return set(json.loads(run_fresh(code)))
@@ -135,20 +136,28 @@ def adapter(argv):
         # only the typed documents' readers load liqgame.documents; bayes computes
         # in exact rationals, and fractions imports decimal
         (["bayes"], {"liqgame.bayes", "liqgame.documents", "fractions", "decimal"}),
-        # market formats every volume by half-up decimal rounding
+        # market formats every volume by half-up decimal rounding, and loads csv
+        # only to write --format csv
         (["market", "--published", "final_4x4"], {"liqgame.market", "liqgame.documents", "decimal"}),
+        (
+            ["market", "--published", "final_4x4", "--format", "csv"],
+            {"liqgame.market", "liqgame.documents", "decimal", "csv"},
+        ),
         (
             ["market", "--constructive"],
             {"liqgame.market", "liqgame.bayes", "liqgame.documents", "decimal"},
         ),
     ],
-    ids=["lp", "solve", "solve-csv", "bayes", "market-published", "market-constructive"],
+    ids=[
+        "lp", "solve", "solve-csv", "bayes", "market-published", "market-published-csv",
+        "market-constructive",
+    ],
 )
 def test_subcommand_loads_only_its_modules(argv, modules):
     # its own adapter and no other; numpy, secrets (the simulate seed draw),
     # traceback (the exit-1 branch), dataclasses and inspect (records are
-    # NamedTuples) stay unloaded too, and fractions and decimal where no
-    # exact rational or decimal arithmetic runs
+    # NamedTuples) stay unloaded too, fractions and decimal where no
+    # exact rational or decimal arithmetic runs, and csv where no CSV is written
     assert loaded_after_main(argv) == CLI_BASE | {adapter(argv)} | modules
 
 

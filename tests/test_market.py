@@ -1,5 +1,4 @@
-import csv
-import io
+import json
 import math
 from decimal import ROUND_HALF_UP, Context, Decimal
 
@@ -11,14 +10,11 @@ from liqgame.bayes import load_bundled_game
 from liqgame.core import PayoffMatrix
 from liqgame.documents import fixture_path
 from liqgame.market import (
-    PUBLISHED_TABLES,
     NotTwoTypes,
     QuadrantReport,
     UnknownTable,
     best_quadrant,
     cells_csv,
-    composition_from_csv,
-    label_text,
     load_published_matrix,
     pairwise_base_from_conditional,
     parse_label,
@@ -205,77 +201,18 @@ class TestQuadrantReport:
 
 class TestSerialization:
     @pytest.mark.parametrize("table", ["final_4x4", "intermediate_2x4"])
-    def test_every_bundled_cell_is_the_float_of_its_csv_text(self, table):
+    def test_every_bundled_cell_is_the_float_of_its_json_text(self, table):
         matrix = load_published_matrix(table)
-        header, *lines = fixture_path(PUBLISHED_TABLES[table]).read_text().splitlines()
-        assert header == "row_label,col_label,u_i,u_j"
-        assert len(lines) == matrix.rows * matrix.cols
-        for line in lines:
-            row_text, col_text, u, v = line.split(",")
-            r = matrix.actions_i.index(parse_label(row_text))
-            c = matrix.actions_j.index(parse_label(col_text))
-            assert (matrix.u_i[r][c], matrix.u_j[r][c]) == (float(u), float(v))
-
-    def test_labels_keep_their_csv_order(self):
-        doc = "row_label,col_label,u_i,u_j\ns+l,L+H,1,2\ns+l,l,3,4\nL+H,L+H,5,6\nL+H,l,7,8\n"
-        matrix = composition_from_csv(doc)
-        assert matrix.actions_i == (("s", "l"), ("L", "H"))
-        assert matrix.actions_j == (("L", "H"), (None, "l"))
-        assert matrix.u_i == ((1.0, 3.0), (5.0, 7.0))
-        assert matrix.u_j == ((2.0, 4.0), (6.0, 8.0))
-
-    @given(data=st.data())
-    def test_csv_round_trip(self, data):
-        # a type holds no "+", which splits it from the strategy
-        type_text = st.text('aLs ,"', max_size=3)
-        types = data.draw(st.lists(type_text, min_size=2, max_size=2, unique=True))
-        strategies = st.lists(st.text('xH+ ,"', max_size=3), min_size=1, max_size=3, unique=True)
-        rows = tuple((t, s) for t in types for s in data.draw(strategies))
-        cols = tuple((t, s) for t in types for s in data.draw(strategies))
-        payoff = st.floats(allow_nan=False, allow_infinity=False)
-        row = st.lists(payoff, min_size=len(cols), max_size=len(cols))
-        tables = st.lists(row, min_size=len(rows), max_size=len(rows))
-        u_i, u_j = (tuple(map(tuple, data.draw(tables))) for _ in range(2))
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["row_label", "col_label", "u_i", "u_j"])
-        for r, label_r in enumerate(rows):
-            for c, label_c in enumerate(cols):
-                writer.writerow([label_text(label_r), label_text(label_c), u_i[r][c], u_j[r][c]])
-        assert composition_from_csv(out.getvalue()) == PayoffMatrix(rows, cols, u_i, u_j)
-
-    @pytest.mark.parametrize(
-        "body,message",
-        [
-            ("L+H,L+H,nan,1\n", "payoff must be finite, got nan"),
-            ("L+H,L+H,1,-inf\n", "payoff must be finite, got -inf"),
-            ("L+H,L+H,1,1e999\n", "payoff must be finite, got inf"),
-            ("L+H,L+H,one,1\n", "could not convert string to float: 'one'"),
-            ("\nL+H,L+H,1\n", "line 3: expected 4 fields, got 3"),
-            ("L+H,L+H,1,2,\n", "line 2: expected 4 fields, got 5"),
-            ("L+H,L+H,1,2\nL+H,L+H,3,4\n", "repeated cell L+H,L+H"),
-            ("L+H,L+H,1,2\ns+H,s+H,3,4\n", "missing cell L+H,s+H"),
-            ("", "matrix must be non-empty"),
-            ("\n\n", "matrix must be non-empty"),
-        ],
-    )
-    def test_bad_tables_refused(self, body, message):
-        with pytest.raises(ValueError) as caught:
-            composition_from_csv("row_label,col_label,u_i,u_j\n" + body)
-        assert type(caught.value) is ValueError
-        assert str(caught.value) == message
-
-    @pytest.mark.parametrize("header", ["row,col,u_i,u_j", "row_label,col_label,u_j,u_i", ""])
-    def test_wrong_header_refused(self, header):
-        # the cell line alone would parse as a 1x1 table
-        with pytest.raises(ValueError, match="^expected header row_label,col_label,u_i,u_j$"):
-            composition_from_csv(f"{header}\nL+H,L+H,1,2\n")
-
-    def test_blank_lines_are_skipped(self):
-        doc = "row_label,col_label,u_i,u_j\n\nL+H,L+H,1,2\n\n\nL+H,s+H,3,4\n\n"
-        labels = (("L", "H"), ("s", "H"))
-        expected = PayoffMatrix(labels[:1], labels, ((1.0, 3.0),), ((2.0, 4.0),))
-        assert composition_from_csv(doc) == expected
+        # each number as the text the table prints, 1.2 and 0 alike
+        text = fixture_path(f"market_{table}.json").read_text()
+        raw = json.loads(text, parse_float=str, parse_int=str)
+        assert matrix.actions_i == tuple(map(parse_label, raw["rows"]))
+        assert matrix.actions_j == tuple(map(parse_label, raw["cols"]))
+        assert len(raw["matrix"]) == matrix.rows
+        for r, row in enumerate(raw["matrix"]):
+            assert len(row) == matrix.cols
+            for c, (u, v) in enumerate(row):
+                assert (matrix.u_i[r][c], matrix.u_j[r][c]) == (float(u), float(v))
 
     def test_cells_csv_header(self):
         lines = cells_csv(load_published_matrix("final_4x4")).splitlines()

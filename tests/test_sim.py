@@ -86,10 +86,6 @@ class TestStrategySpec:
         assert _deterministic_parcel(StrategySpec("fixed_fraction", 0.1))(4) == 1
         assert _deterministic_parcel(FULL)(9) == 9
 
-    def test_random_strategy_has_no_deterministic_parcel(self):
-        with pytest.raises(sim.IntractableStrategy):
-            _deterministic_parcel(RANDOM)
-
     @pytest.mark.parametrize("text", ["0.7", "0.35"])
     def test_parcel_rounds_exactly(self, text):
         # 0.7 * 45 is 31.499999999999996 in binary floating point.
