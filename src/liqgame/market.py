@@ -83,14 +83,18 @@ def cells_csv(matrix: PayoffMatrix) -> str:
 
 
 def load_published_matrix(source: str) -> PayoffMatrix:
-    """One of the bundled tables, exactly as printed (1-decimal values): ``rows`` and
-    ``cols`` labels and a ``documents.parse_bimatrix`` grid of ``[u_i, u_j]`` cells."""
+    """One of the bundled tables, exactly as printed (1-decimal values): distinct ``rows``
+    and ``cols`` labels and a ``documents.parse_bimatrix`` grid of ``[u_i, u_j]`` cells."""
     if source not in PUBLISHED_TABLES:
         raise UnknownTable(
             f"unknown table {source!r}, expected one of {sorted(PUBLISHED_TABLES)}"
         )
     raw = json.loads(fixture_path(f"market_{source}.json").read_text())
-    rows, cols = (tuple(map(parse_label, raw[key])) for key in ("rows", "cols"))
+    fields = ("rows", "cols", "matrix")
+    check_document(raw, "published table", fields)
+    labels = [parse_labels(raw[key], key) for key in fields[:2]]
+    check_labels(*labels)  # a repeated label would name two cells alike
+    rows, cols = (tuple(map(parse_label, side)) for side in labels)
     return PayoffMatrix.from_cells(rows, cols, parse_bimatrix(raw["matrix"]))
 
 

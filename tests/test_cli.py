@@ -483,6 +483,41 @@ class TestMarketCommand:
         assert exc.value.code == 2
         assert "final_4x4" in capsys.readouterr().err
 
+    # The ids name each fault as it read when the tables were CSV lines of
+    # row_label,col_label,u_i,u_j: a three-field line was a cell of one payoff,
+    # a five-field line a cell of three, and a repeated cell a label given twice.
+    @pytest.mark.parametrize(
+        "edit,fmt,message",
+        [
+            (lambda doc: doc.replace("[1.2, 1.2]", "[NaN, 1.2]", 1), "json",
+             "payoff must be finite, got nan"),
+            (lambda doc: doc.replace("[1.2, 1.2]", "[1.2, Infinity]", 1), "json",
+             "payoff must be finite, got inf"),
+            (lambda doc: doc.replace("[1.2, 1.2]", "[1.2]", 1), "json",
+             "every payoff cell must be a [u, v] pair"),
+            (lambda doc: doc.replace("[1.2, 1.2]", "[1.2, 1.2, 9]", 1), "json",
+             "every payoff cell must be a [u, v] pair"),
+            # two rows named L+H would split one quadrant's cells between them
+            (lambda doc: doc.replace('"L+l", "s+H"', '"L+H", "s+H"', 1), "json",
+             "labels must be distinct, got ['L+H', 'L+H', 's+H', 's+l']"),
+            # an empty table used to print a bare header
+            (lambda doc: '{"rows": [], "cols": [], "matrix": []}', "csv",
+             "matrix must be non-empty"),
+        ],
+        ids=["nan", "inf", "three-fields", "five-fields", "repeated-cell", "header-only"],
+    )
+    def test_bad_published_table_exit_two(self, capsys, tmp_path, monkeypatch, edit, fmt, message):
+        from liqgame import market
+
+        name = "market_final_4x4.json"
+        doc = edit(documents.fixture_path(name).read_text())
+        (tmp_path / name).write_text(doc)
+        monkeypatch.setattr(market, "fixture_path", lambda file: tmp_path / file)
+        code, out, err = run_cli(capsys, "market", "--published", "final_4x4", "--format", fmt)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: ValueError: {message}\n"
+
 
 class TestSimulateCommand:
     def test_deterministic_bytes_for_same_seed(self, capsys):

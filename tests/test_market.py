@@ -1,11 +1,14 @@
 import json
 import math
+from types import SimpleNamespace
+from unittest import mock
 from decimal import ROUND_HALF_UP, Context, Decimal
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from liqgame import market
 from liqgame.bayes import load_bundled_game
 from liqgame.core import PayoffMatrix
 from liqgame.documents import fixture_path
@@ -15,6 +18,7 @@ from liqgame.market import (
     UnknownTable,
     best_quadrant,
     cells_csv,
+    label_text,
     load_published_matrix,
     pairwise_base_from_conditional,
     parse_label,
@@ -199,6 +203,26 @@ class TestQuadrantReport:
         assert quadrant_analysis(rescaled).hit_ratio == 0.75
 
 
+def load_table(raw) -> PayoffMatrix:
+    """``load_published_matrix`` on ``raw``, a document or its text, in place of
+    the bundled final_4x4 table."""
+    text = raw if isinstance(raw, str) else json.dumps(raw)
+    document = SimpleNamespace(read_text=lambda: text)
+    with mock.patch.object(market, "fixture_path", lambda name: document):
+        return load_published_matrix("final_4x4")
+
+
+SMALL_TABLE = {
+    "rows": ["L+H", "s+H"],
+    "cols": ["L+H", "s+H"],
+    "matrix": [[[1, 2], [3, 4]], [[5, 6], [7, 8]]],
+}
+
+
+def small_table(**fields):
+    return {**SMALL_TABLE, **fields}
+
+
 class TestSerialization:
     @pytest.mark.parametrize("table", ["final_4x4", "intermediate_2x4"])
     def test_every_bundled_cell_is_the_float_of_its_json_text(self, table):
@@ -213,6 +237,81 @@ class TestSerialization:
             assert len(row) == matrix.cols
             for c, (u, v) in enumerate(row):
                 assert (matrix.u_i[r][c], matrix.u_j[r][c]) == (float(u), float(v))
+
+    def test_labels_keep_their_document_order(self):
+        doc = {
+            "rows": ["s+l", "L+H"],
+            "cols": ["L+H", "l"],
+            "matrix": [[[1, 2], [3, 4]], [[5, 6], [7, 8]]],
+        }
+        matrix = load_table(doc)
+        assert matrix.actions_i == (("s", "l"), ("L", "H"))
+        assert matrix.actions_j == (("L", "H"), (None, "l"))
+        assert matrix.u_i == ((1.0, 3.0), (5.0, 7.0))
+        assert matrix.u_j == ((2.0, 4.0), (6.0, 8.0))
+
+    @given(data=st.data())
+    def test_json_round_trip(self, data):
+        # a type holds no "+", which splits it from the strategy
+        type_text = st.text('aLs ,"', max_size=3)
+        types = data.draw(st.lists(type_text, min_size=2, max_size=2, unique=True))
+        strategies = st.lists(st.text('xH+ ,"', max_size=3), min_size=1, max_size=3, unique=True)
+        rows = tuple((t, s) for t in types for s in data.draw(strategies))
+        cols = tuple((t, s) for t in types for s in data.draw(strategies))
+        payoff = st.floats(allow_nan=False, allow_infinity=False)
+        row = st.lists(payoff, min_size=len(cols), max_size=len(cols))
+        tables = st.lists(row, min_size=len(rows), max_size=len(rows))
+        u_i, u_j = (tuple(map(tuple, data.draw(tables))) for _ in range(2))
+        doc = {
+            "rows": [label_text(label) for label in rows],
+            "cols": [label_text(label) for label in cols],
+            "matrix": [[[u, v] for u, v in zip(row_i, row_j)] for row_i, row_j in zip(u_i, u_j)],
+        }
+        assert load_table(doc) == PayoffMatrix(rows, cols, u_i, u_j)
+
+    @pytest.mark.parametrize(
+        "raw,message",
+        [
+            (small_table(matrix=[[[math.nan, 2], [3, 4]], [[5, 6], [7, 8]]]),
+             "payoff must be finite, got nan"),
+            (small_table(matrix=[[[1, -math.inf], [3, 4]], [[5, 6], [7, 8]]]),
+             "payoff must be finite, got -inf"),
+            (json.dumps(SMALL_TABLE).replace("[1, 2]", "[1, 1e999]"),
+             "payoff must be finite, got inf"),
+            (small_table(matrix=[[["one", 2], [3, 4]], [[5, 6], [7, 8]]]),
+             "payoff must be a number, got 'one'"),
+            (small_table(matrix=[[[True, 2], [3, 4]], [[5, 6], [7, 8]]]),
+             "payoff must be a number, got True"),
+            (small_table(matrix=[[[1], [3, 4]], [[5, 6], [7, 8]]]),
+             "every payoff cell must be a [u, v] pair"),
+            (small_table(matrix=[[[1, 2, 9], [3, 4]], [[5, 6], [7, 8]]]),
+             "every payoff cell must be a [u, v] pair"),
+            (small_table(matrix=[[1, 2], [3, 4]]), "every payoff cell must be a [u, v] pair"),
+            (small_table(rows=["L+H", "L+H"]), "labels must be distinct, got ['L+H', 'L+H']"),
+            (small_table(cols=["s+H", "s+H"]), "labels must be distinct, got ['s+H', 's+H']"),
+            (small_table(rows=["L+H", 2]), "labels must be strings, got ['L+H', 2]"),
+            (small_table(cols="L+H"), "cols must be a list of labels, got 'L+H'"),
+            (small_table(matrix=[[[1, 2], [3, 4]], [[5, 6]]]),
+             "matrix for u_i has wrong dimensions"),
+            (small_table(matrix=[[[1, 2], [3, 4]]]), "matrix for u_i has wrong dimensions"),
+            (small_table(cols=["L+H", "s+H", "l"]), "matrix for u_i has wrong dimensions"),
+            ({"rows": [], "cols": [], "matrix": []}, "matrix must be non-empty"),
+            (small_table(note="1.2 as printed"), "unknown published table key 'note'"),
+            ({"rows": ["L+H"], "matrix": [[[1, 2]]]}, "missing published table key 'cols'"),
+            ([SMALL_TABLE], "published table must be a JSON object, got list"),
+        ],
+        ids=[
+            "nan", "-inf", "1e999", "string-payoff", "bool-payoff", "one-payoff-cell",
+            "three-payoff-cell", "bare-number-cell", "repeated-row", "repeated-col",
+            "number-label", "cols-not-a-list", "short-row", "missing-row", "extra-col",
+            "empty", "unknown-key", "missing-key", "not-an-object",
+        ],
+    )
+    def test_bad_tables_refused(self, raw, message):
+        with pytest.raises(ValueError) as caught:
+            load_table(raw)
+        assert type(caught.value) is ValueError
+        assert str(caught.value) == message
 
     def test_cells_csv_header(self):
         lines = cells_csv(load_published_matrix("final_4x4")).splitlines()
