@@ -11,7 +11,7 @@ _EXPORTS = {
     "ConditionalGame": "bayes",
     "GameInstance": "core",
     "LiquidityGameError": "core",
-    "MixedProfile": "equilibria",
+    "MixedProfile": "solver",
     "PayoffMatrix": "core",
     "PureEquilibrium": "equilibria",
     "QuadrantReport": "market",

@@ -67,7 +67,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         else:
             atomic_write(args.output, text)
         return 0
-    except (LiquidityGameError, ValueError, OSError) as exc:
+    except (LiquidityGameError, ValueError, OSError, RecursionError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except Exception:

@@ -1,23 +1,20 @@
-"""Equilibria of instance games: what ``liqgame solve`` runs.
+"""Equilibria of instance games: what ``liqgame solve`` prints.
 
 Pure equilibria come from an exhaustive best-response scan, and the mixed
 equilibria of an instance game from a closed form in exact integer ratios,
-which a report writes as text with no ``Fraction``. The records live here
-too, so a ``solve`` process compiles and imports no more than it runs;
-``solver`` holds support enumeration and the exact checkers of any bimatrix
-game, and imports its records from here.
+which the report writes as text from integers alone. This module holds only
+what ``solve`` prints, so a ``solve`` process compiles no more than it runs;
+``solver`` holds support enumeration, the exact checkers of any bimatrix
+game and their ``MixedProfile`` record.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .core import WORK_LIMIT, GameInstance, PayoffMatrix
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 
 class PureEquilibrium(NamedTuple):
@@ -35,23 +32,6 @@ class PureEquilibrium(NamedTuple):
         }
 
 
-class MixedProfile(NamedTuple):
-    """Per-player probability vectors over the action sets.
-
-    Exact-rational entries when produced by ``solver.solve_mixed``; grid
-    rationals (multiples of 1/resolution) when produced by the oracle.
-    """
-
-    probs_i: tuple[Fraction, ...]
-    probs_j: tuple[Fraction, ...]
-
-    def to_jsonable(self) -> dict:
-        return {
-            "probs_i": [str(p) for p in self.probs_i],
-            "probs_j": [str(q) for q in self.probs_j],
-        }
-
-
 def find_pure_equilibria(matrix: PayoffMatrix) -> list[PureEquilibrium]:
     """All cells with the exact best-response property, in row-major order."""
     u_i, u_j = matrix.u_i, matrix.u_j
@@ -66,7 +46,7 @@ def find_pure_equilibria(matrix: PayoffMatrix) -> list[PureEquilibrium]:
 
 
 def _closed_form(m: int, n: int):
-    """Each profile of the closed form, in ``instance_mixed_profiles``' order,
+    """Each profile of the closed form, in ``instance_mixed_jsonable``'s order,
     for I holding m and J needing n: I's pure row, and J's nonzero weights
     as (column, p, q), p/q in lowest terms, in integers alone."""
     for k in range(1, min(m, n) + 1):
@@ -93,9 +73,11 @@ def report_work(m: int, n: int) -> int:
     return 4 * m * n + 3 * m + 9 * n + (2 ** (k - 1) * (c + 1) - 1) * (m + n + 6) + 17
 
 
-def instance_mixed_profiles(instance: GameInstance) -> list[MixedProfile]:
-    """``solve_mixed`` of the instance's payoff matrix, values and order, in
-    closed form: 2^(k-1)*(c+1) - 1 profiles, k = min(m, n), c = max(n-m+1, 1).
+def instance_mixed_jsonable(instance: GameInstance) -> list[dict]:
+    """``to_jsonable`` of each profile of ``solve_mixed`` on the instance's
+    payoff matrix, in its order, written from a closed form in integers as
+    "p/q", or "p" when q is 1: 2^(k-1)*(c+1) - 1 profiles, k = min(m, n),
+    c = max(n-m+1, 1).
 
     I holds m = |B_i|, J needs n = |B_j|; parcel x is row m - x, column n - x.
     I's x against J's y pays both x if x <= y, else 0, so J's parcels >= m pay
@@ -116,21 +98,6 @@ def instance_mixed_profiles(instance: GameInstance) -> list[MixedProfile]:
     R, C) order: R = {m - s_j} by combinations, and for R holding row 0 the
     top parcel from n down to m, as column n - y ascends.
     """
-    from fractions import Fraction  # here, so a solve report loads neither it nor decimal
-    m, n = abs(instance.balance_i), abs(instance.balance_j)
-    profiles, zero, one = [], Fraction(0), Fraction(1)
-    for row, weights in _closed_form(m, n):
-        probs_i, probs_j = [zero] * m, [zero] * n
-        probs_i[row] = one
-        for column, p, q in weights:
-            probs_j[column] = Fraction(p, q)
-        profiles.append(MixedProfile(tuple(probs_i), tuple(probs_j)))
-    return profiles
-
-
-def instance_mixed_jsonable(instance: GameInstance) -> list[dict]:
-    """``to_jsonable`` of each profile of ``instance_mixed_profiles``, the same
-    text written from the closed form's integers: "p/q", or "p" when q is 1."""
     m, n = abs(instance.balance_i), abs(instance.balance_j)
     found = []
     for row, weights in _closed_form(m, n):

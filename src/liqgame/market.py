@@ -45,10 +45,11 @@ _ANY_FLOAT = Context(prec=320)
 
 
 def _fmt1(value: float) -> str:
-    """Half-up rounding of the float's shortest decimal text to one decimal,
-    written without a trailing ".0"; ValueError for a volume that is not finite."""
+    """Half-up rounding of the float's shortest decimal text to one decimal, written
+    without a trailing ".0" and a zero unsigned; ValueError for a non-finite volume."""
     finite_number(value, "volume")
-    text = str(Decimal(repr(value)).quantize(Decimal("0.1"), ROUND_HALF_UP, _ANY_FLOAT))
+    rounded = Decimal(repr(value)).quantize(Decimal("0.1"), ROUND_HALF_UP, _ANY_FLOAT)
+    text = str(_ANY_FLOAT.plus(rounded))  # plus turns -0.0 into 0.0
     return text[:-2] if text.endswith(".0") else text
 
 

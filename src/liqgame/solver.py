@@ -15,14 +15,30 @@ import itertools
 import math
 import operator
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .core import LiquidityGameError, PayoffMatrix, check_work, is_int
-from .equilibria import MixedProfile
 
 
 class DimensionMismatch(LiquidityGameError):
     pass
+
+
+class MixedProfile(NamedTuple):
+    """Per-player probability vectors over the action sets.
+
+    Exact-rational entries when produced by ``solve_mixed``; grid rationals
+    (multiples of 1/resolution) when produced by the oracle.
+    """
+
+    probs_i: tuple[Fraction, ...]
+    probs_j: tuple[Fraction, ...]
+
+    def to_jsonable(self) -> dict:
+        return {
+            "probs_i": [str(p) for p in self.probs_i],
+            "probs_j": [str(q) for q in self.probs_j],
+        }
 
 
 def _laplace_plan(opp_count: int, max_size: int) -> list[dict]:

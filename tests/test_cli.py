@@ -2,6 +2,7 @@ import copy
 import gc
 import hashlib
 import json
+import math
 import os
 import re
 import shutil
@@ -375,6 +376,30 @@ class TestMarketCommand:
         assert code == 0
         assert out.splitlines()[0] == "row_label,col_label,volume"
         assert len(out.splitlines()) == 17
+
+    def test_no_negative_zero(self, capsys, tmp_path):
+        # a,a's cell sums to -0.04, which rounds to zero: written unsigned in both forms
+        path = tmp_path / "base.json"
+        path.write_text(json.dumps({
+            "types": ["a", "b"],
+            "strategies": ["x"],
+            "prior_i": [1, 0],
+            "prior_j": [1, 0],
+            "matrices": {
+                key: [[[-0.02, -0.02]]] if key == "a,a" else [[[0, 0]]]
+                for key in ("a,a", "a,b", "b,a", "b,b")
+            },
+        }))
+        code, out, _ = run_cli(capsys, *MARKET, str(path), "--format", "csv")
+        assert code == 0
+        assert out.splitlines()[1:] == ["a+x,a+x,0", "a+x,b+x,0", "b+x,a+x,0", "b+x,b+x,0"]
+        code, out, _ = run_cli(capsys, *MARKET, str(path))
+        assert code == 0
+        assert "-0" not in out
+        report = json.loads(out)
+        assert report["quadrants"] == {"a,a": 0.0, "a,b": 0.0, "b,a": 0.0, "b,b": 0.0}
+        assert math.copysign(1.0, report["quadrants"]["a,a"]) == 1.0
+        assert math.copysign(1.0, report["system_total"]) == 1.0
 
     def test_constructive_missing_pair_exit_two(self, capsys, tmp_path):
         config = tmp_path / "base.json"
@@ -898,6 +923,26 @@ def test_malformed_json_exit_two(capsys, tmp_path, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: JSONDecodeError: Expecting property name")
+
+
+@pytest.mark.parametrize(
+    "document",
+    ["[" * 100_000 + "]" * 100_000, '{"a":' * 100_000 + "1" + "}" * 100_000],
+    ids=["array", "object"],
+)
+@pytest.mark.parametrize(
+    "argv", [SOLVE, BAYES, MARKET, SIMULATE], ids=["solve", "bayes", "market", "simulate"]
+)
+def test_deeply_nested_json_exit_two(capsys, tmp_path, argv, document):
+    # json.loads recurses once per level and raises RecursionError, which is bad input too
+    path = tmp_path / "doc.json"
+    path.write_text(document)
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: RecursionError: maximum recursion depth exceeded")
+    assert "Traceback" not in err
 
 
 # a complete two-type base, so a bad cell is the only fault

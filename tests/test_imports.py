@@ -215,6 +215,13 @@ def test_public_name_import_is_listed_by_importtime():
     assert "liqgame.solver" in importtime("-c", "import liqgame; liqgame.solve_mixed")
 
 
+def test_solver_loads_no_equilibria():
+    # support enumeration and its checkers own MixedProfile; the closed form
+    # that solve prints is not theirs to load
+    code = "import sys, liqgame.solver; print(sorted(m for m in sys.modules if m.startswith('liqgame')))"
+    assert run_fresh(code) == "['liqgame', 'liqgame.core', 'liqgame.solver']\n"
+
+
 def test_cli_import_loads_no_dataclasses_or_inspect():
     # dataclasses pulls in inspect, ast, dis and tokenize: milliseconds of
     # every process's start-up
@@ -245,7 +252,7 @@ def test_names_resolve_to_their_defining_module():
         "from liqgame import core, equilibria, sim, solver\n"
         "assert liqgame.solve_mixed is solver.solve_mixed\n"
         "assert liqgame.find_pure_equilibria is equilibria.find_pure_equilibria\n"
-        "assert liqgame.MixedProfile is solver.MixedProfile is equilibria.MixedProfile\n"
+        "assert liqgame.MixedProfile is solver.MixedProfile\n"
         "assert liqgame.PayoffMatrix is core.PayoffMatrix\n"
         "assert liqgame.run_simulation is sim.run_simulation\n"
         "assert set(liqgame.__all__) <= set(dir(liqgame))\n"

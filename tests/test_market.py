@@ -335,10 +335,11 @@ class TestSerialization:
     @example(1e27)
     @example(-1.7976931348623157e308)
     @example(5e-324)
+    @example(-0.04)
     def test_rounding_is_half_up_on_the_shortest_decimal(self, value):
         # the rule round1 and the CSV writer share, stated on Decimal directly, in a
-        # context wide enough for every finite float
+        # context wide enough for every finite float; a zero is unsigned (+ 0.0)
         expected = Decimal(repr(value)).quantize(
             Decimal("0.1"), rounding=ROUND_HALF_UP, context=Context(prec=1000)
         )
-        assert repr(round1(value)) == repr(float(expected))
+        assert repr(round1(value)) == repr(float(expected) + 0.0)

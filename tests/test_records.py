@@ -1,4 +1,4 @@
-"""The library's twelve record types: how they are built, printed,
+"""The library's eleven record types: how they are built, printed,
 compared and validated. Records are immutable named tuples."""
 
 import copy
@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from liqgame import bayes, core, equilibria, lp, market, sim
+from liqgame import bayes, core, equilibria, lp, market, sim, solver
 
 HALF = Fraction(1, 2)
 SPEC = sim.StrategySpec("fixed_fraction", 0.5)
@@ -34,7 +34,7 @@ RECORDS = [
         True,
     ),
     (
-        equilibria.MixedProfile,
+        solver.MixedProfile,
         dict(probs_i=(HALF, HALF), probs_j=(Fraction(1),)),
         "MixedProfile(probs_i=(Fraction(1, 2), Fraction(1, 2)), probs_j=(Fraction(1, 1),))",
         True,

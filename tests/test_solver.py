@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import tracemalloc
 from decimal import Decimal
@@ -18,14 +19,14 @@ from liqgame.core import (
 )
 from liqgame import cli, market, solver
 from liqgame.commands.solve import build_solve_report
-from liqgame.equilibria import (
+from liqgame.equilibria import find_pure_equilibria, instance_mixed_jsonable, report_work
+from liqgame.solver import (
+    DimensionMismatch,
     MixedProfile,
-    find_pure_equilibria,
-    instance_mixed_jsonable,
-    instance_mixed_profiles,
-    report_work,
+    brute_force_oracle,
+    solve_mixed,
+    verify_equilibrium,
 )
-from liqgame.solver import DimensionMismatch, brute_force_oracle, solve_mixed, verify_equilibrium
 
 from reference_solver import (
     reference_determinant,
@@ -344,18 +345,17 @@ def profile_count(m: int, n: int) -> int:
 
 
 class TestInstanceMixedProfiles:
-    """The closed form lists exactly what support enumeration lists."""
+    """The closed form prints exactly what support enumeration lists."""
 
     @pytest.mark.parametrize("m", range(1, 9))
     @pytest.mark.parametrize("n", range(1, 9))
     def test_equals_support_enumeration(self, m, n):
         instance = build_instance(m, -n, 10_000)
         expected = solve_mixed(build_payoff_matrix(instance))
-        found = instance_mixed_profiles(instance)
-        assert found == expected
+        assert instance_mixed_jsonable(instance) == [prof.to_jsonable() for prof in expected]
         assert len(expected) == profile_count(m, n)
         # an int 0 compares equal to Fraction(0), so equality alone lets one through
-        assert all(type(x) is Fraction for prof in found for x in prof.probs_i + prof.probs_j)
+        assert all(type(x) is Fraction for prof in expected for x in prof.probs_i + prof.probs_j)
 
     @settings(max_examples=50, deadline=None)
     @given(thin=st.integers(1, 3), wide=st.integers(1, 200), transpose=st.booleans())
@@ -363,11 +363,10 @@ class TestInstanceMixedProfiles:
         m, n = (wide, thin) if transpose else (thin, wide)
         instance = build_instance(m, -n, 10_000)
         matrix = build_payoff_matrix(instance)
-        profiles = instance_mixed_profiles(instance)
-        assert len(profiles) == profile_count(m, n)
-        for prof in profiles:
-            assert verify_equilibrium(matrix, prof, F(0))
-        assert instance_mixed_jsonable(instance) == [prof.to_jsonable() for prof in profiles]
+        printed = instance_mixed_jsonable(instance)
+        assert len(printed) == profile_count(m, n)
+        for prof in printed:
+            assert verify_equilibrium(matrix, profile(prof["probs_i"], prof["probs_j"]), F(0))
 
     @settings(max_examples=15, deadline=None)
     @given(thin=st.integers(1, 3), wide=st.integers(13, 40), transpose=st.booleans())
@@ -377,10 +376,9 @@ class TestInstanceMixedProfiles:
         m, n = (wide, thin) if transpose else (thin, wide)
         instance = build_instance(m, -n, 10_000)
         expected = solve_mixed(build_payoff_matrix(instance))
-        found = instance_mixed_profiles(instance)
-        assert found == expected
-        assert len(found) == profile_count(m, n)
-        assert all(type(x) is Fraction for prof in found for x in prof.probs_i + prof.probs_j)
+        assert instance_mixed_jsonable(instance) == [prof.to_jsonable() for prof in expected]
+        assert len(expected) == profile_count(m, n)
+        assert all(type(x) is Fraction for prof in expected for x in prof.probs_i + prof.probs_j)
 
     @pytest.mark.parametrize(
         "m,n",
@@ -393,11 +391,14 @@ class TestInstanceMixedProfiles:
     @pytest.mark.parametrize("m", range(1, 13))
     def test_report_text_is_the_profiles_text(self, m):
         # solve's report writes each weight from the closed form's integers,
-        # with no Fraction: it must read as str() of the profile's Fraction
+        # with no Fraction: it must read as str() of a Fraction in [0, 1],
+        # "0", "1" or "p/q" in lowest terms with 0 < p < q
         for n in range(1, 13):
-            instance = build_instance(m, -n, 10_000)
-            expected = [prof.to_jsonable() for prof in instance_mixed_profiles(instance)]
-            assert instance_mixed_jsonable(instance) == expected
+            for prof in instance_mixed_jsonable(build_instance(m, -n, 10_000)):
+                for weight in prof["probs_i"] + prof["probs_j"]:
+                    if weight not in ("0", "1"):
+                        p, q = map(int, weight.split("/"))
+                        assert weight == f"{p}/{q}" and 0 < p < q and math.gcd(p, q) == 1
 
     def test_cleared_player_has_no_game(self):
         # no instance with a cleared player is built, so none reaches the closed form
