@@ -203,7 +203,8 @@ def quadrant_analysis(matrix: PayoffMatrix) -> QuadrantReport:
 
 
 def best_quadrant(report: QuadrantReport) -> tuple[str, str]:
-    """Highest-volume quadrant; ties go to the earliest in table order."""
+    """Highest-volume quadrant by the sums the report prints, rounded half up to
+    one decimal (``round1``); ties go to the earliest in table order."""
     if not report.quadrants:
         raise ValueError("report has no quadrants")
-    return max(report.quadrants, key=report.quadrants.get)
+    return max(report.quadrants, key=lambda quadrant: round1(report.quadrants[quadrant]))

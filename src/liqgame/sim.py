@@ -22,10 +22,11 @@ import itertools
 import numbers
 import operator
 import random
+import sys
 from collections import Counter
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional
 
-from .core import Checked, check_document, check_ints, is_int, transferred
+from .core import Checked, check_document, check_ints, check_work, is_int, transferred
 
 STRATEGY_KINDS = ("fixed_fraction", "uniform_random", "full_balance")
 MODES = ("one_shot", "repeated")
@@ -120,6 +121,9 @@ class SimConfig(Checked, _SimConfig):
         _check_ranges(*ranges)
         if any(isinstance(pair, list) for pair in ranges):  # _replace runs these checks again
             return self._replace(balance_range_i=tuple(ranges[0]), balance_range_j=tuple(ranges[1]))
+        # the report's mean volume per trial is a float, so no balance may pass the largest one
+        if max(self.balance_range_i[1], -self.balance_range_j[0]) > sys.float_info.max:
+            raise ValueError("balances must be at most the largest float in absolute value")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if not 0 <= self.seed < 2**64:
@@ -196,13 +200,16 @@ def _parcel_rule(strategy: StrategySpec):
 
 
 def _play(config: SimConfig) -> Iterator[tuple[list, ...]]:
-    """Play the blocks in order; yields each block's TrialRecord fields as
-    lists, in field order."""
+    """Play the blocks in order, after the work limit's check; yields each
+    block's TrialRecord fields as lists, in field order."""
+    max_rounds = 1 if config.mode == "one_shot" else config.max_rounds
+    # three units of about 2 µs per trial and round: up to 4.4 µs, on balances near the largest float
+    what = f"simulate of {config.trials} trials with a {max_rounds}-round budget"
+    check_work(3 * config.trials * max_rounds, what)
     parcels_i = _parcel_rule(config.strategy_i)
     parcels_j = _parcel_rule(config.strategy_j)
     lo_i, hi_i = config.balance_range_i
     lo_j, hi_j = config.balance_range_j
-    max_rounds = 1 if config.mode == "one_shot" else config.max_rounds
     # Deterministic parcels repeat after a round that moves nothing: such a
     # trial would idle until max_rounds, so settle it at once, uncleared.
     deterministic = "uniform_random" not in (config.strategy_i.kind, config.strategy_j.kind)
@@ -295,7 +302,7 @@ def analytic_hit_ratio(
 ) -> float:
     """Exact success probability P(offer <= capacity) of one round, under
     uniform draws of both balances; the convergence oracle for
-    ``run_simulation``. Ranges follow ``SimConfig``'s rule (ValueError).
+    ``run_simulation``. Ranges follow ``SimConfig``'s range rule (ValueError).
 
     A sum over balance pairs (b, b'), as absolute values. Per pair the hit
     probability is 1 + (1 - b)/(2b') when b <= b', else (b' + 1)/(2b), for

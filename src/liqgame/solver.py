@@ -34,12 +34,6 @@ class MixedProfile(NamedTuple):
     probs_i: tuple[Fraction, ...]
     probs_j: tuple[Fraction, ...]
 
-    def to_jsonable(self) -> dict:
-        return {
-            "probs_i": [str(p) for p in self.probs_i],
-            "probs_j": [str(q) for q in self.probs_j],
-        }
-
 
 def _laplace_plan(opp_count: int, max_size: int) -> list[dict]:
     """Per size t = 1..max_size (index 0 is empty), per t-subset C of the
@@ -68,9 +62,9 @@ def _next_minors(minors: list[int], row: Sequence[int], level: dict) -> list[int
 
 def _support_weights(
     table: Sequence[Sequence[int]], plan: list[dict], pairs
-) -> dict[tuple[tuple, tuple], tuple[Sequence[int], int]]:
+) -> dict[tuple[tuple, tuple], Sequence[int]]:
     """The opponent weights over T that make the owner indifferent across S,
-    as integer numerators over a positive common denominator, keyed by (S, T),
+    as integer numerators whose sum is their positive common denominator, keyed by (S, T),
     for each (S, T) of ``pairs``, all of one size and sorted by S. Left out:
     singular systems, negative weights and an action outside S earning more
     than the common value. ``table`` holds the owner's payoff rows; with D
@@ -95,23 +89,20 @@ def _support_weights(
         # the expansion along a last row of ones: the numerators, all negated
         # at even sizes, which the sign rule below undoes
         nums = signed(minors)
-        det = sum(nums)
-        if det < 0:
-            nums, det = [-x for x in nums], -det
+        if (det := sum(nums)) < 0:
+            nums = [-x for x in nums]
         if det and min(nums) >= 0:
             value = sum(map(operator.mul, cols(base), nums))  # S's rows tie by construction
             if all(sum(map(operator.mul, cols(row), nums)) <= value for row in rest):
-                weights[own, opp] = nums, det
+                weights[own, opp] = nums
     return weights
 
 
-def _probabilities(
-    size: int, support: Sequence[int], nums: Sequence[int], det: int
-) -> tuple[Fraction, ...]:
-    probs = [Fraction(0)] * size
-    for k, x in zip(support, nums):
-        probs[k] = Fraction(x, det)
-    return tuple(probs)
+def _lowest_terms(support: Sequence[int], nums: Sequence[int]) -> tuple[int, ...]:
+    """The weights nums / sum(nums) over ``support`` in lowest terms, as one flat tuple:
+    action, numerator, ... for the nonzero weights only; the numerators sum to the denominator."""
+    g = math.gcd(*nums)
+    return tuple(v for k, x in zip(support, nums) if x for v in (k, x // g))
 
 
 def solve_mixed(matrix: PayoffMatrix) -> list[MixedProfile]:
@@ -122,14 +113,16 @@ def solve_mixed(matrix: PayoffMatrix) -> list[MixedProfile]:
     Each support system is solved by Cramer's rule in integers, from minors
     that Laplace expansion shares among all pairs with the same own support;
     one player's weights are computed only where the other's passed. Checks
-    run on the integer numerators; rationals are formed only for accepted
-    profiles, and a profile that an earlier support pair gave is dropped.
+    run on the integer numerators; repeats are dropped by their lowest-terms
+    integer weights, and one Fraction is built per distinct value, at the end.
 
     Degenerate profiles are kept: a solution may place probability zero on
     part of its candidate support, which is how boundary equilibria of
     weakly dominated games surface. Pure equilibria appear as the size-1
-    supports. Singular support systems are skipped. Payoffs other than ints
-    (a float, a Fraction, a bool) raise ValueError before anything is built.
+    supports. Unequal-size supports are not tried and singular systems are
+    skipped, so degenerate games can lose extreme equilibria: u_i = [[-2, 2],
+    [0, 1]], u_j = [[1, 1], [0, 0]] has four, the list two. Payoffs other than
+    ints (a float, a Fraction, a bool) raise ValueError before anything is built.
     """
     m, n, k = matrix.rows, matrix.cols, min(matrix.rows, matrix.cols)
     # In units of about 2 µs or 100 bytes. Two to a unit, each about 1 µs: the support pairs,
@@ -147,7 +140,7 @@ def solve_mixed(matrix: PayoffMatrix) -> list[MixedProfile]:
     u_j_t = list(zip(*matrix.u_j))
     plan_i = _laplace_plan(n, k)
     plan_j = plan_i if m == n else _laplace_plan(m, k)
-    profiles: dict[MixedProfile, None] = {}
+    keys: dict[tuple[tuple[int, ...], tuple[int, ...]], None] = {}
     for size in range(1, k + 1):
         supports_i, supports_j = (itertools.combinations(range(side), size) for side in (m, n))
         qs = _support_weights(matrix.u_i, plan_i, itertools.product(supports_i, supports_j))
@@ -156,8 +149,15 @@ def solve_mixed(matrix: PayoffMatrix) -> list[MixedProfile]:
         # in enumeration order, (S_i, S_j); a repeated profile keeps its first place
         for (s_i, s_j), q in qs.items():
             if (p := ps.get((s_j, s_i))) is not None:
-                profiles[MixedProfile(_probabilities(m, s_i, *p), _probabilities(n, s_j, *q))] = None
-    return list(profiles)
+                keys[_lowest_terms(s_i, p), _lowest_terms(s_j, q)] = None
+    zero, values = Fraction(0), {}  # one Fraction per distinct (numerator, denominator)
+
+    def probabilities(size: int, key: tuple[int, ...]) -> tuple[Fraction, ...]:
+        probs, den = [zero] * size, sum(key[1::2])
+        for action, num in zip(key[::2], key[1::2]):  # num > 0: a stored Fraction is never falsy
+            probs[action] = values.get((num, den)) or values.setdefault((num, den), Fraction(num, den))
+        return tuple(probs)
+    return [MixedProfile(probabilities(m, key_i), probabilities(n, key_j)) for key_i, key_j in keys]
 
 
 def _ratio(x) -> tuple[int, int]:

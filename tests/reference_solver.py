@@ -2,7 +2,9 @@
 
 A deliberately plain Gaussian-elimination enumerator kept only as a test
 oracle for ``liqgame.solver.solve_mixed``: the two must return equal lists,
-including order, de-duplication and degenerate profiles. A Gaussian
+including order, de-duplication and degenerate profiles. A second,
+independent oracle, ``extreme_equilibria``, enumerates the vertices of the
+two best-response polytopes instead of support pairs. A Gaussian
 determinant checks the solver's table of minors. The ``Fraction``
 forms of ``verify_equilibrium`` and of the oracle's window grid are kept
 for the same purpose against the integer versions in ``liqgame.solver``,
@@ -12,6 +14,7 @@ and so is the numpy full sweep of the grid oracle.
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -138,6 +141,51 @@ def reference_solve_mixed(matrix: PayoffMatrix) -> list[MixedProfile]:
                     seen.add(profile)
                     profiles.append(profile)
     return profiles
+
+
+def _vertices(constraints: list[tuple[list[Fraction], int, int]], dim: int) -> dict[tuple, frozenset]:
+    """Each nonzero vertex of {z : a . z <= b for every (a, b, label) of
+    ``constraints``}, with the labels of the constraints tight at it: the
+    feasible unique solutions of every ``dim`` of the constraints made tight."""
+    vertices = {}
+    for basis in itertools.combinations(constraints, dim):
+        z = _solve_linear_exact([a for a, _, _ in basis], [Fraction(b) for _, b, _ in basis])
+        if z is None or not any(z) or tuple(z) in vertices:
+            continue
+        slacks = [b - sum(map(operator.mul, a, z)) for a, b, _ in constraints]
+        if min(slacks) >= 0:
+            vertices[tuple(z)] = frozenset(label for (_, _, label), s in zip(constraints, slacks) if s == 0)
+    return vertices
+
+
+def extreme_equilibria(matrix: PayoffMatrix) -> set[tuple[tuple[Fraction, ...], tuple[Fraction, ...]]]:
+    """The game's extreme equilibria, as (probs_i, probs_j) pairs (Mangasarian 1964;
+    von Stengel 2002). With both payoff tables A = u_i and B = u_j shifted to be
+    positive, the best-response polytopes are P = {x >= 0, B^T x <= 1} and
+    Q = {A y <= 1, y >= 0}. A vertex is labelled by each of I's actions r where
+    x_r = 0 or (A y)_r = 1, and by each of J's actions c where (B^T x)_c = 1 or
+    y_c = 0. The pairs of nonzero vertices whose labels cover all m + n actions,
+    each side scaled to sum to 1, are the extreme equilibria. Every vertex is
+    solved basis by basis in Fractions; nothing of ``liqgame.solver`` is used."""
+    m, n = matrix.rows, matrix.cols
+    shift = 1 - min(itertools.chain(*matrix.u_i, *matrix.u_j))
+    a = [[Fraction(x) + shift for x in row] for row in matrix.u_i]
+    b = [[Fraction(x) + shift for x in row] for row in matrix.u_j]
+
+    def minus_unit(k: int, size: int) -> list[Fraction]:
+        return [Fraction(-(k == c)) for c in range(size)]
+
+    p = _vertices(
+        [(minus_unit(r, m), 0, r) for r in range(m)] + [([row[c] for row in b], 1, m + c) for c in range(n)], m
+    )
+    q = _vertices([(a[r], 1, r) for r in range(m)] + [(minus_unit(c, n), 0, m + c) for c in range(n)], n)
+    every = frozenset(range(m + n))
+    return {
+        (tuple(v / sum(x) for v in x), tuple(v / sum(y) for v in y))
+        for x, labels_x in p.items()
+        for y, labels_y in q.items()
+        if labels_x | labels_y == every
+    }
 
 
 def reference_verify_equilibrium(

@@ -1,16 +1,22 @@
+import contextlib
 import copy
 import gc
 import hashlib
+import io
 import json
 import math
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from liqgame import bayes, cli, commands, core, documents, solver
 from liqgame.commands import bayes as bayes_command
@@ -350,6 +356,19 @@ class TestBayesCommand:
         assert abs(report["threshold_p"] - 0.5) < 1e-12
 
 
+# a constructive base whose a,a cell sums to -0.04 and the other three to 0
+ROUNDS_TO_ZERO = {
+    "types": ["a", "b"],
+    "strategies": ["x"],
+    "prior_i": [1, 0],
+    "prior_j": [1, 0],
+    "matrices": {
+        key: [[[-0.02, -0.02]]] if key == "a,a" else [[[0, 0]]]
+        for key in ("a,a", "a,b", "b,a", "b,b")
+    },
+}
+
+
 class TestMarketCommand:
     def test_published_final_table(self, capsys):
         code, out, _ = run_cli(capsys, "market", "--published", "final_4x4")
@@ -380,16 +399,7 @@ class TestMarketCommand:
     def test_no_negative_zero(self, capsys, tmp_path):
         # a,a's cell sums to -0.04, which rounds to zero: written unsigned in both forms
         path = tmp_path / "base.json"
-        path.write_text(json.dumps({
-            "types": ["a", "b"],
-            "strategies": ["x"],
-            "prior_i": [1, 0],
-            "prior_j": [1, 0],
-            "matrices": {
-                key: [[[-0.02, -0.02]]] if key == "a,a" else [[[0, 0]]]
-                for key in ("a,a", "a,b", "b,a", "b,b")
-            },
-        }))
+        path.write_text(json.dumps(ROUNDS_TO_ZERO))
         code, out, _ = run_cli(capsys, *MARKET, str(path), "--format", "csv")
         assert code == 0
         assert out.splitlines()[1:] == ["a+x,a+x,0", "a+x,b+x,0", "b+x,a+x,0", "b+x,b+x,0"]
@@ -400,6 +410,15 @@ class TestMarketCommand:
         assert report["quadrants"] == {"a,a": 0.0, "a,b": 0.0, "b,a": 0.0, "b,b": 0.0}
         assert math.copysign(1.0, report["quadrants"]["a,a"]) == 1.0
         assert math.copysign(1.0, report["system_total"]) == 1.0
+
+    def test_best_quadrant_reads_the_printed_sums(self, capsys, tmp_path):
+        # a,a's -0.04 prints as 0.0 like the other three, so the tie goes to a,a,
+        # the earliest in table order, not to a,b, the first unrounded maximum
+        path = tmp_path / "base.json"
+        path.write_text(json.dumps(ROUNDS_TO_ZERO))
+        code, out, _ = run_cli(capsys, *MARKET, str(path))
+        assert code == 0
+        assert json.loads(out)["best_quadrant"] == ["a", "a"]
 
     def test_constructive_missing_pair_exit_two(self, capsys, tmp_path):
         config = tmp_path / "base.json"
@@ -545,6 +564,31 @@ class TestMarketCommand:
 
 
 class TestSimulateCommand:
+    @pytest.mark.parametrize(
+        "argv,trials,rounds",
+        [
+            (["--trials", "1398102"], 1_398_102, 1),
+            (["--trials", str(10**30)], 10**30, 1),
+            (["--trials", "1", "--mode", "repeated", "--max-rounds", "1398102"], 1, 1_398_102),
+            (["--trials", "13982", "--mode", "repeated"], 13_982, 100),
+            (
+                ["--trials", "10", "--mode", "repeated", "--strategy-i", "fraction:0.5", "--strategy-j", "random",
+                 "--range-i", "1:20", "--range-j=-20:-1", "--max-rounds", str(10**30)],
+                10,
+                10**30,
+            ),
+        ],
+        ids=["first-refused-trials", "trials-1e30", "first-refused-rounds", "default-rounds", "rounds-1e30"],
+    )
+    def test_work_limit_exit_two(self, capsys, argv, trials, rounds):
+        # three units per trial and round: 1,398,101 of them fit under 2^22
+        code, out, err = run_cli(capsys, "simulate", "--seed", "1", *argv)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: DimensionCapExceeded: simulate of {trials} trials with a {rounds}-round budget "
+            "exceeds the work limit of 4194304\n"
+        )
+
     def test_deterministic_bytes_for_same_seed(self, capsys):
         args = ["simulate", "--trials", "200", "--seed", "42"]
         code_a, out_a, _ = run_cli(capsys, *args)
@@ -1011,6 +1055,95 @@ MARKET_TWO_BY_TWO = {
     "strategies": ["x", "y"],
     "matrices": {key: [[[1, 1], [0, 0]], [[0, 0], [1, 1]]] for key in MARKET_TWO_TYPES["matrices"]},
 }
+
+
+# Leaf replacements for the reader fuzz, as JSON text: huge and tiny numbers, a
+# negative zero, 2^53 + 1, the non-finite tokens json.loads accepts, bools, null,
+# strings, lists, objects, and a list nested 100,000 deep (RecursionError).
+FUZZ_VALUES = [
+    "1" + "0" * 30, "-1" + "0" * 30, "1" + "0" * 400, "1e400", "-1e400", "1e308", "-1e308", "1e-400",
+    "5e-324", "-0.0", "0", "1", "-1", "0.5", "2", "9007199254740993", "NaN", "Infinity", "-Infinity",
+    "true", "false", "null", '""', '"x"', '"0.5"', '"a"', "[]", "[1, 2]", "[[1, 1]]", "{}",
+    '{"kind": "uniform_random"}', "[" * 100_000 + "]" * 100_000,
+]
+# A valid document for each reader that a flag names.
+FUZZ_DOCUMENTS = [
+    (SOLVE, {"balance_i": 3, "balance_j": -2, "issue_cap": 10}),
+    (BAYES, BAYES_DOCUMENT),
+    (MARKET, MARKET_TWO_BY_TWO),
+    (
+        SIMULATE,
+        {
+            "trials": 40, "seed": 3, "mode": "repeated", "max_rounds": 30,
+            "balance_range_i": [1, 20], "balance_range_j": [-20, -1],
+            "strategy_i": {"kind": "fixed_fraction", "fraction": 0.5}, "strategy_j": {"kind": "uniform_random"},
+        },
+    ),
+]
+
+
+def _leaf_paths(node, path=()):
+    """The key paths of every scalar and empty container in a JSON document."""
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    paths = [p for key, child in children for p in _leaf_paths(child, (*path, key))]
+    return paths or [path]
+
+
+class _Overran(BaseException):
+    """Raised by the per-example alarm; a BaseException, so no handler of cli.main catches it."""
+
+
+DEEP = FUZZ_VALUES[-1]
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs a real-time interval timer")
+@settings(max_examples=200, deadline=None)
+@given(
+    reader=st.integers(0, len(FUZZ_DOCUMENTS) - 1),
+    edits=st.lists(st.tuples(st.integers(0, 99), st.sampled_from(FUZZ_VALUES)), min_size=1, max_size=2),
+)
+@example(reader=3, edits=[(0, "1" + "0" * 30)])  # simulate's trials
+@example(reader=3, edits=[(3, "1" + "0" * 30)])  # simulate's max_rounds, with trials that can stall
+@example(reader=2, edits=[(8, "1e308")])  # a market volume past decimal's default 28 digits
+@example(reader=0, edits=[(0, DEEP)])
+def test_mutated_documents_exit_zero_or_two(reader, edits):
+    # one or two leaves of a valid document replaced, each picked by its index
+    # modulo the leaf count; each example must finish within its 2 s alarm,
+    # exit 0 or 2, print no traceback and, on exit 2, no report
+    argv, document = FUZZ_DOCUMENTS[reader]
+    document = copy.deepcopy(document)
+    paths = _leaf_paths(document)
+    replaced = {}
+    for leaf, value in edits:
+        *parents, last = paths[leaf % len(paths)]
+        node = document
+        for key in parents:
+            node = node[key]
+        node[last] = marker = f"@fuzz{len(replaced)}@"
+        replaced[json.dumps(marker)] = value
+    text = json.dumps(document)
+    for marker, value in replaced.items():
+        text = text.replace(marker, value)
+    out, err = io.StringIO(), io.StringIO()
+
+    def ring(signum, frame):
+        raise _Overran("the example ran past its 2 s alarm")
+
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "doc.json"
+        path.write_text(text)
+        previous = signal.signal(signal.SIGALRM, ring)
+        signal.setitimer(signal.ITIMER_REAL, 2)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main([*argv, str(path)])
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+    assert code in (0, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""
 
 
 class TestOneGameRule:

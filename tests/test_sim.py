@@ -4,6 +4,7 @@ import json
 import math
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from liqgame import cli, sim
+from liqgame.core import DimensionCapExceeded
 from liqgame.sim import (
     BLOCK,
     HIGH_STRATEGY,
@@ -197,8 +199,9 @@ class TestRepeated:
         assert {fields[-1] for fields in replayed} == {True, False}
         # A budget far beyond the replay: idle trials settle at once with
         # rounds_played equal to the budget, so the block plays at most 30
-        # rounds (two parcel calls each) instead of the whole budget.
-        budget = 10**4
+        # rounds (two parcel calls each) instead of the whole budget, which the
+        # work limit still admits: 3 units x 200 trials x 5,000 rounds.
+        budget = 5_000
         calls = []
         rule = sim._parcel_rule
 
@@ -270,6 +273,65 @@ def pairs_at_most(a0: int, a1: int, c0: int, c1: int) -> int:
     below = max(0, min(a1, c0) - a0 + 1) * (c1 - c0 + 1)  # x <= c0 fits every y
     s, e = max(a0, c0 + 1), min(a1, c1)  # x above c0 fits y in x..c1
     return below + max(0, e - s + 1) * (2 * c1 + 2 - s - e) // 2
+
+
+# the largest float as an integer: the largest balance a config admits
+FLOAT_MAX = int(sys.float_info.max)
+
+
+class TestWorkLimit:
+    """Three units per trial and round, checked before the first block draws."""
+
+    @pytest.fixture
+    def no_draws(self, monkeypatch):
+        def draw(*args):
+            raise AssertionError("a block drew")
+
+        monkeypatch.setattr(sim, "_draw_below", draw)
+
+    @pytest.mark.parametrize(
+        "trials,overrides",
+        [
+            (1_398_102, {}),
+            (1, dict(mode="repeated", max_rounds=1_398_102)),
+            (13_982, dict(mode="repeated")),  # at the default 100 rounds
+        ],
+        ids=["one-shot", "repeated-rounds", "repeated-trials"],
+    )
+    @pytest.mark.parametrize("play", [run_simulation, lambda config: next(iter_trials(config))])
+    def test_refused_before_a_block_draws(self, no_draws, play, trials, overrides):
+        config = SimConfig(trials=trials, seed=1, **overrides)
+        rounds = config.max_rounds if config.mode == "repeated" else 1
+        with pytest.raises(DimensionCapExceeded) as caught:
+            play(config)
+        assert str(caught.value) == (
+            f"simulate of {trials} trials with a {rounds}-round budget exceeds the work limit of 4194304"
+        )
+
+    @pytest.mark.parametrize(
+        "trials,overrides",
+        [(1_398_101, {}), (1, dict(mode="repeated", max_rounds=1_398_101)), (13_981, dict(mode="repeated"))],
+        ids=["one-shot", "repeated-rounds", "repeated-trials"],
+    )
+    def test_one_step_smaller_gets_past_the_work_limit(self, no_draws, trials, overrides):
+        with pytest.raises(AssertionError, match="^a block drew$"):
+            run_simulation(SimConfig(trials=trials, seed=1, **overrides))
+
+    @pytest.mark.parametrize(
+        "ranges",
+        [((1, FLOAT_MAX + 1), (-5, -1)), ((1, 5), (-FLOAT_MAX - 1, -1)), ((1, 10**400), (-(10**400), -1))],
+        ids=["i", "j", "both-1e400"],
+    )
+    def test_balances_past_the_largest_float_refused(self, ranges):
+        # the mean volume per trial is a float: 10**400 on both sides used to
+        # overflow it after every trial had run
+        with pytest.raises(ValueError, match="^balances must be at most the largest float in absolute value$"):
+            SimConfig(trials=10, balance_range_i=ranges[0], balance_range_j=ranges[1])
+
+    def test_balances_at_the_largest_float_admitted(self):
+        config = fixed_pair_config(FLOAT_MAX, -FLOAT_MAX, strategy_i=RANDOM, strategy_j=RANDOM, trials=10)
+        report = run_simulation(config)
+        assert report.mean_volume_per_trial == report.total_volume / 10 <= sys.float_info.max
 
 
 class TestAnalyticHitRatio:

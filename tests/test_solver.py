@@ -29,6 +29,7 @@ from liqgame.solver import (
 )
 
 from reference_solver import (
+    extreme_equilibria,
     reference_determinant,
     reference_solve_mixed,
     reference_sweep,
@@ -339,6 +340,11 @@ class TestMinorTable:
             assert minors == expected + [-x for x in expected]
 
 
+def profile_text(prof: MixedProfile) -> dict:
+    """The profile as the solve report writes it: ``str`` of each weight."""
+    return {"probs_i": list(map(str, prof.probs_i)), "probs_j": list(map(str, prof.probs_j))}
+
+
 def profile_count(m: int, n: int) -> int:
     """2^(k-1)*(c+1) - 1 with k = min(m, n) and c = max(n - m + 1, 1)."""
     return 2 ** (min(m, n) - 1) * (max(n - m + 1, 1) + 1) - 1
@@ -352,7 +358,7 @@ class TestInstanceMixedProfiles:
     def test_equals_support_enumeration(self, m, n):
         instance = build_instance(m, -n, 10_000)
         expected = solve_mixed(build_payoff_matrix(instance))
-        assert instance_mixed_jsonable(instance) == [prof.to_jsonable() for prof in expected]
+        assert instance_mixed_jsonable(instance) == list(map(profile_text, expected))
         assert len(expected) == profile_count(m, n)
         # an int 0 compares equal to Fraction(0), so equality alone lets one through
         assert all(type(x) is Fraction for prof in expected for x in prof.probs_i + prof.probs_j)
@@ -376,7 +382,7 @@ class TestInstanceMixedProfiles:
         m, n = (wide, thin) if transpose else (thin, wide)
         instance = build_instance(m, -n, 10_000)
         expected = solve_mixed(build_payoff_matrix(instance))
-        assert instance_mixed_jsonable(instance) == [prof.to_jsonable() for prof in expected]
+        assert instance_mixed_jsonable(instance) == list(map(profile_text, expected))
         assert len(expected) == profile_count(m, n)
         assert all(type(x) is Fraction for prof in expected for x in prof.probs_i + prof.probs_j)
 
@@ -404,6 +410,54 @@ class TestInstanceMixedProfiles:
         # no instance with a cleared player is built, so none reaches the closed form
         with pytest.raises(ZeroBalance, match="^balance_i must be nonzero$"):
             GameInstance(0, -2, 10)
+
+
+@st.composite
+def small_integer_games(draw) -> PayoffMatrix:
+    """Games of 1-4 actions a side with payoffs in -2..2."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    cell = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+    return PayoffMatrix.from_entries(
+        draw(st.lists(st.lists(cell, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    )
+
+
+# four extreme equilibria: the two pure cells, and I's either row against J's
+# (1/3, 2/3), which pairs a support of one with one of two
+DEGENERATE_2X2 = PayoffMatrix.from_entries([[(-2, 1), (2, 1)], [(0, 0), (1, 0)]])
+
+
+class TestExtremeEquilibria:
+    """The vertex-pair oracle against the closed form and support enumeration."""
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_closed_form_is_the_extreme_set(self, m, n):
+        instance = build_instance(m, -n, 10_000)
+        printed = [(tuple(p["probs_i"]), tuple(p["probs_j"])) for p in instance_mixed_jsonable(instance)]
+        extreme = extreme_equilibria(build_payoff_matrix(instance))
+        assert len(set(printed)) == len(printed)
+        assert set(printed) == {(tuple(map(str, x)), tuple(map(str, y))) for x, y in extreme}
+
+    @settings(max_examples=60, deadline=None)
+    @given(matrix=small_integer_games())
+    @example(matrix=DEGENERATE_2X2)
+    @example(matrix=PayoffMatrix.from_entries([[(1, 0), (0, 1)], [(1, 0), (0, -1)]]))  # I's rows repeat
+    def test_every_profile_is_extreme(self, matrix):
+        # a subset, not yet the set: degenerate games can lose extreme equilibria
+        profiles = solve_mixed(matrix)
+        assert len(set(profiles)) == len(profiles)
+        assert set(profiles) <= extreme_equilibria(matrix)
+
+    def test_degenerate_game_loses_two(self):
+        # support enumeration tries equal sizes only, and the 2x2 system that
+        # would hold (row, (1/3, 2/3)) as degenerate is singular for I's weights
+        extreme = extreme_equilibria(DEGENERATE_2X2)
+        found = solve_mixed(DEGENERATE_2X2)
+        assert len(extreme) == 4 and set(found) <= extreme
+        missed = extreme - set(found)
+        assert missed == {((F(1), F(0)), (F(1, 3), F(2, 3))), ((F(0), F(1)), (F(1, 3), F(2, 3)))}
+        assert all(verify_equilibrium(DEGENERATE_2X2, MixedProfile(*prof)) for prof in missed)
 
 
 def distributions(size: int):
