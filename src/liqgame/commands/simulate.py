@@ -83,11 +83,12 @@ def handle(args: argparse.Namespace) -> str | dict:
         ):
             if given:
                 raise ValueError(f"{flag} needs --mode repeated")
-    if "seed" not in raw:  # drawn and echoed only for a config that is otherwise valid
+    if "seed" not in raw:  # drawn here, echoed once the work check has passed and the run is done
         import secrets
         config = config._replace(seed=secrets.randbits(64))
-        print(f"seed: {config.seed}", file=sys.stderr)
     report = sim.run_simulation(config)
+    if "seed" not in raw:
+        print(f"seed: {config.seed}", file=sys.stderr)
     if args.histogram is not None:
         atomic_write(args.histogram, report.histogram_csv())
     if args.format == "csv":

@@ -108,7 +108,8 @@ class PayoffMatrix(Checked, _PayoffMatrix):
     solver meets an empty side. A game's actions are parcel sizes in
     descending order and its payoffs are integers, as ``build_payoff_matrix``
     and ``from_entries`` require; a market composition table's actions are
-    (type, strategy) labels and its payoffs are real volumes.
+    (type, strategy) labels and its payoffs are real volumes. ``solve_mixed``
+    reads int and Fraction payoffs; the checkers read any number exactly.
     """
 
     __slots__ = ()

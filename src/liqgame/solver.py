@@ -17,7 +17,10 @@ import operator
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .core import LiquidityGameError, PayoffMatrix, check_work, is_int
+from .core import LiquidityGameError, PayoffMatrix, check_work
+
+
+_EXACT = {int, Fraction}  # the payoff types every solver and checker reads as they are
 
 
 class DimensionMismatch(LiquidityGameError):
@@ -121,29 +124,39 @@ def solve_mixed(matrix: PayoffMatrix) -> list[MixedProfile]:
     weakly dominated games surface. Pure equilibria appear as the size-1
     supports. Unequal-size supports are not tried and singular systems are
     skipped, so degenerate games can lose extreme equilibria: u_i = [[-2, 2],
-    [0, 1]], u_j = [[1, 1], [0, 0]] has four, the list two. Payoffs other than
-    ints (a float, a Fraction, a bool) raise ValueError before anything is built.
+    [0, 1]], u_j = [[1, 1], [0, 0]] has four, the list two. Payoffs are ints or
+    Fractions, each table scaled to ints by its lcm; others raise ValueError.
     """
     m, n, k = matrix.rows, matrix.cols, min(matrix.rows, matrix.cols)
-    # In units of about 2 µs or 100 bytes. Two to a unit, each about 1 µs: the support pairs,
-    # the minors of I's stack (C(n, d) per distinct d + 1 prefix of I's supports of size s,
-    # C(m - s + d + 1, d + 1) of them, summed over s) and the m*n*(m + n) outside rows that the
-    # pure pairs' checks read at most. Eight units each: plan entries, at most 800 bytes at peak.
+    # In units of about 2 µs or 100 bytes. Two to a unit, each about 1 µs: the support pairs, the minors of
+    # I's stack (C(n, d) per distinct d + 1 prefix of I's supports of size s, C(m - s + d + 1, d + 1) of them,
+    # summed over s) and the m*n*(m + n) outside rows the pure pairs' checks read at most; 8 per plan entry
+    # (800 bytes at peak), all times 1 + d(d + 2048)/2^17 at d bits past 16 in the largest scaled entry.
     minors = sum(
         math.comb(n, d) * (math.comb(m + 1, d + 2) - math.comb(m - k + d + 1, d + 2)) for d in range(1, k)
     )
     plans = sum(math.comb(m, t) + math.comb(n, t) for t in range(1, k + 1))
     work = (math.comb(m + n, m) - 1 + minors + m * n * (m + n)) // 2 + 8 * plans
-    check_work(work, f"solve_mixed of a {m}x{n} game")
-    if not all(map(is_int, itertools.chain(*matrix.u_i, *matrix.u_j))):
-        raise ValueError("solve_mixed needs integer payoffs")
-    u_j_t = list(zip(*matrix.u_j))
+    u_i, u_j = matrix.u_i, matrix.u_j
+    kinds = set(map(type, itertools.chain(*u_i, *u_j)))
+    if not (kinds <= _EXACT or all(issubclass(t, (int, Fraction)) and t is not bool for t in kinds)):
+        raise ValueError("solve_mixed needs exact rational payoffs: ints or Fractions")
+    bits = math.ceil(max(map(abs, itertools.chain(*u_i, *u_j)))).bit_length()
+    if kinds != {int}:  # the lcm divides the largest denominator times each that does not divide it
+        ds = [{x.denominator for x in itertools.chain(*u)} for u in (u_i, u_j)]
+        bits += max(sum((d - 1).bit_length() for d in s if d == t or t % d) for s, t in zip(ds, map(max, ds)))
+    over = max(bits - 16, 0)
+    check_work(work + (work * over * (over + 2048) >> 17), f"solve_mixed of a {m}x{n} game")
+    if kinds != {int}:  # each table times the lcm of its denominators: ints, the same equilibria
+        lcms = itertools.starmap(math.lcm, ds)
+        u_i, u_j = ([[int(x * lcm) for x in row] for row in u] for u, lcm in zip((u_i, u_j), lcms))
+    u_j_t = list(zip(*u_j))
     plan_i = _laplace_plan(n, k)
     plan_j = plan_i if m == n else _laplace_plan(m, k)
     keys: dict[tuple[tuple[int, ...], tuple[int, ...]], None] = {}
     for size in range(1, k + 1):
         supports_i, supports_j = (itertools.combinations(range(side), size) for side in (m, n))
-        qs = _support_weights(matrix.u_i, plan_i, itertools.product(supports_i, supports_j))
+        qs = _support_weights(u_i, plan_i, itertools.product(supports_i, supports_j))
         # I's weights only where J's passed, sorted by J's support
         ps = _support_weights(u_j_t, plan_j, sorted((s_j, s_i) for s_i, s_j in qs))
         # in enumeration order, (S_i, S_j); a repeated profile keeps its first place
@@ -164,13 +177,26 @@ def _ratio(x) -> tuple[int, int]:
     """``x`` as (numerator, denominator) in lowest terms, at its exact value:
     a float at its binary one. ``Fraction(x)`` is built only for values that
     are not already an int or a Fraction; a string, which it would parse, is
-    refused with ValueError. The per-entry loops below take a Fraction's
-    ratio themselves and call this only for other types."""
+    refused with ValueError, as an infinite or NaN value, which has no ratio,
+    is. The per-entry loops below take a Fraction's ratio themselves and call
+    this only for other types."""
     if isinstance(x, (int, Fraction)):
         return x.as_integer_ratio()
     if isinstance(x, str):
         raise ValueError(f"{x!r} is a string, not a number")
-    return Fraction(x).as_integer_ratio()
+    try:
+        return Fraction(x).as_integer_ratio()
+    except OverflowError:
+        raise ValueError(f"{x!r} has no exact value") from None
+
+
+def _exact_matrix(matrix: PayoffMatrix) -> PayoffMatrix:
+    """``matrix`` with every payoff but an int or a Fraction at its exact value. The checkers
+    call it when a sum of payoffs is neither: int and Fraction payoffs keep every such sum an
+    int or a Fraction, and a float or a Decimal makes it a float or a Decimal."""
+    exact = lambda x: x if type(x) in _EXACT else Fraction(*_ratio(x))
+    u_i, u_j = ([list(map(exact, row)) for row in u] for u in (matrix.u_i, matrix.u_j))
+    return matrix._replace(u_i=u_i, u_j=u_j)
 
 
 def _scaled_distribution(probs: Sequence[Fraction], side: str) -> tuple[list[int], int]:
@@ -179,7 +205,7 @@ def _scaled_distribution(probs: Sequence[Fraction], side: str) -> tuple[list[int
     probability distribution (non-negative, summing to exactly 1)."""
     try:
         ratios = [x.as_integer_ratio() if type(x) is Fraction else _ratio(x) for x in probs]
-    except (OverflowError, ValueError):  # an infinite or NaN float, or a string
+    except ValueError:  # an infinite or NaN float, or a string
         ratios = [(-1, 1)]  # refused below, as a negative entry is
     d = math.lcm(*[den for _, den in ratios])
     weights = [num * (d // den) for num, den in ratios]
@@ -195,11 +221,14 @@ def verify_equilibrium(
 
     Exact rationals; float entries and tolerances are taken at their exact
     binary value. Each side's probabilities are scaled to integers over the
-    lcm of their denominators, so every payoff is an integer sum, and each
-    deviation gain is decided by one integer cross-multiplication against
-    the tolerance's ratio. An infinite or NaN tolerance gives the verdict a
-    Fraction comparison gives: +inf passes every profile, -inf and NaN none.
-    Raises ValueError when either side is not a probability distribution.
+    lcm of their denominators, and each deviation gain is decided by one
+    cross-multiplication against the tolerance's ratio. Int and Fraction
+    payoffs keep every payoff sum exact; a float or Decimal payoff, which
+    the sums show, sends the call to ``_exact_matrix``'s copy of the game.
+    An infinite or NaN tolerance gives the verdict a Fraction comparison
+    gives: +inf passes every profile, -inf and NaN none. Raises ValueError
+    when either side is not a probability distribution, or for a payoff
+    with no exact value (infinite or NaN).
     """
     m, n = len(matrix.actions_i), len(matrix.actions_j)
     if len(profile.probs_i) != m or len(profile.probs_j) != n:
@@ -211,13 +240,15 @@ def verify_equilibrium(
     q, d_j = _scaled_distribution(profile.probs_j, "j")
     try:
         num, den = _ratio(tolerance)
-    except (OverflowError, ValueError):  # infinite or NaN: every finite gain compares as 0 does
+    except ValueError:  # infinite or NaN: every finite gain compares as 0 does
         return 0 <= tolerance
     # row_payoffs are scaled by d_j, col_payoffs by d_i, both expectations
     # and both gains by d_i * d_j: gain <= num / den iff gain * den <= num * d_i * d_j.
     mul = operator.mul
     row_payoffs = [sum(map(mul, row, q)) for row in matrix.u_i]
     col_payoffs = [sum(map(mul, col, p)) for col in zip(*matrix.u_j)]
+    if type(sum(row_payoffs)) not in _EXACT or type(sum(col_payoffs)) not in _EXACT:
+        return verify_equilibrium(_exact_matrix(matrix), profile, tolerance)
     bound = num * d_i * d_j
     return (
         (max(row_payoffs) * d_i - sum(map(mul, p, row_payoffs))) * den <= bound
@@ -252,8 +283,10 @@ def brute_force_oracle(
     whose maximum deviation gain is below 1/resolution, in row-major order
     of the two players' grid points.
 
-    Every gain test is evaluated in Python integers (scaled by the
-    resolution), so acceptance is exact. Without ``around`` the full product
+    Every gain test is evaluated in exact rationals (scaled by the
+    resolution): integers on integer payoffs, and a float or Decimal payoff,
+    which the sum of its table shows, at its exact value, as
+    ``verify_equilibrium`` reads it. Without ``around`` the full product
     of both simplex grids is swept, which is combinatorial; pass ``around``
     to restrict both grids to the points within ``radius`` steps of a
     candidate profile (the sweep restricted to that window). A resolution
@@ -282,6 +315,8 @@ def brute_force_oracle(
         else math.comb(r_scale + m - 1, m - 1) * math.comb(r_scale + n - 1, n - 1)
     )
     check_work(box_p + box_q + pairs, f"a {m}x{n} grid sweep at resolution {r_scale}")
+    if type(sum(map(sum, matrix.u_i))) not in _EXACT or type(sum(map(sum, matrix.u_j))) not in _EXACT:
+        return brute_force_oracle(_exact_matrix(matrix), grid_resolution, around, radius)
     grid_p = _window_grid(r_scale, centre_i, radius)
     # A pair (p, q) passes when both expected payoffs exceed the cut-off
     # r_scale * best - r_scale of the best reply to the other side's point,

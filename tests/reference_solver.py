@@ -192,14 +192,16 @@ def reference_verify_equilibrium(
     matrix: PayoffMatrix, profile: MixedProfile, tolerance: Fraction = Fraction(0)
 ) -> bool:
     """True iff no unilateral pure deviation gains more than ``tolerance``,
-    in the profile's own arithmetic."""
+    in the profile's own arithmetic, every payoff read as ``Fraction(x)``, its
+    exact value (a Fraction times a float would be a float)."""
     m, n = matrix.rows, matrix.cols
     if len(profile.probs_i) != m or len(profile.probs_j) != n:
         raise DimensionMismatch(
             f"profile is {len(profile.probs_i)}x{len(profile.probs_j)}, "
             f"matrix is {m}x{n}"
         )
-    u_i, u_j = matrix.u_i, matrix.u_j
+    u_i, u_j = ([[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row] for row in table]
+                for table in (matrix.u_i, matrix.u_j))
     row_payoffs = [
         sum(u_i[r][c] * profile.probs_j[c] for c in range(n)) for r in range(m)
     ]

@@ -603,8 +603,18 @@ class TestSimulateCommand:
     def test_missing_seed_is_drawn_and_embedded(self, capsys):
         code, out, err = run_cli(capsys, "simulate", "--trials", "10")
         assert code == 0
+        assert re.fullmatch(r"seed: \d+\n", err)
         drawn = int(err.strip().split(":")[1])
         assert json.loads(out)["seed"] == drawn
+
+    def test_refused_request_echoes_no_seed(self, capsys):
+        # the seed is drawn, but echoed only once the work check has passed
+        code, out, err = run_cli(capsys, "simulate", "--trials", "1398102")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: DimensionCapExceeded: simulate of 1398102 trials with a 1-round budget "
+            "exceeds the work limit of 4194304\n"
+        )
 
     def test_config_file_with_overrides(self, capsys, tmp_path):
         config = tmp_path / "sim.json"

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 import tracemalloc
@@ -17,7 +18,7 @@ from liqgame.core import (
     build_instance,
     build_payoff_matrix,
 )
-from liqgame import cli, market, solver
+from liqgame import cli, documents, market, solver
 from liqgame.commands.solve import build_solve_report
 from liqgame.equilibria import find_pure_equilibria, instance_mixed_jsonable, report_work
 from liqgame.solver import (
@@ -159,17 +160,90 @@ class TestSolveMixed:
                 (1, 2), (1, 2), [[(3.0, 3.0), (0.0, 5.0)], [(5.0, 0.0), (1.0, 1.0)]]
             ),
             lambda: PayoffMatrix.from_cells((1, 2), (1,), [[(True, 0)], [(0, 0)]]),
-            lambda: PayoffMatrix.from_cells((1,), (1, 2), [[(0, 0), (0, F(1, 2))]]),
         ],
-        ids=["published-volumes", "float-dilemma", "bool-payoff", "fraction-payoff"],
+        ids=["published-volumes", "float-dilemma", "bool-payoff"],
     )
     def test_non_integer_payoffs_refused_before_the_plan_is_built(self, monkeypatch, build):
         def plan(*args):
             raise AssertionError("_laplace_plan called")
 
         monkeypatch.setattr(solver, "_laplace_plan", plan)
-        with pytest.raises(ValueError, match="^solve_mixed needs integer payoffs$"):
+        with pytest.raises(ValueError, match="^solve_mixed needs exact rational payoffs: ints or Fractions$"):
             solve_mixed(build())
+
+    def test_fraction_payoffs_solve_as_their_scaled_integers(self):
+        # J's payoffs times 2, the lcm of their denominators: J's second column, against I's one row
+        fractions = PayoffMatrix.from_cells((1,), (1, 2), [[(0, 0), (0, F(1, 2))]])
+        integers = PayoffMatrix.from_entries([[(0, 0), (0, 1)]])
+        assert solve_mixed(fractions) == solve_mixed(integers) == [profile([1], [0, 1])]
+        # a Fraction of denominator 1 is read as its int
+        whole = PayoffMatrix.from_cells((1,), (1, 2), [[(0, F(0)), (0, F(1))]])
+        assert solve_mixed(whole) == [profile([1], [0, 1])]
+
+    @pytest.mark.parametrize("kind", ["int", "denominator", "numerator"])
+    @pytest.mark.parametrize("bits, refused", [(64, 12), (1024, 10)])
+    def test_entry_size_weighs_the_count(self, monkeypatch, bits, refused, kind):
+        # at d bits past 16 of the largest scaled entry, each unit counts 1 + d (d + 2048) / 2^17 times:
+        # the first square refused at each size, and the one below it admitted. A Fraction game's
+        # scaled entries reach about that size through its one large denominator, or through its
+        # large numerators over 3.
+        def plan(*args):
+            raise AssertionError("_laplace_plan called")
+
+        big = {
+            "int": 2 ** (bits - 1) + 1,
+            "denominator": F(8, 2 ** (bits - 4) + 1),
+            "numerator": F(2 ** (bits - 1) + 1, 3),
+        }[kind]
+
+        def game(side):
+            cells = [[(big if (r + c) % 2 else r - c, 8) for c in range(side)] for r in range(side)]
+            return PayoffMatrix.from_cells(range(side), range(side), cells)
+
+        monkeypatch.setattr(solver, "_laplace_plan", plan)
+        with pytest.raises(DimensionCapExceeded) as caught:
+            solve_mixed(game(refused))
+        assert str(caught.value) == f"solve_mixed of a {refused}x{refused} game exceeds the work limit of 4194304"
+        with pytest.raises(AssertionError, match="^_laplace_plan called$"):
+            solve_mixed(game(refused - 1))
+
+    @pytest.mark.parametrize("bits, refused", [(16, False), (17, True)])
+    def test_entries_past_16_bits_weigh_the_count(self, monkeypatch, bits, refused):
+        # 1x2887 counts 4,193,375 units, 929 below the limit: unchanged at 16 bits,
+        # and 1 + 2049 / 2^17 times as many at 17
+        def plan(*args):
+            raise AssertionError("_laplace_plan called")
+
+        monkeypatch.setattr(solver, "_laplace_plan", plan)
+        matrix = PayoffMatrix.from_entries([[(-(2 ** (bits - 1)), c % 5) for c in range(2887)]])
+        with pytest.raises(DimensionCapExceeded if refused else AssertionError):
+            solve_mixed(matrix)
+
+    def test_large_denominators_refused_before_the_lcm_is_built(self, monkeypatch):
+        # 2887 distinct denominators of 1001 bits, none dividing another: a lcm of about 2.9
+        # million bits, times every entry, had it been built; the bound alone refuses the game
+        def lcm(*args):
+            raise AssertionError("math.lcm called")
+
+        monkeypatch.setattr(solver.math, "lcm", lcm)
+        row = [(F(1, 2**1000 + 2 * c + 1), 0) for c in range(2887)]
+        with pytest.raises(DimensionCapExceeded, match="^solve_mixed of a 1x2887 game exceeds"):
+            solve_mixed(PayoffMatrix.from_cells((1,), range(2887), [row]))
+
+    @pytest.mark.parametrize(
+        "name, mixed",
+        [
+            ("final_4x4", profile([0, 0, 1, 0], [F(3, 7), F(4, 7), 0, 0])),
+            ("intermediate_2x4", profile([1, 0], [F(14, 33), F(19, 33), 0, 0])),
+        ],
+    )
+    def test_published_tables_read_as_exact_decimals(self, name, mixed):
+        raw = json.loads(documents.fixture_path(f"market_{name}.json").read_text(), parse_float=F)
+        matrix = PayoffMatrix.from_cells(raw["rows"], raw["cols"], raw["matrix"])
+        profiles = solve_mixed(matrix)
+        assert len(profiles) == 3 and mixed in profiles
+        assert set(profiles) == extreme_equilibria(matrix)
+        assert all(verify_equilibrium(matrix, prof, F(0)) for prof in profiles)
 
     @pytest.mark.parametrize("m,n", [(1, 600), (600, 1)])
     def test_thin_game_holds_no_row_by_row_table(self, m, n):
@@ -290,6 +364,38 @@ class TestReferenceAgreement:
         for prof in solve_mixed(matrix):
             assert sum(prof.probs_i) == 1 and sum(prof.probs_j) == 1
             assert verify_equilibrium(matrix, prof, F(0))
+
+
+@st.composite
+def fraction_games(draw) -> PayoffMatrix:
+    """Games of 1-4 actions a side with payoffs n/d, n in -4..4 and d in 1..10."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    value = st.builds(F, st.integers(-4, 4), st.integers(1, 10))
+    cell = st.tuples(value, value)
+    grid = draw(st.lists(st.lists(cell, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    return PayoffMatrix.from_cells(range(rows), range(cols), grid)
+
+
+def scaled_copy(matrix: PayoffMatrix) -> PayoffMatrix:
+    """The game with each player's payoffs times the product of that player's
+    denominators, a positive multiple of their lcm, as ints."""
+
+    def scaled(table):
+        factor = math.prod(x.denominator for x in itertools.chain(*table))
+        return tuple(tuple(int(x * factor) for x in row) for row in table)
+
+    return matrix._replace(u_i=scaled(matrix.u_i), u_j=scaled(matrix.u_j))
+
+
+class TestRationalPayoffs:
+    """A Fraction game has the equilibria of any positive scaling of each player's payoffs."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(matrix=fraction_games())
+    def test_fraction_game_solves_as_its_scaled_copy(self, matrix):
+        profiles = solve_mixed(matrix)
+        assert repr(profiles) == repr(solve_mixed(scaled_copy(matrix))) == repr(reference_solve_mixed(matrix))
+        assert set(profiles) <= extreme_equilibria(matrix)
 
 
 def transposed(matrix: PayoffMatrix) -> PayoffMatrix:
@@ -521,6 +627,102 @@ class TestWindowGridAgainstReference:
     def test_same_points_in_the_same_order(self, center, total, radius):
         expected = reference_window_grid(total, center, radius)
         assert solver._window_grid(total, center, radius) == expected
+
+
+def exact_copy(matrix: PayoffMatrix) -> PayoffMatrix:
+    """The game with every payoff as ``Fraction(x)``, its exact value."""
+    u_i, u_j = (tuple(tuple(map(F, row)) for row in table) for table in (matrix.u_i, matrix.u_j))
+    return matrix._replace(u_i=u_i, u_j=u_j)
+
+
+def float_game(u_i, u_j) -> PayoffMatrix:
+    cells = [list(zip(*rows)) for rows in zip(u_i, u_j)]
+    return PayoffMatrix.from_cells(range(len(u_i)), range(len(u_i[0])), cells)
+
+
+@st.composite
+def one_decimal_games(draw):
+    """A 2x2 or 3x3 game whose tables hold one-decimal float payoffs, none of them
+    exact in binary but the halves, or, for at most one player, ints; and a profile
+    of mixed denominators on it."""
+    side = draw(st.sampled_from([2, 3]))
+    row = st.lists(st.integers(-20, 20), min_size=side, max_size=side)
+    tenths = st.lists(row, min_size=side, max_size=side)
+    u_i, u_j = ([[k / 10 for k in row] for row in draw(tenths)] for _ in range(2))
+    kept = draw(st.sampled_from(["both", "u_i", "u_j"]))  # the table left as floats
+    u_i, u_j = ([[round(x * 10) for x in row] for row in u] if kept not in ("both", name) else u
+                for u, name in ((u_i, "u_i"), (u_j, "u_j")))
+    return float_game(u_i, u_j), MixedProfile(draw(distributions(side)), draw(distributions(side)))
+
+
+# against J at (1/3, 2/3), I's rows earn 0.2 / 3 + 1.1 * 2 / 3 and 0.1 / 3 + 1.15 * 2 / 3, 0.8 each
+# in decimals and alike in float arithmetic; at their binary values the second earns 2^-55 more.
+# The second game is the first with the players swapped.
+VERIFY_FLOAT_GAME = (
+    float_game(((0.2, 1.1), (0.1, 1.1500000000000001)), ((0, 0), (0, 0))),
+    MixedProfile((F(1, 2), F(1, 2)), (F(1, 3), F(2, 3))),
+)
+VERIFY_FLOAT_GAME_J = (
+    float_game(((0, 0), (0, 0)), ((0.2, 0.1), (1.1, 1.1500000000000001))),
+    MixedProfile((F(1, 3), F(2, 3)), (F(1, 2), F(1, 2))),
+)
+# the pure cell (row 1, column 0) passes the grid test exactly, and fails it where 10 * 0.7
+# rounds to 7.0 in float arithmetic; J's floats alone drop it, against I's payoffs times 10.
+# I's floats alone, against J's times 10, drop I at (1/5, 4/5) against J's second column.
+ORACLE_FLOAT_GAME = (
+    float_game(((1.1, 0.1), (1.1, 0.6)), ((0.2, 0.7), (0.6, 0.7))),
+    MixedProfile((F(0), F(1)), (F(1), F(0))),
+)
+ORACLE_FLOAT_GAME_J = (float_game(((11, 1), (11, 6)), ORACLE_FLOAT_GAME[0].u_j), ORACLE_FLOAT_GAME[1])
+ORACLE_FLOAT_GAME_I = (
+    float_game(ORACLE_FLOAT_GAME[0].u_i, ((2, 7), (6, 7))),
+    MixedProfile((F(1, 5), F(4, 5)), (F(0), F(1))),
+)
+
+
+class TestFloatPayoffs:
+    """Both checkers read a float payoff at its exact binary value."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=one_decimal_games(), tolerance=TOLERANCES)
+    @example(case=VERIFY_FLOAT_GAME, tolerance=F(0))
+    @example(case=VERIFY_FLOAT_GAME_J, tolerance=F(0))
+    @example(case=ORACLE_FLOAT_GAME, tolerance=F(0))
+    def test_verify_equilibrium_is_exact(self, case, tolerance):
+        # the exact game's own equilibria tie where float arithmetic can break the tie
+        matrix, drawn = case
+        for prof in [drawn, *solve_mixed(exact_copy(matrix))]:
+            expected = verify_equilibrium(exact_copy(matrix), prof, tolerance)
+            assert verify_equilibrium(matrix, prof, tolerance) is expected
+            assert reference_verify_equilibrium(matrix, prof, tolerance) is expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=one_decimal_games())
+    @example(case=VERIFY_FLOAT_GAME)
+    @example(case=ORACLE_FLOAT_GAME)
+    @example(case=ORACLE_FLOAT_GAME_J)
+    @example(case=ORACLE_FLOAT_GAME_I)
+    def test_brute_force_oracle_is_exact(self, case):
+        matrix, prof = case
+        resolution = 10 if matrix.rows == 2 else 5
+        assert brute_force_oracle(matrix, resolution) == brute_force_oracle(exact_copy(matrix), resolution)
+        window = brute_force_oracle(matrix, 4 * resolution, around=prof, radius=2)
+        assert window == brute_force_oracle(exact_copy(matrix), 4 * resolution, around=prof, radius=2)
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan"), Decimal("Infinity")])
+    def test_non_finite_payoff_refused(self, bad):
+        # it has no exact value, so neither checker can read it
+        matrix = float_game(((bad, 1), (1, 1)), ((1, 1), (1, 1)))
+        with pytest.raises(ValueError):
+            verify_equilibrium(matrix, profile([1, 0], [1, 0]))
+        with pytest.raises(ValueError):
+            brute_force_oracle(matrix, 4)
+
+    def test_the_two_games(self):
+        assert not verify_equilibrium(*VERIFY_FLOAT_GAME)
+        assert not verify_equilibrium(*VERIFY_FLOAT_GAME_J)
+        for matrix, point in (ORACLE_FLOAT_GAME, ORACLE_FLOAT_GAME_J, ORACLE_FLOAT_GAME_I):
+            assert point in brute_force_oracle(matrix, 10)
 
 
 class TestVerifyEquilibrium:
