@@ -79,7 +79,7 @@ def handle(args: argparse.Namespace) -> str | dict:
         for flag, given in (
             ("--format csv", args.format == "csv"),
             ("--histogram", args.histogram is not None),
-            ("--max-rounds", args.max_rounds is not None),
+            ("--max-rounds", "max_rounds" in raw),  # the flag's or the document's
         ):
             if given:
                 raise ValueError(f"{flag} needs --mode repeated")

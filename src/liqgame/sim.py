@@ -210,9 +210,9 @@ def _play(config: SimConfig) -> Iterator[tuple[list, ...]]:
     parcels_j = _parcel_rule(config.strategy_j)
     lo_i, hi_i = config.balance_range_i
     lo_j, hi_j = config.balance_range_j
-    # Deterministic parcels repeat after a round that moves nothing: such a
-    # trial would idle until max_rounds, so settle it at once, uncleared.
-    deterministic = "uniform_random" not in (config.strategy_i.kind, config.strategy_j.kind)
+    # A refused trial can trade later only on a random offer, or on a random capacity (1 to J's
+    # need) that I's offer fits; any other settles at once, uncleared, as if played to the budget.
+    random_i, random_j = (s.kind == "uniform_random" for s in (config.strategy_i, config.strategy_j))
     for first in range(0, config.trials, BLOCK):
         size = min(BLOCK, config.trials - first)
         bits = random.Random((first // BLOCK) << 64 | config.seed).getrandbits
@@ -228,7 +228,7 @@ def _play(config: SimConfig) -> Iterator[tuple[list, ...]]:
             offers = parcels_i([left_i[t] for t in active], bits)
             capacities = parcels_j([left_j[t] for t in active], bits)
             live = []
-            for t, moved in zip(active, map(transferred, offers, capacities)):
+            for t, offer, moved in zip(active, offers, map(transferred, offers, capacities)):
                 if moved:  # parcels are at least 1, so 0 means refused
                     held, needed = left_i[t] - moved, left_j[t] - moved
                     if held < 0 or needed < 0 or held - needed != start_i[t] - start_j[t]:
@@ -242,7 +242,7 @@ def _play(config: SimConfig) -> Iterator[tuple[list, ...]]:
                         live.append(t)
                     else:
                         rounds[t] = round_no
-                elif not deterministic:
+                elif random_i or (random_j and offer <= left_j[t]):
                     live.append(t)
             active = live
         cleared = [not (held and needed) for held, needed in zip(left_i, left_j)]
@@ -288,8 +288,7 @@ def _sum_of_ratios(terms: list[tuple[int, int]]) -> tuple[int, int]:
     of each product stay about equal in size, and no gcd or lcm is taken."""
     while len(terms) > 1:
         merged = [(p1 * q2 + p2 * q1, q1 * q2) for (p1, q1), (p2, q2) in zip(terms[::2], terms[1::2])]
-        if len(terms) % 2:
-            merged.append(terms[-1])
+        merged.extend(terms[2 * len(merged):])  # an odd last term waits for the next pass
         terms = merged
     return terms[0] if terms else (0, 1)
 
@@ -310,15 +309,17 @@ def analytic_hit_ratio(
     y; (b' - y + 1)/b' for a deterministic offer y <= b'; 0 or 1 for two
     deterministic parcels. So the sum is (scale * pairs + the sum of c[x]/x)
     over scale * width_i * width_j, with small integers c[x] from prefix
-    sums over the sorted union of the values either side takes, so the cost
-    follows the widths, not the balances' size. The c[x]/x are added by
-    binary splitting, and one int true division rounds the exact quotient
-    correctly.
+    sums over the sorted union of the values either side takes. Binary
+    splitting adds the c[x]/x into products of about (width_i + width_j)
+    times the balances' bits, which the cost follows, and one int true
+    division rounds the exact quotient correctly.
     """
     _check_ranges(range_i, range_j)
     (lo_i, hi_i), (lo_j, hi_j) = range_i, (-range_j[1], -range_j[0])
-    random_i = strategy_i.kind == "uniform_random"
-    random_j = strategy_j.kind == "uniform_random"
+    width_i, width_j, bits = hi_i - lo_i + 1, hi_j - lo_j + 1, max(hi_i, hi_j).bit_length()
+    what = f"analytic_hit_ratio of widths {width_i} and {width_j} on {bits}-bit balances"
+    check_work((width_i + width_j) * bits, what)  # a unit per bit of those products
+    random_i, random_j = (s.kind == "uniform_random" for s in (strategy_i, strategy_j))
     # per side, how often each value is taken: a balance for uniform_random,
     # a parcel for a deterministic kind; x walks the union of those values
     taken_i, taken_j = (
@@ -342,5 +343,4 @@ def analytic_hit_ratio(
         numerators = list(map(operator.add, numerators, per_b) if numerators else per_b)
     p, q = _sum_of_ratios([(c, x) for x, c in zip(xs, numerators) if c])
     scale = 2 if random_i and random_j else 1
-    width = (hi_i - lo_i + 1) * (hi_j - lo_j + 1)
-    return (scale * pairs * q + p) / (scale * width * q)
+    return (scale * pairs * q + p) / (scale * width_i * width_j * q)

@@ -919,6 +919,26 @@ def test_one_shot_refuses_what_it_would_ignore(capsys, tmp_path, monkeypatch, fl
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "document,flags",
+    [
+        ({"trials": 10, "max_rounds": 5, "seed": 1}, ()),
+        ({"trials": 10, "max_rounds": 5, "seed": 1, "mode": "one_shot"}, ()),
+        ({"trials": 10, "max_rounds": 5, "seed": 1, "mode": "repeated"}, ("--mode", "one_shot")),
+    ],
+    ids=["default-mode", "one-shot-mode", "mode-flag"],
+)
+def test_one_shot_document_refuses_max_rounds(capsys, tmp_path, monkeypatch, document, flags):
+    # a document's round limit is refused as the flag is, not read and ignored
+    from liqgame import sim
+
+    monkeypatch.setattr(sim, "run_simulation", None)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(document))
+    code, out, err = run_cli(capsys, *SIMULATE, str(config), *flags)
+    assert (code, out, err) == (2, "", "error: ValueError: --max-rounds needs --mode repeated\n")
+
+
 @pytest.mark.parametrize("document", ["5", "null", "[1, 2]"])
 @pytest.mark.parametrize(
     "argv",

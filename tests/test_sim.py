@@ -152,6 +152,22 @@ class TestOneShot:
         assert cli._dumps(a.to_jsonable()) != cli._dumps(b.to_jsonable())
 
 
+def records_and_rounds_played(monkeypatch, config):
+    """The trial records of ``config``, and the rounds its blocks played
+    together: each round calls each side's parcel rule once."""
+    calls = []
+    rule = sim._parcel_rule
+
+    def counted_rule(strategy):
+        parcels = rule(strategy)
+        return lambda *args: calls.append(1) or parcels(*args)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(sim, "_parcel_rule", counted_rule)
+        records = [tuple(r) for r in iter_trials(config)]
+    return records, len(calls) // 2
+
+
 class TestRepeated:
     def test_repeated_clears_fixed_pair(self):
         report = run_simulation(
@@ -199,20 +215,45 @@ class TestRepeated:
         assert {fields[-1] for fields in replayed} == {True, False}
         # A budget far beyond the replay: idle trials settle at once with
         # rounds_played equal to the budget, so the block plays at most 30
-        # rounds (two parcel calls each) instead of the whole budget, which the
-        # work limit still admits: 3 units x 200 trials x 5,000 rounds.
+        # rounds instead of the whole budget, which the work limit still
+        # admits: 3 units x 200 trials x 5,000 rounds.
         budget = 5_000
-        calls = []
-        rule = sim._parcel_rule
-
-        def counted_rule(strategy):
-            parcels = rule(strategy)
-            return lambda *args: calls.append(1) or parcels(*args)
-
-        monkeypatch.setattr(sim, "_parcel_rule", counted_rule)
-        huge = [tuple(r) for r in iter_trials(SimConfig(max_rounds=budget, **base))]
+        huge, played = records_and_rounds_played(monkeypatch, SimConfig(max_rounds=budget, **base))
         assert huge == [f if f[-1] else f[:3] + (budget,) + f[4:] for f in replayed]
-        assert len(calls) <= 2 * 30
+        assert played <= 30
+
+    @pytest.mark.parametrize("strategy_i", [FULL, HIGH_STRATEGY, LOW_STRATEGY])
+    def test_fixed_offer_against_random_plays_until_each_trial_clears_or_settles(
+        self, strategy_i, monkeypatch
+    ):
+        # J's capacity is drawn from 1..J's remaining need, which cannot change
+        # while nothing moves, so a fixed offer above that need never trades
+        # again: such a trial settles at once, uncleared, and the block plays
+        # as many rounds at a budget of 5,000 as at one its trials never reach.
+        base = dict(
+            trials=200,
+            balance_range_i=(1, 25),
+            balance_range_j=(-25, -1),
+            strategy_i=strategy_i,
+            strategy_j=RANDOM,
+            seed=8,
+            mode="repeated",
+        )
+        budget, enough = 5_000, 400
+        huge, played = records_and_rounds_played(monkeypatch, SimConfig(max_rounds=budget, **base))
+        records, played_enough = records_and_rounds_played(
+            monkeypatch, SimConfig(max_rounds=enough, **base)
+        )
+        assert played == played_enough < enough
+        assert huge == [f if f[-1] else f[:3] + (budget,) + f[4:] for f in records]
+        settled = 0
+        for balance_i, balance_j, volume, rounds, trades, cleared in huge:
+            held, needed = balance_i - volume, -balance_j - volume
+            assert cleared == (held == 0 or needed == 0)
+            if not cleared:  # settled, and stuck for good
+                assert reference_parcel(strategy_i, held) > needed
+                settled += 1
+        assert settled
 
     def test_first_round_matches_one_shot_per_trial(self):
         base = dict(trials=300, seed=99, strategy_i=RANDOM, strategy_j=RANDOM)
@@ -459,6 +500,31 @@ class TestAnalyticHitRatio:
         assert analytic_hit_ratio((1, n), (-n, -1), RANDOM, RANDOM) == float(expected)
 
     @pytest.mark.parametrize(
+        "lo, widths, bits",
+        [(1, (123_362, 123_361), 17), (10**300, (2_103, 2_103), 997), (1, (1, 233_015), 18)],
+        ids=["near-1", "near-1e300", "one-wide-side"],
+    )
+    def test_first_refused_size_raises_before_anything_is_built(self, monkeypatch, lo, widths, bits):
+        # (width_i + width_j) x the bits of the largest balance, one unit each:
+        # one more value on I's side is the first size refused
+        def built(strategy):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(sim, "_deterministic_parcel", built)
+
+        def call(width_i, width_j):
+            analytic_hit_ratio((lo, lo + width_i - 1), (-(lo + width_j - 1), -lo), FULL, RANDOM)
+
+        with pytest.raises(AssertionError, match="^a table was built$"):
+            call(*widths)
+        with pytest.raises(DimensionCapExceeded) as caught:
+            call(widths[0] + 1, widths[1])
+        assert str(caught.value) == (
+            f"analytic_hit_ratio of widths {widths[0] + 1} and {widths[1]} on {bits}-bit balances"
+            " exceeds the work limit of 4194304"
+        )
+
+    @pytest.mark.parametrize(
         "range_i, range_j, message",
         [
             ((5, 1), (-3, -1), "balance ranges must be nonempty"),
@@ -503,9 +569,12 @@ class TestBlockStream:
 
 
 class TestKnownAnswer:
-    """SHA-256 of the report bytes for two seeded configs, each over more
+    """SHA-256 of the report bytes for four seeded configs, each over more
     than one block. A change to the stream, the sampler or the play order
-    changes these; Python versions must not."""
+    changes these; Python versions must not. The both-fixed digest predates
+    the settle rule for a fixed offer against a random capacity, and the
+    fixed-against-random one was recorded with it: a trial stuck above J's
+    remaining need no longer draws, so the later draws of its block shift."""
 
     @pytest.mark.parametrize(
         "config, digest",
@@ -532,8 +601,34 @@ class TestKnownAnswer:
                 ),
                 "d80c7a0a4ae4c496db19082564682693e4cb86b6a606619868d805afa16c2866",
             ),
+            (
+                SimConfig(
+                    trials=BLOCK + 70,
+                    balance_range_i=(1, 400),
+                    balance_range_j=(-500, -100),
+                    strategy_i=HIGH_STRATEGY,
+                    strategy_j=LOW_STRATEGY,
+                    seed=77,
+                    mode="repeated",
+                    max_rounds=60,
+                ),
+                "4c972523ca889bd2c05e721401cf3816c7bd4a7a1edc20235a27d87477f4b6e1",
+            ),
+            (
+                SimConfig(
+                    trials=2 * BLOCK + 30,
+                    balance_range_i=(1, 300),
+                    balance_range_j=(-300, -1),
+                    strategy_i=StrategySpec("fixed_fraction", 0.5),
+                    strategy_j=RANDOM,
+                    seed=4242,
+                    mode="repeated",
+                    max_rounds=50,
+                ),
+                "ddeffe42f9b86d29d3096402750dc1b32c888ad55f0265c1d4714e608afaa2de",
+            ),
         ],
-        ids=["one_shot", "repeated"],
+        ids=["one_shot", "repeated", "repeated-both-fixed", "repeated-fixed-against-random"],
     )
     def test_report_digest(self, config, digest):
         report = cli._dumps(run_simulation(config).to_jsonable()).encode()
