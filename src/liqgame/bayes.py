@@ -12,7 +12,7 @@ import json
 from pathlib import Path
 from typing import Mapping, NamedTuple, Optional
 
-from .core import Checked, LiquidityGameError, check_document
+from .core import Checked, LiquidityGameError, check_document, decimal_ratio
 from .documents import (
     Bimatrix,
     check_labels,
@@ -122,11 +122,11 @@ def check_responses(game: ConditionalGame, response_j: Mapping[str, str]) -> lis
 
 def expected_payoffs(game: ConditionalGame, response_j: Mapping[str, str]) -> dict:
     """Each row strategy's prior-weighted payoff against a per-type response map, exactly:
-    each payoff and prior weight is the Fraction of the decimal its ``str`` writes (0.35 is 7/20)."""
-    from fractions import Fraction  # here, so that a market process loads neither it nor decimal
+    each payoff and prior weight is the decimal ``core.decimal_ratio`` reads (0.35 is 7/20)."""
+    from fractions import Fraction  # here: market imports this module but loads no fractions
     columns = check_responses(game, response_j)
-    weights = [Fraction(str(w)) for w in game.prior]
-    return {s: sum(w * Fraction(str(game.matrices[t][r][c][0]))
+    weights = [Fraction(*decimal_ratio(w)) for w in game.prior]
+    return {s: sum(w * Fraction(*decimal_ratio(game.matrices[t][r][c][0]))
                    for w, t, c in zip(weights, game.types, columns))
             for r, s in enumerate(game.strategies_i)}
 
@@ -147,7 +147,7 @@ def best_response_envelope(
     from fractions import Fraction  # as in expected_payoffs
     if len(game.types) != 2:
         raise ValueError("threshold analysis needs exactly two types")
-    a, b = ([Fraction(str(row[c][0])) for row in game.matrices[t]]
+    a, b = ([Fraction(*decimal_ratio(row[c][0])) for row in game.matrices[t]]
             for t, c in zip(game.types, check_responses(game, response_j)))
     if len(a) > 1 and len(set(zip(a, b))) == 1:
         raise NoDependenceOnPrior("every strategy has the same expected payoff for every prior")

@@ -79,7 +79,8 @@ def handle(args: argparse.Namespace) -> str | dict:
         for flag, given in (
             ("--format csv", args.format == "csv"),
             ("--histogram", args.histogram is not None),
-            ("--max-rounds", "max_rounds" in raw),  # the flag's or the document's
+            ("--max-rounds", args.max_rounds is not None),
+            ("simulation config key 'max_rounds'", "max_rounds" in raw),  # the document's
         ):
             if given:
                 raise ValueError(f"{flag} needs --mode repeated")

@@ -197,6 +197,15 @@ def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def decimal_ratio(x) -> tuple[int, int]:
+    """The number that ``str(x)`` writes as exact integers (p, q), q > 0: 0.7 is (7, 10), not
+    the nearest binary float, 1e-05 is (1, 100000) and a Fraction's 7/10 is (7, 10)."""
+    number, _, den = str(x).partition("/")
+    mantissa, _, exponent = number.lower().partition("e")
+    shift = int(exponent or 0) - len(mantissa.partition(".")[2])
+    return int(mantissa.replace(".", "")) * 10**max(shift, 0), int(den or 1) * 10**max(-shift, 0)
+
+
 def check_ints(record, names: Sequence[str]) -> None:
     """ValueError naming the first of the record's fields ``names`` that is not an int."""
     for name in names:

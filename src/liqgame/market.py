@@ -14,11 +14,10 @@ from __future__ import annotations
 import functools
 import json
 import operator
-from decimal import ROUND_HALF_UP, Context, Decimal
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional, Sequence
 
-from .core import LiquidityGameError, PayoffMatrix, check_document
+from .core import LiquidityGameError, PayoffMatrix, check_document, decimal_ratio
 from .documents import check_labels, check_prior, check_tables, finite_number, fixture_path
 from .documents import parse_bimatrix, parse_labels, parse_prior, parse_tables
 
@@ -40,17 +39,13 @@ class NotTwoTypes(LiquidityGameError):
     pass
 
 
-# Digits enough to hold any finite float to one decimal (the largest has 309 before the point).
-_ANY_FLOAT = Context(prec=320)
-
-
 def _fmt1(value: float) -> str:
-    """Half-up rounding of the float's shortest decimal text to one decimal, written
-    without a trailing ".0" and a zero unsigned; ValueError for a non-finite volume."""
+    """Half-up rounding of the float's shortest decimal text (``core.decimal_ratio``) to one
+    decimal, no trailing ".0" and a zero unsigned; ValueError for a non-finite volume."""
     finite_number(value, "volume")
-    rounded = Decimal(repr(value)).quantize(Decimal("0.1"), ROUND_HALF_UP, _ANY_FLOAT)
-    text = str(_ANY_FLOAT.plus(rounded))  # plus turns -0.0 into 0.0
-    return text[:-2] if text.endswith(".0") else text
+    p, q = decimal_ratio(value)
+    whole, tenth = divmod((20 * abs(p) + q) // (2 * q), 10)  # tenths, half away from zero
+    return ("-" if p < 0 and whole + tenth else "") + str(whole) + (f".{tenth}" if tenth else "")
 
 
 def round1(value: float) -> float:

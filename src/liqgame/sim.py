@@ -26,7 +26,7 @@ import sys
 from collections import Counter
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional
 
-from .core import Checked, check_document, check_ints, check_work, is_int, transferred
+from .core import Checked, check_document, check_ints, check_work, decimal_ratio, is_int, transferred
 
 STRATEGY_KINDS = ("fixed_fraction", "uniform_random", "full_balance")
 MODES = ("one_shot", "repeated")
@@ -73,14 +73,12 @@ def _deterministic_parcel(strategy: StrategySpec) -> Callable[[int], int]:
     """The parcel of a full_balance or fixed_fraction strategy as a function of
     the absolute balance, parsed here once; random kinds sample elsewhere.
 
-    fixed_fraction rounds fraction * balance half up, at least 1, in exact
-    integer arithmetic: max(1, (2 p b + q) // 2q), where p/q is the decimal
-    the fraction is written as (0.7 is 7/10, not the nearest binary float).
-    """
+    fixed_fraction rounds fraction * balance half up, at least 1, in exact integer
+    arithmetic: max(1, (2 p b + q) // 2q), where p/q is the decimal the fraction is
+    written as, by ``core.decimal_ratio`` (0.7 is 7/10, not the nearest float)."""
     if strategy.kind == "full_balance":
         return lambda balance: balance
-    from fractions import Fraction  # here, so random strategies load neither it nor decimal
-    p, q = Fraction(str(strategy.fraction)).as_integer_ratio()
+    p, q = decimal_ratio(strategy.fraction)
     twice_p, twice_q = 2 * p, 2 * q
     return lambda balance: (twice_p * balance + q) // twice_q or 1
 

@@ -920,23 +920,26 @@ def test_one_shot_refuses_what_it_would_ignore(capsys, tmp_path, monkeypatch, fl
 
 
 @pytest.mark.parametrize(
-    "document,flags",
+    "document,flags,named",
     [
-        ({"trials": 10, "max_rounds": 5, "seed": 1}, ()),
-        ({"trials": 10, "max_rounds": 5, "seed": 1, "mode": "one_shot"}, ()),
-        ({"trials": 10, "max_rounds": 5, "seed": 1, "mode": "repeated"}, ("--mode", "one_shot")),
+        ({"trials": 10, "max_rounds": 5, "seed": 1}, (), "simulation config key 'max_rounds'"),
+        ({"trials": 10, "max_rounds": 5, "seed": 1, "mode": "one_shot"}, (), "simulation config key 'max_rounds'"),
+        ({"trials": 10, "max_rounds": 5, "seed": 1, "mode": "repeated"}, ("--mode", "one_shot"),
+         "simulation config key 'max_rounds'"),
+        ({"trials": 10, "max_rounds": 5, "seed": 1}, ("--max-rounds", "7"), "--max-rounds"),
     ],
-    ids=["default-mode", "one-shot-mode", "mode-flag"],
+    ids=["default-mode", "one-shot-mode", "mode-flag", "max-rounds-flag"],
 )
-def test_one_shot_document_refuses_max_rounds(capsys, tmp_path, monkeypatch, document, flags):
-    # a document's round limit is refused as the flag is, not read and ignored
+def test_one_shot_document_refuses_max_rounds(capsys, tmp_path, monkeypatch, document, flags, named):
+    # a document's round limit is refused as the flag is, not read and ignored; the
+    # refusal names the flag when it was given, else the document's key
     from liqgame import sim
 
     monkeypatch.setattr(sim, "run_simulation", None)
     config = tmp_path / "config.json"
     config.write_text(json.dumps(document))
     code, out, err = run_cli(capsys, *SIMULATE, str(config), *flags)
-    assert (code, out, err) == (2, "", "error: ValueError: --max-rounds needs --mode repeated\n")
+    assert (code, out, err) == (2, "", f"error: ValueError: {named} needs --mode repeated\n")
 
 
 @pytest.mark.parametrize("document", ["5", "null", "[1, 2]"])

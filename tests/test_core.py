@@ -1,7 +1,8 @@
 import json
+from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from liqgame.core import (
@@ -13,6 +14,7 @@ from liqgame.core import (
     build_instance,
     build_payoff_matrix,
     check_document,
+    decimal_ratio,
     instance_from_json,
     transferred,
 )
@@ -256,6 +258,33 @@ def parse_payoff_csv(text):
         [[int(part) for part in cell.split("|")] for cell in line.split(",")]
         for line in text[:-1].split("\n")
     ]
+
+
+class TestDecimalRatio:
+    @pytest.mark.parametrize(
+        "value,ratio",
+        [
+            (0.7, (7, 10)),  # the decimal, not the binary float's 3152519739159347/2**52
+            (1e-05, (1, 100000)),
+            (Fraction(7, 10), (7, 10)),
+        ],
+    )
+    def test_reads_the_text_str_writes(self, value, ratio):
+        assert decimal_ratio(value) == ratio
+
+    @given(st.floats(allow_nan=False, allow_infinity=False) | st.integers() | st.fractions())
+    @example(1e27)
+    @example(5e-324)
+    @example(-0.0)
+    @example(-0.02)
+    @example(1.7976931348623157e308)
+    @example(1e-05)
+    @example(Fraction(-7, 10))
+    def test_is_the_fraction_of_the_text(self, value):
+        # Fraction parses the same text independently, exponent and sign included
+        p, q = decimal_ratio(value)
+        assert type(p) is int and type(q) is int and q > 0
+        assert Fraction(p, q) == Fraction(str(value))
 
 
 class TestRoundTripProperties:

@@ -136,16 +136,16 @@ def adapter(argv):
         # only the typed documents' readers load liqgame.documents; bayes computes
         # in exact rationals, and fractions imports decimal
         (["bayes"], {"liqgame.bayes", "liqgame.documents", "fractions", "decimal"}),
-        # market formats every volume by half-up decimal rounding, and loads csv
-        # only to write --format csv
-        (["market", "--published", "final_4x4"], {"liqgame.market", "liqgame.documents", "decimal"}),
+        # market rounds every volume half up on integers read by core.decimal_ratio, so
+        # neither decimal nor fractions loads; csv loads only to write --format csv
+        (["market", "--published", "final_4x4"], {"liqgame.market", "liqgame.documents"}),
         (
             ["market", "--published", "final_4x4", "--format", "csv"],
-            {"liqgame.market", "liqgame.documents", "decimal", "csv"},
+            {"liqgame.market", "liqgame.documents", "csv"},
         ),
         (
             ["market", "--constructive"],
-            {"liqgame.market", "liqgame.bayes", "liqgame.documents", "decimal"},
+            {"liqgame.market", "liqgame.bayes", "liqgame.documents"},
         ),
     ],
     ids=[
@@ -168,10 +168,10 @@ def test_simulate_loads_sim_only():
     assert loaded_after_main(argv) == CLI_BASE | {adapter(argv), "liqgame.sim"}
 
 
-def test_simulate_fixed_fraction_loads_fractions():
-    # a fixed fraction's p/q is parsed with Fraction, which imports decimal
+def test_simulate_fixed_fraction_loads_no_fractions():
+    # a fixed fraction's p/q is read by core.decimal_ratio, in integers alone
     argv = ["simulate", "--trials", "50", "--seed", "1", "--strategy-i", "high"]
-    assert loaded_after_main(argv) == CLI_BASE | {adapter(argv), "liqgame.sim", "fractions", "decimal"}
+    assert loaded_after_main(argv) == CLI_BASE | {adapter(argv), "liqgame.sim"}
 
 
 def test_help_loads_no_adapter():
