@@ -109,7 +109,7 @@ class PayoffMatrix(Checked, _PayoffMatrix):
     descending order and its payoffs are integers, as ``build_payoff_matrix``
     and ``from_entries`` require; a market composition table's actions are
     (type, strategy) labels and its payoffs are real volumes. ``solve_mixed``
-    reads int and Fraction payoffs; the checkers read any number exactly.
+    reads int and Fraction payoffs, the checkers any finite one, as ints over each table's lcm.
     """
 
     __slots__ = ()

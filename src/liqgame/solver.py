@@ -20,9 +20,6 @@ from typing import NamedTuple, Optional, Sequence
 from .core import LiquidityGameError, PayoffMatrix, check_work
 
 
-_EXACT = {int, Fraction}  # the payoff types every solver and checker reads as they are
-
-
 class DimensionMismatch(LiquidityGameError):
     pass
 
@@ -125,7 +122,7 @@ def solve_mixed(matrix: PayoffMatrix) -> list[MixedProfile]:
     supports. Unequal-size supports are not tried and singular systems are
     skipped, so degenerate games can lose extreme equilibria: u_i = [[-2, 2],
     [0, 1]], u_j = [[1, 1], [0, 0]] has four, the list two. Payoffs are ints or
-    Fractions, each table scaled to ints by its lcm; others raise ValueError.
+    Fractions, each table read as ints over its lcm (``_integer_table``); others raise ValueError.
     """
     m, n, k = matrix.rows, matrix.cols, min(matrix.rows, matrix.cols)
     # In units of about 2 µs or 100 bytes. Two to a unit, each about 1 µs: the support pairs, the minors of
@@ -139,17 +136,17 @@ def solve_mixed(matrix: PayoffMatrix) -> list[MixedProfile]:
     work = (math.comb(m + n, m) - 1 + minors + m * n * (m + n)) // 2 + 8 * plans
     u_i, u_j = matrix.u_i, matrix.u_j
     kinds = set(map(type, itertools.chain(*u_i, *u_j)))
-    if not (kinds <= _EXACT or all(issubclass(t, (int, Fraction)) and t is not bool for t in kinds)):
+    if not all(t is not bool and issubclass(t, (int, Fraction)) for t in kinds):
         raise ValueError("solve_mixed needs exact rational payoffs: ints or Fractions")
     bits = math.ceil(max(map(abs, itertools.chain(*u_i, *u_j)))).bit_length()
-    if kinds != {int}:  # the lcm divides the largest denominator times each that does not divide it
+    if kinds != {int}:  # the lcm divides the largest denominator t times each d / gcd(d, t)
         ds = [{x.denominator for x in itertools.chain(*u)} for u in (u_i, u_j)]
-        bits += max(sum((d - 1).bit_length() for d in s if d == t or t % d) for s, t in zip(ds, map(max, ds)))
+        bits += max(sum((d // math.gcd(d, t) - 1).bit_length() for d in s) + (t - 1).bit_length()
+                    for s, t in zip(ds, map(max, ds)))
     over = max(bits - 16, 0)
     check_work(work + (work * over * (over + 2048) >> 17), f"solve_mixed of a {m}x{n} game")
-    if kinds != {int}:  # each table times the lcm of its denominators: ints, the same equilibria
-        lcms = itertools.starmap(math.lcm, ds)
-        u_i, u_j = ([[int(x * lcm) for x in row] for row in u] for u, lcm in zip((u_i, u_j), lcms))
+    if kinds != {int}:  # each table as ints over its lcm: the same equilibria
+        (u_i, _), (u_j, _) = _integer_table(u_i), _integer_table(u_j)
     u_j_t = list(zip(*u_j))
     plan_i = _laplace_plan(n, k)
     plan_j = plan_i if m == n else _laplace_plan(m, k)
@@ -174,29 +171,38 @@ def solve_mixed(matrix: PayoffMatrix) -> list[MixedProfile]:
 
 
 def _ratio(x) -> tuple[int, int]:
-    """``x`` as (numerator, denominator) in lowest terms, at its exact value:
-    a float at its binary one. ``Fraction(x)`` is built only for values that
-    are not already an int or a Fraction; a string, which it would parse, is
-    refused with ValueError, as an infinite or NaN value, which has no ratio,
-    is. The per-entry loops below take a Fraction's ratio themselves and call
-    this only for other types."""
-    if isinstance(x, (int, Fraction)):
-        return x.as_integer_ratio()
-    if isinstance(x, str):
-        raise ValueError(f"{x!r} is a string, not a number")
+    """``x`` as (numerator, denominator) in lowest terms, at its exact value: a float at
+    its binary one, and a number without ``as_integer_ratio``, such as ``numpy.int64``,
+    as ``Fraction`` reads it. ValueError for a string, which ``Fraction`` would parse,
+    and for an infinite or NaN value, which has no ratio."""
     try:
-        return Fraction(x).as_integer_ratio()
+        return x.as_integer_ratio()
+    except AttributeError:
+        if isinstance(x, str):
+            raise ValueError(f"{x!r} is a string, not a number") from None
+        num, den = Fraction(x).as_integer_ratio()  # numpy.int64's stay int64s there
+        return int(num), int(den)
     except OverflowError:
         raise ValueError(f"{x!r} has no exact value") from None
 
 
-def _exact_matrix(matrix: PayoffMatrix) -> PayoffMatrix:
-    """``matrix`` with every payoff but an int or a Fraction at its exact value. The checkers
-    call it when a sum of payoffs is neither: int and Fraction payoffs keep every such sum an
-    int or a Fraction, and a float or a Decimal makes it a float or a Decimal."""
-    exact = lambda x: x if type(x) in _EXACT else Fraction(*_ratio(x))
-    u_i, u_j = ([list(map(exact, row)) for row in u] for u in (matrix.u_i, matrix.u_j))
-    return matrix._replace(u_i=u_i, u_j=u_j)
+def _over_lcm(xs) -> tuple[list[int], int]:
+    """The numbers ``xs`` as integers over the lcm ``l`` of their denominators, and ``l``."""
+    ratios = [x.as_integer_ratio() if type(x) is Fraction else _ratio(x) for x in xs]  # Fractions skip a call
+    lcm = math.lcm(*[den for _, den in ratios])
+    return [num * (lcm // den) for num, den in ratios], lcm
+
+
+def _integer_table(u: Sequence[Sequence]) -> tuple[Sequence[Sequence[int]], int]:
+    """The payoff table ``u`` as integer rows over the lcm ``l`` of its denominators, and
+    ``l``; a table of ints is itself, over 1."""
+    try:
+        if type(sum(itertools.chain(*u))) is int:
+            return u, 1
+    except TypeError:  # a Decimal beside a float or a Fraction, or a string
+        pass
+    ints, lcm = _over_lcm(itertools.chain(*u))
+    return list(zip(*[iter(ints)] * len(u[0]))), lcm
 
 
 def _scaled_distribution(probs: Sequence[Fraction], side: str) -> tuple[list[int], int]:
@@ -204,11 +210,9 @@ def _scaled_distribution(probs: Sequence[Fraction], side: str) -> tuple[list[int
     ``probs[k] == weights[k] / d``; ValueError unless ``probs`` is a
     probability distribution (non-negative, summing to exactly 1)."""
     try:
-        ratios = [x.as_integer_ratio() if type(x) is Fraction else _ratio(x) for x in probs]
-    except ValueError:  # an infinite or NaN float, or a string
-        ratios = [(-1, 1)]  # refused below, as a negative entry is
-    d = math.lcm(*[den for _, den in ratios])
-    weights = [num * (d // den) for num, den in ratios]
+        weights, d = _over_lcm(probs)
+    except ValueError:  # an infinite or NaN entry, or a string
+        weights, d = [-1], 1  # refused below, as a negative entry is
     if min(weights) < 0 or sum(weights) != d:
         raise ValueError(f"probs_{side} is not a probability distribution")
     return weights, d
@@ -219,40 +223,33 @@ def verify_equilibrium(
 ) -> bool:
     """True iff no unilateral pure deviation gains more than ``tolerance``.
 
-    Exact rationals; float entries and tolerances are taken at their exact
-    binary value. Each side's probabilities are scaled to integers over the
-    lcm of their denominators, and each deviation gain is decided by one
-    cross-multiplication against the tolerance's ratio. Int and Fraction
-    payoffs keep every payoff sum exact; a float or Decimal payoff, which
-    the sums show, sends the call to ``_exact_matrix``'s copy of the game.
-    An infinite or NaN tolerance gives the verdict a Fraction comparison
-    gives: +inf passes every profile, -inf and NaN none. Raises ValueError
-    when either side is not a probability distribution, or for a payoff
-    with no exact value (infinite or NaN).
+    Integer arithmetic only, on every number at its exact value (a float at its
+    binary one): each side's probabilities are integers over the lcm d_i or d_j
+    of their denominators, and each player's payoffs over the lcm l_i or l_j of
+    theirs, 1 for a table of ints. I's gain is then an integer over l_i * d_i * d_j,
+    within the tolerance num / den iff it times den is at most num * l_i * d_i * d_j;
+    J's likewise with l_j. An infinite or NaN tolerance gives the verdict a Fraction
+    comparison gives: +inf passes every profile, -inf and NaN none. Raises ValueError
+    when either side is not a probability distribution, or for a payoff with no exact
+    value (infinite, NaN or a string).
     """
     m, n = len(matrix.actions_i), len(matrix.actions_j)
     if len(profile.probs_i) != m or len(profile.probs_j) != n:
-        raise DimensionMismatch(
-            f"profile is {len(profile.probs_i)}x{len(profile.probs_j)}, "
-            f"matrix is {m}x{n}"
-        )
+        raise DimensionMismatch(f"profile is {len(profile.probs_i)}x{len(profile.probs_j)}, matrix is {m}x{n}")
     p, d_i = _scaled_distribution(profile.probs_i, "i")
     q, d_j = _scaled_distribution(profile.probs_j, "j")
     try:
         num, den = _ratio(tolerance)
     except ValueError:  # infinite or NaN: every finite gain compares as 0 does
         return 0 <= tolerance
-    # row_payoffs are scaled by d_j, col_payoffs by d_i, both expectations
-    # and both gains by d_i * d_j: gain <= num / den iff gain * den <= num * d_i * d_j.
-    mul = operator.mul
-    row_payoffs = [sum(map(mul, row, q)) for row in matrix.u_i]
-    col_payoffs = [sum(map(mul, col, p)) for col in zip(*matrix.u_j)]
-    if type(sum(row_payoffs)) not in _EXACT or type(sum(col_payoffs)) not in _EXACT:
-        return verify_equilibrium(_exact_matrix(matrix), profile, tolerance)
+    (u_i, l_i), (u_j, l_j) = _integer_table(matrix.u_i), _integer_table(matrix.u_j)
+    mul = operator.mul  # row_payoffs over l_i * d_j, col_payoffs over l_j * d_i
+    row_payoffs = [sum(map(mul, row, q)) for row in u_i]
+    col_payoffs = [sum(map(mul, col, p)) for col in zip(*u_j)]
     bound = num * d_i * d_j
     return (
-        (max(row_payoffs) * d_i - sum(map(mul, p, row_payoffs))) * den <= bound
-        and (max(col_payoffs) * d_j - sum(map(mul, q, col_payoffs))) * den <= bound
+        (max(row_payoffs) * d_i - sum(map(mul, p, row_payoffs))) * den <= bound * l_i
+        and (max(col_payoffs) * d_j - sum(map(mul, q, col_payoffs))) * den <= bound * l_j
     )
 
 
@@ -261,7 +258,7 @@ def _window_grid(total: int, center: Sequence[Fraction], radius: int) -> list[tu
     ``radius`` grid steps of ``center``, in lexicographic order."""
     choices = []
     for x in center:
-        num, den = x.as_integer_ratio() if type(x) is Fraction else _ratio(x)
+        num, den = _ratio(x)
         num *= total
         # integer k with |k - num / den| <= radius: ceil(num / den) - radius
         # up to floor(num / den) + radius, clipped to [0, total]
@@ -283,10 +280,10 @@ def brute_force_oracle(
     whose maximum deviation gain is below 1/resolution, in row-major order
     of the two players' grid points.
 
-    Every gain test is evaluated in exact rationals (scaled by the
-    resolution): integers on integer payoffs, and a float or Decimal payoff,
-    which the sum of its table shows, at its exact value, as
-    ``verify_equilibrium`` reads it. Without ``around`` the full product
+    Every gain test is integer arithmetic: each player's payoffs are read as
+    integers over the lcm of their denominators, as ``verify_equilibrium``
+    reads them, and each gain is scaled by that lcm and the resolution squared;
+    the only Fractions built are the result's. Without ``around`` the full product
     of both simplex grids is swept, which is combinatorial; pass ``around``
     to restrict both grids to the points within ``radius`` steps of a
     candidate profile (the sweep restricted to that window). A resolution
@@ -315,22 +312,21 @@ def brute_force_oracle(
         else math.comb(r_scale + m - 1, m - 1) * math.comb(r_scale + n - 1, n - 1)
     )
     check_work(box_p + box_q + pairs, f"a {m}x{n} grid sweep at resolution {r_scale}")
-    if type(sum(map(sum, matrix.u_i))) not in _EXACT or type(sum(map(sum, matrix.u_j))) not in _EXACT:
-        return brute_force_oracle(_exact_matrix(matrix), grid_resolution, around, radius)
+    (u_i, l_i), (u_j, l_j) = _integer_table(matrix.u_i), _integer_table(matrix.u_j)
     grid_p = _window_grid(r_scale, centre_i, radius)
     # A pair (p, q) passes when both expected payoffs exceed the cut-off
-    # r_scale * best - r_scale of the best reply to the other side's point,
-    # all scaled by r_scale ** 2.
+    # r_scale * best - r_scale * l of the best reply to the other side's point,
+    # all scaled by r_scale ** 2 and by the player's own lcm l.
     mul = operator.mul
     by_q = []
     for q in _window_grid(r_scale, centre_j, radius):
-        row_payoffs = [sum(map(mul, row, q)) for row in matrix.u_i]
-        by_q.append((q, row_payoffs, r_scale * max(row_payoffs) - r_scale))
-    cols_j = list(zip(*matrix.u_j))
+        row_payoffs = [sum(map(mul, row, q)) for row in u_i]
+        by_q.append((q, row_payoffs, r_scale * (max(row_payoffs) - l_i)))
+    cols_j = list(zip(*u_j))
     hits = []
     for p in grid_p:
         col_payoffs = [sum(map(mul, col, p)) for col in cols_j]
-        cut_j = r_scale * max(col_payoffs) - r_scale
+        cut_j = r_scale * (max(col_payoffs) - l_j)
         for q, row_payoffs, cut_i in by_q:
             if sum(map(mul, p, row_payoffs)) > cut_i and sum(map(mul, q, col_payoffs)) > cut_j:
                 hits.append((p, q))

@@ -218,6 +218,68 @@ def finite_floats(rng: random.Random, count: int):
             yield value
 
 
+def checker_corpus():
+    """(name, thunk) for both exact checkers on seeded 2x2 to 4x4 games whose tables hold
+    floats, Decimals, Fractions, numpy.int64s or a mix, and on the inputs they refuse."""
+    from decimal import Decimal
+    from fractions import Fraction
+
+    import numpy as np
+
+    from liqgame import core, solver
+
+    makers = {"float": lambda k: k / 10, "Decimal": lambda k: Decimal(k) / 10,
+              "Fraction": lambda k: Fraction(k, 6), "int64": np.int64}
+    # a mix draws each entry's kind; a Decimal does not add to a float or a Fraction, so
+    # "Decimal mix" puts Decimals beside ints only and "Decimal beside float" beside floats
+    kinds = {**{name: (make,) for name, make in makers.items()},
+             "mix": (int, np.int64, makers["Fraction"], makers["float"]),
+             "Decimal mix": (int, np.int64, makers["Decimal"]),
+             "Decimal beside float": (makers["Decimal"], makers["float"])}
+    tolerances = (0, Fraction(1, 7), 0.25, Decimal("0.1"), math.inf, -math.inf, math.nan)
+    resolutions = {2: 12, 3: 5, 4: 3}  # the full sweep's, by the longer side
+    rng, forms = random.Random(5), []
+    for k in range(42):
+        kind = list(kinds)[k % len(kinds)]
+        m, n = rng.randint(2, 4), rng.randint(2, 4)
+        u_i, u_j = ([[rng.choice(kinds[kind])(rng.randint(-12, 12)) for _ in range(n)] for _ in range(m)]
+                    for _ in range(2))
+        matrix = core.PayoffMatrix(tuple(range(m)), tuple(range(n)), u_i, u_j)
+        cuts = [sorted(Fraction(rng.randint(0, 12), 12) for _ in range(side - 1)) for side in (m, n)]
+        drawn = solver.MixedProfile(*(tuple(b - a for a, b in zip([0, *c], [*c, 1])) for c in cuts))
+
+        def profiles(g=matrix, drawn=drawn):
+            # the equilibria of the game at its exact values, and one drawn profile
+            u_i, u_j = ([[Fraction(*map(int, Fraction(x).as_integer_ratio())) for x in row] for row in u]
+                        for u in (g.u_i, g.u_j))
+            return [*solver.solve_mixed(g._replace(u_i=u_i, u_j=u_j)), drawn]
+
+        name = f"{kind} game #{k} {m}x{n}"
+        forms.append((f"verify_equilibrium {name}", lambda g=matrix, p=profiles: [
+            [solver.verify_equilibrium(g, prof, t) for t in tolerances] for prof in p()]))
+        forms.append((f"brute_force_oracle sweep {name}",
+                      lambda g=matrix, r=resolutions[max(m, n)]: solver.brute_force_oracle(g, r)))
+        forms.append((f"brute_force_oracle windows {name}", lambda g=matrix, p=profiles: [
+            solver.brute_force_oracle(g, 40, around=prof, radius=1) for prof in p()]))
+    good = core.PayoffMatrix.from_entries([[(3, 3), (0, 5)], [(5, 0), (1, 1)]])
+    pure = solver.MixedProfile((Fraction(0), Fraction(1)), (Fraction(0), Fraction(1)))
+    for bad in ("1/2", math.inf, math.nan, Decimal("Infinity")):
+        game = good._replace(u_i=((bad, 0), (5, 1)))
+        forms += [
+            (f"verify_equilibrium payoff {bad!r}", lambda g=game: solver.verify_equilibrium(g, pure)),
+            (f"brute_force_oracle sweep payoff {bad!r}", lambda g=game: solver.brute_force_oracle(g, 4)),
+            (f"brute_force_oracle window payoff {bad!r}",
+             lambda g=game: solver.brute_force_oracle(g, 4, around=pure)),
+            (f"verify_equilibrium probs_i {bad!r}",
+             lambda b=bad: solver.verify_equilibrium(good, pure._replace(probs_i=(b, Fraction(1, 2))))),
+            (f"verify_equilibrium probs_j {bad!r}",
+             lambda b=bad: solver.verify_equilibrium(good, pure._replace(probs_j=(Fraction(1, 2), b)))),
+            (f"brute_force_oracle centre {bad!r}",
+             lambda b=bad: solver.brute_force_oracle(good, 4, around=pure._replace(probs_j=(b, 0)))),
+        ]
+    return forms
+
+
 def library_corpus(oracle_requests):
     """(name, thunk) for every library form; each thunk's repr is compared."""
     from fractions import Fraction
@@ -248,6 +310,7 @@ def library_corpus(oracle_requests):
                 return profiles, [(solver.verify_equilibrium(matrix, p, Fraction(0)),
                                    solver.brute_force_oracle(matrix, 200, around=p, radius=1)) for p in profiles]
             forms.append((f"oracle_exact games {argv}", checked))
+    forms += checker_corpus()
     rng = random.Random(2)
     kinds = [sim.StrategySpec("uniform_random"), sim.StrategySpec("full_balance"), sim.HIGH_STRATEGY,
              sim.LOW_STRATEGY, sim.StrategySpec("fixed_fraction", 0.7), sim.StrategySpec("fixed_fraction", 0.35)]

@@ -6,9 +6,10 @@ including order, de-duplication and degenerate profiles. A second,
 independent oracle, ``extreme_equilibria``, enumerates the vertices of the
 two best-response polytopes instead of support pairs. A Gaussian
 determinant checks the solver's table of minors. The ``Fraction``
-forms of ``verify_equilibrium`` and of the oracle's window grid are kept
-for the same purpose against the integer versions in ``liqgame.solver``,
-and so is the numpy full sweep of the grid oracle.
+forms of ``verify_equilibrium``, of both deviation gains and of the oracle's
+window grid are kept for the same purpose against the integer versions in
+``liqgame.solver``, and so is the numpy full sweep of the grid oracle, which
+is exact on int payoffs only.
 """
 
 from __future__ import annotations
@@ -188,11 +189,17 @@ def extreme_equilibria(matrix: PayoffMatrix) -> set[tuple[tuple[Fraction, ...], 
     }
 
 
+def exact(x) -> Fraction:
+    """``x`` at its exact value, as a Fraction of Python ints: ``Fraction(numpy.int64(1))``
+    keeps an int64 numerator, whose products can overflow."""
+    return Fraction(*map(int, Fraction(x).as_integer_ratio()))
+
+
 def reference_verify_equilibrium(
     matrix: PayoffMatrix, profile: MixedProfile, tolerance: Fraction = Fraction(0)
 ) -> bool:
     """True iff no unilateral pure deviation gains more than ``tolerance``,
-    in the profile's own arithmetic, every payoff read as ``Fraction(x)``, its
+    in the profile's own arithmetic, every payoff read as ``exact(x)``, its
     exact value (a Fraction times a float would be a float)."""
     m, n = matrix.rows, matrix.cols
     if len(profile.probs_i) != m or len(profile.probs_j) != n:
@@ -200,7 +207,7 @@ def reference_verify_equilibrium(
             f"profile is {len(profile.probs_i)}x{len(profile.probs_j)}, "
             f"matrix is {m}x{n}"
         )
-    u_i, u_j = ([[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row] for row in table]
+    u_i, u_j = ([[x if type(x) in (int, Fraction) else exact(x) for x in row] for row in table]
                 for table in (matrix.u_i, matrix.u_j))
     row_payoffs = [
         sum(u_i[r][c] * profile.probs_j[c] for c in range(n)) for r in range(m)
@@ -213,6 +220,19 @@ def reference_verify_equilibrium(
     return (
         max(row_payoffs) - expected_i <= tolerance
         and max(col_payoffs) - expected_j <= tolerance
+    )
+
+
+def reference_gains(matrix: PayoffMatrix, profile: MixedProfile) -> tuple[Fraction, Fraction]:
+    """I's and J's largest gain from a unilateral pure deviation, with every
+    payoff and probability read as ``exact(x)``, its exact value."""
+    u_i, u_j = ([list(map(exact, row)) for row in table] for table in (matrix.u_i, matrix.u_j))
+    p, q = list(map(exact, profile.probs_i)), list(map(exact, profile.probs_j))
+    row_payoffs = [sum(map(operator.mul, row, q)) for row in u_i]
+    col_payoffs = [sum(map(operator.mul, col, p)) for col in zip(*u_j)]
+    return (
+        max(row_payoffs) - sum(map(operator.mul, p, row_payoffs)),
+        max(col_payoffs) - sum(map(operator.mul, q, col_payoffs)),
     )
 
 

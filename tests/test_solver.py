@@ -6,6 +6,7 @@ import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -30,8 +31,10 @@ from liqgame.solver import (
 )
 
 from reference_solver import (
+    exact,
     extreme_equilibria,
     reference_determinant,
+    reference_gains,
     reference_solve_mixed,
     reference_sweep,
     reference_verify_equilibrium,
@@ -229,6 +232,20 @@ class TestSolveMixed:
         row = [(F(1, 2**1000 + 2 * c + 1), 0) for c in range(2887)]
         with pytest.raises(DimensionCapExceeded, match="^solve_mixed of a 1x2887 game exceeds"):
             solve_mixed(PayoffMatrix.from_cells((1,), range(2887), [row]))
+
+    def test_shared_denominator_factors_counted_once(self, monkeypatch):
+        # the lcm of 6, 10 and 15 is 30, 5 bits; the bound counts 15's 4 bits, and 1 bit each for
+        # 6 / gcd(6, 15) = 2 and 10 / gcd(10, 15) = 2, 6 in all, where counting every denominator
+        # that does not divide 15 whole gave 4 + 3 + 4 = 11. With payoffs up to 5000 (13 bits, 18
+        # once scaled by 30) that is 19 bits against 24: 1x2800 counts 3,945,208 units, which at 3
+        # bits past 16 weigh 4,130,410, admitted, and at 8 weighed 4,440,285, refused.
+        def plan(*args):
+            raise AssertionError("_laplace_plan called")
+
+        monkeypatch.setattr(solver, "_laplace_plan", plan)
+        row = [(F(1, 6), 0), (F(1, 10), 0), (F(1, 15), 0)] + [(5000 - c % 7, c % 5) for c in range(2797)]
+        with pytest.raises(AssertionError, match="^_laplace_plan called$"):
+            solve_mixed(PayoffMatrix.from_cells((1,), range(2800), [row]))
 
     @pytest.mark.parametrize(
         "name, mixed",
@@ -630,8 +647,8 @@ class TestWindowGridAgainstReference:
 
 
 def exact_copy(matrix: PayoffMatrix) -> PayoffMatrix:
-    """The game with every payoff as ``Fraction(x)``, its exact value."""
-    u_i, u_j = (tuple(tuple(map(F, row)) for row in table) for table in (matrix.u_i, matrix.u_j))
+    """The game with every payoff as ``exact(x)``, its exact value."""
+    u_i, u_j = (tuple(tuple(map(exact, row)) for row in table) for table in (matrix.u_i, matrix.u_j))
     return matrix._replace(u_i=u_i, u_j=u_j)
 
 
@@ -723,6 +740,82 @@ class TestFloatPayoffs:
         assert not verify_equilibrium(*VERIFY_FLOAT_GAME_J)
         for matrix, point in (ORACLE_FLOAT_GAME, ORACLE_FLOAT_GAME_J, ORACLE_FLOAT_GAME_I):
             assert point in brute_force_oracle(matrix, 10)
+
+
+# each payoff k in -12..12 as one number kind; the float is k / 10 at its binary value
+PAYOFF_KINDS = {
+    "Decimal": lambda k: Decimal(k) / 10,
+    "float": lambda k: k / 10,
+    "Fraction": lambda k: F(k, 6),
+    "int64": np.int64,
+    "int": int,
+}
+
+
+@st.composite
+def kind_tables(draw, rows: int, cols: int):
+    """A rows x cols table of one kind of PAYOFF_KINDS but int, or of a kind drawn per entry."""
+    kind = draw(st.sampled_from(["Decimal", "float", "Fraction", "int64", "mixed"]))
+    entry = st.sampled_from(list(PAYOFF_KINDS.values())) if kind == "mixed" else st.just(PAYOFF_KINDS[kind])
+    cell = st.builds(lambda make, k: make(k), entry, st.integers(-12, 12))
+    return draw(st.lists(st.lists(cell, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+
+
+@st.composite
+def kind_games(draw, max_side: int = 3) -> PayoffMatrix:
+    """A game of 1..max_side actions a side whose two tables come from kind_tables."""
+    rows, cols = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
+    return float_game(draw(kind_tables(rows, cols)), draw(kind_tables(rows, cols)))
+
+
+class TestExactReaders:
+    """Both checkers read Decimal, float, Fraction, numpy.int64 and mixed tables as
+    integers over each table's lcm, and agree with the Fraction references."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(table=st.integers(1, 3).flatmap(lambda k: kind_tables(k, 4 - k)))
+    def test_integer_table_is_the_table_over_its_lcm(self, table):
+        ints, lcm = solver._integer_table(table)
+        assert all(type(x) is int for row in ints for x in row)
+        assert lcm == math.lcm(*(F(x).denominator for x in itertools.chain(*table)))
+        assert [[F(x, lcm) for x in row] for row in ints] == [list(map(exact, row)) for row in table]
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_verify_agrees_with_the_references(self, data):
+        matrix = data.draw(kind_games())
+        prof = data.draw(
+            st.builds(MixedProfile, distributions(matrix.rows), distributions(matrix.cols))
+            | st.sampled_from(solve_mixed(exact_copy(matrix)))
+        )
+        tolerance = data.draw(TOLERANCES | st.sampled_from([Decimal("0.1"), F(1, 20), F(1, 60)]))
+        expected = reference_verify_equilibrium(matrix, prof, tolerance)
+        assert expected is (max(reference_gains(matrix, prof)) <= tolerance)
+        assert verify_equilibrium(matrix, prof, tolerance) is expected
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_full_sweep_hits_are_the_grid_points_within_one_step(self, data):
+        # every grid pair, in row-major order, whose two exact gains are both below 1/r
+        matrix = data.draw(kind_games())
+        resolution = data.draw(st.integers(1, 8 if max(matrix.rows, matrix.cols) < 3 else 4))
+        grid_p, grid_q = (reference_window_grid(resolution, (0,) * k, resolution) for k in (matrix.rows, matrix.cols))
+        step = lambda point: tuple(F(k, resolution) for k in point)
+        pairs = [MixedProfile(step(p), step(q)) for p in grid_p for q in grid_q]
+        expected = [prof for prof in pairs if max(reference_gains(matrix, prof)) < F(1, resolution)]
+        assert brute_force_oracle(matrix, resolution) == expected
+
+    def test_numpy_int64_payoffs_and_probabilities_are_read(self):
+        # numpy.int64 has no as_integer_ratio, but Fraction reads it, and so do both checkers:
+        # a prisoner's dilemma whose one equilibrium is the pure cell (1, 1). The verdict is a
+        # bool, not a numpy.bool_ of int64 arithmetic.
+        i64 = np.int64
+        matrix = float_game(((i64(3), i64(0)), (i64(5), i64(1))), ((i64(3), i64(5)), (i64(0), i64(1))))
+        defect = MixedProfile((i64(0), i64(1)), (i64(0), i64(1)))
+        assert verify_equilibrium(matrix, defect, i64(0)) is True
+        assert not verify_equilibrium(matrix, MixedProfile((i64(1), i64(0)), (i64(1), i64(0))), i64(1))
+        assert brute_force_oracle(matrix, 4) == [profile([0, 1], [0, 1])]
+        assert brute_force_oracle(matrix, 4, around=defect, radius=1) == [profile([0, 1], [0, 1])]
 
 
 class TestVerifyEquilibrium:
