@@ -108,8 +108,8 @@ class PayoffMatrix(Checked, _PayoffMatrix):
     solver meets an empty side. A game's actions are parcel sizes in
     descending order and its payoffs are integers, as ``build_payoff_matrix``
     and ``from_entries`` require; a market composition table's actions are
-    (type, strategy) labels and its payoffs are real volumes. ``solve_mixed``
-    reads int and Fraction payoffs, the checkers any finite one, as ints over each table's lcm.
+    (type, strategy) labels and its payoffs are real volumes. ``solver`` reads
+    each table as ints over its lcm, a float as the decimal its ``str`` writes.
     """
 
     __slots__ = ()

@@ -17,7 +17,7 @@ import operator
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .core import LiquidityGameError, PayoffMatrix, check_work
+from .core import LiquidityGameError, PayoffMatrix, check_work, decimal_ratio
 
 
 class DimensionMismatch(LiquidityGameError):
@@ -25,11 +25,8 @@ class DimensionMismatch(LiquidityGameError):
 
 
 class MixedProfile(NamedTuple):
-    """Per-player probability vectors over the action sets.
-
-    Exact-rational entries when produced by ``solve_mixed``; grid rationals
-    (multiples of 1/resolution) when produced by the oracle.
-    """
+    """Per-player probability vectors over the action sets: exact rationals from
+    ``solve_mixed``, grid rationals (multiples of 1/resolution) from the oracle."""
 
     probs_i: tuple[Fraction, ...]
     probs_j: tuple[Fraction, ...]
@@ -121,31 +118,25 @@ def solve_mixed(matrix: PayoffMatrix) -> list[MixedProfile]:
     weakly dominated games surface. Pure equilibria appear as the size-1
     supports. Unequal-size supports are not tried and singular systems are
     skipped, so degenerate games can lose extreme equilibria: u_i = [[-2, 2],
-    [0, 1]], u_j = [[1, 1], [0, 0]] has four, the list two. Payoffs are ints or
-    Fractions, each table read as ints over its lcm (``_integer_table``); others raise ValueError.
+    [0, 1]], u_j = [[1, 1], [0, 0]] has four, the list two. Each table is read as ints over
+    its lcm (``_integer_table``), every payoff by ``_ratio``'s rule: a float is its decimal.
     """
     m, n, k = matrix.rows, matrix.cols, min(matrix.rows, matrix.cols)
     # In units of about 2 µs or 100 bytes. Two to a unit, each about 1 µs: the support pairs, the minors of
     # I's stack (C(n, d) per distinct d + 1 prefix of I's supports of size s, C(m - s + d + 1, d + 1) of them,
     # summed over s) and the m*n*(m + n) outside rows the pure pairs' checks read at most; 8 per plan entry
     # (800 bytes at peak), all times 1 + d(d + 2048)/2^17 at d bits past 16 in the largest scaled entry.
-    minors = sum(
-        math.comb(n, d) * (math.comb(m + 1, d + 2) - math.comb(m - k + d + 1, d + 2)) for d in range(1, k)
-    )
+    minors = sum(math.comb(n, d) * (math.comb(m + 1, d + 2) - math.comb(m - k + d + 1, d + 2)) for d in range(1, k))
     plans = sum(math.comb(m, t) + math.comb(n, t) for t in range(1, k + 1))
     work = (math.comb(m + n, m) - 1 + minors + m * n * (m + n)) // 2 + 8 * plans
     u_i, u_j = matrix.u_i, matrix.u_j
-    kinds = set(map(type, itertools.chain(*u_i, *u_j)))
-    if not all(t is not bool and issubclass(t, (int, Fraction)) for t in kinds):
-        raise ValueError("solve_mixed needs exact rational payoffs: ints or Fractions")
-    bits = math.ceil(max(map(abs, itertools.chain(*u_i, *u_j)))).bit_length()
-    if kinds != {int}:  # the lcm divides the largest denominator t times each d / gcd(d, t)
-        ds = [{x.denominator for x in itertools.chain(*u)} for u in (u_i, u_j)]
-        bits += max(sum((d // math.gcd(d, t) - 1).bit_length() for d in s) + (t - 1).bit_length()
-                    for s, t in zip(ds, map(max, ds)))
+    if ints := (operator.countOf(map(type, itertools.chain(*u_i, *u_j)), int) == 2 * m * n):
+        bits = max(map(abs, itertools.chain(*u_i, *u_j))).bit_length()
+    else:  # the largest ceil(|x|) over the larger lcm
+        bits = sum(map(max, _table_bits(u_i), _table_bits(u_j)))
     over = max(bits - 16, 0)
     check_work(work + (work * over * (over + 2048) >> 17), f"solve_mixed of a {m}x{n} game")
-    if kinds != {int}:  # each table as ints over its lcm: the same equilibria
+    if not ints:  # each table as ints over its lcm: the same equilibria
         (u_i, _), (u_j, _) = _integer_table(u_i), _integer_table(u_j)
     u_j_t = list(zip(*u_j))
     plan_i = _laplace_plan(n, k)
@@ -171,19 +162,41 @@ def solve_mixed(matrix: PayoffMatrix) -> list[MixedProfile]:
 
 
 def _ratio(x) -> tuple[int, int]:
-    """``x`` as (numerator, denominator) in lowest terms, at its exact value: a float at
-    its binary one, and a number without ``as_integer_ratio``, such as ``numpy.int64``,
-    as ``Fraction`` reads it. ValueError for a string, which ``Fraction`` would parse,
-    and for an infinite or NaN value, which has no ratio."""
-    try:
+    """``x`` as (numerator, denominator) in lowest terms: an int or a Fraction at its value, any other
+    number (a float, a Decimal, a numpy scalar) as the decimal ``str(x)`` writes, by ``core.decimal_ratio``:
+    0.1 is 1/10. ValueError for a string, which that rule would read, and for a bool, inf or NaN."""
+    if type(x) is not bool and isinstance(x, (int, Fraction)):
         return x.as_integer_ratio()
-    except AttributeError:
-        if isinstance(x, str):
-            raise ValueError(f"{x!r} is a string, not a number") from None
-        num, den = Fraction(x).as_integer_ratio()  # numpy.int64's stay int64s there
-        return int(num), int(den)
-    except OverflowError:
-        raise ValueError(f"{x!r} has no exact value") from None
+    if isinstance(x, str):
+        raise ValueError(f"{x!r} is a string, not a number")
+    try:
+        num, den = decimal_ratio(x)
+    except ValueError:
+        raise ValueError(f"{x!r} writes no finite decimal") from None
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
+def _table_bits(u: Sequence[Sequence]) -> tuple[int, int]:
+    """Bounds on the bits of the largest ceil(|x|) in the table ``u`` and of its lcm, each number
+    read as ``_ratio`` reads it, taken before any power of ten is built: from an int's or a
+    Fraction's value, and from the text of any other, whose W digits before the point and F
+    after, times 10^e, are below 10^(W + max(e, 0)) over a denominator dividing 10^(F - e)."""
+    exact, digits, places = [0], [0], [0]
+    for x in itertools.chain(*u):
+        if isinstance(x, (int, Fraction)):
+            exact.append(x)
+        else:  # a text that is no decimal counts 0 here, and _ratio refuses it
+            mantissa, _, exponent = str(x).lower().partition("e")
+            whole, _, fraction = mantissa.partition(".")
+            e = int(exponent) if exponent.lstrip("+-").isdecimal() else 0
+            digits.append(len(whole) + max(e, 0))
+            places.append(len(fraction) - e)
+    ds = {x.denominator for x in exact}  # the lcm divides the largest, t, times each d / gcd(d, t)
+    t = max(ds)
+    lcm = sum((d // math.gcd(d, t) - 1).bit_length() for d in ds) + (t - 1).bit_length()
+    top = max(math.ceil(max(map(abs, exact))).bit_length(), -(-10 * max(digits) // 3))
+    return top, lcm - (-10 * max(places) // 3)  # 10^k has at most ceil(10k / 3) bits
 
 
 def _over_lcm(xs) -> tuple[list[int], int]:
@@ -196,11 +209,8 @@ def _over_lcm(xs) -> tuple[list[int], int]:
 def _integer_table(u: Sequence[Sequence]) -> tuple[Sequence[Sequence[int]], int]:
     """The payoff table ``u`` as integer rows over the lcm ``l`` of its denominators, and
     ``l``; a table of ints is itself, over 1."""
-    try:
-        if type(sum(itertools.chain(*u))) is int:
-            return u, 1
-    except TypeError:  # a Decimal beside a float or a Fraction, or a string
-        pass
+    if operator.countOf(map(type, itertools.chain(*u)), int) == len(u) * len(u[0]):  # every entry an int
+        return u, 1
     ints, lcm = _over_lcm(itertools.chain(*u))
     return list(zip(*[iter(ints)] * len(u[0]))), lcm
 
@@ -211,27 +221,23 @@ def _scaled_distribution(probs: Sequence[Fraction], side: str) -> tuple[list[int
     probability distribution (non-negative, summing to exactly 1)."""
     try:
         weights, d = _over_lcm(probs)
-    except ValueError:  # an infinite or NaN entry, or a string
+    except ValueError:  # a string, a bool, an infinity or a NaN
         weights, d = [-1], 1  # refused below, as a negative entry is
     if min(weights) < 0 or sum(weights) != d:
         raise ValueError(f"probs_{side} is not a probability distribution")
     return weights, d
 
 
-def verify_equilibrium(
-    matrix: PayoffMatrix, profile: MixedProfile, tolerance: Fraction = Fraction(0)
-) -> bool:
+def verify_equilibrium(matrix: PayoffMatrix, profile: MixedProfile, tolerance: Fraction = Fraction(0)) -> bool:
     """True iff no unilateral pure deviation gains more than ``tolerance``.
 
-    Integer arithmetic only, on every number at its exact value (a float at its
-    binary one): each side's probabilities are integers over the lcm d_i or d_j
-    of their denominators, and each player's payoffs over the lcm l_i or l_j of
-    theirs, 1 for a table of ints. I's gain is then an integer over l_i * d_i * d_j,
-    within the tolerance num / den iff it times den is at most num * l_i * d_i * d_j;
-    J's likewise with l_j. An infinite or NaN tolerance gives the verdict a Fraction
-    comparison gives: +inf passes every profile, -inf and NaN none. Raises ValueError
-    when either side is not a probability distribution, or for a payoff with no exact
-    value (infinite, NaN or a string).
+    Integer arithmetic only, every number read by ``_ratio`` (a float as the decimal its
+    ``str`` writes): each side's probabilities are integers over the lcm d_i or d_j of their
+    denominators, and each player's payoffs over the lcm l_i or l_j of theirs, 1 for a table of
+    ints. I's gain is then an integer over l_i * d_i * d_j, within the tolerance num / den iff it
+    times den is at most num * l_i * d_i * d_j; J's likewise with l_j. A tolerance of +inf passes
+    every profile, -inf and NaN none. ValueError when either side is not a probability
+    distribution, and for a payoff or a tolerance that is a string, a bool, infinite or NaN.
     """
     m, n = len(matrix.actions_i), len(matrix.actions_j)
     if len(profile.probs_i) != m or len(profile.probs_j) != n:
@@ -240,8 +246,10 @@ def verify_equilibrium(
     q, d_j = _scaled_distribution(profile.probs_j, "j")
     try:
         num, den = _ratio(tolerance)
-    except ValueError:  # infinite or NaN: every finite gain compares as 0 does
-        return 0 <= tolerance
+    except ValueError:  # +inf passes every profile, -inf and NaN none; a bool or a string is refused
+        if isinstance(tolerance, str) or math.isfinite(tolerance):
+            raise
+        return tolerance == math.inf
     (u_i, l_i), (u_j, l_j) = _integer_table(matrix.u_i), _integer_table(matrix.u_j)
     mul = operator.mul  # row_payoffs over l_i * d_j, col_payoffs over l_j * d_i
     row_payoffs = [sum(map(mul, row, q)) for row in u_i]
@@ -271,10 +279,7 @@ def _window_grid(total: int, center: Sequence[Fraction], radius: int) -> list[tu
 
 
 def brute_force_oracle(
-    matrix: PayoffMatrix,
-    grid_resolution: int,
-    around: Optional[MixedProfile] = None,
-    radius: int = 1,
+    matrix: PayoffMatrix, grid_resolution: int, around: Optional[MixedProfile] = None, radius: int = 1
 ) -> list[MixedProfile]:
     """Independent grid-search check: profiles on the 1/resolution lattice
     whose maximum deviation gain is below 1/resolution, in row-major order
@@ -295,8 +300,7 @@ def brute_force_oracle(
     if radius < 0:
         raise ValueError("radius must be >= 0")
     r_scale = grid_resolution
-    if around is None:
-        # the window of radius r_scale around any point is the whole simplex
+    if around is None:  # the window of radius r_scale around any point is the whole simplex
         centre_i, centre_j, radius = (0,) * m, (0,) * n, r_scale
     elif len(around.probs_i) != m or len(around.probs_j) != n:
         raise DimensionMismatch("around profile does not match matrix dimensions")
@@ -307,10 +311,8 @@ def brute_force_oracle(
     # when windowless, at most the whole box in a window.
     w = min(2 * radius, r_scale) + 1
     box_p, box_q = w ** (m - 1), w ** (n - 1)
-    pairs = (
-        box_p * box_q if around is not None
-        else math.comb(r_scale + m - 1, m - 1) * math.comb(r_scale + n - 1, n - 1)
-    )
+    pairs = (box_p * box_q if around is not None
+             else math.comb(r_scale + m - 1, m - 1) * math.comb(r_scale + n - 1, n - 1))
     check_work(box_p + box_q + pairs, f"a {m}x{n} grid sweep at resolution {r_scale}")
     (u_i, l_i), (u_j, l_j) = _integer_table(matrix.u_i), _integer_table(matrix.u_j)
     grid_p = _window_grid(r_scale, centre_i, radius)
@@ -331,8 +333,6 @@ def brute_force_oracle(
             if sum(map(mul, p, row_payoffs)) > cut_i and sum(map(mul, q, col_payoffs)) > cut_j:
                 hits.append((p, q))
     # one Fraction per grid value that occurs in a hit
-    steps = dict.fromkeys(itertools.chain.from_iterable(itertools.chain.from_iterable(hits)))
-    for k in steps:
-        steps[k] = Fraction(k, r_scale)
-    step = steps.__getitem__
+    values = set(itertools.chain.from_iterable(itertools.chain.from_iterable(hits)))
+    step = {k: Fraction(k, r_scale) for k in values}.__getitem__
     return [MixedProfile(tuple(map(step, p)), tuple(map(step, q))) for p, q in hits]

@@ -218,6 +218,16 @@ def finite_floats(rng: random.Random, count: int):
             yield value
 
 
+def decimal_copy(matrix):
+    """The game with every payoff that is not an int or a Fraction as ``Fraction(str(x))``,
+    the decimal its text writes, read by ``fractions`` alone."""
+    from fractions import Fraction
+
+    u_i, u_j = ([[x if type(x) in (int, Fraction) else Fraction(str(x)) for x in row] for row in u]
+                for u in (matrix.u_i, matrix.u_j))
+    return matrix._replace(u_i=u_i, u_j=u_j)
+
+
 def checker_corpus():
     """(name, thunk) for both exact checkers on seeded 2x2 to 4x4 games whose tables hold
     floats, Decimals, Fractions, numpy.int64s or a mix, and on the inputs they refuse."""
@@ -249,10 +259,8 @@ def checker_corpus():
         drawn = solver.MixedProfile(*(tuple(b - a for a, b in zip([0, *c], [*c, 1])) for c in cuts))
 
         def profiles(g=matrix, drawn=drawn):
-            # the equilibria of the game at its exact values, and one drawn profile
-            u_i, u_j = ([[Fraction(*map(int, Fraction(x).as_integer_ratio())) for x in row] for row in u]
-                        for u in (g.u_i, g.u_j))
-            return [*solver.solve_mixed(g._replace(u_i=u_i, u_j=u_j)), drawn]
+            # the equilibria of the game's decimal copy, and one drawn profile
+            return [*solver.solve_mixed(decimal_copy(g)), drawn]
 
         name = f"{kind} game #{k} {m}x{n}"
         forms.append((f"verify_equilibrium {name}", lambda g=matrix, p=profiles: [
@@ -261,6 +269,7 @@ def checker_corpus():
                       lambda g=matrix, r=resolutions[max(m, n)]: solver.brute_force_oracle(g, r)))
         forms.append((f"brute_force_oracle windows {name}", lambda g=matrix, p=profiles: [
             solver.brute_force_oracle(g, 40, around=prof, radius=1) for prof in p()]))
+    forms += decimal_corpus()
     good = core.PayoffMatrix.from_entries([[(3, 3), (0, 5)], [(5, 0), (1, 1)]])
     pure = solver.MixedProfile((Fraction(0), Fraction(1)), (Fraction(0), Fraction(1)))
     for bad in ("1/2", math.inf, math.nan, Decimal("Infinity")):
@@ -276,6 +285,46 @@ def checker_corpus():
              lambda b=bad: solver.verify_equilibrium(good, pure._replace(probs_j=(Fraction(1, 2), b)))),
             (f"brute_force_oracle centre {bad!r}",
              lambda b=bad: solver.brute_force_oracle(good, 4, around=pure._replace(probs_j=(b, 0)))),
+        ]
+    return forms
+
+
+def decimal_corpus():
+    """(name, thunk) for solve_mixed and both exact checkers on the two bundled float tables
+    and on seeded games of floats and Decimals: the profiles checked are those of the game's
+    copy in Fraction(str(x))s, the decimals its numbers write, and one drawn profile."""
+    from decimal import Decimal
+    from fractions import Fraction
+
+    from liqgame import core, market, solver
+
+    makers = {"float": lambda rng: rng.uniform(-9, 9), "float tenths": lambda rng: rng.randint(-90, 90) / 10,
+              "Decimal": lambda rng: Decimal(rng.randint(-999, 999)).scaleb(rng.randint(-6, 2))}
+    makers["Decimal beside float"] = lambda rng: rng.choice((makers["float tenths"], makers["Decimal"]))(rng)
+    games = [(f"published {name}", market.load_published_matrix(name), 3) for name in market.PUBLISHED_TABLES]
+    rng = random.Random(6)
+    for k in range(12):
+        kind = list(makers)[k % len(makers)]
+        m, n = rng.randint(2, 3), rng.randint(2, 3)
+        u_i, u_j = ([[makers[kind](rng) for _ in range(n)] for _ in range(m)] for _ in range(2))
+        games.append((f"seeded {kind} #{k} {m}x{n}", core.PayoffMatrix(tuple(range(m)), tuple(range(n)), u_i, u_j),
+                      6 if max(m, n) < 3 else 4))
+    forms = []
+    for name, matrix, resolution in games:
+        sides = (matrix.rows, matrix.cols)
+        cuts = [sorted(Fraction(rng.randint(0, 12), 12) for _ in range(side - 1)) for side in sides]
+        drawn = solver.MixedProfile(*(tuple(b - a for a, b in zip([0, *c], [*c, 1])) for c in cuts))
+
+        def profiles(g=matrix, drawn=drawn):
+            return [*solver.solve_mixed(decimal_copy(g)), drawn]
+
+        forms += [
+            (f"solve_mixed {name}", lambda g=matrix: solver.solve_mixed(g)),
+            (f"verify_equilibrium {name}", lambda g=matrix, p=profiles: [
+                [solver.verify_equilibrium(g, prof, t) for t in (0, 1e-15, Fraction(1, 7))] for prof in p()]),
+            (f"brute_force_oracle sweep {name}", lambda g=matrix, r=resolution: solver.brute_force_oracle(g, r)),
+            (f"brute_force_oracle windows {name}", lambda g=matrix, p=profiles: [
+                solver.brute_force_oracle(g, 40, around=prof, radius=1) for prof in p()]),
         ]
     return forms
 

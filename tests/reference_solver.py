@@ -190,17 +190,21 @@ def extreme_equilibria(matrix: PayoffMatrix) -> set[tuple[tuple[Fraction, ...], 
 
 
 def exact(x) -> Fraction:
-    """``x`` at its exact value, as a Fraction of Python ints: ``Fraction(numpy.int64(1))``
-    keeps an int64 numerator, whose products can overflow."""
-    return Fraction(*map(int, Fraction(x).as_integer_ratio()))
+    """``x`` as the library's one number rule reads it, by ``Fraction``'s own text parser: an int
+    or a Fraction at its value, a float as ``Fraction(repr(x))``, the shortest text that reads back
+    to it (Steele & White, 1990), and any other number by its ``str``, since the repr of a
+    ``Decimal`` or a numpy scalar names its type. A bool, an infinity or a NaN raises ValueError."""
+    if type(x) is not bool and isinstance(x, (int, Fraction)):
+        return Fraction(x)
+    return Fraction(repr(x) if isinstance(x, float) else str(x))
 
 
 def reference_verify_equilibrium(
     matrix: PayoffMatrix, profile: MixedProfile, tolerance: Fraction = Fraction(0)
 ) -> bool:
     """True iff no unilateral pure deviation gains more than ``tolerance``,
-    in the profile's own arithmetic, every payoff read as ``exact(x)``, its
-    exact value (a Fraction times a float would be a float)."""
+    in the profile's own arithmetic, every payoff read as ``exact(x)``, the
+    decimal its text writes (a Fraction times a float would be a float)."""
     m, n = matrix.rows, matrix.cols
     if len(profile.probs_i) != m or len(profile.probs_j) != n:
         raise DimensionMismatch(
@@ -225,7 +229,7 @@ def reference_verify_equilibrium(
 
 def reference_gains(matrix: PayoffMatrix, profile: MixedProfile) -> tuple[Fraction, Fraction]:
     """I's and J's largest gain from a unilateral pure deviation, with every
-    payoff and probability read as ``exact(x)``, its exact value."""
+    payoff and probability read as ``exact(x)``, the decimal its text writes."""
     u_i, u_j = ([list(map(exact, row)) for row in table] for table in (matrix.u_i, matrix.u_j))
     p, q = list(map(exact, profile.probs_i)), list(map(exact, profile.probs_j))
     row_payoffs = [sum(map(operator.mul, row, q)) for row in u_i]

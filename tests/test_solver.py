@@ -156,23 +156,25 @@ class TestSolveMixed:
             solve_mixed(game_matrix(m, -n))
 
     @pytest.mark.parametrize(
-        "build",
-        [
-            lambda: market.load_published_matrix("final_4x4"),
-            lambda: PayoffMatrix.from_cells(
-                (1, 2), (1, 2), [[(3.0, 3.0), (0.0, 5.0)], [(5.0, 0.0), (1.0, 1.0)]]
-            ),
-            lambda: PayoffMatrix.from_cells((1, 2), (1,), [[(True, 0)], [(0, 0)]]),
-        ],
-        ids=["published-volumes", "float-dilemma", "bool-payoff"],
+        "bad, message",
+        [(True, "^True writes no finite decimal$"), ("1/2", "^'1/2' is a string, not a number$")],
+        ids=["bool-payoff", "string-payoff"],
     )
-    def test_non_integer_payoffs_refused_before_the_plan_is_built(self, monkeypatch, build):
+    def test_non_integer_payoffs_refused_before_the_plan_is_built(self, monkeypatch, bad, message):
+        # neither is a number the decimal rule reads, and a string's text would read as 1/2
         def plan(*args):
             raise AssertionError("_laplace_plan called")
 
         monkeypatch.setattr(solver, "_laplace_plan", plan)
-        with pytest.raises(ValueError, match="^solve_mixed needs exact rational payoffs: ints or Fractions$"):
-            solve_mixed(build())
+        with pytest.raises(ValueError, match=message):
+            solve_mixed(PayoffMatrix.from_cells((1, 2), (1,), [[(bad, 0)], [(0, 0)]]))
+
+    def test_float_payoffs_solve_as_their_decimals(self):
+        # a float dilemma, read as the decimals its str writes, is the int game
+        floats = PayoffMatrix.from_cells((1, 2), (1, 2), [[(3.0, 3.0), (0.0, 5.0)], [(5.0, 0.0), (1.0, 1.0)]])
+        assert solve_mixed(floats) == solve_mixed(PayoffMatrix.from_entries([[(3, 3), (0, 5)], [(5, 0), (1, 1)]]))
+        tenths = float_game(((0.1, 0.7), (0.3, 0.6)), ((1, 0), (0, 1)))
+        assert solve_mixed(tenths) == [profile([F(1, 2), F(1, 2)], [F(1, 3), F(2, 3)])]
 
     def test_fraction_payoffs_solve_as_their_scaled_integers(self):
         # J's payoffs times 2, the lcm of their denominators: J's second column, against I's one row
@@ -232,6 +234,16 @@ class TestSolveMixed:
         row = [(F(1, 2**1000 + 2 * c + 1), 0) for c in range(2887)]
         with pytest.raises(DimensionCapExceeded, match="^solve_mixed of a 1x2887 game exceeds"):
             solve_mixed(PayoffMatrix.from_cells((1,), range(2887), [row]))
+
+    @pytest.mark.parametrize("huge", [Decimal("1e-99999999"), Decimal("1e+99999999"), Decimal("-9.9E-99999999")])
+    def test_decimal_exponent_sized_from_its_text(self, monkeypatch, huge):
+        # 10^99999999 would take minutes to build; the text's exponent alone refuses the game
+        def read(x):
+            raise AssertionError("decimal_ratio called")
+
+        monkeypatch.setattr(solver, "decimal_ratio", read)
+        with pytest.raises(DimensionCapExceeded, match="^solve_mixed of a 2x2 game exceeds the work limit"):
+            solve_mixed(float_game(((huge, 1), (0, 0)), ((0, 0), (1, 1))))
 
     def test_shared_denominator_factors_counted_once(self, monkeypatch):
         # the lcm of 6, 10 and 15 is 30, 5 bits; the bound counts 15's 4 bits, and 1 bit each for
@@ -647,7 +659,7 @@ class TestWindowGridAgainstReference:
 
 
 def exact_copy(matrix: PayoffMatrix) -> PayoffMatrix:
-    """The game with every payoff as ``exact(x)``, its exact value."""
+    """The game with every payoff as ``exact(x)``, the decimal its text writes, as a Fraction."""
     u_i, u_j = (tuple(tuple(map(exact, row)) for row in table) for table in (matrix.u_i, matrix.u_j))
     return matrix._replace(u_i=u_i, u_j=u_j)
 
@@ -672,9 +684,26 @@ def one_decimal_games(draw):
     return float_game(u_i, u_j), MixedProfile(draw(distributions(side)), draw(distributions(side)))
 
 
-# against J at (1/3, 2/3), I's rows earn 0.2 / 3 + 1.1 * 2 / 3 and 0.1 / 3 + 1.15 * 2 / 3, 0.8 each
-# in decimals and alike in float arithmetic; at their binary values the second earns 2^-55 more.
-# The second game is the first with the players swapped.
+# a float drawn over its whole range or as tenths, or a Decimal of up to 3 places or of any exponent
+DECIMAL_ENTRIES = (
+    st.floats(-50, 50, allow_nan=False)
+    | st.integers(-120, 120).map(lambda k: k / 10)
+    | st.decimals(-50, 50, places=3, allow_nan=False, allow_infinity=False)
+    | st.builds(lambda k, e: Decimal(k).scaleb(e), st.integers(-99, 99), st.integers(-30, 30))
+)
+
+
+@st.composite
+def decimal_games(draw):
+    """A game of 1..3 actions a side whose payoffs are floats and Decimals of DECIMAL_ENTRIES."""
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    table = st.lists(st.lists(DECIMAL_ENTRIES, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+    return float_game(draw(table), draw(table))
+
+
+# against J at (1/3, 2/3), I's rows earn 0.2 / 3 + 1.1 * 2 / 3 and 0.1 / 3 + 1.1500000000000001 * 2 / 3,
+# alike in float arithmetic; as decimals the second earns 2e-16 / 3 more, so I at (1/2, 1/2) gains half
+# of that by moving to it. The second game is the first with the players swapped.
 VERIFY_FLOAT_GAME = (
     float_game(((0.2, 1.1), (0.1, 1.1500000000000001)), ((0, 0), (0, 0))),
     MixedProfile((F(1, 2), F(1, 2)), (F(1, 3), F(2, 3))),
@@ -683,9 +712,10 @@ VERIFY_FLOAT_GAME_J = (
     float_game(((0, 0), (0, 0)), ((0.2, 0.1), (1.1, 1.1500000000000001))),
     MixedProfile((F(1, 3), F(2, 3)), (F(1, 2), F(1, 2))),
 )
-# the pure cell (row 1, column 0) passes the grid test exactly, and fails it where 10 * 0.7
-# rounds to 7.0 in float arithmetic; J's floats alone drop it, against I's payoffs times 10.
-# I's floats alone, against J's times 10, drop I at (1/5, 4/5) against J's second column.
+# at the pure cell (row 1, column 0) J gains 0.7 - 0.6, exactly 1/10 as decimals, so the grid test at
+# resolution 10 (a gain below 1/10) drops it; at their binary values the gain falls short of 1/10 by
+# 1/(10 * 2^52) and the cell passed. J's floats alone, against I's payoffs times 10, give the same
+# gain, and so do I's floats alone, against J's times 10, for I at (1/5, 4/5) against J's second column.
 ORACLE_FLOAT_GAME = (
     float_game(((1.1, 0.1), (1.1, 0.6)), ((0.2, 0.7), (0.6, 0.7))),
     MixedProfile((F(0), F(1)), (F(1), F(0))),
@@ -698,7 +728,7 @@ ORACLE_FLOAT_GAME_I = (
 
 
 class TestFloatPayoffs:
-    """Both checkers read a float payoff at its exact binary value."""
+    """solve_mixed and both checkers read a float payoff as the decimal its ``str`` writes."""
 
     @settings(max_examples=100, deadline=None)
     @given(case=one_decimal_games(), tolerance=TOLERANCES)
@@ -706,9 +736,13 @@ class TestFloatPayoffs:
     @example(case=VERIFY_FLOAT_GAME_J, tolerance=F(0))
     @example(case=ORACLE_FLOAT_GAME, tolerance=F(0))
     def test_verify_equilibrium_is_exact(self, case, tolerance):
-        # the exact game's own equilibria tie where float arithmetic can break the tie
+        # the float game's own equilibria, solved on its floats, tie as decimals, where float
+        # arithmetic or the binary values can break the tie
         matrix, drawn = case
-        for prof in [drawn, *solve_mixed(exact_copy(matrix))]:
+        profiles = solve_mixed(matrix)
+        assert profiles == solve_mixed(exact_copy(matrix))
+        assert all(verify_equilibrium(matrix, prof, F(0)) for prof in profiles)
+        for prof in [drawn, *profiles]:
             expected = verify_equilibrium(exact_copy(matrix), prof, tolerance)
             assert verify_equilibrium(matrix, prof, tolerance) is expected
             assert reference_verify_equilibrium(matrix, prof, tolerance) is expected
@@ -736,13 +770,58 @@ class TestFloatPayoffs:
             brute_force_oracle(matrix, 4)
 
     def test_the_two_games(self):
-        assert not verify_equilibrium(*VERIFY_FLOAT_GAME)
-        assert not verify_equilibrium(*VERIFY_FLOAT_GAME_J)
+        # half of 2e-16 / 3 is I's gain: refused exactly, passed within 1e-16
+        for matrix, point in (VERIFY_FLOAT_GAME, VERIFY_FLOAT_GAME_J):
+            assert max(reference_gains(matrix, point)) == F(1, 3 * 10**16)
+            assert not verify_equilibrium(matrix, point)
+            assert verify_equilibrium(matrix, point, F(1, 10**16))
+        # a gain of exactly 1/10 is not below 1/10
         for matrix, point in (ORACLE_FLOAT_GAME, ORACLE_FLOAT_GAME_J, ORACLE_FLOAT_GAME_I):
-            assert point in brute_force_oracle(matrix, 10)
+            assert max(reference_gains(matrix, point)) == F(1, 10)
+            assert point not in brute_force_oracle(matrix, 10)
+            assert verify_equilibrium(matrix, point, 0.1) and not verify_equilibrium(matrix, point, 0.09)
+
+    @pytest.mark.parametrize("name", market.PUBLISHED_TABLES)
+    def test_bundled_float_tables_verify_at_zero_tolerance(self, name):
+        # load_published_matrix returns floats: their decimals solve to the 3 profiles read from the
+        # JSON text as Fractions, and each is an equilibrium of the float table at tolerance 0
+        matrix = market.load_published_matrix(name)
+        profiles = solve_mixed(matrix)
+        assert len(profiles) == 3 and profiles == solve_mixed(exact_copy(matrix))
+        assert all(verify_equilibrium(matrix, prof, F(0)) for prof in profiles)
+        # 231 = 7 * 33 puts both mixed profiles, (3/7, 4/7) and (14/33, 19/33), on the grid
+        assert all(brute_force_oracle(matrix, 231, around=prof, radius=0) == [prof] for prof in profiles)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_a_decimal_game_and_its_fraction_copy_agree(self, data):
+        # floats of every size and Decimals of any exponent, read as the Fractions of their texts
+        matrix = data.draw(decimal_games())
+        copy = exact_copy(matrix)
+        profiles = solve_mixed(matrix)
+        assert repr(profiles) == repr(solve_mixed(copy))
+        drawn = MixedProfile(data.draw(distributions(matrix.rows)), data.draw(distributions(matrix.cols)))
+        for prof in [drawn, *profiles]:
+            for tolerance in (0, F(1, 7), 0.25, Decimal("0.1"), 1e-300):
+                assert verify_equilibrium(matrix, prof, tolerance) is verify_equilibrium(copy, prof, tolerance)
+            window = brute_force_oracle(matrix, 40, around=prof, radius=1)
+            assert window == brute_force_oracle(copy, 40, around=prof, radius=1)
+        assert all(verify_equilibrium(matrix, prof) for prof in profiles)
+        resolution = 6 if max(matrix.rows, matrix.cols) < 3 else 3
+        assert brute_force_oracle(matrix, resolution) == brute_force_oracle(copy, resolution)
+
+    def test_int64_table_past_2_to_the_63_reads_without_overflow(self):
+        # the table's entries sum past 2^63; telling an int table by its types sums nothing, so
+        # numpy has no int64 addition to warn about (a warning fails this run)
+        big = np.int64(2**62)
+        matrix = PayoffMatrix.from_cells((1, 2), (1, 2), [[(big, 1), (big, 0)], [(0, 0), (1, 1)]])
+        pure = profile([1, 0], [1, 0])
+        assert brute_force_oracle(matrix, 2) == [pure]
+        assert verify_equilibrium(matrix, pure)
+        assert solve_mixed(matrix) == solve_mixed(exact_copy(matrix))
 
 
-# each payoff k in -12..12 as one number kind; the float is k / 10 at its binary value
+# each payoff k in -12..12 as one number kind; the float k / 10 reads as the decimal k/10
 PAYOFF_KINDS = {
     "Decimal": lambda k: Decimal(k) / 10,
     "float": lambda k: k / 10,
@@ -777,8 +856,18 @@ class TestExactReaders:
     def test_integer_table_is_the_table_over_its_lcm(self, table):
         ints, lcm = solver._integer_table(table)
         assert all(type(x) is int for row in ints for x in row)
-        assert lcm == math.lcm(*(F(x).denominator for x in itertools.chain(*table)))
+        assert lcm == math.lcm(*(exact(x).denominator for x in itertools.chain(*table)))
         assert [[F(x, lcm) for x in row] for row in ints] == [list(map(exact, row)) for row in table]
+
+    @settings(max_examples=150, deadline=None)
+    @given(table=st.integers(1, 3).flatmap(lambda k: kind_tables(k, 4 - k)) | decimal_games().map(lambda g: g.u_i))
+    def test_table_bits_bound_the_table_before_it_is_read(self, table):
+        # solve_mixed's size bound, from the values of ints and Fractions and the texts of the rest:
+        # at least the bits of the largest ceil(|x|) and those of the lcm, less 1, that the reader finds
+        top, lcm_bits = solver._table_bits(table)
+        _, lcm = solver._integer_table(table)
+        assert math.ceil(max(abs(exact(x)) for x in itertools.chain(*table))).bit_length() <= top
+        assert (lcm - 1).bit_length() <= lcm_bits
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -796,7 +885,8 @@ class TestExactReaders:
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
     def test_full_sweep_hits_are_the_grid_points_within_one_step(self, data):
-        # every grid pair, in row-major order, whose two exact gains are both below 1/r
+        # every grid pair, in row-major order, whose two gains, every number read as the decimal
+        # its text writes, are both below 1/r
         matrix = data.draw(kind_games())
         resolution = data.draw(st.integers(1, 8 if max(matrix.rows, matrix.cols) < 3 else 4))
         grid_p, grid_q = (reference_window_grid(resolution, (0,) * k, resolution) for k in (matrix.rows, matrix.cols))
@@ -806,7 +896,7 @@ class TestExactReaders:
         assert brute_force_oracle(matrix, resolution) == expected
 
     def test_numpy_int64_payoffs_and_probabilities_are_read(self):
-        # numpy.int64 has no as_integer_ratio, but Fraction reads it, and so do both checkers:
+        # numpy.int64 has no as_integer_ratio, but its str is the decimal both checkers read:
         # a prisoner's dilemma whose one equilibrium is the pure cell (1, 1). The verdict is a
         # bool, not a numpy.bool_ of int64 arithmetic.
         i64 = np.int64
@@ -874,14 +964,15 @@ class TestVerifyEquilibrium:
         with pytest.raises(ValueError, match="not a probability distribution"):
             verify_equilibrium(game_matrix(2, -2), profile(probs_i, probs_j), F(0))
 
-    def test_float_entries_taken_at_their_binary_value(self):
-        # 0.5 is exact in binary; the binary values of 0.1 and 0.9 do not
-        # sum to exactly 1, although 0.1 + 0.9 == 1.0 in float arithmetic
-        matrix = game_matrix(2, -2)
-        exact = MixedProfile((0.0, 1.0), (0.5, 0.5))
-        assert verify_equilibrium(matrix, exact, F(0))
-        with pytest.raises(ValueError):
-            verify_equilibrium(matrix, MixedProfile((0.1, 0.9), (0.5, 0.5)), F(0))
+    def test_float_entries_read_as_their_decimals(self):
+        # the binary values of 0.1, 0.2 and 0.7 do not sum to 1; their decimals do, and so
+        # does (0.2, 0.3, 0.5): J's largest gain is 11/25, 0.44 as a decimal
+        matrix = game_matrix(3, -3)
+        floats = MixedProfile((0.1, 0.2, 0.7), (0.2, 0.3, 0.5))
+        assert reference_gains(matrix, floats) == (F(1, 25), F(11, 25))
+        assert verify_equilibrium(matrix, floats, 0.44) and not verify_equilibrium(matrix, floats, 0.43)
+        with pytest.raises(ValueError, match="^probs_i is not a probability distribution$"):
+            verify_equilibrium(matrix, MixedProfile((0.1, 0.2, 0.6), (0.2, 0.3, 0.5)))
 
     @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
     def test_non_finite_entry_rejected(self, bad):
@@ -898,7 +989,6 @@ class TestVerifyEquilibrium:
         [
             (F(0), (True, False)),
             (0, (True, False)),
-            (True, (True, False)),
             (0.25, (True, False)),
             (Decimal("0.1"), (True, False)),
             (F(1, 7), (True, False)),
@@ -907,7 +997,7 @@ class TestVerifyEquilibrium:
             (float("nan"), (False, False)),
             (float("inf"), (True, True)),
         ],
-        ids=["Fraction-0", "int-0", "True", "float", "Decimal", "Fraction", "negative", "-inf", "nan", "inf"],
+        ids=["Fraction-0", "int-0", "float", "Decimal", "Fraction", "negative", "-inf", "nan", "inf"],
     )
     def test_every_tolerance_kind(self, tolerance, verdicts):
         # an equilibrium (gains 0) and I on the last row against J on the
@@ -916,6 +1006,13 @@ class TestVerifyEquilibrium:
         pair = (solve_mixed(matrix)[0], profile([0, 0, 1], [1, 0, 0]))
         assert tuple(verify_equilibrium(matrix, prof, tolerance) for prof in pair) == verdicts
         assert all(type(verify_equilibrium(matrix, prof, tolerance)) is bool for prof in pair)
+
+    @pytest.mark.parametrize("tolerance", [True, False, np.True_, "1/2"], ids=["True", "False", "numpy-True", "string"])
+    def test_bool_or_string_tolerance_refused(self, tolerance):
+        # the tolerance is read by the rule the payoffs and probabilities are, which reads no
+        # bool; a string's text would read as a number
+        with pytest.raises(ValueError):
+            verify_equilibrium(game_matrix(3, -3), profile([0, 0, 1], [1, 0, 0]), tolerance)
 
 
 def assert_contains_grid_point(points, target, tolerance):
