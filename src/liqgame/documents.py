@@ -62,12 +62,11 @@ EQUALITY_TOLERANCE = 1e-12
 
 
 def check_prior(prior: Sequence[float], types: Sequence[str]) -> None:
-    """The common prior's rule: one finite, non-negative weight per type,
+    """The common prior's rule: one weight per type, each a ``finite_number``, non-negative,
     summing to 1 within ``EQUALITY_TOLERANCE``; ValueError otherwise."""
     if len(prior) != len(types):
         raise ValueError("prior length must match number of types")
-    if not all(math.isfinite(p) for p in prior):
-        raise ValueError("prior entries must be finite")
+    prior = [finite_number(p, "prior") for p in prior]
     if any(p < 0 for p in prior):
         raise ValueError("prior entries must be non-negative")
     if abs(sum(prior) - 1.0) > EQUALITY_TOLERANCE:

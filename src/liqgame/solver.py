@@ -132,12 +132,13 @@ def solve_mixed(matrix: PayoffMatrix) -> list[MixedProfile]:
     u_i, u_j = matrix.u_i, matrix.u_j
     if ints := (operator.countOf(map(type, itertools.chain(*u_i, *u_j)), int) == 2 * m * n):
         bits = max(map(abs, itertools.chain(*u_i, *u_j))).bit_length()
-    else:  # the largest ceil(|x|) over the larger lcm
-        bits = sum(map(max, _table_bits(u_i), _table_bits(u_j)))
+    else:  # each table read once; the largest ceil(|x|) over the larger lcm, from the pairs read
+        read = [list(map(_ratio, itertools.chain(*u))) for u in (u_i, u_j)]
+        bits = sum(map(max, *map(_table_bits, read)))
     over = max(bits - 16, 0)
     check_work(work + (work * over * (over + 2048) >> 17), f"solve_mixed of a {m}x{n} game")
     if not ints:  # each table as ints over its lcm: the same equilibria
-        (u_i, _), (u_j, _) = _integer_table(u_i), _integer_table(u_j)
+        u_i, u_j = (list(zip(*[iter(_over_lcm(ratios)[0])] * n)) for ratios in read)
     u_j_t = list(zip(*u_j))
     plan_i = _laplace_plan(n, k)
     plan_j = plan_i if m == n else _laplace_plan(m, k)
@@ -163,45 +164,26 @@ def solve_mixed(matrix: PayoffMatrix) -> list[MixedProfile]:
 
 def _ratio(x) -> tuple[int, int]:
     """``x`` as (numerator, denominator) in lowest terms: an int or a Fraction at its value, any other
-    number (a float, a Decimal, a numpy scalar) as the decimal ``str(x)`` writes, by ``core.decimal_ratio``:
-    0.1 is 1/10. ValueError for a string, which that rule would read, and for a bool, inf or NaN."""
-    if type(x) is not bool and isinstance(x, (int, Fraction)):
+    number (a float, a Decimal, a numpy scalar) as the decimal ``str(x)`` writes, by ``core.decimal_ratio``,
+    whose ValueError refuses a string, a bool, an infinity, a NaN and a text past its digit limit."""
+    if type(x) is Fraction or (type(x) is not bool and isinstance(x, int)):
         return x.as_integer_ratio()
-    if isinstance(x, str):
-        raise ValueError(f"{x!r} is a string, not a number")
-    try:
-        num, den = decimal_ratio(x)
-    except ValueError:
-        raise ValueError(f"{x!r} writes no finite decimal") from None
+    num, den = decimal_ratio(x)
     g = math.gcd(num, den)
     return num // g, den // g
 
 
-def _table_bits(u: Sequence[Sequence]) -> tuple[int, int]:
-    """Bounds on the bits of the largest ceil(|x|) in the table ``u`` and of its lcm, each number
-    read as ``_ratio`` reads it, taken before any power of ten is built: from an int's or a
-    Fraction's value, and from the text of any other, whose W digits before the point and F
-    after, times 10^e, are below 10^(W + max(e, 0)) over a denominator dividing 10^(F - e)."""
-    exact, digits, places = [0], [0], [0]
-    for x in itertools.chain(*u):
-        if isinstance(x, (int, Fraction)):
-            exact.append(x)
-        else:  # a text that is no decimal counts 0 here, and _ratio refuses it
-            mantissa, _, exponent = str(x).lower().partition("e")
-            whole, _, fraction = mantissa.partition(".")
-            e = int(exponent) if exponent.lstrip("+-").isdecimal() else 0
-            digits.append(len(whole) + max(e, 0))
-            places.append(len(fraction) - e)
-    ds = {x.denominator for x in exact}  # the lcm divides the largest, t, times each d / gcd(d, t)
+def _table_bits(ratios: Sequence[tuple[int, int]]) -> tuple[int, int]:
+    """Bounds on the bits of the largest ceil(|x|) of the lowest-terms pairs ``ratios`` and of the lcm of
+    their denominators, before it is built: it divides the largest, t, times each d / gcd(d, t)."""
+    ds = {den for _, den in ratios}
     t = max(ds)
     lcm = sum((d // math.gcd(d, t) - 1).bit_length() for d in ds) + (t - 1).bit_length()
-    top = max(math.ceil(max(map(abs, exact))).bit_length(), -(-10 * max(digits) // 3))
-    return top, lcm - (-10 * max(places) // 3)  # 10^k has at most ceil(10k / 3) bits
+    return max((-(-abs(num) // den)).bit_length() for num, den in ratios), lcm
 
 
-def _over_lcm(xs) -> tuple[list[int], int]:
-    """The numbers ``xs`` as integers over the lcm ``l`` of their denominators, and ``l``."""
-    ratios = [x.as_integer_ratio() if type(x) is Fraction else _ratio(x) for x in xs]  # Fractions skip a call
+def _over_lcm(ratios: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
+    """The pairs ``ratios`` as integers over the lcm ``l`` of their denominators, and ``l``."""
     lcm = math.lcm(*[den for _, den in ratios])
     return [num * (lcm // den) for num, den in ratios], lcm
 
@@ -211,7 +193,7 @@ def _integer_table(u: Sequence[Sequence]) -> tuple[Sequence[Sequence[int]], int]
     ``l``; a table of ints is itself, over 1."""
     if operator.countOf(map(type, itertools.chain(*u)), int) == len(u) * len(u[0]):  # every entry an int
         return u, 1
-    ints, lcm = _over_lcm(itertools.chain(*u))
+    ints, lcm = _over_lcm(list(map(_ratio, itertools.chain(*u))))
     return list(zip(*[iter(ints)] * len(u[0]))), lcm
 
 
@@ -220,8 +202,8 @@ def _scaled_distribution(probs: Sequence[Fraction], side: str) -> tuple[list[int
     ``probs[k] == weights[k] / d``; ValueError unless ``probs`` is a
     probability distribution (non-negative, summing to exactly 1)."""
     try:
-        weights, d = _over_lcm(probs)
-    except ValueError:  # a string, a bool, an infinity or a NaN
+        weights, d = _over_lcm([x.as_integer_ratio() if type(x) is Fraction else _ratio(x) for x in probs])
+    except ValueError:  # a string, a bool, an infinity, a NaN or a text past the reader's limit
         weights, d = [-1], 1  # refused below, as a negative entry is
     if min(weights) < 0 or sum(weights) != d:
         raise ValueError(f"probs_{side} is not a probability distribution")
@@ -237,7 +219,8 @@ def verify_equilibrium(matrix: PayoffMatrix, profile: MixedProfile, tolerance: F
     ints. I's gain is then an integer over l_i * d_i * d_j, within the tolerance num / den iff it
     times den is at most num * l_i * d_i * d_j; J's likewise with l_j. A tolerance of +inf passes
     every profile, -inf and NaN none. ValueError when either side is not a probability
-    distribution, and for a payoff or a tolerance that is a string, a bool, infinite or NaN.
+    distribution, and for a payoff or a tolerance that is a string, a bool, infinite or NaN, or
+    past ``core.decimal_ratio``'s digit limit.
     """
     m, n = len(matrix.actions_i), len(matrix.actions_j)
     if len(profile.probs_i) != m or len(profile.probs_j) != n:

@@ -329,6 +329,30 @@ def decimal_corpus():
     return forms
 
 
+def reader_corpus():
+    """(name, thunk) for solve_mixed and both exact checkers on 2x2 games holding a Decimal at
+    and past the 4,300 digits core.decimal_ratio reads, and for priors given as Decimals."""
+    from decimal import Decimal
+    from fractions import Fraction
+
+    from liqgame import bayes, core, market, solver
+
+    pure = solver.MixedProfile((Fraction(1), Fraction(0)), (Fraction(1), Fraction(0)))
+    forms = []
+    for digits in (4300, 5000):
+        game = core.PayoffMatrix.from_cells((1, 2), (1, 2), [[(Decimal("1" * digits), 1), (0, 0)], [(0, 0), (1, 1)]])
+        forms += [(f"solve_mixed {digits}-digit Decimal", lambda g=game: solver.solve_mixed(g)),
+                  (f"verify_equilibrium {digits}-digit Decimal", lambda g=game: solver.verify_equilibrium(g, pure)),
+                  (f"brute_force_oracle {digits}-digit Decimal", lambda g=game: solver.brute_force_oracle(g, 4))]
+    prior, other = (Decimal("0.35"), Decimal("0.65")), (0.5, 0.5)
+    grid = (((1.0, 1.0), (0.0, 0.0)), ((0.0, 0.0), (1.0, 1.0)))
+    tables = {pair: grid for pair in (("a", "a"), ("a", "b"), ("b", "a"), ("b", "b"))}
+    forms += [("ConditionalGame Decimal prior", lambda: bayes.load_bundled_game()._replace(prior=prior)),
+              ("weight_by_priors Decimal prior_i", lambda: market.weight_by_priors("ab", "xy", tables, prior, other)),
+              ("weight_by_priors Decimal prior_j", lambda: market.weight_by_priors("ab", "xy", tables, other, prior))]
+    return forms
+
+
 def library_corpus(oracle_requests):
     """(name, thunk) for every library form; each thunk's repr is compared."""
     from fractions import Fraction
@@ -359,7 +383,7 @@ def library_corpus(oracle_requests):
                 return profiles, [(solver.verify_equilibrium(matrix, p, Fraction(0)),
                                    solver.brute_force_oracle(matrix, 200, around=p, radius=1)) for p in profiles]
             forms.append((f"oracle_exact games {argv}", checked))
-    forms += checker_corpus()
+    forms += checker_corpus() + reader_corpus()
     rng = random.Random(2)
     kinds = [sim.StrategySpec("uniform_random"), sim.StrategySpec("full_balance"), sim.HIGH_STRATEGY,
              sim.LOW_STRATEGY, sim.StrategySpec("fixed_fraction", 0.7), sim.StrategySpec("fixed_fraction", 0.35)]

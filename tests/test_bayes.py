@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -501,6 +502,15 @@ class TestValidation:
     def test_prior_must_be_finite(self, bundled, prior):
         # nan passes both the sign and the sum check, since comparisons with nan are False
         with pytest.raises(ValueError, match="finite"):
+            bundled._replace(prior=prior)
+
+    @pytest.mark.parametrize(
+        "prior", [(Decimal("0.35"), Decimal("0.65")), (Fraction(7, 20), Fraction(13, 20)), (True, False)]
+    )
+    def test_prior_weights_are_ints_or_floats(self, bundled, prior):
+        # each weight is read by documents.finite_number, as a JSON prior and every payoff are:
+        # a Decimal prior raised TypeError from the float sum, a Fraction or a bool one was accepted
+        with pytest.raises(ValueError, match=r"^prior must be a number, got "):
             bundled._replace(prior=prior)
 
     @pytest.mark.parametrize("payoff", [math.nan, math.inf, -math.inf])

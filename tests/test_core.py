@@ -1,11 +1,19 @@
 import json
+import os
+import re
+import subprocess
+import sys
+from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import liqgame
 from liqgame.core import (
+    MAX_DIGITS,
     CapExceeded,
     GameInstance,
     PayoffMatrix,
@@ -19,6 +27,8 @@ from liqgame.core import (
     transferred,
 )
 from liqgame.documents import parse_bimatrix, parse_tables
+
+SRC = str(Path(liqgame.__file__).resolve().parents[1])
 
 
 class TestBuildInstance:
@@ -260,6 +270,19 @@ def parse_payoff_csv(text):
     ]
 
 
+# Numbers at the reader's limit of 4,300 digits, in the mantissa, the denominator or the
+# exponent's shift, and one past it, as source text for this process and a child's.
+READ_AT_THE_LIMIT = [
+    'Decimal("1" * 4300)', 'Decimal("-" + "9" * 4300)', 'Decimal("1." + "0" * 4299)',
+    'Decimal("1e4300")', 'Decimal("1e-4300")', 'Decimal("-7E-4300")', 'Decimal("12.5E4301")',
+    "10**4300 - 1", "Fraction(1, 10**4300 - 1)",
+]
+PAST_THE_LIMIT = [
+    'Decimal("1" * 4301)', 'Decimal("1." + "0" * 4300)', 'Decimal("1e4301")', 'Decimal("1e-4301")',
+    'Decimal("1e-99999999")', 'Decimal("-9.9E+99999999")', "10**4300", "Fraction(1, 10**4300)",
+]
+
+
 class TestDecimalRatio:
     @pytest.mark.parametrize(
         "value,ratio",
@@ -272,7 +295,15 @@ class TestDecimalRatio:
     def test_reads_the_text_str_writes(self, value, ratio):
         assert decimal_ratio(value) == ratio
 
-    @given(st.floats(allow_nan=False, allow_infinity=False) | st.integers() | st.fractions())
+    @given(
+        st.floats(allow_nan=False, allow_infinity=False)
+        | st.integers(1 - 10**MAX_DIGITS, 10**MAX_DIGITS - 1)
+        | st.fractions()
+    )
+    @example(10**MAX_DIGITS - 1)
+    @example(1 - 10**MAX_DIGITS)
+    @example(10**MAX_DIGITS)
+    @example(-(10**MAX_DIGITS))
     @example(1e27)
     @example(5e-324)
     @example(-0.0)
@@ -282,9 +313,59 @@ class TestDecimalRatio:
     @example(Fraction(-7, 10))
     def test_is_the_fraction_of_the_text(self, value):
         # Fraction parses the same text independently, exponent and sign included
+        if isinstance(value, int) and abs(value) >= 10**MAX_DIGITS:  # past the bound drawn from
+            with pytest.raises(ValueError, match=f"^int exceeds the limit of {MAX_DIGITS} digits$"):
+                decimal_ratio(value)
+            return
         p, q = decimal_ratio(value)
         assert type(p) is int and type(q) is int and q > 0
         assert Fraction(p, q) == Fraction(str(value))
+
+    @pytest.mark.skipif(not hasattr(sys.int_info, "default_max_str_digits"), reason="Python's limit is new in 3.10.7")
+    def test_digit_limit_is_python_s_default(self):
+        assert MAX_DIGITS == sys.int_info.default_max_str_digits
+
+    @pytest.mark.parametrize("case", READ_AT_THE_LIMIT)
+    def test_read_at_the_digit_limit(self, case):
+        value = eval(case)
+        assert Fraction(*decimal_ratio(value)) == value
+
+    @pytest.mark.parametrize("case", PAST_THE_LIMIT)
+    def test_refused_past_the_digit_limit_before_any_power_is_built(self, case):
+        # 10^99999999 would take minutes to build
+        value = eval(case)
+        message = f"^{type(value).__name__} exceeds the limit of {MAX_DIGITS} digits$"
+        with pytest.raises(ValueError, match=message):
+            decimal_ratio(value)
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [("1/2", "'1/2' is a string, not a number"), (True, "True writes no finite decimal"),
+         (float("inf"), "inf writes no finite decimal"), (float("nan"), "nan writes no finite decimal"),
+         (Decimal("-Infinity"), "Decimal('-Infinity') writes no finite decimal")],
+    )
+    def test_no_number_text_refused(self, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            decimal_ratio(value)
+
+    def test_limit_holds_without_python_s_own(self):
+        # PYTHONINTMAXSTRDIGITS=0 lifts Python's int() and str() limit; the reader's stays
+        code = (
+            "from decimal import Decimal\n"
+            "from fractions import Fraction\n"
+            "from liqgame.core import decimal_ratio\n"
+            f"for case in {READ_AT_THE_LIMIT + PAST_THE_LIMIT!r}:\n"
+            "    try:\n"
+            "        print(hash(decimal_ratio(eval(case))))\n"
+            "    except ValueError as exc:\n"
+            "        print(exc)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": SRC, "PYTHONINTMAXSTRDIGITS": "0"}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        expected = [str(hash(decimal_ratio(eval(case)))) for case in READ_AT_THE_LIMIT]
+        expected += [f"{type(eval(case)).__name__} exceeds the limit of {MAX_DIGITS} digits" for case in PAST_THE_LIMIT]
+        assert proc.stdout.splitlines() == expected
 
 
 class TestRoundTripProperties:

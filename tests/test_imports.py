@@ -276,6 +276,16 @@ def test_unknown_attribute_raises_attribute_error():
     )
 
 
+def test_lazy_exports_resolve_in_this_process():
+    # the checks above run in fresh interpreters; these run __getattr__ and __dir__ here
+    for name in liqgame.__all__:
+        module = __import__(f"liqgame.{liqgame._EXPORTS[name]}", fromlist=[name])
+        assert getattr(liqgame, name) is getattr(module, name)
+    with pytest.raises(AttributeError, match="^module 'liqgame' has no attribute 'no_such_name'$"):
+        liqgame.no_such_name
+    assert set(liqgame.__all__) <= set(dir(liqgame))
+
+
 def test_bundled_data_directory_is_no_module():
     # the data directory's name is not an identifier, so it cannot import as
     # an empty namespace package where fixtures.py used to be

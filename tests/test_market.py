@@ -1,8 +1,10 @@
 import json
 import math
+import re
 from types import SimpleNamespace
 from unittest import mock
 from decimal import ROUND_HALF_UP, Context, Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given
@@ -110,6 +112,15 @@ class TestWeighting:
     def test_non_finite_priors_rejected(self, bad, side):
         prior_i, prior_j = (bad, GEMM_PRIOR) if side == "i" else (GEMM_PRIOR, bad)
         with pytest.raises(ValueError, match="finite"):
+            weight_by_priors(("L", "s"), ("x", "y"), two_type_base(), prior_i, prior_j)
+
+    @pytest.mark.parametrize("bad", [(Decimal("0.35"), Decimal("0.65")), (Fraction(7, 20), Fraction(13, 20)), (True, False)])
+    @pytest.mark.parametrize("side", ["i", "j"])
+    def test_priors_other_than_ints_and_floats_refused(self, bad, side):
+        # each weight is read by documents.finite_number, as a JSON prior is: a Decimal sum
+        # raised TypeError, and a Fraction or a bool was accepted
+        prior_i, prior_j = (bad, GEMM_PRIOR) if side == "i" else (GEMM_PRIOR, bad)
+        with pytest.raises(ValueError, match=rf"^prior must be a number, got {re.escape(repr(bad[0]))}$"):
             weight_by_priors(("L", "s"), ("x", "y"), two_type_base(), prior_i, prior_j)
 
     @given(t=st.floats(0, 1))

@@ -3,6 +3,7 @@ compared and validated. Records are immutable named tuples."""
 
 import copy
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -254,7 +255,9 @@ INVALID = [
     (GAME, dict(matrices={}), "missing matrix for type 'a'"),
     (GAME, dict(strategies_j=("y", "z")), "matrix for type 'a' has wrong dimensions"),
     (GAME, dict(prior=(0.5, 0.5)), "prior length must match number of types"),
-    (GAME, dict(prior=(float("inf"),)), "prior entries must be finite"),
+    (GAME, dict(prior=(float("inf"),)), "prior must be finite, got inf"),
+    (GAME, dict(prior=(Decimal(1),)), "prior must be a number, got Decimal('1')"),
+    (GAME, dict(prior=(Fraction(1),)), "prior must be a number, got Fraction(1, 1)"),
     (GAME, dict(prior=(-0.5,)), "prior entries must be non-negative"),
     (GAME, dict(prior=(1.1,)), "prior must sum to 1, got 1.1"),
     (TRANSFER, dict(capacity_receiver=-1), "capacity_receiver must be >= 0"),

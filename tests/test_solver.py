@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import time
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
@@ -18,6 +19,7 @@ from liqgame.core import (
     ZeroBalance,
     build_instance,
     build_payoff_matrix,
+    decimal_ratio,
 )
 from liqgame import cli, documents, market, solver
 from liqgame.commands.solve import build_solve_report
@@ -235,15 +237,32 @@ class TestSolveMixed:
         with pytest.raises(DimensionCapExceeded, match="^solve_mixed of a 1x2887 game exceeds"):
             solve_mixed(PayoffMatrix.from_cells((1,), range(2887), [row]))
 
-    @pytest.mark.parametrize("huge", [Decimal("1e-99999999"), Decimal("1e+99999999"), Decimal("-9.9E-99999999")])
-    def test_decimal_exponent_sized_from_its_text(self, monkeypatch, huge):
-        # 10^99999999 would take minutes to build; the text's exponent alone refuses the game
+    @pytest.mark.parametrize(
+        "huge", [Decimal("1e-99999999"), Decimal("1e+99999999"), Decimal("-9.9E-99999999"), Decimal("1" * 5000)]
+    )
+    def test_decimal_past_the_digit_limit_refused_by_the_reader(self, huge):
+        # 10^99999999 would take minutes to build; core.decimal_ratio refuses its shift first, in
+        # solve_mixed and both checkers alike
+        matrix = float_game(((huge, 1), (0, 0)), ((0, 0), (1, 1)))
+        pure = profile([1, 0], [1, 0])
+        for call in (solve_mixed, lambda m: verify_equilibrium(m, pure), lambda m: brute_force_oracle(m, 2)):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match="^Decimal exceeds the limit of 4300 digits$"):
+                call(matrix)
+            assert time.perf_counter() - start < 1
+
+    def test_a_decimal_table_is_read_once(self, monkeypatch):
+        # each number that is no int and no Fraction is read once, sized from that reading, then scaled
+        texts = []
+
         def read(x):
-            raise AssertionError("decimal_ratio called")
+            texts.append(str(x))
+            return decimal_ratio(x)
 
         monkeypatch.setattr(solver, "decimal_ratio", read)
-        with pytest.raises(DimensionCapExceeded, match="^solve_mixed of a 2x2 game exceeds the work limit"):
-            solve_mixed(float_game(((huge, 1), (0, 0)), ((0, 0), (1, 1))))
+        matrix = float_game(((0.1, 3), (F(1, 3), Decimal("0.7"))), ((2, 0.5), (1, 1)))
+        assert solve_mixed(matrix) == solve_mixed(exact_copy(matrix))
+        assert texts == ["0.1", "0.7", "0.5"]
 
     def test_shared_denominator_factors_counted_once(self, monkeypatch):
         # the lcm of 6, 10 and 15 is 30, 5 bits; the bound counts 15's 4 bits, and 1 bit each for
@@ -861,12 +880,14 @@ class TestExactReaders:
 
     @settings(max_examples=150, deadline=None)
     @given(table=st.integers(1, 3).flatmap(lambda k: kind_tables(k, 4 - k)) | decimal_games().map(lambda g: g.u_i))
-    def test_table_bits_bound_the_table_before_it_is_read(self, table):
-        # solve_mixed's size bound, from the values of ints and Fractions and the texts of the rest:
-        # at least the bits of the largest ceil(|x|) and those of the lcm, less 1, that the reader finds
-        top, lcm_bits = solver._table_bits(table)
-        _, lcm = solver._integer_table(table)
-        assert math.ceil(max(abs(exact(x)) for x in itertools.chain(*table))).bit_length() <= top
+    def test_table_bits_bound_the_pairs_read(self, table):
+        # solve_mixed's size bound, from the lowest-terms pairs the reader gives, before they are
+        # scaled: the bits of the largest ceil(|x|), and at least those of their lcm, less 1
+        ratios = list(map(solver._ratio, itertools.chain(*table)))
+        assert ratios == [exact(x).as_integer_ratio() for x in itertools.chain(*table)]
+        top, lcm_bits = solver._table_bits(ratios)
+        _, lcm = solver._over_lcm(ratios)
+        assert math.ceil(max(abs(exact(x)) for x in itertools.chain(*table))).bit_length() == top
         assert (lcm - 1).bit_length() <= lcm_bits
 
     @settings(max_examples=200, deadline=None)
