@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import sys
 from typing import NamedTuple, Sequence
 
 
@@ -197,26 +198,27 @@ def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-# CPython's default int() limit on a decimal string: the most digits decimal_ratio reads in a mantissa,
-# a denominator or an exponent's shift, checked first, so PYTHONINTMAXSTRDIGITS=0 admits no more.
+# CPython's default int() limit on a decimal string: the most digits decimal_ratio reads in a mantissa, a
+# denominator or an exponent's shift, so PYTHONINTMAXSTRDIGITS=0 admits no more; a lower setting is the limit.
 MAX_DIGITS = 4300
 
 
 def decimal_ratio(x) -> tuple[int, int]:
     """The number that ``str(x)`` writes as exact integers (p, q), q > 0: 0.7 is (7, 10), not the
-    nearest binary float, and a Fraction's 7/10 is (7, 10). ValueError for a string, which it would
-    read, for a text past MAX_DIGITS and for one that writes no finite decimal (a bool, inf, NaN)."""
+    nearest binary float, and a Fraction's 7/10 is (7, 10). ValueError for a string, which it would read,
+    for a text past the digit limit and for one that writes no finite decimal (a bool, inf, NaN)."""
     if isinstance(x, str):
         raise ValueError(f"{x!r} is a string, not a number")
+    limit = min(MAX_DIGITS, getattr(sys, "get_int_max_str_digits", int)() or MAX_DIGITS)  # int() is 0: none
     try:
         number, _, den = str(x).partition("/")
         mantissa, _, exponent = number.lower().partition("e")
         shift = int(exponent or 0) - len(mantissa.partition(".")[2])
         digits = max(len(mantissa.lstrip("+-")) - ("." in mantissa), len(den), abs(shift))
-    except ValueError:  # str(x) of an int past Python's own limit, by default MAX_DIGITS
-        digits = MAX_DIGITS + 1
-    if digits > MAX_DIGITS:
-        raise ValueError(f"{type(x).__name__} exceeds the limit of {MAX_DIGITS} digits")
+    except ValueError:  # str(x) of an int past Python's own limit
+        digits = limit + 1
+    if digits > limit:
+        raise ValueError(f"{type(x).__name__} exceeds the limit of {limit} digits")
     try:
         return int(mantissa.replace(".", "")) * 10**max(shift, 0), int(den or 1) * 10**max(-shift, 0)
     except ValueError:

@@ -15,7 +15,7 @@ import itertools
 import math
 import operator
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .core import LiquidityGameError, PayoffMatrix, check_work, decimal_ratio
 
@@ -118,8 +118,9 @@ def solve_mixed(matrix: PayoffMatrix) -> list[MixedProfile]:
     weakly dominated games surface. Pure equilibria appear as the size-1
     supports. Unequal-size supports are not tried and singular systems are
     skipped, so degenerate games can lose extreme equilibria: u_i = [[-2, 2],
-    [0, 1]], u_j = [[1, 1], [0, 0]] has four, the list two. Each table is read as ints over
-    its lcm (``_integer_table``), every payoff by ``_ratio``'s rule: a float is its decimal.
+    [0, 1]], u_j = [[1, 1], [0, 0]] has four, the list two. Both tables are read as ints over
+    their lcms by ``_integer_tables``, every payoff by ``_ratio``'s rule: a float is its decimal.
+    DimensionCapExceeded, before anything is built, when the count below exceeds the work limit.
     """
     m, n, k = matrix.rows, matrix.cols, min(matrix.rows, matrix.cols)
     # In units of about 2 µs or 100 bytes. Two to a unit, each about 1 µs: the support pairs, the minors of
@@ -129,16 +130,13 @@ def solve_mixed(matrix: PayoffMatrix) -> list[MixedProfile]:
     minors = sum(math.comb(n, d) * (math.comb(m + 1, d + 2) - math.comb(m - k + d + 1, d + 2)) for d in range(1, k))
     plans = sum(math.comb(m, t) + math.comb(n, t) for t in range(1, k + 1))
     work = (math.comb(m + n, m) - 1 + minors + m * n * (m + n)) // 2 + 8 * plans
-    u_i, u_j = matrix.u_i, matrix.u_j
-    if ints := (operator.countOf(map(type, itertools.chain(*u_i, *u_j)), int) == 2 * m * n):
-        bits = max(map(abs, itertools.chain(*u_i, *u_j))).bit_length()
-    else:  # each table read once; the largest ceil(|x|) over the larger lcm, from the pairs read
-        read = [list(map(_ratio, itertools.chain(*u))) for u in (u_i, u_j)]
-        bits = sum(map(max, *map(_table_bits, read)))
-    over = max(bits - 16, 0)
-    check_work(work + (work * over * (over + 2048) >> 17), f"solve_mixed of a {m}x{n} game")
-    if not ints:  # each table as ints over its lcm: the same equilibria
-        u_i, u_j = (list(zip(*[iter(_over_lcm(ratios)[0])] * n)) for ratios in read)
+
+    def count(sizes: list[tuple[int, int, int]], _) -> int:  # at the bits of the largest ceil(|x|) and the larger lcm
+        tops, lcms, _ = zip(*sizes)
+        d = max(max(tops) + max(lcms) - 16, 0)
+        return work + (work * d * (d + 2048) >> 17)
+
+    (u_i, _), (u_j, _) = _integer_tables(f"solve_mixed of a {m}x{n} game", matrix.u_i, matrix.u_j, count=count, always=True)
     u_j_t = list(zip(*u_j))
     plan_i = _laplace_plan(n, k)
     plan_j = plan_i if m == n else _laplace_plan(m, k)
@@ -173,74 +171,105 @@ def _ratio(x) -> tuple[int, int]:
     return num // g, den // g
 
 
-def _table_bits(ratios: Sequence[tuple[int, int]]) -> tuple[int, int]:
-    """Bounds on the bits of the largest ceil(|x|) of the lowest-terms pairs ``ratios`` and of the lcm of
-    their denominators, before it is built: it divides the largest, t, times each d / gcd(d, t)."""
-    ds = {den for _, den in ratios}
-    t = max(ds)
-    lcm = sum((d // math.gcd(d, t) - 1).bit_length() for d in ds) + (t - 1).bit_length()
-    return max((-(-abs(num) // den)).bit_length() for num, den in ratios), lcm
+def _scaling_units(sizes: Sequence[tuple[int, int, int]], shapes: Sequence[tuple[int, int]]) -> int:
+    """The checkers' count of a read of tables of ``shapes`` (rows, cols) and ``sizes`` (top, lcm, den), as
+    ``_integer_tables`` gives them, in units of about 2 µs or 100 bytes. Each entry put over the lcm keeps S =
+    top + lcm bits and costs S * (top + 3 den + 64) pairs of bits: the lcm's step and the division by its
+    denominator, S * den each, the product by its numerator of at most top + den bits, 64 a bit for the passes;
+    2^20 pairs to a unit, or S / 800 units kept, the larger. A table of ints, den 0, is used as it is."""
+    return sum(r * c * (top + lcm) * max(top + 3 * den + 64, 1311)
+               for (top, lcm, den), (r, c) in zip(sizes, shapes) if den) >> 20
 
 
-def _over_lcm(ratios: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
-    """The pairs ``ratios`` as integers over the lcm ``l`` of their denominators, and ``l``."""
-    lcm = math.lcm(*[den for _, den in ratios])
-    return [num * (lcm // den) for num, den in ratios], lcm
+def _integer_tables(what: str, *tables: Sequence[Sequence], count: Optional[Callable[[list, list], int]] = None,
+                    always: bool = False) -> list:
+    """Each table of ``tables`` as integer rows over the lcm ``l`` of its denominators, with ``l``: a table of ints
+    only is itself, over 1; each other table's entries are read once, by ``_ratio``. Before any lcm is built,
+    ``check_work`` gets ``count(sizes, shapes)``, by default ``_scaling_units``, with each table's (rows, cols)
+    and (top, lcm, den): the bits of its largest ceil(|x|), a bound on those of its lcm, which divides its
+    largest denominator t times each d / gcd(d, t), and those of t; lcm and den are 0 for ints. That is where
+    ``always``, and else where some table's entries times den pass 64: below, no lcm passes 2^64, so what the
+    checkers build from the read is linear in what they read."""
+    scaled, reads, sized = [], [], always
+    for u in tables:
+        if type(u[0][0]) is int and operator.countOf(map(type, itertools.chain(*u)), int) == len(u) * len(u[0]):
+            scaled.append((u, 1))
+        else:
+            pairs = list(map(_ratio, itertools.chain(*u)))
+            dens = [d for _, d in pairs]
+            sized = sized or len(dens) * max(dens).bit_length() > 64
+            reads.append((len(scaled), pairs, dens))
+            scaled.append(None)
+    if sized:
+        sizes = [table and (max(map(abs, itertools.chain(*table[0]))).bit_length(), 0, 0) for table in scaled]
+        for k, pairs, dens in reads:
+            t = max(dens)
+            lcm = sum((d // math.gcd(d, t) - 1).bit_length() for d in set(dens)) + (t - 1).bit_length()
+            sizes[k] = (max((-(-abs(x) // d)).bit_length() for x, d in pairs), lcm, t.bit_length())
+        check_work((count or _scaling_units)(sizes, [(len(u), len(u[0])) for u in tables]), what)
+    for k, pairs, dens in reads:
+        lcm = math.lcm(*dens)
+        ints = [x * (lcm // d) for x, d in pairs]
+        scaled[k] = ([ints] if len(tables[k]) == 1 else list(zip(*[iter(ints)] * len(tables[k][0]))), lcm)
+    return scaled
 
 
-def _integer_table(u: Sequence[Sequence]) -> tuple[Sequence[Sequence[int]], int]:
-    """The payoff table ``u`` as integer rows over the lcm ``l`` of its denominators, and
-    ``l``; a table of ints is itself, over 1."""
-    if operator.countOf(map(type, itertools.chain(*u)), int) == len(u) * len(u[0]):  # every entry an int
-        return u, 1
-    ints, lcm = _over_lcm(list(map(_ratio, itertools.chain(*u))))
-    return list(zip(*[iter(ints)] * len(u[0]))), lcm
+def _verify_units(sizes: Sequence[tuple[int, int, int]], shapes: Sequence[tuple[int, int]]) -> int:
+    """``verify_equilibrium``'s count of its read, a row of the m + n weights and two m x n payoff tables: the
+    ``_scaling_units`` of the read, and the products of each payoff by a weight, then of m + 2 row payoffs and
+    n + 2 column payoffs by a weight or d, at 2^20 pairs of bits to a unit (2 ps a pair): schoolbook up to
+    2,048 bits in the smaller factor, and Karatsuba past them, as that size to the power 1.585."""
+    def cost(a: int, b: int) -> int:
+        return max(a, b) * min(min(a, b), int(2048 * (min(a, b) / 2048) ** 0.585))
 
-
-def _scaled_distribution(probs: Sequence[Fraction], side: str) -> tuple[list[int], int]:
-    """Integer weights over the lcm ``d`` of the denominators, so that
-    ``probs[k] == weights[k] / d``; ValueError unless ``probs`` is a
-    probability distribution (non-negative, summing to exactly 1)."""
-    try:
-        weights, d = _over_lcm([x.as_integer_ratio() if type(x) is Fraction else _ratio(x) for x in probs])
-    except ValueError:  # a string, a bool, an infinity, a NaN or a text past the reader's limit
-        weights, d = [-1], 1  # refused below, as a negative entry is
-    if min(weights) < 0 or sum(weights) != d:
-        raise ValueError(f"probs_{side} is not a probability distribution")
-    return weights, d
+    (_, b, _), (top_i, l_i, _), (top_j, l_j, _) = sizes  # a weight is below d, or no product is taken
+    m, n = shapes[1]
+    pairs = sum(m * n * cost(s, b) + (k + 2) * cost(s and s + b, b)  # a table of zeros has zero payoffs
+                for s, k in ((top_i + l_i, m), (top_j + l_j, n)))
+    return _scaling_units(sizes, shapes) + (pairs >> 20)
 
 
 def verify_equilibrium(matrix: PayoffMatrix, profile: MixedProfile, tolerance: Fraction = Fraction(0)) -> bool:
     """True iff no unilateral pure deviation gains more than ``tolerance``.
 
     Integer arithmetic only, every number read by ``_ratio`` (a float as the decimal its
-    ``str`` writes): each side's probabilities are integers over the lcm d_i or d_j of their
+    ``str`` writes): both sides' probabilities are integers over the lcm d of all their
     denominators, and each player's payoffs over the lcm l_i or l_j of theirs, 1 for a table of
-    ints. I's gain is then an integer over l_i * d_i * d_j, within the tolerance num / den iff it
-    times den is at most num * l_i * d_i * d_j; J's likewise with l_j. A tolerance of +inf passes
-    every profile, -inf and NaN none. ValueError when either side is not a probability
-    distribution, and for a payoff or a tolerance that is a string, a bool, infinite or NaN, or
-    past ``core.decimal_ratio``'s digit limit.
+    ints. I's gain is then an integer over l_i * d * d, within the tolerance num / den iff it
+    times den is at most num * l_i * d * d; J's likewise with l_j. A tolerance of +inf passes
+    every profile, -inf and NaN none. ValueError when either side is not a probability distribution,
+    and for a payoff or a tolerance that is a string, a bool, infinite or NaN, or past ``core.decimal_ratio``'s
+    digit limit. DimensionCapExceeded, before any lcm is built, when ``_integer_tables`` counts the read
+    and the products of payoffs and weights past the work limit.
     """
     m, n = len(matrix.actions_i), len(matrix.actions_j)
     if len(profile.probs_i) != m or len(profile.probs_j) != n:
         raise DimensionMismatch(f"profile is {len(profile.probs_i)}x{len(profile.probs_j)}, matrix is {m}x{n}")
-    p, d_i = _scaled_distribution(profile.probs_i, "i")
-    q, d_j = _scaled_distribution(profile.probs_j, "j")
-    try:
+    try:  # both sides' probabilities as one row, over one lcm d
         num, den = _ratio(tolerance)
-    except ValueError:  # +inf passes every profile, -inf and NaN none; a bool or a string is refused
+        ((w,), d), (u_i, l_i), (u_j, l_j) = _integer_tables("verify_equilibrium's read", (
+            (*profile.probs_i, *profile.probs_j),), matrix.u_i, matrix.u_j, count=_verify_units)
+        p, q = w[:m], w[m:]
+        if min(w) < 0 or sum(p) != d or sum(q) != d:
+            raise ValueError("a side is no probability distribution")
+    except ValueError:
+        for side, probs in zip("ij", profile):  # a fault of the profile's own is named first, each side read alone
+            try:
+                ((weights,), total), = _integer_tables("verify_equilibrium's read", (probs,))
+            except ValueError:  # a string, a bool, an infinity, a NaN or a text past the reader's digit limit
+                weights, total = [-1], 1  # refused below, as a negative entry is
+            if min(weights) < 0 or sum(weights) != total:
+                raise ValueError(f"probs_{side} is not a probability distribution") from None
         if isinstance(tolerance, str) or math.isfinite(tolerance):
-            raise
-        return tolerance == math.inf
-    (u_i, l_i), (u_j, l_j) = _integer_table(matrix.u_i), _integer_table(matrix.u_j)
-    mul = operator.mul  # row_payoffs over l_i * d_j, col_payoffs over l_j * d_i
+            raise  # a fault of the tolerance or of a payoff
+        return tolerance == math.inf  # +inf passes every profile, -inf and NaN none
+    mul = operator.mul  # row_payoffs over l_i * d, col_payoffs over l_j * d
     row_payoffs = [sum(map(mul, row, q)) for row in u_i]
     col_payoffs = [sum(map(mul, col, p)) for col in zip(*u_j)]
-    bound = num * d_i * d_j
+    bound = num * d * d
     return (
-        (max(row_payoffs) * d_i - sum(map(mul, p, row_payoffs))) * den <= bound * l_i
-        and (max(col_payoffs) * d_j - sum(map(mul, q, col_payoffs))) * den <= bound * l_j
+        (max(row_payoffs) * d - sum(map(mul, p, row_payoffs))) * den <= bound * l_i
+        and (max(col_payoffs) * d - sum(map(mul, q, col_payoffs))) * den <= bound * l_j
     )
 
 
@@ -275,7 +304,8 @@ def brute_force_oracle(
     of both simplex grids is swept, which is combinatorial; pass ``around``
     to restrict both grids to the points within ``radius`` steps of a
     candidate profile (the sweep restricted to that window). A resolution
-    below 1 or a negative radius raises ValueError.
+    below 1 or a negative radius raises ValueError; DimensionCapExceeded when the
+    grids or the payoffs' read (``_integer_tables``) would pass the work limit.
     """
     m, n = len(matrix.actions_i), len(matrix.actions_j)
     if grid_resolution < 1:
@@ -297,7 +327,7 @@ def brute_force_oracle(
     pairs = (box_p * box_q if around is not None
              else math.comb(r_scale + m - 1, m - 1) * math.comb(r_scale + n - 1, n - 1))
     check_work(box_p + box_q + pairs, f"a {m}x{n} grid sweep at resolution {r_scale}")
-    (u_i, l_i), (u_j, l_j) = _integer_table(matrix.u_i), _integer_table(matrix.u_j)
+    (u_i, l_i), (u_j, l_j) = _integer_tables("brute_force_oracle's read", matrix.u_i, matrix.u_j)
     grid_p = _window_grid(r_scale, centre_i, radius)
     # A pair (p, q) passes when both expected payoffs exceed the cut-off
     # r_scale * best - r_scale * l of the best reply to the other side's point,

@@ -331,7 +331,8 @@ def decimal_corpus():
 
 def reader_corpus():
     """(name, thunk) for solve_mixed and both exact checkers on 2x2 games holding a Decimal at
-    and past the 4,300 digits core.decimal_ratio reads, and for priors given as Decimals."""
+    and past the 4,300 digits core.decimal_ratio reads, for both checkers on 1 x n games over n
+    distinct 1,001-bit denominators, and for priors given as Decimals."""
     from decimal import Decimal
     from fractions import Fraction
 
@@ -344,6 +345,13 @@ def reader_corpus():
         forms += [(f"solve_mixed {digits}-digit Decimal", lambda g=game: solver.solve_mixed(g)),
                   (f"verify_equilibrium {digits}-digit Decimal", lambda g=game: solver.verify_equilibrium(g, pure)),
                   (f"brute_force_oracle {digits}-digit Decimal", lambda g=game: solver.brute_force_oracle(g, 4))]
+    for n in (100, 400, 1198):  # 1198 is the first n the checkers' count refuses
+        game = core.PayoffMatrix.from_cells((1,), range(n), [[(Fraction(1, 2**1000 + 2 * c + 1), 0) for c in range(n)]])
+        ints = solver.MixedProfile((1,), (1,) + (0,) * (n - 1))
+        forms += [(f"verify_equilibrium 1x{n} over 1,001-bit denominators",
+                   lambda g=game, p=ints: solver.verify_equilibrium(g, p)),
+                  (f"brute_force_oracle 1x{n} over 1,001-bit denominators",
+                   lambda g=game, p=ints: solver.brute_force_oracle(g, 1, around=p, radius=0))]
     prior, other = (Decimal("0.35"), Decimal("0.65")), (0.5, 0.5)
     grid = (((1.0, 1.0), (0.0, 0.0)), ((0.0, 0.0), (1.0, 1.0)))
     tables = {pair: grid for pair in (("a", "a"), ("a", "b"), ("b", "a"), ("b", "b"))}

@@ -367,6 +367,26 @@ class TestDecimalRatio:
         expected += [f"{type(eval(case)).__name__} exceeds the limit of {MAX_DIGITS} digits" for case in PAST_THE_LIMIT]
         assert proc.stdout.splitlines() == expected
 
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="Python's limit is new in 3.10.7")
+    def test_a_lower_python_limit_is_the_limit_named(self):
+        # PYTHONINTMAXSTRDIGITS=1000: int() of a 2,000-digit mantissa and str() of 10^2000 both
+        # fail under it, and each is refused as past that limit, not as no decimal or past 4,300
+        code = (
+            "from decimal import Decimal\n"
+            "from liqgame.core import decimal_ratio\n"
+            "for value in (Decimal('1' * 2000), 10**2000, Decimal('1' * 1000), 10**1000 - 1):\n"
+            "    try:\n"
+            "        print(sum(map(len, map(str, decimal_ratio(value)))))\n"
+            "    except ValueError as exc:\n"
+            "        print(exc)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": SRC, "PYTHONINTMAXSTRDIGITS": "1000"}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "Decimal exceeds the limit of 1000 digits", "int exceeds the limit of 1000 digits", "1001", "1001",
+        ]
+
 
 class TestRoundTripProperties:
     @given(

@@ -63,6 +63,9 @@ FIRST_REFUSED = [
     (5, 37), (35, 5), (6, 28), (26, 6), (7, 23), (21, 7), (13, 13),
 ]
 
+# 1 x n over distinct 1,001-bit denominators: the first n both exact checkers refuse
+CHECKERS_FIRST_REFUSED = 1198
+
 GOLDEN_2X2_MIXED = profile([0, 1], [F(1, 2), F(1, 2)])
 GOLDEN_3X3_MIXED = profile([0, 0, 1], [F(1, 3), F(1, 6), F(1, 2)])
 
@@ -859,6 +862,12 @@ def kind_tables(draw, rows: int, cols: int):
     return draw(st.lists(st.lists(cell, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
 
 
+def int_tables(rows: int, cols: int):
+    """A rows x cols table of ints, some past 2^64."""
+    cell = st.integers(-12, 12) | st.integers(-(2**70), 2**70)
+    return st.lists(st.lists(cell, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
 @st.composite
 def kind_games(draw, max_side: int = 3) -> PayoffMatrix:
     """A game of 1..max_side actions a side whose two tables come from kind_tables."""
@@ -866,29 +875,101 @@ def kind_games(draw, max_side: int = 3) -> PayoffMatrix:
     return float_game(draw(kind_tables(rows, cols)), draw(kind_tables(rows, cols)))
 
 
+# one or two tables of one shape, each of kind_tables or of ints
+TABLE_LISTS = st.integers(1, 3).flatmap(
+    lambda k: st.lists(kind_tables(k, 4 - k) | int_tables(k, 4 - k), min_size=1, max_size=2)
+)
+
+
 class TestExactReaders:
     """Both checkers read Decimal, float, Fraction, numpy.int64 and mixed tables as
     integers over each table's lcm, and agree with the Fraction references."""
 
     @settings(max_examples=150, deadline=None)
-    @given(table=st.integers(1, 3).flatmap(lambda k: kind_tables(k, 4 - k)))
-    def test_integer_table_is_the_table_over_its_lcm(self, table):
-        ints, lcm = solver._integer_table(table)
-        assert all(type(x) is int for row in ints for x in row)
-        assert lcm == math.lcm(*(exact(x).denominator for x in itertools.chain(*table)))
-        assert [[F(x, lcm) for x in row] for row in ints] == [list(map(exact, row)) for row in table]
+    @given(tables=TABLE_LISTS)
+    def test_integer_tables_are_the_tables_over_their_lcms(self, tables):
+        scaled = solver._integer_tables("x", *tables)
+        for table, (ints, lcm) in zip(tables, scaled):
+            ints_only = all(type(x) is int for x in itertools.chain(*table))
+            assert all(type(x) is int for row in ints for x in row)
+            assert lcm == math.lcm(*(exact(x).denominator for x in itertools.chain(*table)))
+            assert [[F(x, lcm) for x in row] for row in ints] == [list(map(exact, row)) for row in table]
+            assert (ints is table) is ints_only  # a table of ints only is used as it is
 
     @settings(max_examples=150, deadline=None)
-    @given(table=st.integers(1, 3).flatmap(lambda k: kind_tables(k, 4 - k)) | decimal_games().map(lambda g: g.u_i))
-    def test_table_bits_bound_the_pairs_read(self, table):
-        # solve_mixed's size bound, from the lowest-terms pairs the reader gives, before they are
-        # scaled: the bits of the largest ceil(|x|), and at least those of their lcm, less 1
-        ratios = list(map(solver._ratio, itertools.chain(*table)))
-        assert ratios == [exact(x).as_integer_ratio() for x in itertools.chain(*table)]
-        top, lcm_bits = solver._table_bits(ratios)
-        _, lcm = solver._over_lcm(ratios)
-        assert math.ceil(max(abs(exact(x)) for x in itertools.chain(*table))).bit_length() == top
-        assert (lcm - 1).bit_length() <= lcm_bits
+    @given(tables=TABLE_LISTS | decimal_games().map(lambda g: [g.u_i, g.u_j]))
+    def test_sizes_bound_each_table_before_it_is_scaled(self, tables):
+        # what the count is given before any lcm is built, per table: the bits of its largest ceil(|x|),
+        # at least those of its lcm less 1, and those of its largest denominator; for ints, 0 for both
+        seen = []
+        with pytest.raises(DimensionCapExceeded, match="^x exceeds the work limit of 4194304$"):
+            solver._integer_tables("x", *tables, count=lambda *read: seen.append(read) or 2**22 + 1, always=True)
+        [(sizes, shapes)] = seen
+        assert shapes == [(len(u), len(u[0])) for u in tables]
+        scaled = solver._integer_tables("x", *tables)
+        for table, (top, lcm_bits, den), (ints, lcm) in zip(tables, sizes, scaled):
+            cells = list(map(exact, itertools.chain(*table)))
+            assert top == math.ceil(max(map(abs, cells))).bit_length()
+            assert (lcm - 1).bit_length() <= lcm_bits and max(abs(x) for x in itertools.chain(*ints)).bit_length() <= top + lcm_bits
+            if all(type(x) is int for x in itertools.chain(*table)):
+                assert (lcm_bits, den) == (0, 0)
+            else:
+                assert den == max(x.denominator for x in cells).bit_length()
+
+    @pytest.mark.parametrize(
+        "table, sized",
+        [([[F(1, 2**7)] * 7 + [0]], False), ([[F(1, 2**7)] * 9], True), ([[0.25] * 21 + [0.125]], True),
+         ([[F(1, 3)], [F(1, 5)]], False), ([[2**200] * 8], False), ([[F(1, 2**70)]], True)],
+        ids=["8x8-bits", "9x8-bits", "floats-22x4-bits", "two-rows-2x3-bits", "ints", "1x71-bits"],
+    )
+    def test_a_read_is_counted_past_64_bits_of_denominators(self, monkeypatch, table, sized):
+        # without always, the count is taken only where a table's entries times the bits of its largest
+        # denominator pass 64: below, no lcm passes 2^64; a table of ints is not counted
+        calls = []
+        monkeypatch.setattr(solver, "_scaling_units", lambda sizes, shapes: calls.append(shapes) or 0)
+        solver._integer_tables("x", [[1]], table)
+        assert calls == ([[(1, 1), (len(table), len(table[0]))]] if sized else [])
+
+    @pytest.mark.parametrize("refused", [True, False])
+    @pytest.mark.parametrize(
+        "case, first_refused",
+        [("verify_equilibrium payoffs", CHECKERS_FIRST_REFUSED),
+         ("brute_force_oracle payoffs", CHECKERS_FIRST_REFUSED),
+         ("brute_force_oracle 19-bit payoffs", 13294),
+         ("verify_equilibrium probabilities", 1197),
+         ("verify_equilibrium products", 312)],
+    )
+    def test_large_denominators_refused_before_the_lcm_is_built(self, monkeypatch, case, first_refused, refused):
+        # n distinct 1,001-bit denominators, each entry put over an lcm of about 1,001 n bits: in I's payoffs
+        # of a 1 x n game beside J's zeros, with a pure profile; in J's probabilities, against a game of
+        # zeros; or in both, where verify_equilibrium's count of products of payoffs and weights refuses.
+        # Over odd 19-bit denominators, the scaled table's memory is what refuses.
+        def lcm(*args):
+            raise AssertionError("math.lcm called")
+
+        monkeypatch.setattr(solver.math, "lcm", lcm)
+        n = first_refused if refused else first_refused - 2
+        large = [F(1, 2 ** (18 if "19-bit" in case else 1000) + 2 * c + 1) for c in range(n)]
+        pure = MixedProfile((1,), (1,) + (0,) * (n - 1))
+        if case.endswith("payoffs"):
+            matrix, prof = PayoffMatrix.from_cells((1,), range(n), [[(x, 0) for x in large]]), pure
+        elif case.endswith("probabilities"):
+            matrix, prof = PayoffMatrix.from_entries([[(0, 0)] * n]), MixedProfile((1,), tuple(large))
+        else:  # J's weights in pairs x / k, (1 - x) / k over n other denominators, so that they sum to 1
+            matrix = PayoffMatrix.from_cells((1,), range(n), [[(F(1, x.denominator + 2 * n), 0) for x in large]])
+            k = n // 2
+            prof = MixedProfile((1,), tuple(y / k for x in large[:k] for y in (x, 1 - x)))
+        if case.startswith("verify"):
+            check = lambda: verify_equilibrium(matrix, prof)
+        else:
+            check = lambda: brute_force_oracle(matrix, 1, around=prof, radius=0)
+        start = time.perf_counter()
+        with pytest.raises(DimensionCapExceeded if refused else AssertionError) as caught:
+            check()
+        # refused at once: the 19-bit case reads and sizes its 13,294 entries first, in about 30 ms
+        assert not refused or time.perf_counter() - start < (0.25 if "19-bit" in case else 0.05)
+        what = case.split()[0]
+        assert str(caught.value) == (f"{what}'s read exceeds the work limit of 4194304" if refused else "math.lcm called")
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -999,6 +1080,26 @@ class TestVerifyEquilibrium:
     def test_non_finite_entry_rejected(self, bad):
         with pytest.raises(ValueError, match="not a probability distribution"):
             verify_equilibrium(game_matrix(2, -2), MixedProfile((0.5, 0.5), (bad, 0.0)))
+
+    @pytest.mark.parametrize(
+        "probs_i, probs_j, payoff, tolerance, message",
+        [((F(1, 2), F(1, 3)), (1, 0), 1, math.inf, "^probs_i is not a probability distribution$"),
+         ((1, 0), (F(1, 2), "1/2"), 1, "1/2", "^probs_j is not a probability distribution$"),
+         ((F(1, 2), F(1, 2)), (F(2, 3), F(2, 3)), math.nan, F(0), "^probs_j is not a probability distribution$"),
+         ((1, 0), (1, 0), math.nan, F(0), "^nan writes no finite decimal$"),
+         ((1, 0), (1, 0), math.nan, math.inf, None)],
+        ids=["inf-tolerance", "string-tolerance", "nan-payoff", "valid-profile", "inf-passes-unread"],
+    )
+    def test_a_fault_of_the_profile_is_named_first(self, probs_i, probs_j, payoff, tolerance, message):
+        # the profile is checked before the tolerance is used and before the payoffs are read, as
+        # each side was read alone; an infinite tolerance passes without the payoffs being read
+        matrix = float_game(((payoff, 1), (1, 1)), ((1, 1), (1, 1)))
+        prof = MixedProfile(probs_i, probs_j)
+        if message is None:
+            assert verify_equilibrium(matrix, prof, tolerance) is True
+        else:
+            with pytest.raises(ValueError, match=message):
+                verify_equilibrium(matrix, prof, tolerance)
 
     def test_string_entry_rejected(self):
         # Fraction("1/2") would parse it, and the row would sum to 1

@@ -61,7 +61,7 @@ def _never_run(tree) -> set[int]:
 def untested_lines() -> list[str]:
     """``path:line: source`` for every executable line of the package not run so far."""
     report = []
-    for path in sorted(SRC.glob("*.py")):
+    for path in sorted(SRC.rglob("*.py")):
         source = path.read_text()
         code = compile(source, str(path), "exec", dont_inherit=True)
         lines = source.splitlines()
