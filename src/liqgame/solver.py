@@ -304,8 +304,8 @@ def brute_force_oracle(
     of both simplex grids is swept, which is combinatorial; pass ``around``
     to restrict both grids to the points within ``radius`` steps of a
     candidate profile (the sweep restricted to that window). A resolution
-    below 1 or a negative radius raises ValueError; DimensionCapExceeded when the
-    grids or the payoffs' read (``_integer_tables``) would pass the work limit.
+    below 1 or a negative radius raises ValueError; DimensionCapExceeded when the payoffs' read
+    (``_integer_tables``), then the grids weighed by the largest scaled payoff's bits, would pass the work limit.
     """
     m, n = len(matrix.actions_i), len(matrix.actions_j)
     if grid_resolution < 1:
@@ -321,13 +321,15 @@ def brute_force_oracle(
         centre_i, centre_j = around.probs_i, around.probs_j
     # Before either grid is built: with at most w values per coordinate, each
     # walks a box of w^(k-1) heads and keeps C(r + k - 1, k - 1) points of it
-    # when windowless, at most the whole box in a window.
+    # when windowless, at most the whole box in a window. A pair multiplies m + n
+    # scaled payoffs by grid values: (m + n) / 2 more units per 10^4 bits of the largest.
     w = min(2 * radius, r_scale) + 1
     box_p, box_q = w ** (m - 1), w ** (n - 1)
     pairs = (box_p * box_q if around is not None
              else math.comb(r_scale + m - 1, m - 1) * math.comb(r_scale + n - 1, n - 1))
-    check_work(box_p + box_q + pairs, f"a {m}x{n} grid sweep at resolution {r_scale}")
     (u_i, l_i), (u_j, l_j) = _integer_tables("brute_force_oracle's read", matrix.u_i, matrix.u_j)
+    steps = max(map(abs, itertools.chain(*u_i, *u_j))).bit_length() // 10_000
+    check_work((box_p + box_q + pairs) * (1 + (m + n) * steps // 2), f"a {m}x{n} grid sweep at resolution {r_scale}")
     grid_p = _window_grid(r_scale, centre_i, radius)
     # A pair (p, q) passes when both expected payoffs exceed the cut-off
     # r_scale * best - r_scale * l of the best reply to the other side's point,

@@ -332,7 +332,8 @@ def decimal_corpus():
 def reader_corpus():
     """(name, thunk) for solve_mixed and both exact checkers on 2x2 games holding a Decimal at
     and past the 4,300 digits core.decimal_ratio reads, for both checkers on 1 x n games over n
-    distinct 1,001-bit denominators, and for priors given as Decimals."""
+    distinct 1,001-bit denominators, for the oracle's sweep over payoffs of up to 100,001 bits and
+    over a Decimal no reader builds, and for priors given as Decimals."""
     from decimal import Decimal
     from fractions import Fraction
 
@@ -352,6 +353,16 @@ def reader_corpus():
                    lambda g=game, p=ints: solver.verify_equilibrium(g, p)),
                   (f"brute_force_oracle 1x{n} over 1,001-bit denominators",
                    lambda g=game, p=ints: solver.brute_force_oracle(g, 1, around=p, radius=0))]
+    for e in (64, 10_000, 100_000):  # I indifferent, so each pair takes both sums; J gains 3 on the diagonal
+        big = 2**e
+        game = core.PayoffMatrix.from_entries([[(big, big + 3), (big, big)], [(big, big), (big, big + 3)]])
+        forms.append((f"brute_force_oracle 2x2 sweep at 40 over 2^{e}", lambda g=game: solver.brute_force_oracle(g, 40)))
+        if e == 10_000:  # the first resolution the sweep's count refuses on 10,001-bit payoffs
+            forms.append(("brute_force_oracle 2x2 sweep at 1181 over 2^10000",
+                          lambda g=game: solver.brute_force_oracle(g, 1181)))
+    game = core.PayoffMatrix.from_cells((1, 2), (1, 2), [[(Decimal("1e-99999999"), 1), (0, 0)], [(0, 0), (1, 1)]])
+    forms.append(("brute_force_oracle sweep at 10**30 with a Decimal past the digit limit",
+                  lambda g=game: solver.brute_force_oracle(g, 10**30)))
     prior, other = (Decimal("0.35"), Decimal("0.65")), (0.5, 0.5)
     grid = (((1.0, 1.0), (0.0, 0.0)), ((0.0, 0.0), (1.0, 1.0)))
     tables = {pair: grid for pair in (("a", "a"), ("a", "b"), ("b", "a"), ("b", "b"))}

@@ -1232,6 +1232,42 @@ class TestBruteForceOracle:
         with pytest.raises(AssertionError, match="^grid walked$"):
             brute_force_oracle(matrix, refused - 1)
 
+    @pytest.mark.parametrize("kind,bits,sides,admitted", [
+        (int, 10_000, 2, 1180), (F, 10_000, 2, 1180), (int, 100_000, 2, 444), (F, 100_000, 2, 444),
+        (int, 100_000, 5, 6), (int, 1_000_000, 2, 142),
+    ])
+    def test_work_limit_weighs_payoff_bits(self, monkeypatch, kind, bits, sides, admitted):
+        # each pair multiplies m + n scaled payoffs by grid values: every whole 10^4 bits of the
+        # largest adds (m + n) / 2 units to each, for ints as for Fractions that the reader puts
+        # over their lcm (a 32-bit denominator on every entry makes it size the table)
+        def product(*args):
+            raise AssertionError("grid walked")
+
+        monkeypatch.setattr(solver.itertools, "product", product)
+        value = (lambda x: F(x, 3**20)) if kind is F else int
+        big = 2 ** (bits - 1)
+        matrix = PayoffMatrix.from_cells(range(sides), range(sides), [
+            [(value(big), value(big + 3 * (r == c))) for c in range(sides)] for r in range(sides)])
+        with pytest.raises(DimensionCapExceeded, match=f"^a {sides}x{sides} grid sweep at resolution {admitted + 1} "):
+            brute_force_oracle(matrix, admitted + 1)
+        with pytest.raises(AssertionError, match="^grid walked$"):
+            brute_force_oracle(matrix, admitted)
+
+    def test_sweep_over_large_payoffs_refused_at_once(self, monkeypatch):
+        # resolution 2046, the largest 2x2 sweep admitted on small payoffs, multiplies these
+        # 100,001-bit payoffs for about 100 s; the grid is not walked
+        def product(*args):
+            raise AssertionError("grid walked")
+
+        monkeypatch.setattr(solver.itertools, "product", product)
+        big = 2**100_000
+        matrix = PayoffMatrix.from_entries([[(big, big + 3), (big, big)], [(big, big), (big, big + 3)]])
+        start = time.perf_counter()
+        with pytest.raises(DimensionCapExceeded) as caught:
+            brute_force_oracle(matrix, 2046)
+        assert time.perf_counter() - start < 0.05
+        assert str(caught.value) == "a 2x2 grid sweep at resolution 2046 exceeds the work limit of 4194304"
+
     @pytest.mark.parametrize("resolution", [0, -3])
     def test_resolution_below_one_refused(self, resolution):
         with pytest.raises(ValueError, match="^grid_resolution must be >= 1$"):
