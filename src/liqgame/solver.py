@@ -15,9 +15,9 @@ import itertools
 import math
 import operator
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
-from .core import LiquidityGameError, PayoffMatrix, check_work, decimal_ratio
+from .core import DimensionCapExceeded, LiquidityGameError, PayoffMatrix, check_work, decimal_ratio
 
 
 class DimensionMismatch(LiquidityGameError):
@@ -118,9 +118,8 @@ def solve_mixed(matrix: PayoffMatrix) -> list[MixedProfile]:
     weakly dominated games surface. Pure equilibria appear as the size-1
     supports. Unequal-size supports are not tried and singular systems are
     skipped, so degenerate games can lose extreme equilibria: u_i = [[-2, 2],
-    [0, 1]], u_j = [[1, 1], [0, 0]] has four, the list two. Both tables are read as ints over
-    their lcms by ``_integer_tables``, every payoff by ``_ratio``'s rule: a float is its decimal.
-    DimensionCapExceeded, before anything is built, when the count below exceeds the work limit.
+    [0, 1]], u_j = [[1, 1], [0, 0]] has four, the list two. Both tables are read by ``_integer_tables`` (a float is its
+    decimal), DimensionCapExceeded past MAX_BITS bits, then before anything is built past the work limit below.
     """
     m, n, k = matrix.rows, matrix.cols, min(matrix.rows, matrix.cols)
     # In units of about 2 µs or 100 bytes. Two to a unit, each about 1 µs: the support pairs, the minors of
@@ -130,13 +129,9 @@ def solve_mixed(matrix: PayoffMatrix) -> list[MixedProfile]:
     minors = sum(math.comb(n, d) * (math.comb(m + 1, d + 2) - math.comb(m - k + d + 1, d + 2)) for d in range(1, k))
     plans = sum(math.comb(m, t) + math.comb(n, t) for t in range(1, k + 1))
     work = (math.comb(m + n, m) - 1 + minors + m * n * (m + n)) // 2 + 8 * plans
-
-    def count(sizes: list[tuple[int, int, int]], _) -> int:  # at the bits of the largest ceil(|x|) and the larger lcm
-        tops, lcms, _ = zip(*sizes)
-        d = max(max(tops) + max(lcms) - 16, 0)
-        return work + (work * d * (d + 2048) >> 17)
-
-    (u_i, _), (u_j, _) = _integer_tables(f"solve_mixed of a {m}x{n} game", matrix.u_i, matrix.u_j, count=count, always=True)
+    what = f"solve_mixed of a {m}x{n} game"
+    (u_i, _), (u_j, _), bits = _integer_tables(what, matrix.u_i, matrix.u_j)
+    check_work(work + (work * (d := max(bits - 16, 0)) * (d + 2048) >> 17), what)
     u_j_t = list(zip(*u_j))
     plan_i = _laplace_plan(n, k)
     plan_j = plan_i if m == n else _laplace_plan(m, k)
@@ -171,62 +166,36 @@ def _ratio(x) -> tuple[int, int]:
     return num // g, den // g
 
 
-def _scaling_units(sizes: Sequence[tuple[int, int, int]], shapes: Sequence[tuple[int, int]]) -> int:
-    """The checkers' count of a read of tables of ``shapes`` (rows, cols) and ``sizes`` (top, lcm, den), as
-    ``_integer_tables`` gives them, in units of about 2 µs or 100 bytes. Each entry put over the lcm keeps S =
-    top + lcm bits and costs S * (top + 3 den + 64) pairs of bits: the lcm's step and the division by its
-    denominator, S * den each, the product by its numerator of at most top + den bits, 64 a bit for the passes;
-    2^20 pairs to a unit, or S / 800 units kept, the larger. A table of ints, den 0, is used as it is."""
-    return sum(r * c * (top + lcm) * max(top + 3 * den + 64, 1311)
-               for (top, lcm, den), (r, c) in zip(sizes, shapes) if den) >> 20
+MAX_BITS = 1077  # those of 10^324, the largest denominator of a float's decimal (Clinger, 1990)
 
 
-def _integer_tables(what: str, *tables: Sequence[Sequence], count: Optional[Callable[[list, list], int]] = None,
-                    always: bool = False) -> list:
-    """Each table of ``tables`` as integer rows over the lcm ``l`` of its denominators, with ``l``: a table of ints
-    only is itself, over 1; each other table's entries are read once, by ``_ratio``. Before any lcm is built,
-    ``check_work`` gets ``count(sizes, shapes)``, by default ``_scaling_units``, with each table's (rows, cols)
-    and (top, lcm, den): the bits of its largest ceil(|x|), a bound on those of its lcm, which divides its
-    largest denominator t times each d / gcd(d, t), and those of t; lcm and den are 0 for ints. That is where
-    ``always``, and else where some table's entries times den pass 64: below, no lcm passes 2^64, so what the
-    checkers build from the read is linear in what they read."""
-    scaled, reads, sized = [], [], always
-    for u in tables:
+def _integer_tables(what: str, *tables: Sequence[Sequence], bits: Sequence[int] = ()) -> list:
+    """Each table of ``tables`` as integer rows over the lcm ``l`` of its denominators, with ``l``, then the bits b of
+    the largest scaled entry: a table of ints only is itself, over 1; each other's entries are read once, by ``_ratio``.
+    DimensionCapExceeded for a numerator, or an lcm built one distinct denominator at a time, past the table's bound
+    of bits (one per table in ``bits``, or MAX_BITS); then ``check_work`` gets the entries, weighed 1 + b // 128."""
+    scaled, count, top = [], 0, 0
+    for u, limit in zip(tables, bits or (MAX_BITS,) * len(tables)):
+        if scaled and u is tables[len(scaled) - 1]:  # one table for both players, as in an instance game, is read once
+            scaled.append(scaled[-1])
+            continue
+        count, lcm = count + len(u) * len(u[0]), 1
         if type(u[0][0]) is int and operator.countOf(map(type, itertools.chain(*u)), int) == len(u) * len(u[0]):
-            scaled.append((u, 1))
+            size = big = max(map(int.bit_length, itertools.chain(*u)))
         else:
-            pairs = list(map(_ratio, itertools.chain(*u)))
-            dens = [d for _, d in pairs]
-            sized = sized or len(dens) * max(dens).bit_length() > 64
-            reads.append((len(scaled), pairs, dens))
-            scaled.append(None)
-    if sized:
-        sizes = [table and (max(map(abs, itertools.chain(*table[0]))).bit_length(), 0, 0) for table in scaled]
-        for k, pairs, dens in reads:
-            t = max(dens)
-            lcm = sum((d // math.gcd(d, t) - 1).bit_length() for d in set(dens)) + (t - 1).bit_length()
-            sizes[k] = (max((-(-abs(x) // d)).bit_length() for x, d in pairs), lcm, t.bit_length())
-        check_work((count or _scaling_units)(sizes, [(len(u), len(u[0])) for u in tables]), what)
-    for k, pairs, dens in reads:
-        lcm = math.lcm(*dens)
-        ints = [x * (lcm // d) for x, d in pairs]
-        scaled[k] = ([ints] if len(tables[k]) == 1 else list(zip(*[iter(ints)] * len(tables[k][0]))), lcm)
-    return scaled
-
-
-def _verify_units(sizes: Sequence[tuple[int, int, int]], shapes: Sequence[tuple[int, int]]) -> int:
-    """``verify_equilibrium``'s count of its read, a row of the m + n weights and two m x n payoff tables: the
-    ``_scaling_units`` of the read, and the products of each payoff by a weight, then of m + 2 row payoffs and
-    n + 2 column payoffs by a weight or d, at 2^20 pairs of bits to a unit (2 ps a pair): schoolbook up to
-    2,048 bits in the smaller factor, and Karatsuba past them, as that size to the power 1.585."""
-    def cost(a: int, b: int) -> int:
-        return max(a, b) * min(min(a, b), int(2048 * (min(a, b) / 2048) ** 0.585))
-
-    (_, b, _), (top_i, l_i, _), (top_j, l_j, _) = sizes  # a weight is below d, or no product is taken
-    m, n = shapes[1]
-    pairs = sum(m * n * cost(s, b) + (k + 2) * cost(s and s + b, b)  # a table of zeros has zero payoffs
-                for s, k in ((top_i + l_i, m), (top_j + l_j, n)))
-    return _scaling_units(sizes, shapes) + (pairs >> 20)
+            nums, dens = zip(*map(_ratio, itertools.chain(*u)))
+            for d in set(dens):
+                if (lcm := math.lcm(lcm, d)).bit_length() > limit:
+                    raise DimensionCapExceeded(f"{what} holds a number past the bound of {limit} bits")
+            flat = [x * (lcm // d) for x, d in zip(nums, dens)]
+            u, size = [flat] if len(u) == 1 else list(zip(*[iter(flat)] * len(u[0]))), max(map(int.bit_length, flat))
+            big = size if size <= limit else max(map(int.bit_length, nums))  # a numerator has at most its entry's bits
+        if big > limit:
+            raise DimensionCapExceeded(f"{what} holds a number past the bound of {limit} bits")
+        scaled.append((u, lcm))
+        top = size if size > top else top
+    check_work(count * (1 + top // 128), what)
+    return [*scaled, top]
 
 
 def verify_equilibrium(matrix: PayoffMatrix, profile: MixedProfile, tolerance: Fraction = Fraction(0)) -> bool:
@@ -239,23 +208,24 @@ def verify_equilibrium(matrix: PayoffMatrix, profile: MixedProfile, tolerance: F
     times den is at most num * l_i * d * d; J's likewise with l_j. A tolerance of +inf passes
     every profile, -inf and NaN none. ValueError when either side is not a probability distribution,
     and for a payoff or a tolerance that is a string, a bool, infinite or NaN, or past ``core.decimal_ratio``'s
-    digit limit. DimensionCapExceeded, before any lcm is built, when ``_integer_tables`` counts the read
-    and the products of payoffs and weights past the work limit.
+    digit limit. DimensionCapExceeded from ``_integer_tables``: a payoff or lcm past MAX_BITS bits, a weight or d past
+    2k(2 MAX_BITS + 1 + ceil(lg k)), k = min(m, n), Hadamard's bound on the d of any profile ``solve_mixed`` returns.
     """
     m, n = len(matrix.actions_i), len(matrix.actions_j)
     if len(profile.probs_i) != m or len(profile.probs_j) != n:
         raise DimensionMismatch(f"profile is {len(profile.probs_i)}x{len(profile.probs_j)}, matrix is {m}x{n}")
+    weight_bits = 2 * (k := min(m, n)) * (2 * MAX_BITS + 1 + (k - 1).bit_length())
     try:  # both sides' probabilities as one row, over one lcm d
         num, den = _ratio(tolerance)
-        ((w,), d), (u_i, l_i), (u_j, l_j) = _integer_tables("verify_equilibrium's read", (
-            (*profile.probs_i, *profile.probs_j),), matrix.u_i, matrix.u_j, count=_verify_units)
+        ((w,), d), (u_i, l_i), (u_j, l_j), _ = _integer_tables("verify_equilibrium's read", (
+            (*profile.probs_i, *profile.probs_j),), matrix.u_i, matrix.u_j, bits=(weight_bits, MAX_BITS, MAX_BITS))
         p, q = w[:m], w[m:]
         if min(w) < 0 or sum(p) != d or sum(q) != d:
             raise ValueError("a side is no probability distribution")
     except ValueError:
         for side, probs in zip("ij", profile):  # a fault of the profile's own is named first, each side read alone
             try:
-                ((weights,), total), = _integer_tables("verify_equilibrium's read", (probs,))
+                ((weights,), total), _ = _integer_tables("verify_equilibrium's read", (probs,), bits=(weight_bits,))
             except ValueError:  # a string, a bool, an infinity, a NaN or a text past the reader's digit limit
                 weights, total = [-1], 1  # refused below, as a negative entry is
             if min(weights) < 0 or sum(weights) != total:
@@ -305,7 +275,7 @@ def brute_force_oracle(
     to restrict both grids to the points within ``radius`` steps of a
     candidate profile (the sweep restricted to that window). A resolution
     below 1 or a negative radius raises ValueError; DimensionCapExceeded when the payoffs' read
-    (``_integer_tables``), then the grids weighed by the largest scaled payoff's bits, would pass the work limit.
+    (``_integer_tables``: a payoff or an lcm past MAX_BITS bits), then the grids, would pass their bounds.
     """
     m, n = len(matrix.actions_i), len(matrix.actions_j)
     if grid_resolution < 1:
@@ -319,17 +289,14 @@ def brute_force_oracle(
         raise DimensionMismatch("around profile does not match matrix dimensions")
     else:
         centre_i, centre_j = around.probs_i, around.probs_j
-    # Before either grid is built: with at most w values per coordinate, each
-    # walks a box of w^(k-1) heads and keeps C(r + k - 1, k - 1) points of it
-    # when windowless, at most the whole box in a window. A pair multiplies m + n
-    # scaled payoffs by grid values: (m + n) / 2 more units per 10^4 bits of the largest.
+    # Before either grid is built: with at most w values per coordinate, each walks a box of w^(k-1)
+    # heads and keeps C(r + k - 1, k - 1) points of it when windowless, at most the whole box in a window.
     w = min(2 * radius, r_scale) + 1
     box_p, box_q = w ** (m - 1), w ** (n - 1)
     pairs = (box_p * box_q if around is not None
              else math.comb(r_scale + m - 1, m - 1) * math.comb(r_scale + n - 1, n - 1))
-    (u_i, l_i), (u_j, l_j) = _integer_tables("brute_force_oracle's read", matrix.u_i, matrix.u_j)
-    steps = max(map(abs, itertools.chain(*u_i, *u_j))).bit_length() // 10_000
-    check_work((box_p + box_q + pairs) * (1 + (m + n) * steps // 2), f"a {m}x{n} grid sweep at resolution {r_scale}")
+    (u_i, l_i), (u_j, l_j), _ = _integer_tables("brute_force_oracle's read", matrix.u_i, matrix.u_j)
+    check_work(box_p + box_q + pairs, f"a {m}x{n} grid sweep at resolution {r_scale}")
     grid_p = _window_grid(r_scale, centre_i, radius)
     # A pair (p, q) passes when both expected payoffs exceed the cut-off
     # r_scale * best - r_scale * l of the best reply to the other side's point,

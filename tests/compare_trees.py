@@ -331,9 +331,11 @@ def decimal_corpus():
 
 def reader_corpus():
     """(name, thunk) for solve_mixed and both exact checkers on 2x2 games holding a Decimal at
-    and past the 4,300 digits core.decimal_ratio reads, for both checkers on 1 x n games over n
-    distinct 1,001-bit denominators, for the oracle's sweep over payoffs of up to 100,001 bits and
-    over a Decimal no reader builds, and for priors given as Decimals."""
+    and past the 4,300 digits core.decimal_ratio reads, and an int, a denominator or the lcm of two
+    at and one bit past solver.MAX_BITS; for verify_equilibrium's weights at and past their bound;
+    for the float extremes 1.797e308 and 5e-324 in one game; for both checkers on 1 x n games over n
+    distinct 1,001-bit denominators; for the oracle's sweep over payoffs of up to 100,001 bits and
+    over a Decimal no reader builds; and for priors given as Decimals."""
     from decimal import Decimal
     from fractions import Fraction
 
@@ -346,7 +348,24 @@ def reader_corpus():
         forms += [(f"solve_mixed {digits}-digit Decimal", lambda g=game: solver.solve_mixed(g)),
                   (f"verify_equilibrium {digits}-digit Decimal", lambda g=game: solver.verify_equilibrium(g, pure)),
                   (f"brute_force_oracle {digits}-digit Decimal", lambda g=game: solver.brute_force_oracle(g, 4))]
-    for n in (100, 400, 1198):  # 1198 is the first n the checkers' count refuses
+    for b in (1077, 1078):  # the bits of solver.MAX_BITS, then one more
+        for edge, (x, y) in {"int": (2 ** (b - 1), 1), "denominator": (Fraction(1, 2 ** (b - 1)), 1),
+                             "lcm": (Fraction(1, 3**400), Fraction(1, 2 ** (b - 634)))}.items():
+            game = core.PayoffMatrix.from_cells((1, 2), (1, 2), [[(x, 0), (y, 0)], [(0, 1), (0, 1)]])
+            forms += [(f"solve_mixed {edge} of {b} bits", lambda g=game: solver.solve_mixed(g)),
+                      (f"verify_equilibrium {edge} of {b} bits", lambda g=game: solver.verify_equilibrium(g, pure)),
+                      (f"brute_force_oracle {edge} of {b} bits", lambda g=game: solver.brute_force_oracle(g, 4))]
+    zeros = core.PayoffMatrix.from_entries([[(0, 0)] * 3] * 3)
+    for b in (12942, 12943):  # 2k(2 * 1077 + 1 + ceil(lg k)) bits at k = 3, then one more
+        t = Fraction(1, 2 ** (b - 1))
+        forms.append((f"verify_equilibrium 3x3 weight over {b} bits",
+                      lambda t=t: solver.verify_equilibrium(zeros, solver.MixedProfile((1, 0, 0), (1 - t, t, 0)))))
+    top, tiny = 1.7976931348623157e308, 5e-324
+    game = core.PayoffMatrix.from_cells((1, 2), (1, 2), [[(top, tiny), (tiny, top)], [(tiny, top), (top, tiny)]])
+    forms += [("solve_mixed float extremes", lambda g=game: solver.solve_mixed(g)),
+              ("verify_equilibrium float extremes", lambda g=game: [
+                  solver.verify_equilibrium(g, prof, 0) for prof in solver.solve_mixed(g)])]
+    for n in (100, 400, 1198):  # 1198 was the first n the checkers' count refused
         game = core.PayoffMatrix.from_cells((1,), range(n), [[(Fraction(1, 2**1000 + 2 * c + 1), 0) for c in range(n)]])
         ints = solver.MixedProfile((1,), (1,) + (0,) * (n - 1))
         forms += [(f"verify_equilibrium 1x{n} over 1,001-bit denominators",
@@ -357,7 +376,7 @@ def reader_corpus():
         big = 2**e
         game = core.PayoffMatrix.from_entries([[(big, big + 3), (big, big)], [(big, big), (big, big + 3)]])
         forms.append((f"brute_force_oracle 2x2 sweep at 40 over 2^{e}", lambda g=game: solver.brute_force_oracle(g, 40)))
-        if e == 10_000:  # the first resolution the sweep's count refuses on 10,001-bit payoffs
+        if e == 10_000:  # the first resolution the sweep's count refused on 10,001-bit payoffs
             forms.append(("brute_force_oracle 2x2 sweep at 1181 over 2^10000",
                           lambda g=game: solver.brute_force_oracle(g, 1181)))
     game = core.PayoffMatrix.from_cells((1, 2), (1, 2), [[(Decimal("1e-99999999"), 1), (0, 0)], [(0, 0), (1, 1)]])

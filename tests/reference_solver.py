@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from liqgame.core import PayoffMatrix
+from liqgame.core import PayoffMatrix, decimal_ratio
 from liqgame.solver import DimensionMismatch, MixedProfile
 
 
@@ -166,12 +166,15 @@ def extreme_equilibria(matrix: PayoffMatrix) -> set[tuple[tuple[Fraction, ...], 
     Q = {A y <= 1, y >= 0}. A vertex is labelled by each of I's actions r where
     x_r = 0 or (A y)_r = 1, and by each of J's actions c where (B^T x)_c = 1 or
     y_c = 0. The pairs of nonzero vertices whose labels cover all m + n actions,
-    each side scaled to sum to 1, are the extreme equilibria. Every vertex is
-    solved basis by basis in Fractions; nothing of ``liqgame.solver`` is used."""
+    each side scaled to sum to 1, are the extreme equilibria. Every payoff is
+    read by the library's number rule, ``core.decimal_ratio`` (a float as the
+    decimal its ``str`` writes), and every vertex is solved basis by basis in
+    Fractions; nothing of ``liqgame.solver`` is used."""
     m, n = matrix.rows, matrix.cols
-    shift = 1 - min(itertools.chain(*matrix.u_i, *matrix.u_j))
-    a = [[Fraction(x) + shift for x in row] for row in matrix.u_i]
-    b = [[Fraction(x) + shift for x in row] for row in matrix.u_j]
+    u_i, u_j = ([[Fraction(*decimal_ratio(x)) for x in row] for row in u] for u in (matrix.u_i, matrix.u_j))
+    shift = 1 - min(itertools.chain(*u_i, *u_j))
+    a = [[x + shift for x in row] for row in u_i]
+    b = [[x + shift for x in row] for row in u_j]
 
     def minus_unit(k: int, size: int) -> list[Fraction]:
         return [Fraction(-(k == c)) for c in range(size)]

@@ -63,9 +63,6 @@ FIRST_REFUSED = [
     (5, 37), (35, 5), (6, 28), (26, 6), (7, 23), (21, 7), (13, 13),
 ]
 
-# 1 x n over distinct 1,001-bit denominators: the first n both exact checkers refuse
-CHECKERS_FIRST_REFUSED = 1198
-
 GOLDEN_2X2_MIXED = profile([0, 1], [F(1, 2), F(1, 2)])
 GOLDEN_3X3_MIXED = profile([0, 0, 1], [F(1, 3), F(1, 6), F(1, 2)])
 
@@ -231,14 +228,15 @@ class TestSolveMixed:
 
     def test_large_denominators_refused_before_the_lcm_is_built(self, monkeypatch):
         # 2887 distinct denominators of 1001 bits, none dividing another: a lcm of about 2.9
-        # million bits, times every entry, had it been built; the bound alone refuses the game
-        def lcm(*args):
-            raise AssertionError("math.lcm called")
-
-        monkeypatch.setattr(solver.math, "lcm", lcm)
+        # million bits, times every entry, had it been built; the reader takes it one denominator
+        # at a time and refuses the game at its second step, past the bound of MAX_BITS
+        steps, lcm = [], math.lcm
+        monkeypatch.setattr(solver.math, "lcm", lambda *args: steps.append(args) or lcm(*args))
         row = [(F(1, 2**1000 + 2 * c + 1), 0) for c in range(2887)]
-        with pytest.raises(DimensionCapExceeded, match="^solve_mixed of a 1x2887 game exceeds"):
+        with pytest.raises(DimensionCapExceeded) as caught:
             solve_mixed(PayoffMatrix.from_cells((1,), range(2887), [row]))
+        assert str(caught.value) == "solve_mixed of a 1x2887 game holds a number past the bound of 1077 bits"
+        assert len(steps) == 2
 
     @pytest.mark.parametrize(
         "huge", [Decimal("1e-99999999"), Decimal("1e+99999999"), Decimal("-9.9E-99999999"), Decimal("1" * 5000)]
@@ -295,6 +293,9 @@ class TestSolveMixed:
         assert len(profiles) == 3 and mixed in profiles
         assert set(profiles) == extreme_equilibria(matrix)
         assert all(verify_equilibrium(matrix, prof, F(0)) for prof in profiles)
+        # the float tables load_published_matrix returns read as the same decimals, in the oracle too
+        floats = market.load_published_matrix(name)
+        assert solve_mixed(floats) == profiles and extreme_equilibria(floats) == set(profiles)
 
     @pytest.mark.parametrize("m,n", [(1, 600), (600, 1)])
     def test_thin_game_holds_no_row_by_row_table(self, m, n):
@@ -888,88 +889,99 @@ class TestExactReaders:
     @settings(max_examples=150, deadline=None)
     @given(tables=TABLE_LISTS)
     def test_integer_tables_are_the_tables_over_their_lcms(self, tables):
-        scaled = solver._integer_tables("x", *tables)
-        for table, (ints, lcm) in zip(tables, scaled):
+        *scaled, bits = solver._integer_tables("x", *tables)
+        assert bits == max(abs(x) for ints, _ in scaled for x in itertools.chain(*ints)).bit_length()
+        for table, (ints, lcm) in zip(tables, scaled, strict=True):
             ints_only = all(type(x) is int for x in itertools.chain(*table))
             assert all(type(x) is int for row in ints for x in row)
             assert lcm == math.lcm(*(exact(x).denominator for x in itertools.chain(*table)))
             assert [[F(x, lcm) for x in row] for row in ints] == [list(map(exact, row)) for row in table]
             assert (ints is table) is ints_only  # a table of ints only is used as it is
 
-    @settings(max_examples=150, deadline=None)
-    @given(tables=TABLE_LISTS | decimal_games().map(lambda g: [g.u_i, g.u_j]))
-    def test_sizes_bound_each_table_before_it_is_scaled(self, tables):
-        # what the count is given before any lcm is built, per table: the bits of its largest ceil(|x|),
-        # at least those of its lcm less 1, and those of its largest denominator; for ints, 0 for both
-        seen = []
-        with pytest.raises(DimensionCapExceeded, match="^x exceeds the work limit of 4194304$"):
-            solver._integer_tables("x", *tables, count=lambda *read: seen.append(read) or 2**22 + 1, always=True)
-        [(sizes, shapes)] = seen
-        assert shapes == [(len(u), len(u[0])) for u in tables]
-        scaled = solver._integer_tables("x", *tables)
-        for table, (top, lcm_bits, den), (ints, lcm) in zip(tables, sizes, scaled):
-            cells = list(map(exact, itertools.chain(*table)))
-            assert top == math.ceil(max(map(abs, cells))).bit_length()
-            assert (lcm - 1).bit_length() <= lcm_bits and max(abs(x) for x in itertools.chain(*ints)).bit_length() <= top + lcm_bits
-            if all(type(x) is int for x in itertools.chain(*table)):
-                assert (lcm_bits, den) == (0, 0)
-            else:
-                assert den == max(x.denominator for x in cells).bit_length()
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_refused_exactly_past_the_bound(self, data):
+        # a table is refused exactly when a numerator in lowest terms, or math.lcm of its denominators, has
+        # more bits than its bound: at small bounds over small numbers, and at MAX_BITS over numbers near it
+        bound = data.draw(st.sampled_from([solver.MAX_BITS, 4, 9, 16, 30]))
+        nums = st.integers(-9, 9) | st.integers(-(2 ** (bound + 1)), 2 ** (bound + 1))
+        entry = nums | st.builds(F, nums, st.integers(1, 9) | st.integers(1, 2 ** (bound // 2 + 2)))
+        rows, cols = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        table = st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+        tables = data.draw(st.lists(table, min_size=1, max_size=2))
+        past = any(max(math.lcm(*(F(x).denominator for x in itertools.chain(*u))).bit_length(),
+                       *(F(x).numerator.bit_length() for x in itertools.chain(*u))) > bound for u in tables)
+        start = time.perf_counter()
+        try:
+            *scaled, bits = solver._integer_tables("x", *tables, bits=(bound,) * len(tables))
+        except DimensionCapExceeded as refused:
+            assert past and str(refused) == f"x holds a number past the bound of {bound} bits"
+        else:
+            assert not past and bits == max(abs(x) for ints, _ in scaled for x in itertools.chain(*ints)).bit_length()
+            assert [lcm for _, lcm in scaled] == [math.lcm(*(F(x).denominator for x in itertools.chain(*u))) for u in tables]
+        assert time.perf_counter() - start < 0.05
 
-    @pytest.mark.parametrize(
-        "table, sized",
-        [([[F(1, 2**7)] * 7 + [0]], False), ([[F(1, 2**7)] * 9], True), ([[0.25] * 21 + [0.125]], True),
-         ([[F(1, 3)], [F(1, 5)]], False), ([[2**200] * 8], False), ([[F(1, 2**70)]], True)],
-        ids=["8x8-bits", "9x8-bits", "floats-22x4-bits", "two-rows-2x3-bits", "ints", "1x71-bits"],
-    )
-    def test_a_read_is_counted_past_64_bits_of_denominators(self, monkeypatch, table, sized):
-        # without always, the count is taken only where a table's entries times the bits of its largest
-        # denominator pass 64: below, no lcm passes 2^64; a table of ints is not counted
-        calls = []
-        monkeypatch.setattr(solver, "_scaling_units", lambda sizes, shapes: calls.append(shapes) or 0)
-        solver._integer_tables("x", [[1]], table)
-        assert calls == ([[(1, 1), (len(table), len(table[0]))]] if sized else [])
+    def test_a_table_given_twice_is_read_once(self):
+        # one table for both players, as an instance game has, is read and counted once, each entry
+        # weighed 1 + 1077 // 128 = 9 at 1,077 bits: 466,033 of them are within the work limit, twice
+        # as many are not
+        table = [[2**1076] * 466_033]
+        first, second, bits = solver._integer_tables("x", table, table)
+        assert first is second and bits == 1077
+        with pytest.raises(DimensionCapExceeded, match="^x exceeds the work limit of 4194304$"):
+            solver._integer_tables("x", table, [list(table[0])])
+        with pytest.raises(DimensionCapExceeded, match="^x exceeds the work limit of 4194304$"):
+            solver._integer_tables("x", [[2**1076] * 466_034])
+        assert solver._integer_tables("x", [[1] * 466_034])[-1] == 1  # a small int weighs 1
 
     @pytest.mark.parametrize("refused", [True, False])
     @pytest.mark.parametrize(
-        "case, first_refused",
-        [("verify_equilibrium payoffs", CHECKERS_FIRST_REFUSED),
-         ("brute_force_oracle payoffs", CHECKERS_FIRST_REFUSED),
-         ("brute_force_oracle 19-bit payoffs", 13294),
-         ("verify_equilibrium probabilities", 1197),
-         ("verify_equilibrium products", 312)],
+        "case", ["verify_equilibrium payoffs", "brute_force_oracle payoffs", "brute_force_oracle 19-bit payoffs",
+                 "verify_equilibrium probabilities"],
     )
-    def test_large_denominators_refused_before_the_lcm_is_built(self, monkeypatch, case, first_refused, refused):
-        # n distinct 1,001-bit denominators, each entry put over an lcm of about 1,001 n bits: in I's payoffs
-        # of a 1 x n game beside J's zeros, with a pure profile; in J's probabilities, against a game of
-        # zeros; or in both, where verify_equilibrium's count of products of payoffs and weights refuses.
-        # Over odd 19-bit denominators, the scaled table's memory is what refuses.
-        def lcm(*args):
-            raise AssertionError("math.lcm called")
-
-        monkeypatch.setattr(solver.math, "lcm", lcm)
-        n = first_refused if refused else first_refused - 2
-        large = [F(1, 2 ** (18 if "19-bit" in case else 1000) + 2 * c + 1) for c in range(n)]
+    def test_large_denominators_refused_before_the_lcm_is_built(self, case, refused):
+        # n distinct denominators of 1,001 or 19 bits, in I's payoffs of a 1 x n game beside J's zeros, with a
+        # pure profile, or in J's probabilities against a game of zeros: refused at once from the first n whose
+        # lcm passes the bound, MAX_BITS for payoffs and 2k(2 MAX_BITS + 1 + ceil(lg k)) = 4310 bits for the
+        # weights of a 1 x n game (k = 1), and read below it
+        large = [F(1, 2 ** (18 if "19-bit" in case else 1000) + 2 * c + 1) for c in range(200)]
+        bound = 4310 if case.endswith("probabilities") else solver.MAX_BITS
+        lcms = itertools.accumulate((x.denominator for x in large), math.lcm)
+        n = next(k for k, lcm in enumerate(lcms, 1) if lcm.bit_length() > bound) - (not refused)
         pure = MixedProfile((1,), (1,) + (0,) * (n - 1))
         if case.endswith("payoffs"):
-            matrix, prof = PayoffMatrix.from_cells((1,), range(n), [[(x, 0) for x in large]]), pure
-        elif case.endswith("probabilities"):
-            matrix, prof = PayoffMatrix.from_entries([[(0, 0)] * n]), MixedProfile((1,), tuple(large))
-        else:  # J's weights in pairs x / k, (1 - x) / k over n other denominators, so that they sum to 1
-            matrix = PayoffMatrix.from_cells((1,), range(n), [[(F(1, x.denominator + 2 * n), 0) for x in large]])
-            k = n // 2
-            prof = MixedProfile((1,), tuple(y / k for x in large[:k] for y in (x, 1 - x)))
-        if case.startswith("verify"):
-            check = lambda: verify_equilibrium(matrix, prof)
-        else:
-            check = lambda: brute_force_oracle(matrix, 1, around=prof, radius=0)
-        start = time.perf_counter()
-        with pytest.raises(DimensionCapExceeded if refused else AssertionError) as caught:
-            check()
-        # refused at once: the 19-bit case reads and sizes its 13,294 entries first, in about 30 ms
-        assert not refused or time.perf_counter() - start < (0.25 if "19-bit" in case else 0.05)
+            matrix, prof = PayoffMatrix.from_cells((1,), range(n), [[(x, 0) for x in large[:n]]]), pure
+        else:  # no distribution, which verify_equilibrium names once it has read it
+            matrix, prof = PayoffMatrix.from_entries([[(0, 0)] * n]), MixedProfile((1,), tuple(large[:n]))
+        check = (lambda: verify_equilibrium(matrix, prof)) if case.startswith("verify") else (
+            lambda: brute_force_oracle(matrix, 1, around=prof, radius=0))
         what = case.split()[0]
-        assert str(caught.value) == (f"{what}'s read exceeds the work limit of 4194304" if refused else "math.lcm called")
+        start = time.perf_counter()
+        if refused:
+            with pytest.raises(DimensionCapExceeded) as caught:
+                check()
+            assert str(caught.value) == f"{what}'s read holds a number past the bound of {bound} bits"
+            assert time.perf_counter() - start < 0.05
+        elif case.endswith("probabilities"):
+            with pytest.raises(ValueError, match="^probs_j is not a probability distribution$"):
+                check()
+        else:
+            check()
+
+    def test_refusal_is_monotone_in_the_denominators(self):
+        # the lcm of a table's denominators only grows with them, so once the odd 19-bit denominators
+        # 2^18 + 2c + 1 pass the bound, every longer row is refused too, 1x13,294 and 1x13,686 alike
+        row = [(F(1, 2**18 + 2 * c + 1), 0) for c in range(13_686)]
+        lcms = itertools.accumulate((x.denominator for x, _ in row), math.lcm)
+        first = next(k for k, lcm in enumerate(lcms, 1) if lcm.bit_length() > solver.MAX_BITS)
+        for n in (first - 1, *range(first, first + 40), 13_294, 13_686):
+            matrix = PayoffMatrix.from_cells((1,), range(n), [row[:n]])
+            pure = MixedProfile((1,), (1,) + (0,) * (n - 1))
+            if n < first:
+                assert brute_force_oracle(matrix, 1, around=pure, radius=0) == [pure]
+            else:
+                with pytest.raises(DimensionCapExceeded, match="^brute_force_oracle's read holds a number past"):
+                    brute_force_oracle(matrix, 1, around=pure, radius=0)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -1008,6 +1020,88 @@ class TestExactReaders:
         assert not verify_equilibrium(matrix, MixedProfile((i64(1), i64(0)), (i64(1), i64(0))), i64(1))
         assert brute_force_oracle(matrix, 4) == [profile([0, 1], [0, 1])]
         assert brute_force_oracle(matrix, 4, around=defect, radius=1) == [profile([0, 1], [0, 1])]
+
+
+# an int or a Fraction's numerator of up to MAX_BITS bits, or a small int
+BOUND_NUMERATORS = st.integers(-3, 3) | st.integers(-(2**1077) + 1, 2**1077 - 1)
+
+
+@st.composite
+def bound_games(draw) -> PayoffMatrix:
+    """A game of 2..4 actions a side whose tables each hold ints, Fractions over divisors of one
+    denominator, or finite floats, every one of them within MAX_BITS bits."""
+    side = draw(st.integers(2, 4))
+
+    def table():
+        kind = draw(st.sampled_from(["int", "Fraction", "float"]))
+        den = draw(st.integers(1, 7) | st.integers(1, 2**1077 - 1))
+        entry = {"int": BOUND_NUMERATORS, "Fraction": BOUND_NUMERATORS.map(lambda x: F(x, den)),
+                 "float": st.floats(allow_nan=False, allow_infinity=False)}[kind]
+        return draw(st.lists(st.lists(entry, min_size=side, max_size=side), min_size=side, max_size=side))
+
+    return float_game(table(), table())
+
+
+class TestBound:
+    """Every number is bounded where solver reads it: MAX_BITS bits for a payoff or a table's lcm,
+    and Hadamard's bound on the denominators of solve_mixed's profiles for verify_equilibrium's weights."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(matrix=bound_games())
+    def test_every_profile_verifies_at_the_bound(self, matrix):
+        assert all(verify_equilibrium(matrix, prof, 0) for prof in solve_mixed(matrix))
+
+    def test_a_game_at_the_bound_round_trips(self):
+        # a 6x6 game of 1,077-bit entries, signed, and the float extremes 1.797e308 and 5e-324 beside each
+        # other, whose decimals scale to 2,098 bits
+        rng = random.Random(1)
+        big = 2**1077
+        ints = PayoffMatrix.from_entries([[(rng.randrange(-big + 1, big), rng.randrange(-big + 1, big))
+                                           for _ in range(6)] for _ in range(6)])
+        top, tiny = 1.7976931348623157e308, 5e-324
+        floats = float_game(((top, tiny), (tiny, top)), ((tiny, top), (top, tiny)))
+        for matrix in (ints, floats):
+            profiles = solve_mixed(matrix)
+            assert profiles and all(verify_equilibrium(matrix, prof, 0) for prof in profiles)
+        assert solve_mixed(floats) == [profile([F(1, 2), F(1, 2)], [F(1, 2), F(1, 2)])]
+
+    @pytest.mark.parametrize("past", [False, True], ids=["at", "past"])
+    @pytest.mark.parametrize("edge", ["int", "denominator", "lcm"])
+    def test_each_function_admits_the_bound_and_refuses_one_bit_past(self, edge, past):
+        # an int, a Fraction's denominator, or the lcm of two coprime denominators, 3^400 (634 bits) and a
+        # power of two, of MAX_BITS bits, then of one more
+        b = solver.MAX_BITS + past
+        x, y = {"int": (2 ** (b - 1), 1), "denominator": (F(1, 2 ** (b - 1)), 1),
+                "lcm": (F(1, 3**400), F(1, 2 ** (b - 634)))}[edge]
+        matrix = PayoffMatrix.from_cells((1, 2), (1, 2), [[(x, 0), (y, 0)], [(0, 1), (0, 1)]])
+        pure = profile([1, 0], [1, 0])
+        calls = {"solve_mixed of a 2x2 game": lambda: solve_mixed(matrix),
+                 "verify_equilibrium's read": lambda: verify_equilibrium(matrix, pure),
+                 "brute_force_oracle's read": lambda: brute_force_oracle(matrix, 4)}
+        for what, call in calls.items():
+            if past:
+                with pytest.raises(DimensionCapExceeded) as caught:
+                    call()
+                assert str(caught.value) == f"{what} holds a number past the bound of 1077 bits"
+            else:
+                call()
+
+    @pytest.mark.parametrize("past", [False, True], ids=["at", "past"])
+    @pytest.mark.parametrize("m,n", [(1, 2), (2, 2), (3, 3), (5, 3)])
+    def test_weights_bounded_by_hadamard(self, m, n, past):
+        # at k = min(m, n), a weight whose denominator has 2k(2 MAX_BITS + 1 + ceil(lg k)) bits is read,
+        # and one of a bit more refused
+        k = min(m, n)
+        bound = 2 * k * (2 * solver.MAX_BITS + 1 + (k - 1).bit_length())
+        t = F(1, 2 ** (bound - 1 + past))
+        matrix = PayoffMatrix.from_entries([[(0, 0)] * n] * m)
+        prof = MixedProfile((1,) + (0,) * (m - 1), (1 - t, t) + (0,) * (n - 2))
+        if past:
+            with pytest.raises(DimensionCapExceeded) as caught:
+                verify_equilibrium(matrix, prof)
+            assert str(caught.value) == f"verify_equilibrium's read holds a number past the bound of {bound} bits"
+        else:
+            assert verify_equilibrium(matrix, prof) is True
 
 
 class TestVerifyEquilibrium:
@@ -1232,14 +1326,12 @@ class TestBruteForceOracle:
         with pytest.raises(AssertionError, match="^grid walked$"):
             brute_force_oracle(matrix, refused - 1)
 
-    @pytest.mark.parametrize("kind,bits,sides,admitted", [
-        (int, 10_000, 2, 1180), (F, 10_000, 2, 1180), (int, 100_000, 2, 444), (F, 100_000, 2, 444),
-        (int, 100_000, 5, 6), (int, 1_000_000, 2, 142),
+    @pytest.mark.parametrize("kind,bits,sides", [
+        (int, 10_000, 2), (F, 10_000, 2), (int, 100_000, 2), (F, 100_000, 2), (int, 100_000, 5), (int, 1_000_000, 2),
     ])
-    def test_work_limit_weighs_payoff_bits(self, monkeypatch, kind, bits, sides, admitted):
-        # each pair multiplies m + n scaled payoffs by grid values: every whole 10^4 bits of the
-        # largest adds (m + n) / 2 units to each, for ints as for Fractions that the reader puts
-        # over their lcm (a 32-bit denominator on every entry makes it size the table)
+    def test_payoffs_past_the_bound_refused_by_the_read(self, monkeypatch, kind, bits, sides):
+        # a payoff past MAX_BITS bits, an int or a Fraction's numerator, is refused by the read, at the
+        # resolution that small payoffs are admitted to, before the grid is walked
         def product(*args):
             raise AssertionError("grid walked")
 
@@ -1248,14 +1340,32 @@ class TestBruteForceOracle:
         big = 2 ** (bits - 1)
         matrix = PayoffMatrix.from_cells(range(sides), range(sides), [
             [(value(big), value(big + 3 * (r == c))) for c in range(sides)] for r in range(sides)])
-        with pytest.raises(DimensionCapExceeded, match=f"^a {sides}x{sides} grid sweep at resolution {admitted + 1} "):
-            brute_force_oracle(matrix, admitted + 1)
+        start = time.perf_counter()
+        with pytest.raises(DimensionCapExceeded) as caught:
+            brute_force_oracle(matrix, {2: 2046, 5: 12}[sides])
+        assert time.perf_counter() - start < 0.05
+        assert str(caught.value) == "brute_force_oracle's read holds a number past the bound of 1077 bits"
+
+    @pytest.mark.parametrize("kind", [int, F])
+    def test_work_limit_at_the_bound_is_that_of_small_payoffs(self, monkeypatch, kind):
+        # the sweep's count is not weighed by payoff size: over 1,077-bit ints, and over Fractions whose
+        # 1,077-bit numerators sit over a 1,077-bit denominator, the 2x2 sweep goes up to 2046 as on 4-bit ones
+        def product(*args):
+            raise AssertionError("grid walked")
+
+        monkeypatch.setattr(solver.itertools, "product", product)
+        value = (lambda x: F(x, 2**1076 + 1)) if kind is F else int
+        big = 2**1076
+        matrix = PayoffMatrix.from_cells(range(2), range(2), [
+            [(value(big), value(big + 3 * (r == c))) for c in range(2)] for r in range(2)])
+        with pytest.raises(DimensionCapExceeded, match="^a 2x2 grid sweep at resolution 2047 "):
+            brute_force_oracle(matrix, 2047)
         with pytest.raises(AssertionError, match="^grid walked$"):
-            brute_force_oracle(matrix, admitted)
+            brute_force_oracle(matrix, 2046)
 
     def test_sweep_over_large_payoffs_refused_at_once(self, monkeypatch):
-        # resolution 2046, the largest 2x2 sweep admitted on small payoffs, multiplies these
-        # 100,001-bit payoffs for about 100 s; the grid is not walked
+        # resolution 2046, the largest 2x2 sweep admitted, multiplied these 100,001-bit payoffs for
+        # about 100 s before they were bounded; the read refuses them, and the grid is not walked
         def product(*args):
             raise AssertionError("grid walked")
 
@@ -1266,7 +1376,7 @@ class TestBruteForceOracle:
         with pytest.raises(DimensionCapExceeded) as caught:
             brute_force_oracle(matrix, 2046)
         assert time.perf_counter() - start < 0.05
-        assert str(caught.value) == "a 2x2 grid sweep at resolution 2046 exceeds the work limit of 4194304"
+        assert str(caught.value) == "brute_force_oracle's read holds a number past the bound of 1077 bits"
 
     @pytest.mark.parametrize("resolution", [0, -3])
     def test_resolution_below_one_refused(self, resolution):
