@@ -17,7 +17,7 @@ import operator
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .core import DimensionCapExceeded, LiquidityGameError, PayoffMatrix, check_work, decimal_ratio
+from .core import DimensionCapExceeded, LiquidityGameError, PayoffMatrix, check_work, decimal_ratio, is_int
 
 
 class DimensionMismatch(LiquidityGameError):
@@ -201,37 +201,30 @@ def _integer_tables(what: str, *tables: Sequence[Sequence], bits: Sequence[int] 
 def verify_equilibrium(matrix: PayoffMatrix, profile: MixedProfile, tolerance: Fraction = Fraction(0)) -> bool:
     """True iff no unilateral pure deviation gains more than ``tolerance``.
 
-    Integer arithmetic only, every number read by ``_ratio`` (a float as the decimal its
-    ``str`` writes): both sides' probabilities are integers over the lcm d of all their
-    denominators, and each player's payoffs over the lcm l_i or l_j of theirs, 1 for a table of
-    ints. I's gain is then an integer over l_i * d * d, within the tolerance num / den iff it
-    times den is at most num * l_i * d * d; J's likewise with l_j. A tolerance of +inf passes
-    every profile, -inf and NaN none. ValueError when either side is not a probability distribution,
-    and for a payoff or a tolerance that is a string, a bool, infinite or NaN, or past ``core.decimal_ratio``'s
-    digit limit. DimensionCapExceeded from ``_integer_tables``: a payoff or lcm past MAX_BITS bits, a weight or d past
-    2k(2 MAX_BITS + 1 + ceil(lg k)), k = min(m, n), Hadamard's bound on the d of any profile ``solve_mixed`` returns.
+    Integer arithmetic only, every number read by ``_ratio`` (a float as the decimal its ``str`` writes): both sides'
+    probabilities are integers over the lcm d of all their denominators, and each player's payoffs over the lcm l_i or
+    l_j of theirs, 1 for a table of ints. I's gain is then an integer over l_i * d * d, within the tolerance num / den
+    iff it times den is at most num * l_i * d * d; J's likewise with l_j. Faults are named in read order: first
+    ``_integer_tables`` reads the probabilities, then I's and J's payoffs, with ValueError for a string, a bool, an
+    infinity, a NaN or a text past ``core.decimal_ratio``'s digit limit, DimensionCapExceeded for a weight or d past
+    Hadamard's bound on any d of ``solve_mixed``, 2k(2 MAX_BITS + 1 + ceil(lg k)) at k = min(m, n), or a payoff or lcm
+    past MAX_BITS bits; then ValueError when probs_i, then probs_j, is not a probability distribution; then the
+    tolerance is read as a payoff is, except that +inf passes every profile, and -inf and NaN none.
     """
     m, n = len(matrix.actions_i), len(matrix.actions_j)
     if len(profile.probs_i) != m or len(profile.probs_j) != n:
         raise DimensionMismatch(f"profile is {len(profile.probs_i)}x{len(profile.probs_j)}, matrix is {m}x{n}")
     weight_bits = 2 * (k := min(m, n)) * (2 * MAX_BITS + 1 + (k - 1).bit_length())
-    try:  # both sides' probabilities as one row, over one lcm d
+    ((w,), d), (u_i, l_i), (u_j, l_j), _ = _integer_tables("verify_equilibrium's read", (  # both sides as one row
+        (*profile.probs_i, *profile.probs_j),), matrix.u_i, matrix.u_j, bits=(weight_bits, MAX_BITS, MAX_BITS))
+    p, q = w[:m], w[m:]
+    if min(w) < 0 or sum(p) != d or sum(q) != d:
+        raise ValueError(f"probs_{'i' if min(p) < 0 or sum(p) != d else 'j'} is not a probability distribution")
+    try:
         num, den = _ratio(tolerance)
-        ((w,), d), (u_i, l_i), (u_j, l_j), _ = _integer_tables("verify_equilibrium's read", (
-            (*profile.probs_i, *profile.probs_j),), matrix.u_i, matrix.u_j, bits=(weight_bits, MAX_BITS, MAX_BITS))
-        p, q = w[:m], w[m:]
-        if min(w) < 0 or sum(p) != d or sum(q) != d:
-            raise ValueError("a side is no probability distribution")
     except ValueError:
-        for side, probs in zip("ij", profile):  # a fault of the profile's own is named first, each side read alone
-            try:
-                ((weights,), total), _ = _integer_tables("verify_equilibrium's read", (probs,), bits=(weight_bits,))
-            except ValueError:  # a string, a bool, an infinity, a NaN or a text past the reader's digit limit
-                weights, total = [-1], 1  # refused below, as a negative entry is
-            if min(weights) < 0 or sum(weights) != total:
-                raise ValueError(f"probs_{side} is not a probability distribution") from None
         if isinstance(tolerance, str) or math.isfinite(tolerance):
-            raise  # a fault of the tolerance or of a payoff
+            raise  # a string, a bool or a text past the reader's digit limit
         return tolerance == math.inf  # +inf passes every profile, -inf and NaN none
     mul = operator.mul  # row_payoffs over l_i * d, col_payoffs over l_j * d
     row_payoffs = [sum(map(mul, row, q)) for row in u_i]
@@ -273,11 +266,13 @@ def brute_force_oracle(
     the only Fractions built are the result's. Without ``around`` the full product
     of both simplex grids is swept, which is combinatorial; pass ``around``
     to restrict both grids to the points within ``radius`` steps of a
-    candidate profile (the sweep restricted to that window). A resolution
-    below 1 or a negative radius raises ValueError; DimensionCapExceeded when the payoffs' read
+    candidate profile (the sweep restricted to that window). A resolution or radius that is a bool or no int, a
+    resolution below 1 or a negative radius raises ValueError; DimensionCapExceeded when the payoffs' read
     (``_integer_tables``: a payoff or an lcm past MAX_BITS bits), then the grids, would pass their bounds.
     """
     m, n = len(matrix.actions_i), len(matrix.actions_j)
+    if not (is_int(grid_resolution) and is_int(radius)):
+        raise ValueError("grid_resolution and radius must be ints")
     if grid_resolution < 1:
         raise ValueError("grid_resolution must be >= 1")
     if radius < 0:

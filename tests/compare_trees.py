@@ -286,6 +286,19 @@ def checker_corpus():
             (f"brute_force_oracle centre {bad!r}",
              lambda b=bad: solver.brute_force_oracle(good, 4, around=pure._replace(probs_j=(b, 0)))),
         ]
+    # faults named in read order: a profile entry, then a payoff, then a side's sum, then the tolerance
+    nan_payoff = good._replace(u_i=((math.nan, 0), (5, 1)))
+    forms += [
+        ("verify_equilibrium probs_j True", lambda: solver.verify_equilibrium(good, pure._replace(probs_j=(True, 0)))),
+        ("verify_equilibrium nan payoff beside an over-unit probs_i",
+         lambda: solver.verify_equilibrium(nan_payoff, pure._replace(probs_i=(1, 1)), "1/2")),
+        ("verify_equilibrium inf tolerance over a nan payoff",
+         lambda: solver.verify_equilibrium(nan_payoff, pure, math.inf)),
+        ("brute_force_oracle bool resolution", lambda: solver.brute_force_oracle(good, True)),
+        ("brute_force_oracle bool radius", lambda: solver.brute_force_oracle(good, 4, around=pure, radius=True)),
+        ("brute_force_oracle float resolution", lambda: solver.brute_force_oracle(good, 2.5)),
+        ("brute_force_oracle float radius", lambda: solver.brute_force_oracle(good, 4, around=pure, radius=2.5)),
+    ]
     return forms
 
 

@@ -1172,32 +1172,30 @@ class TestVerifyEquilibrium:
 
     @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
     def test_non_finite_entry_rejected(self, bad):
-        with pytest.raises(ValueError, match="not a probability distribution"):
+        # refused by the reader, with the message solve_mixed and the oracle give
+        with pytest.raises(ValueError, match=f"^{bad!r} writes no finite decimal$"):
             verify_equilibrium(game_matrix(2, -2), MixedProfile((0.5, 0.5), (bad, 0.0)))
 
     @pytest.mark.parametrize(
         "probs_i, probs_j, payoff, tolerance, message",
         [((F(1, 2), F(1, 3)), (1, 0), 1, math.inf, "^probs_i is not a probability distribution$"),
-         ((1, 0), (F(1, 2), "1/2"), 1, "1/2", "^probs_j is not a probability distribution$"),
-         ((F(1, 2), F(1, 2)), (F(2, 3), F(2, 3)), math.nan, F(0), "^probs_j is not a probability distribution$"),
+         ((1, 0), (F(1, 2), "1/2"), 1, "1/4", "^'1/2' is a string, not a number$"),
+         ((F(1, 2), F(1, 2)), (F(2, 3), F(2, 3)), math.nan, F(0), "^nan writes no finite decimal$"),
          ((1, 0), (1, 0), math.nan, F(0), "^nan writes no finite decimal$"),
-         ((1, 0), (1, 0), math.nan, math.inf, None)],
+         ((1, 0), (1, 0), math.nan, math.inf, "^nan writes no finite decimal$")],
         ids=["inf-tolerance", "string-tolerance", "nan-payoff", "valid-profile", "inf-passes-unread"],
     )
     def test_a_fault_of_the_profile_is_named_first(self, probs_i, probs_j, payoff, tolerance, message):
-        # the profile is checked before the tolerance is used and before the payoffs are read, as
-        # each side was read alone; an infinite tolerance passes without the payoffs being read
+        # faults are named in read order: the profile's entries, then the payoffs, then each side
+        # as a distribution, then the tolerance; an infinite tolerance gives no verdict over a
+        # payoff the reader refuses
         matrix = float_game(((payoff, 1), (1, 1)), ((1, 1), (1, 1)))
-        prof = MixedProfile(probs_i, probs_j)
-        if message is None:
-            assert verify_equilibrium(matrix, prof, tolerance) is True
-        else:
-            with pytest.raises(ValueError, match=message):
-                verify_equilibrium(matrix, prof, tolerance)
+        with pytest.raises(ValueError, match=message):
+            verify_equilibrium(matrix, MixedProfile(probs_i, probs_j), tolerance)
 
     def test_string_entry_rejected(self):
         # Fraction("1/2") would parse it, and the row would sum to 1
-        with pytest.raises(ValueError, match="^probs_i is not a probability distribution$"):
+        with pytest.raises(ValueError, match="^'1/2' is a string, not a number$"):
             verify_equilibrium(game_matrix(2, -2), MixedProfile(("1/2", F(1, 2)), (F(1, 2), F(1, 2))))
 
     @pytest.mark.parametrize(
@@ -1382,6 +1380,17 @@ class TestBruteForceOracle:
     def test_resolution_below_one_refused(self, resolution):
         with pytest.raises(ValueError, match="^grid_resolution must be >= 1$"):
             brute_force_oracle(game_matrix(2, -2), resolution)
+
+    @pytest.mark.parametrize(
+        "resolution, radius",
+        [(True, 1), (2.5, 1), ("4", 1), (np.int64(4), 1), (4, True), (4, 2.5), (4, "1")],
+        ids=["bool-resolution", "float-resolution", "string-resolution", "numpy-resolution",
+             "bool-radius", "float-radius", "string-radius"],
+    )
+    def test_non_int_argument_refused(self, resolution, radius):
+        # True would sweep at resolution 1 and 2.5 fail inside range, were they not refused
+        with pytest.raises(ValueError, match="^grid_resolution and radius must be ints$"):
+            brute_force_oracle(game_matrix(2, -2), resolution, around=GOLDEN_2X2_MIXED, radius=radius)
 
     @pytest.mark.parametrize("around", [GOLDEN_2X2_MIXED, None], ids=["window", "sweep"])
     @pytest.mark.parametrize("radius", [-1, -5])
