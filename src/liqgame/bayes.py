@@ -12,7 +12,7 @@ import json
 from pathlib import Path
 from typing import Mapping, NamedTuple, Optional
 
-from .core import Checked, LiquidityGameError, check_document, decimal_ratio
+from .core import LiquidityGameError, check_document, checked, decimal_ratio
 from .documents import (
     Bimatrix,
     check_labels,
@@ -34,15 +34,8 @@ class NoDependenceOnPrior(LiquidityGameError):
     pass
 
 
-class _ConditionalGame(NamedTuple):
-    types: tuple[str, ...]
-    strategies_i: tuple[str, ...]
-    strategies_j: tuple[str, ...]
-    matrices: Mapping[str, Bimatrix]
-    prior: tuple[float, ...]
-
-
-class ConditionalGame(Checked, _ConditionalGame):
+@checked
+class ConditionalGame(NamedTuple):
     """One real-valued bimatrix per counterparty type, and the common prior
     over the types.
 
@@ -51,7 +44,11 @@ class ConditionalGame(Checked, _ConditionalGame):
     asymmetric here: the tables are stylised levels, not transfer counts.
     """
 
-    __slots__ = ()
+    types: tuple[str, ...]
+    strategies_i: tuple[str, ...]
+    strategies_j: tuple[str, ...]
+    matrices: Mapping[str, Bimatrix]
+    prior: tuple[float, ...]
 
     def _check(self) -> "ConditionalGame":
         check_labels(self.types, self.strategies_i, self.strategies_j)

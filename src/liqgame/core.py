@@ -34,23 +34,15 @@ class DimensionCapExceeded(LiquidityGameError):
     pass
 
 
-class Checked:
-    """Base of the records that check their fields.
-
-    Put first among the bases of a NamedTuple subclass, it runs the
-    subclass's ``_check`` on every record built, by a class call, ``_make``
-    or ``_replace`` (which builds through ``_make``). ``_check`` raises on a
-    bad field and returns the record to keep.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        return super().__new__(cls, *args, **kwargs)._check()
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
+def checked(cls):
+    """Make a NamedTuple check its fields: its ``_check`` raises on a bad field and returns the record to
+    keep, for every record built, by a class call, ``_make`` (which fills trailing defaults as a call does),
+    ``_replace`` (which builds through ``_make``), a copy or an unpickling at protocol 2 or above. A
+    NamedTuple body may define neither ``__new__`` nor ``_make``, so they are set here."""
+    new = cls.__new__
+    cls.__new__ = lambda record_cls, *args, **kwargs: new(record_cls, *args, **kwargs)._check()
+    cls._make = classmethod(lambda record_cls, iterable: record_cls(*iterable))
+    return cls
 
 
 DEFAULT_ISSUE_CAP = 1_000_000
@@ -65,17 +57,14 @@ def check_work(count: int, what: str) -> None:
         raise DimensionCapExceeded(f"{what} exceeds the work limit of {WORK_LIMIT}")
 
 
-class _GameInstance(NamedTuple):
-    balance_i: int
-    balance_j: int
-    issue_cap: int
-
-
-class GameInstance(Checked, _GameInstance):
+@checked
+class GameInstance(NamedTuple):
     """A canonical two-player game state: I long, J short, neither beyond the
     bonds on issue. ``build_instance`` takes the balances in either order."""
 
-    __slots__ = ()
+    balance_i: int
+    balance_j: int
+    issue_cap: int
 
     def _check(self) -> "GameInstance":
         check_ints(self, self._fields)
@@ -93,14 +82,8 @@ class GameInstance(Checked, _GameInstance):
         return self
 
 
-class _PayoffMatrix(NamedTuple):
-    actions_i: tuple
-    actions_j: tuple
-    u_i: tuple[tuple[float, ...], ...]
-    u_j: tuple[tuple[float, ...], ...]
-
-
-class PayoffMatrix(Checked, _PayoffMatrix):
+@checked
+class PayoffMatrix(NamedTuple):
     """Bimatrix of payoffs, one table per player, every action labelled.
 
     ``u_i[r][c]`` and ``u_j[r][c]`` are the row and column player's payoffs
@@ -113,7 +96,10 @@ class PayoffMatrix(Checked, _PayoffMatrix):
     each table as ints over its lcm, a float as the decimal its ``str`` writes.
     """
 
-    __slots__ = ()
+    actions_i: tuple
+    actions_j: tuple
+    u_i: tuple[tuple[float, ...], ...]
+    u_j: tuple[tuple[float, ...], ...]
 
     def _check(self) -> "PayoffMatrix":
         if not (self.actions_i and self.actions_j):

@@ -10,18 +10,15 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import Checked, check_ints
+from .core import check_ints, checked
 
 
-class _TransferProblem(NamedTuple):
-    capacity_receiver: int
-    capacity_sender: int
-
-
-class TransferProblem(Checked, _TransferProblem):
+@checked
+class TransferProblem(NamedTuple):
     """Receiver's absolute need (A) and sender's holding (B)."""
 
-    __slots__ = ()
+    capacity_receiver: int
+    capacity_sender: int
 
     def _check(self) -> "TransferProblem":
         check_ints(self, self._fields)

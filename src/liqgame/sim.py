@@ -26,7 +26,7 @@ import sys
 from collections import Counter
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional
 
-from .core import Checked, check_document, check_ints, check_work, decimal_ratio, is_int, transferred
+from .core import check_document, check_ints, check_work, checked, decimal_ratio, is_int, transferred
 
 STRATEGY_KINDS = ("fixed_fraction", "uniform_random", "full_balance")
 MODES = ("one_shot", "repeated")
@@ -34,15 +34,12 @@ MODES = ("one_shot", "repeated")
 BLOCK = 1024
 
 
-class _StrategySpec(NamedTuple):
-    kind: str
-    fraction: Optional[float] = None
-
-
-class StrategySpec(Checked, _StrategySpec):
+@checked
+class StrategySpec(NamedTuple):
     """How a player turns a balance into a parcel size."""
 
-    __slots__ = ()
+    kind: str
+    fraction: Optional[float] = None
 
     def _check(self) -> "StrategySpec":
         if self.kind not in STRATEGY_KINDS:
@@ -99,7 +96,8 @@ def _check_ranges(range_i, range_j) -> None:
         raise ValueError("balance_range_j must be strictly negative")
 
 
-class _SimConfig(NamedTuple):
+@checked
+class SimConfig(NamedTuple):
     trials: int
     balance_range_i: tuple[int, int] = (1, 1000)
     balance_range_j: tuple[int, int] = (-1000, -1)
@@ -108,10 +106,6 @@ class _SimConfig(NamedTuple):
     seed: int = 0
     mode: str = "one_shot"
     max_rounds: int = 100
-
-
-class SimConfig(Checked, _SimConfig):
-    __slots__ = ()
 
     def _check(self) -> "SimConfig":
         check_ints(self, ("trials", "seed", "max_rounds"))

@@ -118,8 +118,9 @@ def solve_mixed(matrix: PayoffMatrix) -> list[MixedProfile]:
     weakly dominated games surface. Pure equilibria appear as the size-1
     supports. Unequal-size supports are not tried and singular systems are
     skipped, so degenerate games can lose extreme equilibria: u_i = [[-2, 2],
-    [0, 1]], u_j = [[1, 1], [0, 0]] has four, the list two. Both tables are read by ``_integer_tables`` (a float is its
-    decimal), DimensionCapExceeded past MAX_BITS bits, then before anything is built past the work limit below.
+    [0, 1]], u_j = [[1, 1], [0, 0]] has four, the list two. DimensionCapExceeded past the work limit below, by the
+    shape alone before any payoff is read, then past MAX_BITS bits as ``_integer_tables`` reads both tables (a float
+    is its decimal), then past the limit with the largest scaled entry weighed in, before anything is built.
     """
     m, n, k = matrix.rows, matrix.cols, min(matrix.rows, matrix.cols)
     # In units of about 2 µs or 100 bytes. Two to a unit, each about 1 µs: the support pairs, the minors of
@@ -130,6 +131,7 @@ def solve_mixed(matrix: PayoffMatrix) -> list[MixedProfile]:
     plans = sum(math.comb(m, t) + math.comb(n, t) for t in range(1, k + 1))
     work = (math.comb(m + n, m) - 1 + minors + m * n * (m + n)) // 2 + 8 * plans
     what = f"solve_mixed of a {m}x{n} game"
+    check_work(work, what)  # the shape alone, before any payoff is read
     (u_i, _), (u_j, _), bits = _integer_tables(what, matrix.u_i, matrix.u_j)
     check_work(work + (work * (d := max(bits - 16, 0)) * (d + 2048) >> 17), what)
     u_j_t = list(zip(*u_j))
@@ -172,14 +174,19 @@ MAX_BITS = 1077  # those of 10^324, the largest denominator of a float's decimal
 def _integer_tables(what: str, *tables: Sequence[Sequence], bits: Sequence[int] = ()) -> list:
     """Each table of ``tables`` as integer rows over the lcm ``l`` of its denominators, with ``l``, then the bits b of
     the largest scaled entry: a table of ints only is itself, over 1; each other's entries are read once, by ``_ratio``.
-    DimensionCapExceeded for a numerator, or an lcm built one distinct denominator at a time, past the table's bound
-    of bits (one per table in ``bits``, or MAX_BITS); then ``check_work`` gets the entries, weighed 1 + b // 128."""
-    scaled, count, top = [], 0, 0
+    ``check_work`` gets the count of entries before any is read; then DimensionCapExceeded for a numerator, or an lcm
+    built one distinct denominator at a time, past the table's bound of bits (one per table in ``bits``, or MAX_BITS);
+    then ``check_work`` gets the entries again, weighed 1 + b // 128."""
+    count = 0
+    for k, u in enumerate(tables):  # a table given twice in a row is counted, and read, once
+        count += 0 if k and u is tables[k - 1] else len(u) * len(u[0])
+    check_work(count, what)  # the entries alone, before any is read
+    scaled, top = [], 0
     for u, limit in zip(tables, bits or (MAX_BITS,) * len(tables)):
         if scaled and u is tables[len(scaled) - 1]:  # one table for both players, as in an instance game, is read once
             scaled.append(scaled[-1])
             continue
-        count, lcm = count + len(u) * len(u[0]), 1
+        lcm = 1
         if type(u[0][0]) is int and operator.countOf(map(type, itertools.chain(*u)), int) == len(u) * len(u[0]):
             size = big = max(map(int.bit_length, itertools.chain(*u)))
         else:
@@ -205,11 +212,12 @@ def verify_equilibrium(matrix: PayoffMatrix, profile: MixedProfile, tolerance: F
     probabilities are integers over the lcm d of all their denominators, and each player's payoffs over the lcm l_i or
     l_j of theirs, 1 for a table of ints. I's gain is then an integer over l_i * d * d, within the tolerance num / den
     iff it times den is at most num * l_i * d * d; J's likewise with l_j. Faults are named in read order: first
-    ``_integer_tables`` reads the probabilities, then I's and J's payoffs, with ValueError for a string, a bool, an
-    infinity, a NaN or a text past ``core.decimal_ratio``'s digit limit, DimensionCapExceeded for a weight or d past
-    Hadamard's bound on any d of ``solve_mixed``, 2k(2 MAX_BITS + 1 + ceil(lg k)) at k = min(m, n), or a payoff or lcm
-    past MAX_BITS bits; then ValueError when probs_i, then probs_j, is not a probability distribution; then the
-    tolerance is read as a payoff is, except that +inf passes every profile, and -inf and NaN none.
+    ``_integer_tables`` counts the entries against the work limit, then reads the probabilities, then I's and J's
+    payoffs, with ValueError for a string, a bool, an infinity, a NaN or a text past ``core.decimal_ratio``'s digit
+    limit, DimensionCapExceeded for a weight or d past Hadamard's bound on any d of ``solve_mixed``, 2k(2 MAX_BITS + 1
+    + ceil(lg k)) at k = min(m, n), or a payoff or lcm past MAX_BITS bits; then ValueError when probs_i, then probs_j,
+    is not a probability distribution; then the tolerance is read as a payoff is, except that +inf passes every
+    profile, and -inf and NaN none.
     """
     m, n = len(matrix.actions_i), len(matrix.actions_j)
     if len(profile.probs_i) != m or len(profile.probs_j) != n:
@@ -267,8 +275,9 @@ def brute_force_oracle(
     of both simplex grids is swept, which is combinatorial; pass ``around``
     to restrict both grids to the points within ``radius`` steps of a
     candidate profile (the sweep restricted to that window). A resolution or radius that is a bool or no int, a
-    resolution below 1 or a negative radius raises ValueError; DimensionCapExceeded when the payoffs' read
-    (``_integer_tables``: a payoff or an lcm past MAX_BITS bits), then the grids, would pass their bounds.
+    resolution below 1 or a negative radius raises ValueError; DimensionCapExceeded when the grids, counted from the
+    shape alone before any payoff is read, then the payoffs' read (``_integer_tables``: a payoff or an lcm past
+    MAX_BITS bits), would pass their bounds.
     """
     m, n = len(matrix.actions_i), len(matrix.actions_j)
     if not (is_int(grid_resolution) and is_int(radius)):
@@ -290,8 +299,8 @@ def brute_force_oracle(
     box_p, box_q = w ** (m - 1), w ** (n - 1)
     pairs = (box_p * box_q if around is not None
              else math.comb(r_scale + m - 1, m - 1) * math.comb(r_scale + n - 1, n - 1))
-    (u_i, l_i), (u_j, l_j), _ = _integer_tables("brute_force_oracle's read", matrix.u_i, matrix.u_j)
     check_work(box_p + box_q + pairs, f"a {m}x{n} grid sweep at resolution {r_scale}")
+    (u_i, l_i), (u_j, l_j), _ = _integer_tables("brute_force_oracle's read", matrix.u_i, matrix.u_j)
     grid_p = _window_grid(r_scale, centre_i, radius)
     # A pair (p, q) passes when both expected payoffs exceed the cut-off
     # r_scale * best - r_scale * l of the best reply to the other side's point,

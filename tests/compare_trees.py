@@ -348,7 +348,8 @@ def reader_corpus():
     at and one bit past solver.MAX_BITS; for verify_equilibrium's weights at and past their bound;
     for the float extremes 1.797e308 and 5e-324 in one game; for both checkers on 1 x n games over n
     distinct 1,001-bit denominators; for the oracle's sweep over payoffs of up to 100,001 bits and
-    over a Decimal no reader builds; and for priors given as Decimals."""
+    over a Decimal no reader builds; for games past the work limit by shape that hold a NaN payoff;
+    and for priors given as Decimals."""
     from decimal import Decimal
     from fractions import Fraction
 
@@ -395,12 +396,49 @@ def reader_corpus():
     game = core.PayoffMatrix.from_cells((1, 2), (1, 2), [[(Decimal("1e-99999999"), 1), (0, 0)], [(0, 0), (1, 1)]])
     forms.append(("brute_force_oracle sweep at 10**30 with a Decimal past the digit limit",
                   lambda g=game: solver.brute_force_oracle(g, 10**30)))
+    def nan_game(n):  # past the work limit by its shape alone, with a NaN payoff
+        row = [0.5] * n
+        return core.PayoffMatrix(tuple(range(n)), tuple(range(n)), [[math.nan] + row[1:]] + [row] * (n - 1), [row] * n)
+
+    first = (1,) + (0,) * 1448
+    forms += [("solve_mixed 600x600 with a nan payoff", lambda: solver.solve_mixed(nan_game(600))),
+              ("brute_force_oracle sweep at 50 over 600x600 with a nan payoff",
+               lambda: solver.brute_force_oracle(nan_game(600), 50)),
+              ("verify_equilibrium 1449x1449 with a nan payoff",  # the read's entries alone pass the limit
+               lambda: solver.verify_equilibrium(nan_game(1449), solver.MixedProfile(first, first)))]
     prior, other = (Decimal("0.35"), Decimal("0.65")), (0.5, 0.5)
     grid = (((1.0, 1.0), (0.0, 0.0)), ((0.0, 0.0), (1.0, 1.0)))
     tables = {pair: grid for pair in (("a", "a"), ("a", "b"), ("b", "a"), ("b", "b"))}
     forms += [("ConditionalGame Decimal prior", lambda: bayes.load_bundled_game()._replace(prior=prior)),
               ("weight_by_priors Decimal prior_i", lambda: market.weight_by_priors("ab", "xy", tables, prior, other)),
               ("weight_by_priors Decimal prior_j", lambda: market.weight_by_priors("ab", "xy", tables, other, prior))]
+    return forms
+
+
+def record_corpus():
+    """(name, thunk) for each checked record: a round trip through pickle at every protocol, ``_make`` of a
+    short iterable where the trailing fields have defaults, and a ``_replace`` that its checks refuse."""
+    import pickle
+
+    from liqgame import bayes, core, lp, sim
+
+    records = {  # a valid record and the fields that spoil it
+        "GameInstance": (core.build_instance(-5, 3, 10), dict(issue_cap=4)),
+        "PayoffMatrix": (core.build_payoff_matrix(core.build_instance(2, -3)), dict(u_j=((1,),))),
+        "StrategySpec": (sim.HIGH_STRATEGY, dict(fraction=1.5)),
+        "SimConfig": (sim.SimConfig(10, strategy_i=sim.LOW_STRATEGY, seed=3, mode="repeated"),
+                      dict(balance_range_i=[5, 1])),
+        "ConditionalGame": (bayes.load_bundled_game(), dict(prior=(0.5, 0.6))),
+        "TransferProblem": (lp.TransferProblem(3, 4), dict(capacity_sender=-1)),
+    }
+    forms = []
+    for name, (record, bad) in records.items():
+        forms += [(f"{name} pickle round trips", lambda r=record: [
+                      (again := pickle.loads(pickle.dumps(r, protocol)), again == r, type(again) is type(r))
+                      for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]),
+                  (f"{name} _replace refused", lambda r=record, b=bad: r._replace(**b))]
+    forms += [("StrategySpec _make of a short iterable", lambda: sim.StrategySpec._make(["full_balance"])),
+              ("SimConfig _make of a short iterable", lambda: sim.SimConfig._make([7, (2, 9), (-4, -1)]))]
     return forms
 
 
@@ -434,7 +472,7 @@ def library_corpus(oracle_requests):
                 return profiles, [(solver.verify_equilibrium(matrix, p, Fraction(0)),
                                    solver.brute_force_oracle(matrix, 200, around=p, radius=1)) for p in profiles]
             forms.append((f"oracle_exact games {argv}", checked))
-    forms += checker_corpus() + reader_corpus()
+    forms += checker_corpus() + reader_corpus() + record_corpus()
     rng = random.Random(2)
     kinds = [sim.StrategySpec("uniform_random"), sim.StrategySpec("full_balance"), sim.HIGH_STRATEGY,
              sim.LOW_STRATEGY, sim.StrategySpec("fixed_fraction", 0.7), sim.StrategySpec("fixed_fraction", 0.35)]

@@ -6,8 +6,11 @@ distribution; ``analytic_hit_ratio`` must return exactly its value.
 denominator, an exact oracle fast enough for ranges thousands wide.
 ``repeated_play_distribution`` is a Markov chain over (balance_i,
 |balance_j|) states that gives repeated mode's rounds-to-clear distribution,
-which has no closed form. Deterministic parcels come from ``reference_parcel``,
-the rule written out apart from the engine's integer form of it.
+which has no closed form. ``random_pair_chain`` is the same law for two
+uniform_random players, split into one chain per conserved difference of the
+balances, which runs at ranges a thousand wide. Deterministic parcels come from
+``reference_parcel``, the rule written out apart from the engine's integer form
+of it.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ import itertools
 import math
 import operator
 from fractions import Fraction
+
+import numpy as np
 
 from liqgame.sim import StrategySpec
 
@@ -125,3 +130,44 @@ def repeated_play_distribution(
                         following[state] = following.get(state, Fraction(0)) + mass * p * q
         states = following
     return clears, sum(states.values(), Fraction(0))
+
+
+def random_pair_chain(
+    range_i: tuple[int, int], range_j: tuple[int, int], max_rounds: int, one=1.0
+) -> tuple[list, object, object, object]:
+    """Repeated play of uniform_random against uniform_random from uniform
+    balances: P(a side clears in round k) for k = 1..max_rounds, the mass
+    still uncleared after max_rounds, E[trades] and E[volume] per trial, in
+    the arithmetic of ``one`` (1.0, or Fraction(1) for exact values).
+
+    A trade takes the same quantity off both balances, so d = b_i - |b_j| is
+    conserved, and a trial is a chain over x = min(b_i, |b_j|) for its d,
+    with b_i = x + max(d, 0) and |b_j| = x + max(-d, 0). From x, a move of
+    v <= x has probability (|b_j| - v + 1)/(b_i |b_j|); it lands at y = x - v
+    with weight |b_j|(y) + 1 over b_i |b_j| at x, so a round's arrivals at y
+    are one sum over x > y. Every d runs at once, as one array of x
+    (descending, rows) by d (columns), padded with states no trial reaches;
+    the chain carries g = mass / (b_i |b_j|). Volume is x at the start less
+    x at the end, 0 once a trial clears."""
+    (lo_i, hi_i), (lo_j, hi_j) = range_i, (-range_j[1], -range_j[0])
+    d = np.arange(lo_i - hi_j, hi_i - lo_j + 1)
+    x = np.arange(min(hi_i, hi_j), 0, -1)[:, None]
+    b_i, b_j = x + np.maximum(d, 0), x + np.maximum(-d, 0)
+    pair = b_i * b_j
+    inside = (lo_i <= b_i) & (b_i <= hi_i) & (lo_j <= b_j) & (b_j <= hi_j)
+    mass = np.where(inside, one / ((hi_i - lo_i + 1) * (hi_j - lo_j + 1)), 0 * one)
+    trade = x * (2 * b_j - x + 1) // 2  # b_i |b_j| P(trade): the sum over v of |b_j| - v + 1
+    g, stay, lands = mass / pair, 1 - trade * one / pair, (b_j + 1) * one / pair
+    seen, above, clears = 0 * g, 0 * g, []
+    for _ in range(max_rounds):
+        seen += g
+        total = 0 * g[0]
+        for row, out in zip(g, above):  # out: the sum of g over the rows of larger x
+            out[...] = total
+            total += row
+        clears.append(total @ (np.maximum(-d, 0) + 1))  # the arrivals at x = 0
+        g *= stay
+        above *= lands
+        g += above
+    left = g * pair
+    return clears, left.sum(), (seen * trade).sum(), (mass * x).sum() - (left * x).sum()

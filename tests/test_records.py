@@ -2,6 +2,7 @@
 compared and validated. Records are immutable named tuples."""
 
 import copy
+import pickle
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -185,6 +186,38 @@ def test_defaults():
     )
 
 
+def pickled(record):
+    return pickle.loads(pickle.dumps(record))
+
+
+ROUND_TRIPS = [pickled, copy.copy, copy.deepcopy]
+TRIP_IDS = ["pickle", "copy", "deepcopy"]
+
+
+@pytest.mark.parametrize("trip", ROUND_TRIPS, ids=TRIP_IDS)
+@pytest.mark.parametrize("cls,fields,text,hashable", RECORDS, ids=IDS)
+def test_pickle_and_copy_give_an_equal_record_of_the_class(cls, fields, text, hashable, trip):
+    record = cls(**fields)
+    again = trip(record)
+    assert type(again) is cls
+    assert again == record
+
+
+@pytest.mark.parametrize(
+    "cls,short,full",
+    [
+        (sim.StrategySpec, ["uniform_random"], sim.StrategySpec("uniform_random", None)),
+        (sim.SimConfig, [5], sim.SimConfig(5)),
+        (sim.SimConfig, (5, [2, 9]), sim.SimConfig(5, (2, 9), (-1000, -1))),
+    ],
+    ids=["StrategySpec", "SimConfig", "SimConfig-list-range"],
+)
+def test_make_of_a_short_iterable_fills_the_trailing_defaults(cls, short, full):
+    record = cls._make(short)
+    assert type(record) is cls
+    assert record == full  # a list range is no tuple, so it would compare unequal
+
+
 def test_sim_config_turns_list_ranges_into_tuples():
     config = sim.SimConfig(trials=1, balance_range_i=[1, 5], balance_range_j=[-3, -2])
     assert config.balance_range_i == (1, 5)
@@ -287,6 +320,15 @@ def assert_refused(build, record, fields, message):
         build(record, fields)
     assert type(caught.value) is ValueError
     assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("trip", ROUND_TRIPS, ids=TRIP_IDS)
+@pytest.mark.parametrize("record", [INSTANCE, MATRIX, RANDOM, CONFIG, GAME, TRANSFER], ids=lambda r: type(r).__name__)
+def test_pickle_and_copy_build_through_the_checks(record, trip, monkeypatch):
+    seen = []
+    monkeypatch.setattr(type(record), "_check", lambda self: seen.append(self) or self)
+    assert trip(record) == record
+    assert seen == [record]
 
 
 @pytest.mark.parametrize("record,fields,message", INVALID, ids=INVALID_IDS)

@@ -4,7 +4,9 @@ import json
 import math
 import random
 import re
+import statistics
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -27,6 +29,7 @@ from liqgame.sim import (
 
 from reference_sim import (
     convolution_hit_probability,
+    random_pair_chain,
     reference_hit_probability,
     reference_parcel,
     repeated_play_distribution,
@@ -670,6 +673,66 @@ class TestRepeatedOracle:
         for count, p in zip(observed + [report.uncleared_trials], expected + [uncleared]):
             sigma = math.sqrt(trials * p * (1 - p))
             assert abs(count - trials * p) <= 5 * sigma, (observed, report.uncleared_trials)
+
+
+def walked_trades_and_volume(range_i, range_j, max_rounds):
+    """E[trades] and E[volume] of uniform_random against uniform_random, walking every balance
+    pair, offer and capacity of every round in Fractions."""
+    width = (range_i[1] - range_i[0] + 1) * (range_j[1] - range_j[0] + 1)
+    states = Counter({(b_i, -b_j): Fraction(1, width) for b_i in range(range_i[0], range_i[1] + 1)
+                      for b_j in range(range_j[0], range_j[1] + 1)})
+    trades = volume = Fraction(0)
+    for _ in range(max_rounds):
+        following = Counter()
+        for (b_i, b_j), mass in states.items():
+            p = mass / (b_i * b_j)
+            for offer, capacity in itertools.product(range(1, b_i + 1), range(1, b_j + 1)):
+                moved = offer if offer <= capacity else 0
+                trades, volume = trades + p * (moved > 0), volume + p * moved
+                if moved < min(b_i, b_j):  # neither side cleared
+                    following[b_i - moved, b_j - moved] += p
+        states = following
+    return trades, volume
+
+
+class TestRandomPairChain:
+    """``reference_sim.random_pair_chain``, the repeated law of two uniform_random players, against
+    the state walks on small ranges, then the engine against it on the benchmark's repeated request."""
+
+    @pytest.mark.parametrize(
+        "range_i, range_j, max_rounds",
+        [((1, 6), (-6, -1), 10), ((2, 5), (-4, -1), 7), ((3, 3), (-6, -2), 5), ((4, 6), (-2, -1), 6),
+         ((1, 1), (-1, -1), 3), ((1, 6), (-3, -3), 1)],
+    )
+    def test_equals_the_state_walks_exactly(self, range_i, range_j, max_rounds):
+        clears, uncleared, trades, volume = random_pair_chain(range_i, range_j, max_rounds, Fraction(1))
+        walked, left = repeated_play_distribution(range_i, range_j, RANDOM, RANDOM, max_rounds)
+        assert clears == [walked.get(k, 0) for k in range(1, max_rounds + 1)]
+        assert all(type(p) is Fraction for p in (*clears, uncleared, trades, volume))
+        assert uncleared == left
+        assert (trades, volume) == walked_trades_and_volume(range_i, range_j, max_rounds)
+
+    @pytest.mark.parametrize("trials, max_rounds, seed", [(4000, 100, 11), (10_000, 3, 12)])
+    def test_engine_within_five_sigma(self, trials, max_rounds, seed):
+        # simulate_mc's repeated request, 1..1000 on each side for 100 rounds, and a 3-round budget, which
+        # a round more or less moves by many sigma; sigma of trades and volume from the trials' own spread
+        clears, uncleared, trades, volume = random_pair_chain((1, 1000), (-1000, -1), max_rounds)
+        if max_rounds == 100:  # the figures an earlier per-d loop found, to the digits it gave
+            assert abs(trades - 6.6429) < 5e-5 and abs(volume - 327.79) < 5e-3 and abs(uncleared - 0.43301) < 5e-6
+        config = SimConfig(trials, seed=seed, mode="repeated", max_rounds=max_rounds)
+        report, records = run_simulation(config), list(iter_trials(config))
+        spread = [statistics.pstdev(r.trades for r in records), statistics.pstdev(r.volume for r in records)]
+        for got, law, sd in zip((report.trades_executed / trials, report.mean_volume_per_trial), (trades, volume),
+                                spread):
+            assert abs(got - law) <= 5 * sd / math.sqrt(trials), (got, law)
+        sigma = math.sqrt(uncleared * (1 - uncleared) / trials)
+        assert abs(report.uncleared_trials / trials - uncleared) <= 5 * sigma
+        # the clearing round of the trials that clear, its law's mean and spread
+        cleared = trials - report.uncleared_trials
+        mean = sum(k * p for k, p in enumerate(clears, 1)) / (1 - uncleared)
+        sd = math.sqrt(sum(k * k * p for k, p in enumerate(clears, 1)) / (1 - uncleared) - mean**2)
+        got = sum(k * n for k, n in report.rounds_to_clear_histogram.items()) / cleared
+        assert abs(got - mean) <= 5 * sd / math.sqrt(cleared), (got, mean)
 
 
 class TestConvergence:

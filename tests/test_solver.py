@@ -968,6 +968,25 @@ class TestExactReaders:
         else:
             check()
 
+    def test_shapes_past_the_work_limit_refused_before_any_read(self, monkeypatch):
+        # a 600x600 game of floats passes both solvers' work limits by its shape alone, so neither reads a
+        # payoff: each refuses within 50 ms (best of three) with the reader made to fail; and a table of
+        # 2048 x 2049 = 4,196,352 entries passes the read's own limit by its count alone
+        row = (0.5,) * 600
+        matrix = PayoffMatrix(tuple(range(600)), tuple(range(600)), (row,) * 600, (row,) * 600)
+        monkeypatch.setattr(solver, "_ratio", lambda x: pytest.fail(f"{x!r} was read"))
+        for call, what in ((lambda: solve_mixed(matrix), "solve_mixed of a 600x600 game"),
+                           (lambda: brute_force_oracle(matrix, 50), "a 600x600 grid sweep at resolution 50")):
+            seconds = []
+            for _ in range(3):
+                start = time.perf_counter()
+                with pytest.raises(DimensionCapExceeded, match=f"^{what} exceeds the work limit of 4194304$"):
+                    call()
+                seconds.append(time.perf_counter() - start)
+            assert min(seconds) < 0.05
+        with pytest.raises(DimensionCapExceeded, match="^x exceeds the work limit of 4194304$"):
+            solver._integer_tables("x", [[0.5] * 2049] * 2048)
+
     def test_refusal_is_monotone_in_the_denominators(self):
         # the lcm of a table's denominators only grows with them, so once the odd 19-bit denominators
         # 2^18 + 2c + 1 pass the bound, every longer row is refused too, 1x13,294 and 1x13,686 alike
