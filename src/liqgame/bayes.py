@@ -13,17 +13,7 @@ from pathlib import Path
 from typing import Mapping, NamedTuple, Optional
 
 from .core import LiquidityGameError, check_document, checked, decimal_ratio
-from .documents import (
-    Bimatrix,
-    check_labels,
-    check_prior,
-    check_tables,
-    finite_number,
-    fixture_path,
-    parse_labels,
-    parse_prior,
-    parse_tables,
-)
+from .documents import Bimatrix, check_labels, check_prior, check_tables, fixture_path
 
 
 class UnknownLabel(LiquidityGameError):
@@ -51,10 +41,9 @@ class ConditionalGame(NamedTuple):
     prior: tuple[float, ...]
 
     def _check(self) -> "ConditionalGame":
-        check_labels(self.types, self.strategies_i, self.strategies_j)
+        for labels, field in zip(self[:3], self._fields):
+            check_labels(labels, field)
         check_tables(self.matrices, self.types, self.strategies_i, self.strategies_j, "type")
-        for payoff in (x for grid in self.matrices.values() for row in grid for cell in row for x in cell):
-            finite_number(payoff, "payoff")
         check_prior(self.prior, self.types)
         return self
 
@@ -66,10 +55,10 @@ class ConditionalGame(NamedTuple):
         shared = isinstance(raw, dict) and "strategies" in raw
         keys = ("strategies",) * 2 if shared else ("strategies_i", "strategies_j")
         check_document(raw, "game document", ("types", "matrices", "prior", *keys), ("type_names",))
-        types = parse_labels(raw["types"], "types")
-        strategies_i, strategies_j = (parse_labels(raw[key], key) for key in keys)
-        matrices, prior = parse_tables(raw["matrices"]), parse_prior(raw["prior"])
-        return cls(types, strategies_i, strategies_j, matrices, prior)
+        types = check_labels(raw["types"], "types")
+        strategies_i, strategies_j = (check_labels(raw[key], key) for key in keys)
+        matrices = check_tables(raw["matrices"], types, strategies_i, strategies_j, "type")
+        return cls(types, strategies_i, strategies_j, matrices, check_prior(raw["prior"], types))
 
 
 def load_game_document(path: Path) -> ConditionalGame:

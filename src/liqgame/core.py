@@ -37,11 +37,13 @@ class DimensionCapExceeded(LiquidityGameError):
 def checked(cls):
     """Make a NamedTuple check its fields: its ``_check`` raises on a bad field and returns the record to
     keep, for every record built, by a class call, ``_make`` (which fills trailing defaults as a call does),
-    ``_replace`` (which builds through ``_make``), a copy or an unpickling at protocol 2 or above. A
-    NamedTuple body may define neither ``__new__`` nor ``_make``, so they are set here."""
+    ``_replace`` (which builds through ``_make``), a copy or an unpickling at any protocol (``__reduce__``
+    rebuilds by a class call). A NamedTuple body may define neither ``__new__`` nor ``_make``, so they are set
+    here. A hand-built pickle around ``copyreg._reconstructor`` still bypasses ``_check``: pickle runs any callable."""
     new = cls.__new__
     cls.__new__ = lambda record_cls, *args, **kwargs: new(record_cls, *args, **kwargs)._check()
     cls._make = classmethod(lambda record_cls, iterable: record_cls(*iterable))
+    cls.__reduce__ = lambda record: (type(record), tuple(record))
     return cls
 
 

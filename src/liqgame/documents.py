@@ -50,77 +50,64 @@ def finite_number(value, what: str) -> float:
     return number
 
 
-def parse_prior(values) -> tuple[float, ...]:
-    """Read a JSON list of type weights; ValueError unless every weight is
-    a finite number."""
-    if not isinstance(values, list):
-        raise ValueError(f"prior must be a list of numbers, got {values!r}")
-    return tuple(finite_number(p, "prior") for p in values)
-
-
 EQUALITY_TOLERANCE = 1e-12
 
 
-def check_prior(prior: Sequence[float], types: Sequence[str]) -> None:
-    """The common prior's rule: one weight per type, each a ``finite_number``, non-negative,
-    summing to 1 within ``EQUALITY_TOLERANCE``; ValueError otherwise."""
-    if len(prior) != len(types):
+def check_labels(values, what: str) -> tuple:
+    """The label rule: a list or a tuple of distinct strings, as a tuple; ValueError naming
+    ``what`` for any other value, then for a label that is not a string or that repeats."""
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{what} must be a list of labels, got {values!r}")
+    if not all(isinstance(label, str) for label in values):
+        raise ValueError(f"labels must be strings, got {list(values)}")
+    if len(set(values)) != len(values):
+        raise ValueError(f"labels must be distinct, got {list(values)}")
+    return tuple(values)
+
+
+def check_prior(values, types: Sequence[str]) -> tuple[float, ...]:
+    """The prior rule: a list or a tuple of one weight per type, each a ``finite_number``,
+    non-negative, summing to 1 within ``EQUALITY_TOLERANCE``, as floats; ValueError otherwise."""
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"prior must be a list of numbers, got {values!r}")
+    if len(values) != len(types):
         raise ValueError("prior length must match number of types")
-    prior = [finite_number(p, "prior") for p in prior]
+    prior = tuple(finite_number(p, "prior") for p in values)
     if any(p < 0 for p in prior):
         raise ValueError("prior entries must be non-negative")
     if abs(sum(prior) - 1.0) > EQUALITY_TOLERANCE:
         raise ValueError(f"prior must sum to 1, got {sum(prior)}")
+    return prior
 
 
-def parse_labels(values, what: str) -> tuple:
-    """Read a JSON list of labels; ValueError for any other JSON value."""
-    if not isinstance(values, list):
-        raise ValueError(f"{what} must be a list of labels, got {values!r}")
-    return tuple(values)
-
-
-def check_labels(*label_sets: Sequence[str]) -> None:
-    """ValueError when a label is not a string, or repeats within its set."""
-    for labels in label_sets:
-        if not all(isinstance(label, str) for label in labels):
-            raise ValueError(f"labels must be strings, got {list(labels)}")
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"labels must be distinct, got {list(labels)}")
-
-
-def check_tables(
-    tables: Mapping, keys: Sequence, rows: Sequence, cols: Sequence, what: str
-) -> None:
-    """The table-set rule: ValueError, naming ``what`` and the key's repr,
-    for a key of ``keys`` with no table in ``tables``, then for a table of
-    the wrong shape (``core.check_table``), key by key, and last for a table
-    under a key outside ``keys``: no rule would check that table, and no
-    result would use it."""
+def check_tables(tables, keys: Sequence, rows: Sequence, cols: Sequence, what: str) -> dict[object, Bimatrix]:
+    """The table-set rule: a mapping holding a ``parse_bimatrix`` grid under each of ``keys``, as
+    float pairs, in the mapping's order. ValueError for any other value, then, naming ``what`` and
+    the key's repr, key by key, for a key with no table, a grid ``parse_bimatrix`` refuses or one
+    of the wrong shape (``core.check_table``), and last for a table under a key outside ``keys``:
+    no rule would check that table, and no result would use it."""
+    if not isinstance(tables, Mapping):
+        raise ValueError(f"matrices must be a JSON object, got {type(tables).__name__}")
+    grids = {}
     for key in keys:
         if key not in tables:
             raise ValueError(f"missing matrix for {what} {key!r}")
-        check_table(tables[key], rows, cols, f"{what} {key!r}")
+        grids[key] = parse_bimatrix(tables[key])
+        check_table(grids[key], rows, cols, f"{what} {key!r}")
     for key in tables:
         if key not in keys:
             raise ValueError(f"matrix for unlisted {what} {key!r}")
+    return {key: grids[key] for key in tables}
 
 
 def parse_bimatrix(grid) -> Bimatrix:
     """Read a JSON bimatrix, a list of rows of ``[u, v]`` cells, as rows of
     float pairs; ValueError unless every payoff is a finite number."""
-    if not (isinstance(grid, list) and all(isinstance(row, list) for row in grid)):
+    if not (isinstance(grid, (list, tuple)) and all(isinstance(row, (list, tuple)) for row in grid)):
         raise ValueError("payoff matrix must be a list of rows")
-    if not all(isinstance(cell, list) and len(cell) == 2 for row in grid for cell in row):
+    if not all(isinstance(cell, (list, tuple)) and len(cell) == 2 for row in grid for cell in row):
         raise ValueError("every payoff cell must be a [u, v] pair")
     return tuple(
         tuple((finite_number(u, "payoff"), finite_number(v, "payoff")) for u, v in row)
         for row in grid
     )
-
-
-def parse_tables(tables) -> dict[str, Bimatrix]:
-    """Read a ``matrices`` object of ``parse_bimatrix`` grids; ValueError for any other value."""
-    if not isinstance(tables, dict):
-        raise ValueError(f"matrices must be a JSON object, got {type(tables).__name__}")
-    return {key: parse_bimatrix(grid) for key, grid in tables.items()}

@@ -18,8 +18,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional, Sequence
 
 from .core import LiquidityGameError, PayoffMatrix, check_document, decimal_ratio
-from .documents import check_labels, check_prior, check_tables, finite_number, fixture_path
-from .documents import parse_bimatrix, parse_labels, parse_prior, parse_tables
+from .documents import check_labels, check_prior, check_tables, finite_number, fixture_path, parse_bimatrix
 
 if TYPE_CHECKING:
     from .bayes import ConditionalGame
@@ -88,9 +87,8 @@ def load_published_matrix(source: str) -> PayoffMatrix:
     raw = json.loads(fixture_path(f"market_{source}.json").read_text())
     fields = ("rows", "cols", "matrix")
     check_document(raw, "published table", fields)
-    labels = [parse_labels(raw[key], key) for key in fields[:2]]
-    check_labels(*labels)  # a repeated label would name two cells alike
-    rows, cols = (tuple(map(parse_label, side)) for side in labels)
+    # a repeated label would name two cells alike
+    rows, cols = (tuple(map(parse_label, check_labels(raw[key], key))) for key in fields[:2])
     return PayoffMatrix.from_cells(rows, cols, parse_bimatrix(raw["matrix"]))
 
 
@@ -107,13 +105,15 @@ def weight_by_priors(
     ``matrices`` must supply a bimatrix for every (row-type, col-type)
     pair, indexed [row strategy][col strategy], and no other, under
     ``documents.check_tables``. Each side's weights are a prior under
-    ``documents.check_prior``, and labels must be distinct.
+    ``documents.check_prior``, and each label set is a list or a tuple of
+    distinct strings (``documents.check_labels``). The caller's own values
+    are weighted, so int payoffs and weights give int volumes.
     """
-    check_labels(types, strategies)
+    check_labels(types, "types")
+    check_labels(strategies, "strategies")
+    check_tables(matrices, _pairs(types), strategies, strategies, "type pair")
     check_prior(prior_i, types)
     check_prior(prior_j, types)
-    pairs = [(t_i, t_j) for t_i in types for t_j in types]
-    check_tables(matrices, pairs, strategies, strategies, "type pair")
     labels = tuple((t, s) for t in types for s in strategies)
     grid = []
     for t_i, w_i in zip(types, prior_i):
@@ -125,15 +125,23 @@ def weight_by_priors(
     return PayoffMatrix.from_cells(labels, labels, grid)
 
 
+def _pairs(types: Sequence[str]) -> list[tuple[str, str]]:
+    """Every (row type, column type), row by row."""
+    return [(t_i, t_j) for t_i in types for t_j in types]
+
+
 def load_base_document(path: Path) -> tuple:
     """Read a constructive base file: ``types``, ``strategies``, ``matrices`` keyed
     ``"row_type,col_type"``, ``prior_i`` and ``prior_j``, as ``weight_by_priors`` takes them."""
     raw = json.loads(path.read_text())
     fields = ("types", "strategies", "matrices", "prior_i", "prior_j")
     check_document(raw, "constructive base document", fields)
-    types, strategies = (parse_labels(raw[key], key) for key in fields[:2])
-    matrices = {k.partition(",")[::2]: grid for k, grid in parse_tables(raw["matrices"]).items()}
-    return types, strategies, matrices, parse_prior(raw["prior_i"]), parse_prior(raw["prior_j"])
+    types, strategies = (check_labels(raw[key], key) for key in fields[:2])
+    tables = raw["matrices"]
+    if isinstance(tables, dict):
+        tables = {key.partition(",")[::2]: grid for key, grid in tables.items()}
+    matrices = check_tables(tables, _pairs(types), strategies, strategies, "type pair")
+    return types, strategies, matrices, *(check_prior(raw[key], types) for key in fields[3:])
 
 
 def pairwise_base_from_conditional(

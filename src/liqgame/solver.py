@@ -127,10 +127,11 @@ def solve_mixed(matrix: PayoffMatrix) -> list[MixedProfile]:
     # I's stack (C(n, d) per distinct d + 1 prefix of I's supports of size s, C(m - s + d + 1, d + 1) of them,
     # summed over s) and the m*n*(m + n) outside rows the pure pairs' checks read at most; 8 per plan entry
     # (800 bytes at peak), all times 1 + d(d + 2048)/2^17 at d bits past 16 in the largest scaled entry.
+    what, pairs = f"solve_mixed of a {m}x{n} game", math.comb(m + n, m)
+    check_work((pairs - 1) // 2, what)  # the support pairs alone, a lower bound of work, before the sums below
     minors = sum(math.comb(n, d) * (math.comb(m + 1, d + 2) - math.comb(m - k + d + 1, d + 2)) for d in range(1, k))
     plans = sum(math.comb(m, t) + math.comb(n, t) for t in range(1, k + 1))
-    work = (math.comb(m + n, m) - 1 + minors + m * n * (m + n)) // 2 + 8 * plans
-    what = f"solve_mixed of a {m}x{n} game"
+    work = (pairs - 1 + minors + m * n * (m + n)) // 2 + 8 * plans
     check_work(work, what)  # the shape alone, before any payoff is read
     (u_i, _), (u_j, _), bits = _integer_tables(what, matrix.u_i, matrix.u_j)
     check_work(work + (work * (d := max(bits - 16, 0)) * (d + 2048) >> 17), what)

@@ -130,6 +130,13 @@ def cli_corpus() -> list[tuple[str, list[str], dict]]:
                ("--response", "a=high,b=low"), ("--response", "a=low,b=high"))]
     forms += [(["bayes", "--game", "three.json"], {"three.json": THREE_STRATEGIES}),
               (["bayes", "--game", "overflow.json"], {"overflow.json": OVERFLOW})]
+    # documents with two faults, a table under an unlisted key holding 1e999 and a prior of the wrong sum
+    game = json.loads(THREE_STRATEGIES)
+    game["prior"] = [0.5, 0.6]
+    game = json.dumps(game).replace('"matrices": {', '"matrices": {"c": [[[1e999, 0]]], ')
+    base = base_document([1, 1], (0.5, 0.6)).replace('"matrices": {', '"matrices": {"c,c": [[[1e999, 0]]], ')
+    forms += [(["bayes", "--game", "faults.json"], {"faults.json": game}),
+              (["market", "--constructive", "--config", "faults.json"], {"faults.json": base})]
     # malformed requests, as tests/test_cli.py makes them
     for argv in (
         ["solve"], ["solve", "--bi", "2"], ["solve", "--bj", "-2"], ["solve", "--bi", "2", "--bj", "2"],
@@ -409,9 +416,19 @@ def reader_corpus():
     prior, other = (Decimal("0.35"), Decimal("0.65")), (0.5, 0.5)
     grid = (((1.0, 1.0), (0.0, 0.0)), ((0.0, 0.0), (1.0, 1.0)))
     tables = {pair: grid for pair in (("a", "a"), ("a", "b"), ("b", "a"), ("b", "b"))}
+    types, strategies = ("a", "b"), ("x", "y")
     forms += [("ConditionalGame Decimal prior", lambda: bayes.load_bundled_game()._replace(prior=prior)),
-              ("weight_by_priors Decimal prior_i", lambda: market.weight_by_priors("ab", "xy", tables, prior, other)),
-              ("weight_by_priors Decimal prior_j", lambda: market.weight_by_priors("ab", "xy", tables, other, prior))]
+              ("weight_by_priors Decimal prior_i",
+               lambda: market.weight_by_priors(types, strategies, tables, prior, other)),
+              ("weight_by_priors Decimal prior_j",
+               lambda: market.weight_by_priors(types, strategies, tables, other, prior))]
+    # a label set given as a string, and int payoffs and weights, which a record keeps
+    ints = {pair: (((k, 2 * k),),) for k, pair in enumerate(tables, 1)}
+    forms += [("ConditionalGame string strategies_i", lambda: bayes.ConditionalGame(
+                  ("a",), "hl", ("x",), {"a": (((1, 1),), ((0, 0),))}, (1,))),
+              ("weight_by_priors string types", lambda: market.weight_by_priors("ab", strategies, tables, other, other)),
+              ("weight_by_priors int payoffs and priors",
+               lambda: market.weight_by_priors(types, ("x",), ints, (1, 0), (0, 1)))]
     return forms
 
 

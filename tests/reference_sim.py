@@ -8,7 +8,9 @@ denominator, an exact oracle fast enough for ranges thousands wide.
 |balance_j|) states that gives repeated mode's rounds-to-clear distribution,
 which has no closed form. ``random_pair_chain`` is the same law for two
 uniform_random players, split into one chain per conserved difference of the
-balances, which runs at ranges a thousand wide. Deterministic parcels come from
+balances, which runs at ranges a thousand wide; ``fixed_offer_chain`` is the
+law of a full_balance or fixed_fraction I against a uniform_random J, over the
+trades made so far. Deterministic parcels come from
 ``reference_parcel``, the rule written out apart from the engine's integer form
 of it.
 """
@@ -171,3 +173,42 @@ def random_pair_chain(
         g += above
     left = g * pair
     return clears, left.sum(), (seen * trade).sum(), (mass * x).sum() - (left * x).sum()
+
+
+def fixed_offer_chain(
+    range_i: tuple[int, int], range_j: tuple[int, int], strategy_i: StrategySpec, max_rounds: int, one=1.0
+) -> tuple[list, object, object, object]:
+    """Repeated play of a full_balance or fixed_fraction I against uniform_random J from uniform
+    balances: P(a side clears in round k) for k = 1..max_rounds, the mass still uncleared after
+    max_rounds, E[trades] and E[volume] per trial, in the arithmetic of ``one``.
+
+    I's offers do not depend on J, so from a start pair the k-th trade is the k-th step of I's own
+    path b_i = h_0 > h_1 > ... > 0, h_{k+1} = h_k - y_k with y_k = ``reference_parcel`` of h_k, and
+    J's need after k trades is |b_j| - (b_i - h_k). A round at k trades with probability
+    (need - y_k + 1)/need, the chance that J's capacity, uniform on 1..need, holds the offer; an
+    offer larger than the need never trades, so that trial plays every round and stays uncleared.
+    Every start pair runs at once, as one array over (b_i, |b_j|, k)."""
+    (lo_i, hi_i), (lo_j, hi_j) = range_i, (-range_j[1], -range_j[0])
+    paths = []
+    for b in range(lo_i, hi_i + 1):
+        path = [b]
+        while path[-1]:
+            path.append(path[-1] - reference_parcel(strategy_i, path[-1]))
+        paths.append(path)
+    depth = max(map(len, paths))
+    held = np.array([path + [0] * (depth - len(path)) for path in paths])[:, None, :]  # 0 once I has cleared
+    need = np.arange(lo_j, hi_j + 1)[None, :, None] - (held[..., :1] - held)
+    open_ = (held > 0) & (need > 0)  # neither side cleared after k trades
+    offer, ahead = held[..., :-1] - held[..., 1:], ~open_[..., 1:]
+    fits = open_[..., :-1] & (offer <= need[..., :-1])
+    trade = np.where(fits, (need[..., :-1] - offer + 1) * one / np.maximum(need[..., :-1], 1), 0 * one)
+    mass = np.zeros(open_.shape, dtype=type(one))
+    mass[..., 0] = one / ((hi_i - lo_i + 1) * (hi_j - lo_j + 1))
+    clears, trades, volume = [], 0 * one, 0 * one
+    for _ in range(max_rounds):
+        moved = mass[..., :-1] * trade
+        mass[..., :-1] -= moved
+        mass[..., 1:] += moved
+        clears.append((moved * ahead).sum())
+        trades, volume = trades + moved.sum(), volume + (moved * offer).sum()
+    return clears, (mass * open_).sum(), trades, volume

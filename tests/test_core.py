@@ -26,7 +26,7 @@ from liqgame.core import (
     instance_from_json,
     transferred,
 )
-from liqgame.documents import parse_bimatrix, parse_tables
+from liqgame.documents import check_tables, parse_bimatrix
 
 SRC = str(Path(liqgame.__file__).resolve().parents[1])
 
@@ -248,7 +248,7 @@ class TestDocumentRule:
 
     def test_tables_must_be_an_object(self):
         with pytest.raises(ValueError, match="^matrices must be a JSON object, got list$"):
-            parse_tables([[[[1, 1]]]])
+            check_tables([[[[1, 1]]]], ("a",), ("x",), ("y",), "type")
 
     @pytest.mark.parametrize(
         "grid", [[1, 2], [[[1, 1]], 5], [[[1, 1]], "x"], "x", {"r": [[1, 1]]}, None],
@@ -259,7 +259,7 @@ class TestDocumentRule:
             parse_bimatrix(grid)
 
     def test_tables_read_as_bimatrices(self):
-        assert parse_tables({"a": [[[1, 2]]]}) == {"a": (((1.0, 2.0),),)}
+        assert check_tables({"a": [[[1, 2]]]}, ("a",), ("x",), ("y",), "type") == {"a": (((1.0, 2.0),),)}
 
 
 def parse_payoff_csv(text):

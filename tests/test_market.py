@@ -107,6 +107,18 @@ class TestWeighting:
         with pytest.raises(ValueError, match=r"^missing matrix for type pair \('s', 'L'\)$"):
             weight_by_priors(("L", "s"), ("x", "y"), base, GEMM_PRIOR, GEMM_PRIOR)
 
+    @pytest.mark.parametrize(
+        "types,strategies,message",
+        [("Ls", ("x", "y"), "types must be a list of labels, got 'Ls'"),
+         (("L", "s"), "xy", "strategies must be a list of labels, got 'xy'")],
+        ids=["types", "strategies"],
+    )
+    def test_label_set_given_as_a_string_refused(self, types, strategies, message):
+        # as the base document's reader refuses it: "xy" is not read as the labels "x" and "y"
+        with pytest.raises(ValueError) as caught:
+            weight_by_priors(types, strategies, two_type_base(), GEMM_PRIOR, GEMM_PRIOR)
+        assert str(caught.value) == message
+
     @pytest.mark.parametrize("bad", [(math.nan, math.nan), (math.inf, 0.0), (0.5, math.nan)])
     @pytest.mark.parametrize("side", ["i", "j"])
     def test_non_finite_priors_rejected(self, bad, side):

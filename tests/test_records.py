@@ -285,6 +285,9 @@ INVALID = [
     (CONFIG, dict(seed=2**64), "seed must be an unsigned 64-bit integer"),
     (CONFIG, dict(mode="x"), "mode must be one of ('one_shot', 'repeated')"),
     (CONFIG, dict(max_rounds=0), "max_rounds must be >= 1"),
+    (GAME, dict(types="a"), "types must be a list of labels, got 'a'"),
+    (GAME, dict(strategies_i="x"), "strategies_i must be a list of labels, got 'x'"),
+    (GAME, dict(strategies_j="y"), "strategies_j must be a list of labels, got 'y'"),
     (GAME, dict(matrices={}), "missing matrix for type 'a'"),
     (GAME, dict(strategies_j=("y", "z")), "matrix for type 'a' has wrong dimensions"),
     (GAME, dict(prior=(0.5, 0.5)), "prior length must match number of types"),
@@ -322,7 +325,17 @@ def assert_refused(build, record, fields, message):
     assert str(caught.value) == message
 
 
-@pytest.mark.parametrize("trip", ROUND_TRIPS, ids=TRIP_IDS)
+def pickled_at(protocol):
+    return lambda record: pickle.loads(pickle.dumps(record, protocol))
+
+
+PROTOCOLS = range(pickle.HIGHEST_PROTOCOL + 1)
+
+
+# protocols 0 and 1 rebuild a tuple subclass through copyreg._reconstructor unless the class has a __reduce__
+@pytest.mark.parametrize(
+    "trip", [*ROUND_TRIPS, *map(pickled_at, PROTOCOLS)], ids=[*TRIP_IDS, *(f"pickle-{p}" for p in PROTOCOLS)]
+)
 @pytest.mark.parametrize("record", [INSTANCE, MATRIX, RANDOM, CONFIG, GAME, TRANSFER], ids=lambda r: type(r).__name__)
 def test_pickle_and_copy_build_through_the_checks(record, trip, monkeypatch):
     seen = []
@@ -377,6 +390,13 @@ def test_instance_rules_raise_domain_errors(build, fields, error, message):
         build(INSTANCE, fields)
     assert type(caught.value) is error
     assert str(caught.value) == message
+
+
+def test_game_keeps_the_callers_ints():
+    # the checks read the payoffs and the prior as floats, as a document's reader does, and keep none of them
+    record = game(matrices={"a": (((1, 2),),)}, prior=(1,))
+    assert record.matrices == {"a": (((1, 2),),)}
+    assert [type(x) for x in (*record.matrices["a"][0][0], *record.prior)] == [int, int, int]
 
 
 def test_game_checks_its_tables_before_its_prior():

@@ -29,6 +29,7 @@ from liqgame.sim import (
 
 from reference_sim import (
     convolution_hit_probability,
+    fixed_offer_chain,
     random_pair_chain,
     reference_hit_probability,
     reference_parcel,
@@ -675,8 +676,8 @@ class TestRepeatedOracle:
             assert abs(count - trials * p) <= 5 * sigma, (observed, report.uncleared_trials)
 
 
-def walked_trades_and_volume(range_i, range_j, max_rounds):
-    """E[trades] and E[volume] of uniform_random against uniform_random, walking every balance
+def walked_trades_and_volume(range_i, range_j, max_rounds, strategy_i=RANDOM):
+    """E[trades] and E[volume] of ``strategy_i`` against uniform_random, walking every balance
     pair, offer and capacity of every round in Fractions."""
     width = (range_i[1] - range_i[0] + 1) * (range_j[1] - range_j[0] + 1)
     states = Counter({(b_i, -b_j): Fraction(1, width) for b_i in range(range_i[0], range_i[1] + 1)
@@ -685,8 +686,9 @@ def walked_trades_and_volume(range_i, range_j, max_rounds):
     for _ in range(max_rounds):
         following = Counter()
         for (b_i, b_j), mass in states.items():
-            p = mass / (b_i * b_j)
-            for offer, capacity in itertools.product(range(1, b_i + 1), range(1, b_j + 1)):
+            offers = range(1, b_i + 1) if strategy_i == RANDOM else [reference_parcel(strategy_i, b_i)]
+            p = mass / (len(offers) * b_j)
+            for offer, capacity in itertools.product(offers, range(1, b_j + 1)):
                 moved = offer if offer <= capacity else 0
                 trades, volume = trades + p * (moved > 0), volume + p * moved
                 if moved < min(b_i, b_j):  # neither side cleared
@@ -695,15 +697,16 @@ def walked_trades_and_volume(range_i, range_j, max_rounds):
     return trades, volume
 
 
+# ranges up to 6 wide and round budgets on which each repeated law must equal the state walks
+WALKED = [((1, 6), (-6, -1), 10), ((2, 5), (-4, -1), 7), ((3, 3), (-6, -2), 5), ((4, 6), (-2, -1), 6),
+          ((1, 1), (-1, -1), 3), ((1, 6), (-3, -3), 1)]
+
+
 class TestRandomPairChain:
     """``reference_sim.random_pair_chain``, the repeated law of two uniform_random players, against
     the state walks on small ranges, then the engine against it on the benchmark's repeated request."""
 
-    @pytest.mark.parametrize(
-        "range_i, range_j, max_rounds",
-        [((1, 6), (-6, -1), 10), ((2, 5), (-4, -1), 7), ((3, 3), (-6, -2), 5), ((4, 6), (-2, -1), 6),
-         ((1, 1), (-1, -1), 3), ((1, 6), (-3, -3), 1)],
-    )
+    @pytest.mark.parametrize("range_i, range_j, max_rounds", WALKED)
     def test_equals_the_state_walks_exactly(self, range_i, range_j, max_rounds):
         clears, uncleared, trades, volume = random_pair_chain(range_i, range_j, max_rounds, Fraction(1))
         walked, left = repeated_play_distribution(range_i, range_j, RANDOM, RANDOM, max_rounds)
@@ -733,6 +736,51 @@ class TestRandomPairChain:
         sd = math.sqrt(sum(k * k * p for k, p in enumerate(clears, 1)) / (1 - uncleared) - mean**2)
         got = sum(k * n for k, n in report.rounds_to_clear_histogram.items()) / cleared
         assert abs(got - mean) <= 5 * sd / math.sqrt(cleared), (got, mean)
+
+
+class TestFixedOfferChain:
+    """``reference_sim.fixed_offer_chain``, the repeated law of a fixed parcel rule against uniform_random,
+    which covers the rule that settles a trial whose offer exceeds J's need: against the state walks on
+    small ranges and ``analytic_hit_ratio`` in round 1, then the engine against it at 5 sigma."""
+
+    @pytest.mark.parametrize("strategy", [HIGH_STRATEGY, LOW_STRATEGY, FULL, StrategySpec("fixed_fraction", 0.5)],
+                             ids=["high", "low", "full", "half"])
+    @pytest.mark.parametrize("range_i, range_j, max_rounds", WALKED)
+    def test_equals_the_state_walks_exactly(self, range_i, range_j, max_rounds, strategy):
+        clears, uncleared, trades, volume = fixed_offer_chain(range_i, range_j, strategy, max_rounds, Fraction(1))
+        walked, left = repeated_play_distribution(range_i, range_j, strategy, RANDOM, max_rounds)
+        assert clears == [walked.get(k, 0) for k in range(1, max_rounds + 1)]
+        assert all(type(p) is Fraction for p in (*clears, uncleared, trades, volume))
+        assert uncleared == left
+        assert (trades, volume) == walked_trades_and_volume(range_i, range_j, max_rounds, strategy)
+
+    @pytest.mark.parametrize("strategy", [HIGH_STRATEGY, LOW_STRATEGY, FULL], ids=["high", "low", "full"])
+    def test_first_round_is_the_one_shot_hit_ratio(self, strategy):
+        # one round trades at most once, so E[trades] is round 1's trade probability
+        _, _, trades, _ = fixed_offer_chain((1, 40), (-40, -1), strategy, 1, Fraction(1))
+        assert trades == convolution_hit_probability((1, 40), (-40, -1), strategy, RANDOM)
+        assert float(trades) == analytic_hit_ratio((1, 40), (-40, -1), strategy, RANDOM)
+
+    @pytest.mark.parametrize("strategy", [HIGH_STRATEGY, LOW_STRATEGY, FULL], ids=["high", "low", "full"])
+    @pytest.mark.parametrize("top", [100, 10])
+    def test_engine_within_five_sigma(self, strategy, top):
+        # 1..top on each side for 100 rounds; at top = 10 an offer equal to J's whole need is common, and it
+        # may still trade, so a settling rule one short shows; sigma of trades and volume from the trials
+        trials, max_rounds = 10_000, 100
+        clears, uncleared, trades, volume = fixed_offer_chain((1, top), (-top, -1), strategy, max_rounds)
+        config = SimConfig(trials, (1, top), (-top, -1), strategy_i=strategy, seed=top, mode="repeated")
+        report, records = run_simulation(config), list(iter_trials(config))
+        spread = [statistics.pstdev(r.trades for r in records), statistics.pstdev(r.volume for r in records)]
+        for got, law, sd in zip((report.trades_executed / trials, report.mean_volume_per_trial), (trades, volume),
+                                spread):
+            assert abs(got - law) <= 5 * sd / math.sqrt(trials), (got, law)
+        sigma = math.sqrt(uncleared * (1 - uncleared) / trials)
+        assert abs(report.uncleared_trials / trials - uncleared) <= 5 * sigma
+        # a trial's opportunities are its clearing round, or the whole budget
+        law = [*zip(range(1, max_rounds + 1), clears), (max_rounds, uncleared)]
+        mean = sum(k * p for k, p in law)
+        sd = math.sqrt(sum(k * k * p for k, p in law) - mean**2)
+        assert abs(report.opportunities / trials - mean) <= 5 * sd / math.sqrt(trials), (report.opportunities, mean)
 
 
 class TestConvergence:

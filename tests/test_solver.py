@@ -987,6 +987,20 @@ class TestExactReaders:
         with pytest.raises(DimensionCapExceeded, match="^x exceeds the work limit of 4194304$"):
             solver._integer_tables("x", [[0.5] * 2049] * 2048)
 
+    @pytest.mark.parametrize("side", [1200, 2000])
+    def test_shape_refused_by_its_support_pairs_first(self, side):
+        # the support pairs alone, C(2n, n), refuse these shapes before the ~1,200 comb calls of the
+        # minors and plans terms, which took 169 and 557 ms; within 50 ms, best of three
+        row = (0.5,) * side
+        matrix = PayoffMatrix(tuple(range(side)), tuple(range(side)), (row,) * side, (row,) * side)
+        seconds = []
+        for _ in range(3):
+            start = time.perf_counter()
+            with pytest.raises(DimensionCapExceeded, match=f"^solve_mixed of a {side}x{side} game exceeds the work"):
+                solve_mixed(matrix)
+            seconds.append(time.perf_counter() - start)
+        assert min(seconds) < 0.05
+
     def test_refusal_is_monotone_in_the_denominators(self):
         # the lcm of a table's denominators only grows with them, so once the odd 19-bit denominators
         # 2^18 + 2c + 1 pass the bound, every longer row is refused too, 1x13,294 and 1x13,686 alike
