@@ -12,8 +12,8 @@ import json
 from pathlib import Path
 from typing import Mapping, NamedTuple, Optional
 
-from .core import LiquidityGameError, check_document, checked, decimal_ratio
-from .documents import Bimatrix, check_labels, check_prior, check_tables, fixture_path
+from .core import LiquidityGameError, check_document, checked
+from .documents import Bimatrix, check_labels, check_prior, check_tables, fixture_path, integer_tables
 
 
 class UnknownLabel(LiquidityGameError):
@@ -92,9 +92,9 @@ def dominant_strategy_per_type(
     return None
 
 
-def check_responses(game: ConditionalGame, response_j: Mapping[str, str]) -> list[int]:
-    """The response column of each type, in type order; UnknownLabel unless
-    ``response_j`` maps exactly the types to column strategies."""
+def response_payoffs(game: ConditionalGame, response_j: Mapping[str, str]) -> list[list]:
+    """The initiator's payoffs against each type's response, a row per type in type order and a
+    column per row strategy; UnknownLabel unless ``response_j`` maps exactly the types to column strategies."""
     for t in game.types:
         if t not in response_j:
             raise UnknownLabel(f"no response for type {t!r}")
@@ -103,18 +103,16 @@ def check_responses(game: ConditionalGame, response_j: Mapping[str, str]) -> lis
             raise UnknownLabel(f"response for unknown type {t!r}")
         if strategy not in game.strategies_j:
             raise UnknownLabel(f"unknown column strategy {strategy!r}")
-    return [game.strategies_j.index(response_j[t]) for t in game.types]
+    return [[row[game.strategies_j.index(response_j[t])][0] for row in game.matrices[t]] for t in game.types]
 
 
 def expected_payoffs(game: ConditionalGame, response_j: Mapping[str, str]) -> dict:
-    """Each row strategy's prior-weighted payoff against a per-type response map, exactly:
-    each payoff and prior weight is the decimal ``core.decimal_ratio`` reads (0.35 is 7/20)."""
+    """Each row strategy's prior-weighted payoff against a per-type response map, exactly: the prior as one row
+    and ``response_payoffs`` as one table, each ints over one lcm (``documents.integer_tables``)."""
     from fractions import Fraction  # here: market imports this module but loads no fractions
-    columns = check_responses(game, response_j)
-    weights = [Fraction(*decimal_ratio(w)) for w in game.prior]
-    return {s: sum(w * Fraction(*decimal_ratio(game.matrices[t][r][c][0]))
-                   for w, t, c in zip(weights, game.types, columns))
-            for r, s in enumerate(game.strategies_i)}
+    table = response_payoffs(game, response_j)
+    ((w,), l_w), (u, l_u), _ = integer_tables("expected_payoffs's read", (game.prior,), table)
+    return {s: Fraction(sum(x * y for x, y in zip(w, col)), l_w * l_u) for s, col in zip(game.strategies_i, zip(*u))}
 
 
 def best_response_envelope(
@@ -127,14 +125,13 @@ def best_response_envelope(
     side of each, the one beyond a breakpoint at 0 or 1 included. Of lines tied
     on an interval the first in ``strategies_i`` is named; a line best at one
     point only is not. NoDependenceOnPrior when two or more lines all coincide.
-    The payoffs are read exactly, as in ``expected_payoffs``; each breakpoint is
-    rounded once, on return, and crossings that round to one float are one breakpoint.
+    The payoffs are read as in ``expected_payoffs``, over one lcm that each crossing cancels; each crossing
+    is one Fraction, rounded once, on return, and crossings that round to one float are one breakpoint.
     """
     from fractions import Fraction  # as in expected_payoffs
     if len(game.types) != 2:
         raise ValueError("threshold analysis needs exactly two types")
-    a, b = ([Fraction(*decimal_ratio(row[c][0])) for row in game.matrices[t]]
-            for t, c in zip(game.types, check_responses(game, response_j)))
+    ((a, b), _), _ = integer_tables("best_response_envelope's read", response_payoffs(game, response_j))
     if len(a) > 1 and len(set(zip(a, b))) == 1:
         raise NoDependenceOnPrior("every strategy has the same expected payoff for every prior")
     slope = [x - y for x, y in zip(a, b)]
@@ -143,7 +140,7 @@ def best_response_envelope(
     # meet at one point) takes its place.
     line = min(range(len(a)), key=lambda r: (slope[r], -b[r]))
     lines, crossings = [line], [float("-inf")]  # lines[i] is best from crossings[i]
-    while ahead := {s: (b[line] - b[s]) / (slope[s] - slope[line])
+    while ahead := {s: Fraction(b[line] - b[s], slope[s] - slope[line])
                     for s in range(len(a)) if slope[s] > slope[line]}:
         line = min(ahead, key=ahead.get)
         kept = len(lines) - (ahead[line] == crossings[-1])

@@ -39,13 +39,17 @@ def build_bayes_report(
             responses[type_label] = info["strategy"]
     breakpoints, best = bayes.best_response_envelope(game, responses)
     payoffs = bayes.expected_payoffs(game, responses)  # exact, so a tie names the first strategy
+    try:  # a prior whose decimals sum past 1 can weigh payoffs near the float limit past it
+        at_prior = {s: float(v) for s, v in payoffs.items()}
+    except OverflowError:
+        raise ValueError("an expected payoff at the prior is past the float range") from None
     return {
         "types": list(game.types),
         "prior": list(game.prior),
         "strategies_i": list(game.strategies_i),
         "strategies_j": list(game.strategies_j),
         "dominant_strategies": dominant,
-        "expected_payoffs_at_prior": {s: float(v) for s, v in payoffs.items()},
+        "expected_payoffs_at_prior": at_prior,
         "best_strategy_at_prior": max(payoffs, key=payoffs.get),
         "responses": dict(responses),
         # the first breakpoint; with none, 1 when the one best strategy is the first, else 0

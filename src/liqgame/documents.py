@@ -1,19 +1,21 @@
 """Readers and rules of the typed documents: the game that ``bayes`` reads and
 the constructive base that ``market`` reads, both tables keyed by type, and
-the bundled data files.
+the bundled data files; and ``integer_tables``, the one exact table reader.
 
-Only ``bayes`` and ``market`` load this module, so a ``solve``, ``simulate``
-or ``lp`` process compiles none of it. The rules every input shares, the key
-rule ``core.check_document`` and the shape rule ``core.check_table``, stay in
-``core``.
+Only ``bayes``, ``market`` and ``solver`` load this module, so a ``solve``,
+``simulate`` or ``lp`` process compiles none of it, and it loads no ``fractions``
+or ``decimal``. The rules every input shares, the key rule ``core.check_document``
+and the shape rule ``core.check_table``, stay in ``core``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import sys
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .core import check_table, is_int
+from .core import DimensionCapExceeded, check_table, check_work, decimal_ratio, is_int
 
 if TYPE_CHECKING:
     from pathlib import Path
@@ -111,3 +113,55 @@ def parse_bimatrix(grid) -> Bimatrix:
         tuple((finite_number(u, "payoff"), finite_number(v, "payoff")) for u, v in row)
         for row in grid
     )
+
+
+def read_ratio(x) -> tuple[int, int]:
+    """``x`` as (numerator, denominator) in lowest terms: an int or a Fraction at its value, any other
+    number (a float, a Decimal, a numpy scalar) as the decimal ``str(x)`` writes, by ``core.decimal_ratio``,
+    whose ValueError refuses a string, a bool, an infinity, a NaN and a text past its digit limit."""
+    # no Fraction exists before fractions is loaded, and this module loads none
+    if type(x) is getattr(sys.modules.get("fractions"), "Fraction", None) or type(x) is not bool and isinstance(x, int):
+        return x.as_integer_ratio()
+    num, den = decimal_ratio(x)
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
+MAX_BITS = 1077  # those of 10^324, the largest denominator of a float's decimal (Clinger, 1990)
+
+
+def integer_tables(what: str, *tables: Sequence[Sequence], bits: Sequence[int] = ()) -> list:
+    """Each table of ``tables`` as integer rows over the lcm ``l`` of its denominators, with ``l``, then the bits b of
+    the largest scaled entry: a table of ints only is itself, over 1; each other's entries are read once, by
+    ``read_ratio``. ``check_work`` gets the count of entries before any is read; then DimensionCapExceeded for a
+    numerator, or an lcm built one distinct denominator at a time, past the table's bound of bits (one per table in
+    ``bits``, or MAX_BITS); then ``check_work`` gets the entries again, weighed 1 + b // 128."""
+    count = 0
+    for k, u in enumerate(tables):  # a table given twice in a row is counted, and read, once
+        count += 0 if k and u is tables[k - 1] else len(u) * len(u[0])
+    check_work(count, what)  # the entries alone, before any is read
+    scaled, top = [], 0
+    for u, limit in zip(tables, bits or (MAX_BITS,) * len(tables)):
+        if scaled and u is tables[len(scaled) - 1]:  # one table for both players, as in an instance game, is read once
+            scaled.append(scaled[-1])
+            continue
+        lcm = size = 0
+        for x in itertools.chain(*u):  # one walk tests for ints only and takes their largest bits
+            if type(x) is not int:
+                lcm = 1
+                break
+            size = b if (b := x.bit_length()) > size else size
+        if lcm:
+            nums, dens = zip(*map(read_ratio, itertools.chain(*u)))
+            for d in set(dens):
+                if (lcm := math.lcm(lcm, d)).bit_length() > limit:
+                    raise DimensionCapExceeded(f"{what} holds a number past the bound of {limit} bits")
+            flat = [x * (lcm // d) for x, d in zip(nums, dens)]
+            u, size = [flat] if len(u) == 1 else list(zip(*[iter(flat)] * len(u[0]))), max(map(int.bit_length, flat))
+        # a table of ints only is itself, over 1; a numerator has at most its scaled entry's bits
+        if size > limit and (not lcm or max(map(int.bit_length, nums)) > limit):
+            raise DimensionCapExceeded(f"{what} holds a number past the bound of {limit} bits")
+        scaled.append((u, lcm or 1))
+        top = size if size > top else top
+    check_work(count * (1 + top // 128), what)
+    return [*scaled, top]

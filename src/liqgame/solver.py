@@ -17,7 +17,8 @@ import operator
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .core import DimensionCapExceeded, LiquidityGameError, PayoffMatrix, check_work, decimal_ratio, is_int
+from .core import LiquidityGameError, PayoffMatrix, check_work, is_int
+from .documents import MAX_BITS, integer_tables, read_ratio
 
 
 class DimensionMismatch(LiquidityGameError):
@@ -119,8 +120,8 @@ def solve_mixed(matrix: PayoffMatrix) -> list[MixedProfile]:
     supports. Unequal-size supports are not tried and singular systems are
     skipped, so degenerate games can lose extreme equilibria: u_i = [[-2, 2],
     [0, 1]], u_j = [[1, 1], [0, 0]] has four, the list two. DimensionCapExceeded past the work limit below, by the
-    shape alone before any payoff is read, then past MAX_BITS bits as ``_integer_tables`` reads both tables (a float
-    is its decimal), then past the limit with the largest scaled entry weighed in, before anything is built.
+    shape alone before any payoff is read, then past MAX_BITS bits as ``documents.integer_tables`` reads both tables
+    (a float is its decimal), then past the limit with the largest scaled entry weighed in, before anything is built.
     """
     m, n, k = matrix.rows, matrix.cols, min(matrix.rows, matrix.cols)
     # In units of about 2 µs or 100 bytes. Two to a unit, each about 1 µs: the support pairs, the minors of
@@ -133,7 +134,7 @@ def solve_mixed(matrix: PayoffMatrix) -> list[MixedProfile]:
     plans = sum(math.comb(m, t) + math.comb(n, t) for t in range(1, k + 1))
     work = (pairs - 1 + minors + m * n * (m + n)) // 2 + 8 * plans
     check_work(work, what)  # the shape alone, before any payoff is read
-    (u_i, _), (u_j, _), bits = _integer_tables(what, matrix.u_i, matrix.u_j)
+    (u_i, _), (u_j, _), bits = integer_tables(what, matrix.u_i, matrix.u_j)
     check_work(work + (work * (d := max(bits - 16, 0)) * (d + 2048) >> 17), what)
     u_j_t = list(zip(*u_j))
     plan_i = _laplace_plan(n, k)
@@ -158,79 +159,31 @@ def solve_mixed(matrix: PayoffMatrix) -> list[MixedProfile]:
     return [MixedProfile(probabilities(m, key_i), probabilities(n, key_j)) for key_i, key_j in keys]
 
 
-def _ratio(x) -> tuple[int, int]:
-    """``x`` as (numerator, denominator) in lowest terms: an int or a Fraction at its value, any other
-    number (a float, a Decimal, a numpy scalar) as the decimal ``str(x)`` writes, by ``core.decimal_ratio``,
-    whose ValueError refuses a string, a bool, an infinity, a NaN and a text past its digit limit."""
-    if type(x) is Fraction or (type(x) is not bool and isinstance(x, int)):
-        return x.as_integer_ratio()
-    num, den = decimal_ratio(x)
-    g = math.gcd(num, den)
-    return num // g, den // g
-
-
-MAX_BITS = 1077  # those of 10^324, the largest denominator of a float's decimal (Clinger, 1990)
-
-
-def _integer_tables(what: str, *tables: Sequence[Sequence], bits: Sequence[int] = ()) -> list:
-    """Each table of ``tables`` as integer rows over the lcm ``l`` of its denominators, with ``l``, then the bits b of
-    the largest scaled entry: a table of ints only is itself, over 1; each other's entries are read once, by ``_ratio``.
-    ``check_work`` gets the count of entries before any is read; then DimensionCapExceeded for a numerator, or an lcm
-    built one distinct denominator at a time, past the table's bound of bits (one per table in ``bits``, or MAX_BITS);
-    then ``check_work`` gets the entries again, weighed 1 + b // 128."""
-    count = 0
-    for k, u in enumerate(tables):  # a table given twice in a row is counted, and read, once
-        count += 0 if k and u is tables[k - 1] else len(u) * len(u[0])
-    check_work(count, what)  # the entries alone, before any is read
-    scaled, top = [], 0
-    for u, limit in zip(tables, bits or (MAX_BITS,) * len(tables)):
-        if scaled and u is tables[len(scaled) - 1]:  # one table for both players, as in an instance game, is read once
-            scaled.append(scaled[-1])
-            continue
-        lcm = 1
-        if type(u[0][0]) is int and operator.countOf(map(type, itertools.chain(*u)), int) == len(u) * len(u[0]):
-            size = big = max(map(int.bit_length, itertools.chain(*u)))
-        else:
-            nums, dens = zip(*map(_ratio, itertools.chain(*u)))
-            for d in set(dens):
-                if (lcm := math.lcm(lcm, d)).bit_length() > limit:
-                    raise DimensionCapExceeded(f"{what} holds a number past the bound of {limit} bits")
-            flat = [x * (lcm // d) for x, d in zip(nums, dens)]
-            u, size = [flat] if len(u) == 1 else list(zip(*[iter(flat)] * len(u[0]))), max(map(int.bit_length, flat))
-            big = size if size <= limit else max(map(int.bit_length, nums))  # a numerator has at most its entry's bits
-        if big > limit:
-            raise DimensionCapExceeded(f"{what} holds a number past the bound of {limit} bits")
-        scaled.append((u, lcm))
-        top = size if size > top else top
-    check_work(count * (1 + top // 128), what)
-    return [*scaled, top]
-
-
 def verify_equilibrium(matrix: PayoffMatrix, profile: MixedProfile, tolerance: Fraction = Fraction(0)) -> bool:
     """True iff no unilateral pure deviation gains more than ``tolerance``.
 
-    Integer arithmetic only, every number read by ``_ratio`` (a float as the decimal its ``str`` writes): both sides'
-    probabilities are integers over the lcm d of all their denominators, and each player's payoffs over the lcm l_i or
-    l_j of theirs, 1 for a table of ints. I's gain is then an integer over l_i * d * d, within the tolerance num / den
-    iff it times den is at most num * l_i * d * d; J's likewise with l_j. Faults are named in read order: first
-    ``_integer_tables`` counts the entries against the work limit, then reads the probabilities, then I's and J's
-    payoffs, with ValueError for a string, a bool, an infinity, a NaN or a text past ``core.decimal_ratio``'s digit
-    limit, DimensionCapExceeded for a weight or d past Hadamard's bound on any d of ``solve_mixed``, 2k(2 MAX_BITS + 1
-    + ceil(lg k)) at k = min(m, n), or a payoff or lcm past MAX_BITS bits; then ValueError when probs_i, then probs_j,
-    is not a probability distribution; then the tolerance is read as a payoff is, except that +inf passes every
-    profile, and -inf and NaN none.
+    Integer arithmetic only, every number read by ``documents.read_ratio`` (a float as the decimal its ``str``
+    writes): both sides' probabilities are integers over the lcm d of all their denominators, and each player's payoffs
+    over the lcm l_i or l_j of theirs, 1 for a table of ints. I's gain is then an integer over l_i * d * d, within the
+    tolerance num / den iff it times den is at most num * l_i * d * d; J's likewise with l_j. Faults are named in read
+    order: first ``documents.integer_tables`` counts the entries against the work limit, then reads the probabilities,
+    then I's and J's payoffs, with ValueError for a string, a bool, an infinity, a NaN or a text past
+    ``core.decimal_ratio``'s digit limit, DimensionCapExceeded for a weight or d past Hadamard's bound on any d of
+    ``solve_mixed``, 2k(2 MAX_BITS + 1 + ceil(lg k)) at k = min(m, n), or a payoff or lcm past MAX_BITS bits; then
+    ValueError when probs_i, then probs_j, is not a probability distribution; then the tolerance is read as a payoff
+    is, except that +inf passes every profile, and -inf and NaN none.
     """
     m, n = len(matrix.actions_i), len(matrix.actions_j)
     if len(profile.probs_i) != m or len(profile.probs_j) != n:
         raise DimensionMismatch(f"profile is {len(profile.probs_i)}x{len(profile.probs_j)}, matrix is {m}x{n}")
     weight_bits = 2 * (k := min(m, n)) * (2 * MAX_BITS + 1 + (k - 1).bit_length())
-    ((w,), d), (u_i, l_i), (u_j, l_j), _ = _integer_tables("verify_equilibrium's read", (  # both sides as one row
+    ((w,), d), (u_i, l_i), (u_j, l_j), _ = integer_tables("verify_equilibrium's read", (  # both sides as one row
         (*profile.probs_i, *profile.probs_j),), matrix.u_i, matrix.u_j, bits=(weight_bits, MAX_BITS, MAX_BITS))
     p, q = w[:m], w[m:]
     if min(w) < 0 or sum(p) != d or sum(q) != d:
         raise ValueError(f"probs_{'i' if min(p) < 0 or sum(p) != d else 'j'} is not a probability distribution")
     try:
-        num, den = _ratio(tolerance)
+        num, den = read_ratio(tolerance)
     except ValueError:
         if isinstance(tolerance, str) or math.isfinite(tolerance):
             raise  # a string, a bool or a text past the reader's digit limit
@@ -250,7 +203,7 @@ def _window_grid(total: int, center: Sequence[Fraction], radius: int) -> list[tu
     ``radius`` grid steps of ``center``, in lexicographic order."""
     choices = []
     for x in center:
-        num, den = _ratio(x)
+        num, den = read_ratio(x)
         num *= total
         # integer k with |k - num / den| <= radius: ceil(num / den) - radius
         # up to floor(num / den) + radius, clipped to [0, total]
@@ -277,8 +230,8 @@ def brute_force_oracle(
     to restrict both grids to the points within ``radius`` steps of a
     candidate profile (the sweep restricted to that window). A resolution or radius that is a bool or no int, a
     resolution below 1 or a negative radius raises ValueError; DimensionCapExceeded when the grids, counted from the
-    shape alone before any payoff is read, then the payoffs' read (``_integer_tables``: a payoff or an lcm past
-    MAX_BITS bits), would pass their bounds.
+    shape alone before any payoff is read, then the payoffs' read (``documents.integer_tables``: a payoff or an lcm
+    past MAX_BITS bits), would pass their bounds.
     """
     m, n = len(matrix.actions_i), len(matrix.actions_j)
     if not (is_int(grid_resolution) and is_int(radius)):
@@ -301,7 +254,7 @@ def brute_force_oracle(
     pairs = (box_p * box_q if around is not None
              else math.comb(r_scale + m - 1, m - 1) * math.comb(r_scale + n - 1, n - 1))
     check_work(box_p + box_q + pairs, f"a {m}x{n} grid sweep at resolution {r_scale}")
-    (u_i, l_i), (u_j, l_j), _ = _integer_tables("brute_force_oracle's read", matrix.u_i, matrix.u_j)
+    (u_i, l_i), (u_j, l_j), _ = integer_tables("brute_force_oracle's read", matrix.u_i, matrix.u_j)
     grid_p = _window_grid(r_scale, centre_i, radius)
     # A pair (p, q) passes when both expected payoffs exceed the cut-off
     # r_scale * best - r_scale * l of the best reply to the other side's point,

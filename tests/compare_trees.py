@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -86,6 +87,18 @@ THREE_STRATEGIES = json.dumps({
     "matrices": {"a": [[[10, 10], [0, 0]], [[8, 8], [0, 0]], [[6, 6], [5, 5]]],
                  "b": [[[0, 0], [0, 0]], [[3, 3], [0, 0]], [[5, 4], [0, 0]]]},
 })
+TOP, TINY = 1.7976931348623157e308, 5e-324
+# the float extremes beside each other and beside ints in one game, whose tables are read over an lcm of 10^324
+EXTREMES = json.dumps({
+    "types": ["a", "b"], "prior": [0.35, 0.65], "strategies_i": ["s0", "s1", "s2"], "strategies_j": ["x", "y"],
+    "matrices": {"a": [[[TOP, 1], [TINY, 0]], [[TINY, 2], [-TOP, 0]], [[3, 1], [-TINY, 0]]],
+                 "b": [[[-TINY, 0], [TOP, 1]], [[7, 0], [TINY, 5]], [[0.5, 0], [TOP, 1]]]},
+})
+# payoffs at the float limit under a prior whose decimals sum to 1 + 1.1e-16: the expected payoff passes it
+PAST_FLOAT = json.dumps({
+    "types": ["a", "b"], "prior": [7.2681310911722e-10, 1 - 7.2681310911722e-10], "strategies_i": ["s0", "s1"],
+    "strategies_j": ["y"], "matrices": {"a": [[[TOP, 0]], [[0, 0]]], "b": [[[TOP, 0]], [[0, 0]]]},
+})
 OVERFLOW = json.dumps({
     "types": ["a", "b"], "prior": [0.5, 0.5], "strategies_i": ["s0", "s1", "s2"], "strategies_j": ["x"],
     "matrices": {"a": [[[1e308, 0]], [[-1e308, 0]], [[0, 0]]], "b": [[[-1e308, 0]], [[1e308, 0]], [[0, 0]]]},
@@ -129,7 +142,10 @@ def cli_corpus() -> list[tuple[str, list[str], dict]]:
               ((), ("--prior", "1,0"), ("--prior", "0,1"), ("--prior", "0.2,0.8"),
                ("--response", "a=high,b=low"), ("--response", "a=low,b=high"))]
     forms += [(["bayes", "--game", "three.json"], {"three.json": THREE_STRATEGIES}),
-              (["bayes", "--game", "overflow.json"], {"overflow.json": OVERFLOW})]
+              (["bayes", "--game", "overflow.json"], {"overflow.json": OVERFLOW}),
+              (["bayes", "--game", "past_float.json"], {"past_float.json": PAST_FLOAT})]
+    forms += [(["bayes", "--game", "extremes.json", *extra], {"extremes.json": EXTREMES})
+              for extra in ((), ("--prior", "1,0"), ("--response", "a=y,b=x"), ("--response", "a=x,b=x"))]
     # documents with two faults, a table under an unlisted key holding 1e999 and a prior of the wrong sum
     game = json.loads(THREE_STRATEGIES)
     game["prior"] = [0.5, 0.6]
@@ -352,11 +368,11 @@ def decimal_corpus():
 def reader_corpus():
     """(name, thunk) for solve_mixed and both exact checkers on 2x2 games holding a Decimal at
     and past the 4,300 digits core.decimal_ratio reads, and an int, a denominator or the lcm of two
-    at and one bit past solver.MAX_BITS; for verify_equilibrium's weights at and past their bound;
+    at and one bit past documents.MAX_BITS; for verify_equilibrium's weights at and past their bound;
     for the float extremes 1.797e308 and 5e-324 in one game; for both checkers on 1 x n games over n
     distinct 1,001-bit denominators; for the oracle's sweep over payoffs of up to 100,001 bits and
     over a Decimal no reader builds; for games past the work limit by shape that hold a NaN payoff;
-    and for priors given as Decimals."""
+    for priors given as Decimals; and for bayes on 3-type games of the float extremes."""
     from decimal import Decimal
     from fractions import Fraction
 
@@ -369,7 +385,7 @@ def reader_corpus():
         forms += [(f"solve_mixed {digits}-digit Decimal", lambda g=game: solver.solve_mixed(g)),
                   (f"verify_equilibrium {digits}-digit Decimal", lambda g=game: solver.verify_equilibrium(g, pure)),
                   (f"brute_force_oracle {digits}-digit Decimal", lambda g=game: solver.brute_force_oracle(g, 4))]
-    for b in (1077, 1078):  # the bits of solver.MAX_BITS, then one more
+    for b in (1077, 1078):  # the bits of documents.MAX_BITS, then one more
         for edge, (x, y) in {"int": (2 ** (b - 1), 1), "denominator": (Fraction(1, 2 ** (b - 1)), 1),
                              "lcm": (Fraction(1, 3**400), Fraction(1, 2 ** (b - 634)))}.items():
             game = core.PayoffMatrix.from_cells((1, 2), (1, 2), [[(x, 0), (y, 0)], [(0, 1), (0, 1)]])
@@ -429,6 +445,27 @@ def reader_corpus():
               ("weight_by_priors string types", lambda: market.weight_by_priors("ab", strategies, tables, other, other)),
               ("weight_by_priors int payoffs and priors",
                lambda: market.weight_by_priors(types, ("x",), ints, (1, 0), (0, 1)))]
+    # a 3-type game of the float extremes, an int beside floats, under each response map; and two whose read,
+    # 3 x n entries and the prior's 3 weighed 17 each at 2,098 bits, is within the work limit at n = 82,240, past it
+    # at 82,241
+    three = {t: tuple(((x, 0), (y, 1)) for x, y in rows) for t, rows in {
+        "a": ((TOP, TINY), (-TINY, 2), (3, -TOP)), "b": ((TINY, -TOP), (TOP, 0.1), (-7, TINY)),
+        "c": ((0.35, TOP), (TINY, -3), (TOP, -TINY))}.items()}
+    game = bayes.ConditionalGame(("a", "b", "c"), ("s0", "s1", "s2"), ("x", "y"), three, (0.2, 0.3, 0.5))
+    for response in itertools.product("xy", repeat=3):
+        forms.append((f"expected_payoffs 3-type float extremes {''.join(response)}",
+                      lambda r=dict(zip("abc", response)): bayes.expected_payoffs(game, r)))
+    forms.append(("best_response_envelope 3-type float extremes",
+                  lambda: bayes.best_response_envelope(game, dict.fromkeys("abc", "x"))))
+
+    def wide_game(n):
+        rows = ((TOP, 0),) + ((TINY, 0),) * (n - 1)
+        big = bayes.ConditionalGame(("a", "b", "c"), tuple(map(str, range(n))), ("x",),
+                                    dict.fromkeys("abc", tuple((row,) for row in rows)), (0.2, 0.3, 0.5))
+        return len(bayes.expected_payoffs(big, dict.fromkeys("abc", "x")))
+
+    forms += [(f"expected_payoffs 3-type {n:,} strategies of float extremes", lambda n=n: wide_game(n))
+              for n in (82_240, 82_241)]
     return forms
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
-from liqgame.bayes import ConditionalGame, NoDependenceOnPrior, check_responses
+from liqgame.bayes import ConditionalGame, NoDependenceOnPrior, response_payoffs
 
 
 def two_strategy_threshold(
@@ -30,10 +30,8 @@ def two_strategy_threshold(
     if len(game.types) != 2:
         raise ValueError("threshold analysis needs exactly two types")
     s1, s2 = game.strategies_i
-    columns = check_responses(game, response_j)
     # a: the first type's payoffs to s1 and s2, b: the second type's
-    (a1, a2), (b1, b2) = ([Fraction(str(row[c][0])) for row in game.matrices[t]]
-                          for t, c in zip(game.types, columns))
+    (a1, a2), (b1, b2) = ([Fraction(str(x)) for x in row] for row in response_payoffs(game, response_j))
     # payoff difference f(p) = p*(a1-a2) + (1-p)*(b1-b2), positive favours s1
     slope = (a1 - a2) - (b1 - b2)
     intercept = b1 - b2

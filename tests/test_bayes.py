@@ -372,6 +372,7 @@ class TestEnvelope:
                     st.integers(-9, 9),
                     st.integers(-20, 20).map(lambda n: n / 10),
                     st.floats(-10, 10),
+                    st.floats(allow_nan=False, allow_infinity=False),  # every finite magnitude
                 )
             ),
             # lines n*(x, y)/10 all meet where they earn 0
@@ -390,6 +391,11 @@ class TestEnvelope:
     @example([(0.3, 0), (0.1, 0.2)], 0.5)
     @example([(1, 1), (1.0000000000000002, 1)], 0.5)
     @example([(1e308, -1e308), (-1e308, 1e308)], 0.35)
+    # the float extremes in one table, read over one lcm of 10^324; an int beside floats
+    @example([(5e-324, 1.7976931348623157e308), (1.7976931348623157e308, -5e-324)], 0.35)
+    @example([(3, 0.25), (1.5, 2), (0, 4.75)], 0.4)
+    # a prior whose decimals sum to 1 + 1.1e-16 over payoffs at the float limit
+    @example([(1.7976931348623157e308, 1.7976931348623157e308), (0.0, 0.0)], 7.2681310911722e-10)
     # three lines that meet at 1/3, and three that meet at 2/5, whose float crossings
     # with the middle line rounded together, or to before the point where it began
     @example([(0, 0), (0.2, -0.1), (0.6, -0.3)], 0.5)
@@ -408,9 +414,17 @@ class TestEnvelope:
         # the payoffs at the prior, each rounded once, and the first of those exactly best
         weights = Fraction(str(p)), Fraction(str(1 - p))
         values = [weights[0] * a + weights[1] * b for a, b in exact]
-        report = build_bayes_report(game, ONE_COLUMN)
-        assert report["expected_payoffs_at_prior"] == dict(zip(game.strategies_i, map(float, values)))
-        assert report["best_strategy_at_prior"] == game.strategies_i[values.index(max(values))]
+        try:
+            at_prior = dict(zip(game.strategies_i, map(float, values)))
+        except OverflowError:  # a prior whose decimals sum past 1 weighs payoffs near the float limit past it
+            assert sum(weights) > 1
+            with pytest.raises(ValueError, match="^an expected payoff at the prior is past the float range$"):
+                build_bayes_report(game, ONE_COLUMN)
+            report = None
+        else:
+            report = build_bayes_report(game, ONE_COLUMN)
+            assert report["expected_payoffs_at_prior"] == at_prior
+            assert report["best_strategy_at_prior"] == game.strategies_i[values.index(max(values))]
 
         def crossing(r, s):
             (a_r, b_r), (a_s, b_s) = exact[r], exact[s]
@@ -422,7 +436,7 @@ class TestEnvelope:
         assert breakpoints == sorted(set(breakpoints)) and all(0 <= x <= 1 for x in breakpoints)
         at = [crossing(r, s) for r, s in zip(index, index[1:])]
         assert at == sorted(set(at)) and breakpoints == [float(x) for x in at]
-        assert report["threshold_p"] == (breakpoints[0] if breakpoints else float(index[0] == 0))
+        assert report is None or report["threshold_p"] == (breakpoints[0] if breakpoints else float(index[0] == 0))
         # between any two neighbouring crossings of two lines, -1, 0, 1 and 2 that round to
         # two floats, the strategy named there is the exact argmax, from below 0 to above 1
         pairs = itertools.combinations(range(len(lines)), 2)

@@ -133,8 +133,8 @@ def adapter(argv):
         # code it runs
         (["solve", "--bi", "3", "--bj", "-3"], {"liqgame.equilibria"}),
         (["solve", "--bi", "3", "--bj", "-3", "--format", "csv"], set()),
-        # only the typed documents' readers load liqgame.documents; bayes computes
-        # in exact rationals, and fractions imports decimal
+        # bayes reads its game document and its payoff tables through liqgame.documents,
+        # and computes in exact rationals; fractions imports decimal
         (["bayes"], {"liqgame.bayes", "liqgame.documents", "fractions", "decimal"}),
         # market rounds every volume half up on integers read by core.decimal_ratio, so
         # neither decimal nor fractions loads; csv loads only to write --format csv
@@ -216,10 +216,16 @@ def test_public_name_import_is_listed_by_importtime():
 
 
 def test_solver_loads_no_equilibria():
-    # support enumeration and its checkers own MixedProfile; the closed form
-    # that solve prints is not theirs to load
+    # support enumeration and its checkers own MixedProfile and read their tables through
+    # documents.integer_tables; the closed form that solve prints is not theirs to load
     code = "import sys, liqgame.solver; print(sorted(m for m in sys.modules if m.startswith('liqgame')))"
-    assert run_fresh(code) == "['liqgame', 'liqgame.core', 'liqgame.solver']\n"
+    assert run_fresh(code) == "['liqgame', 'liqgame.core', 'liqgame.documents', 'liqgame.solver']\n"
+
+
+def test_documents_loads_no_fractions_or_decimal():
+    # market loads documents, and computes without either
+    code = "import sys, liqgame.documents; print([m for m in ('fractions', 'decimal') if m in sys.modules])"
+    assert run_fresh(code) == "[]\n"
 
 
 def test_cli_import_loads_no_dataclasses_or_inspect():

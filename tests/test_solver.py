@@ -231,7 +231,7 @@ class TestSolveMixed:
         # million bits, times every entry, had it been built; the reader takes it one denominator
         # at a time and refuses the game at its second step, past the bound of MAX_BITS
         steps, lcm = [], math.lcm
-        monkeypatch.setattr(solver.math, "lcm", lambda *args: steps.append(args) or lcm(*args))
+        monkeypatch.setattr(documents.math, "lcm", lambda *args: steps.append(args) or lcm(*args))
         row = [(F(1, 2**1000 + 2 * c + 1), 0) for c in range(2887)]
         with pytest.raises(DimensionCapExceeded) as caught:
             solve_mixed(PayoffMatrix.from_cells((1,), range(2887), [row]))
@@ -260,7 +260,7 @@ class TestSolveMixed:
             texts.append(str(x))
             return decimal_ratio(x)
 
-        monkeypatch.setattr(solver, "decimal_ratio", read)
+        monkeypatch.setattr(documents, "decimal_ratio", read)
         matrix = float_game(((0.1, 3), (F(1, 3), Decimal("0.7"))), ((2, 0.5), (1, 1)))
         assert solve_mixed(matrix) == solve_mixed(exact_copy(matrix))
         assert texts == ["0.1", "0.7", "0.5"]
@@ -889,7 +889,7 @@ class TestExactReaders:
     @settings(max_examples=150, deadline=None)
     @given(tables=TABLE_LISTS)
     def test_integer_tables_are_the_tables_over_their_lcms(self, tables):
-        *scaled, bits = solver._integer_tables("x", *tables)
+        *scaled, bits = documents.integer_tables("x", *tables)
         assert bits == max(abs(x) for ints, _ in scaled for x in itertools.chain(*ints)).bit_length()
         for table, (ints, lcm) in zip(tables, scaled, strict=True):
             ints_only = all(type(x) is int for x in itertools.chain(*table))
@@ -903,7 +903,7 @@ class TestExactReaders:
     def test_refused_exactly_past_the_bound(self, data):
         # a table is refused exactly when a numerator in lowest terms, or math.lcm of its denominators, has
         # more bits than its bound: at small bounds over small numbers, and at MAX_BITS over numbers near it
-        bound = data.draw(st.sampled_from([solver.MAX_BITS, 4, 9, 16, 30]))
+        bound = data.draw(st.sampled_from([documents.MAX_BITS, 4, 9, 16, 30]))
         nums = st.integers(-9, 9) | st.integers(-(2 ** (bound + 1)), 2 ** (bound + 1))
         entry = nums | st.builds(F, nums, st.integers(1, 9) | st.integers(1, 2 ** (bound // 2 + 2)))
         rows, cols = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
@@ -913,7 +913,7 @@ class TestExactReaders:
                        *(F(x).numerator.bit_length() for x in itertools.chain(*u))) > bound for u in tables)
         start = time.perf_counter()
         try:
-            *scaled, bits = solver._integer_tables("x", *tables, bits=(bound,) * len(tables))
+            *scaled, bits = documents.integer_tables("x", *tables, bits=(bound,) * len(tables))
         except DimensionCapExceeded as refused:
             assert past and str(refused) == f"x holds a number past the bound of {bound} bits"
         else:
@@ -926,13 +926,13 @@ class TestExactReaders:
         # weighed 1 + 1077 // 128 = 9 at 1,077 bits: 466,033 of them are within the work limit, twice
         # as many are not
         table = [[2**1076] * 466_033]
-        first, second, bits = solver._integer_tables("x", table, table)
+        first, second, bits = documents.integer_tables("x", table, table)
         assert first is second and bits == 1077
         with pytest.raises(DimensionCapExceeded, match="^x exceeds the work limit of 4194304$"):
-            solver._integer_tables("x", table, [list(table[0])])
+            documents.integer_tables("x", table, [list(table[0])])
         with pytest.raises(DimensionCapExceeded, match="^x exceeds the work limit of 4194304$"):
-            solver._integer_tables("x", [[2**1076] * 466_034])
-        assert solver._integer_tables("x", [[1] * 466_034])[-1] == 1  # a small int weighs 1
+            documents.integer_tables("x", [[2**1076] * 466_034])
+        assert documents.integer_tables("x", [[1] * 466_034])[-1] == 1  # a small int weighs 1
 
     @pytest.mark.parametrize("refused", [True, False])
     @pytest.mark.parametrize(
@@ -945,7 +945,7 @@ class TestExactReaders:
         # lcm passes the bound, MAX_BITS for payoffs and 2k(2 MAX_BITS + 1 + ceil(lg k)) = 4310 bits for the
         # weights of a 1 x n game (k = 1), and read below it
         large = [F(1, 2 ** (18 if "19-bit" in case else 1000) + 2 * c + 1) for c in range(200)]
-        bound = 4310 if case.endswith("probabilities") else solver.MAX_BITS
+        bound = 4310 if case.endswith("probabilities") else documents.MAX_BITS
         lcms = itertools.accumulate((x.denominator for x in large), math.lcm)
         n = next(k for k, lcm in enumerate(lcms, 1) if lcm.bit_length() > bound) - (not refused)
         pure = MixedProfile((1,), (1,) + (0,) * (n - 1))
@@ -974,7 +974,7 @@ class TestExactReaders:
         # 2048 x 2049 = 4,196,352 entries passes the read's own limit by its count alone
         row = (0.5,) * 600
         matrix = PayoffMatrix(tuple(range(600)), tuple(range(600)), (row,) * 600, (row,) * 600)
-        monkeypatch.setattr(solver, "_ratio", lambda x: pytest.fail(f"{x!r} was read"))
+        monkeypatch.setattr(documents, "read_ratio", lambda x: pytest.fail(f"{x!r} was read"))
         for call, what in ((lambda: solve_mixed(matrix), "solve_mixed of a 600x600 game"),
                            (lambda: brute_force_oracle(matrix, 50), "a 600x600 grid sweep at resolution 50")):
             seconds = []
@@ -985,7 +985,7 @@ class TestExactReaders:
                 seconds.append(time.perf_counter() - start)
             assert min(seconds) < 0.05
         with pytest.raises(DimensionCapExceeded, match="^x exceeds the work limit of 4194304$"):
-            solver._integer_tables("x", [[0.5] * 2049] * 2048)
+            documents.integer_tables("x", [[0.5] * 2049] * 2048)
 
     @pytest.mark.parametrize("side", [1200, 2000])
     def test_shape_refused_by_its_support_pairs_first(self, side):
@@ -1006,7 +1006,7 @@ class TestExactReaders:
         # 2^18 + 2c + 1 pass the bound, every longer row is refused too, 1x13,294 and 1x13,686 alike
         row = [(F(1, 2**18 + 2 * c + 1), 0) for c in range(13_686)]
         lcms = itertools.accumulate((x.denominator for x, _ in row), math.lcm)
-        first = next(k for k, lcm in enumerate(lcms, 1) if lcm.bit_length() > solver.MAX_BITS)
+        first = next(k for k, lcm in enumerate(lcms, 1) if lcm.bit_length() > documents.MAX_BITS)
         for n in (first - 1, *range(first, first + 40), 13_294, 13_686):
             matrix = PayoffMatrix.from_cells((1,), range(n), [row[:n]])
             pure = MixedProfile((1,), (1,) + (0,) * (n - 1))
@@ -1103,7 +1103,7 @@ class TestBound:
     def test_each_function_admits_the_bound_and_refuses_one_bit_past(self, edge, past):
         # an int, a Fraction's denominator, or the lcm of two coprime denominators, 3^400 (634 bits) and a
         # power of two, of MAX_BITS bits, then of one more
-        b = solver.MAX_BITS + past
+        b = documents.MAX_BITS + past
         x, y = {"int": (2 ** (b - 1), 1), "denominator": (F(1, 2 ** (b - 1)), 1),
                 "lcm": (F(1, 3**400), F(1, 2 ** (b - 634)))}[edge]
         matrix = PayoffMatrix.from_cells((1, 2), (1, 2), [[(x, 0), (y, 0)], [(0, 1), (0, 1)]])
@@ -1125,7 +1125,7 @@ class TestBound:
         # at k = min(m, n), a weight whose denominator has 2k(2 MAX_BITS + 1 + ceil(lg k)) bits is read,
         # and one of a bit more refused
         k = min(m, n)
-        bound = 2 * k * (2 * solver.MAX_BITS + 1 + (k - 1).bit_length())
+        bound = 2 * k * (2 * documents.MAX_BITS + 1 + (k - 1).bit_length())
         t = F(1, 2 ** (bound - 1 + past))
         matrix = PayoffMatrix.from_entries([[(0, 0)] * n] * m)
         prof = MixedProfile((1,) + (0,) * (m - 1), (1 - t, t) + (0,) * (n - 2))
