@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import sys
 from typing import NamedTuple, Sequence
 
@@ -192,9 +193,13 @@ MAX_DIGITS = 4300
 
 
 def decimal_ratio(x) -> tuple[int, int]:
-    """The number that ``str(x)`` writes as exact integers (p, q), q > 0: 0.7 is (7, 10), not the
-    nearest binary float, and a Fraction's 7/10 is (7, 10). ValueError for a string, which it would read,
-    for a text past the digit limit and for one that writes no finite decimal (a bool, inf, NaN)."""
+    """The one number reader: ``x`` as exact integers (p, q) in lowest terms, q > 0. An int or a Fraction is read at
+    its value; any other number as the decimal ``str(x)`` writes: 0.7 is (7, 10), not the nearest binary float, and
+    0.5 is (1, 2). ValueError for a string, which it would read, for a text past the digit limit and for one that
+    writes no finite decimal (a bool, inf, NaN)."""
+    # no Fraction exists before fractions is loaded, and this module loads none
+    if type(x) is getattr(sys.modules.get("fractions"), "Fraction", None) or type(x) is not bool and isinstance(x, int):
+        return x.as_integer_ratio()
     if isinstance(x, str):
         raise ValueError(f"{x!r} is a string, not a number")
     limit = min(MAX_DIGITS, getattr(sys, "get_int_max_str_digits", int)() or MAX_DIGITS)  # int() is 0: none
@@ -203,14 +208,16 @@ def decimal_ratio(x) -> tuple[int, int]:
         mantissa, _, exponent = number.lower().partition("e")
         shift = int(exponent or 0) - len(mantissa.partition(".")[2])
         digits = max(len(mantissa.lstrip("+-")) - ("." in mantissa), len(den), abs(shift))
-    except ValueError:  # str(x) of an int past Python's own limit
+    except ValueError:  # a str(x) past Python's own int limit
         digits = limit + 1
     if digits > limit:
         raise ValueError(f"{type(x).__name__} exceeds the limit of {limit} digits")
     try:
-        return int(mantissa.replace(".", "")) * 10**max(shift, 0), int(den or 1) * 10**max(-shift, 0)
+        p, q = int(mantissa.replace(".", "")) * 10**max(shift, 0), int(den or 1) * 10**max(-shift, 0)
     except ValueError:
         raise ValueError(f"{x!r} writes no finite decimal") from None
+    g = math.gcd(p, q)
+    return p // g, q // g
 
 
 def check_ints(record, names: Sequence[str]) -> None:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .core import DimensionCapExceeded, check_table, check_work, decimal_ratio, is_int
@@ -115,27 +114,15 @@ def parse_bimatrix(grid) -> Bimatrix:
     )
 
 
-def read_ratio(x) -> tuple[int, int]:
-    """``x`` as (numerator, denominator) in lowest terms: an int or a Fraction at its value, any other
-    number (a float, a Decimal, a numpy scalar) as the decimal ``str(x)`` writes, by ``core.decimal_ratio``,
-    whose ValueError refuses a string, a bool, an infinity, a NaN and a text past its digit limit."""
-    # no Fraction exists before fractions is loaded, and this module loads none
-    if type(x) is getattr(sys.modules.get("fractions"), "Fraction", None) or type(x) is not bool and isinstance(x, int):
-        return x.as_integer_ratio()
-    num, den = decimal_ratio(x)
-    g = math.gcd(num, den)
-    return num // g, den // g
-
-
 MAX_BITS = 1077  # those of 10^324, the largest denominator of a float's decimal (Clinger, 1990)
 
 
 def integer_tables(what: str, *tables: Sequence[Sequence], bits: Sequence[int] = ()) -> list:
     """Each table of ``tables`` as integer rows over the lcm ``l`` of its denominators, with ``l``, then the bits b of
     the largest scaled entry: a table of ints only is itself, over 1; each other's entries are read once, by
-    ``read_ratio``. ``check_work`` gets the count of entries before any is read; then DimensionCapExceeded for a
-    numerator, or an lcm built one distinct denominator at a time, past the table's bound of bits (one per table in
-    ``bits``, or MAX_BITS); then ``check_work`` gets the entries again, weighed 1 + b // 128."""
+    ``core.decimal_ratio``. ``check_work`` gets the count of entries before any is read; then DimensionCapExceeded
+    for a numerator, or an lcm built one distinct denominator at a time, past the table's bound of bits (one per table
+    in ``bits``, or MAX_BITS); then ``check_work`` gets the entries again, weighed 1 + b // 128."""
     count = 0
     for k, u in enumerate(tables):  # a table given twice in a row is counted, and read, once
         count += 0 if k and u is tables[k - 1] else len(u) * len(u[0])
@@ -152,7 +139,7 @@ def integer_tables(what: str, *tables: Sequence[Sequence], bits: Sequence[int] =
                 break
             size = b if (b := x.bit_length()) > size else size
         if lcm:
-            nums, dens = zip(*map(read_ratio, itertools.chain(*u)))
+            nums, dens = zip(*map(decimal_ratio, itertools.chain(*u)))
             for d in set(dens):
                 if (lcm := math.lcm(lcm, d)).bit_length() > limit:
                     raise DimensionCapExceeded(f"{what} holds a number past the bound of {limit} bits")

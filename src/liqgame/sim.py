@@ -19,7 +19,6 @@ versions, which drew from PCG64 generators.
 from __future__ import annotations
 
 import itertools
-import numbers
 import operator
 import random
 import sys
@@ -45,9 +44,11 @@ class StrategySpec(NamedTuple):
         if self.kind not in STRATEGY_KINDS:
             raise ValueError(f"unknown strategy kind {self.kind!r}")
         if self.kind == "fixed_fraction":
-            # bool is a numbers.Real, but JSON true/false is no fraction
-            real = isinstance(self.fraction, numbers.Real) and not isinstance(self.fraction, bool)
-            if not real or not 0 < self.fraction <= 1:
+            try:  # as the parcel rule reads it: a bool, a string or a NaN is no fraction
+                p, q = decimal_ratio(self.fraction)
+            except ValueError:
+                p = q = 0
+            if not 0 < p <= q:
                 raise ValueError("fixed_fraction needs a fraction in (0, 1]")
         elif self.fraction is not None:
             raise ValueError(f"fraction is only valid for fixed_fraction, not {self.kind}")

@@ -17,8 +17,8 @@ import operator
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .core import LiquidityGameError, PayoffMatrix, check_work, is_int
-from .documents import MAX_BITS, integer_tables, read_ratio
+from .core import LiquidityGameError, PayoffMatrix, check_work, decimal_ratio, is_int
+from .documents import MAX_BITS, integer_tables
 
 
 class DimensionMismatch(LiquidityGameError):
@@ -162,7 +162,7 @@ def solve_mixed(matrix: PayoffMatrix) -> list[MixedProfile]:
 def verify_equilibrium(matrix: PayoffMatrix, profile: MixedProfile, tolerance: Fraction = Fraction(0)) -> bool:
     """True iff no unilateral pure deviation gains more than ``tolerance``.
 
-    Integer arithmetic only, every number read by ``documents.read_ratio`` (a float as the decimal its ``str``
+    Integer arithmetic only, every number read by ``core.decimal_ratio`` (a float as the decimal its ``str``
     writes): both sides' probabilities are integers over the lcm d of all their denominators, and each player's payoffs
     over the lcm l_i or l_j of theirs, 1 for a table of ints. I's gain is then an integer over l_i * d * d, within the
     tolerance num / den iff it times den is at most num * l_i * d * d; J's likewise with l_j. Faults are named in read
@@ -183,7 +183,7 @@ def verify_equilibrium(matrix: PayoffMatrix, profile: MixedProfile, tolerance: F
     if min(w) < 0 or sum(p) != d or sum(q) != d:
         raise ValueError(f"probs_{'i' if min(p) < 0 or sum(p) != d else 'j'} is not a probability distribution")
     try:
-        num, den = read_ratio(tolerance)
+        num, den = decimal_ratio(tolerance)
     except ValueError:
         if isinstance(tolerance, str) or math.isfinite(tolerance):
             raise  # a string, a bool or a text past the reader's digit limit
@@ -203,7 +203,7 @@ def _window_grid(total: int, center: Sequence[Fraction], radius: int) -> list[tu
     ``radius`` grid steps of ``center``, in lexicographic order."""
     choices = []
     for x in center:
-        num, den = read_ratio(x)
+        num, den = decimal_ratio(x)
         num *= total
         # integer k with |k - num / den| <= radius: ceil(num / den) - radius
         # up to floor(num / den) + radius, clipped to [0, total]

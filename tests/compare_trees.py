@@ -372,11 +372,12 @@ def reader_corpus():
     for the float extremes 1.797e308 and 5e-324 in one game; for both checkers on 1 x n games over n
     distinct 1,001-bit denominators; for the oracle's sweep over payoffs of up to 100,001 bits and
     over a Decimal no reader builds; for games past the work limit by shape that hold a NaN payoff;
-    for priors given as Decimals; and for bayes on 3-type games of the float extremes."""
+    for priors given as Decimals; for bayes on 3-type games of the float extremes; and for core.decimal_ratio on
+    an int and a Fraction past 4,300 digits, and a simulation with a Decimal fixed fraction."""
     from decimal import Decimal
     from fractions import Fraction
 
-    from liqgame import bayes, core, market, solver
+    from liqgame import bayes, core, market, sim, solver
 
     pure = solver.MixedProfile((Fraction(1), Fraction(0)), (Fraction(1), Fraction(0)))
     forms = []
@@ -466,6 +467,12 @@ def reader_corpus():
 
     forms += [(f"expected_payoffs 3-type {n:,} strategies of float extremes", lambda n=n: wide_game(n))
               for n in (82_240, 82_241)]
+    # read at their value: compared, as their repr would pass Python's own limit of 4,300 digits
+    forms += [("decimal_ratio 10**4300", lambda: core.decimal_ratio(10**4300) == (10**4300, 1)),
+              ("decimal_ratio Fraction(1, 10**4300)",
+               lambda: core.decimal_ratio(Fraction(1, 10**4300)) == (1, 10**4300)),
+              ("run_simulation Decimal fixed fraction", lambda: sim.run_simulation(sim.SimConfig(
+                  500, strategy_i=sim.StrategySpec("fixed_fraction", Decimal("0.3")), seed=3, mode="repeated")))]
     return forms
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -7,6 +8,7 @@ from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -271,15 +273,16 @@ def parse_payoff_csv(text):
 
 
 # Numbers at the reader's limit of 4,300 digits, in the mantissa, the denominator or the
-# exponent's shift, and one past it, as source text for this process and a child's.
+# exponent's shift, and one past it, as source text for this process and a child's; an int
+# or a Fraction is read at its value, so none of any size is past the limit.
 READ_AT_THE_LIMIT = [
     'Decimal("1" * 4300)', 'Decimal("-" + "9" * 4300)', 'Decimal("1." + "0" * 4299)',
     'Decimal("1e4300")', 'Decimal("1e-4300")', 'Decimal("-7E-4300")', 'Decimal("12.5E4301")',
-    "10**4300 - 1", "Fraction(1, 10**4300 - 1)",
+    "10**4300 - 1", "Fraction(1, 10**4300 - 1)", "10**4300", "Fraction(1, 10**4300)",
 ]
 PAST_THE_LIMIT = [
     'Decimal("1" * 4301)', 'Decimal("1." + "0" * 4300)', 'Decimal("1e4301")', 'Decimal("1e-4301")',
-    'Decimal("1e-99999999")', 'Decimal("-9.9E+99999999")', "10**4300", "Fraction(1, 10**4300)",
+    'Decimal("1e-99999999")', 'Decimal("-9.9E+99999999")',
 ]
 
 
@@ -289,7 +292,11 @@ class TestDecimalRatio:
         [
             (0.7, (7, 10)),  # the decimal, not the binary float's 3152519739159347/2**52
             (1e-05, (1, 100000)),
+            (0.5, (1, 2)),
+            (Decimal("2.50"), (5, 2)),
+            (np.float64(0.35), (7, 20)),
             (Fraction(7, 10), (7, 10)),
+            pytest.param(-(10**5000), (-(10**5000), 1), id="-10**5000"),  # at its value, past 4,300 digits
         ],
     )
     def test_reads_the_text_str_writes(self, value, ratio):
@@ -297,8 +304,11 @@ class TestDecimalRatio:
 
     @given(
         st.floats(allow_nan=False, allow_infinity=False)
-        | st.integers(1 - 10**MAX_DIGITS, 10**MAX_DIGITS - 1)
+        | st.integers()
         | st.fractions()
+        | st.floats(allow_nan=False, allow_infinity=False).map(Decimal)  # up to 767 digits, the float's own
+        | st.floats(allow_nan=False, allow_infinity=False, width=32).map(np.float32)
+        | st.integers(-(2**63), 2**63 - 1).map(np.int64)
     )
     @example(10**MAX_DIGITS - 1)
     @example(1 - 10**MAX_DIGITS)
@@ -308,18 +318,19 @@ class TestDecimalRatio:
     @example(5e-324)
     @example(-0.0)
     @example(-0.02)
+    @example(0.5)
     @example(1.7976931348623157e308)
     @example(1e-05)
     @example(Fraction(-7, 10))
-    def test_is_the_fraction_of_the_text(self, value):
-        # Fraction parses the same text independently, exponent and sign included
-        if isinstance(value, int) and abs(value) >= 10**MAX_DIGITS:  # past the bound drawn from
-            with pytest.raises(ValueError, match=f"^int exceeds the limit of {MAX_DIGITS} digits$"):
-                decimal_ratio(value)
-            return
+    @example(Decimal("-0.00"))
+    @example(np.float64(0.1))
+    def test_is_the_value_or_the_fraction_of_the_text_in_lowest_terms(self, value):
         p, q = decimal_ratio(value)
-        assert type(p) is int and type(q) is int and q > 0
-        assert Fraction(p, q) == Fraction(str(value))
+        assert type(p) is int and type(q) is int and q > 0 and math.gcd(p, q) == 1
+        if isinstance(value, (int, Fraction)):
+            assert Fraction(p, q) == value  # at its value, past any digit limit
+        else:  # Fraction parses the same text independently, exponent and sign included
+            assert Fraction(p, q) == Fraction(str(value))
 
     @pytest.mark.skipif(not hasattr(sys.int_info, "default_max_str_digits"), reason="Python's limit is new in 3.10.7")
     def test_digit_limit_is_python_s_default(self):
@@ -337,6 +348,14 @@ class TestDecimalRatio:
         message = f"^{type(value).__name__} exceeds the limit of {MAX_DIGITS} digits$"
         with pytest.raises(ValueError, match=message):
             decimal_ratio(value)
+
+    def test_a_text_str_cannot_write_is_past_the_digit_limit(self):
+        # a Fraction subclass is read as its text, which str() refuses to write past Python's own int limit
+        class Ratio(Fraction):
+            pass
+
+        with pytest.raises(ValueError, match=f"^Ratio exceeds the limit of {MAX_DIGITS} digits$"):
+            decimal_ratio(Ratio(1, 10**MAX_DIGITS))
 
     @pytest.mark.parametrize(
         "value, message",
@@ -369,23 +388,21 @@ class TestDecimalRatio:
 
     @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="Python's limit is new in 3.10.7")
     def test_a_lower_python_limit_is_the_limit_named(self):
-        # PYTHONINTMAXSTRDIGITS=1000: int() of a 2,000-digit mantissa and str() of 10^2000 both
-        # fail under it, and each is refused as past that limit, not as no decimal or past 4,300
+        # PYTHONINTMAXSTRDIGITS=1000: int() of a 2,000-digit mantissa fails under it, and is refused as
+        # past that limit, not as no decimal or past 4,300; an int is read at its value, with no str()
         code = (
             "from decimal import Decimal\n"
             "from liqgame.core import decimal_ratio\n"
             "for value in (Decimal('1' * 2000), 10**2000, Decimal('1' * 1000), 10**1000 - 1):\n"
             "    try:\n"
-            "        print(sum(map(len, map(str, decimal_ratio(value)))))\n"
+            "        print(decimal_ratio(value) == (value if type(value) is int else int('1' * 1000), 1))\n"
             "    except ValueError as exc:\n"
             "        print(exc)\n"
         )
         env = {**os.environ, "PYTHONPATH": SRC, "PYTHONINTMAXSTRDIGITS": "1000"}
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == [
-            "Decimal exceeds the limit of 1000 digits", "int exceeds the limit of 1000 digits", "1001", "1001",
-        ]
+        assert proc.stdout.splitlines() == ["Decimal exceeds the limit of 1000 digits", "True", "True", "True"]
 
 
 class TestRoundTripProperties:

@@ -174,6 +174,18 @@ def test_simulate_fixed_fraction_loads_no_fractions():
     assert loaded_after_main(argv) == CLI_BASE | {adapter(argv), "liqgame.sim"}
 
 
+@pytest.mark.parametrize("strategy", ["random", "high"])
+def test_simulate_loads_no_numbers(strategy):
+    # a fixed fraction is checked by core.decimal_ratio's reading of it, not as a numbers.Real
+    code = (
+        "import contextlib, io, sys; from liqgame import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main(['simulate', '--trials', '50', '--seed', '1', '--strategy-i', {strategy!r}]) == 0\n"
+        "print('numbers' in sys.modules)"
+    )
+    assert run_fresh(code) == "False\n"
+
+
 def test_help_loads_no_adapter():
     # every subcommand is listed by name and help line alone
     code = (

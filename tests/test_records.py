@@ -2,6 +2,7 @@
 compared and validated. Records are immutable named tuples."""
 
 import copy
+import math
 import pickle
 import sys
 from decimal import Decimal
@@ -268,6 +269,9 @@ INVALID = [
     (SPEC, dict(fraction=1.5), "fixed_fraction needs a fraction in (0, 1]"),
     (SPEC, dict(fraction="0.5"), "fixed_fraction needs a fraction in (0, 1]"),
     (SPEC, dict(fraction=True), "fixed_fraction needs a fraction in (0, 1]"),
+    (SPEC, dict(fraction=None), "fixed_fraction needs a fraction in (0, 1]"),
+    (SPEC, dict(fraction=float("nan")), "fixed_fraction needs a fraction in (0, 1]"),
+    (SPEC, dict(fraction=Decimal("NaN")), "fixed_fraction needs a fraction in (0, 1]"),
     (SPEC, dict(kind="full_balance"), "fraction is only valid for fixed_fraction, not full_balance"),
     (CONFIG, dict(trials=0), "trials must be >= 1"),
     (CONFIG, dict(trials="1"), "trials must be an integer"),
@@ -397,6 +401,24 @@ def test_game_keeps_the_callers_ints():
     record = game(matrices={"a": (((1, 2),),)}, prior=(1,))
     assert record.matrices == {"a": (((1, 2),),)}
     assert [type(x) for x in (*record.matrices["a"][0][0], *record.prior)] == [int, int, int]
+
+
+@pytest.mark.parametrize(
+    "fraction",
+    [0.5, 1, 1.0, 5e-324, Fraction(1, 3), Decimal("0.3"), pytest.param(Fraction(1, 10**4300), id="1/10**4300")],
+)
+def test_strategy_spec_admits_a_fraction_in_the_unit_interval(fraction):
+    # read as the parcel rule reads it, by core.decimal_ratio: a Fraction at its value, any other as its decimal
+    spec = sim.StrategySpec("fixed_fraction", fraction)
+    assert spec.fraction is fraction  # kept as given
+    exact = fraction if isinstance(fraction, Fraction) else Fraction(str(fraction))
+    assert sim._deterministic_parcel(spec)(10**4400) == max(1, math.floor(exact * 10**4400 + Fraction(1, 2)))
+
+
+def test_decimal_fraction_simulates_as_its_float():
+    configs = [sim.SimConfig(500, strategy_i=sim.StrategySpec("fixed_fraction", x), seed=3, mode="repeated")
+               for x in (Decimal("0.3"), 0.3)]
+    assert sim.run_simulation(configs[0]) == sim.run_simulation(configs[1])
 
 
 def test_game_checks_its_tables_before_its_prior():

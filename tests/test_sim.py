@@ -79,8 +79,8 @@ class TestStrategySpec:
             StrategySpec.from_jsonable(5)
 
     def test_boolean_fraction_rejected(self):
-        # bool is a numbers.Real, so True would pass as 1 and fail only when
-        # a parcel is computed
+        # bool is an int, so True would pass as 1 had core.decimal_ratio read it
+        # at its value; it writes no finite decimal
         with pytest.raises(ValueError, match=r"^fixed_fraction needs a fraction in \(0, 1\]$"):
             StrategySpec("fixed_fraction", True)
         with pytest.raises(ValueError, match="fixed_fraction needs"):
